@@ -10,21 +10,36 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use procrustes_core::{masks, CoSim, MaskGenConfig, NetworkEval};
+use procrustes_core::{
+    masks, CoSim, Engine, EvalResult, Fidelity, MaskGenConfig, Scenario, ScenarioBuilder,
+};
 use procrustes_dropback::ProcrustesConfig;
 use procrustes_nn::data::SyntheticImages;
 use procrustes_nn::{arch, BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential};
 use procrustes_prng::Xorshift64;
 use procrustes_sim::{area, ArchConfig, BalanceMode, Mapping};
 
+/// One scenario on a fresh serial engine, so no memoized layer cost
+/// carries over between iterations.
+fn run(scenario: ScenarioBuilder) -> EvalResult {
+    Engine::serial().run(&scenario.build().unwrap()).unwrap()
+}
+
 fn fig01_ideal(c: &mut Criterion) {
     let net = arch::vgg_s();
     let hw = ArchConfig::ideal_16x16();
     c.bench_function("fig01_ideal_vgg_potential", |b| {
         b.iter(|| {
-            let eval = NetworkEval::new(black_box(&net), &hw);
-            let wl = masks::dense(&net, 16);
-            eval.run_with_workloads(Mapping::KN, &wl, BalanceMode::Ideal)
+            let wl = masks::dense(black_box(&net), 16);
+            Engine::serial()
+                .run_workloads(
+                    net.name,
+                    &hw,
+                    Mapping::KN,
+                    &wl,
+                    BalanceMode::Ideal,
+                    Fidelity::Analytic,
+                )
                 .totals()
                 .cycles
         })
@@ -42,8 +57,15 @@ fn fig05_13_imbalance(c: &mut Criterion) {
     ] {
         g.bench_function(name, |b| {
             b.iter(|| {
-                NetworkEval::new(&net, &hw)
-                    .run_with_workloads(Mapping::KN, black_box(&wl), mode)
+                Engine::serial()
+                    .run_workloads(
+                        net.name,
+                        &hw,
+                        Mapping::KN,
+                        black_box(&wl),
+                        mode,
+                        Fidelity::Analytic,
+                    )
                     .totals()
                     .cycles
             })
@@ -55,28 +77,23 @@ fn fig05_13_imbalance(c: &mut Criterion) {
 fn fig17_20_sweeps(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig17_20_sweeps");
     g.sample_size(10);
-    let hw16 = ArchConfig::procrustes_16x16();
-    let hw32 = ArchConfig::procrustes_32x32();
 
-    let vgg = arch::vgg_s();
     g.bench_function("fig17_energy_breakdown_vgg", |b| {
         b.iter(|| {
-            let eval = NetworkEval::new(&vgg, &hw16);
-            let d = eval.run_dense(Mapping::KN);
-            let s = eval.run_sparse(Mapping::KN, &MaskGenConfig::paper_default(5.2), 1);
-            d.totals().energy_j() / s.totals().energy_j()
+            let d = run(Scenario::builder("VGG-S"));
+            let s = run(Scenario::builder("VGG-S").synthetic(MaskGenConfig::paper_default(5.2), 1));
+            s.energy_saving_over(&d)
         })
     });
 
-    let densenet = arch::densenet();
     for mapping in Mapping::ALL {
         g.bench_with_input(
             BenchmarkId::new("fig18_19_dataflow_densenet", mapping.label()),
             &mapping,
             |b, &m| {
                 b.iter(|| {
-                    NetworkEval::new(&densenet, &hw16)
-                        .run_sparse(m, &MaskGenConfig::paper_default(3.9), 2)
+                    let cfg = MaskGenConfig::paper_default(3.9);
+                    run(Scenario::builder("DenseNet").mapping(m).synthetic(cfg, 2))
                         .totals()
                         .cycles
                 })
@@ -84,17 +101,13 @@ fn fig17_20_sweeps(c: &mut Criterion) {
         );
     }
 
-    let resnet = arch::resnet18();
     g.bench_function("fig20_scaling_resnet18", |b| {
         b.iter(|| {
-            let cfg = MaskGenConfig::paper_default(11.7);
-            let small = NetworkEval::new(&resnet, &hw16)
-                .with_batch(32)
-                .run_sparse(Mapping::KN, &cfg, 4);
-            let big = NetworkEval::new(&resnet, &hw32)
-                .with_batch(32)
-                .run_sparse(Mapping::KN, &cfg, 4);
-            small.totals().cycles as f64 / big.totals().cycles as f64
+            let at = |hw: ArchConfig| {
+                let cfg = MaskGenConfig::paper_default(11.7);
+                run(Scenario::builder("ResNet18").arch(hw).batch(32).synthetic(cfg, 4))
+            };
+            at(ArchConfig::procrustes_32x32()).speedup_over(&at(ArchConfig::procrustes_16x16()))
         })
     });
     g.finish();

@@ -13,7 +13,8 @@ use procrustes_nn::{BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU, Seque
 use procrustes_prng::{UniformRng, Xorshift64};
 use procrustes_quantile::Dumique;
 use procrustes_sparse::CsbTensor;
-use procrustes_tensor::{conv2d, conv2d_im2col, Tensor};
+use procrustes_tensor::reference::{conv2d, conv2d_im2col};
+use procrustes_tensor::Tensor;
 
 fn sparse_weights(k: usize, c: usize, keep: f64, seed: u64) -> Tensor {
     let mut rng = Xorshift64::new(seed);

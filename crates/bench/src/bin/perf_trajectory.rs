@@ -3,7 +3,7 @@
 //!
 //! Times (a) the selector-chosen GEMM kernel against the seed naive-ikj
 //! matmul — recording which routine served each pinned shape and which
-//! selector layer (table/model/tiny) chose it, so every BENCH entry is
+//! selector step (model/tiny) chose it, so every BENCH entry is
 //! attributable — (b) the three conv training kernels (GEMM form vs
 //! seed scatter form) over the fig06-style tiny-VGG geometries, and (c)
 //! one full training step of the dense and Procrustes trainers on that
@@ -28,10 +28,10 @@ use procrustes_bench::{best_of as time, FIG06_BATCH, FIG06_CONV_LAYERS};
 use procrustes_dropback::{DenseSgdTrainer, ProcrustesConfig, ProcrustesTrainer, Trainer};
 use procrustes_nn::{arch, data::SyntheticImages};
 use procrustes_prng::Xorshift64;
+use procrustes_tensor::reference::{conv2d_backward_input, conv2d_backward_weights, matmul_ikj};
 use procrustes_tensor::{
-    conv2d_backward_input, conv2d_backward_input_gemm, conv2d_backward_weights,
-    conv2d_backward_weights_from_cols, conv2d_from_cols, conv_out_dim, im2col, im2col_into, kernel,
-    reference::matmul_ikj, Scratch, Tensor,
+    conv2d_backward_input_gemm, conv2d_backward_weights_from_cols, conv2d_from_cols, conv_out_dim,
+    im2col, im2col_into, kernel, Scratch, Tensor,
 };
 
 fn gflops(flops: u128, t: Duration) -> f64 {
@@ -52,7 +52,7 @@ struct GemmPoint {
     tier: String,
     /// Worker count of the threaded plan (1 if it stayed serial).
     workers: usize,
-    /// Which selector layer decided: `table`, `model`, or `tiny`.
+    /// Which selector step decided: `model` or `tiny`.
     selector: &'static str,
 }
 

@@ -14,7 +14,7 @@
 use procrustes_bench::best_of as time;
 use procrustes_prng::{UniformRng, Xorshift64};
 use procrustes_sparse::{csb_conv2d, csb_fc_forward, CsbTensor};
-use procrustes_tensor::{conv2d_im2col, Tensor};
+use procrustes_tensor::{reference::conv2d_im2col, Tensor};
 
 const KEEP: f64 = 0.05;
 

@@ -13,9 +13,9 @@ use std::time::Duration;
 
 use procrustes_bench::{best_of as time, FIG06_BATCH, FIG06_CONV_LAYERS};
 use procrustes_prng::Xorshift64;
+use procrustes_tensor::reference::{conv2d_backward_input, conv2d_backward_weights, matmul_ikj};
 use procrustes_tensor::{
-    conv2d_backward_input, conv2d_backward_input_gemm, conv2d_backward_weights,
-    conv2d_backward_weights_from_cols, conv_out_dim, im2col, reference::matmul_ikj, Scratch,
+    conv2d_backward_input_gemm, conv2d_backward_weights_from_cols, conv_out_dim, im2col, Scratch,
     Tensor,
 };
 

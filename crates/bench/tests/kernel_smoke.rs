@@ -1,7 +1,7 @@
 //! A criterion-free performance guard for the kernel subsystem: on the
 //! pinned BENCH GEMM shapes the selector-chosen routine must beat the
-//! seed naive-ikj loop by at least 2× — the floor the tile table was
-//! committed to clear.
+//! seed naive-ikj loop by at least 2× — the floor the packed kernels
+//! were built to clear.
 //!
 //! Runs under plain `cargo test` in the offline build. The timing
 //! assertion is conditional, per the offline/1-CPU environment:

@@ -20,9 +20,6 @@
 //!   ([`EvalResult::speedup_over`], [`EvalResult::energy_saving_over`])
 //!   and JSON serialization.
 //!
-//! [`NetworkEval`](crate::NetworkEval) remains as a thin compatibility
-//! shim over the same per-layer evaluation path.
-//!
 //! # Examples
 //!
 //! ```
@@ -63,7 +60,6 @@ use procrustes_sim::{
     LayerCost, LayerTask, Mapping, Phase, SparsityInfo,
 };
 
-use crate::eval::NetworkCost;
 use crate::json::Json;
 use crate::masks::{self, MaskGenConfig};
 
@@ -335,6 +331,10 @@ impl Scenario {
     /// reproduces the seed evaluation exactly.
     pub const DEFAULT_COMPUTE: ComputeBackend = ComputeBackend::Auto { max_density: 1.0 };
 
+    /// The paper's evaluation minibatch (§III-B sizes its QE example at
+    /// batch 16).
+    pub const DEFAULT_BATCH: usize = 16;
+
     /// The default latency fidelity: the analytic model, reproducing the
     /// seed evaluation bit-for-bit. Documents from before the fidelity
     /// axis existed deserialize to this.
@@ -346,7 +346,7 @@ impl Scenario {
             network: network.into(),
             arch: ArchConfig::procrustes_16x16(),
             mapping: Mapping::KN,
-            batch: crate::NetworkEval::DEFAULT_BATCH,
+            batch: Self::DEFAULT_BATCH,
             sparsity: SparsityGen::Dense,
             balance: None,
             compute: Self::DEFAULT_COMPUTE,
@@ -880,7 +880,7 @@ impl Sweep {
             computes: non_empty(&self.computes, Scenario::DEFAULT_COMPUTE),
             fidelities: non_empty(&self.fidelities, Scenario::DEFAULT_FIDELITY),
             mappings: non_empty(&self.mappings, Mapping::KN),
-            batches: non_empty(&self.batches, crate::NetworkEval::DEFAULT_BATCH),
+            batches: non_empty(&self.batches, Scenario::DEFAULT_BATCH),
             arches: non_empty(&self.arches, ArchConfig::procrustes_16x16()),
             balances: non_empty(&self.balances, None),
         }
@@ -1293,8 +1293,9 @@ impl Engine {
 
     /// The lower-level entry point: evaluates explicit `(task, sparsity)`
     /// pairs (all layers × all three phases) under one mapping and
-    /// latency fidelity. This is the loop [`crate::NetworkEval`]
-    /// delegates to (at [`Fidelity::Analytic`]).
+    /// latency fidelity — e.g. masks extracted from a trained model, or
+    /// one mask set under several balancing modes. The tasks carry their
+    /// own minibatch dimension and are evaluated exactly as given.
     pub fn run_workloads(
         &self,
         network: &str,
@@ -1341,6 +1342,40 @@ impl Engine {
             phases,
             layers,
         }
+    }
+}
+
+/// The cost of one full training iteration of a network (all layers ×
+/// all three phases) under one mapping.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NetworkCost {
+    /// Network name.
+    pub network: String,
+    /// Mapping evaluated.
+    pub mapping: Mapping,
+    /// Per-phase summaries (`fw`, `bw`, `wu`).
+    pub phases: [CostSummary; 3],
+    /// Every layer × phase cost, in execution order.
+    pub layers: Vec<LayerCost>,
+}
+
+impl NetworkCost {
+    /// The summary of one phase.
+    pub fn phase(&self, phase: Phase) -> &CostSummary {
+        match phase {
+            Phase::Forward => &self.phases[0],
+            Phase::Backward => &self.phases[1],
+            Phase::WeightUpdate => &self.phases[2],
+        }
+    }
+
+    /// Totals across all three phases.
+    pub fn totals(&self) -> CostSummary {
+        let mut t = CostSummary::new();
+        for c in &self.layers {
+            t.accumulate(c);
+        }
+        t
     }
 }
 
@@ -1865,23 +1900,54 @@ mod tests {
         ));
     }
 
+    /// One scenario on a fresh serial engine.
+    fn run_one(scenario: ScenarioBuilder) -> EvalResult {
+        Engine::serial().run(&scenario.build().unwrap()).unwrap()
+    }
+
     #[test]
-    fn engine_matches_network_eval_shim() {
-        use crate::NetworkEval;
-        let net = arch::vgg_s();
-        let hw = ArchConfig::procrustes_16x16();
-        let eval = NetworkEval::new(&net, &hw);
-        let cfg = MaskGenConfig::paper_default(5.2);
-        let legacy = eval.run_sparse(Mapping::KN, &cfg, 9);
-        let result = Engine::serial()
-            .run(
-                &Scenario::builder("VGG-S")
-                    .synthetic(cfg, 9)
-                    .build()
-                    .unwrap(),
-            )
-            .unwrap();
-        assert_eq!(result.cost, legacy);
+    fn sparse_beats_dense_on_energy_and_cycles() {
+        let dense = run_one(Scenario::builder("VGG-S"));
+        let sparse =
+            run_one(Scenario::builder("VGG-S").synthetic(MaskGenConfig::paper_default(5.2), 1));
+        let e_saving = sparse.energy_saving_over(&dense);
+        let speedup = sparse.speedup_over(&dense);
+        assert!(e_saving > 1.3, "energy saving {e_saving:.2}");
+        assert!(speedup > 1.3, "speedup {speedup:.2}");
+    }
+
+    #[test]
+    fn all_layers_and_phases_present() {
+        let cost = run_one(Scenario::builder("DenseNet")).cost;
+        assert_eq!(cost.layers.len(), arch::densenet().layers.len() * 3);
+        for phase in Phase::ALL {
+            assert!(cost.phase(phase).macs > 0);
+        }
+        // Total = sum of phases.
+        let total = cost.totals();
+        let by_phase: u64 = Phase::ALL.iter().map(|&p| cost.phase(p).cycles).sum();
+        assert_eq!(total.cycles, by_phase);
+    }
+
+    #[test]
+    fn kn_is_fastest_mapping_for_vgg() {
+        // §VI-D: "Procrustes uses the overall fastest K,N scheme".
+        let cycles = |m: Mapping| {
+            let cfg = MaskGenConfig::paper_default(5.2);
+            let scenario = Scenario::builder("VGG-S").mapping(m).synthetic(cfg, 2);
+            run_one(scenario).totals().cycles
+        };
+        let kn = cycles(Mapping::KN);
+        for m in Mapping::ALL {
+            assert!(kn <= cycles(m), "KN ({kn}) should beat {m:?}");
+        }
+    }
+
+    #[test]
+    fn batch_scaling_scales_work() {
+        let b16 = run_one(Scenario::builder("DenseNet"));
+        let b32 = run_one(Scenario::builder("DenseNet").batch(32));
+        assert_eq!(b32.totals().macs, 2 * b16.totals().macs);
     }
 
     #[test]

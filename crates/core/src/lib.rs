@@ -16,8 +16,6 @@
 //! * [`engine`] — the unified evaluation API: declarative [`Scenario`]s,
 //!   cartesian [`Sweep`]s, and the parallel, memoizing [`Engine`] behind
 //!   Figs 1 and 17–20;
-//! * [`NetworkEval`] — the original per-network evaluator, kept as a thin
-//!   compatibility shim over [`Engine`];
 //! * [`CoSim`] — functional co-simulation of the Procrustes trainer with
 //!   the accelerator's bookkeeping units (QE admissions, imbalance before
 //!   and after balancing) over real training steps;
@@ -49,7 +47,6 @@
 mod balancer;
 mod cosim;
 pub mod engine;
-mod eval;
 pub mod json;
 pub mod masks;
 pub mod report;
@@ -57,10 +54,9 @@ pub mod report;
 pub use balancer::{BalancedTile, LoadBalancer, Schedule};
 pub use cosim::{CoSim, CoSimRecord};
 pub use engine::{
-    paper_sparsity_factor, resolve_network, Engine, EngineOpts, EvalResult, Scenario,
+    paper_sparsity_factor, resolve_network, Engine, EngineOpts, EvalResult, NetworkCost, Scenario,
     ScenarioBuilder, ScenarioError, SparsityGen, Sweep, SweepAxes, PAPER_NETWORKS,
 };
-pub use eval::{NetworkCost, NetworkEval};
 pub use masks::MaskGenConfig;
 // The execution-backend axis of `Scenario`/`Sweep`; defined next to the
 // layers that dispatch on it, re-exported here for scenario authors.

@@ -4,8 +4,8 @@
 
 use procrustes_core::report::{fmt_cycles, fmt_joules, Table};
 use procrustes_core::{
-    masks, ComputeBackend, Engine, Fidelity, MaskGenConfig, NetworkEval, Scenario, SparsityGen,
-    Sweep, PAPER_NETWORKS,
+    masks, ComputeBackend, Engine, Fidelity, MaskGenConfig, Scenario, SparsityGen, Sweep,
+    PAPER_NETWORKS,
 };
 use procrustes_dropback::{
     EvictionPolicy, GradualConfig, GradualMagnitudeTrainer, ProcrustesConfig, ProcrustesTrainer,
@@ -130,10 +130,19 @@ pub fn run_balancer(ctx: &ExpContext) {
     for net in arch::paper_networks() {
         let factor = procrustes_core::paper_sparsity_factor(net.name)
             .expect("Table II factor exists for every paper network");
-        let eval = NetworkEval::new(&net, &hw);
         let wl = masks::generate(&net, &MaskGenConfig::paper_default(factor), 16, 8);
-        let none = eval.run_with_workloads(Mapping::KN, &wl, BalanceMode::None);
-        let bal = eval.run_with_workloads(Mapping::KN, &wl, BalanceMode::HalfTile);
+        let run = |balance| {
+            Engine::serial().run_workloads(
+                net.name,
+                &hw,
+                Mapping::KN,
+                &wl,
+                balance,
+                Fidelity::Analytic,
+            )
+        };
+        let none = run(BalanceMode::None);
+        let bal = run(BalanceMode::HalfTile);
         let saved = 1.0 - bal.totals().cycles as f64 / none.totals().cycles as f64;
         t.row(&[
             net.name.to_string(),

@@ -500,7 +500,7 @@ mod tests {
         for ci in 0..3 {
             let xc = crate::slice_channels(&x, ci, ci + 1);
             let wc = Tensor::from_fn(&[1, 1, 3, 3], |i| dw.weight.at(&[ci, 0, i[2], i[3]]));
-            let yc = procrustes_tensor::conv2d(&xc, &wc, 1, 1);
+            let yc = procrustes_tensor::reference::conv2d(&xc, &wc, 1, 1);
             let got = crate::slice_channels(&y, ci, ci + 1);
             for (a, b) in got.data().iter().zip(yc.data()) {
                 assert!((a - b).abs() < 1e-5, "{a} vs {b}");

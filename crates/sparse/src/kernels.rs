@@ -65,7 +65,7 @@ fn check_activations(x: &Tensor, c: usize) -> (usize, usize, usize) {
 }
 
 /// Forward convolution with CSB weights: the sparse counterpart of
-/// `conv2d_im2col`, skipping every zero weight.
+/// `conv2d_from_cols`, skipping every zero weight.
 ///
 /// Bitwise-equal to the dense forward path for the same operands.
 ///
@@ -78,7 +78,7 @@ fn check_activations(x: &Tensor, c: usize) -> (usize, usize, usize) {
 ///
 /// ```
 /// use procrustes_sparse::{csb_conv2d, CsbTensor};
-/// use procrustes_tensor::{conv2d, Tensor};
+/// use procrustes_tensor::{reference::conv2d, Tensor};
 ///
 /// let w = Tensor::from_vec(&[1, 1, 3, 3],
 ///     vec![0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0]);
@@ -159,7 +159,7 @@ fn valid_out_range(
 ///
 /// The filters are decoded through the CSB fetch-time rotation
 /// ([`CsbTensor::block_dense_rotated180`]); `h`/`wdt` are the input
-/// spatial extents. Bitwise-equal to `conv2d_backward_input`.
+/// spatial extents. Bitwise-equal to `reference::conv2d_backward_input`.
 ///
 /// # Panics
 ///
@@ -577,7 +577,9 @@ pub fn csb_fc_backward_weights_masked(x: &Tensor, dy: &Tensor, mask: &CsbTensor)
 mod tests {
     use super::*;
     use procrustes_prng::{UniformRng, Xorshift64};
-    use procrustes_tensor::{conv2d_backward_input, conv2d_backward_weights, conv2d_im2col};
+    use procrustes_tensor::reference::{
+        conv2d_backward_input, conv2d_backward_weights, conv2d_im2col,
+    };
 
     fn sparse_tensor(dims: &[usize], keep: f64, seed: u64) -> Tensor {
         let mut rng = Xorshift64::new(seed);

@@ -1,200 +1,36 @@
-//! Offline autotune driver for the committed GEMM tile table.
+//! Advisory wall-clock sweep for the kernel cost model.
 //!
-//! Modes:
-//!
-//! - **(default)** — regenerate `src/kernel/table.rs` from the
-//!   deterministic cost model and report what changed.
-//! - **`--verify`** — merge gate: re-render the table (including the
-//!   threaded-tier entries), byte-compare it against the committed
-//!   file, and spot-check that the selector's plan matches
-//!   `reference::matmul_ikj` bit-for-bit on every pinned shape at
-//!   every worker budget (1/2/4/8). Exits nonzero on any drift or
-//!   mismatch. Fully deterministic — safe to run on any machine.
-//! - **`--measure`** — advisory wall-clock sweep of the candidate
-//!   routines over the pinned shapes (best-of-5 GFLOP/s), plus a
-//!   per-tier sweep of the selected plan across worker budgets. Never
-//!   touches the table; use it to re-calibrate the cost model and to
-//!   catch the "only 64-wide inner loops vectorize" footgun on
-//!   threaded tiles too.
+//! `cargo run --release -p procrustes-tensor --bin kernel_autotune`
+//! times every candidate routine over the pinned shapes (best-of-5
+//! GFLOP/s) and marks the one the selector picks, then times the
+//! selected plan through `kernel::gemm` at worker budgets 1/2/4/8. Use
+//! it to re-calibrate the constants in `kernel::autotune` and to catch
+//! the "only 64-wide inner loops vectorize" footgun; nothing reads its
+//! output. Takes no arguments and rejects any.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use procrustes_prng::{UniformRng, Xorshift64};
 use procrustes_tensor::kernel::{self, autotune, routine, selector, Blueprint, Op};
-use procrustes_tensor::reference::matmul_ikj;
 use procrustes_tensor::Scratch;
 
-fn table_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/kernel/table.rs")
-}
-
-/// Operands with `zero_frac` exact zeros: sparse for equality spot
-/// checks (exercises the skip path), dense for timing (matches the
-/// `perf_trajectory` bench data and keeps the skip branch predictable).
-fn seeded_operands(bp: &Blueprint, seed: u64, zero_frac: f64) -> (Vec<f32>, Vec<f32>) {
+/// Dense seeded operands: matches the `perf_trajectory` bench data and
+/// keeps the zero-skip branch predictable.
+fn seeded_operands(bp: &Blueprint, seed: u64) -> (Vec<f32>, Vec<f32>) {
     let mut rng = Xorshift64::new(seed);
-    let mut fill = |len: usize| -> Vec<f32> {
-        (0..len)
-            .map(|_| {
-                if rng.next_f64() < zero_frac {
-                    0.0
-                } else {
-                    rng.next_f32() * 2.0 - 1.0
-                }
-            })
-            .collect()
-    };
+    let mut fill =
+        |len: usize| -> Vec<f32> { (0..len).map(|_| rng.next_f32() * 2.0 - 1.0).collect() };
     (fill(bp.lhs_len()), fill(bp.rhs_len()))
 }
 
-/// Naive reference for any op: materialize untransposed operands, run
-/// the seed ikj loop.
-fn reference_for(bp: &Blueprint, lhs: &[f32], rhs: &[f32]) -> Vec<f32> {
-    let (m, k, n) = (bp.m, bp.k, bp.n);
-    let a: Vec<f32> = match bp.op {
-        Op::Tn => {
-            let mut a = vec![0.0f32; m * k];
-            for p in 0..k {
-                for i in 0..m {
-                    a[i * k + p] = lhs[p * m + i];
-                }
-            }
-            a
-        }
-        _ => lhs.to_vec(),
-    };
-    let b: Vec<f32> = match bp.op {
-        Op::Nt => {
-            let mut b = vec![0.0f32; k * n];
-            for j in 0..n {
-                for p in 0..k {
-                    b[p * n + j] = rhs[j * k + p];
-                }
-            }
-            b
-        }
-        _ => rhs.to_vec(),
-    };
-    matmul_ikj(&a, &b, m, k, n)
-}
-
-/// Every pinned shape, at every worker budget, through the public
-/// `kernel::gemm` entry point: the result must be bitwise-equal to the
-/// naive reference, which simultaneously checks the serial routines,
-/// the threaded table entries, and the tier dispatch itself.
-fn spot_check() -> Result<(), String> {
+fn main() -> ExitCode {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("kernel_autotune: unexpected argument {arg} (the sweep takes none)");
+        return ExitCode::FAILURE;
+    }
     let mut scratch = Scratch::new();
-    for &(op, m, k, n) in autotune::PINNED_SHAPES {
-        let base = Blueprint {
-            m,
-            k,
-            n,
-            op,
-            zero_skip: true,
-            threads: 1,
-        };
-        let (lhs, rhs) = seeded_operands(&base, (m * 1_000_003 + k * 1_009 + n) as u64, 0.3);
-        let want = reference_for(&base, &lhs, &rhs);
-        for &budget in autotune::THREAD_BUDGETS {
-            let bp = base.with_threads(budget);
-            let plan = selector::select(&bp);
-            let mut got = vec![f32::NAN; m * n];
-            kernel::gemm(&bp, &mut got, &lhs, &rhs, &mut scratch);
-            if got
-                .iter()
-                .zip(&want)
-                .any(|(g, w)| g.to_bits() != w.to_bits())
-            {
-                return Err(format!(
-                    "equality violation: {} on {}x{}x{} ({}) at budget {}",
-                    plan.describe(),
-                    m,
-                    k,
-                    n,
-                    op.tag(),
-                    budget
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn verify() -> ExitCode {
-    let path = table_path();
-    let committed = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!(
-                "kernel_autotune --verify: cannot read {}: {e}",
-                path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let generated = autotune::render_table();
-    if committed != generated {
-        eprintln!(
-            "kernel_autotune --verify: {} has drifted from the generator.\n\
-             Regenerate it with `cargo run --release -p procrustes-tensor --bin kernel_autotune`\n\
-             and commit the result.",
-            path.display()
-        );
-        return ExitCode::FAILURE;
-    }
-    if let Err(msg) = spot_check() {
-        eprintln!("kernel_autotune --verify: {msg}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "kernel_autotune --verify: table is a fixed point ({} entries), all pinned shapes bitwise-equal to reference at budgets {:?}",
-        autotune::table_entries().len(),
-        autotune::THREAD_BUDGETS
-    );
-    ExitCode::SUCCESS
-}
-
-fn regenerate() -> ExitCode {
-    let path = table_path();
-    let generated = autotune::render_table();
-    let old = std::fs::read_to_string(&path).unwrap_or_default();
-    if let Err(e) = std::fs::write(&path, &generated) {
-        eprintln!("kernel_autotune: cannot write {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    if let Err(msg) = spot_check() {
-        eprintln!("kernel_autotune: table written but spot check failed: {msg}");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "kernel_autotune: wrote {} ({} entries, {})",
-        path.display(),
-        autotune::table_entries().len(),
-        if old == generated {
-            "unchanged"
-        } else {
-            "updated"
-        }
-    );
-    for (class, r, tier) in autotune::table_entries() {
-        println!(
-            "  {}:{:?}/{:?}/{:?}@{:?} -> {} [{}]",
-            class.op.tag(),
-            class.m,
-            class.k,
-            class.n,
-            class.t,
-            r.describe(),
-            tier.tag()
-        );
-    }
-    ExitCode::SUCCESS
-}
-
-fn measure() -> ExitCode {
-    let mut scratch = Scratch::new();
-    println!("advisory wall-clock sweep (best of 5, GFLOP/s); never affects the table");
+    println!("advisory wall-clock sweep (best of 5, GFLOP/s); never affects selection");
     for &(op, m, k, n) in autotune::PINNED_SHAPES {
         let bp = Blueprint {
             m,
@@ -204,10 +40,10 @@ fn measure() -> ExitCode {
             zero_skip: true,
             threads: 1,
         };
-        let (lhs, rhs) = seeded_operands(&bp, (m * 7 + k * 11 + n * 13) as u64, 0.0);
+        let (lhs, rhs) = seeded_operands(&bp, (m * 7 + k * 11 + n * 13) as u64);
         let flops = bp.flops() as f64;
         println!("shape {}x{}x{} ({}):", m, k, n, op.tag());
-        let mut pool = autotune::candidates();
+        let mut pool: Vec<_> = autotune::candidates().collect();
         match op {
             Op::Nn => pool.push(routine::Routine::RowStream),
             Op::Nt => pool.push(routine::Routine::NtRegTile),
@@ -237,7 +73,7 @@ fn measure() -> ExitCode {
         // budget, timed through the real `kernel::gemm` dispatch so
         // threaded timings include pool overhead.
         println!("  tier sweep:");
-        for &budget in autotune::THREAD_BUDGETS {
+        for budget in [1, 2, 4, 8] {
             let wide = bp.with_threads(budget);
             let plan = selector::select(&wide);
             let mut dst = vec![0.0f32; m * n];
@@ -256,17 +92,4 @@ fn measure() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        None => regenerate(),
-        Some("--verify") => verify(),
-        Some("--measure") => measure(),
-        Some(other) => {
-            eprintln!("kernel_autotune: unknown flag {other} (expected --verify or --measure)");
-            ExitCode::FAILURE
-        }
-    }
 }

@@ -1,21 +1,20 @@
-//! The offline autotune sweep behind the committed tile table.
-//!
-//! `cargo run --release -p procrustes-tensor --bin kernel_autotune`
-//! regenerates `src/kernel/table.rs` from the logic here; CI re-runs it
-//! with `--verify` and fails if the committed table is not a fixed
-//! point.
+//! The deterministic cost model the [selector](super::selector) ranks
+//! routines with, and the pinned shapes the `kernel_autotune` bin
+//! measures it against.
 //!
 //! # Why a cost model and not a stopwatch
 //!
-//! The table is checked-in source verified on every merge, so its
-//! contents must be reproducible on *any* machine — a wall-clock sweep
-//! would bake one host's noise into the build. Selection therefore
-//! ranks candidates with a deterministic integer cost model (micro-op
-//! count plus memory traffic, with register-pressure and L1-overflow
-//! penalties), calibrated once against measurements on the development
-//! host. Wall-clock numbers remain available behind `--measure` as an
-//! advisory report (now per tier and worker count); they never
-//! influence the generated table.
+//! A plan must be reproducible on *any* machine — benchmark
+//! attribution and the golden plan test compare plan strings across
+//! hosts — so selection cannot depend on one host's wall-clock noise.
+//! Candidates are ranked with a deterministic integer cost model
+//! (micro-op count plus memory traffic, with register-pressure and
+//! L1-overflow penalties), calibrated once against measurements on the
+//! development host. Wall-clock numbers come from
+//! `cargo run --release -p procrustes-tensor --bin kernel_autotune`, an
+//! advisory report (per routine, tier and worker count) for
+//! re-calibrating the constants here; it never feeds back into
+//! selection.
 //!
 //! # The parallelism dimension
 //!
@@ -30,21 +29,21 @@
 //! the measured behaviour that a pool dispatch costs a few
 //! microseconds.
 
-use super::blueprint::{Band, Blueprint, Op, ShapeClass, TBand};
-use super::routine::{Routine, Tier, SUPPORTED_TILES};
+use super::blueprint::{Blueprint, Op};
+use super::routine::{Routine, SUPPORTED_TILES};
 use super::selector::Plan;
 use super::thread;
 
-/// The pinned shapes the sweep covers: the `perf_trajectory` GEMM
-/// shapes, the conv im2col products and fc forward/backward shapes of
-/// the FIG06 training stack, and degenerate extents (vector-matrix,
-/// skinny reductions) that exercise the small bands.
+/// The pinned shapes the sweep and the equality suites cover: the
+/// `perf_trajectory` GEMM shapes, the conv im2col products and fc
+/// forward/backward shapes of the FIG06 training stack, and degenerate
+/// extents (vector-matrix, skinny reductions).
 pub const PINNED_SHAPES: &[(Op, usize, usize, usize)] = &[
     // perf_trajectory dense GEMM trio.
     (Op::Nn, 64, 288, 2048),
     (Op::Nn, 256, 256, 256),
     (Op::Nn, 64, 576, 512),
-    // Larger square point for the big-band classes.
+    // Larger square point.
     (Op::Nn, 512, 512, 512),
     // Conv im2col products: dst [k_out, n·p·q] = w [k_out, c·r·s] · cols.
     (Op::Nn, 32, 27, 8192),
@@ -62,10 +61,6 @@ pub const PINNED_SHAPES: &[(Op, usize, usize, usize)] = &[
     (Op::Tn, 512, 64, 2048),
 ];
 
-/// The worker budgets the sweep and the `--measure` report cover: the
-/// [`TBand`] representatives.
-pub const THREAD_BUDGETS: &[usize] = &[1, 2, 4, 8];
-
 /// Flat model cost of one threaded dispatch (publish the job, wake the
 /// pool, join), in the same scaled units as [`model_cost`]. Together
 /// with [`PER_WORKER_COST`] this puts the serial/threaded crossover
@@ -76,24 +71,23 @@ pub const DISPATCH_COST: u128 = 6_000_000;
 /// rhs panels and pays one condvar round-trip.
 pub const PER_WORKER_COST: u128 = 500_000;
 
-/// All packed-routine candidates the sweep ranks: the full-width
+/// All packed-routine candidates the model ranks: the full-width
 /// (`nr = 64`) register tiles crossed with the `kc` ladder, in both
 /// the plain and the packed-lhs (`Tn`-only) variants.
 ///
-/// Narrower tiles stay in [`SUPPORTED_TILES`] — they serve m-tails and
-/// the tiny-problem fallback — but are excluded as primary strategies:
-/// `--measure` shows the autovectorizer emits scalar code for their
-/// inner loops on wide-SIMD hosts (4–6 GFLOP/s vs 40–57 for the
-/// 64-wide tiles), so ranking them as if they vectorized would let the
-/// model pick un-vectorized kernels.
-pub fn candidates() -> Vec<Routine> {
-    candidate_iter().collect()
-}
-
-/// The same candidate sequence as [`candidates`], allocation-free: the
-/// selector's model fallback runs on the `kernel::gemm` hot path, whose
-/// steady-state zero-allocation contract a collecting pool would break.
-fn candidate_iter() -> impl Iterator<Item = Routine> {
+/// The one narrower entry in [`SUPPORTED_TILES`], `(4, 16)`, is the
+/// tiny-problem fallback and is excluded here (m-tails need no tile of
+/// their own: every packed kernel finishes its ragged rows with its
+/// own `MR = 1` instantiation). The measured sweep shows the
+/// autovectorizer emits scalar code for sub-64-wide inner loops on
+/// wide-SIMD hosts (4–6 GFLOP/s vs 40–57 for the 64-wide tiles), so
+/// ranking a narrow tile as if it vectorized would let the model pick
+/// an un-vectorized kernel.
+///
+/// An iterator rather than a collection: the selector ranks on the
+/// `kernel::gemm` hot path, whose steady-state zero-allocation contract
+/// a collected pool would break.
+pub fn candidates() -> impl Iterator<Item = Routine> {
     SUPPORTED_TILES
         .iter()
         .filter(|&&(mr, nr)| mr >= 2 && nr == 64)
@@ -125,7 +119,7 @@ fn candidate_iter() -> impl Iterator<Item = Routine> {
 /// one-time `4·m·k` pack (strided read + contiguous write) and reads
 /// the panel contiguously thereafter, which is why it wins every
 /// non-tiny `Tn` shape. The constants were calibrated against
-/// `--measure` sweeps on an AVX-512 development host; only the induced
+/// `kernel_autotune` sweeps on an AVX-512 development host; only the induced
 /// *ordering* matters, and it reproduces the measured ordering on the
 /// pinned shapes (where measured differences exceed run-to-run noise).
 pub fn model_cost(bp: &Blueprint, r: Routine) -> u128 {
@@ -192,15 +186,9 @@ pub fn plan_cost(bp: &Blueprint, r: Routine, workers: usize) -> u128 {
     }
 }
 
-/// The model's best serial routine for `bp` among [`candidates`] plus
-/// the applicable seed kernel. Ties break toward the earlier candidate
-/// in enumeration order, so the result is fully deterministic.
-pub fn best_for(bp: &Blueprint) -> Routine {
-    best_plan(&bp.with_threads(1)).routine
-}
-
-/// The model's best plan for `bp`: every candidate routine crossed
-/// with every feasible worker count (1, the powers of two, and the
+/// The model's best plan for `bp`: every [candidate](candidates)
+/// routine plus the applicable seed kernel, crossed with every
+/// feasible worker count (1, the powers of two, and the
 /// shape's clamped budget). Ties break toward the earlier candidate
 /// and the smaller worker count, so the result is fully deterministic.
 pub fn best_plan(bp: &Blueprint) -> Plan {
@@ -211,7 +199,7 @@ pub fn best_plan(bp: &Blueprint) -> Plan {
     };
     let cap = thread::effective_workers(bp, bp.threads);
     let mut best: Option<(u128, Plan)> = None;
-    for r in candidate_iter().chain(seed) {
+    for r in candidates().chain(seed) {
         if !r.supports(bp) {
             continue;
         }
@@ -234,118 +222,9 @@ pub fn best_plan(bp: &Blueprint) -> Plan {
     best.expect("candidate pool is never empty").1
 }
 
-/// The class → (routine, tier) triples the table commits: every
-/// distinct [`ShapeClass`] of the pinned shapes crossed with every
-/// [`TBand`], each tuned on the class's band representatives (not the
-/// pinned extents), so a class maps to one entry no matter which
-/// member shape nominated it. The committed tier is resolved back to a
-/// concrete worker count from the caller's budget at call time.
-pub fn table_entries() -> Vec<(ShapeClass, Routine, Tier)> {
-    let mut entries: Vec<(ShapeClass, Routine, Tier)> = Vec::new();
-    for &(op, m, k, n) in PINNED_SHAPES {
-        for &budget in THREAD_BUDGETS {
-            let class = Blueprint {
-                m,
-                k,
-                n,
-                op,
-                zero_skip: true,
-                threads: budget,
-            }
-            .class();
-            if entries.iter().any(|(c, _, _)| *c == class) {
-                continue;
-            }
-            let rep = Blueprint {
-                m: class.m.representative(),
-                k: class.k.representative(),
-                n: class.n.representative(),
-                op,
-                zero_skip: true,
-                threads: class.t.representative(),
-            };
-            let plan = best_plan(&rep);
-            entries.push((class, plan.routine, plan.tier()));
-        }
-    }
-    entries
-}
-
-fn render_band(b: Band) -> &'static str {
-    match b {
-        Band::B1 => "Band::B1",
-        Band::B8 => "Band::B8",
-        Band::B64 => "Band::B64",
-        Band::B256 => "Band::B256",
-        Band::B1024 => "Band::B1024",
-        Band::BBig => "Band::BBig",
-    }
-}
-
-fn render_tband(t: TBand) -> &'static str {
-    match t {
-        TBand::T1 => "TBand::T1",
-        TBand::T2 => "TBand::T2",
-        TBand::T4 => "TBand::T4",
-        TBand::T8 => "TBand::T8",
-    }
-}
-
-fn render_op(op: Op) -> &'static str {
-    match op {
-        Op::Nn => "Op::Nn",
-        Op::Nt => "Op::Nt",
-        Op::Tn => "Op::Tn",
-    }
-}
-
-/// Renders the complete `table.rs` source text for the current
-/// [`table_entries`]. Byte-stable: same code → same bytes, which is
-/// what makes `kernel_autotune --verify` a meaningful merge gate.
-pub fn render_table() -> String {
-    let mut out = String::new();
-    out.push_str(
-        "//! GENERATED tile table — do not edit by hand.\n\
-         //!\n\
-         //! Regenerate with\n\
-         //! `cargo run --release -p procrustes-tensor --bin kernel_autotune`;\n\
-         //! CI runs the same bin with `--verify` and fails the build if this\n\
-         //! file is not a fixed point of the generator. See\n\
-         //! [`super::autotune`] for the deterministic cost model the entries\n\
-         //! come from.\n\n\
-         use super::blueprint::{Band, Op, ShapeClass, TBand};\n\
-         use super::routine::{Routine, Tier};\n\n\
-         /// Committed mapping from coarse problem classes (including the\n\
-         /// worker-budget band) to tuned routines and tiers.\n\
-         ///\n\
-         /// Looked up linearly by [`super::selector::select`]; classes absent\n\
-         /// here fall back to the shared cost model at call time. A\n\
-         /// `Tier::Threaded` entry is resolved to a concrete worker count\n\
-         /// from the caller's budget at call time; the tier never affects\n\
-         /// result bytes (see [`super::thread`]), only wall-clock.\n\
-         // One compact line per entry: `--verify` compares bytes, so the\n\
-         // committed form must survive `cargo fmt` untouched.\n\
-         #[rustfmt::skip]\n\
-         pub const TILE_TABLE: &[(ShapeClass, Routine, Tier)] = &[\n",
-    );
-    for (class, routine, tier) in table_entries() {
-        out.push_str(&format!(
-            "    (\n        ShapeClass {{ op: {}, m: {}, k: {}, n: {}, t: {} }},\n        {},\n        {},\n    ),\n",
-            render_op(class.op),
-            render_band(class.m),
-            render_band(class.k),
-            render_band(class.n),
-            render_tband(class.t),
-            routine.render(),
-            tier.render()
-        ));
-    }
-    out.push_str("];\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::routine::Tier;
     use super::*;
 
     #[test]
@@ -362,14 +241,14 @@ mod tests {
     }
 
     #[test]
-    fn best_for_prefers_packed_at_size() {
-        let r = best_for(&Blueprint::nn(512, 512, 512));
+    fn model_prefers_packed_at_size() {
+        let r = best_plan(&Blueprint::nn(512, 512, 512)).routine;
         assert!(matches!(r, Routine::Packed { .. }), "got {}", r.describe());
     }
 
     #[test]
     fn packed_lhs_wins_nontiny_tn() {
-        let r = best_for(&Blueprint::tn(256, 64, 512));
+        let r = best_plan(&Blueprint::tn(256, 64, 512)).routine;
         assert!(
             matches!(r, Routine::PackedLhs { .. }),
             "got {}",
@@ -418,64 +297,6 @@ mod tests {
                 threads: 1,
             };
             assert_eq!(best_plan(&bp).workers, 1);
-        }
-    }
-
-    #[test]
-    fn table_entries_are_unique_and_supported() {
-        let entries = table_entries();
-        assert!(!entries.is_empty());
-        for (i, (class, routine, tier)) in entries.iter().enumerate() {
-            assert!(
-                !entries[..i].iter().any(|(c, _, _)| c == class),
-                "duplicate class in table"
-            );
-            let bp = Blueprint {
-                m: class.m.representative(),
-                k: class.k.representative(),
-                n: class.n.representative(),
-                op: class.op,
-                zero_skip: true,
-                threads: class.t.representative(),
-            };
-            assert!(routine.supports(&bp), "{} unsupported", routine.describe());
-            if *tier == Tier::Threaded {
-                assert_ne!(class.t, TBand::T1, "T1 class committed a threaded tier");
-            }
-        }
-    }
-
-    #[test]
-    fn table_covers_every_tband() {
-        let entries = table_entries();
-        for tb in [TBand::T1, TBand::T2, TBand::T4, TBand::T8] {
-            assert!(
-                entries.iter().any(|(c, _, _)| c.t == tb),
-                "no {tb:?} entries"
-            );
-        }
-    }
-
-    #[test]
-    fn rendered_table_is_stable() {
-        assert_eq!(render_table(), render_table());
-        assert!(render_table().contains("TILE_TABLE"));
-    }
-
-    #[test]
-    fn committed_table_matches_generator() {
-        // The in-repo copy of what `--verify` gates on: the committed
-        // entries must equal the generator's output entry-for-entry.
-        let generated = table_entries();
-        assert_eq!(
-            super::super::table::TILE_TABLE.len(),
-            generated.len(),
-            "table.rs entry count drifted — rerun kernel_autotune"
-        );
-        for ((cc, cr, ct), (gc, gr, gt)) in super::super::table::TILE_TABLE.iter().zip(&generated) {
-            assert_eq!(cc, gc, "table.rs class drifted — rerun kernel_autotune");
-            assert_eq!(cr, gr, "table.rs routine drifted — rerun kernel_autotune");
-            assert_eq!(ct, gt, "table.rs tier drifted — rerun kernel_autotune");
         }
     }
 }

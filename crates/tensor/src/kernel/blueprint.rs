@@ -2,18 +2,12 @@
 //!
 //! A [`Blueprint`] is the *key* the kernel subsystem dispatches on: the
 //! problem extents (`m`/`k`/`n`), which operand (if any) is stored
-//! transposed ([`Op`]), and whether the caller's data makes lhs
-//! zero-skipping eligible. It deliberately carries no data pointers —
-//! the same blueprint value describes every GEMM of that shape, which
-//! is what lets the [selector](super::selector) map blueprints onto
-//! routines through a committed table, and what the offline
-//! `kernel_autotune` bin sweeps over.
-//!
-//! For table keying, exact extents are too fine-grained: the
-//! [`ShapeClass`] of a blueprint buckets each extent into a coarse
-//! [`Band`], so one committed table entry covers a family of
-//! neighbouring problems (all the conv layers of one network stage,
-//! say) rather than a single geometry.
+//! transposed ([`Op`]), whether the caller's data makes lhs
+//! zero-skipping eligible, and the worker budget. It deliberately
+//! carries no data pointers — the same blueprint value describes every
+//! GEMM of that shape, which is what lets the
+//! [selector](super::selector) be a pure function from blueprints to
+//! plans, and what the `kernel_autotune` bin sweeps over.
 
 /// Which operand, if any, is stored transposed.
 ///
@@ -35,8 +29,7 @@ pub enum Op {
 }
 
 impl Op {
-    /// Short lowercase tag (`nn` | `nt` | `tn`) for reports and the
-    /// generated table.
+    /// Short lowercase tag (`nn` | `nt` | `tn`) for reports.
     pub fn tag(self) -> &'static str {
         match self {
             Op::Nn => "nn",
@@ -152,17 +145,6 @@ impl Blueprint {
         2 * self.m as u128 * self.k as u128 * self.n as u128
     }
 
-    /// The coarse table key for this problem.
-    pub fn class(&self) -> ShapeClass {
-        ShapeClass {
-            op: self.op,
-            m: Band::of(self.m),
-            k: Band::of(self.k),
-            n: Band::of(self.n),
-            t: TBand::of(self.threads),
-        }
-    }
-
     /// Expected lhs slice length for this shape.
     pub fn lhs_len(&self) -> usize {
         self.m * self.k
@@ -174,186 +156,13 @@ impl Blueprint {
     }
 }
 
-/// A coarse magnitude bucket for one problem extent.
-///
-/// Band edges are chosen around the microkernel geometry: `1` (a
-/// degenerate extent selects row kernels), one register tile (`≤ 8`),
-/// one panel/cache tile (`≤ 64`, `≤ 256`), one L2-scale block
-/// (`≤ 1024`), and everything beyond.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Band {
-    /// Exactly 0 or 1.
-    B1,
-    /// 2 ..= 8.
-    B8,
-    /// 9 ..= 64.
-    B64,
-    /// 65 ..= 256.
-    B256,
-    /// 257 ..= 1024.
-    B1024,
-    /// 1025 and up.
-    BBig,
-}
-
-impl Band {
-    /// Buckets an extent.
-    pub fn of(x: usize) -> Self {
-        match x {
-            0..=1 => Band::B1,
-            2..=8 => Band::B8,
-            9..=64 => Band::B64,
-            65..=256 => Band::B256,
-            257..=1024 => Band::B1024,
-            _ => Band::BBig,
-        }
-    }
-
-    /// A representative extent inside the band (used by the autotune
-    /// sweep when a class, not a concrete shape, needs a stand-in).
-    pub fn representative(self) -> usize {
-        match self {
-            Band::B1 => 1,
-            Band::B8 => 8,
-            Band::B64 => 64,
-            Band::B256 => 256,
-            Band::B1024 => 512,
-            Band::BBig => 2048,
-        }
-    }
-}
-
-/// A coarse bucket for the worker-thread budget — the parallelism
-/// dimension of a [`ShapeClass`].
-///
-/// One band per power of two up to the pool ceiling: the serial/threaded
-/// crossover and the preferred tile both shift with worker count, so the
-/// committed table keys on the budget the same way it keys on extents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum TBand {
-    /// Exactly 1 — the serial tier by construction.
-    T1,
-    /// 2 ..= 3.
-    T2,
-    /// 4 ..= 7.
-    T4,
-    /// 8 and up.
-    T8,
-}
-
-impl TBand {
-    /// Buckets a worker budget.
-    pub fn of(threads: usize) -> Self {
-        match threads {
-            0..=1 => TBand::T1,
-            2..=3 => TBand::T2,
-            4..=7 => TBand::T4,
-            _ => TBand::T8,
-        }
-    }
-
-    /// A representative budget inside the band (used by the autotune
-    /// sweep when a class, not a concrete blueprint, needs a stand-in).
-    pub fn representative(self) -> usize {
-        match self {
-            TBand::T1 => 1,
-            TBand::T2 => 2,
-            TBand::T4 => 4,
-            TBand::T8 => 8,
-        }
-    }
-}
-
-/// The coarse key the committed tile table is indexed by: operand
-/// layout plus the band of every extent and of the worker budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ShapeClass {
-    /// Operand storage layout.
-    pub op: Op,
-    /// Band of the output-row extent.
-    pub m: Band,
-    /// Band of the reduction extent.
-    pub k: Band,
-    /// Band of the output-column extent.
-    pub n: Band,
-    /// Band of the worker-thread budget.
-    pub t: TBand,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn bands_bucket_as_documented() {
-        assert_eq!(Band::of(0), Band::B1);
-        assert_eq!(Band::of(1), Band::B1);
-        assert_eq!(Band::of(2), Band::B8);
-        assert_eq!(Band::of(8), Band::B8);
-        assert_eq!(Band::of(9), Band::B64);
-        assert_eq!(Band::of(64), Band::B64);
-        assert_eq!(Band::of(65), Band::B256);
-        assert_eq!(Band::of(256), Band::B256);
-        assert_eq!(Band::of(257), Band::B1024);
-        assert_eq!(Band::of(1024), Band::B1024);
-        assert_eq!(Band::of(1025), Band::BBig);
-    }
-
-    #[test]
-    fn representative_stays_in_band() {
-        for b in [
-            Band::B1,
-            Band::B8,
-            Band::B64,
-            Band::B256,
-            Band::B1024,
-            Band::BBig,
-        ] {
-            assert_eq!(Band::of(b.representative()), b);
-        }
-    }
-
-    #[test]
-    fn class_is_layout_aware() {
-        let nn = Blueprint::nn(64, 288, 2048).class();
-        let nt = Blueprint::nt(64, 288, 2048).class();
-        assert_ne!(nn, nt);
-        assert_eq!(nn.m, Band::B64);
-        assert_eq!(nn.k, Band::B1024);
-        assert_eq!(nn.n, Band::BBig);
-    }
-
-    #[test]
     fn strict_clears_zero_skip() {
         assert!(!Blueprint::nn(4, 4, 4).strict().zero_skip);
-    }
-
-    #[test]
-    fn tbands_bucket_as_documented() {
-        assert_eq!(TBand::of(0), TBand::T1);
-        assert_eq!(TBand::of(1), TBand::T1);
-        assert_eq!(TBand::of(2), TBand::T2);
-        assert_eq!(TBand::of(3), TBand::T2);
-        assert_eq!(TBand::of(4), TBand::T4);
-        assert_eq!(TBand::of(7), TBand::T4);
-        assert_eq!(TBand::of(8), TBand::T8);
-        assert_eq!(TBand::of(64), TBand::T8);
-    }
-
-    #[test]
-    fn tband_representative_stays_in_band() {
-        for t in [TBand::T1, TBand::T2, TBand::T4, TBand::T8] {
-            assert_eq!(TBand::of(t.representative()), t);
-        }
-    }
-
-    #[test]
-    fn class_is_thread_aware() {
-        let serial = Blueprint::nn(64, 288, 2048);
-        let wide = serial.with_threads(4);
-        assert_ne!(serial.class(), wide.class());
-        assert_eq!(serial.class().t, TBand::T1);
-        assert_eq!(wide.class().t, TBand::T4);
     }
 
     #[test]

@@ -4,45 +4,63 @@
 //! module. The layers, bottom-up:
 //!
 //! - [`blueprint`] — a plain-data key describing a GEMM problem
-//!   ([`Blueprint`]: extents, operand layout, zero-skip eligibility)
-//!   and its coarse [`ShapeClass`] for table lookup.
+//!   ([`Blueprint`]: extents, operand layout, zero-skip eligibility,
+//!   worker budget).
 //! - [`routine`] — the executable kernels ([`Routine`]): the seed
 //!   streaming loops and a family of register-tiled microkernels over
 //!   packed rhs panels staged through the [`Scratch`] pool.
-//! - [`selector`] — the policy mapping blueprints to routines: a
-//!   committed tile [`table`] (generated offline by the
-//!   `kernel_autotune` bin and drift-gated in CI), with a deterministic
-//!   cost-model fallback for uncovered classes.
-//! - [`autotune`] — the offline sweep and cost model the table is
-//!   generated from.
+//! - [`selector`] — the policy mapping blueprints to plans, in two
+//!   steps: tiny problems take a streaming kernel, everything else is
+//!   ranked at call time by the deterministic cost model.
+//! - [`autotune`] — that cost model, and the pinned shapes the
+//!   `kernel_autotune` bin measures it against.
 //! - [`thread`] — the threaded tier: a long-lived worker pool that
 //!   splits one product's *output* (j-panels, or m-tiles for wide-m /
-//!   narrow-n shapes) across workers. Selected per class through the
-//!   same table/model path; bitwise-identical to the serial tier at
-//!   every worker count.
+//!   narrow-n shapes) across workers. Chosen by the same cost model;
+//!   bitwise-identical to the serial tier at every worker count.
 //!
-//! [`gemm`] is the one entry point callers use; `crate::gemm_into` and
-//! `crate::gemm_nt_into` remain as thin compatibility wrappers over it.
+//! [`gemm`] is the one entry point every caller uses.
 //!
 //! # The accumulation-order contract
 //!
-//! All routines produce bitwise-identical `f32` results to
-//! [`crate::reference::matmul_ikj`]: per output element, partial
-//! products are accumulated left-to-right in ascending reduction index,
-//! starting from `0.0`, with lhs-zero terms skippable (see
-//! [`crate::gemm`] for the full statement). The selector may therefore
-//! switch routines — and tiers, and worker counts — freely across
-//! shapes, machines, or table revisions without perturbing a single
-//! training run.
+//! Every kernel in this workspace — the dense conv/fc paths built on
+//! this module, and the CSB sparse kernels in `procrustes-sparse` —
+//! must produce results that compare equal (`f32 ==`) whichever path
+//! computes them, so that training runs are reproducible across compute
+//! backends. IEEE-754 addition is not associative, so that contract is
+//! really a contract on the *order* in which partial products are
+//! reduced:
+//!
+//! > For each output element `dst[i][j]`, the products
+//! > `a[i][p]·b[p][j]` are accumulated **left-to-right in ascending
+//! > `p`**, starting from `0.0`. Terms whose `a`-operand is exactly
+//! > zero may be skipped (adding `±0.0` never changes the comparison
+//! > class of a finite sum).
+//!
+//! The [`routine`]s tile `i` and `j` so an `MR×NR` block of
+//! accumulators lives in registers, and block `p` into `kc`-sized
+//! panels — but per output element the `p` reduction is never
+//! reordered: blocks are consumed in ascending order, each accumulator
+//! sees its terms one at a time, carried through memory between
+//! blocks. Blocking therefore changes *which* elements are in flight,
+//! never how any one element's sum associates — results are identical
+//! to the naive ikj loop ([`crate::reference::matmul_ikj`]), just much
+//! faster. The selector may therefore switch routines — and tiers, and
+//! worker counts — freely across shapes and machines without
+//! perturbing a single training run.
+//!
+//! The `a == 0.0` skip is kept from the naive kernel: conv/fc weights
+//! under Dropback-style training are mostly exact zeros, so the skip
+//! converts weight sparsity into elided multiply-accumulates on the
+//! dense path too.
 
 pub mod autotune;
 pub mod blueprint;
 pub mod routine;
 pub mod selector;
-pub mod table;
 pub mod thread;
 
-pub use blueprint::{Band, Blueprint, Op, ShapeClass, TBand};
+pub use blueprint::{Blueprint, Op};
 pub use routine::{Routine, Tier};
 pub use selector::{explain, select, Plan};
 pub use thread::default_threads;
@@ -56,7 +74,7 @@ use crate::scratch::Scratch;
 /// buffers are taken from and recycled into `scratch` (each pool
 /// worker owns its own scratch), so steady-state callers allocate
 /// nothing here. A blueprint with `threads > 1` *permits* the threaded
-/// tier; whether it is used is the selector's per-class decision, and
+/// tier; whether it is used is the selector's per-shape decision, and
 /// either way the result bytes are identical.
 ///
 /// # Panics

@@ -22,7 +22,7 @@
 //! # Bitwise equality
 //!
 //! All routines honour the accumulation-order contract from
-//! [`crate::gemm`]: per output element, partial products are reduced
+//! [`crate::kernel`]: per output element, partial products are reduced
 //! left-to-right in ascending `p`, starting from `0.0`. The `Packed`
 //! kernels split `p` into `kc`-sized blocks, but blocks are visited in
 //! ascending order and each accumulator is carried through memory
@@ -38,8 +38,8 @@ use crate::scratch::Scratch;
 /// across the kernel worker pool (see [`super::thread`]).
 ///
 /// The tier never changes a result byte — each output element's `k`
-/// reduction stays strictly sequential on one worker — so the committed
-/// table may flip a class between tiers freely.
+/// reduction stays strictly sequential on one worker — so the selector
+/// may flip a shape between tiers freely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
     /// The whole product runs on the calling thread.
@@ -50,21 +50,11 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// Short lowercase tag (`serial` | `threaded`) for reports and the
-    /// generated table.
+    /// Short lowercase tag (`serial` | `threaded`) for reports.
     pub fn tag(self) -> &'static str {
         match self {
             Tier::Serial => "serial",
             Tier::Threaded => "threaded",
-        }
-    }
-
-    /// Renders this tier as the Rust expression the generated tile
-    /// table embeds.
-    pub fn render(self) -> &'static str {
-        match self {
-            Tier::Serial => "Tier::Serial",
-            Tier::Threaded => "Tier::Threaded",
         }
     }
 }
@@ -110,26 +100,12 @@ pub enum Routine {
 }
 
 /// The `(mr, nr)` register-tile geometries the dispatcher can
-/// instantiate. `kc` is a runtime parameter; these pairs are the
-/// compile-time monomorphizations. The autotune candidate sweep draws
-/// from exactly this list, so a committed table can never name a tile
-/// the dispatcher lacks.
-pub const SUPPORTED_TILES: &[(u8, u8)] = &[
-    (1, 16),
-    (2, 16),
-    (4, 16),
-    (6, 16),
-    (8, 16),
-    (1, 32),
-    (2, 32),
-    (4, 32),
-    (6, 32),
-    (8, 32),
-    (1, 64),
-    (2, 64),
-    (4, 64),
-    (6, 64),
-];
+/// instantiate — exactly the ones something can select: the three
+/// full-width tiles the cost model ranks (see
+/// [`candidates`](super::autotune::candidates)) and the narrow
+/// tiny-problem fallback. `kc` is a runtime parameter; these pairs are
+/// the compile-time monomorphizations.
+pub const SUPPORTED_TILES: &[(u8, u8)] = &[(4, 16), (2, 64), (4, 64), (6, 64)];
 
 impl Routine {
     /// Whether this routine can serve the given blueprint.
@@ -156,21 +132,6 @@ impl Routine {
             Routine::NtRegTile => "nt-reg-tile".to_string(),
             Routine::Packed { mr, nr, kc } => format!("packed-{mr}x{nr}/kc{kc}"),
             Routine::PackedLhs { mr, nr, kc } => format!("packed-lhs-{mr}x{nr}/kc{kc}"),
-        }
-    }
-
-    /// Renders this routine as the Rust expression the generated tile
-    /// table embeds.
-    pub fn render(&self) -> String {
-        match self {
-            Routine::RowStream => "Routine::RowStream".to_string(),
-            Routine::NtRegTile => "Routine::NtRegTile".to_string(),
-            Routine::Packed { mr, nr, kc } => {
-                format!("Routine::Packed {{ mr: {mr}, nr: {nr}, kc: {kc} }}")
-            }
-            Routine::PackedLhs { mr, nr, kc } => {
-                format!("Routine::PackedLhs {{ mr: {mr}, nr: {nr}, kc: {kc} }}")
-            }
         }
     }
 }
@@ -213,8 +174,7 @@ impl Slab {
 ///
 /// Panics if a slice length disagrees with the blueprint, or if the
 /// routine does not [support](Routine::supports) the blueprint (the
-/// selector never produces such a pairing; reaching it means a
-/// hand-edited table).
+/// selector never produces such a pairing).
 pub fn execute(
     routine: Routine,
     bp: &Blueprint,
@@ -304,17 +264,7 @@ fn dispatch_packed(
         };
     }
     match (mr, nr) {
-        (1, 16) => go!(1, 16),
-        (2, 16) => go!(2, 16),
         (4, 16) => go!(4, 16),
-        (6, 16) => go!(6, 16),
-        (8, 16) => go!(8, 16),
-        (1, 32) => go!(1, 32),
-        (2, 32) => go!(2, 32),
-        (4, 32) => go!(4, 32),
-        (6, 32) => go!(6, 32),
-        (8, 32) => go!(8, 32),
-        (1, 64) => go!(1, 64),
         (2, 64) => go!(2, 64),
         (4, 64) => go!(4, 64),
         (6, 64) => go!(6, 64),
@@ -611,8 +561,7 @@ fn pack_rhs_t<const NR: usize>(
     }
 }
 
-/// Seed panelled-ikj kernel (see [`crate::gemm`] for the original):
-/// `Nn`, lhs zero-skip, accumulates in `dst` memory.
+/// Seed panelled-ikj kernel: `Nn`, lhs zero-skip, accumulates in `dst` memory.
 fn row_stream(dst: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize, slab: Slab) {
     const NB: usize = 256;
     const MR: usize = 4;
@@ -820,7 +769,7 @@ mod tests {
         execute(
             Routine::Packed {
                 mr: 4,
-                nr: 32,
+                nr: 64,
                 kc: 256,
             },
             &bp,
@@ -841,7 +790,7 @@ mod tests {
         let lhs = [0.0f32];
         let rhs = [f32::INFINITY];
         let r = Routine::Packed {
-            mr: 2,
+            mr: 4,
             nr: 16,
             kc: 16,
         };
@@ -861,19 +810,19 @@ mod tests {
         assert!(!Routine::NtRegTile.supports(&Blueprint::tn(4, 4, 4)));
         let p = Routine::Packed {
             mr: 4,
-            nr: 32,
+            nr: 64,
             kc: 128,
         };
         assert!(p.supports(&Blueprint::tn(4, 4, 4).strict()));
         assert!(!Routine::Packed {
-            mr: 3,
+            mr: 4,
             nr: 32,
             kc: 128
         }
         .supports(&Blueprint::nn(4, 4, 4)));
         let pl = Routine::PackedLhs {
             mr: 4,
-            nr: 32,
+            nr: 64,
             kc: 128,
         };
         assert!(pl.supports(&Blueprint::tn(4, 4, 4)));

@@ -1,39 +1,31 @@
 //! The selector layer: maps a [`Blueprint`] to the [`Plan`] that
 //! serves it — a [`Routine`] plus the worker count to run it at.
 //!
-//! Resolution order:
+//! Two steps:
 //!
-//! 1. **Tiny problems** (`m·k·n` below a packing-amortization
-//!    threshold) go straight to the cheapest streaming kernel, serial —
-//!    packing a panel that is used once costs more than it saves, and a
-//!    pool dispatch costs more than the whole product.
-//! 2. **Table hit**: the problem's [`ShapeClass`](super::blueprint::ShapeClass)
-//!    — which includes the [`TBand`](super::blueprint::TBand) of the
-//!    caller's worker budget — is looked up in the committed
-//!    [`TILE_TABLE`](super::table::TILE_TABLE) (generated offline by
-//!    `kernel_autotune`, drift-gated in CI). The table stores a
-//!    [`Tier`] per class; a `Threaded` entry is resolved to a concrete
-//!    worker count from the budget at call time.
-//! 3. **Model fallback**: classes the table does not cover are ranked
-//!    at call time with the same deterministic cost model the autotune
-//!    sweep uses (including its per-dispatch overhead charge), so on-
-//!    and off-table shapes are chosen by one consistent policy.
+//! 1. **Tiny problems** (`m·k·n` below [`TINY_FLOP_CUTOFF`]) go
+//!    straight to the cheapest streaming kernel, serial — packing a
+//!    panel that is used once costs more than it saves, and a pool
+//!    dispatch costs more than the whole product.
+//! 2. **The cost model**: everything else is ranked at call time by
+//!    [`autotune::best_plan`] on the problem's real extents and worker
+//!    budget — every candidate routine crossed with every feasible
+//!    worker count, including the per-dispatch overhead charge. The
+//!    ranking is integer arithmetic over a dozen candidates (well under
+//!    a microsecond) and allocates nothing.
 //!
 //! `select` is a pure function of the blueprint — same key (extents,
 //! layout, zero-skip, worker budget), same plan, on every call and
-//! every machine — which is what makes benchmark attribution
-//! (`BENCH_pr10.json` records routine, tier, and worker count per
-//! shape) and the bit-for-bit equality tests meaningful. The *tier*
-//! never affects result bytes, only wall-clock: see
-//! [`super::thread`].
+//! every machine — which is what makes benchmark attribution (routine,
+//! tier, and worker count recorded per shape) and the bit-for-bit
+//! equality tests meaningful. The *tier* never affects result bytes,
+//! only wall-clock: see [`super::thread`].
 
 use super::autotune;
 use super::blueprint::{Blueprint, Op};
 use super::routine::{Routine, Tier};
-use super::table::TILE_TABLE;
-use super::thread;
 
-/// Problems smaller than this many multiply-accumulates skip table and
+/// Problems smaller than this many multiply-accumulates skip the cost
 /// model and use a streaming kernel: at this size the packed kernels'
 /// panel staging is pure overhead.
 pub const TINY_FLOP_CUTOFF: usize = 32 * 32 * 32;
@@ -42,8 +34,8 @@ pub const TINY_FLOP_CUTOFF: usize = 32 * 32 * 32;
 /// it (`1` = the serial tier).
 ///
 /// The worker count is already clamped to what the shape can feed
-/// ([`thread::effective_workers`]), so `workers > 1` is executable as
-/// is.
+/// ([`effective_workers`](super::thread::effective_workers)), so
+/// `workers > 1` is executable as is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Plan {
     /// The kernel to run.
@@ -78,8 +70,8 @@ pub fn select(bp: &Blueprint) -> Plan {
     explain(bp).0
 }
 
-/// Like [`select`], but also names the resolution layer that decided:
-/// `"tiny"`, `"table"`, or `"model"`. The benchmark harness records
+/// Like [`select`], but also names the resolution step that decided:
+/// `"tiny"` or `"model"`. The benchmark harness records
 /// this next to each timing so BENCH entries are attributable.
 pub fn explain(bp: &Blueprint) -> (Plan, &'static str) {
     if bp.m.saturating_mul(bp.k).saturating_mul(bp.n) < TINY_FLOP_CUTOFF {
@@ -91,25 +83,7 @@ pub fn explain(bp: &Blueprint) -> (Plan, &'static str) {
             "tiny",
         );
     }
-    let class = bp.class();
-    for (c, r, tier) in TILE_TABLE {
-        if *c == class && r.supports(bp) {
-            return (resolve(bp, *r, *tier), "table");
-        }
-    }
     (autotune::best_plan(bp), "model")
-}
-
-/// Turns a table entry's tier into a concrete worker count for this
-/// blueprint: `Serial` is 1; `Threaded` is the caller's budget clamped
-/// to what the shape can feed (which may itself collapse to serial for
-/// budget 1 or degenerate shapes).
-fn resolve(bp: &Blueprint, routine: Routine, tier: Tier) -> Plan {
-    let workers = match tier {
-        Tier::Serial => 1,
-        Tier::Threaded => thread::effective_workers(bp, bp.threads),
-    };
-    Plan { routine, workers }
 }
 
 /// Streaming choice for problems too small to amortize packing. The
@@ -130,7 +104,7 @@ fn tiny_fallback(bp: &Blueprint) -> Routine {
 
 #[cfg(test)]
 mod tests {
-    use super::super::blueprint::TBand;
+    use super::super::thread;
     use super::*;
 
     #[test]
@@ -149,33 +123,59 @@ mod tests {
         ));
     }
 
+    /// Golden plans for every GEMM one tiny-VGG batch-8 training step
+    /// issues (13 conv, 6 fc) plus the three benchmark GEMM shapes: the
+    /// routine, and the worker count at budgets 1/2/4/8. These are the
+    /// products the benchmark times, so a cost-model or candidate-list
+    /// change that moves one must update this table on purpose.
     #[test]
-    fn pinned_shapes_resolve_from_the_table_at_every_tband() {
-        // Every pinned autotune shape × thread band must class-match a
-        // table entry: the committed table exists precisely to cover
-        // them.
-        for &(op, m, k, n) in autotune::PINNED_SHAPES {
-            if m * k * n < TINY_FLOP_CUTOFF {
-                continue;
-            }
-            for tb in [TBand::T1, TBand::T2, TBand::T4, TBand::T8] {
+    fn step_and_benchmark_shapes_keep_their_recorded_plans() {
+        /// `(op, m, k, n, routine, workers at budgets 1/2/4/8)`.
+        type Golden = (Op, usize, usize, usize, &'static str, [usize; 4]);
+        #[rustfmt::skip]
+        let golden: &[Golden] = &[
+            (Op::Nn, 16, 27, 8192, "packed-2x64/kc128", [1, 2, 4, 8]),
+            (Op::Nt, 16, 8192, 27, "packed-2x64/kc128", [1, 1, 1, 1]),
+            (Op::Nn, 3, 144, 8192, "row-stream", [1, 2, 4, 8]),
+            (Op::Nn, 16, 144, 8192, "packed-2x64/kc256", [1, 2, 4, 8]),
+            (Op::Nt, 16, 8192, 144, "packed-2x64/kc128", [1, 2, 3, 3]),
+            (Op::Nn, 32, 144, 2048, "packed-2x64/kc256", [1, 2, 4, 8]),
+            (Op::Nt, 32, 2048, 144, "packed-2x64/kc128", [1, 2, 3, 3]),
+            (Op::Nn, 16, 288, 2048, "packed-2x64/kc128", [1, 2, 4, 8]),
+            (Op::Nn, 32, 288, 2048, "packed-2x64/kc128", [1, 2, 4, 8]),
+            (Op::Nt, 32, 2048, 288, "packed-2x64/kc128", [1, 2, 4, 5]),
+            (Op::Nn, 64, 288, 512, "packed-2x64/kc128", [1, 2, 4, 8]),
+            (Op::Nt, 64, 512, 288, "packed-2x64/kc128", [1, 2, 4, 5]),
+            (Op::Nn, 32, 576, 512, "packed-2x64/kc128", [1, 2, 4, 8]),
+            (Op::Nt, 8, 1024, 64, "packed-2x64/kc128", [1, 1, 1, 1]),
+            (Op::Tn, 64, 8, 1024, "packed-lhs-2x64/kc128", [1, 1, 1, 1]),
+            (Op::Nn, 8, 64, 1024, "packed-2x64/kc128", [1, 1, 1, 1]),
+            (Op::Nt, 8, 64, 10, "nt-reg-tile", [1, 1, 1, 1]),
+            (Op::Tn, 10, 8, 64, "packed-4x16/kc128", [1, 1, 1, 1]),
+            (Op::Nn, 8, 10, 64, "row-stream", [1, 1, 1, 1]),
+            (Op::Nn, 64, 288, 2048, "packed-2x64/kc128", [1, 2, 4, 8]),
+            (Op::Nn, 256, 256, 256, "packed-2x64/kc128", [1, 2, 4, 4]),
+            (Op::Nn, 64, 576, 512, "packed-2x64/kc128", [1, 2, 4, 8]),
+        ];
+        for &(op, m, k, n, routine, workers) in golden {
+            for (budget, w) in [1, 2, 4, 8].into_iter().zip(workers) {
                 let bp = Blueprint {
                     m,
                     k,
                     n,
                     op,
                     zero_skip: true,
-                    threads: tb.representative(),
+                    threads: budget,
                 };
-                let class = bp.class();
-                assert!(
-                    TILE_TABLE.iter().any(|(c, _, _)| *c == class),
-                    "pinned shape {}x{}x{} ({}, {:?}) missing from table",
-                    m,
-                    k,
-                    n,
-                    op.tag(),
-                    tb
+                let want = match w {
+                    1 => format!("{routine}@serial"),
+                    _ => format!("{routine}@threadedx{w}"),
+                };
+                assert_eq!(
+                    explain(&bp).0.describe(),
+                    want,
+                    "{} {m}x{k}x{n} at budget {budget}",
+                    op.tag()
                 );
             }
         }
@@ -188,12 +188,11 @@ mod tests {
     }
 
     #[test]
-    fn explain_names_the_resolution_layer() {
+    fn explain_names_the_resolution_step() {
         assert_eq!(explain(&Blueprint::nn(4, 4, 4)).1, "tiny");
         let (plan, source) = explain(&Blueprint::nn(64, 288, 2048));
-        assert_eq!(source, "table");
+        assert_eq!(source, "model");
         assert_eq!(plan, select(&Blueprint::nn(64, 288, 2048)));
-        assert_eq!(explain(&Blueprint::nn(4096, 2, 4096)).1, "model");
     }
 
     #[test]
@@ -247,11 +246,9 @@ mod tests {
     }
 
     #[test]
-    fn off_table_shapes_fall_back_to_the_model() {
-        // A class no pinned shape nominates: huge m, k=2 band.
+    fn skinny_reductions_get_a_supported_plan() {
+        // Huge m and n over k = 2: far from every pinned shape.
         let bp = Blueprint::nn(4096, 2, 4096);
-        let p = select(&bp);
-        assert!(p.routine.supports(&bp));
-        assert_eq!(p, autotune::best_plan(&bp));
+        assert!(select(&bp).routine.supports(&bp));
     }
 }

@@ -3,10 +3,10 @@
 //!
 //! # Why splitting the output preserves bitwise equality
 //!
-//! The kernel contract (see [`crate::gemm`]) fixes each output
+//! The kernel contract (see [`crate::kernel`]) fixes each output
 //! element's reduction: ascending `p`, sequential, starting from `0.0`.
 //! This tier partitions the *output space* — disjoint
-//! [`Slab`](super::routine::Slab)s of j-panels (or m-tiles for wide-m /
+//! `Slab`s of j-panels (or m-tiles for wide-m /
 //! narrow-n shapes like the fc weight-update `Tn` problems) — and runs
 //! the ordinary serial kernel on each slab. No reduction is ever split
 //! across workers, so there is no cross-lane combine step whose order
@@ -17,7 +17,7 @@
 //! # Determinism of the partition
 //!
 //! Chunk assignment is **static**: worker `w` of a `workers`-wide job
-//! always computes chunk `w` of that blueprint, and [`chunk`] is a pure
+//! always computes chunk `w` of that blueprint, and `chunk` is a pure
 //! function of `(blueprint, workers, w)`. Results do not depend on this
 //! (any disjoint partition gives the same bytes), but static assignment
 //! makes each worker's scratch *warm sizes* reproducible, which is what
@@ -40,9 +40,8 @@ use super::routine::{execute_slab, Routine, Slab};
 use crate::scratch::Scratch;
 use std::sync::{Condvar, Mutex, OnceLock};
 
-/// Hard ceiling on workers per job (including the calling thread).
-/// Matches the largest [`TBand`](super::blueprint::TBand)
-/// representative; budgets above it are clamped.
+/// Hard ceiling on workers per job (including the calling thread);
+/// budgets above it are clamped.
 pub const MAX_WORKERS: usize = 8;
 
 /// Environment variable overriding [`default_threads`] — CI pins a
@@ -52,23 +51,36 @@ pub const MAX_WORKERS: usize = 8;
 pub const THREADS_ENV: &str = "PROCRUSTES_KERNEL_THREADS";
 
 /// The worker budget hot-path callers grant the selector: the
-/// [`THREADS_ENV`] override if set and parseable, else the machine's
-/// available parallelism, clamped to `1..=`[`MAX_WORKERS`]. Cached
-/// after the first call.
+/// [`THREADS_ENV`] override if set, else the machine's available
+/// parallelism, clamped to `1..=`[`MAX_WORKERS`]. Cached after the
+/// first call.
+///
+/// # Panics
+///
+/// Panics if [`THREADS_ENV`] is set to something other than an
+/// unsigned integer or the empty string.
 pub fn default_threads() -> usize {
     static CACHE: OnceLock<usize> = OnceLock::new();
     *CACHE.get_or_init(|| {
-        if let Some(t) = std::env::var(THREADS_ENV)
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            return t.clamp(1, MAX_WORKERS);
-        }
-        std::thread::available_parallelism()
+        let host = std::thread::available_parallelism()
             .map(|p| p.get())
-            .unwrap_or(1)
-            .min(MAX_WORKERS)
+            .unwrap_or(1);
+        parse_threads(std::env::var(THREADS_ENV).ok().as_deref(), host)
     })
+}
+
+/// [`default_threads`] without the environment: `var` is the override's
+/// value if set, `host` the machine's parallelism. Empty counts as
+/// unset (CI's default-budget legs pass `""`); anything else that is
+/// not an integer panics rather than silently testing the host budget.
+fn parse_threads(var: Option<&str>, host: usize) -> usize {
+    let budget = match var {
+        None | Some("") => host,
+        Some(v) => v
+            .parse::<usize>()
+            .unwrap_or_else(|_| panic!("{THREADS_ENV}={v:?} is not a worker count")),
+    };
+    budget.clamp(1, MAX_WORKERS)
 }
 
 /// Row-split granularity: m is chunked in units of 8 rows (a full
@@ -329,6 +341,20 @@ pub(crate) fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn thread_override_is_parsed_strictly() {
+        assert_eq!(parse_threads(None, 2), 2);
+        assert_eq!(parse_threads(Some(""), 2), 2);
+        assert_eq!(parse_threads(Some("3"), 2), 3);
+        assert_eq!(parse_threads(Some("0"), 2), 1);
+        assert_eq!(parse_threads(Some("64"), 2), MAX_WORKERS);
+        assert_eq!(parse_threads(None, 64), MAX_WORKERS);
+        for bad in ["four", "3 ", "-1"] {
+            let caught = std::panic::catch_unwind(|| parse_threads(Some(bad), 2));
+            assert!(caught.is_err(), "{bad:?} must be rejected");
+        }
+    }
 
     #[test]
     fn chunks_tile_the_output_disjointly() {

@@ -9,23 +9,22 @@
 //! * the [`kernel`] subsystem — the layered GEMM stack (blueprint →
 //!   selector → routine) every dense training kernel routes through:
 //!   register-tiled microkernels over packed panels, chosen per problem
-//!   shape by a committed autotune table, with a documented
-//!   accumulation-order contract (see the `gemm` module docs) that keeps
-//!   results exactly equal to the naive seed loops in [`mod@reference`] and
-//!   to the CSB sparse kernels; [`gemm_into`] / [`gemm_nt_into`] are its
-//!   compatibility wrappers;
-//! * the three convolution kernels of CNN training (Fig 2 of the paper):
-//!   [`conv2d`] (forward), [`conv2d_backward_input`] (backward pass — the
-//!   180°-rotated-filter convolution), and [`conv2d_backward_weights`]
-//!   (weight update), each with a GEMM-backed hot-path form
-//!   ([`conv2d_from_cols`], [`conv2d_backward_input_gemm`],
-//!   [`conv2d_backward_weights_from_cols`]);
+//!   shape by a deterministic cost model, with a documented
+//!   accumulation-order contract (see the [`kernel`] module docs) that
+//!   keeps results exactly equal to the naive seed loops in
+//!   [`mod@reference`] and to the CSB sparse kernels;
+//! * the three convolution kernels of CNN training (Fig 2 of the paper),
+//!   each as one GEMM over [`im2col`] columns: [`conv2d_from_cols`]
+//!   (forward), [`conv2d_backward_input_gemm`] (backward pass — the
+//!   180°-rotated-filter convolution), and
+//!   [`conv2d_backward_weights_from_cols`] (weight update);
+//! * [`mod@reference`] — the seed scatter-loop convolutions and the naive
+//!   matmul, kept as the oracles every optimized kernel must equal
+//!   (`f32 ==`);
 //! * [`Scratch`] — the pooled-buffer workspace the layers and trainers
 //!   thread through the hot path for its zero-allocation steady state;
 //! * [`Tensor::rotate180`] / transposes — the weight-access-order
 //!   transformations that motivate the paper's CSB storage format;
-//! * an [`im2col`]-based fast path, kept numerically comparable to the
-//!   direct loops so either can validate the other;
 //! * [`gradcheck`] — a numerical-gradient harness used throughout the
 //!   workspace's test suites.
 //!
@@ -36,11 +35,12 @@
 //! # Examples
 //!
 //! ```
-//! use procrustes_tensor::{conv2d, Tensor};
+//! use procrustes_tensor::{conv2d_from_cols, im2col, Scratch, Tensor};
 //!
 //! let x = Tensor::from_fn(&[1, 1, 4, 4], |i| i[2] as f32 + i[3] as f32);
 //! let w = Tensor::ones(&[1, 1, 3, 3]);
-//! let y = conv2d(&x, &w, 1, 0);
+//! let cols = im2col(&x, 3, 3, 1, 0);
+//! let y = conv2d_from_cols(&w, cols.data(), 1, 2, 2, &mut Scratch::new());
 //! assert_eq!(y.shape().dims(), &[1, 1, 2, 2]);
 //! // 3x3 box filter over an (h + w) ramp: sum of h+w over the window.
 //! assert_eq!(y.at(&[0, 0, 0, 0]), 18.0);
@@ -54,7 +54,6 @@
 #![deny(missing_docs)]
 
 mod conv;
-mod gemm;
 pub mod gradcheck;
 mod init;
 pub mod kernel;
@@ -64,12 +63,10 @@ mod shape;
 mod tensor;
 
 pub use conv::{
-    col2im, conv2d, conv2d_backward_input, conv2d_backward_input_gemm, conv2d_backward_weights,
-    conv2d_backward_weights_from_cols, conv2d_from_cols, conv2d_im2col, conv_out_dim, im2col,
-    im2col_into,
+    conv2d_backward_input_gemm, conv2d_backward_weights_from_cols, conv2d_from_cols, conv_out_dim,
+    im2col, im2col_into,
 };
-pub use gemm::{gemm_into, gemm_nt_into, transpose_into};
 pub use init::{kaiming_std, xavier_std, Init};
 pub use scratch::Scratch;
 pub use shape::{Shape, MAX_RANK};
-pub use tensor::Tensor;
+pub use tensor::{transpose_into, Tensor};

@@ -5,7 +5,8 @@ use std::ops::{Add, Mul, Sub};
 
 use procrustes_prng::UniformRng;
 
-use crate::Shape;
+use crate::kernel::{self, Blueprint};
+use crate::{Scratch, Shape};
 
 /// An owned, contiguous, row-major `f32` tensor.
 ///
@@ -306,10 +307,17 @@ impl Tensor {
         let (k2, n) = (other.shape.dim(0), other.shape.dim(1));
         assert_eq!(k, k2, "matmul: inner dims {k} != {k2}");
         let mut out = vec![0.0f32; m * n];
-        // Blocked, register-tiled GEMM; accumulation order per output
-        // element is identical to the naive ikj loop (see the `gemm`
-        // module docs for the contract).
-        crate::gemm_into(&mut out, &self.data, &other.data, m, k, n);
+        // Accumulation order per output element is identical to the
+        // naive ikj loop (see the `kernel` module docs for the
+        // contract). One-off call: packing buffers come from an
+        // ephemeral pool.
+        kernel::gemm(
+            &Blueprint::nn(m, k, n).with_threads(kernel::default_threads()),
+            &mut out,
+            &self.data,
+            &other.data,
+            &mut Scratch::new(),
+        );
         Tensor::from_vec(&[m, n], out)
     }
 
@@ -324,7 +332,7 @@ impl Tensor {
         let mut out = vec![0.0f32; m * n];
         // Tiled copy: both streams stay within a few cache lines per
         // tile instead of one side striding the full row length.
-        crate::transpose_into(&mut out, &self.data, m, n);
+        transpose_into(&mut out, &self.data, m, n);
         Tensor::from_vec(&[n, m], out)
     }
 
@@ -410,10 +418,63 @@ impl Mul for &Tensor {
     }
 }
 
+/// Cache-blocked transpose: `dst[j*m + i] = src[i*n + j]` for row-major
+/// `src: [m, n]`, `dst: [n, m]`, processed in square tiles so both the
+/// read and the write stream stay within a few cache lines per tile.
+///
+/// # Panics
+///
+/// Panics if the slice lengths disagree with `m·n`.
+pub fn transpose_into(dst: &mut [f32], src: &[f32], m: usize, n: usize) {
+    assert_eq!(src.len(), m * n, "transpose_into: src length != m*n");
+    assert_eq!(dst.len(), m * n, "transpose_into: dst length != m*n");
+    const TB: usize = 32;
+    let mut ib = 0;
+    while ib < m {
+        let imax = (ib + TB).min(m);
+        let mut jb = 0;
+        while jb < n {
+            let jmax = (jb + TB).min(n);
+            for i in ib..imax {
+                for j in jb..jmax {
+                    dst[j * m + i] = src[i * n + j];
+                }
+            }
+            jb += TB;
+        }
+        ib += TB;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::matmul_ikj;
     use procrustes_prng::Xorshift64;
+
+    #[test]
+    fn transpose_matches_naive() {
+        for &(m, n) in &[(1, 1), (3, 5), (33, 40), (64, 64), (65, 31)] {
+            let src: Vec<f32> = (0..m * n).map(|i| i as f32).collect();
+            let mut dst = vec![0.0f32; m * n];
+            transpose_into(&mut dst, &src, m, n);
+            for i in 0..m {
+                for j in 0..n {
+                    assert_eq!(dst[j * m + i], src[i * n + j]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tensor_matmul_agrees_with_reference() {
+        let mut rng = Xorshift64::new(5);
+        let a = Tensor::randn(&[13, 21], 1.0, &mut rng);
+        let b = Tensor::randn(&[21, 18], 1.0, &mut rng);
+        let got = a.matmul(&b);
+        let want = matmul_ikj(a.data(), b.data(), 13, 21, 18);
+        assert_eq!(got.data(), &want[..]);
+    }
 
     #[test]
     fn constructors_fill_correctly() {

@@ -1,26 +1,28 @@
 //! The kernel subsystem's bit-for-bit equality contract, pinned over
 //! seeded randomized shapes.
 //!
-//! Whatever routine the selector dispatches — seed streaming loop,
-//! register-tiled microkernel, any tile in the table, the cost-model
-//! fallback — the `f32` output must equal the naive reference
+//! Whatever routine the selector dispatches — seed streaming loop or
+//! any register-tiled microkernel the cost model ranks — the `f32`
+//! output must equal the naive reference
 //! `matmul_ikj` **exactly** (`==` on every element, not a tolerance).
 //! The sweep deliberately includes the shapes that bend kernel edge
 //! cases: `k = 0` (pure zeroing), `m = 1` (only the MR=1 tail runs),
-//! `n` not divisible by any panel width (ragged last panel), and all
-//! three operand layouts with zero-skip both on and off.
+//! `n` not divisible by any panel width (ragged last panel), all-zero
+//! and zero-free operands, and all three operand layouts with zero-skip
+//! both on and off.
 
 use procrustes_prng::{UniformRng, Xorshift64};
 use procrustes_tensor::kernel::{self, Blueprint, Op};
 use procrustes_tensor::reference::matmul_ikj;
 use procrustes_tensor::Scratch;
 
-/// A seeded operand with ~30% stored zeros, exercising the zero-skip
-/// branches without changing the reduction order.
-fn operand(len: usize, rng: &mut Xorshift64) -> Vec<f32> {
+/// A seeded operand with a `zero_frac` share of stored zeros,
+/// exercising the zero-skip branches without changing the reduction
+/// order.
+fn operand(len: usize, zero_frac: f64, rng: &mut Xorshift64) -> Vec<f32> {
     (0..len)
         .map(|_| {
-            if rng.next_f64() < 0.3 {
+            if rng.next_f64() < zero_frac {
                 0.0
             } else {
                 rng.next_f32() * 2.0 - 1.0
@@ -40,12 +42,13 @@ fn transpose(src: &[f32], r: usize, c: usize) -> Vec<f32> {
     out
 }
 
-/// Runs one (m, k, n) problem through every op × zero-skip combination
-/// and asserts bitwise equality with the reference product.
-fn check_shape(m: usize, k: usize, n: usize, seed: u64, scratch: &mut Scratch) {
+/// Runs one (m, k, n) problem, its operands holding a `zero_frac` share
+/// of stored zeros, through every op × zero-skip combination and asserts
+/// bitwise equality with the reference product.
+fn check_shape(m: usize, k: usize, n: usize, zero_frac: f64, seed: u64, scratch: &mut Scratch) {
     let mut rng = Xorshift64::new(seed);
-    let a = operand(m * k, &mut rng); // [m, k]
-    let b = operand(k * n, &mut rng); // [k, n]
+    let a = operand(m * k, zero_frac, &mut rng); // [m, k]
+    let b = operand(k * n, zero_frac, &mut rng); // [k, n]
     let expect = matmul_ikj(&a, &b, m, k, n);
 
     let at = transpose(&a, m, k); // [k, m]
@@ -102,7 +105,23 @@ fn pinned_edge_shapes_match_reference_bitwise() {
         (2, 256, 16),
     ];
     for (i, &(m, k, n)) in pinned.iter().enumerate() {
-        check_shape(m, k, n, 0x9e37 + i as u64, &mut scratch);
+        check_shape(m, k, n, 0.3, 0x9e37 + i as u64, &mut scratch);
+    }
+    // Small sizes straddling every tile boundary, at the density
+    // extremes: all-zero operands (every term skipped) and zero-free
+    // ones (no term skipped).
+    for &(m, k, n) in &[
+        (4, 3, 16),
+        (5, 7, 17),
+        (3, 16, 15),
+        (9, 2, 33),
+        (16, 16, 16),
+        (13, 21, 40),
+        (12, 3, 24),
+    ] {
+        for zero_frac in [1.0, 0.0] {
+            check_shape(m, k, n, zero_frac, (m * 31 + n) as u64, &mut scratch);
+        }
     }
 }
 
@@ -112,10 +131,10 @@ fn randomized_shapes_match_reference_bitwise() {
     let mut rng = Xorshift64::new(0xc0ffee);
     for case in 0..40u64 {
         // Skewed small so debug-build runtime stays bounded while still
-        // crossing the tiny-problem cutoff and both table bands.
+        // crossing the tiny-problem cutoff.
         let m = 1 + (rng.next_u64() % 64) as usize;
         let k = (rng.next_u64() % 97) as usize; // includes k = 0
         let n = 1 + (rng.next_u64() % 160) as usize;
-        check_shape(m, k, n, 0xfeed + case, &mut scratch);
+        check_shape(m, k, n, 0.3, 0xfeed + case, &mut scratch);
     }
 }

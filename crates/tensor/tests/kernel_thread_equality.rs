@@ -19,6 +19,7 @@
 //! vacuously.
 
 use procrustes_prng::{UniformRng, Xorshift64};
+use procrustes_tensor::kernel::autotune::PINNED_SHAPES;
 use procrustes_tensor::kernel::{self, Blueprint, Op};
 use procrustes_tensor::reference::matmul_ikj;
 use procrustes_tensor::Scratch;
@@ -140,9 +141,14 @@ fn threaded_gemm_is_bitwise_equal_across_worker_counts() {
         threaded_runs += check_shape(m, k, n, (m * 1_000_003 + k * 1009 + n) as u64, &mut scratch);
     }
 
+    // The shapes the kernel sweep and the training stack pin: every
+    // one must stay bitwise-equal to the reference at every budget.
+    for &(_, m, k, n) in PINNED_SHAPES {
+        threaded_runs += check_shape(m, k, n, (m * 1_000_003 + k * 1009 + n) as u64, &mut scratch);
+    }
+
     // Seeded random geometries spanning both sides of the
-    // serial/threaded crossover and all the band edges the selector
-    // keys on.
+    // serial/threaded crossover.
     let mut rng = Xorshift64::new(0xD15B_A7C4_7EA5);
     for _ in 0..24 {
         let m = 1 + (rng.next_u64() % 288) as usize;

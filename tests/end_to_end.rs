@@ -1,7 +1,7 @@
 //! Cross-crate integration: the full pipeline from sparse training to
 //! accelerator evaluation.
 
-use procrustes::core::{masks, CoSim, LoadBalancer, NetworkEval};
+use procrustes::core::{masks, CoSim, Engine, LoadBalancer, Scenario};
 use procrustes::dropback::{ProcrustesConfig, ProcrustesTrainer, Trainer};
 use procrustes::nn::data::SyntheticImages;
 use procrustes::nn::{BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential};
@@ -188,12 +188,12 @@ fn csb_roundtrip_on_trained_weights() {
 #[test]
 fn network_eval_is_deterministic() {
     use procrustes::core::MaskGenConfig;
-    use procrustes::nn::arch;
-    let net = arch::densenet();
-    let hw = ArchConfig::procrustes_16x16();
+    let scenario = Scenario::builder("DenseNet")
+        .synthetic(MaskGenConfig::paper_default(3.9), 77)
+        .build()
+        .unwrap();
     let run = || {
-        let eval = NetworkEval::new(&net, &hw);
-        let c = eval.run_sparse(Mapping::KN, &MaskGenConfig::paper_default(3.9), 77);
+        let c = Engine::serial().run(&scenario).unwrap();
         (c.totals().cycles, c.totals().energy_j())
     };
     assert_eq!(run(), run());

@@ -2,10 +2,10 @@
 //! `Engine` evaluation API, including the acceptance sweep: the full
 //! Fig 17–20-style evaluation (5 networks × 4 mappings × dense+sparse)
 //! expressed as one `Sweep` must reproduce the exact `NetworkCost`
-//! totals of the legacy per-figure `NetworkEval` loops.
+//! of the per-figure loops over explicit workloads.
 
 use procrustes::core::{
-    masks, Engine, MaskGenConfig, NetworkEval, Scenario, SparsityGen, Sweep, PAPER_NETWORKS,
+    masks, Engine, Fidelity, MaskGenConfig, Scenario, SparsityGen, Sweep, PAPER_NETWORKS,
 };
 use procrustes::nn::arch;
 use procrustes::sim::{ArchConfig, BalanceMode, Mapping};
@@ -70,39 +70,6 @@ fn run_all_is_deterministic_across_thread_counts() {
     }
 }
 
-/// The `NetworkEval` compatibility shim and the engine agree exactly on
-/// the same scenario.
-#[test]
-fn network_eval_shim_matches_engine() {
-    let net = arch::densenet();
-    let hw = ArchConfig::procrustes_16x16();
-    let eval = NetworkEval::new(&net, &hw);
-    let cfg = MaskGenConfig::paper_default(3.9);
-    let engine = Engine::serial();
-
-    let legacy_sparse = eval.run_sparse(Mapping::KN, &cfg, 13);
-    let engine_sparse = engine
-        .run(
-            &Scenario::builder("DenseNet")
-                .synthetic(cfg, 13)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-    assert_eq!(engine_sparse.cost, legacy_sparse);
-
-    let legacy_dense = eval.run_dense(Mapping::PQ);
-    let engine_dense = engine
-        .run(
-            &Scenario::builder("DenseNet")
-                .mapping(Mapping::PQ)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-    assert_eq!(engine_dense.cost, legacy_dense);
-}
-
 /// Acceptance: the full Fig 17–20 sweep as ONE `Sweep` declaration
 /// reproduces the totals of the legacy per-figure loops (same mask seed).
 #[test]
@@ -120,21 +87,30 @@ fn full_figure_sweep_matches_legacy_loops() {
     assert_eq!(scenarios.len(), 40);
     let results = Engine::default().run_all(&scenarios).unwrap();
 
-    // The seed's per-figure loop: NetworkEval per network × mapping.
+    // The seed's per-figure loop: masks built by hand per network ×
+    // mapping, costed on a fresh serial engine.
     for result in &results {
         let net = procrustes::core::resolve_network(&result.scenario.network).unwrap();
         let hw = ArchConfig::procrustes_16x16();
-        let eval = NetworkEval::new(&net, &hw);
-        let legacy = if result.scenario.sparsity.is_dense() {
-            eval.run_dense(result.scenario.mapping)
+        let (workloads, balance) = if result.scenario.sparsity.is_dense() {
+            (
+                masks::dense(&net, Scenario::DEFAULT_BATCH),
+                BalanceMode::None,
+            )
         } else {
             let factor = procrustes::core::paper_sparsity_factor(&result.scenario.network).unwrap();
-            eval.run_sparse(
-                result.scenario.mapping,
-                &MaskGenConfig::paper_default(factor),
-                SEED,
-            )
+            let cfg = MaskGenConfig::paper_default(factor);
+            let sparse = masks::generate(&net, &cfg, Scenario::DEFAULT_BATCH, SEED);
+            (sparse, BalanceMode::HalfTile)
         };
+        let legacy = Engine::serial().run_workloads(
+            net.name,
+            &hw,
+            result.scenario.mapping,
+            &workloads,
+            balance,
+            Fidelity::Analytic,
+        );
         assert_eq!(
             result.cost,
             legacy,

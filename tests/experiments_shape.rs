@@ -2,21 +2,25 @@
 //! paper reports must hold in band when the experiments run (docs/PAPER_MAP.md "Claim bands"). These pin the *qualitative* results so a regression in any crate
 //! surfaces as a failed claim, not just a changed number.
 
-use procrustes::core::{masks, MaskGenConfig, NetworkEval};
+use procrustes::core::{
+    masks, Engine, EvalResult, Fidelity, MaskGenConfig, Scenario, ScenarioBuilder,
+};
 use procrustes::nn::arch;
 use procrustes::sim::{area, ArchConfig, BalanceMode, Mapping, Phase};
+
+/// Evaluates one scenario on a fresh serial engine.
+fn run(scenario: ScenarioBuilder) -> EvalResult {
+    Engine::serial().run(&scenario.build().unwrap()).unwrap()
+}
 
 /// Fig 17/19 headline: sparse training on VGG-S saves 2–4× energy and
 /// 1.5–4.5× latency over the dense baseline under K,N.
 #[test]
 fn vgg_energy_and_speedup_bands() {
-    let net = arch::vgg_s();
-    let hw = ArchConfig::procrustes_16x16();
-    let eval = NetworkEval::new(&net, &hw);
-    let dense = eval.run_dense(Mapping::KN);
-    let sparse = eval.run_sparse(Mapping::KN, &MaskGenConfig::paper_default(5.2), 42);
-    let e = dense.totals().energy_j() / sparse.totals().energy_j();
-    let s = dense.totals().cycles as f64 / sparse.totals().cycles as f64;
+    let dense = run(Scenario::builder("VGG-S"));
+    let sparse = run(Scenario::builder("VGG-S").synthetic(MaskGenConfig::paper_default(5.2), 42));
+    let e = sparse.energy_saving_over(&dense);
+    let s = sparse.speedup_over(&dense);
     assert!((2.0..4.0).contains(&e), "energy saving {e:.2} out of band");
     assert!((1.5..4.5).contains(&s), "speedup {s:.2} out of band");
 }
@@ -25,20 +29,21 @@ fn vgg_energy_and_speedup_bands() {
 /// networks with very different shapes).
 #[test]
 fn kn_fastest_pq_slowest() {
-    let hw = ArchConfig::procrustes_16x16();
-    for (net, factor) in [(arch::vgg_s(), 5.2), (arch::densenet(), 3.9)] {
-        let eval = NetworkEval::new(&net, &hw);
+    for (net, factor) in [("VGG-S", 5.2), ("DenseNet", 3.9)] {
         let cfg = MaskGenConfig::paper_default(factor);
         let cycles: Vec<(Mapping, u64)> = Mapping::ALL
             .iter()
-            .map(|&m| (m, eval.run_sparse(m, &cfg, 7).totals().cycles))
+            .map(|&m| {
+                let sparse = run(Scenario::builder(net).mapping(m).synthetic(cfg, 7));
+                (m, sparse.totals().cycles)
+            })
             .collect();
         let kn = cycles.iter().find(|(m, _)| *m == Mapping::KN).unwrap().1;
         let pq = cycles.iter().find(|(m, _)| *m == Mapping::PQ).unwrap().1;
         for &(m, c) in &cycles {
-            assert!(kn <= c, "{}: KN {kn} slower than {m:?} {c}", net.name);
+            assert!(kn <= c, "{net}: KN {kn} slower than {m:?} {c}");
         }
-        assert!(pq >= kn, "{}: PQ should not beat KN", net.name);
+        assert!(pq >= kn, "{net}: PQ should not beat KN");
     }
 }
 
@@ -46,13 +51,10 @@ fn kn_fastest_pq_slowest() {
 /// latency does (dataflow choice is "overrated" for energy).
 #[test]
 fn energy_varies_less_than_latency_across_mappings() {
-    let net = arch::vgg_s();
-    let hw = ArchConfig::procrustes_16x16();
-    let eval = NetworkEval::new(&net, &hw);
     let cfg = MaskGenConfig::paper_default(5.2);
     let runs: Vec<_> = Mapping::ALL
         .iter()
-        .map(|&m| eval.run_sparse(m, &cfg, 3))
+        .map(|&m| run(Scenario::builder("VGG-S").mapping(m).synthetic(cfg, 3)))
         .collect();
     let e: Vec<f64> = runs.iter().map(|r| r.totals().energy_j()).collect();
     let c: Vec<f64> = runs.iter().map(|r| r.totals().cycles as f64).collect();
@@ -78,10 +80,10 @@ fn energy_varies_less_than_latency_across_mappings() {
 fn balancing_improves_imbalance_distribution() {
     let net = arch::vgg_s();
     let hw = ArchConfig::procrustes_16x16();
-    let eval = NetworkEval::new(&net, &hw);
     let wl = masks::generate(&net, &MaskGenConfig::paper_default(5.2), 16, 42);
     let collect = |balance: BalanceMode| -> Vec<f32> {
-        eval.run_with_workloads(Mapping::KN, &wl, balance)
+        Engine::serial()
+            .run_workloads(net.name, &hw, Mapping::KN, &wl, balance, Fidelity::Analytic)
             .layers
             .iter()
             .filter(|c| matches!(c.phase, Phase::Forward | Phase::Backward))
@@ -111,15 +113,16 @@ fn balancing_improves_imbalance_distribution() {
 /// energy stays within ±25%.
 #[test]
 fn scalability_band() {
-    let net = arch::resnet18();
-    let cfg = MaskGenConfig::paper_default(11.7);
-    let small = NetworkEval::new(&net, &ArchConfig::procrustes_16x16())
-        .with_batch(32)
-        .run_sparse(Mapping::KN, &cfg, 4);
-    let big = NetworkEval::new(&net, &ArchConfig::procrustes_32x32())
-        .with_batch(32)
-        .run_sparse(Mapping::KN, &cfg, 4);
-    let scaling = small.totals().cycles as f64 / big.totals().cycles as f64;
+    let at = |hw: ArchConfig| {
+        let cfg = MaskGenConfig::paper_default(11.7);
+        run(Scenario::builder("ResNet18")
+            .arch(hw)
+            .batch(32)
+            .synthetic(cfg, 4))
+    };
+    let small = at(ArchConfig::procrustes_16x16());
+    let big = at(ArchConfig::procrustes_32x32());
+    let scaling = big.speedup_over(&small);
     assert!((2.5..4.2).contains(&scaling), "scaling {scaling:.2}");
     let e_ratio = big.totals().energy_j() / small.totals().energy_j();
     assert!((0.75..1.25).contains(&e_ratio), "energy ratio {e_ratio:.2}");
@@ -161,11 +164,12 @@ fn table3_overheads() {
 /// below on both metrics.
 #[test]
 fn ideal_bounds_realistic() {
-    let net = arch::vgg_s();
-    let cfg = MaskGenConfig::paper_default(5.2);
-    let real =
-        NetworkEval::new(&net, &ArchConfig::procrustes_16x16()).run_sparse(Mapping::KN, &cfg, 5);
-    let ideal = NetworkEval::new(&net, &ArchConfig::ideal_16x16()).run_sparse(Mapping::KN, &cfg, 5);
+    let at = |hw: ArchConfig| {
+        let cfg = MaskGenConfig::paper_default(5.2);
+        run(Scenario::builder("VGG-S").arch(hw).synthetic(cfg, 5))
+    };
+    let real = at(ArchConfig::procrustes_16x16());
+    let ideal = at(ArchConfig::ideal_16x16());
     assert!(ideal.totals().cycles <= real.totals().cycles);
     assert!(ideal.totals().energy_j() <= real.totals().energy_j() * 1.0001);
 }
