@@ -7,8 +7,10 @@
 //! attributable — (b) the three conv training kernels (GEMM form vs
 //! seed scatter form) over the fig06-style tiny-VGG geometries, and (c)
 //! one full training step of the dense and Procrustes trainers on that
-//! stack — then writes `BENCH_pr10.json` so future PRs can diff the
-//! trajectory instead of guessing. Since PR 10 every GEMM entry is
+//! stack — the Procrustes one under `ComputeBackend::auto()` and only
+//! after it is past the decay flush and provably on the CSB kernels at
+//! ~90 % weight sparsity — then writes `BENCH_pr10.json` so future PRs
+//! can diff the trajectory instead of guessing. Since PR 10 every GEMM entry is
 //! timed on both kernel tiers: `serial_gflops` pins the single-thread
 //! routine and `threaded_gflops` the worker pool at a 4-thread budget,
 //! with the resolved tier and worker count recorded next to each (and
@@ -25,8 +27,10 @@
 use std::time::Duration;
 
 use procrustes_bench::{best_of as time, FIG06_BATCH, FIG06_CONV_LAYERS};
-use procrustes_dropback::{DenseSgdTrainer, ProcrustesConfig, ProcrustesTrainer, Trainer};
-use procrustes_nn::{arch, data::SyntheticImages};
+use procrustes_dropback::{
+    ComputeBackend, DenseSgdTrainer, ProcrustesConfig, ProcrustesTrainer, StepStats, Trainer,
+};
+use procrustes_nn::{arch, data::SyntheticImages, Layer};
 use procrustes_prng::Xorshift64;
 use procrustes_tensor::reference::{conv2d_backward_input, conv2d_backward_weights, matmul_ikj};
 use procrustes_tensor::{
@@ -160,6 +164,11 @@ fn bench_conv_kernels() -> ConvAggregate {
     }
 }
 
+/// Steps the Procrustes trainer runs before it is timed: past step 263,
+/// where the λ = 0.9 decay flushes the initial weights to exact zero and
+/// `Auto` promotes the layers to CSB.
+const PROCRUSTES_WARMUP_STEPS: usize = 270;
+
 fn bench_train_steps() -> (u128, u128) {
     let data = SyntheticImages::new(10, 32, 32, 0.2, 3);
     let mut rng = Xorshift64::new(11);
@@ -170,13 +179,27 @@ fn bench_train_steps() -> (u128, u128) {
     dense.train_step(&x, &labels);
     let dense_ns = time(3, || dense.train_step(&x, &labels)).as_nanos();
 
+    // Dense kernels on weights that have not decayed say nothing about
+    // sparse training: time the step only in the regime it is for.
     let mut sparse = ProcrustesTrainer::new(
         arch::tiny_vgg(10, &mut Xorshift64::new(1)),
-        ProcrustesConfig::default(),
+        ProcrustesConfig {
+            compute: ComputeBackend::auto(),
+            ..ProcrustesConfig::default()
+        },
         42,
     );
-    sparse.train_step(&x, &labels);
-    sparse.train_step(&x, &labels);
+    let mut warmed = StepStats::default();
+    for _ in 0..PROCRUSTES_WARMUP_STEPS {
+        warmed = sparse.train_step(&x, &labels);
+    }
+    let csb_stores = sparse.model_mut().csb_store_count();
+    assert!(
+        csb_stores > 0 && warmed.weight_sparsity >= 0.89,
+        "the Procrustes step is not on the sparse path after {PROCRUSTES_WARMUP_STEPS} steps \
+         (csb stores {csb_stores}, weight sparsity {:.4}): refusing to time it",
+        warmed.weight_sparsity
+    );
     let sparse_ns = time(3, || sparse.train_step(&x, &labels)).as_nanos();
 
     (dense_ns, sparse_ns)
@@ -231,7 +254,8 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"train_step_tiny_vgg_batch8\": {{\"dense_ns\": {dense_ns}, \
-         \"procrustes_ns\": {sparse_ns}}}\n"
+         \"procrustes_ns\": {sparse_ns}, \"procrustes_backend\": \"auto\", \
+         \"procrustes_warmup_steps\": {PROCRUSTES_WARMUP_STEPS}}}\n"
     ));
     json.push_str("}\n");
 

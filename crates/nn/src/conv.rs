@@ -1,7 +1,6 @@
 //! Convolution layers: standard and depthwise.
 
 use procrustes_prng::UniformRng;
-use procrustes_sparse::{csb_conv2d, csb_conv2d_backward_input};
 use procrustes_tensor::{
     conv2d_backward_input_gemm, conv2d_backward_weights_from_cols, conv2d_from_cols, conv_out_dim,
     im2col_into, Init, Scratch, Tensor,
@@ -136,29 +135,32 @@ impl Layer for Conv2d {
         let p = conv_out_dim(h, kernel, self.stride, self.pad);
         let q = conv_out_dim(wdt, kernel, self.stride, self.pad);
         let cols_dims = [c * kernel * kernel, n * p * q];
-        if train {
+        // Eval mode caches nothing: it unfolds into a pooled buffer and
+        // returns it right after the product.
+        let mut pooled = None;
+        let cols: &[f32] = if train {
             // Unfold once; forward consumes it and backward reuses it.
             let cols = ensure_cached(&mut self.cols, &cols_dims);
             im2col_into(x, kernel, kernel, self.stride, self.pad, cols.data_mut());
             self.in_dims = Some([n, c, h, wdt]);
-        }
-        let mut y = match &self.store {
-            WeightStore::Dense(w) => {
-                if train {
-                    let cols = self.cols.as_ref().expect("cols cached above");
-                    conv2d_from_cols(w, cols.data(), n, p, q, scratch)
-                } else {
-                    // Eval mode caches nothing: unfold into a pooled
-                    // buffer and return it right away.
-                    let mut tmp = scratch.take_any(cols_dims[0] * cols_dims[1]);
-                    im2col_into(x, kernel, kernel, self.stride, self.pad, &mut tmp);
-                    let y = conv2d_from_cols(w, &tmp, n, p, q, scratch);
-                    scratch.recycle_vec(tmp);
-                    y
-                }
-            }
-            WeightStore::Csb { csb, .. } => csb_conv2d(x, csb, self.stride, self.pad),
+            cols.data()
+        } else {
+            let tmp = pooled.insert(scratch.take_any(cols_dims[0] * cols_dims[1]));
+            im2col_into(x, kernel, kernel, self.stride, self.pad, tmp);
+            tmp
         };
+        // One product over the same columns on either backend: the GEMM
+        // on dense weights, the SpMM on the decoded nonzeros.
+        let mut y = match &self.store {
+            WeightStore::Dense(w) => conv2d_from_cols(w, cols, n, p, q, scratch),
+            WeightStore::Csb { conv_decode, .. } => conv_decode
+                .as_ref()
+                .expect("conv store always caches its decode")
+                .forward_from_cols(cols, n, p, q, scratch),
+        };
+        if let Some(tmp) = pooled {
+            scratch.recycle_vec(tmp);
+        }
         if let Some((b, _)) = &self.bias {
             let (n, k) = (y.shape().dim(0), y.shape().dim(1));
             let plane = y.shape().dim(2) * y.shape().dim(3);
@@ -205,15 +207,16 @@ impl Layer for Conv2d {
         }
         // The input gradient streams the weights (rotated at fetch, Fig
         // 2b) — a GEMM against the rotated filter matrix on the dense
-        // path, the CSB kernel on the sparse one; both reduce in the
-        // same order.
+        // path, the gather kernel over the decoded nonzeros on the
+        // sparse one; both reduce in the same order.
         match &self.store {
             WeightStore::Dense(wt) => {
                 conv2d_backward_input_gemm(dy, wt, h, w, self.stride, self.pad, scratch)
             }
-            WeightStore::Csb { csb, .. } => {
-                csb_conv2d_backward_input(dy, csb, h, w, self.stride, self.pad)
-            }
+            WeightStore::Csb { conv_decode, .. } => conv_decode
+                .as_ref()
+                .expect("conv store always caches its decode")
+                .backward_input(dy, h, w, self.stride, self.pad, scratch),
         }
     }
 

@@ -10,8 +10,14 @@
 //! active representation, so switching backends never changes results —
 //! the CSB kernels are bitwise-equal to the dense ones (see
 //! `procrustes_sparse::kernels`).
+//!
+//! The kernels do not read the CSB copy directly: each resync also
+//! flattens it into the decode its layout's kernels walk — a
+//! [`ConvDecode`] for conv stores, an [`FcDecode`] (and one for the
+//! cached transpose) for fc stores — so masks and pointers are decoded
+//! once per resync, not once per forward and once per backward call.
 
-use procrustes_sparse::{CsbTensor, FcDecode};
+use procrustes_sparse::{ConvDecode, CsbTensor, FcDecode};
 use procrustes_tensor::Tensor;
 
 /// Which kernels a sparse-aware layer runs its weights through.
@@ -32,8 +38,20 @@ pub enum ComputeBackend {
 }
 
 impl ComputeBackend {
-    /// The default promotion threshold for [`ComputeBackend::auto`]: CSB
-    /// pays off once at least half of the weights are exact zeros.
+    /// The default promotion threshold for [`ComputeBackend::auto`].
+    ///
+    /// Measured, not assumed (`crates/bench/tests/csb_kernel_smoke.rs`
+    /// prints it on every perf run; tiny-VGG conv stack, batch 8, serial
+    /// CSB kernels against the 2-thread GEMMs on a 2-core AVX-512 host):
+    /// at this density a promoted layer's kernel pair costs 5.3 ms on CSB
+    /// against 9.5 ms dense. The halves differ: the forward SpMM alone
+    /// breaks even near density 0.2 and loses at 0.5 (2.7 vs 1.9 ms),
+    /// while the backward-input gather wins at every density (2.7 vs
+    /// 7.5 ms at 0.5), so the pair only meets the dense one near density
+    /// 1.0. The threshold stays well below that because each resync of a
+    /// promoted layer also pays an encode and a decode that scale with
+    /// the nonzeros. Backends are bit-equal, so the threshold can only
+    /// move time, never a result.
     pub const AUTO_MAX_DENSITY: f64 = 0.5;
 
     /// [`ComputeBackend::Auto`] with the default threshold.
@@ -84,7 +102,8 @@ pub const DEFAULT_FC_EDGE: usize = 64;
 /// A layer's weight tensor in its active compute representation.
 ///
 /// `Dense` is the plain tensor; `Csb` pairs the dense master (still the
-/// mutation target for trainers) with its compressed compute copy. Use
+/// mutation target for trainers) with its compressed compute copy and
+/// the flat decode of that copy the kernels run on. Use
 /// [`WeightStore::sync`] to re-derive the representation after the
 /// master may have changed.
 // Layers hold exactly one store, so the variant size gap is irrelevant.
@@ -105,6 +124,9 @@ pub enum WeightStore {
         decode: Option<FcDecode>,
         /// Flat matvec decode of `transposed`.
         decode_t: Option<FcDecode>,
+        /// Flat decode of `csb` in forward and rotated backward order
+        /// (conv layouts), built beside the fc decodes at each resync.
+        conv_decode: Option<ConvDecode>,
     },
 }
 
@@ -162,6 +184,15 @@ impl WeightStore {
         }
     }
 
+    /// The cached flat conv decode, if the store is compressed with a
+    /// conv layout.
+    pub fn conv_decode(&self) -> Option<&ConvDecode> {
+        match self {
+            WeightStore::Dense(_) => None,
+            WeightStore::Csb { conv_decode, .. } => conv_decode.as_ref(),
+        }
+    }
+
     /// True when the compressed representation is active.
     pub fn is_csb(&self) -> bool {
         matches!(self, WeightStore::Csb { .. })
@@ -203,12 +234,15 @@ impl WeightStore {
             };
             let decode = matches!(layout, StoreLayout::Fc { .. }).then(|| FcDecode::from_csb(&csb));
             let decode_t = transposed.as_ref().map(FcDecode::from_csb);
+            let conv_decode =
+                matches!(layout, StoreLayout::Conv).then(|| ConvDecode::from_csb(&csb));
             WeightStore::Csb {
                 master,
                 csb,
                 transposed,
                 decode,
                 decode_t,
+                conv_decode,
             }
         } else {
             WeightStore::Dense(master)
@@ -253,6 +287,7 @@ mod tests {
         store.sync(ComputeBackend::auto(), StoreLayout::Conv);
         assert!(store.is_csb(), "25% density should promote");
         assert_eq!(store.csb().unwrap().nnz(), 1);
+        assert_eq!(store.conv_decode().expect("decoded at resync").nnz(), 1);
         // Refill the master through the mutable view, resync: demotes.
         store.tensor_mut().map_inplace(|_| 1.0);
         store.sync(ComputeBackend::auto(), StoreLayout::Conv);

@@ -7,133 +7,339 @@
 //! *computation sparsity* of §III-A turned into actual work savings, the
 //! same way SparseTrain exploits dataflow sparsity inside the kernels.
 //!
+//! The stored nonzeros drive every loop nest and the innermost loop is a
+//! contiguous `f32` run: the conv kernels walk a [`ConvDecode`] and the
+//! fc kernels an [`FcDecode`], flat decodes that layers build once per
+//! weight resync. The `csb_*` functions are the decode-per-call
+//! convenience wrappers over the same kernels.
+//!
 //! # Numerical contract
 //!
-//! Each kernel accumulates partial products in exactly the order the
-//! corresponding dense kernel in `procrustes-tensor` does (zero terms are
-//! skipped, which cannot change an IEEE-754 sum), so outputs match the
-//! dense path *bitwise*, not merely within a tolerance. Training under
-//! either backend therefore produces identical loss curves; the
-//! equivalence suite in `tests/` pins this down.
+//! Each kernel reduces every output element in exactly the order the
+//! corresponding dense kernel in `procrustes-tensor` does — the
+//! accumulation-order contract of `procrustes_tensor::kernel` — so
+//! outputs match the dense path *bitwise*, not merely within a
+//! tolerance. The two operands are treated differently:
+//!
+//! - A zero **weight** is skipped: it is simply not stored. The dense
+//!   kernels either skip it too or add its `±0.0` product, and every sum
+//!   starts at `+0.0`.
+//! - A zero **upstream gradient** is multiplied, not tested for: the
+//!   backward-input kernel streams whole rows of `dy`, where the scatter
+//!   oracle skips `dy == 0.0` element by element. The extra terms are
+//!   `v·(±0.0) = ±0.0` for any finite weight `v`, added to a sum that
+//!   started at `+0.0`. Under round-to-nearest `x + ±0.0 == x` for every
+//!   nonzero `x`, `+0.0 + ±0.0 = +0.0`, and a sum that starts at `+0.0`
+//!   can never become `-0.0` (that needs both addends to be `-0.0`), so
+//!   no bit of the result can differ on finite data.
+//!
+//! Training under either backend therefore produces identical loss
+//! curves; the equivalence suites in `tests/` pin this down.
 
-use procrustes_tensor::{conv_out_dim, Scratch, Tensor};
+use procrustes_tensor::{conv_out_dim, im2col_into, Scratch, Tensor};
 
 use crate::{CsbLayout, CsbTensor};
 
-/// One decoded nonzero of a conv block: `(r, s, value)`.
-type BlockNz = Vec<(usize, usize, f32)>;
+/// Accumulator-block width of both conv kernels: this many output
+/// positions stay in registers while one row's nonzeros stream through
+/// them — eight 512-bit vectors, the register budget of the dense GEMM's
+/// 2×64 tile (64 and 256 both measured slower on the tiny-VGG stack).
+const NR: usize = 128;
 
-/// Decodes every `(k, c)` block of a conv-layout tensor into its nonzero
-/// `(r, s, value)` triples, in ascending `(r, s)` order.
-///
-/// The decode goes through [`CsbTensor::block_dense_rotated180`] — the
-/// fetch-time rotation the backward pass uses (§IV-B) — and un-rotates
-/// the coordinates, so both the forward and backward kernels share one
-/// decode path that exercises the hardware's fetch transform.
-fn decode_conv_blocks(w: &CsbTensor) -> (usize, usize, usize, usize, Vec<BlockNz>) {
-    let CsbLayout::Conv { k, c, r, s } = w.layout() else {
-        panic!("csb conv kernel: weights must have a conv layout");
-    };
-    let mut blocks = Vec::with_capacity(k * c);
-    for ki in 0..k {
-        for ci in 0..c {
-            let rot = w.block_dense_rotated180(ki, ci);
-            let mut nz: BlockNz = Vec::with_capacity(w.block_nnz(ki, ci));
-            // Walking the rotated fetch backwards restores ascending
-            // (r, s) order: rot[j] = w[k, c, r-1-j/s, s-1-j%s].
-            for j in (0..rot.len()).rev() {
-                if rot[j] != 0.0 {
-                    let flat = r * s - 1 - j;
-                    nz.push((flat / s, flat % s, rot[j]));
-                }
-            }
-            blocks.push(nz);
-        }
-    }
-    (k, c, r, s, blocks)
+/// One stored weight as the backward-input kernel reads it: output
+/// channel, filter tap, value.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tap {
+    k: u32,
+    r: u32,
+    s: u32,
+    v: f32,
 }
 
-fn check_activations(x: &Tensor, c: usize) -> (usize, usize, usize) {
-    assert_eq!(x.shape().rank(), 4, "csb conv: activations must be NCHW");
-    assert_eq!(
-        x.shape().dim(1),
-        c,
-        "csb conv: input channels {} != weight input channels {c}",
-        x.shape().dim(1)
-    );
-    (x.shape().dim(0), x.shape().dim(2), x.shape().dim(3))
-}
-
-/// Forward convolution with CSB weights: the sparse counterpart of
-/// `conv2d_from_cols`, skipping every zero weight.
+/// A flat decode of a conv-layout [`CsbTensor`] in the two orders the
+/// training step reads it, so the kernels never touch masks or
+/// pointers:
 ///
-/// Bitwise-equal to the dense forward path for the same operands.
+/// - by output channel `k` (CSR): `(c·R·S + r·S + s, value)` ascending —
+///   the rows of the `[K, C·R·S]` weight matrix, for the forward SpMM;
+/// - by input channel `c`: `(k, r, s, value)` with `k` ascending and
+///   each block's taps in descending `(r, s)` — the 180°-rotated fetch
+///   order of the backward pass (Fig 2b).
 ///
-/// # Panics
-///
-/// Panics if `w` is not conv-layout, `x` is not `NCHW`, channels
-/// mismatch, or the filter does not fit.
+/// Layers build one per weight resync (see `WeightStore` in
+/// `procrustes-nn`) and run every forward and backward-input
+/// convolution through it with pooled outputs, so the steady-state
+/// sparse conv path decodes once per step and allocates nothing.
 ///
 /// # Examples
 ///
 /// ```
-/// use procrustes_sparse::{csb_conv2d, CsbTensor};
-/// use procrustes_tensor::{reference::conv2d, Tensor};
+/// use procrustes_sparse::{ConvDecode, CsbTensor};
+/// use procrustes_tensor::{im2col, reference::conv2d, Scratch, Tensor};
 ///
 /// let w = Tensor::from_vec(&[1, 1, 3, 3],
-///     vec![0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0]);
-/// let x = Tensor::ones(&[1, 1, 3, 3]);
-/// let y = csb_conv2d(&x, &CsbTensor::from_dense_conv(&w), 1, 0);
-/// assert_eq!(y.data(), conv2d(&x, &w, 1, 0).data());
+///     vec![0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 1.0]);
+/// let decode = ConvDecode::from_csb(&CsbTensor::from_dense_conv(&w));
+/// assert_eq!(decode.nnz(), 2);
+/// let x = Tensor::ones(&[1, 1, 4, 4]);
+/// let cols = im2col(&x, 3, 3, 1, 1);
+/// let y = decode.forward_from_cols(cols.data(), 1, 4, 4, &mut Scratch::new());
+/// assert_eq!(y.data(), conv2d(&x, &w, 1, 1).data());
 /// ```
-pub fn csb_conv2d(x: &Tensor, w: &CsbTensor, stride: usize, pad: usize) -> Tensor {
-    let (k, c, r, s, blocks) = decode_conv_blocks(w);
-    let (n, h, wdt) = check_activations(x, c);
-    let p = conv_out_dim(h, r, stride, pad);
-    let q = conv_out_dim(wdt, s, stride, pad);
-    let mut y = Tensor::zeros(&[n, k, p, q]);
-    let xs = x.data();
-    let ys = y.data_mut();
-    // Nonzeros drive the outer loop, output positions the inner one, so
-    // the work is `nnz · P · Q` with a contiguous inner walk. For any
-    // fixed output element the (c, r, s) contributions still arrive in
-    // ascending order — the im2col matmul's reduction order — so the
-    // result stays bitwise-equal to the dense path.
-    for ni in 0..n {
+#[derive(Debug, Clone)]
+pub struct ConvDecode {
+    k: usize,
+    c: usize,
+    r: usize,
+    s: usize,
+    /// `row_ptr[k]..row_ptr[k+1]` indexes output channel `k`'s entries.
+    row_ptr: Vec<u32>,
+    idx: Vec<u32>,
+    val: Vec<f32>,
+    /// `chan_ptr[c]..chan_ptr[c+1]` indexes input channel `c`'s taps.
+    chan_ptr: Vec<u32>,
+    taps: Vec<Tap>,
+}
+
+impl ConvDecode {
+    /// Decodes a conv-layout CSB tensor: one scan of the masks and
+    /// packed values per order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is not conv-layout.
+    pub fn from_csb(w: &CsbTensor) -> Self {
+        let CsbLayout::Conv { k, c, r, s } = w.layout() else {
+            panic!("csb conv kernel: weights must have a conv layout");
+        };
+        let nnz = w.nnz();
+        let mut row_ptr = Vec::with_capacity(k + 1);
+        let mut idx = Vec::with_capacity(nnz);
+        let mut val = Vec::with_capacity(nnz);
+        let mut chan_ptr = vec![0u32; c + 1];
+        row_ptr.push(0);
         for ki in 0..k {
-            let yrow = &mut ys[(ni * k + ki) * p * q..(ni * k + ki + 1) * p * q];
             for ci in 0..c {
-                let xplane = &xs[(ni * c + ci) * h * wdt..(ni * c + ci + 1) * h * wdt];
-                for &(ri, si, v) in &blocks[ki * c + ci] {
-                    // Hoist the padding bounds: the valid output range for
-                    // this filter tap, so the inner loops are branch-free.
-                    let (Some((p_lo, p_hi)), Some((q_lo, q_hi))) = (
-                        valid_out_range(p, h, ri, stride, pad),
-                        valid_out_range(q, wdt, si, stride, pad),
-                    ) else {
-                        continue;
+                let slots = w.block_mask(ki, ci).iter_ones();
+                for (slot, &v) in slots.zip(w.block_values(ki, ci)) {
+                    idx.push((ci * r * s + slot) as u32);
+                    val.push(v);
+                }
+                chan_ptr[ci + 1] += w.block_nnz(ki, ci) as u32;
+            }
+            row_ptr.push(idx.len() as u32);
+        }
+        for ci in 0..c {
+            chan_ptr[ci + 1] += chan_ptr[ci];
+        }
+        let mut cursor = chan_ptr[..c].to_vec();
+        let mut taps = vec![Tap::default(); nnz];
+        for ki in 0..k {
+            for (ci, cursor) in cursor.iter_mut().enumerate() {
+                // The rotated fetch: a block's last slot comes first.
+                let end = *cursor as usize + w.block_nnz(ki, ci);
+                let slots = w.block_mask(ki, ci).iter_ones();
+                for (i, (slot, &v)) in slots.zip(w.block_values(ki, ci)).enumerate() {
+                    taps[end - 1 - i] = Tap {
+                        k: ki as u32,
+                        r: (slot / s) as u32,
+                        s: (slot % s) as u32,
+                        v,
                     };
+                }
+                *cursor = end as u32;
+            }
+        }
+        Self {
+            k,
+            c,
+            r,
+            s,
+            row_ptr,
+            idx,
+            val,
+            chan_ptr,
+            taps,
+        }
+    }
+
+    /// `[K, C, R, S]` of the decoded weights.
+    fn dims(&self) -> [usize; 4] {
+        [self.k, self.c, self.r, self.s]
+    }
+
+    /// Stored nonzeros.
+    pub fn nnz(&self) -> usize {
+        self.val.len()
+    }
+
+    /// Forward convolution from precomputed im2col columns
+    /// (`[C·R·S, N·P·Q]`, as `im2col_into` lays them out): the sparse
+    /// counterpart of `conv2d_from_cols`, an SpMM of the `[K, C·R·S]`
+    /// weight rows against the columns. The result tensor `[N, K, P, Q]`
+    /// comes from `scratch`.
+    ///
+    /// Per output channel an `NR`-wide (128) block of accumulators stays in
+    /// registers while that row's stored `(c, r, s)` stream their column
+    /// runs through it, then the block is stored once. Per output
+    /// element the terms arrive in ascending `(c, r, s)` from `0.0` —
+    /// the dense GEMM's reduction order — so the result is bitwise-equal
+    /// to `conv2d_from_cols` at any stride and padding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols` has the wrong length.
+    pub fn forward_from_cols(
+        &self,
+        cols: &[f32],
+        n: usize,
+        p: usize,
+        q: usize,
+        scratch: &mut Scratch,
+    ) -> Tensor {
+        let (k, pq) = (self.k, p * q);
+        let npq = n * pq;
+        assert_eq!(
+            cols.len(),
+            self.c * self.r * self.s * npq,
+            "csb conv: column matrix length mismatch"
+        );
+        let mut y = scratch.take_any(n * k * pq);
+        let mut acc = [0.0f32; NR];
+        // Column blocks outermost: the `[C·R·S, NR]` panel of `cols` a
+        // block reads stays cached while every filter row visits it.
+        for j in (0..npq).step_by(NR) {
+            let width = NR.min(npq - j);
+            for ki in 0..k {
+                let row = self.row_ptr[ki] as usize..self.row_ptr[ki + 1] as usize;
+                let runs = self.idx[row.clone()]
+                    .iter()
+                    .zip(&self.val[row])
+                    .map(|(&i, &v)| (i as usize * npq + j, v));
+                if width == NR {
+                    // Constant width: the block lives in registers.
+                    stream_runs(&mut acc, cols, runs);
+                } else {
+                    stream_runs(&mut acc[..width], cols, runs);
+                }
+                // Columns are (n, p, q)-major and the output is
+                // [N, K, P, Q]: sample rows are `k·pq` apart.
+                store_rows(&acc[..width], j, pq, pq, &mut y[ki * pq..], k * pq);
+            }
+        }
+        Tensor::from_vec(&[n, k, p, q], y)
+    }
+
+    /// Backward-input convolution (Fig 2b): propagates `∂L/∂y` through
+    /// the 180°-rotated sparse filters. `h`/`wdt` are the input spatial
+    /// extents; the result tensor `[N, C, H, W]` comes from `scratch`.
+    ///
+    /// Gather form over a padded upstream gradient: each sample's `dy`
+    /// planes are dilated by `stride` and zero-padded by
+    /// `(R-1-pad, S-1-pad)` into a pooled buffer, so that in a
+    /// `W+S-1`-wide view of `dx` every tap is one contiguous shifted run
+    /// of its `dy` plane. Per input channel an `NR`-wide (128) block of that
+    /// view stays in registers while the channel's taps — `k` ascending,
+    /// each block's `(r, s)` descending — stream their runs through it;
+    /// the view's surplus columns are dropped at the store. For a fixed
+    /// `dx` element descending `(r, s)` is ascending `(p, q)`, so terms
+    /// arrive in the scatter oracle's `(k, p, q)` order from `0.0` and
+    /// the result is bitwise-equal to `reference::conv2d_backward_input`
+    /// (zero `dy` elements and the padding are multiplied, not skipped —
+    /// see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dy` is inconsistent with the `(h, wdt, stride, pad)`
+    /// geometry.
+    pub fn backward_input(
+        &self,
+        dy: &Tensor,
+        h: usize,
+        wdt: usize,
+        stride: usize,
+        pad: usize,
+        scratch: &mut Scratch,
+    ) -> Tensor {
+        let [k, c, r, s] = self.dims();
+        let (n, p, q) = check_upstream(dy, self.dims(), h, wdt, stride, pad);
+        let (hp, wp) = (h + r - 1, wdt + s - 1);
+        let plane = hp * wp;
+        // The dy rows and columns that land inside the padded plane: one
+        // that only ever met the forward padding reaches no dx element.
+        let (rows, cols) = (
+            valid_out_range(p, hp, r - 1, stride, pad),
+            valid_out_range(q, wp, s - 1, stride, pad),
+        );
+        // Zero-filled once; every sample overwrites the same positions.
+        // The tail slack keeps the last block's surplus reads in bounds.
+        let mut dyp = scratch.take(k * plane + s + NR);
+        let mut dx = scratch.take_any(n * c * h * wdt);
+        let mut acc = [0.0f32; NR];
+        for ni in 0..n {
+            if let (Some((p_lo, p_hi)), Some((q_lo, q_hi))) = (rows, cols) {
+                for ki in 0..k {
+                    let src = &dy.data()[(ni * k + ki) * p * q..][..p * q];
+                    let dst = &mut dyp[ki * plane..][..plane];
                     for pi in p_lo..=p_hi {
-                        let xrow = (pi * stride + ri - pad) * wdt;
-                        if stride == 1 {
-                            // Contiguous in qi: a slice zip the compiler
-                            // can vectorize.
-                            let xline = &xplane[xrow + q_lo + si - pad..=xrow + q_hi + si - pad];
-                            let yline = &mut yrow[pi * q + q_lo..=pi * q + q_hi];
-                            for (slot, &xv) in yline.iter_mut().zip(xline) {
-                                *slot += v * xv;
-                            }
-                        } else {
-                            for qi in q_lo..=q_hi {
-                                yrow[pi * q + qi] += v * xplane[xrow + qi * stride + si - pad];
-                            }
+                        let at = (pi * stride + r - 1 - pad) * wp + q_lo * stride + s - 1 - pad;
+                        let run = &src[pi * q + q_lo..=pi * q + q_hi];
+                        for (slot, &g) in dst[at..].iter_mut().step_by(stride).zip(run) {
+                            *slot = g;
                         }
                     }
                 }
             }
+            for j in (0..h * wp).step_by(NR) {
+                let width = NR.min(h * wp - j);
+                for ci in 0..c {
+                    let taps = self.chan_ptr[ci] as usize..self.chan_ptr[ci + 1] as usize;
+                    let runs = self.taps[taps].iter().map(|t| {
+                        let (ki, rot_r, rot_s) =
+                            (t.k as usize, r - 1 - t.r as usize, s - 1 - t.s as usize);
+                        (ki * plane + rot_r * wp + rot_s + j, t.v)
+                    });
+                    // Always a full block: past the view's end it reads
+                    // the next plane or the slack, and `width` drops it.
+                    stream_runs(&mut acc, &dyp, runs);
+                    let out = &mut dx[(ni * c + ci) * h * wdt..][..h * wdt];
+                    store_rows(&acc[..width], j, wp, wdt, out, wdt);
+                }
+            }
+        }
+        scratch.recycle_vec(dyp);
+        Tensor::from_vec(&[n, c, h, wdt], dx)
+    }
+}
+
+/// `acc = Σ v · src[at..at + acc.len()]` over `runs` in order, from
+/// `0.0` — the one inner loop of both conv kernels.
+#[inline(always)]
+fn stream_runs(acc: &mut [f32], src: &[f32], runs: impl Iterator<Item = (usize, f32)>) {
+    acc.fill(0.0);
+    let width = acc.len();
+    for (at, v) in runs {
+        for (a, &x) in acc.iter_mut().zip(&src[at..][..width]) {
+            *a += v * x;
         }
     }
-    y
+}
+
+/// Stores `acc`, the flat positions `j..j + acc.len()` of a row-major
+/// view with `pitch`-wide rows, into `dst`, whose rows start `dst_pitch`
+/// apart and hold only the first `keep` positions of each view row.
+fn store_rows(acc: &[f32], j: usize, pitch: usize, keep: usize, dst: &mut [f32], dst_pitch: usize) {
+    let end = j + acc.len();
+    let mut pos = j;
+    while pos < end {
+        let (row, col) = (pos / pitch, pos % pitch);
+        let len = (pitch - col).min(end - pos);
+        if col < keep {
+            let kept = len.min(keep - col);
+            dst[row * dst_pitch + col..][..kept].copy_from_slice(&acc[pos - j..][..kept]);
+        }
+        pos += len;
+    }
 }
 
 /// Output positions `o` with `pad <= o·stride + tap < extent + pad`,
@@ -153,27 +359,27 @@ fn valid_out_range(
     (lo <= hi).then_some((lo, hi))
 }
 
-/// Backward-input convolution with CSB weights (Fig 2b): propagates
-/// `∂L/∂y` through 180°-rotated sparse filters, skipping every zero
-/// weight *and* every zero upstream gradient.
-///
-/// The filters are decoded through the CSB fetch-time rotation
-/// ([`CsbTensor::block_dense_rotated180`]); `h`/`wdt` are the input
-/// spatial extents. Bitwise-equal to `reference::conv2d_backward_input`.
-///
-/// # Panics
-///
-/// Panics if `w` is not conv-layout or `dy` is inconsistent with the
-/// `(h, wdt, stride, pad)` geometry.
-pub fn csb_conv2d_backward_input(
+fn check_activations(x: &Tensor, c: usize) -> (usize, usize, usize) {
+    assert_eq!(x.shape().rank(), 4, "csb conv: activations must be NCHW");
+    assert_eq!(
+        x.shape().dim(1),
+        c,
+        "csb conv: input channels {} != weight input channels {c}",
+        x.shape().dim(1)
+    );
+    (x.shape().dim(0), x.shape().dim(2), x.shape().dim(3))
+}
+
+/// Checks `dy: [N, K, P, Q]` against the weights' `[K, C, R, S]` and the
+/// input geometry; returns `(n, p, q)`.
+fn check_upstream(
     dy: &Tensor,
-    w: &CsbTensor,
+    [k, _, r, s]: [usize; 4],
     h: usize,
     wdt: usize,
     stride: usize,
     pad: usize,
-) -> Tensor {
-    let (k, c, r, s, blocks) = decode_conv_blocks(w);
+) -> (usize, usize, usize) {
     assert_eq!(dy.shape().rank(), 4, "csb conv bw: dy must be NKPQ");
     let (n, kd, p, q) = (
         dy.shape().dim(0),
@@ -195,38 +401,67 @@ pub fn csb_conv2d_backward_input(
         conv_out_dim(wdt, s, stride, pad),
         "csb conv bw: dy width inconsistent with input geometry"
     );
-    let mut dx = Tensor::zeros(&[n, c, h, wdt]);
-    let dys = dy.data();
-    let dxs = dx.data_mut();
-    // Scatter form with the dense kernel's exact nesting, so each dx
-    // element receives its contributions in the same order.
-    for ni in 0..n {
-        for ki in 0..k {
-            for pi in 0..p {
-                for qi in 0..q {
-                    let g = dys[((ni * k + ki) * p + pi) * q + qi];
-                    if g == 0.0 {
-                        continue;
-                    }
-                    for ci in 0..c {
-                        let xbase = (ni * c + ci) * h;
-                        for &(ri, si, v) in &blocks[ki * c + ci] {
-                            let hi = pi * stride + ri;
-                            if hi < pad || hi - pad >= h {
-                                continue;
-                            }
-                            let wi = qi * stride + si;
-                            if wi < pad || wi - pad >= wdt {
-                                continue;
-                            }
-                            dxs[(xbase + hi - pad) * wdt + wi - pad] += g * v;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    dx
+    (n, p, q)
+}
+
+/// Forward convolution with CSB weights: the sparse counterpart of
+/// `conv2d_from_cols`, skipping every zero weight.
+///
+/// Convenience wrapper that decodes and unfolds on every call;
+/// steady-state callers (the `Conv2d` layer) cache a [`ConvDecode`] and
+/// run [`ConvDecode::forward_from_cols`] over the columns they already
+/// hold. Bitwise-equal to the dense forward path for the same operands.
+///
+/// # Panics
+///
+/// Panics if `w` is not conv-layout, `x` is not `NCHW`, channels
+/// mismatch, or the filter does not fit.
+///
+/// # Examples
+///
+/// ```
+/// use procrustes_sparse::{csb_conv2d, CsbTensor};
+/// use procrustes_tensor::{reference::conv2d, Tensor};
+///
+/// let w = Tensor::from_vec(&[1, 1, 3, 3],
+///     vec![0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0]);
+/// let x = Tensor::ones(&[1, 1, 3, 3]);
+/// let y = csb_conv2d(&x, &CsbTensor::from_dense_conv(&w), 1, 0);
+/// assert_eq!(y.data(), conv2d(&x, &w, 1, 0).data());
+/// ```
+pub fn csb_conv2d(x: &Tensor, w: &CsbTensor, stride: usize, pad: usize) -> Tensor {
+    let decode = ConvDecode::from_csb(w);
+    let [_, c, r, s] = decode.dims();
+    let (n, h, wdt) = check_activations(x, c);
+    let p = conv_out_dim(h, r, stride, pad);
+    let q = conv_out_dim(wdt, s, stride, pad);
+    let mut cols = vec![0.0f32; c * r * s * n * p * q];
+    im2col_into(x, r, s, stride, pad, &mut cols);
+    decode.forward_from_cols(&cols, n, p, q, &mut Scratch::new())
+}
+
+/// Backward-input convolution with CSB weights (Fig 2b): propagates
+/// `∂L/∂y` through 180°-rotated sparse filters, skipping every zero
+/// weight.
+///
+/// Convenience wrapper that decodes on every call; steady-state callers
+/// cache a [`ConvDecode`] and use [`ConvDecode::backward_input`].
+/// `h`/`wdt` are the input spatial extents. Bitwise-equal to
+/// `reference::conv2d_backward_input`.
+///
+/// # Panics
+///
+/// Panics if `w` is not conv-layout or `dy` is inconsistent with the
+/// `(h, wdt, stride, pad)` geometry.
+pub fn csb_conv2d_backward_input(
+    dy: &Tensor,
+    w: &CsbTensor,
+    h: usize,
+    wdt: usize,
+    stride: usize,
+    pad: usize,
+) -> Tensor {
+    ConvDecode::from_csb(w).backward_input(dy, h, wdt, stride, pad, &mut Scratch::new())
 }
 
 /// Weight-update convolution restricted to the CSB mask: accumulates
@@ -250,56 +485,40 @@ pub fn csb_conv2d_backward_weights_masked(
     stride: usize,
     pad: usize,
 ) -> Tensor {
-    let (k, c, r, s, blocks) = decode_conv_blocks(mask);
+    let decode = ConvDecode::from_csb(mask);
+    let [k, c, r, s] = decode.dims();
     let (n, h, wdt) = check_activations(x, c);
-    assert_eq!(dy.shape().rank(), 4, "csb conv wu: dy must be NKPQ");
-    assert_eq!(
-        dy.shape().dim(0),
-        n,
-        "csb conv wu: batch mismatch {} != {n}",
-        dy.shape().dim(0)
-    );
-    assert_eq!(dy.shape().dim(1), k, "csb conv wu: dy channel mismatch");
-    let (p, q) = (dy.shape().dim(2), dy.shape().dim(3));
-    assert_eq!(
-        p,
-        conv_out_dim(h, r, stride, pad),
-        "csb conv wu: bad dy height"
-    );
-    assert_eq!(
-        q,
-        conv_out_dim(wdt, s, stride, pad),
-        "csb conv wu: bad dy width"
-    );
+    let (nd, p, q) = check_upstream(dy, decode.dims(), h, wdt, stride, pad);
+    assert_eq!(nd, n, "csb conv wu: batch mismatch {nd} != {n}");
     let mut dw = Tensor::zeros(&[k, c, r, s]);
     let xs = x.data();
     let dys = dy.data();
     let dws = dw.data_mut();
-    for ni in 0..n {
-        for ki in 0..k {
-            for pi in 0..p {
-                for qi in 0..q {
-                    let g = dys[((ni * k + ki) * p + pi) * q + qi];
-                    if g == 0.0 {
-                        continue;
-                    }
-                    for ci in 0..c {
-                        let xbase = (ni * c + ci) * h;
-                        for &(ri, si, _) in &blocks[ki * c + ci] {
-                            let hi = pi * stride + ri;
-                            if hi < pad || hi - pad >= h {
-                                continue;
-                            }
-                            let wi = qi * stride + si;
-                            if wi < pad || wi - pad >= wdt {
-                                continue;
-                            }
-                            dws[((ki * c + ci) * r + ri) * s + si] +=
-                                g * xs[(xbase + hi - pad) * wdt + wi - pad];
-                        }
+    // One dot product per stored position, over (n, p, q) ascending —
+    // the scatter kernel's reduction order for that element.
+    for ci in 0..c {
+        let taps = decode.chan_ptr[ci] as usize..decode.chan_ptr[ci + 1] as usize;
+        for tap in &decode.taps[taps] {
+            let (ki, ri, si) = (tap.k as usize, tap.r as usize, tap.s as usize);
+            let (Some((p_lo, p_hi)), Some((q_lo, q_hi))) = (
+                valid_out_range(p, h, ri, stride, pad),
+                valid_out_range(q, wdt, si, stride, pad),
+            ) else {
+                continue;
+            };
+            let mut acc = 0.0f32;
+            for ni in 0..n {
+                let xplane = &xs[(ni * c + ci) * h * wdt..][..h * wdt];
+                let dyplane = &dys[(ni * k + ki) * p * q..][..p * q];
+                for pi in p_lo..=p_hi {
+                    let dyrow = &dyplane[pi * q + q_lo..=pi * q + q_hi];
+                    let x0 = (pi * stride + ri - pad) * wdt + q_lo * stride + si - pad;
+                    for (i, &g) in dyrow.iter().enumerate() {
+                        acc += g * xplane[x0 + i * stride];
                     }
                 }
             }
+            dws[((ki * c + ci) * r + ri) * s + si] = acc;
         }
     }
     dw
@@ -578,8 +797,9 @@ mod tests {
     use super::*;
     use procrustes_prng::{UniformRng, Xorshift64};
     use procrustes_tensor::reference::{
-        conv2d_backward_input, conv2d_backward_weights, conv2d_im2col,
+        conv2d, conv2d_backward_input, conv2d_backward_weights, matmul_ikj,
     };
+    use procrustes_tensor::{conv2d_backward_input_gemm, conv2d_from_cols, im2col};
 
     fn sparse_tensor(dims: &[usize], keep: f64, seed: u64) -> Tensor {
         let mut rng = Xorshift64::new(seed);
@@ -592,36 +812,179 @@ mod tests {
         })
     }
 
+    /// A tensor with exactly `nnz` nonzeros (magnitude in `[0.25, 1.25)`,
+    /// seeded sign and position), so a case holds the density it names.
+    fn with_nnz(dims: &[usize], nnz: usize, seed: u64) -> Tensor {
+        let mut rng = Xorshift64::new(seed);
+        let len: usize = dims.iter().product();
+        let mut slots: Vec<usize> = (0..len).collect();
+        procrustes_prng::shuffle(&mut slots, &mut rng);
+        let mut data = vec![0.0f32; len];
+        for &slot in &slots[..nnz] {
+            let mag = 0.25 + rng.next_f32();
+            data[slot] = if rng.next_f64() < 0.5 { -mag } else { mag };
+        }
+        Tensor::from_vec(dims, data)
+    }
+
+    /// `(n, c, k, h, w, r, s, stride, pad)`: the dense trio's own test
+    /// geometries (`procrustes-tensor`'s `conv.rs`: stride 2, pad 0/1,
+    /// 1×1 filters, ragged extents), then a non-square 3×2 filter, an
+    /// `N·P·Q` of 243 (one full block and a ragged one), and a 1×1 filter
+    /// padded past its own extent (border outputs see only padding).
+    /// Every other `N·P·Q` is below `NR` except the first, which is
+    /// exactly `NR`.
+    const GEOMETRIES: &[[usize; 9]] = &[
+        [2, 3, 4, 8, 8, 3, 3, 1, 1],
+        [1, 2, 3, 7, 5, 3, 3, 2, 1],
+        [2, 1, 2, 6, 6, 3, 3, 2, 0],
+        [1, 3, 2, 5, 5, 1, 1, 1, 0],
+        [1, 2, 2, 9, 4, 1, 1, 2, 0],
+        [2, 2, 5, 4, 4, 3, 3, 1, 0],
+        [1, 2, 2, 7, 6, 3, 2, 2, 1],
+        [3, 2, 3, 9, 9, 3, 3, 1, 1],
+        [2, 2, 2, 3, 3, 1, 1, 1, 1],
+    ];
+
+    /// The weight tensors of one geometry at densities `{0, 0.1, 1}`,
+    /// each checked to store the nonzero count it claims.
+    fn weight_cases(dims: &[usize], seed: u64) -> Vec<(Tensor, CsbTensor)> {
+        let len: usize = dims.iter().product();
+        [0, len.div_ceil(10), len]
+            .into_iter()
+            .map(|nnz| {
+                let w = with_nnz(dims, nnz, seed + nnz as u64);
+                let csb = CsbTensor::from_dense_conv(&w);
+                assert_eq!(csb.nnz(), nnz, "case must hold the nnz it claims");
+                assert_eq!(ConvDecode::from_csb(&csb).nnz(), nnz);
+                (w, csb)
+            })
+            .collect()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn conv_forward_is_bitwise_equal_to_im2col() {
-        for (keep, stride, pad, seed) in [
-            (0.3, 1, 1, 1u64),
-            (0.05, 2, 1, 2),
-            (1.0, 1, 0, 3),
-            (0.0, 1, 1, 4),
-        ] {
-            let w = sparse_tensor(&[4, 3, 3, 3], keep, seed);
-            let x = sparse_tensor(&[2, 3, 8, 8], 0.7, seed + 100);
-            let csb = CsbTensor::from_dense_conv(&w);
-            let got = csb_conv2d(&x, &csb, stride, pad);
-            let want = conv2d_im2col(&x, &w, stride, pad);
-            assert_eq!(got.data(), want.data(), "keep={keep} stride={stride}");
+    fn conv_forward_is_bitwise_equal_to_the_dense_gemm_and_the_naive_matmul() {
+        let mut scratch = Scratch::new();
+        for (gi, &[n, c, k, h, wd, r, s, stride, pad]) in GEOMETRIES.iter().enumerate() {
+            let x = sparse_tensor(&[n, c, h, wd], 0.7, 100 + gi as u64);
+            let (p, q) = (
+                conv_out_dim(h, r, stride, pad),
+                conv_out_dim(wd, s, stride, pad),
+            );
+            let cols = im2col(&x, r, s, stride, pad);
+            for (w, csb) in weight_cases(&[k, c, r, s], 10 * gi as u64) {
+                let what = format!("geometry {gi}, nnz {}", csb.nnz());
+                let decode = ConvDecode::from_csb(&csb);
+                let got = decode.forward_from_cols(cols.data(), n, p, q, &mut scratch);
+                assert_eq!(got.shape().dims(), &[n, k, p, q], "{what}");
+                // The dense trio's forward, on the same columns.
+                let dense = conv2d_from_cols(&w, cols.data(), n, p, q, &mut scratch);
+                assert_eq!(bits(&got), bits(&dense), "{what}: vs conv2d_from_cols");
+                // The naive ikj product of the weight matrix and the
+                // columns, read back plane by plane.
+                let ymat = matmul_ikj(w.data(), cols.data(), k, c * r * s, n * p * q);
+                for ni in 0..n {
+                    for ki in 0..k {
+                        assert_eq!(
+                            got.data()[(ni * k + ki) * p * q..][..p * q],
+                            ymat[(ki * n + ni) * p * q..][..p * q],
+                            "{what}: vs matmul_ikj, plane ({ni},{ki})"
+                        );
+                    }
+                }
+                // The scatter oracle associates per input channel, so it
+                // bounds the result without pinning its bits.
+                let direct = conv2d(&x, &w, stride, pad);
+                for (a, b) in got.data().iter().zip(direct.data()) {
+                    assert!(
+                        (a - b).abs() <= 1e-5 * (1.0 + a.abs()),
+                        "{what}: {a} vs {b}"
+                    );
+                }
+                // The decode-per-call wrapper runs the same kernel.
+                assert_eq!(
+                    bits(&csb_conv2d(&x, &csb, stride, pad)),
+                    bits(&got),
+                    "{what}"
+                );
+                scratch.recycle(got);
+                scratch.recycle(dense);
+            }
         }
     }
 
     #[test]
-    fn conv_backward_input_is_bitwise_equal_to_dense() {
-        for (keep, stride, pad, seed) in [(0.25, 1, 1, 5u64), (0.1, 2, 1, 6), (1.0, 1, 0, 7)] {
-            let w = sparse_tensor(&[3, 2, 3, 3], keep, seed);
-            let csb = CsbTensor::from_dense_conv(&w);
-            let (h, wdt) = (8, 8);
-            let p = conv_out_dim(h, 3, stride, pad);
-            let q = conv_out_dim(wdt, 3, stride, pad);
-            let dy = sparse_tensor(&[2, 3, p, q], 0.6, seed + 200);
-            let got = csb_conv2d_backward_input(&dy, &csb, h, wdt, stride, pad);
-            let want = conv2d_backward_input(&dy, &w, h, wdt, stride, pad);
-            assert_eq!(got.data(), want.data(), "keep={keep} stride={stride}");
+    fn conv_backward_input_is_bitwise_equal_to_the_scatter_oracle_and_the_dense_gemm() {
+        let mut scratch = Scratch::new();
+        for (gi, &[n, c, k, h, wd, r, s, stride, pad]) in GEOMETRIES.iter().enumerate() {
+            let (p, q) = (
+                conv_out_dim(h, r, stride, pad),
+                conv_out_dim(wd, s, stride, pad),
+            );
+            // A mixed dy, one with whole zero planes (what ReLU leaves of
+            // a dead channel) and one with negative zeros: the kernel
+            // multiplies all of them where the oracle skips them.
+            let mixed = sparse_tensor(&[n, k, p, q], 0.6, 200 + gi as u64);
+            let mut dead_planes = mixed.clone();
+            dead_planes.data_mut()[..p * q].fill(0.0);
+            dead_planes.data_mut()[(n * k - 1) * p * q..].fill(0.0);
+            let mut negative_zeros = mixed.clone();
+            for v in negative_zeros.data_mut().iter_mut().step_by(3) {
+                *v = -0.0;
+            }
+            assert!(negative_zeros.data()[0].is_sign_negative());
+            for (w, csb) in weight_cases(&[k, c, r, s], 10 * gi as u64) {
+                let decode = ConvDecode::from_csb(&csb);
+                for (di, dy) in [&mixed, &dead_planes, &negative_zeros]
+                    .into_iter()
+                    .enumerate()
+                {
+                    let what = format!("geometry {gi}, nnz {}, dy {di}", csb.nnz());
+                    let got = decode.backward_input(dy, h, wd, stride, pad, &mut scratch);
+                    let want = conv2d_backward_input(dy, &w, h, wd, stride, pad);
+                    assert_eq!(got.shape(), want.shape(), "{what}");
+                    assert_eq!(bits(&got), bits(&want), "{what}: vs scatter oracle");
+                    let dense =
+                        conv2d_backward_input_gemm(dy, &w, h, wd, stride, pad, &mut scratch);
+                    assert_eq!(got.data(), dense.data(), "{what}: vs dense gemm");
+                    let wrapped = csb_conv2d_backward_input(dy, &csb, h, wd, stride, pad);
+                    assert_eq!(bits(&wrapped), bits(&got), "{what}: wrapper");
+                    scratch.recycle(got);
+                    scratch.recycle(dense);
+                }
+            }
         }
+    }
+
+    #[test]
+    fn conv_decode_orders_match_the_two_passes() {
+        // One block with slots 0, 4 and 8 set, one with slot 2.
+        let mut w = Tensor::zeros(&[2, 1, 3, 3]);
+        w.data_mut()[0] = 1.0;
+        w.data_mut()[4] = 2.0;
+        w.data_mut()[8] = 3.0;
+        w.data_mut()[9 + 2] = 4.0;
+        let d = ConvDecode::from_csb(&CsbTensor::from_dense_conv(&w));
+        assert_eq!(d.dims(), [2, 1, 3, 3]);
+        assert_eq!(d.row_ptr, [0, 3, 4]);
+        assert_eq!(d.idx, [0, 4, 8, 2], "forward: ascending (c, r, s)");
+        assert_eq!(d.val, [1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(d.chan_ptr, [0, 4]);
+        let taps: Vec<_> = d.taps.iter().map(|t| (t.k, t.r, t.s, t.v)).collect();
+        assert_eq!(
+            taps,
+            [
+                (0, 2, 2, 3.0),
+                (0, 1, 1, 2.0),
+                (0, 0, 0, 1.0),
+                (1, 0, 2, 4.0)
+            ],
+            "backward: k ascending, each block's taps rotated"
+        );
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! Property-based tests for the CSB weight format.
+//! Property-based tests for the CSB weight format and its conv kernels.
 
 // These property tests depend on the external `proptest` crate, which is
 // unavailable in offline builds. Opt in with `--features proptests` after
 // adding `proptest` as a dev-dependency (see the crate manifest).
 #![cfg(feature = "proptests")]
 
-use procrustes_sparse::CsbTensor;
-use procrustes_tensor::Tensor;
+use procrustes_sparse::{ConvDecode, CsbTensor};
+use procrustes_tensor::reference::conv2d_backward_input;
+use procrustes_tensor::{
+    conv2d_backward_input_gemm, conv2d_from_cols, conv_out_dim, im2col, Scratch, Tensor,
+};
 use proptest::prelude::*;
 
 /// Strategy producing a sparse conv weight tensor with arbitrary geometry.
@@ -18,6 +21,47 @@ fn sparse_conv() -> impl Strategy<Value = Tensor> {
         )
         .prop_map(move |data| Tensor::from_vec(&[k, c, r, s], data))
     })
+}
+
+/// A tensor of `len` elements, about a third of them exact zeros (some
+/// negative), the rest in `(-2, 2)`.
+fn sparse_values(len: usize) -> impl Strategy<Value = Vec<f32>> {
+    proptest::collection::vec(
+        prop_oneof![2 => Just(0.0f32), 1 => Just(-0.0f32), 6 => -2.0f32..2.0],
+        len,
+    )
+}
+
+/// Sparse conv weights with an input, an upstream gradient and the
+/// `(stride, pad)` they fit: `(w, x, dy, stride, pad)`.
+fn conv_problem() -> impl Strategy<Value = (Tensor, Tensor, Tensor, usize, usize)> {
+    (
+        sparse_conv(),
+        1usize..4,
+        0usize..6,
+        0usize..6,
+        1usize..3,
+        0usize..2,
+    )
+        .prop_flat_map(|(w, n, dh, dw, stride, pad)| {
+            let d = w.shape().dims().to_vec();
+            let (k, c, r, s) = (d[0], d[1], d[2], d[3]);
+            // At least as large as the filter, so it fits at pad 0.
+            let (h, wd) = (r + dh, s + dw);
+            let p = conv_out_dim(h, r, stride, pad);
+            let q = conv_out_dim(wd, s, stride, pad);
+            (sparse_values(n * c * h * wd), sparse_values(n * k * p * q)).prop_map(
+                move |(x, dy)| {
+                    (
+                        w.clone(),
+                        Tensor::from_vec(&[n, c, h, wd], x),
+                        Tensor::from_vec(&[n, k, p, q], dy),
+                        stride,
+                        pad,
+                    )
+                },
+            )
+        })
 }
 
 fn sparse_fc() -> impl Strategy<Value = (Tensor, usize)> {
@@ -74,6 +118,28 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The CSB conv kernels equal (`==`) the dense trio and the scatter
+    /// oracle for any geometry, stride, padding and zero pattern.
+    #[test]
+    fn conv_kernels_equal_dense((w, x, dy, stride, pad) in conv_problem()) {
+        let csb = CsbTensor::from_dense_conv(&w);
+        prop_assert_eq!(csb.nnz(), w.len() - w.count_zeros());
+        let decode = ConvDecode::from_csb(&csb);
+        let mut scratch = Scratch::new();
+        let (n, h, wd) = (x.shape().dim(0), x.shape().dim(2), x.shape().dim(3));
+        let (r, s) = (w.shape().dim(2), w.shape().dim(3));
+        let (p, q) = (dy.shape().dim(2), dy.shape().dim(3));
+        let cols = im2col(&x, r, s, stride, pad);
+        let y = decode.forward_from_cols(cols.data(), n, p, q, &mut scratch);
+        let dense_y = conv2d_from_cols(&w, cols.data(), n, p, q, &mut scratch);
+        prop_assert_eq!(y.data(), dense_y.data());
+        let dx = decode.backward_input(&dy, h, wd, stride, pad, &mut scratch);
+        let oracle = conv2d_backward_input(&dy, &w, h, wd, stride, pad);
+        prop_assert_eq!(dx.data(), oracle.data());
+        let dense_dx = conv2d_backward_input_gemm(&dy, &w, h, wd, stride, pad, &mut scratch);
+        prop_assert_eq!(dx.data(), dense_dx.data());
     }
 
     /// Piecewise fc transpose equals the dense transpose; double transpose
