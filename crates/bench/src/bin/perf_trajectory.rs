@@ -7,7 +7,7 @@
 //! attributable — (b) the three conv training kernels (GEMM form vs
 //! seed scatter form) over the fig06-style tiny-VGG geometries, and (c)
 //! one full training step of the dense and Procrustes trainers on that
-//! stack — the Procrustes one under `ComputeBackend::auto()` and only
+//! stack — the Procrustes one under its default `ComputeBackend::auto()` and only
 //! after it is past the decay flush and provably on the CSB kernels at
 //! ~90 % weight sparsity — then writes `BENCH_pr10.json` so future PRs
 //! can diff the trajectory instead of guessing. Since PR 10 every GEMM entry is
@@ -28,7 +28,7 @@ use std::time::Duration;
 
 use procrustes_bench::{best_of as time, FIG06_BATCH, FIG06_CONV_LAYERS};
 use procrustes_dropback::{
-    ComputeBackend, DenseSgdTrainer, ProcrustesConfig, ProcrustesTrainer, StepStats, Trainer,
+    DenseSgdTrainer, ProcrustesConfig, ProcrustesTrainer, StepStats, Trainer,
 };
 use procrustes_nn::{arch, data::SyntheticImages, Layer};
 use procrustes_prng::Xorshift64;
@@ -183,10 +183,7 @@ fn bench_train_steps() -> (u128, u128) {
     // sparse training: time the step only in the regime it is for.
     let mut sparse = ProcrustesTrainer::new(
         arch::tiny_vgg(10, &mut Xorshift64::new(1)),
-        ProcrustesConfig {
-            compute: ComputeBackend::auto(),
-            ..ProcrustesConfig::default()
-        },
+        ProcrustesConfig::default(),
         42,
     );
     let mut warmed = StepStats::default();

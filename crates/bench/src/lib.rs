@@ -1,8 +1,11 @@
-//! Criterion benchmark crate for the Procrustes reproduction.
+//! Performance smokes and the perf-trajectory harness of the Procrustes
+//! reproduction.
 //!
-//! All measurement lives in `benches/` and the `#[test]`-based smokes in
-//! `tests/`; this library hosts the helpers they share, so the
-//! measurement policy and reference workloads stay in one place.
+//! Measurement lives in the `#[test]`-based smokes under `tests/` and in
+//! `src/bin/perf_trajectory.rs`; this library hosts the helpers they
+//! share, so the measurement policy and reference workloads stay in one
+//! place. (The Criterion files under `benches/` are not built:
+//! `autobenches = false`, see `Cargo.toml`.)
 
 use std::time::{Duration, Instant};
 

@@ -6,8 +6,8 @@
 //! same upstream gradient, every output comes from a warmed pool — and
 //! the compressed kernels must beat the dense GEMMs on the summed stack,
 //! because their work scales with the stored nonzeros. A 512×512 fc
-//! product at the same density is guarded the same way, on the cached
-//! `FcDecode` that `Linear` runs.
+//! layer at the same density is guarded the same way, forward and
+//! backward, on the cached `FcDecode` that `Linear` runs.
 //!
 //! The same comparison is printed (never asserted) at
 //! `ComputeBackend::AUTO_MAX_DENSITY`, the density at which `Auto`
@@ -28,6 +28,7 @@ use procrustes_bench::{best_of as time, FIG06_BATCH, FIG06_CONV_LAYERS};
 use procrustes_nn::ComputeBackend;
 use procrustes_prng::{UniformRng, Xorshift64};
 use procrustes_sparse::{ConvDecode, CsbTensor, FcDecode};
+use procrustes_tensor::kernel::{self, Blueprint};
 use procrustes_tensor::{conv2d_backward_input_gemm, conv2d_from_cols, im2col, Scratch, Tensor};
 
 /// The paper's operating point: one weight in ten survives.
@@ -143,29 +144,60 @@ fn csb_conv_kernels_beat_dense_on_the_fig06_stack_at_paper_density() {
 #[test]
 fn csb_fc_forward_not_slower_than_dense_at_high_sparsity() {
     let _turn = exclusive();
+    const N: usize = 16;
     let w = sparse_tensor(&[512, 512], KEEP, 3);
     let decode = FcDecode::from_csb(&CsbTensor::from_dense_fc(&w, 64));
-    let x = Tensor::randn(&[16, 512], 1.0, &mut Xorshift64::new(4));
-
-    let wt = w.transpose2d();
+    let x = Tensor::randn(&[N, 512], 1.0, &mut Xorshift64::new(4));
+    let dy = Tensor::randn(&[N, 512], 1.0, &mut Xorshift64::new(5));
     let mut scratch = Scratch::new();
-    let mut y = vec![0.0f32; 16 * 512];
-    decode.matvec_scratch(x.data(), 16, &mut y, &mut scratch);
-    assert_eq!(x.matmul(&wt).data(), &y[..], "kernels must agree bitwise");
 
-    // The dense timing includes neither the transpose nor compression,
-    // the CSB one neither the encode nor the decode (`Linear` caches
-    // both per resync): each path is measured on its steady-state loop.
-    let dense_t = time(5, || x.matmul(&wt));
-    let csb_t = time(5, || {
-        decode.matvec_scratch(x.data(), 16, &mut y, &mut scratch)
+    // The GEMMs `Linear` runs on a dense store: y = x·Wᵀ, dx = dy·W.
+    let dense = |bp: Blueprint, lhs: &Tensor, scratch: &mut Scratch| {
+        let mut dst = scratch.take_tensor_any(&[N, 512]);
+        let bp = bp.with_threads(kernel::default_threads());
+        kernel::gemm(&bp, dst.data_mut(), lhs.data(), w.data(), scratch);
+        dst
+    };
+    let (nt, nn) = (Blueprint::nt(N, 512, 512), Blueprint::nn(N, 512, 512));
+
+    let y = decode.forward(&x, &mut scratch);
+    let dense_y = dense(nt, &x, &mut scratch);
+    assert_eq!(dense_y.data(), y.data(), "forward must agree bitwise");
+    assert_eq!(x.matmul(&w.transpose2d()).data(), y.data());
+    let dx = decode.backward_input(&dy, &mut scratch);
+    let dense_dx = dense(nn, &dy, &mut scratch);
+    assert_eq!(dense_dx.data(), dx.data(), "backward must agree bitwise");
+    assert_eq!(dy.matmul(&w).data(), dx.data());
+    for t in [y, dense_y, dx, dense_dx] {
+        scratch.recycle(t);
+    }
+
+    // Neither side's timing includes the encode or the decode (`Linear`
+    // caches both per resync): each path is measured on its steady-state
+    // loop, outputs from a warmed pool.
+    let csb_fw = time(5, || {
+        let y = decode.forward(&x, &mut scratch);
+        scratch.recycle(y);
     });
-    println!("fc fw at {KEEP} density: csb {csb_t:?} vs dense {dense_t:?}");
+    let dense_fw = time(5, || {
+        let y = dense(nt, &x, &mut scratch);
+        scratch.recycle(y);
+    });
+    let csb_bw = time(5, || {
+        let dx = decode.backward_input(&dy, &mut scratch);
+        scratch.recycle(dx);
+    });
+    let dense_bw = time(5, || {
+        let dx = dense(nn, &dy, &mut scratch);
+        scratch.recycle(dx);
+    });
+    println!("fc forward at {KEEP} density: csb {csb_fw:?} vs dense {dense_fw:?}");
+    println!("fc backward at {KEEP} density: csb {csb_bw:?} vs dense {dense_bw:?}");
 
     if cfg!(not(debug_assertions)) {
         assert!(
-            csb_t < dense_t,
-            "optimized csb fc ({csb_t:?}) must beat dense ({dense_t:?}) at {KEEP} density"
+            csb_fw < dense_fw,
+            "optimized csb fc forward ({csb_fw:?}) must beat dense ({dense_fw:?}) at {KEEP} density"
         );
     }
 }

@@ -1,9 +1,10 @@
 //! The dense (unpruned) SGD baseline trainer.
 
-use procrustes_nn::{Layer, Scratch, Sequential, Sgd, SoftmaxCrossEntropy};
+use procrustes_nn::{Scratch, Sequential, Sgd};
 use procrustes_tensor::Tensor;
 
-use crate::{evaluate_model, StepStats, Trainer};
+use crate::step::{evaluate_model, forward_backward};
+use crate::{StepStats, Trainer};
 
 /// Plain dense SGD training — the paper's “baseline (SGD)” curves and the
 /// energy-model's dense reference point.
@@ -43,13 +44,7 @@ impl DenseSgdTrainer {
 
 impl Trainer for DenseSgdTrainer {
     fn train_step(&mut self, x: &Tensor, labels: &[usize]) -> StepStats {
-        let scratch = &mut self.scratch;
-        let logits = self.model.forward_with(x, true, scratch);
-        let (loss, dlogits) = SoftmaxCrossEntropy.loss_and_grad_with(&logits, labels, scratch);
-        scratch.recycle(logits);
-        let dx = self.model.backward_with(&dlogits, scratch);
-        scratch.recycle(dlogits);
-        scratch.recycle(dx);
+        let loss = forward_backward(&mut self.model, x, labels, &mut self.scratch);
         self.opt.step(&mut self.model);
         self.steps += 1;
         StepStats {

@@ -8,10 +8,13 @@
 //! (Dropback + initial weight decay), still with exact selection — the
 //! configuration of the paper's Fig 6/Fig 7 baselines.
 
-use procrustes_nn::{ComputeBackend, Layer, ParamKind, Scratch, Sequential, SoftmaxCrossEntropy};
+use procrustes_nn::{ComputeBackend, Layer, Scratch, Sequential};
 use procrustes_tensor::{kaiming_std, xavier_std, Tensor};
 
-use crate::{evaluate_model, StepStats, Trainer, WeightRecompute};
+use crate::step::{
+    evaluate_model, for_each_prunable, forward_backward, materialize, sgd_auxiliary,
+};
+use crate::{StepStats, Trainer, WeightRecompute};
 
 /// Configuration for [`DropbackExact`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,7 +40,7 @@ impl Default for DropbackConfig {
             lr: 0.05,
             lambda: 1.0,
             aux_lr: 0.05,
-            compute: ComputeBackend::Dense,
+            compute: ComputeBackend::auto(),
         }
     }
 }
@@ -118,80 +121,33 @@ impl DropbackExact {
     pub fn wr(&self) -> &WeightRecompute {
         &self.wr
     }
-
-    /// Writes the materialized weight values into the model:
-    /// `w_i = λᵗ·w⁰_i + (tracked_i ? acc_i : 0)`.
-    fn materialize(&mut self) {
-        let wr = &self.wr;
-        let acc = &self.acc;
-        let tracked = &self.tracked;
-        let t = self.steps;
-        let mut offset = 0usize;
-        self.model.visit_params(&mut |p| {
-            if p.kind != ParamKind::Prunable {
-                return;
-            }
-            let data = p.values.data_mut();
-            for (j, w) in data.iter_mut().enumerate() {
-                let gi = offset + j;
-                let base = wr.decayed_value(gi as u64, t);
-                *w = base + if tracked[gi] { acc[gi] } else { 0.0 };
-            }
-            offset += data.len();
-        });
-    }
 }
 
 impl Trainer for DropbackExact {
     fn train_step(&mut self, x: &Tensor, labels: &[usize]) -> StepStats {
-        let scratch = &mut self.scratch;
-        let logits = self.model.forward_with(x, true, scratch);
-        let (loss, dlogits) = SoftmaxCrossEntropy.loss_and_grad_with(&logits, labels, scratch);
-        scratch.recycle(logits);
-        let dx = self.model.backward_with(&dlogits, scratch);
-        scratch.recycle(dlogits);
-        scratch.recycle(dx);
+        let loss = forward_backward(&mut self.model, x, labels, &mut self.scratch);
 
         // Gather signed candidate values: tracked weights contribute their
         // updated accumulation `acc − lr·g`, pruned weights contribute
         // this step's update `−lr·g` (Alg 2's T ∪ P).
         let lr = self.config.lr;
-        let aux_lr = self.config.aux_lr;
         let n = self.acc.len();
         let mut cand = std::mem::take(&mut self.cand);
         cand.clear();
         cand.resize(n, 0.0);
-        {
-            let acc = &self.acc;
-            let tracked = &self.tracked;
-            let mut offset = 0usize;
-            self.model.visit_params(&mut |p| match p.kind {
-                ParamKind::Prunable => {
-                    let grads = p.grads.data_mut();
-                    for (j, g) in grads.iter_mut().enumerate() {
-                        let gi = offset + j;
-                        cand[gi] = if tracked[gi] {
-                            acc[gi] - lr * *g
-                        } else {
-                            -lr * *g
-                        };
-                        *g = 0.0;
-                    }
-                    offset += grads.len();
-                }
-                ParamKind::Auxiliary => {
-                    for (w, g) in p
-                        .values
-                        .data_mut()
-                        .iter_mut()
-                        .zip(p.grads.data_mut().iter_mut())
-                    {
-                        *w -= aux_lr * *g;
-                        *g = 0.0;
-                    }
-                }
-            });
-        }
+        let (acc, tracked) = (&self.acc, &self.tracked);
+        for_each_prunable(&mut self.model, |offset, p| {
+            for (j, g) in p.grads.data_mut().iter_mut().enumerate() {
+                let gi = offset + j;
+                cand[gi] = if tracked[gi] {
+                    acc[gi] - lr * *g
+                } else {
+                    -lr * *g
+                };
+                *g = 0.0;
+            }
+        });
+        sgd_auxiliary(&mut self.model, self.config.aux_lr);
 
         // Select the top-k candidates by magnitude (an O(n) partial
         // selection — the same outcome as Alg 2's full sort).
@@ -222,14 +178,13 @@ impl Trainer for DropbackExact {
         std::mem::swap(&mut self.tracked, &mut self.keep);
         self.cand = cand;
         self.steps += 1;
-        self.materialize();
-
-        let mut zeros = 0usize;
-        let mut total = 0usize;
-        self.model.visit_params(&mut |p| {
-            if p.kind == ParamKind::Prunable {
-                zeros += p.values.count_zeros();
-                total += p.values.len();
+        // w_i = λᵗ·w⁰_i + (tracked_i ? acc_i : 0)
+        let (acc, tracked) = (&self.acc, &self.tracked);
+        let weight_sparsity = materialize(&mut self.model, &self.wr, self.steps, |gi| {
+            if tracked[gi] {
+                acc[gi]
+            } else {
+                0.0
             }
         });
         StepStats {
@@ -238,7 +193,7 @@ impl Trainer for DropbackExact {
             admitted,
             evicted,
             threshold: 0.0,
-            weight_sparsity: zeros as f64 / total as f64,
+            weight_sparsity,
         }
     }
 
@@ -263,10 +218,7 @@ pub(crate) fn init_from_wr(
     lambda: f32,
 ) -> (WeightRecompute, usize) {
     let mut layers: Vec<(usize, f32)> = Vec::new();
-    model.visit_params(&mut |p| {
-        if p.kind != ParamKind::Prunable {
-            return;
-        }
+    for_each_prunable(model, |_, p| {
         let s = p.values.shape();
         let scale = match s.rank() {
             4 => kaiming_std(s.dim(1) * s.dim(2) * s.dim(3)),
@@ -277,17 +229,11 @@ pub(crate) fn init_from_wr(
     });
     assert!(!layers.is_empty(), "model has no prunable weights");
     let wr = WeightRecompute::new(seed, &layers, lambda);
-    let mut offset = 0u64;
-    model.visit_params(&mut |p| {
-        if p.kind != ParamKind::Prunable {
-            return;
-        }
+    let n = for_each_prunable(model, |offset, p| {
         for (j, w) in p.values.data_mut().iter_mut().enumerate() {
-            *w = wr.initial_value(offset + j as u64);
+            *w = wr.initial_value((offset + j) as u64);
         }
-        offset += p.values.len() as u64;
     });
-    let n = offset as usize;
     (wr, n)
 }
 
@@ -357,20 +303,15 @@ mod tests {
         // Every pruned weight must read exactly its WR initial value.
         let wr = t.wr().clone();
         let tracked = t.tracked.clone();
-        let mut offset = 0u64;
         let mut checked = 0;
-        t.model_mut().visit_params(&mut |p| {
-            if p.kind != ParamKind::Prunable {
-                return;
-            }
+        for_each_prunable(t.model_mut(), |offset, p| {
             for (j, w) in p.values.data().iter().enumerate() {
-                let gi = offset + j as u64;
-                if !tracked[gi as usize] {
-                    assert_eq!(*w, wr.initial_value(gi), "weight {gi}");
+                let gi = offset + j;
+                if !tracked[gi] {
+                    assert_eq!(*w, wr.initial_value(gi as u64), "weight {gi}");
                     checked += 1;
                 }
             }
-            offset += p.values.len() as u64;
         });
         assert!(checked > 0);
     }

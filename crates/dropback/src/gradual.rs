@@ -10,11 +10,12 @@
 //! hardware accounting — demonstrating the paper's §VI-G claim that
 //! quantile-based selection generalizes across sparse training schemes.
 
-use procrustes_nn::{ComputeBackend, Layer, ParamKind, Scratch, Sequential, SoftmaxCrossEntropy};
+use procrustes_nn::{ComputeBackend, Layer, Scratch, Sequential};
 use procrustes_quantile::Dumique;
 use procrustes_tensor::Tensor;
 
-use crate::{evaluate_model, StepStats, Trainer};
+use crate::step::{evaluate_model, for_each_prunable, forward_backward, sgd_auxiliary};
+use crate::{StepStats, Trainer};
 
 /// Configuration for [`GradualMagnitudeTrainer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,7 +43,7 @@ impl Default for GradualConfig {
             prune_fraction: 0.08,
             lr: 0.05,
             momentum: 0.9,
-            compute: ComputeBackend::Dense,
+            compute: ComputeBackend::auto(),
         }
     }
 }
@@ -95,12 +96,7 @@ impl GradualMagnitudeTrainer {
             "prune fraction must be in (0,1)"
         );
         assert!(config.prune_every > 0, "prune_every must be positive");
-        let mut n = 0;
-        model.visit_params(&mut |p| {
-            if p.kind == ParamKind::Prunable {
-                n += p.values.len();
-            }
-        });
+        let n = for_each_prunable(&mut model, |_, _| {});
         assert!(n > 0, "model has no prunable weights");
         model.set_compute_backend(config.compute);
         Self {
@@ -143,17 +139,12 @@ impl GradualMagnitudeTrainer {
         let mut est = Dumique::with_params(self.config.prune_fraction, 1e-6, 0.02);
         let pruned = &self.pruned;
         for _ in 0..8 {
-            let mut offset = 0usize;
-            self.model.visit_params(&mut |p| {
-                if p.kind != ParamKind::Prunable {
-                    return;
-                }
+            for_each_prunable(&mut self.model, |offset, p| {
                 for (j, w) in p.values.data().iter().enumerate() {
                     if !pruned[offset + j] {
                         est.update(w.abs().max(1e-30));
                     }
                 }
-                offset += p.values.len();
             });
         }
         let cut = est.estimate();
@@ -168,11 +159,7 @@ impl GradualMagnitudeTrainer {
         };
         let mut kills = 0usize;
         let pruned = &mut self.pruned;
-        let mut offset = 0usize;
-        self.model.visit_params(&mut |p| {
-            if p.kind != ParamKind::Prunable {
-                return;
-            }
+        for_each_prunable(&mut self.model, |offset, p| {
             for (j, w) in p.values.data_mut().iter_mut().enumerate() {
                 let gi = offset + j;
                 if !pruned[gi] && kills < max_kills && w.abs() < cut {
@@ -181,61 +168,32 @@ impl GradualMagnitudeTrainer {
                     kills += 1;
                 }
             }
-            offset += p.values.len();
         });
     }
 }
 
 impl Trainer for GradualMagnitudeTrainer {
     fn train_step(&mut self, x: &Tensor, labels: &[usize]) -> StepStats {
-        let scratch = &mut self.scratch;
-        let logits = self.model.forward_with(x, true, scratch);
-        let (loss, dlogits) = SoftmaxCrossEntropy.loss_and_grad_with(&logits, labels, scratch);
-        scratch.recycle(logits);
-        let dx = self.model.backward_with(&dlogits, scratch);
-        scratch.recycle(dlogits);
-        scratch.recycle(dx);
+        let loss = forward_backward(&mut self.model, x, labels, &mut self.scratch);
 
         // Masked momentum-SGD update.
         let lr = self.config.lr;
         let momentum = self.config.momentum;
-        {
-            let pruned = &self.pruned;
-            let velocity = &mut self.velocity;
-            let mut offset = 0usize;
-            self.model.visit_params(&mut |p| match p.kind {
-                ParamKind::Prunable => {
-                    for (j, (w, g)) in p
-                        .values
-                        .data_mut()
-                        .iter_mut()
-                        .zip(p.grads.data_mut().iter_mut())
-                        .enumerate()
-                    {
-                        let gi = offset + j;
-                        if pruned[gi] {
-                            *w = 0.0;
-                        } else {
-                            velocity[gi] = momentum * velocity[gi] + *g;
-                            *w -= lr * velocity[gi];
-                        }
-                        *g = 0.0;
-                    }
-                    offset += p.values.len();
+        let (pruned, velocity) = (&self.pruned, &mut self.velocity);
+        for_each_prunable(&mut self.model, |offset, p| {
+            let grads = p.grads.data_mut().iter_mut();
+            for (j, (w, g)) in p.values.data_mut().iter_mut().zip(grads).enumerate() {
+                let gi = offset + j;
+                if pruned[gi] {
+                    *w = 0.0;
+                } else {
+                    velocity[gi] = momentum * velocity[gi] + *g;
+                    *w -= lr * velocity[gi];
                 }
-                ParamKind::Auxiliary => {
-                    for (w, g) in p
-                        .values
-                        .data_mut()
-                        .iter_mut()
-                        .zip(p.grads.data_mut().iter_mut())
-                    {
-                        *w -= lr * *g;
-                        *g = 0.0;
-                    }
-                }
-            });
-        }
+                *g = 0.0;
+            }
+        });
+        sgd_auxiliary(&mut self.model, lr);
 
         self.steps += 1;
         // `u64::is_multiple_of` would read better but needs Rust 1.87;
@@ -320,17 +278,12 @@ mod tests {
             t.train_step(&x, &labels);
         }
         let pruned = t.pruned.clone();
-        let mut offset = 0usize;
-        t.model_mut().visit_params(&mut |p| {
-            if p.kind != ParamKind::Prunable {
-                return;
-            }
+        for_each_prunable(t.model_mut(), |offset, p| {
             for (j, w) in p.values.data().iter().enumerate() {
                 if pruned[offset + j] {
                     assert_eq!(*w, 0.0, "pruned weight {j} revived");
                 }
             }
-            offset += p.values.len();
         });
     }
 

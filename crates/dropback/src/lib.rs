@@ -55,6 +55,7 @@ mod dense;
 mod exact;
 mod gradual;
 mod procrustes;
+mod step;
 #[cfg(test)]
 mod testutil;
 mod tracked;
@@ -109,19 +110,4 @@ pub trait Trainer {
 
     /// Access to the underlying model (e.g. for mask extraction).
     fn model_mut(&mut self) -> &mut Sequential;
-}
-
-pub(crate) fn evaluate_model(
-    model: &mut Sequential,
-    x: &Tensor,
-    labels: &[usize],
-    scratch: &mut procrustes_nn::Scratch,
-) -> (f32, f64) {
-    use procrustes_nn::{accuracy, Layer, SoftmaxCrossEntropy};
-    let logits = model.forward_with(x, false, scratch);
-    let (loss, grad) = SoftmaxCrossEntropy.loss_and_grad_with(&logits, labels, scratch);
-    let acc = accuracy(&logits, labels);
-    scratch.recycle(logits);
-    scratch.recycle(grad);
-    (loss, acc)
 }

@@ -9,12 +9,15 @@
 //!   evict the lowest tracked entry; every magnitude feeds the estimator
 //!   (4-wide, as the hardware QE unit does).
 
-use procrustes_nn::{ComputeBackend, Layer, ParamKind, Scratch, Sequential, SoftmaxCrossEntropy};
+use procrustes_nn::{ComputeBackend, Layer, Scratch, Sequential};
 use procrustes_quantile::{quantile_for_sparsity, Dumique};
 use procrustes_tensor::Tensor;
 
 use crate::exact::init_from_wr;
-use crate::{evaluate_model, EvictionPolicy, StepStats, TrackedSet, Trainer, WeightRecompute};
+use crate::step::{
+    evaluate_model, for_each_prunable, forward_backward, materialize, sgd_auxiliary,
+};
+use crate::{EvictionPolicy, StepStats, TrackedSet, Trainer, WeightRecompute};
 
 /// Configuration for [`ProcrustesTrainer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,7 +54,7 @@ impl Default for ProcrustesConfig {
             eviction: EvictionPolicy::default(),
             qe_rho: Dumique::DEFAULT_RHO,
             qe_init: Dumique::DEFAULT_INIT,
-            compute: ComputeBackend::Dense,
+            compute: ComputeBackend::auto(),
         }
     }
 }
@@ -151,11 +154,7 @@ impl ProcrustesTrainer {
     /// simulator consumes.
     pub fn layer_sparsities(&mut self) -> Vec<f64> {
         let mut out = Vec::new();
-        self.model.visit_params(&mut |p| {
-            if p.kind == ParamKind::Prunable {
-                out.push(p.values.sparsity());
-            }
-        });
+        for_each_prunable(&mut self.model, |_, p| out.push(p.values.sparsity()));
         out
     }
 
@@ -171,38 +170,13 @@ impl ProcrustesTrainer {
             self.qe_buf.clear();
         }
     }
-
-    fn materialize(&mut self) {
-        let wr = &self.wr;
-        let tracked = &self.tracked;
-        let t = self.steps;
-        let mut offset = 0usize;
-        self.model.visit_params(&mut |p| {
-            if p.kind != ParamKind::Prunable {
-                return;
-            }
-            let data = p.values.data_mut();
-            for (j, w) in data.iter_mut().enumerate() {
-                let gi = offset + j;
-                *w = wr.decayed_value(gi as u64, t) + tracked.accumulated(gi);
-            }
-            offset += data.len();
-        });
-    }
 }
 
 impl Trainer for ProcrustesTrainer {
     fn train_step(&mut self, x: &Tensor, labels: &[usize]) -> StepStats {
-        let scratch = &mut self.scratch;
-        let logits = self.model.forward_with(x, true, scratch);
-        let (loss, dlogits) = SoftmaxCrossEntropy.loss_and_grad_with(&logits, labels, scratch);
-        scratch.recycle(logits);
-        let dx = self.model.backward_with(&dlogits, scratch);
-        scratch.recycle(dlogits);
-        scratch.recycle(dx);
+        let loss = forward_backward(&mut self.model, x, labels, &mut self.scratch);
 
         let lr = self.config.lr;
-        let aux_lr = self.config.aux_lr;
         let mut admitted = 0usize;
         let mut evicted = 0usize;
 
@@ -211,31 +185,13 @@ impl Trainer for ProcrustesTrainer {
         // admission logic outside the visitor borrow.
         let mut deltas = std::mem::take(&mut self.deltas);
         deltas.clear();
-        {
-            let mut offset = 0usize;
-            self.model.visit_params(&mut |p| match p.kind {
-                ParamKind::Prunable => {
-                    let grads = p.grads.data_mut();
-                    for g in grads.iter_mut() {
-                        deltas.push(-lr * *g);
-                        *g = 0.0;
-                    }
-                    offset += grads.len();
-                }
-                ParamKind::Auxiliary => {
-                    for (w, g) in p
-                        .values
-                        .data_mut()
-                        .iter_mut()
-                        .zip(p.grads.data_mut().iter_mut())
-                    {
-                        *w -= aux_lr * *g;
-                        *g = 0.0;
-                    }
-                }
-            });
-            debug_assert_eq!(offset, deltas.len());
-        }
+        for_each_prunable(&mut self.model, |_, p| {
+            for g in p.grads.data_mut() {
+                deltas.push(-lr * *g);
+                *g = 0.0;
+            }
+        });
+        sgd_auxiliary(&mut self.model, self.config.aux_lr);
 
         for (gi, &dw) in deltas.iter().enumerate() {
             if self.tracked.contains(gi) {
@@ -257,15 +213,9 @@ impl Trainer for ProcrustesTrainer {
         self.deltas = deltas;
 
         self.steps += 1;
-        self.materialize();
-
-        let mut zeros = 0usize;
-        let mut total = 0usize;
-        self.model.visit_params(&mut |p| {
-            if p.kind == ParamKind::Prunable {
-                zeros += p.values.count_zeros();
-                total += p.values.len();
-            }
+        let tracked = &self.tracked;
+        let weight_sparsity = materialize(&mut self.model, &self.wr, self.steps, |gi| {
+            tracked.accumulated(gi)
         });
         StepStats {
             loss,
@@ -273,7 +223,7 @@ impl Trainer for ProcrustesTrainer {
             admitted,
             evicted,
             threshold: self.qe.estimate(),
-            weight_sparsity: zeros as f64 / total as f64,
+            weight_sparsity,
         }
     }
 

@@ -1,10 +1,11 @@
-//! End-to-end backend equivalence: a Dropback/Procrustes training run
-//! must produce *identical* loss curves, thresholds, and final weights
+//! End-to-end backend equivalence: a Dropback, Procrustes or gradual
+//! magnitude-pruning training run must produce *identical* loss curves, thresholds, and final weights
 //! whether the model executes on the dense kernels or the CSB-compressed
 //! ones — the sparse path changes the cost of the work, never its result.
 
 use procrustes_dropback::{
-    ComputeBackend, DropbackConfig, DropbackExact, ProcrustesConfig, ProcrustesTrainer, Trainer,
+    ComputeBackend, DropbackConfig, DropbackExact, GradualConfig, GradualMagnitudeTrainer,
+    ProcrustesConfig, ProcrustesTrainer, Trainer,
 };
 use procrustes_nn::data::SyntheticImages;
 use procrustes_nn::{Conv2d, Flatten, Layer, Linear, MaxPool2d, ReLU, Sequential};
@@ -135,4 +136,50 @@ fn dropback_exact_identical_across_backends() {
         losses
     };
     assert_eq!(run(ComputeBackend::Dense), run(ComputeBackend::Csb));
+}
+
+#[test]
+fn gradual_magnitude_identical_across_backends() {
+    let run = |compute: ComputeBackend| {
+        let data = SyntheticImages::new(4, 16, 16, 0.2, 23);
+        let mut rng = Xorshift64::new(29);
+        let mut trainer = GradualMagnitudeTrainer::new(
+            micro_model(31),
+            GradualConfig {
+                // Pruning past density 0.5 within the run, so `auto`
+                // spends the second half promoted.
+                final_factor: 4.0,
+                prune_every: 3,
+                prune_fraction: 0.2,
+                compute,
+                ..GradualConfig::default()
+            },
+        );
+        let mut curve = Vec::new();
+        for _ in 0..40 {
+            let (x, labels) = data.batch(4, &mut rng);
+            let s = trainer.train_step(&x, &labels);
+            curve.push((s.loss, s.tracked));
+        }
+        let mut weights = Vec::new();
+        trainer.model_mut().visit_params(&mut |p| {
+            weights.extend_from_slice(p.values.data());
+        });
+        // An eval forward resyncs the stores after the last update.
+        let (x, labels) = data.batch(4, &mut rng);
+        trainer.evaluate(&x, &labels);
+        (curve, weights, trainer.model_mut().csb_store_count())
+    };
+    let (dense_curve, dense_w, dense_stores) = run(ComputeBackend::Dense);
+    assert_eq!(dense_stores, 0);
+    for backend in [ComputeBackend::Csb, ComputeBackend::auto()] {
+        let (curve, weights, stores) = run(backend);
+        let label = backend.label();
+        assert!(stores > 0, "{label} run never reached the CSB kernels");
+        assert_eq!(
+            dense_curve, curve,
+            "{label} run diverged from the dense run"
+        );
+        assert_eq!(dense_w, weights, "{label} run ended with different weights");
+    }
 }

@@ -6,7 +6,7 @@ use procrustes_tensor::{
     im2col_into, Init, Scratch, Tensor,
 };
 
-use crate::store::{ComputeBackend, StoreLayout, WeightStore};
+use crate::store::{ComputeBackend, Decode, WeightStore};
 use crate::{Layer, ParamKind, ParamTensor};
 
 /// Replaces `slot` with a fresh tensor of `dims` unless it already has
@@ -34,11 +34,8 @@ pub(crate) fn ensure_cached<'a>(slot: &'a mut Option<Tensor>, dims: &[usize]) ->
 /// assert_eq!(y.shape().dims(), &[2, 8, 8, 8]);
 /// ```
 pub struct Conv2d {
+    /// Resynced to its compute representation on every forward.
     store: WeightStore,
-    backend: ComputeBackend,
-    /// Set whenever the weights may have been mutated; the store resyncs
-    /// its compute representation on the next forward.
-    weights_dirty: bool,
     dweight: Tensor,
     bias: Option<(Tensor, Tensor)>,
     stride: usize,
@@ -74,8 +71,6 @@ impl Conv2d {
         let bias = bias.then(|| (Tensor::zeros(&[out_ch]), Tensor::zeros(&[out_ch])));
         Self {
             store: WeightStore::new(weight),
-            backend: ComputeBackend::Dense,
-            weights_dirty: false,
             dweight,
             bias,
             stride,
@@ -93,7 +88,6 @@ impl Conv2d {
     /// Mutable weight access (used by sparse trainers to write masked
     /// updates back). Marks the compute representation stale.
     pub fn weight_mut(&mut self) -> &mut Tensor {
-        self.weights_dirty = true;
         self.store.tensor_mut()
     }
 
@@ -103,27 +97,15 @@ impl Conv2d {
         &self.store
     }
 
-    /// The active compute backend policy.
-    pub fn compute_backend(&self) -> ComputeBackend {
-        self.backend
-    }
-
     fn dims(&self) -> (usize, usize, usize) {
         let s = self.store.tensor().shape();
         (s.dim(0), s.dim(1), s.dim(2))
-    }
-
-    fn sync_store(&mut self) {
-        if self.weights_dirty {
-            self.store.sync(self.backend, StoreLayout::Conv);
-            self.weights_dirty = false;
-        }
     }
 }
 
 impl Layer for Conv2d {
     fn forward_with(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Tensor {
-        self.sync_store();
+        self.store.sync();
         let s = x.shape();
         assert_eq!(s.rank(), 4, "conv: activations must be NCHW");
         let (n, c, h, wdt) = (s.dim(0), s.dim(1), s.dim(2), s.dim(3));
@@ -151,12 +133,9 @@ impl Layer for Conv2d {
         };
         // One product over the same columns on either backend: the GEMM
         // on dense weights, the SpMM on the decoded nonzeros.
-        let mut y = match &self.store {
-            WeightStore::Dense(w) => conv2d_from_cols(w, cols, n, p, q, scratch),
-            WeightStore::Csb { conv_decode, .. } => conv_decode
-                .as_ref()
-                .expect("conv store always caches its decode")
-                .forward_from_cols(cols, n, p, q, scratch),
+        let mut y = match self.store.decode() {
+            Some(Decode::Conv(decode)) => decode.forward_from_cols(cols, n, p, q, scratch),
+            _ => conv2d_from_cols(self.store.tensor(), cols, n, p, q, scratch),
         };
         if let Some(tmp) = pooled {
             scratch.recycle_vec(tmp);
@@ -209,20 +188,14 @@ impl Layer for Conv2d {
         // 2b) — a GEMM against the rotated filter matrix on the dense
         // path, the gather kernel over the decoded nonzeros on the
         // sparse one; both reduce in the same order.
-        match &self.store {
-            WeightStore::Dense(wt) => {
-                conv2d_backward_input_gemm(dy, wt, h, w, self.stride, self.pad, scratch)
-            }
-            WeightStore::Csb { conv_decode, .. } => conv_decode
-                .as_ref()
-                .expect("conv store always caches its decode")
-                .backward_input(dy, h, w, self.stride, self.pad, scratch),
+        let (stride, pad) = (self.stride, self.pad);
+        match self.store.decode() {
+            Some(Decode::Conv(decode)) => decode.backward_input(dy, h, w, stride, pad, scratch),
+            _ => conv2d_backward_input_gemm(dy, self.store.tensor(), h, w, stride, pad, scratch),
         }
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamTensor<'_>)) {
-        // Handing out the mutable master invalidates the compute copy.
-        self.weights_dirty = true;
         visitor(ParamTensor {
             name: "conv.weight",
             kind: ParamKind::Prunable,
@@ -240,8 +213,7 @@ impl Layer for Conv2d {
     }
 
     fn set_compute_backend(&mut self, backend: ComputeBackend) {
-        self.backend = backend;
-        self.weights_dirty = true;
+        self.store.set_backend(backend);
     }
 
     fn csb_store_count(&self) -> usize {

@@ -4,7 +4,7 @@ use procrustes_prng::UniformRng;
 use procrustes_tensor::kernel::{self, Blueprint};
 use procrustes_tensor::{Init, Scratch, Tensor};
 
-use crate::store::{ComputeBackend, StoreLayout, WeightStore, DEFAULT_FC_EDGE};
+use crate::store::{ComputeBackend, Decode, WeightStore};
 use crate::{Layer, ParamKind, ParamTensor};
 
 /// A fully-connected layer: `y = x·Wᵀ + b` with `x: [N, in]`,
@@ -21,10 +21,8 @@ use crate::{Layer, ParamKind, ParamTensor};
 /// assert_eq!(y.shape().dims(), &[3, 2]);
 /// ```
 pub struct Linear {
+    /// Resynced to its compute representation on every forward.
     store: WeightStore,
-    backend: ComputeBackend,
-    weights_dirty: bool,
-    fc_edge: usize,
     dweight: Tensor,
     bias: Option<(Tensor, Tensor)>,
     cached_x: Option<Tensor>,
@@ -48,9 +46,6 @@ impl Linear {
         });
         Self {
             store: WeightStore::new(weight),
-            backend: ComputeBackend::Dense,
-            weights_dirty: false,
-            fc_edge: DEFAULT_FC_EDGE,
             dweight,
             bias,
             cached_x: None,
@@ -64,7 +59,6 @@ impl Linear {
 
     /// Mutable weight access. Marks the compute representation stale.
     pub fn weight_mut(&mut self) -> &mut Tensor {
-        self.weights_dirty = true;
         self.store.tensor_mut()
     }
 
@@ -72,54 +66,31 @@ impl Linear {
     pub fn weight_store(&self) -> &WeightStore {
         &self.store
     }
-
-    /// Sets the CSB block edge for this layer (the paper sizes fc
-    /// regions per layer). Takes effect at the next resync.
-    pub fn set_fc_edge(&mut self, edge: usize) {
-        assert!(edge > 0, "fc block edge must be positive");
-        self.fc_edge = edge;
-        self.weights_dirty = true;
-    }
-
-    fn sync_store(&mut self) {
-        if self.weights_dirty {
-            self.store.sync(
-                self.backend,
-                StoreLayout::Fc {
-                    edge: self.fc_edge,
-                    transposed: true,
-                },
-            );
-            self.weights_dirty = false;
-        }
-    }
 }
 
 impl Layer for Linear {
     fn forward_with(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Tensor {
         assert_eq!(x.shape().rank(), 2, "Linear: input must be [N, features]");
-        self.sync_store();
+        self.store.sync();
         let n = x.shape().dim(0);
-        let (out, inp) = {
-            let s = self.store.tensor().shape();
-            (s.dim(0), s.dim(1))
-        };
-        let mut y = scratch.take_tensor_any(&[n, out]);
-        match &self.store {
+        let w = self.store.tensor();
+        let (out, inp) = (w.shape().dim(0), w.shape().dim(1));
+        let mut y = match self.store.decode() {
+            Some(Decode::Fc(decode)) => decode.forward(x, scratch),
             // y = x·Wᵀ as a transposed-rhs blueprint: no materialized
             // `w.transpose2d()` round-trip, same reduction order.
-            WeightStore::Dense(w) => kernel::gemm(
-                &Blueprint::nt(n, inp, out).with_threads(kernel::default_threads()),
-                y.data_mut(),
-                x.data(),
-                w.data(),
-                scratch,
-            ),
-            WeightStore::Csb { decode, .. } => decode
-                .as_ref()
-                .expect("fc store always caches its decode")
-                .matvec_scratch(x.data(), n, y.data_mut(), scratch),
-        }
+            _ => {
+                let mut y = scratch.take_tensor_any(&[n, out]);
+                kernel::gemm(
+                    &Blueprint::nt(n, inp, out).with_threads(kernel::default_threads()),
+                    y.data_mut(),
+                    x.data(),
+                    w.data(),
+                    scratch,
+                );
+                y
+            }
+        };
         if let Some((b, _)) = &self.bias {
             let yd = y.data_mut();
             for ni in 0..n {
@@ -166,27 +137,25 @@ impl Layer for Linear {
                 }
             }
         }
-        // dx = dy · W through the transposed CSB fetch when the store is
-        // compressed.
-        let mut dx = scratch.take_tensor_any(&[n, inp]);
-        match &self.store {
-            WeightStore::Dense(w) => kernel::gemm(
-                &Blueprint::nn(n, o, inp).with_threads(kernel::default_threads()),
-                dx.data_mut(),
-                dy.data(),
-                w.data(),
-                scratch,
-            ),
-            WeightStore::Csb { decode_t, .. } => decode_t
-                .as_ref()
-                .expect("fc store always caches its transpose")
-                .matvec_scratch(dy.data(), n, dx.data_mut(), scratch),
+        // dx = dy · W, through the transposed fetch of the decode when
+        // the store is compressed.
+        match self.store.decode() {
+            Some(Decode::Fc(decode)) => decode.backward_input(dy, scratch),
+            _ => {
+                let mut dx = scratch.take_tensor_any(&[n, inp]);
+                kernel::gemm(
+                    &Blueprint::nn(n, o, inp).with_threads(kernel::default_threads()),
+                    dx.data_mut(),
+                    dy.data(),
+                    self.store.tensor().data(),
+                    scratch,
+                );
+                dx
+            }
         }
-        dx
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamTensor<'_>)) {
-        self.weights_dirty = true;
         visitor(ParamTensor {
             name: "fc.weight",
             kind: ParamKind::Prunable,
@@ -204,8 +173,7 @@ impl Layer for Linear {
     }
 
     fn set_compute_backend(&mut self, backend: ComputeBackend) {
-        self.backend = backend;
-        self.weights_dirty = true;
+        self.store.set_backend(backend);
     }
 
     fn csb_store_count(&self) -> usize {

@@ -6,16 +6,18 @@
 //! the dense tensor stays the single source of truth; the CSB copy is a
 //! *compute cache* re-derived lazily before the next forward pass
 //! whenever the weights may have changed ("resyncing layout after mask
-//! updates"). Layers dispatch their forward/backward kernels on the
-//! active representation, so switching backends never changes results —
-//! the CSB kernels are bitwise-equal to the dense ones (see
+//! updates"). The store owns everything that decision needs — the
+//! master, the [`ComputeBackend`] policy and the dirty bit — so a layer
+//! only marks, syncs and dispatches. Switching backends never changes
+//! results: the CSB kernels are bitwise-equal to the dense ones (see
 //! `procrustes_sparse::kernels`).
 //!
-//! The kernels do not read the CSB copy directly: each resync also
-//! flattens it into the decode its layout's kernels walk — a
-//! [`ConvDecode`] for conv stores, an [`FcDecode`] (and one for the
-//! cached transpose) for fc stores — so masks and pointers are decoded
-//! once per resync, not once per forward and once per backward call.
+//! A resync encodes the master once, as a conv-layout [`CsbTensor`] for
+//! a `KCRS` master and an fc-layout one for `[out, in]`, and flattens
+//! that tensor into the [`Decode`] the kernels walk, so masks and
+//! pointers are read once per resync, not once per forward and once per
+//! backward call. The fc backward reads the same tensor transposed (the
+//! decode holds both orders); no second tensor is built.
 
 use procrustes_sparse::{ConvDecode, CsbTensor, FcDecode};
 use procrustes_tensor::Tensor;
@@ -80,187 +82,125 @@ impl ComputeBackend {
     }
 }
 
-/// How a [`WeightStore`] lays its tensor out when compressed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreLayout {
-    /// `KCRS` conv weights: one block per `(k, c)` filter.
-    Conv,
-    /// `[out, in]` fc weights in square blocks. `transposed` additionally
-    /// caches the piecewise-transposed tensor for the backward pass.
-    Fc {
-        /// Block edge length.
-        edge: usize,
-        /// Also keep `Wᵀ` in CSB (fc backward needs it every step).
-        transposed: bool,
-    },
-}
-
-/// The default fc block edge (the paper sizes fc regions per layer; 64
-/// keeps pointer overhead negligible while borders stay cheap).
+/// The fc block edge (the paper sizes fc regions per layer; 64 keeps
+/// pointer overhead negligible while borders stay cheap).
 pub const DEFAULT_FC_EDGE: usize = 64;
 
-/// A layer's weight tensor in its active compute representation.
+/// The flat decode of a store's CSB copy that its layer's kernels run on.
+#[derive(Debug)]
+pub enum Decode {
+    /// Of a `KCRS` master: forward order and rotated backward order.
+    Conv(ConvDecode),
+    /// Of an `[out, in]` master: `W` by rows and `Wᵀ` by rows.
+    Fc(FcDecode),
+}
+
+/// A layer's weight tensor with its compute representation.
 ///
-/// `Dense` is the plain tensor; `Csb` pairs the dense master (still the
-/// mutation target for trainers) with its compressed compute copy and
-/// the flat decode of that copy the kernels run on. Use
-/// [`WeightStore::sync`] to re-derive the representation after the
-/// master may have changed.
-// Layers hold exactly one store, so the variant size gap is irrelevant.
-#[allow(clippy::large_enum_variant)]
-pub enum WeightStore {
-    /// Dense master only; dense kernels.
-    Dense(Tensor),
-    /// CSB compute representation mirroring the dense master.
-    Csb {
-        /// The dense master (what `visit_params` exposes).
-        master: Tensor,
-        /// The compressed compute copy.
-        csb: CsbTensor,
-        /// The piecewise-transposed copy (fc layouts with `transposed`).
-        transposed: Option<CsbTensor>,
-        /// Flat matvec decode of `csb` (fc layouts): built once per
-        /// resync so the per-call decode allocation leaves the hot loop.
-        decode: Option<FcDecode>,
-        /// Flat matvec decode of `transposed`.
-        decode_t: Option<FcDecode>,
-        /// Flat decode of `csb` in forward and rotated backward order
-        /// (conv layouts), built beside the fc decodes at each resync.
-        conv_decode: Option<ConvDecode>,
-    },
+/// The dense master is what trainers mutate; under a CSB-selecting
+/// [`ComputeBackend`] the store also caches the master's compressed copy
+/// and its [`Decode`]. Handing out the master mutably marks the cache
+/// stale, and [`WeightStore::sync`] re-derives it.
+pub struct WeightStore {
+    master: Tensor,
+    backend: ComputeBackend,
+    /// Set whenever the master or the backend may have changed since the
+    /// last sync.
+    dirty: bool,
+    cache: Option<(CsbTensor, Decode)>,
 }
 
 impl WeightStore {
-    /// Wraps a freshly initialized dense tensor.
+    /// Wraps a freshly initialized dense tensor (`KCRS` or `[out, in]`)
+    /// under [`ComputeBackend::Dense`].
     pub fn new(master: Tensor) -> Self {
-        WeightStore::Dense(master)
+        Self {
+            master,
+            backend: ComputeBackend::Dense,
+            dirty: false,
+            cache: None,
+        }
     }
 
     /// The dense master tensor (always available, whatever the backend).
     pub fn tensor(&self) -> &Tensor {
-        match self {
-            WeightStore::Dense(t) | WeightStore::Csb { master: t, .. } => t,
-        }
+        &self.master
     }
 
-    /// Mutable access to the dense master. After mutating, the owner
-    /// must [`sync`](WeightStore::sync) before the next forward pass.
+    /// Mutable access to the dense master; marks the compute
+    /// representation stale until the next [`sync`](WeightStore::sync).
     pub fn tensor_mut(&mut self) -> &mut Tensor {
-        match self {
-            WeightStore::Dense(t) | WeightStore::Csb { master: t, .. } => t,
-        }
+        self.dirty = true;
+        &mut self.master
+    }
+
+    /// Selects the backend policy; takes effect at the next sync.
+    pub fn set_backend(&mut self, backend: ComputeBackend) {
+        self.backend = backend;
+        self.dirty = true;
     }
 
     /// The CSB compute copy, if the store is compressed.
     pub fn csb(&self) -> Option<&CsbTensor> {
-        match self {
-            WeightStore::Dense(_) => None,
-            WeightStore::Csb { csb, .. } => Some(csb),
-        }
+        self.cache.as_ref().map(|(csb, _)| csb)
     }
 
-    /// The cached transposed CSB copy, if present.
-    pub fn csb_transposed(&self) -> Option<&CsbTensor> {
-        match self {
-            WeightStore::Dense(_) => None,
-            WeightStore::Csb { transposed, .. } => transposed.as_ref(),
-        }
-    }
-
-    /// The cached flat fc matvec decode, if the store is compressed
-    /// with an fc layout.
-    pub fn fc_decode(&self) -> Option<&FcDecode> {
-        match self {
-            WeightStore::Dense(_) => None,
-            WeightStore::Csb { decode, .. } => decode.as_ref(),
-        }
-    }
-
-    /// The cached flat decode of the transposed copy.
-    pub fn fc_decode_transposed(&self) -> Option<&FcDecode> {
-        match self {
-            WeightStore::Dense(_) => None,
-            WeightStore::Csb { decode_t, .. } => decode_t.as_ref(),
-        }
-    }
-
-    /// The cached flat conv decode, if the store is compressed with a
-    /// conv layout.
-    pub fn conv_decode(&self) -> Option<&ConvDecode> {
-        match self {
-            WeightStore::Dense(_) => None,
-            WeightStore::Csb { conv_decode, .. } => conv_decode.as_ref(),
-        }
+    /// The decode to run the sparse kernels on, if the store is
+    /// compressed; `None` selects the dense kernels on the master.
+    pub fn decode(&self) -> Option<&Decode> {
+        self.cache.as_ref().map(|(_, decode)| decode)
     }
 
     /// True when the compressed representation is active.
     pub fn is_csb(&self) -> bool {
-        matches!(self, WeightStore::Csb { .. })
+        self.cache.is_some()
     }
 
     /// Density (fraction of nonzeros) of the master tensor.
     pub fn density(&self) -> f64 {
-        1.0 - self.tensor().sparsity()
+        1.0 - self.master.sparsity()
     }
 
-    /// Re-derives the compute representation from the dense master:
-    /// compresses (or decompresses) according to what `backend` wants
-    /// for the master's current density.
-    pub fn sync(&mut self, backend: ComputeBackend, layout: StoreLayout) {
-        // Fast path for the dense steady state: `visit_params` dirties
-        // the store every step, but a dense store staying dense needs no
-        // work (and `Dense`/`Csb` decide without scanning the tensor).
-        let wants = match backend {
+    /// Re-derives the compute representation if it is stale: compresses
+    /// the master (one CSB encode, one decode) or drops the compressed
+    /// copy, according to what the backend wants for the master's
+    /// current density.
+    ///
+    /// # Panics
+    ///
+    /// Panics when promoting a master that is neither `KCRS` nor
+    /// `[out, in]`.
+    pub fn sync(&mut self) {
+        if !std::mem::take(&mut self.dirty) {
+            return;
+        }
+        // `Dense`/`Csb` decide without scanning the tensor.
+        let wants = match self.backend {
             ComputeBackend::Dense => false,
             ComputeBackend::Csb => true,
-            ComputeBackend::Auto { .. } => backend.wants_csb(self.density()),
+            ComputeBackend::Auto { .. } => self.backend.wants_csb(self.density()),
         };
-        if !wants {
-            if let WeightStore::Dense(_) = self {
-                return;
+        self.cache = wants.then(|| {
+            if self.master.shape().rank() == 4 {
+                let csb = CsbTensor::from_dense_conv(&self.master);
+                let decode = Decode::Conv(ConvDecode::from_csb(&csb));
+                (csb, decode)
+            } else {
+                let csb = CsbTensor::from_dense_fc(&self.master, DEFAULT_FC_EDGE);
+                let decode = Decode::Fc(FcDecode::from_csb(&csb));
+                (csb, decode)
             }
-        }
-        let master = match std::mem::replace(self, WeightStore::Dense(Tensor::zeros(&[1]))) {
-            WeightStore::Dense(t) | WeightStore::Csb { master: t, .. } => t,
-        };
-        *self = if wants {
-            let (csb, transposed) = match layout {
-                StoreLayout::Conv => (CsbTensor::from_dense_conv(&master), None),
-                StoreLayout::Fc { edge, transposed } => {
-                    let csb = CsbTensor::from_dense_fc(&master, edge);
-                    let t = transposed.then(|| csb.transposed_fc());
-                    (csb, t)
-                }
-            };
-            let decode = matches!(layout, StoreLayout::Fc { .. }).then(|| FcDecode::from_csb(&csb));
-            let decode_t = transposed.as_ref().map(FcDecode::from_csb);
-            let conv_decode =
-                matches!(layout, StoreLayout::Conv).then(|| ConvDecode::from_csb(&csb));
-            WeightStore::Csb {
-                master,
-                csb,
-                transposed,
-                decode,
-                decode_t,
-                conv_decode,
-            }
-        } else {
-            WeightStore::Dense(master)
-        };
+        });
     }
 }
 
 impl std::fmt::Debug for WeightStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WeightStore::Dense(t) => write!(f, "WeightStore::Dense({:?})", t.shape()),
-            WeightStore::Csb { master, csb, .. } => write!(
-                f,
-                "WeightStore::Csb({:?}, nnz {})",
-                master.shape(),
-                csb.nnz()
-            ),
+        write!(f, "WeightStore({:?}", self.master.shape())?;
+        if let Some(csb) = self.csb() {
+            write!(f, ", csb nnz {}", csb.nnz())?;
         }
+        write!(f, ")")
     }
 }
 
@@ -283,29 +223,33 @@ mod tests {
     fn sync_promotes_and_demotes_on_density() {
         let dense = Tensor::from_vec(&[1, 1, 2, 2], vec![1.0, 0.0, 0.0, 0.0]);
         let mut store = WeightStore::new(dense);
+        store.sync();
         assert!(!store.is_csb());
-        store.sync(ComputeBackend::auto(), StoreLayout::Conv);
+        store.set_backend(ComputeBackend::auto());
+        store.sync();
         assert!(store.is_csb(), "25% density should promote");
         assert_eq!(store.csb().unwrap().nnz(), 1);
-        assert_eq!(store.conv_decode().expect("decoded at resync").nnz(), 1);
+        assert!(matches!(store.decode(), Some(Decode::Conv(d)) if d.nnz() == 1));
         // Refill the master through the mutable view, resync: demotes.
         store.tensor_mut().map_inplace(|_| 1.0);
-        store.sync(ComputeBackend::auto(), StoreLayout::Conv);
+        store.sync();
         assert!(!store.is_csb(), "full density should demote");
+        assert!(store.decode().is_none());
     }
 
     #[test]
     fn fc_sync_caches_transpose() {
         let dense = Tensor::from_vec(&[2, 3], vec![1.0, 0.0, 2.0, 0.0, 3.0, 0.0]);
         let mut store = WeightStore::new(dense);
-        store.sync(
-            ComputeBackend::Csb,
-            StoreLayout::Fc {
-                edge: 2,
-                transposed: true,
-            },
-        );
-        let t = store.csb_transposed().expect("transpose cached");
-        assert_eq!(t.to_dense(), store.tensor().transpose2d());
+        store.set_backend(ComputeBackend::Csb);
+        store.sync();
+        assert_eq!(&store.csb().unwrap().to_dense(), store.tensor());
+        let Some(Decode::Fc(decode)) = store.decode() else {
+            panic!("an [out, in] master decodes as fc");
+        };
+        let mut scratch = procrustes_tensor::Scratch::new();
+        let dy = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]);
+        let dx = decode.backward_input(&dy, &mut scratch);
+        assert_eq!(dx.data(), dy.matmul(store.tensor()).data());
     }
 }

@@ -70,14 +70,13 @@ fn conv_layer_matches_across_backends_and_densities() {
 fn linear_layer_matches_across_backends_and_densities() {
     for (keep, seed) in [(0.0, 5u64), (0.1, 6), (0.5, 7), (1.0, 8)] {
         let build = || {
-            let mut fc = Linear::new(37, 13, true, &mut Xorshift64::new(21));
-            // A non-default edge exercises ragged border blocks (37 and
-            // 13 are not multiples of 8).
-            fc.set_fc_edge(8);
+            // Ragged border blocks: neither 130 nor 70 is a multiple of
+            // the 64-edge.
+            let mut fc = Linear::new(130, 70, true, &mut Xorshift64::new(21));
             sparsify(&mut fc, keep, seed);
             fc
         };
-        let x = Tensor::randn(&[4, 37], 1.0, &mut Xorshift64::new(seed + 60));
+        let x = Tensor::randn(&[4, 130], 1.0, &mut Xorshift64::new(seed + 60));
         let mut dense = build();
         let mut csb = build();
         csb.set_compute_backend(ComputeBackend::Csb);

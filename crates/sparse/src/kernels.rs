@@ -8,10 +8,15 @@
 //! same way SparseTrain exploits dataflow sparsity inside the kernels.
 //!
 //! The stored nonzeros drive every loop nest and the innermost loop is a
-//! contiguous `f32` run: the conv kernels walk a [`ConvDecode`] and the
-//! fc kernels an [`FcDecode`], flat decodes that layers build once per
-//! weight resync. The `csb_*` functions are the decode-per-call
-//! convenience wrappers over the same kernels.
+//! contiguous `f32` run. Layers flatten a [`CsbTensor`] once per weight
+//! resync into a [`ConvDecode`] or an [`FcDecode`]; both hold the weight
+//! matrix as the same CSR, and one SpMM over a column matrix serves the
+//! conv forward (the im2col columns), the fc forward (`xᵀ`) and the fc
+//! backward (`dyᵀ` against the CSR of `Wᵀ`) — a fully-connected layer is
+//! a convolution at `P = Q = 1`. Only the conv backward-input, which
+//! reads the filters rotated, has a loop nest of its own. The `csb_*`
+//! functions are the decode-per-call convenience wrappers over the same
+//! kernels.
 //!
 //! # Numerical contract
 //!
@@ -40,11 +45,134 @@ use procrustes_tensor::{conv_out_dim, im2col_into, Scratch, Tensor};
 
 use crate::{CsbLayout, CsbTensor};
 
-/// Accumulator-block width of both conv kernels: this many output
-/// positions stay in registers while one row's nonzeros stream through
-/// them — eight 512-bit vectors, the register budget of the dense GEMM's
-/// 2×64 tile (64 and 256 both measured slower on the tiny-VGG stack).
+/// Accumulator-block width of the SpMM and the backward-input gather:
+/// this many output positions stay in registers while one row's nonzeros
+/// stream through them — eight 512-bit vectors, the register budget of
+/// the dense GEMM's 2×64 tile (64 and 256 both measured slower on the
+/// tiny-VGG stack).
 const NR: usize = 128;
+
+/// A sparse matrix by rows: `row_ptr[r]..row_ptr[r + 1]` indexes row
+/// `r`'s `(column, value)` pairs, ascending by column — the order the
+/// dense kernels reduce in.
+#[derive(Debug, Clone)]
+struct Csr {
+    cols: usize,
+    row_ptr: Vec<u32>,
+    idx: Vec<u32>,
+    val: Vec<f32>,
+}
+
+impl Csr {
+    /// Counting sort by row of the `(row, column, value)` entries that
+    /// `for_each` feeds its visitor, the same ones on each of its two
+    /// calls. Stable: a row keeps its entries in arrival order, so each
+    /// row's columns must arrive ascending.
+    fn from_entries(
+        rows: usize,
+        cols: usize,
+        for_each: impl Fn(&mut dyn FnMut(usize, usize, f32)),
+    ) -> Self {
+        let mut row_ptr = vec![0u32; rows + 1];
+        for_each(&mut |r, _, _| row_ptr[r + 1] += 1);
+        for r in 0..rows {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        let mut cursor = row_ptr[..rows].to_vec();
+        let nnz = row_ptr[rows] as usize;
+        let (mut idx, mut val) = (vec![0u32; nnz], vec![0.0f32; nnz]);
+        for_each(&mut |r, c, v| {
+            let at = cursor[r] as usize;
+            idx[at] = c as u32;
+            val[at] = v;
+            cursor[r] += 1;
+        });
+        Self {
+            cols,
+            row_ptr,
+            idx,
+            val,
+        }
+    }
+
+    fn rows(&self) -> usize {
+        self.row_ptr.len() - 1
+    }
+
+    fn row(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
+        let span = self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize;
+        let pairs = self.idx[span.clone()].iter().zip(&self.val[span]);
+        pairs.map(|(&i, &v)| (i as usize, v))
+    }
+
+    /// The CSR of the transpose, O(nnz): rows are read in order, so each
+    /// row of the result keeps ascending columns.
+    fn transposed(&self) -> Self {
+        Self::from_entries(self.cols, self.rows(), |visit| {
+            for r in 0..self.rows() {
+                self.row(r).for_each(|(c, v)| visit(c, r, v));
+            }
+        })
+    }
+
+    /// `y = A·B` for a row-major `b: [cols, npq]` whose columns are
+    /// `(n, p, q)`-major; `y` is laid out `[N, rows, P·Q]`.
+    ///
+    /// Per row an `NR`-wide (128) block of accumulators stays in
+    /// registers while that row's stored entries stream their runs of `b`
+    /// through it, then the block is stored once. Per output element the
+    /// terms arrive in ascending column order from `0.0` — the dense
+    /// GEMM's reduction order.
+    fn spmm(&self, b: &[f32], npq: usize, pq: usize, y: &mut [f32]) {
+        let rows = self.rows();
+        assert_eq!(b.len(), self.cols * npq, "csb spmm: input length mismatch");
+        assert_eq!(y.len(), rows * npq, "csb spmm: output length mismatch");
+        let mut acc = [0.0f32; NR];
+        // Column blocks outermost: the `[cols, NR]` panel of `b` a block
+        // reads stays cached while every row visits it.
+        for j in (0..npq).step_by(NR) {
+            let width = NR.min(npq - j);
+            for r in 0..rows {
+                let runs = self.row(r).map(|(i, v)| (i * npq + j, v));
+                if width == NR {
+                    // Constant width: the block lives in registers.
+                    stream_runs(&mut acc, b, runs);
+                } else {
+                    stream_runs(&mut acc[..width], b, runs);
+                }
+                // Sample rows of `y` are `rows·pq` apart.
+                store_rows(&acc[..width], j, pq, pq, &mut y[r * pq..], rows * pq);
+            }
+        }
+    }
+
+    /// `x·Aᵀ` for `x: [n, cols]`, as a pooled `[n, rows]` tensor: the
+    /// SpMM at `P = Q = 1` over `xᵀ`, which is staged in a pooled buffer
+    /// (a single sample is its own transpose).
+    fn spmm_transposed(&self, x: &Tensor, scratch: &mut Scratch) -> Tensor {
+        assert_eq!(x.shape().rank(), 2, "csb fc: input must be [N, features]");
+        let (n, cols) = (x.shape().dim(0), x.shape().dim(1));
+        assert_eq!(
+            cols, self.cols,
+            "csb fc: input features {cols} != weight features {}",
+            self.cols
+        );
+        let mut y = scratch.take_any(n * self.rows());
+        if n == 1 {
+            self.spmm(x.data(), 1, 1, &mut y);
+        } else {
+            let mut xt = scratch.take_any(x.len());
+            for (ni, row) in x.data().chunks_exact(cols).enumerate() {
+                for (i, &v) in row.iter().enumerate() {
+                    xt[i * n + ni] = v;
+                }
+            }
+            self.spmm(&xt, n, 1, &mut y);
+            scratch.recycle_vec(xt);
+        }
+        Tensor::from_vec(&[n, self.rows()], y)
+    }
+}
 
 /// One stored weight as the backward-input kernel reads it: output
 /// channel, filter tap, value.
@@ -92,10 +220,8 @@ pub struct ConvDecode {
     c: usize,
     r: usize,
     s: usize,
-    /// `row_ptr[k]..row_ptr[k+1]` indexes output channel `k`'s entries.
-    row_ptr: Vec<u32>,
-    idx: Vec<u32>,
-    val: Vec<f32>,
+    /// The `[K, C·R·S]` weight matrix.
+    rows: Csr,
     /// `chan_ptr[c]..chan_ptr[c+1]` indexes input channel `c`'s taps.
     chan_ptr: Vec<u32>,
     taps: Vec<Tap>,
@@ -150,14 +276,18 @@ impl ConvDecode {
                 *cursor = end as u32;
             }
         }
+        let rows = Csr {
+            cols: c * r * s,
+            row_ptr,
+            idx,
+            val,
+        };
         Self {
             k,
             c,
             r,
             s,
-            row_ptr,
-            idx,
-            val,
+            rows,
             chan_ptr,
             taps,
         }
@@ -170,7 +300,7 @@ impl ConvDecode {
 
     /// Stored nonzeros.
     pub fn nnz(&self) -> usize {
-        self.val.len()
+        self.taps.len()
     }
 
     /// Forward convolution from precomputed im2col columns
@@ -179,12 +309,9 @@ impl ConvDecode {
     /// weight rows against the columns. The result tensor `[N, K, P, Q]`
     /// comes from `scratch`.
     ///
-    /// Per output channel an `NR`-wide (128) block of accumulators stays in
-    /// registers while that row's stored `(c, r, s)` stream their column
-    /// runs through it, then the block is stored once. Per output
-    /// element the terms arrive in ascending `(c, r, s)` from `0.0` —
-    /// the dense GEMM's reduction order — so the result is bitwise-equal
-    /// to `conv2d_from_cols` at any stride and padding.
+    /// Per output element the terms arrive in ascending `(c, r, s)` from
+    /// `0.0` — the dense GEMM's reduction order — so the result is
+    /// bitwise-equal to `conv2d_from_cols` at any stride and padding.
     ///
     /// # Panics
     ///
@@ -197,37 +324,9 @@ impl ConvDecode {
         q: usize,
         scratch: &mut Scratch,
     ) -> Tensor {
-        let (k, pq) = (self.k, p * q);
-        let npq = n * pq;
-        assert_eq!(
-            cols.len(),
-            self.c * self.r * self.s * npq,
-            "csb conv: column matrix length mismatch"
-        );
-        let mut y = scratch.take_any(n * k * pq);
-        let mut acc = [0.0f32; NR];
-        // Column blocks outermost: the `[C·R·S, NR]` panel of `cols` a
-        // block reads stays cached while every filter row visits it.
-        for j in (0..npq).step_by(NR) {
-            let width = NR.min(npq - j);
-            for ki in 0..k {
-                let row = self.row_ptr[ki] as usize..self.row_ptr[ki + 1] as usize;
-                let runs = self.idx[row.clone()]
-                    .iter()
-                    .zip(&self.val[row])
-                    .map(|(&i, &v)| (i as usize * npq + j, v));
-                if width == NR {
-                    // Constant width: the block lives in registers.
-                    stream_runs(&mut acc, cols, runs);
-                } else {
-                    stream_runs(&mut acc[..width], cols, runs);
-                }
-                // Columns are (n, p, q)-major and the output is
-                // [N, K, P, Q]: sample rows are `k·pq` apart.
-                store_rows(&acc[..width], j, pq, pq, &mut y[ki * pq..], k * pq);
-            }
-        }
-        Tensor::from_vec(&[n, k, p, q], y)
+        let mut y = scratch.take_any(n * self.k * p * q);
+        self.rows.spmm(cols, n * p * q, p * q, &mut y);
+        Tensor::from_vec(&[n, self.k, p, q], y)
     }
 
     /// Backward-input convolution (Fig 2b): propagates `∂L/∂y` through
@@ -313,7 +412,7 @@ impl ConvDecode {
 }
 
 /// `acc = Σ v · src[at..at + acc.len()]` over `runs` in order, from
-/// `0.0` — the one inner loop of both conv kernels.
+/// `0.0` — the one inner loop of the SpMM and the backward-input gather.
 #[inline(always)]
 fn stream_runs(acc: &mut [f32], src: &[f32], runs: impl Iterator<Item = (usize, f32)>) {
     acc.fill(0.0);
@@ -524,36 +623,34 @@ pub fn csb_conv2d_backward_weights_masked(
     dw
 }
 
-/// A flat CSR-style decode of an fc-layout [`CsbTensor`]: per output
-/// row, the `(column, value)` pairs in ascending column order.
+/// A flat decode of an fc-layout [`CsbTensor`] in the two orders the
+/// training step reads it: the CSR of `W` (per output `o`, ascending
+/// input `i`) for the forward product and the CSR of `Wᵀ` (per input
+/// `i`, ascending `o`) for the backward one — the transposed fetch of
+/// the one stored tensor, obtained by a counting sort of the first CSR.
 ///
-/// The fc matvec previously rebuilt a nested per-row decode on every
-/// call — a heap-allocation storm in the training hot loop. Layers now
-/// build an `FcDecode` once per weight resync and run every
-/// forward/backward matvec through [`FcDecode::matvec_into`] with a
-/// pooled output buffer, so the steady-state sparse fc path performs no
-/// allocation and no repeated mask decoding.
+/// Layers build one per weight resync (see `WeightStore` in
+/// `procrustes-nn`) and run both products through the SpMM the conv
+/// forward uses, with pooled buffers.
 ///
 /// # Examples
 ///
 /// ```
 /// use procrustes_sparse::{CsbTensor, FcDecode};
-/// use procrustes_tensor::Tensor;
+/// use procrustes_tensor::{Scratch, Tensor};
 ///
 /// let w = Tensor::from_vec(&[2, 3], vec![1.0, 0.0, 2.0, 0.0, 3.0, 0.0]);
 /// let decode = FcDecode::from_csb(&CsbTensor::from_dense_fc(&w, 2));
-/// let mut y = [0.0f32; 2];
-/// decode.matvec_into(&[10.0, 20.0, 30.0], 1, &mut y);
-/// assert_eq!(y, [70.0, 60.0]);
+/// let mut scratch = Scratch::new();
+/// let x = Tensor::from_vec(&[1, 3], vec![10.0, 20.0, 30.0]);
+/// assert_eq!(decode.forward(&x, &mut scratch).data(), &[70.0, 60.0]);
+/// let dy = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]);
+/// assert_eq!(decode.backward_input(&dy, &mut scratch).data(), &[1.0, 3.0, 2.0]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FcDecode {
-    out: usize,
-    inp: usize,
-    /// `row_ptr[o]..row_ptr[o+1]` indexes the entries of output row `o`.
-    row_ptr: Vec<u32>,
-    idx: Vec<u32>,
-    val: Vec<f32>,
+    w: Csr,
+    wt: Csr,
 }
 
 impl FcDecode {
@@ -569,135 +666,43 @@ impl FcDecode {
         let CsbLayout::Fc { out, inp, edge } = w.layout() else {
             panic!("FcDecode: weights must have an fc layout");
         };
-        let (gr, gc) = w.layout().grid();
-        let nnz = w.nnz();
-        let mut counts = vec![0u32; out + 1];
-        for gi in 0..gr {
-            for gj in 0..gc {
-                let (_, bc) = w.layout().block_extent(gi, gj);
-                for slot in w.block_mask(gi, gj).iter_ones() {
-                    counts[gi * edge + slot / bc + 1] += 1;
-                }
-            }
-        }
-        for o in 0..out {
-            counts[o + 1] += counts[o];
-        }
-        let row_ptr = counts;
-        let mut cursor: Vec<u32> = row_ptr[..out].to_vec();
-        let mut idx = vec![0u32; nnz];
-        let mut val = vec![0.0f32; nnz];
-        for gi in 0..gr {
-            for gj in 0..gc {
-                let (_, bc) = w.layout().block_extent(gi, gj);
-                let mask = w.block_mask(gi, gj);
-                let vals = w.block_values(gi, gj);
-                for (slot, &v) in mask.iter_ones().zip(vals) {
-                    let o = gi * edge + slot / bc;
-                    let at = cursor[o] as usize;
-                    idx[at] = (gj * edge + slot % bc) as u32;
-                    val[at] = v;
-                    cursor[o] += 1;
-                }
-            }
-        }
-        Self {
-            out,
-            inp,
-            row_ptr,
-            idx,
-            val,
-        }
-    }
-
-    /// Output features (rows of `W`).
-    pub fn out_features(&self) -> usize {
-        self.out
-    }
-
-    /// Input features (columns of `W`).
-    pub fn in_features(&self) -> usize {
-        self.inp
+        let w = Csr::from_entries(out, inp, |visit| {
+            w.iter_nonzeros().for_each(|e| {
+                let (o, i) = (e.grid_row * edge + e.in_row, e.grid_col * edge + e.in_col);
+                visit(o, i, e.value)
+            })
+        });
+        let wt = w.transposed();
+        Self { w, wt }
     }
 
     /// Stored nonzeros.
     pub fn nnz(&self) -> usize {
-        self.val.len()
+        self.w.val.len()
     }
 
-    /// `dst = x·Wᵀ` for row-major `x: [n, in]`, `dst: [n, out]` —
-    /// allocation-free. Per output element the stored nonzeros reduce in
-    /// ascending column order, so the result is bitwise-equal to the
+    /// `y = x·Wᵀ` for `x: [N, in]`; the result tensor `[N, out]` comes
+    /// from `scratch`. Per output element the stored nonzeros reduce in
+    /// ascending `i` from `0.0`, so the result is bitwise-equal to the
     /// dense `x.matmul(&w.transpose2d())`.
     ///
     /// # Panics
     ///
-    /// Panics if the slice lengths disagree with `n` and the decode's
-    /// feature counts.
-    pub fn matvec_into(&self, x: &[f32], n: usize, dst: &mut [f32]) {
-        assert_eq!(x.len(), n * self.inp, "FcDecode: input length mismatch");
-        assert_eq!(dst.len(), n * self.out, "FcDecode: output length mismatch");
-        for ni in 0..n {
-            let xrow = &x[ni * self.inp..(ni + 1) * self.inp];
-            let yrow = &mut dst[ni * self.out..(ni + 1) * self.out];
-            for (o, slot) in yrow.iter_mut().enumerate() {
-                let lo = self.row_ptr[o] as usize;
-                let hi = self.row_ptr[o + 1] as usize;
-                let mut acc = 0.0f32;
-                for (&i, &v) in self.idx[lo..hi].iter().zip(&self.val[lo..hi]) {
-                    acc += v * xrow[i as usize];
-                }
-                *slot = acc;
-            }
-        }
+    /// Panics if `x` is not `[N, in]`.
+    pub fn forward(&self, x: &Tensor, scratch: &mut Scratch) -> Tensor {
+        self.w.spmm_transposed(x, scratch)
     }
 
-    /// `dst = x·Wᵀ` like [`FcDecode::matvec_into`], but batched through
-    /// `scratch`: the input is transposed into a pooled column-major
-    /// staging buffer so each stored nonzero updates a contiguous run of
-    /// `n` accumulators — the autovectorizable form of the same
-    /// reduction, in place of the per-sample gather loop. Per output
-    /// element the nonzeros still reduce in ascending column order from
-    /// `0.0`, so the result is bitwise-identical to
-    /// [`FcDecode::matvec_into`] (and to the dense
-    /// `x.matmul(&w.transpose2d())`).
+    /// `dx = dy·W` for `dy: [N, out]`; the result tensor `[N, in]` comes
+    /// from `scratch`. Per output element the stored nonzeros reduce in
+    /// ascending `o` from `0.0`, so the result is bitwise-equal to the
+    /// dense `dy.matmul(&w)`.
     ///
     /// # Panics
     ///
-    /// Panics if the slice lengths disagree with `n` and the decode's
-    /// feature counts.
-    pub fn matvec_scratch(&self, x: &[f32], n: usize, dst: &mut [f32], scratch: &mut Scratch) {
-        if n <= 1 {
-            // A single sample is already column-contiguous; the scalar
-            // loop is the batched loop without the staging copies.
-            return self.matvec_into(x, n, dst);
-        }
-        assert_eq!(x.len(), n * self.inp, "FcDecode: input length mismatch");
-        assert_eq!(dst.len(), n * self.out, "FcDecode: output length mismatch");
-        let mut xt = scratch.take_any(n * self.inp);
-        for ni in 0..n {
-            let xrow = &x[ni * self.inp..(ni + 1) * self.inp];
-            for (i, &v) in xrow.iter().enumerate() {
-                xt[i * n + ni] = v;
-            }
-        }
-        let mut acc = scratch.take_any(n);
-        for o in 0..self.out {
-            acc.fill(0.0);
-            let lo = self.row_ptr[o] as usize;
-            let hi = self.row_ptr[o + 1] as usize;
-            for (&i, &v) in self.idx[lo..hi].iter().zip(&self.val[lo..hi]) {
-                let col = &xt[i as usize * n..i as usize * n + n];
-                for (slot, &xv) in acc.iter_mut().zip(col) {
-                    *slot += v * xv;
-                }
-            }
-            for (ni, &a) in acc.iter().enumerate() {
-                dst[ni * self.out + o] = a;
-            }
-        }
-        scratch.recycle_vec(acc);
-        scratch.recycle_vec(xt);
+    /// Panics if `dy` is not `[N, out]`.
+    pub fn backward_input(&self, dy: &Tensor, scratch: &mut Scratch) -> Tensor {
+        self.wt.spmm_transposed(dy, scratch)
     }
 }
 
@@ -706,12 +711,11 @@ impl FcDecode {
 /// PE decode path, skipping every zero weight.
 ///
 /// Convenience wrapper that decodes on every call; steady-state callers
-/// (the `Linear` layer) cache an [`FcDecode`] instead and use
-/// [`FcDecode::matvec_scratch`] with pooled buffers.
-///
-/// The backward pass reuses this same kernel on the piecewise-transposed
-/// tensor: `dx = csb_fc_forward(dy, &w.transposed_fc())` computes
-/// `dy·W`. Bitwise-equal to the dense `x.matmul(&w.transpose2d())`.
+/// (the `Linear` layer) cache an [`FcDecode`] instead. On the
+/// piecewise-transposed tensor it computes the backward product,
+/// `csb_fc_forward(dy, &w.transposed_fc()) = dy·W`, which is what
+/// [`FcDecode::backward_input`] returns without the second tensor.
+/// Bitwise-equal to the dense `x.matmul(&w.transpose2d())`.
 ///
 /// # Panics
 ///
@@ -734,62 +738,7 @@ impl FcDecode {
 /// assert_eq!(dx.data(), &[1.0, 3.0, 2.0]);
 /// ```
 pub fn csb_fc_forward(x: &Tensor, w: &CsbTensor) -> Tensor {
-    let CsbLayout::Fc { out, inp, .. } = w.layout() else {
-        panic!("csb_fc_forward: weights must have an fc layout");
-    };
-    assert_eq!(x.shape().rank(), 2, "csb fc: input must be [N, features]");
-    assert_eq!(
-        x.shape().dim(1),
-        inp,
-        "csb fc: input features {} != weight in-features {inp}",
-        x.shape().dim(1)
-    );
-    let n = x.shape().dim(0);
-    let decode = FcDecode::from_csb(w);
-    let mut y = Tensor::zeros(&[n, out]);
-    decode.matvec_scratch(x.data(), n, y.data_mut(), &mut Scratch::new());
-    y
-}
-
-/// Fc weight update restricted to the CSB mask: `∂L/∂w[o,i] =
-/// Σ_n dy[n,o]·x[n,i]` **only** where `mask` stores a nonzero.
-///
-/// At mask positions the result is bitwise-equal to the dense
-/// `dy.transpose2d().matmul(x)`.
-///
-/// # Panics
-///
-/// Panics if `mask` is not fc-layout or the shapes are inconsistent.
-pub fn csb_fc_backward_weights_masked(x: &Tensor, dy: &Tensor, mask: &CsbTensor) -> Tensor {
-    let CsbLayout::Fc { out, inp, edge } = mask.layout() else {
-        panic!("csb_fc_backward_weights_masked: mask must have an fc layout");
-    };
-    assert_eq!(x.shape().rank(), 2, "csb fc wu: x must be [N, in]");
-    assert_eq!(dy.shape().rank(), 2, "csb fc wu: dy must be [N, out]");
-    let n = x.shape().dim(0);
-    assert_eq!(dy.shape().dim(0), n, "csb fc wu: batch mismatch");
-    assert_eq!(x.shape().dim(1), inp, "csb fc wu: in-features mismatch");
-    assert_eq!(dy.shape().dim(1), out, "csb fc wu: out-features mismatch");
-    let (gr, gc) = mask.layout().grid();
-    let mut dw = Tensor::zeros(&[out, inp]);
-    let xs = x.data();
-    let dys = dy.data();
-    let dws = dw.data_mut();
-    for gi in 0..gr {
-        for gj in 0..gc {
-            let (_, bc) = mask.layout().block_extent(gi, gj);
-            for slot in mask.block_mask(gi, gj).iter_ones() {
-                let o = gi * edge + slot / bc;
-                let i = gj * edge + slot % bc;
-                let mut acc = 0.0f32;
-                for ni in 0..n {
-                    acc += dys[ni * out + o] * xs[ni * inp + i];
-                }
-                dws[o * inp + i] = acc;
-            }
-        }
-    }
-    dw
+    FcDecode::from_csb(w).forward(x, &mut Scratch::new())
 }
 
 #[cfg(test)]
@@ -847,20 +796,36 @@ mod tests {
     ];
 
     /// The weight tensors of one geometry at densities `{0, 0.1, 1}`,
-    /// each checked to store the nonzero count it claims.
+    /// each checked to store the nonzero count it claims: conv layout
+    /// for `KCRS` dims, fc layout at the layers' block edge (64) for
+    /// `[out, in]`.
     fn weight_cases(dims: &[usize], seed: u64) -> Vec<(Tensor, CsbTensor)> {
         let len: usize = dims.iter().product();
         [0, len.div_ceil(10), len]
             .into_iter()
             .map(|nnz| {
                 let w = with_nnz(dims, nnz, seed + nnz as u64);
-                let csb = CsbTensor::from_dense_conv(&w);
+                let csb = if dims.len() == 4 {
+                    let csb = CsbTensor::from_dense_conv(&w);
+                    assert_eq!(ConvDecode::from_csb(&csb).nnz(), nnz);
+                    csb
+                } else {
+                    let csb = CsbTensor::from_dense_fc(&w, 64);
+                    assert_eq!(FcDecode::from_csb(&csb).nnz(), nnz);
+                    csb
+                };
                 assert_eq!(csb.nnz(), nnz, "case must hold the nnz it claims");
-                assert_eq!(ConvDecode::from_csb(&csb).nnz(), nnz);
                 (w, csb)
             })
             .collect()
     }
+
+    /// `[out, in]` of tiny-VGG's two heads and a shape ragged against the
+    /// 64-edge on both sides.
+    const FC_SHAPES: [[usize; 2]; 3] = [[64, 1024], [10, 64], [70, 130]];
+    /// Batch sizes that take the SpMM with no staging, through one
+    /// ragged block, and through a full block plus a ragged one.
+    const FC_BATCHES: [usize; 3] = [1, 8, NR + 2];
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.data().iter().map(|v| v.to_bits()).collect()
@@ -970,9 +935,9 @@ mod tests {
         w.data_mut()[9 + 2] = 4.0;
         let d = ConvDecode::from_csb(&CsbTensor::from_dense_conv(&w));
         assert_eq!(d.dims(), [2, 1, 3, 3]);
-        assert_eq!(d.row_ptr, [0, 3, 4]);
-        assert_eq!(d.idx, [0, 4, 8, 2], "forward: ascending (c, r, s)");
-        assert_eq!(d.val, [1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(d.rows.row_ptr, [0, 3, 4]);
+        assert_eq!(d.rows.idx, [0, 4, 8, 2], "forward: ascending (c, r, s)");
+        assert_eq!(d.rows.val, [1.0, 2.0, 3.0, 4.0]);
         assert_eq!(d.chan_ptr, [0, 4]);
         let taps: Vec<_> = d.taps.iter().map(|t| (t.k, t.r, t.s, t.v)).collect();
         assert_eq!(
@@ -1005,6 +970,26 @@ mod tests {
     }
 
     #[test]
+    fn fc_decode_orders_match_the_two_passes() {
+        // Rows 0 and 2 of a 3×5 matrix, split across 2-edge blocks.
+        let mut w = Tensor::zeros(&[3, 5]);
+        w.data_mut()[1] = 1.0;
+        w.data_mut()[4] = 2.0;
+        w.data_mut()[10] = 3.0;
+        w.data_mut()[11] = 4.0;
+        w.data_mut()[14] = 5.0;
+        let d = FcDecode::from_csb(&CsbTensor::from_dense_fc(&w, 2));
+        assert_eq!((d.w.rows(), d.w.cols), (3, 5));
+        assert_eq!(d.w.row_ptr, [0, 2, 2, 5]);
+        assert_eq!(d.w.idx, [1, 4, 0, 1, 4], "forward: ascending i per o");
+        assert_eq!(d.w.val, [1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!((d.wt.rows(), d.wt.cols), (5, 3));
+        assert_eq!(d.wt.row_ptr, [0, 1, 3, 3, 3, 5]);
+        assert_eq!(d.wt.idx, [2, 0, 2, 0, 2], "backward: ascending o per i");
+        assert_eq!(d.wt.val, [3.0, 1.0, 4.0, 2.0, 5.0]);
+    }
+
+    #[test]
     fn fc_forward_is_bitwise_equal_to_matmul() {
         // Ragged (10x7, edge 4), exact-multiple (8x8, edge 4), edge larger
         // than the matrix, and the degenerate densities.
@@ -1022,6 +1007,23 @@ mod tests {
             let want = x.matmul(&w.transpose2d());
             assert_eq!(got.data(), want.data(), "dims={dims:?} edge={edge}");
         }
+        let mut scratch = Scratch::new();
+        for (si, dims) in FC_SHAPES.into_iter().enumerate() {
+            for (w, csb) in weight_cases(&dims, 500 + 10 * si as u64) {
+                let decode = FcDecode::from_csb(&csb);
+                let wt = w.transpose2d();
+                for n in FC_BATCHES {
+                    let what = format!("dims {dims:?}, nnz {}, n {n}", csb.nnz());
+                    let x = sparse_tensor(&[n, dims[1]], 0.8, 600 + n as u64);
+                    let got = decode.forward(&x, &mut scratch);
+                    assert_eq!(got.shape().dims(), &[n, dims[0]], "{what}");
+                    let want = matmul_ikj(x.data(), wt.data(), n, dims[1], dims[0]);
+                    let want = Tensor::from_vec(&[n, dims[0]], want);
+                    assert_eq!(bits(&got), bits(&want), "{what}: vs matmul_ikj");
+                    scratch.recycle(got);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1034,21 +1036,25 @@ mod tests {
             let want = dy.matmul(&w);
             assert_eq!(got.data(), want.data(), "dims={dims:?}");
         }
-    }
-
-    #[test]
-    fn fc_masked_weight_grad_matches_dense_under_mask() {
-        let w = sparse_tensor(&[7, 5], 0.45, 18);
-        let csb = CsbTensor::from_dense_fc(&w, 3);
-        let x = sparse_tensor(&[4, 5], 0.9, 19);
-        let dy = sparse_tensor(&[4, 7], 0.9, 20);
-        let got = csb_fc_backward_weights_masked(&x, &dy, &csb);
-        let dense = dy.transpose2d().matmul(&x);
-        for i in 0..w.len() {
-            if w.data()[i] != 0.0 {
-                assert_eq!(got.data()[i], dense.data()[i], "masked position {i}");
-            } else {
-                assert_eq!(got.data()[i], 0.0, "pruned position {i} must stay zero");
+        let mut scratch = Scratch::new();
+        for (si, dims) in FC_SHAPES.into_iter().enumerate() {
+            for (w, csb) in weight_cases(&dims, 700 + 10 * si as u64) {
+                let decode = FcDecode::from_csb(&csb);
+                let transposed = csb.transposed_fc();
+                for n in FC_BATCHES {
+                    let what = format!("dims {dims:?}, nnz {}, n {n}", csb.nnz());
+                    let dy = sparse_tensor(&[n, dims[0]], 0.6, 800 + n as u64);
+                    let got = decode.backward_input(&dy, &mut scratch);
+                    assert_eq!(got.shape().dims(), &[n, dims[1]], "{what}");
+                    let want = matmul_ikj(dy.data(), w.data(), n, dims[0], dims[1]);
+                    let want = Tensor::from_vec(&[n, dims[1]], want);
+                    assert_eq!(bits(&got), bits(&want), "{what}: vs matmul_ikj");
+                    // The format-level oracle: the forward product on the
+                    // piecewise-transposed tensor.
+                    let oracle = csb_fc_forward(&dy, &transposed);
+                    assert_eq!(bits(&got), bits(&oracle), "{what}: vs transposed_fc");
+                    scratch.recycle(got);
+                }
             }
         }
     }

@@ -47,6 +47,6 @@ pub mod kernels;
 pub use bitmask::{BitMask, IterOnes};
 pub use csb::{CsbLayout, CsbTensor, NonzeroEntry};
 pub use kernels::{
-    csb_conv2d, csb_conv2d_backward_input, csb_conv2d_backward_weights_masked,
-    csb_fc_backward_weights_masked, csb_fc_forward, ConvDecode, FcDecode,
+    csb_conv2d, csb_conv2d_backward_input, csb_conv2d_backward_weights_masked, csb_fc_forward,
+    ConvDecode, FcDecode,
 };

@@ -3,7 +3,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use procrustes::core::{Engine, Scenario, SparsityGen};
-use procrustes::dropback::{ComputeBackend, ProcrustesConfig, ProcrustesTrainer, Trainer};
+use procrustes::dropback::{ProcrustesConfig, ProcrustesTrainer, Trainer};
 use procrustes::nn::{arch, data::SyntheticImages, Layer};
 use procrustes::prng::Xorshift64;
 
@@ -21,9 +21,9 @@ fn main() {
             // within 100 steps (the paper trains for 234k iterations and
             // uses 0.9, reaching zero within its first ~0.5%).
             lambda: 0.7,
-            // Run each layer on CSB-compressed kernels once decay drives
-            // its density below 50% — same results, less work.
-            compute: ComputeBackend::auto(),
+            // The default `compute` runs each layer on CSB-compressed
+            // kernels once decay drives its density below 50% — same
+            // results, less work.
             ..ProcrustesConfig::default()
         },
         42,

@@ -5,8 +5,7 @@
 
 use procrustes::core::report::Table;
 use procrustes::dropback::{
-    ComputeBackend, DenseSgdTrainer, DropbackConfig, DropbackExact, ProcrustesConfig,
-    ProcrustesTrainer, Trainer,
+    DenseSgdTrainer, DropbackConfig, DropbackExact, ProcrustesConfig, ProcrustesTrainer, Trainer,
 };
 use procrustes::nn::{arch, data::SyntheticImages};
 use procrustes::prng::Xorshift64;
@@ -44,10 +43,10 @@ fn main() {
                 arch::tiny_vgg(10, &mut Xorshift64::new(1)),
                 ProcrustesConfig {
                     sparsity_factor: factor,
-                    // The sparse fast path: layers whose weights decay
-                    // below 50% density execute on CSB kernels (identical
-                    // results, work proportional to the nonzeros).
-                    compute: ComputeBackend::auto(),
+                    // The default `compute` is the sparse fast path:
+                    // layers whose weights decay below 50% density execute
+                    // on CSB kernels (identical results, work proportional
+                    // to the nonzeros).
                     ..ProcrustesConfig::default()
                 },
                 7,
