@@ -1,11 +1,9 @@
-//! Performance smokes and the perf-trajectory harness of the Procrustes
-//! reproduction.
+//! Performance smokes of the Procrustes reproduction.
 //!
 //! Measurement lives in the `#[test]`-based smokes under `tests/` and in
-//! `src/bin/perf_trajectory.rs`; this library hosts the helpers they
-//! share, so the measurement policy and reference workloads stay in one
-//! place. (The Criterion files under `benches/` are not built:
-//! `autobenches = false`, see `Cargo.toml`.)
+//! the `benchmark/` package (`bash benchmark/run.sh`); this library
+//! hosts the helpers both share, so the measurement policy and reference
+//! workloads stay in one place.
 
 use std::time::{Duration, Instant};
 

@@ -1,4 +1,4 @@
-//! A criterion-free performance guard for the CSB compute kernels in the
+//! A `#[test]`-based performance guard for the CSB compute kernels in the
 //! paper's regime: the five tiny-VGG conv geometries at batch 8 with
 //! 10 % of the weights stored. Both sides run their steady-state hot
 //! loop — the forward kernels consume the same precomputed im2col

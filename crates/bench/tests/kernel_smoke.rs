@@ -1,4 +1,4 @@
-//! A criterion-free performance guard for the kernel subsystem: on the
+//! A `#[test]`-based performance guard for the kernel subsystem: on the
 //! pinned BENCH GEMM shapes the selector-chosen routine must beat the
 //! seed naive-ikj loop by at least 2× — the floor the packed kernels
 //! were built to clear.

@@ -1,4 +1,4 @@
-//! A criterion-free performance guard for the threaded kernel tier: on
+//! A `#[test]`-based performance guard for the threaded kernel tier: on
 //! the pinned BENCH GEMM shapes, the worker pool at a ≥4-thread budget
 //! must beat the serial tier by at least 1.5× — while producing
 //! byte-identical output, which is asserted unconditionally.

@@ -1,8 +1,6 @@
-//! A criterion-free performance guard for the evaluation engine: runs a
+//! A `#[test]`-based performance guard for the evaluation engine: runs a
 //! Fig 17–20-class sweep single- and multi-threaded and asserts the
-//! parallel path is not slower. Runs under plain `cargo test`, so it
-//! works in the offline build where the Criterion benches (see
-//! `benches/`) cannot.
+//! parallel path is not slower. Runs under plain `cargo test`.
 
 use std::time::{Duration, Instant};
 

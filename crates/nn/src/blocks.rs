@@ -310,6 +310,28 @@ mod tests {
         assert_eq!(y.shape().dims(), &[1, 8, 4, 4]);
     }
 
+    /// Channels, stride and the projection shortcut compose for any
+    /// choice: the block maps `[1, cin, 8, 8]` to
+    /// `[1, cout, 8/stride, 8/stride]` and the gradient back.
+    #[test]
+    fn residual_shapes_hold_for_any_channels_and_stride() {
+        for cin in [2, 4, 6, 8, 10] {
+            for mult in 1..=3 {
+                for stride in 1..=2 {
+                    let cout = cin * mult;
+                    let mut rng = Xorshift64::new((cin * 100 + mult * 10 + stride) as u64);
+                    let mut block = Residual::basic(cin, cout, stride, &mut rng);
+                    let x = Tensor::randn(&[1, cin, 8, 8], 1.0, &mut rng);
+                    let y = block.forward(&x, true);
+                    let want = [1, cout, 8 / stride, 8 / stride];
+                    assert_eq!(y.shape().dims(), &want, "{cin}->{cout} stride {stride}");
+                    let dx = block.backward(&Tensor::ones(&want));
+                    assert_eq!(dx.shape().dims(), x.shape().dims());
+                }
+            }
+        }
+    }
+
     #[test]
     fn residual_input_gradcheck() {
         let mut rng = Xorshift64::new(3);

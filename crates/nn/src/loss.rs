@@ -188,5 +188,7 @@ mod tests {
     fn accuracy_counts_argmax_matches() {
         let logits = Tensor::from_vec(&[3, 2], vec![1.0, 0.0, 0.0, 1.0, 1.0, 0.0]);
         assert!((accuracy(&logits, &[0, 1, 1]) - 2.0 / 3.0).abs() < 1e-9);
+        assert_eq!(accuracy(&logits, &[0, 1, 0]), 1.0);
+        assert_eq!(accuracy(&logits, &[1, 0, 1]), 0.0);
     }
 }

@@ -329,6 +329,53 @@ mod tests {
         assert!(!est.admits(theta * 0.99));
     }
 
+    /// The update rule is multiplicative, so the estimator is scale
+    /// equivariant: feeding `a·x` converges near `a·quantile(x)` across
+    /// six decades of `a`.
+    #[test]
+    fn estimate_scales_with_the_stream() {
+        for (seed, scale_exp) in [(7, -3), (8, -1), (9, 1), (10, 3)] {
+            let scale = 10f32.powi(scale_exp);
+            let mut plain = Dumique::new(0.8);
+            let mut scaled = Dumique::new(0.8);
+            for &d in &uniform_stream(120_000, seed) {
+                plain.update(d);
+                scaled.update(d * scale);
+            }
+            let ratio = scaled.estimate() / (plain.estimate() * scale);
+            assert!(
+                (0.8..1.25).contains(&ratio),
+                "seed {seed} scale {scale}: ratio {ratio}"
+            );
+        }
+    }
+
+    /// One update moves the estimate toward the observation: up when
+    /// the observation exceeds it, down otherwise.
+    #[test]
+    fn update_moves_toward_the_observation() {
+        let mut rng = Xorshift64::new(11);
+        let (mut ups, mut downs) = (0, 0);
+        for case in 0..200 {
+            let init = 1e-3 + rng.next_f64() * 0.999;
+            let delta = rng.next_f32() * 2.0 + 1e-6;
+            let mut est = Dumique::with_params(0.9, init, 1e-3);
+            let before = est.estimate();
+            est.update(delta);
+            if f64::from(delta) > init {
+                assert!(est.estimate() > before, "case {case}: {delta} above {init}");
+                ups += 1;
+            } else {
+                assert!(est.estimate() < before, "case {case}: {delta} below {init}");
+                downs += 1;
+            }
+        }
+        assert!(
+            ups > 20 && downs > 20,
+            "one-sided draw: {ups} up, {downs} down"
+        );
+    }
+
     #[test]
     fn estimate_stays_positive() {
         let mut est = Dumique::new(0.9);
@@ -362,6 +409,14 @@ mod tests {
     fn sparsity_quantile_mapping() {
         assert!((quantile_for_sparsity(2.0) - 0.5).abs() < 1e-9);
         assert!((quantile_for_sparsity(11.7) - (1.0 - 1.0 / 11.7)).abs() < 1e-9);
+        // Strictly monotone: a higher sparsity factor prunes more.
+        for i in 0..200 {
+            let factor = 1.01 + 0.245 * f64::from(i);
+            assert!(
+                quantile_for_sparsity(factor) < quantile_for_sparsity(factor + 0.245),
+                "not monotone at {factor}"
+            );
+        }
     }
 
     #[test]

@@ -503,8 +503,14 @@ mod tests {
             }
         }
         assert_eq!(total, csb.nnz());
-        assert_eq!(csb.range_nnz(0, 8), csb.nnz());
-        assert_eq!(csb.range_nnz(0, 4) + csb.range_nnz(4, 8), csb.nnz());
+        // Additive over any split of the block range, empty ends included.
+        for mid in 0..=8 {
+            assert_eq!(
+                csb.range_nnz(0, mid) + csb.range_nnz(mid, 8),
+                csb.nnz(),
+                "split at {mid}"
+            );
+        }
     }
 
     #[test]
@@ -538,6 +544,7 @@ mod tests {
         let t = csb.transposed_fc();
         assert_eq!(t.to_dense(), w.transpose2d());
         assert_eq!(t.nnz(), csb.nnz());
+        assert_eq!(t.transposed_fc().to_dense(), w);
     }
 
     #[test]
@@ -567,6 +574,7 @@ mod tests {
         }
         assert_eq!(count, csb.nnz());
         assert_eq!(count, w.len() - w.count_zeros());
+        assert_eq!(csb.density(), count as f64 / w.len() as f64);
     }
 
     #[test]
@@ -629,6 +637,14 @@ mod tests {
             let rows: usize = (0..gr).map(|gi| csb.layout().block_extent(gi, 0).0).sum();
             let cols: usize = (0..gc).map(|gj| csb.layout().block_extent(0, gj).1).sum();
             assert_eq!((rows, cols), (out, inp), "{out}x{inp} edge {edge}");
+            // Four bytes per nonzero, one mask bit per dense slot with
+            // each block's mask rounded up to whole bytes.
+            assert_eq!(csb.data_bytes(), csb.nnz() * 4);
+            let mask_bytes: usize = (0..gr * gc)
+                .map(|b| csb.layout().block_extent(b / gc, b % gc))
+                .map(|(br, bc)| (br * bc).div_ceil(8))
+                .sum();
+            assert_eq!(csb.mask_bytes(), mask_bytes, "{out}x{inp} edge {edge}");
             // Transposition stays lossless on ragged grids.
             assert_eq!(csb.transposed_fc().to_dense(), w.transpose2d());
         }

@@ -358,6 +358,30 @@ mod tests {
         assert_eq!(conv_out_dim(1, 1, 1, 0), 1);
     }
 
+    /// The closed form counts exactly the window positions that fit.
+    #[test]
+    fn out_dim_counts_window_positions() {
+        for input in 1..20 {
+            for filter in 1..5 {
+                for stride in 1..4 {
+                    for pad in 0..3 {
+                        if input + 2 * pad < filter {
+                            continue;
+                        }
+                        let walked = (0..)
+                            .take_while(|p| p * stride + filter <= input + 2 * pad)
+                            .count();
+                        assert_eq!(
+                            conv_out_dim(input, filter, stride, pad),
+                            walked,
+                            "input {input} filter {filter} stride {stride} pad {pad}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "filter 7 larger")]
     fn out_dim_rejects_oversized_filter() {

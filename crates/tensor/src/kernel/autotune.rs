@@ -30,16 +30,17 @@
 //! microseconds.
 
 use super::blueprint::{Blueprint, Op};
-use super::routine::{Routine, SUPPORTED_TILES};
+use super::routine::Routine;
 use super::selector::Plan;
 use super::thread;
 
 /// The pinned shapes the sweep and the equality suites cover: the
-/// `perf_trajectory` GEMM shapes, the conv im2col products and fc
-/// forward/backward shapes of the FIG06 training stack, and degenerate
-/// extents (vector-matrix, skinny reductions).
+/// three GEMM shapes behind the benchmark's `tensor.gemm_gflops`, the
+/// conv im2col products and fc forward/backward shapes of the FIG06
+/// training stack, and degenerate extents (vector-matrix, skinny
+/// reductions).
 pub const PINNED_SHAPES: &[(Op, usize, usize, usize)] = &[
-    // perf_trajectory dense GEMM trio.
+    // The benchmark's dense GEMM trio.
     (Op::Nn, 64, 288, 2048),
     (Op::Nn, 256, 256, 256),
     (Op::Nn, 64, 576, 512),
@@ -71,15 +72,39 @@ pub const DISPATCH_COST: u128 = 6_000_000;
 /// rhs panels and pays one condvar round-trip.
 pub const PER_WORKER_COST: u128 = 500_000;
 
-/// All packed-routine candidates the model ranks: the full-width
-/// (`nr = 64`) register tiles crossed with the `kc` ladder, in both
+/// All packed-routine candidates the model ranks: the one full-width
+/// register tile (`2×64`) at the two `kc` rungs that can win, in both
 /// the plain and the packed-lhs (`Tn`-only) variants.
 ///
-/// The one narrower entry in [`SUPPORTED_TILES`], `(4, 16)`, is the
-/// tiny-problem fallback and is excluded here (m-tails need no tile of
-/// their own: every packed kernel finishes its ragged rows with its
-/// own `MR = 1` instantiation). The measured sweep shows the
-/// autovectorizer emits scalar code for sub-64-wide inner loops on
+/// Every routine listed here must be selectable — the
+/// `every_candidate_is_selectable` test exhibits a shape for each — so
+/// before adding a tile or a rung, check it against [`model_cost`]:
+///
+/// - **A taller 64-wide tile loses on every shape.** The microkernel
+///   term is `⌈m/mr⌉·k·⌈n/64⌉·(5·mr + 6)`, ×1.3 once `4·mr` accumulator
+///   registers exceed eight and a further ×1.08 past sixteen: 16 per
+///   tile step for `mr = 2`, 33.8 for 4, 50.5 for 6. Since
+///   `⌈m/2⌉·16 ≤ ⌈m/4⌉·32 < ⌈m/4⌉·33.8` and
+///   `⌈m/2⌉·16 ≤ ⌈m/6⌉·48 < ⌈m/6⌉·50.5`, and no memory term depends on
+///   `mr`, `2×64` is never dearer. The measured sweep agrees on every
+///   pinned shape that selects a packed routine (256³: 44.7 / 36.9 /
+///   33.8 GFLOP/s for `mr` = 2 / 4 / 6 on the AVX-512 development host).
+/// - **`kc = 256` wins exactly where `128 < k ≤ 148`; no larger rung
+///   wins anywhere.** The effective block is `min(kc, k)`, so for
+///   `k ≤ 128` every rung is the same loop and the tie goes to the
+///   first. A block above 148 rows overflows L1 and costs ×1.5 on the
+///   microkernel term — at least `6.25·m·k·n` units — while the most a
+///   larger block can save is all of `kc = 128`'s `dst` reload traffic,
+///   `50·m·n·(⌈k/128⌉ − 1) < 0.4·m·k·n`. So past `k = 148` the 128 rung
+///   wins, in `128 < k ≤ 148` a single un-penalized block saves one
+///   `dst` round trip, and a `kc = 512` rung would only ever tie with
+///   256.
+///
+/// The narrow entry in [`SUPPORTED_TILES`](super::routine::SUPPORTED_TILES),
+/// `(4, 16)`, is the tiny-problem fallback and is not ranked (m-tails
+/// need no tile of their own: every packed kernel finishes its ragged
+/// rows with its own `MR = 1` instantiation). The measured sweep shows
+/// the autovectorizer emits scalar code for sub-64-wide inner loops on
 /// wide-SIMD hosts (4–6 GFLOP/s vs 40–57 for the 64-wide tiles), so
 /// ranking a narrow tile as if it vectorized would let the model pick
 /// an un-vectorized kernel.
@@ -88,17 +113,12 @@ pub const PER_WORKER_COST: u128 = 500_000;
 /// `kernel::gemm` hot path, whose steady-state zero-allocation contract
 /// a collected pool would break.
 pub fn candidates() -> impl Iterator<Item = Routine> {
-    SUPPORTED_TILES
-        .iter()
-        .filter(|&&(mr, nr)| mr >= 2 && nr == 64)
-        .flat_map(|&(mr, nr)| {
-            [128u16, 256, 512].into_iter().flat_map(move |kc| {
-                [
-                    Routine::Packed { mr, nr, kc },
-                    Routine::PackedLhs { mr, nr, kc },
-                ]
-            })
-        })
+    [128u16, 256].into_iter().flat_map(|kc| {
+        [
+            Routine::Packed { mr: 2, nr: 64, kc },
+            Routine::PackedLhs { mr: 2, nr: 64, kc },
+        ]
+    })
 }
 
 /// Deterministic cost of serving `bp` with `r` on one thread, in
@@ -193,9 +213,9 @@ pub fn plan_cost(bp: &Blueprint, r: Routine, workers: usize) -> u128 {
 /// and the smaller worker count, so the result is fully deterministic.
 pub fn best_plan(bp: &Blueprint) -> Plan {
     let seed = match bp.op {
-        Op::Nn if bp.zero_skip => Some(Routine::RowStream),
-        Op::Nt if bp.zero_skip => Some(Routine::NtRegTile),
-        _ => None,
+        Op::Nn => Some(Routine::RowStream),
+        Op::Nt => Some(Routine::NtRegTile),
+        Op::Tn => None,
     };
     let cap = thread::effective_workers(bp, bp.threads);
     let mut best: Option<(u128, Plan)> = None;
@@ -237,6 +257,26 @@ mod tests {
             let c = model_cost(&bp, r);
             assert!(c > 0);
             assert_eq!(c, model_cost(&bp, r));
+        }
+    }
+
+    /// Keeps dead candidates from coming back: each routine the model
+    /// ranks must be the plan of at least one shape (see
+    /// [`candidates`] for why these four and no others can be).
+    #[test]
+    fn every_candidate_is_selectable() {
+        let witnesses = [
+            Blueprint::nn(64, 288, 2048),
+            Blueprint::nn(16, 144, 8192),
+            Blueprint::tn(256, 64, 512),
+            Blueprint::tn(256, 144, 512),
+        ];
+        for r in candidates() {
+            assert!(
+                witnesses.iter().any(|bp| best_plan(bp).routine == r),
+                "no witness shape selects {}",
+                r.describe()
+            );
         }
     }
 
@@ -293,7 +333,6 @@ mod tests {
                 k,
                 n,
                 op,
-                zero_skip: true,
                 threads: 1,
             };
             assert_eq!(best_plan(&bp).workers, 1);

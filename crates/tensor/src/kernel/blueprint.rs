@@ -2,8 +2,7 @@
 //!
 //! A [`Blueprint`] is the *key* the kernel subsystem dispatches on: the
 //! problem extents (`m`/`k`/`n`), which operand (if any) is stored
-//! transposed ([`Op`]), whether the caller's data makes lhs
-//! zero-skipping eligible, and the worker budget. It deliberately
+//! transposed ([`Op`]), and the worker budget. It deliberately
 //! carries no data pointers — the same blueprint value describes every
 //! GEMM of that shape, which is what lets the
 //! [selector](super::selector) be a pure function from blueprints to
@@ -47,7 +46,6 @@ impl Op {
 /// use procrustes_tensor::kernel::{Blueprint, Op};
 /// let bp = Blueprint::nn(64, 288, 2048);
 /// assert_eq!(bp.op, Op::Nn);
-/// assert!(bp.zero_skip);
 /// assert_eq!(bp.threads, 1);
 /// assert_eq!(bp.flops(), 2 * 64 * 288 * 2048);
 /// assert_eq!(bp.with_threads(4).threads, 4);
@@ -62,18 +60,6 @@ pub struct Blueprint {
     pub n: usize,
     /// Operand storage layout.
     pub op: Op,
-    /// Whether routines may elide terms whose lhs operand is exactly
-    /// zero.
-    ///
-    /// Skipping is the seed kernels' behaviour and is bitwise-neutral
-    /// on finite data (an accumulator seeded at `+0.0` can never reach
-    /// `-0.0`, and `x + ±0.0` reproduces `x`'s bits for every other
-    /// `x`), so it is the default: Dropback-style weight sparsity turns
-    /// into elided multiply-accumulates. Set it to `false` only when
-    /// the rhs may contain non-finite values whose `0·±inf = NaN`
-    /// products must propagate; the selector then routes to the
-    /// branch-free strict variants.
-    pub zero_skip: bool,
     /// Worker-thread budget the caller grants the selector (including
     /// the calling thread itself). `1` — the constructors' default —
     /// pins the problem to the serial tier; larger values let the
@@ -95,7 +81,6 @@ impl Blueprint {
             k,
             n,
             op: Op::Nn,
-            zero_skip: true,
             threads: 1,
         }
     }
@@ -107,7 +92,6 @@ impl Blueprint {
             k,
             n,
             op: Op::Nt,
-            zero_skip: true,
             threads: 1,
         }
     }
@@ -119,16 +103,8 @@ impl Blueprint {
             k,
             n,
             op: Op::Tn,
-            zero_skip: true,
             threads: 1,
         }
-    }
-
-    /// Disables lhs zero-skipping (strict term-by-term accumulation;
-    /// see [`Blueprint::zero_skip`]).
-    pub fn strict(mut self) -> Self {
-        self.zero_skip = false;
-        self
     }
 
     /// Grants the selector a worker budget of `threads` (clamped to at
@@ -159,11 +135,6 @@ impl Blueprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn strict_clears_zero_skip() {
-        assert!(!Blueprint::nn(4, 4, 4).strict().zero_skip);
-    }
 
     #[test]
     fn with_threads_clamps_to_one() {

@@ -4,11 +4,10 @@
 //! module. The layers, bottom-up:
 //!
 //! - [`blueprint`] — a plain-data key describing a GEMM problem
-//!   ([`Blueprint`]: extents, operand layout, zero-skip eligibility,
-//!   worker budget).
+//!   ([`Blueprint`]: extents, operand layout, worker budget).
 //! - [`routine`] — the executable kernels ([`Routine`]): the seed
-//!   streaming loops and a family of register-tiled microkernels over
-//!   packed rhs panels staged through the [`Scratch`] pool.
+//!   streaming loops and the register-tiled microkernel over packed
+//!   rhs panels staged through the [`Scratch`] pool.
 //! - [`selector`] — the policy mapping blueprints to plans, in two
 //!   steps: tiny problems take a streaming kernel, everything else is
 //!   ranked at call time by the deterministic cost model.
@@ -49,10 +48,13 @@
 //! worker counts — freely across shapes and machines without
 //! perturbing a single training run.
 //!
-//! The `a == 0.0` skip is kept from the naive kernel: conv/fc weights
-//! under Dropback-style training are mostly exact zeros, so the skip
-//! converts weight sparsity into elided multiply-accumulates on the
-//! dense path too.
+//! The `a == 0.0` skip is kept from the naive kernel, in every routine:
+//! conv/fc weights under Dropback-style training are mostly exact
+//! zeros, so the skip converts weight sparsity into elided
+//! multiply-accumulates on the dense path too. It is not a per-call
+//! choice — the CSB kernels skip zero weights by construction (they are
+//! not stored), so a dense product that multiplied them would break the
+//! dense == CSB contract on non-finite data (`0·inf = NaN`).
 
 pub mod autotune;
 pub mod blueprint;

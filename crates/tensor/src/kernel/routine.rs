@@ -26,10 +26,9 @@
 //! left-to-right in ascending `p`, starting from `0.0`. The `Packed`
 //! kernels split `p` into `kc`-sized blocks, but blocks are visited in
 //! ascending order and each accumulator is carried through memory
-//! between blocks — no element's sum ever re-associates. Lhs zeros are
-//! skipped when the blueprint allows it (bitwise-neutral on finite
-//! data); `zero_skip == false` compiles the branch-free strict variant
-//! of the same loop.
+//! between blocks — no element's sum ever re-associates. Every routine
+//! skips terms whose lhs operand is exactly zero (bitwise-neutral on
+//! finite data, and what the CSB kernels do by construction).
 
 use super::blueprint::{Blueprint, Op};
 use crate::scratch::Scratch;
@@ -100,23 +99,21 @@ pub enum Routine {
 }
 
 /// The `(mr, nr)` register-tile geometries the dispatcher can
-/// instantiate — exactly the ones something can select: the three
-/// full-width tiles the cost model ranks (see
-/// [`candidates`](super::autotune::candidates)) and the narrow
-/// tiny-problem fallback. `kc` is a runtime parameter; these pairs are
-/// the compile-time monomorphizations.
-pub const SUPPORTED_TILES: &[(u8, u8)] = &[(4, 16), (2, 64), (4, 64), (6, 64)];
+/// instantiate — exactly the ones something can select: the narrow
+/// tiny-problem fallback and the one full-width tile the cost model
+/// ranks (see [`candidates`](super::autotune::candidates) for why a
+/// taller 64-wide tile can never win). `kc` is a runtime parameter;
+/// these pairs are the compile-time monomorphizations.
+pub const SUPPORTED_TILES: &[(u8, u8)] = &[(4, 16), (2, 64)];
 
 impl Routine {
-    /// Whether this routine can serve the given blueprint.
-    ///
-    /// The seed kernels hard-code the lhs zero-skip, so they are only
-    /// eligible when the blueprint permits skipping; `Packed` serves
-    /// every op in both skip and strict modes.
+    /// Whether this routine can serve the given blueprint: each seed
+    /// kernel and `PackedLhs` is written for one operand layout,
+    /// `Packed` serves every op.
     pub fn supports(&self, bp: &Blueprint) -> bool {
         match self {
-            Routine::RowStream => bp.op == Op::Nn && bp.zero_skip,
-            Routine::NtRegTile => bp.op == Op::Nt && bp.zero_skip,
+            Routine::RowStream => bp.op == Op::Nn,
+            Routine::NtRegTile => bp.op == Op::Nt,
             Routine::Packed { mr, nr, kc } => *kc > 0 && SUPPORTED_TILES.contains(&(*mr, *nr)),
             Routine::PackedLhs { mr, nr, kc } => {
                 bp.op == Op::Tn && *kc > 0 && SUPPORTED_TILES.contains(&(*mr, *nr))
@@ -125,7 +122,7 @@ impl Routine {
     }
 
     /// Human-readable tag for benchmark attribution, e.g.
-    /// `packed-4x32/kc256`.
+    /// `packed-2x64/kc256`.
     pub fn describe(&self) -> String {
         match self {
             Routine::RowStream => "row-stream".to_string(),
@@ -203,10 +200,9 @@ pub(crate) fn execute_slab(
     assert_eq!(dst.len(), bp.m * bp.n, "kernel: dst length != m*n");
     assert!(
         routine.supports(bp),
-        "kernel: routine {} cannot serve op={} zero_skip={}",
+        "kernel: routine {} cannot serve op={}",
         routine.describe(),
-        bp.op.tag(),
-        bp.zero_skip
+        bp.op.tag()
     );
     debug_assert!(
         slab.i1 <= bp.m && slab.j1 <= bp.n,
@@ -232,8 +228,8 @@ fn zero_slab(dst: &mut [f32], n: usize, slab: Slab) {
 }
 
 /// Monomorphization dispatch: maps the runtime `(mr, nr)` pair onto the
-/// matching const-generic instantiation, `zero_skip` onto the
-/// skip/strict variant, and `pack_lhs` onto the packed-lhs `Tn` kernel.
+/// matching const-generic instantiation and `pack_lhs` onto the
+/// packed-lhs `Tn` kernel.
 #[allow(clippy::too_many_arguments)]
 fn dispatch_packed(
     mr: u8,
@@ -249,25 +245,16 @@ fn dispatch_packed(
 ) {
     macro_rules! go {
         ($mr:literal, $nr:literal) => {
-            match (pack_lhs, bp.zero_skip) {
-                (false, true) => run_packed::<$mr, $nr, true>(dst, lhs, rhs, bp, kc, scratch, slab),
-                (false, false) => {
-                    run_packed::<$mr, $nr, false>(dst, lhs, rhs, bp, kc, scratch, slab)
-                }
-                (true, true) => {
-                    run_packed_lhs::<$mr, $nr, true>(dst, lhs, rhs, bp, kc, scratch, slab)
-                }
-                (true, false) => {
-                    run_packed_lhs::<$mr, $nr, false>(dst, lhs, rhs, bp, kc, scratch, slab)
-                }
+            if pack_lhs {
+                run_packed_lhs::<$mr, $nr>(dst, lhs, rhs, bp, kc, scratch, slab)
+            } else {
+                run_packed::<$mr, $nr>(dst, lhs, rhs, bp, kc, scratch, slab)
             }
         };
     }
     match (mr, nr) {
         (4, 16) => go!(4, 16),
         (2, 64) => go!(2, 64),
-        (4, 64) => go!(4, 64),
-        (6, 64) => go!(6, 64),
         other => unreachable!("kernel: tile {other:?} not in SUPPORTED_TILES"),
     }
 }
@@ -280,7 +267,7 @@ fn dispatch_packed(
 /// `[[f32; NR]; MR]` array; the first k-block stores them directly
 /// (never reading stale `dst`), later blocks reload and continue, so
 /// each output element sees its terms in ascending `p` exactly once.
-fn run_packed<const MR: usize, const NR: usize, const SKIP: bool>(
+fn run_packed<const MR: usize, const NR: usize>(
     dst: &mut [f32],
     lhs: &[f32],
     rhs: &[f32],
@@ -321,11 +308,11 @@ fn run_packed<const MR: usize, const NR: usize, const SKIP: bool>(
             let first = k0 == 0;
             let mut i = slab.i0;
             while i + MR <= slab.i1 {
-                tile::<MR, NR, SKIP>(dst, lhs, rs, cs, i, j, jw, n, k0, kc, panel, first);
+                tile::<MR, NR>(dst, lhs, rs, cs, i, j, jw, n, k0, kc, panel, first);
                 i += MR;
             }
             while i < slab.i1 {
-                tile::<1, NR, SKIP>(dst, lhs, rs, cs, i, j, jw, n, k0, kc, panel, first);
+                tile::<1, NR>(dst, lhs, rs, cs, i, j, jw, n, k0, kc, panel, first);
                 i += 1;
             }
             k0 += kc;
@@ -341,7 +328,7 @@ fn run_packed<const MR: usize, const NR: usize, const SKIP: bool>(
 /// block, store.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn tile<const MR: usize, const NR: usize, const SKIP: bool>(
+fn tile<const MR: usize, const NR: usize>(
     dst: &mut [f32],
     lhs: &[f32],
     rs: usize,
@@ -361,7 +348,7 @@ fn tile<const MR: usize, const NR: usize, const SKIP: bool>(
             accm[..jw].copy_from_slice(&dst[(i + mi) * n + j..(i + mi) * n + j + jw]);
         }
     }
-    micro::<MR, NR, SKIP>(&mut acc, lhs, rs, cs, i, k0, kc, panel);
+    micro::<MR, NR>(&mut acc, lhs, rs, cs, i, k0, kc, panel);
     for (mi, accm) in acc.iter().enumerate() {
         dst[(i + mi) * n + j..(i + mi) * n + j + jw].copy_from_slice(&accm[..jw]);
     }
@@ -374,7 +361,7 @@ fn tile<const MR: usize, const NR: usize, const SKIP: bool>(
 /// autovectorizer).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn micro<const MR: usize, const NR: usize, const SKIP: bool>(
+fn micro<const MR: usize, const NR: usize>(
     acc: &mut [[f32; NR]; MR],
     lhs: &[f32],
     rs: usize,
@@ -388,7 +375,7 @@ fn micro<const MR: usize, const NR: usize, const SKIP: bool>(
         let bpp = &panel[p * NR..(p + 1) * NR];
         for (mi, accm) in acc.iter_mut().enumerate() {
             let av = lhs[(i + mi) * rs + (k0 + p) * cs];
-            if !SKIP || av != 0.0 {
+            if av != 0.0 {
                 for (slot, &bv) in accm.iter_mut().zip(bpp) {
                     *slot += av * bv;
                 }
@@ -410,7 +397,7 @@ fn micro<const MR: usize, const NR: usize, const SKIP: bool>(
 /// k-blocks ascend and each accumulator is carried through `dst`
 /// between blocks — so results are bitwise-identical to
 /// [`Routine::Packed`].
-fn run_packed_lhs<const MR: usize, const NR: usize, const SKIP: bool>(
+fn run_packed_lhs<const MR: usize, const NR: usize>(
     dst: &mut [f32],
     lhs: &[f32],
     rhs: &[f32],
@@ -459,11 +446,11 @@ fn run_packed_lhs<const MR: usize, const NR: usize, const SKIP: bool>(
             let first = k0 == 0;
             for t in 0..tiles {
                 let apanel = &apack[(kb * tiles + t) * kc_blk * MR..][..kc * MR];
-                tile_lhs::<MR, NR, SKIP>(dst, apanel, slab.i0 + t * MR, j, jw, n, kc, panel, first);
+                tile_lhs::<MR, NR>(dst, apanel, slab.i0 + t * MR, j, jw, n, kc, panel, first);
             }
             let mut i = slab.i0 + tiles * MR;
             while i < slab.i1 {
-                tile::<1, NR, SKIP>(dst, lhs, 1, m, i, j, jw, n, k0, kc, panel, first);
+                tile::<1, NR>(dst, lhs, 1, m, i, j, jw, n, k0, kc, panel, first);
                 i += 1;
             }
             k0 += kc;
@@ -482,7 +469,7 @@ fn run_packed_lhs<const MR: usize, const NR: usize, const SKIP: bool>(
 /// reads.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn tile_lhs<const MR: usize, const NR: usize, const SKIP: bool>(
+fn tile_lhs<const MR: usize, const NR: usize>(
     dst: &mut [f32],
     apanel: &[f32],
     i: usize,
@@ -504,7 +491,7 @@ fn tile_lhs<const MR: usize, const NR: usize, const SKIP: bool>(
         let app = &apanel[p * MR..(p + 1) * MR];
         for (mi, accm) in acc.iter_mut().enumerate() {
             let av = app[mi];
-            if !SKIP || av != 0.0 {
+            if av != 0.0 {
                 for (slot, &bv) in accm.iter_mut().zip(bpp) {
                     *slot += av * bv;
                 }
@@ -710,7 +697,6 @@ mod tests {
                     k,
                     n,
                     op,
-                    zero_skip: true,
                     threads: 1,
                 };
                 let lhs = sparse_mat(bp.lhs_len(), 0.5, (m * 31 + n) as u64);
@@ -726,10 +712,6 @@ mod tests {
                             let mut got = vec![f32::NAN; m * n];
                             execute(r, &bp, &mut got, &lhs, &rhs, &mut scratch);
                             assert_eq!(got, want, "{} op={}", r.describe(), op.tag());
-                            // Strict variant agrees on finite data.
-                            let mut strict = vec![f32::NAN; m * n];
-                            execute(r, &bp.strict(), &mut strict, &lhs, &rhs, &mut scratch);
-                            assert_eq!(strict, want, "{} strict op={}", r.describe(), op.tag());
                         }
                     }
                 }
@@ -768,7 +750,7 @@ mod tests {
         let mut dst = vec![f32::NAN; 15];
         execute(
             Routine::Packed {
-                mr: 4,
+                mr: 2,
                 nr: 64,
                 kc: 256,
             },
@@ -782,38 +764,17 @@ mod tests {
     }
 
     #[test]
-    fn strict_propagates_nonfinite_rhs_under_zero_lhs() {
-        // 0·inf = NaN must survive in strict mode and be elided in skip
-        // mode — the one observable difference between the variants.
-        let mut scratch = Scratch::new();
-        let bp = Blueprint::nn(1, 1, 1);
-        let lhs = [0.0f32];
-        let rhs = [f32::INFINITY];
-        let r = Routine::Packed {
-            mr: 4,
-            nr: 16,
-            kc: 16,
-        };
-        let mut dst = [f32::NAN; 1];
-        execute(r, &bp, &mut dst, &lhs, &rhs, &mut scratch);
-        assert_eq!(dst, [0.0]);
-        execute(r, &bp.strict(), &mut dst, &lhs, &rhs, &mut scratch);
-        assert!(dst[0].is_nan());
-    }
-
-    #[test]
-    fn supports_gates_seed_kernels_on_op_and_skip() {
+    fn supports_gates_routines_on_op_and_tile() {
         assert!(Routine::RowStream.supports(&Blueprint::nn(4, 4, 4)));
         assert!(!Routine::RowStream.supports(&Blueprint::nt(4, 4, 4)));
-        assert!(!Routine::RowStream.supports(&Blueprint::nn(4, 4, 4).strict()));
         assert!(Routine::NtRegTile.supports(&Blueprint::nt(4, 4, 4)));
         assert!(!Routine::NtRegTile.supports(&Blueprint::tn(4, 4, 4)));
         let p = Routine::Packed {
-            mr: 4,
+            mr: 2,
             nr: 64,
             kc: 128,
         };
-        assert!(p.supports(&Blueprint::tn(4, 4, 4).strict()));
+        assert!(p.supports(&Blueprint::tn(4, 4, 4)));
         assert!(!Routine::Packed {
             mr: 4,
             nr: 32,
@@ -821,12 +782,11 @@ mod tests {
         }
         .supports(&Blueprint::nn(4, 4, 4)));
         let pl = Routine::PackedLhs {
-            mr: 4,
+            mr: 2,
             nr: 64,
             kc: 128,
         };
         assert!(pl.supports(&Blueprint::tn(4, 4, 4)));
-        assert!(pl.supports(&Blueprint::tn(4, 4, 4).strict()));
         assert!(!pl.supports(&Blueprint::nn(4, 4, 4)));
         assert!(!pl.supports(&Blueprint::nt(4, 4, 4)));
     }

@@ -11,11 +11,11 @@
 //!    [`autotune::best_plan`] on the problem's real extents and worker
 //!    budget — every candidate routine crossed with every feasible
 //!    worker count, including the per-dispatch overhead charge. The
-//!    ranking is integer arithmetic over a dozen candidates (well under
-//!    a microsecond) and allocates nothing.
+//!    ranking is integer arithmetic over at most four routines and four
+//!    worker counts (well under a microsecond) and allocates nothing.
 //!
 //! `select` is a pure function of the blueprint — same key (extents,
-//! layout, zero-skip, worker budget), same plan, on every call and
+//! layout, worker budget), same plan, on every call and
 //! every machine — which is what makes benchmark attribution (routine,
 //! tier, and worker count recorded per shape) and the bit-for-bit
 //! equality tests meaningful. The *tier* never affects result bytes,
@@ -87,14 +87,13 @@ pub fn explain(bp: &Blueprint) -> (Plan, &'static str) {
 }
 
 /// Streaming choice for problems too small to amortize packing. The
-/// seed kernels only exist for `Nn`/`Nt` with zero-skip; everything
-/// else takes a narrow packed tile whose panel is clamped to the
-/// problem anyway.
+/// seed kernels only exist for `Nn`/`Nt`; `Tn` takes a narrow packed
+/// tile whose panel is clamped to the problem anyway.
 fn tiny_fallback(bp: &Blueprint) -> Routine {
     match bp.op {
-        Op::Nn if bp.zero_skip => Routine::RowStream,
-        Op::Nt if bp.zero_skip => Routine::NtRegTile,
-        _ => Routine::Packed {
+        Op::Nn => Routine::RowStream,
+        Op::Nt => Routine::NtRegTile,
+        Op::Tn => Routine::Packed {
             mr: 4,
             nr: 16,
             kc: 128,
@@ -115,10 +114,6 @@ mod tests {
         assert_eq!(select(&Blueprint::nt(4, 4, 4)).routine, Routine::NtRegTile);
         assert!(matches!(
             select(&Blueprint::tn(4, 4, 4)).routine,
-            Routine::Packed { .. }
-        ));
-        assert!(matches!(
-            select(&Blueprint::nn(4, 4, 4).strict()).routine,
             Routine::Packed { .. }
         ));
     }
@@ -164,7 +159,6 @@ mod tests {
                     k,
                     n,
                     op,
-                    zero_skip: true,
                     threads: budget,
                 };
                 let want = match w {
@@ -203,7 +197,6 @@ mod tests {
                 k,
                 n,
                 op,
-                zero_skip: true,
                 threads: 1,
             };
             assert_eq!(select(&bp).workers, 1, "{}x{}x{} {}", m, k, n, op.tag());
@@ -229,7 +222,6 @@ mod tests {
                     k,
                     n,
                     op,
-                    zero_skip: true,
                     threads: budget,
                 };
                 let p = select(&bp);

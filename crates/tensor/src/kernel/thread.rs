@@ -417,7 +417,7 @@ mod tests {
     #[test]
     fn threaded_run_matches_serial_bitwise() {
         let routine = Routine::Packed {
-            mr: 4,
+            mr: 2,
             nr: 64,
             kc: 128,
         };

@@ -11,9 +11,9 @@
 //! [`conv2d_backward_weights_from_cols`](crate::conv2d_backward_weights_from_cols))
 //! and for the CSB kernels in `procrustes-sparse`. The hot paths must
 //! reproduce these loops' results exactly (`f32 ==` on every element);
-//! the perf-trajectory harness in `crates/bench` additionally records
-//! the speedup over them so a regression in either direction is
-//! visible. Nothing on a hot path calls into this module.
+//! the smokes in `crates/bench/tests` additionally time the speedup
+//! over them so a regression in either direction is visible. Nothing on
+//! a hot path calls into this module.
 
 use crate::{conv2d_from_cols, conv_out_dim, im2col, Scratch, Tensor};
 
@@ -369,6 +369,40 @@ mod tests {
             let a = conv2d(&x, &w, stride, pad);
             let b = conv2d_im2col(&x, &w, stride, pad);
             assert_close(&a, &b, 1e-5);
+        }
+    }
+
+    /// `f(α·t) = α·f(t)` up to rounding, for a scale `α` in `(-2, 2)`
+    /// drawn from `seed`.
+    fn assert_linear(seed: u64, t: &Tensor, f: impl Fn(&Tensor) -> Tensor) {
+        use procrustes_prng::UniformRng;
+        let alpha = Xorshift64::new(seed).next_f32() * 4.0 - 2.0;
+        let scaled_in = f(&t.map(|v| alpha * v));
+        let mut scaled_out = f(t);
+        scaled_out.scale(alpha);
+        for (a, b) in scaled_in.data().iter().zip(scaled_out.data()) {
+            assert!(
+                (a - b).abs() <= 1e-4 * (1.0 + a.abs()),
+                "seed {seed}: {a} vs {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn conv_is_linear_in_the_input() {
+        for seed in 20..28 {
+            let w = randn(&[2, 2, 3, 3], seed + 100);
+            assert_linear(seed, &randn(&[1, 2, 5, 5], seed), |x| conv2d(x, &w, 1, 1));
+        }
+    }
+
+    #[test]
+    fn weight_update_is_linear_in_dy() {
+        for seed in 30..38 {
+            let x = randn(&[1, 2, 5, 5], seed + 100);
+            assert_linear(seed, &randn(&[1, 2, 3, 3], seed), |dy| {
+                conv2d_backward_weights(&x, dy, 3, 3, 1, 0)
+            });
         }
     }
 

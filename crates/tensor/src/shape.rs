@@ -166,9 +166,11 @@ mod tests {
 
     #[test]
     fn linear_and_unlinear_roundtrip() {
-        let s = Shape::new(&[3, 4, 5]);
-        for off in 0..s.len() {
-            assert_eq!(s.linear(&s.unlinear(off)), off);
+        for dims in [&[5][..], &[2, 3], &[3, 4, 5], &[2, 1, 4, 3]] {
+            let s = Shape::new(dims);
+            for off in 0..s.len() {
+                assert_eq!(s.linear(&s.unlinear(off)), off, "{s}");
+            }
         }
     }
 

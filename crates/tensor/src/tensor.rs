@@ -519,6 +519,25 @@ mod tests {
         a.matmul(&b);
     }
 
+    /// `(A + B)·C = A·C + B·C` up to rounding.
+    #[test]
+    fn matmul_distributes_over_addition() {
+        for seed in 1..=8u64 {
+            let mut rng = Xorshift64::new(seed);
+            let a = Tensor::randn(&[3, 4], 1.0, &mut rng);
+            let b = Tensor::randn(&[3, 4], 1.0, &mut rng);
+            let c = Tensor::randn(&[4, 2], 1.0, &mut rng);
+            let lhs = (&a + &b).matmul(&c);
+            let rhs = &a.matmul(&c) + &b.matmul(&c);
+            for (x, y) in lhs.data().iter().zip(rhs.data()) {
+                assert!(
+                    (x - y).abs() < 1e-4 * (1.0 + x.abs()),
+                    "seed {seed}: {x} vs {y}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn transpose_involutes() {
         let a = Tensor::from_vec(&[2, 3], vec![1., 2., 3., 4., 5., 6.]);

@@ -58,7 +58,7 @@ fn steady_state_gemm_calls_perform_zero_allocations() {
         Blueprint::nn(48, 96, 130),
         Blueprint::nt(48, 96, 130),
         Blueprint::tn(48, 96, 130),
-        Blueprint::nn(17, 200, 64).strict(),
+        Blueprint::nn(17, 200, 64),
     ];
     let lhs = vec![1.0f32; 48 * 200];
     let rhs = vec![0.5f32; 200 * 130];

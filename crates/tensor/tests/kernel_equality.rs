@@ -8,8 +8,7 @@
 //! The sweep deliberately includes the shapes that bend kernel edge
 //! cases: `k = 0` (pure zeroing), `m = 1` (only the MR=1 tail runs),
 //! `n` not divisible by any panel width (ragged last panel), all-zero
-//! and zero-free operands, and all three operand layouts with zero-skip
-//! both on and off.
+//! and zero-free operands, and all three operand layouts.
 
 use procrustes_prng::{UniformRng, Xorshift64};
 use procrustes_tensor::kernel::{self, Blueprint, Op};
@@ -43,8 +42,8 @@ fn transpose(src: &[f32], r: usize, c: usize) -> Vec<f32> {
 }
 
 /// Runs one (m, k, n) problem, its operands holding a `zero_frac` share
-/// of stored zeros, through every op × zero-skip combination and asserts
-/// bitwise equality with the reference product.
+/// of stored zeros, through every op and asserts bitwise equality with
+/// the reference product.
 fn check_shape(m: usize, k: usize, n: usize, zero_frac: f64, seed: u64, scratch: &mut Scratch) {
     let mut rng = Xorshift64::new(seed);
     let a = operand(m * k, zero_frac, &mut rng); // [m, k]
@@ -55,36 +54,30 @@ fn check_shape(m: usize, k: usize, n: usize, zero_frac: f64, seed: u64, scratch:
     let bt = transpose(&b, k, n); // [n, k]
     let mut dst = vec![f32::NAN; m * n]; // stale contents must be overwritten
 
-    for strict in [false, true] {
-        for op in [Op::Nn, Op::Nt, Op::Tn] {
-            let mut bp = match op {
-                Op::Nn => Blueprint::nn(m, k, n),
-                Op::Nt => Blueprint::nt(m, k, n),
-                Op::Tn => Blueprint::tn(m, k, n),
-            };
-            if strict {
-                bp = bp.strict();
-            }
-            let (lhs, rhs): (&[f32], &[f32]) = match op {
-                Op::Nn => (&a, &b),
-                Op::Nt => (&a, &bt),
-                Op::Tn => (&at, &b),
-            };
-            dst.fill(f32::NAN);
-            kernel::gemm(&bp, &mut dst, lhs, rhs, scratch);
-            let routine = kernel::select(&bp).describe();
-            assert_eq!(
-                dst,
-                expect,
-                "{}x{}x{} {} strict={} via {} diverged from matmul_ikj",
-                m,
-                k,
-                n,
-                op.tag(),
-                strict,
-                routine
-            );
-        }
+    for op in [Op::Nn, Op::Nt, Op::Tn] {
+        let bp = match op {
+            Op::Nn => Blueprint::nn(m, k, n),
+            Op::Nt => Blueprint::nt(m, k, n),
+            Op::Tn => Blueprint::tn(m, k, n),
+        };
+        let (lhs, rhs): (&[f32], &[f32]) = match op {
+            Op::Nn => (&a, &b),
+            Op::Nt => (&a, &bt),
+            Op::Tn => (&at, &b),
+        };
+        dst.fill(f32::NAN);
+        kernel::gemm(&bp, &mut dst, lhs, rhs, scratch);
+        let routine = kernel::select(&bp).describe();
+        assert_eq!(
+            dst,
+            expect,
+            "{}x{}x{} {} via {} diverged from matmul_ikj",
+            m,
+            k,
+            n,
+            op.tag(),
+            routine
+        );
     }
 }
 

@@ -1,7 +1,7 @@
 //! Property suite pinning the threaded tier's bitwise-determinism
-//! contract: for every shape, layout, and skip mode, `kernel::gemm`
-//! produces byte-identical output at every worker budget (1/2/4/8),
-//! and that output equals the naive `reference::matmul_ikj` loop.
+//! contract: for every shape and layout, `kernel::gemm` produces
+//! byte-identical output at every worker budget (1/2/4/8), and that
+//! output equals the naive `reference::matmul_ikj` loop.
 //!
 //! The equality is structural, not numerical luck: the threaded tier
 //! partitions the *output* into disjoint slabs and each element's `k`
@@ -25,7 +25,7 @@ use procrustes_tensor::reference::matmul_ikj;
 use procrustes_tensor::Scratch;
 
 /// Operands with ~30% exact zeros so the lhs zero-skip path is
-/// exercised alongside the strict variants.
+/// exercised.
 fn sparse(len: usize, rng: &mut Xorshift64) -> Vec<f32> {
     (0..len)
         .map(|_| {
@@ -69,50 +69,45 @@ fn reference_for(bp: &Blueprint, lhs: &[f32], rhs: &[f32]) -> Vec<f32> {
     matmul_ikj(&a, &b, m, k, n)
 }
 
-/// Runs one `(m, k, n)` geometry through every op × skip mode × worker
-/// budget and returns how many of those runs resolved to the threaded
-/// tier.
+/// Runs one `(m, k, n)` geometry through every op × worker budget and
+/// returns how many of those runs resolved to the threaded tier.
 fn check_shape(m: usize, k: usize, n: usize, seed: u64, scratch: &mut Scratch) -> usize {
     let mut threaded = 0;
     for op in [Op::Nn, Op::Nt, Op::Tn] {
-        for strict in [false, true] {
-            let base = Blueprint {
-                m,
-                k,
-                n,
-                op,
-                zero_skip: !strict,
-                threads: 1,
-            };
-            let mut rng = Xorshift64::new(seed ^ ((op as u64) << 32) ^ ((strict as u64) << 40));
-            let lhs = sparse(base.lhs_len(), &mut rng);
-            let rhs = sparse(base.rhs_len(), &mut rng);
-            let want = reference_for(&base, &lhs, &rhs);
-            for budget in [1usize, 2, 4, 8] {
-                let bp = base.with_threads(budget);
-                let (plan, source) = kernel::explain(&bp);
-                if plan.workers > 1 {
-                    threaded += 1;
-                }
-                let mut got = vec![f32::NAN; m * n];
-                kernel::gemm(&bp, &mut got, &lhs, &rhs, scratch);
-                assert_eq!(got.len(), want.len());
-                for (idx, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert!(
-                        g.to_bits() == w.to_bits(),
-                        "bit mismatch at [{},{}] ({g:e} vs {w:e}): {}x{}x{} {} strict={} \
-                         budget={} plan={} ({source})",
-                        idx / n.max(1),
-                        idx % n.max(1),
-                        m,
-                        k,
-                        n,
-                        op.tag(),
-                        strict,
-                        budget,
-                        plan.describe()
-                    );
-                }
+        let base = Blueprint {
+            m,
+            k,
+            n,
+            op,
+            threads: 1,
+        };
+        let mut rng = Xorshift64::new(seed ^ ((op as u64) << 32));
+        let lhs = sparse(base.lhs_len(), &mut rng);
+        let rhs = sparse(base.rhs_len(), &mut rng);
+        let want = reference_for(&base, &lhs, &rhs);
+        for budget in [1usize, 2, 4, 8] {
+            let bp = base.with_threads(budget);
+            let (plan, source) = kernel::explain(&bp);
+            if plan.workers > 1 {
+                threaded += 1;
+            }
+            let mut got = vec![f32::NAN; m * n];
+            kernel::gemm(&bp, &mut got, &lhs, &rhs, scratch);
+            assert_eq!(got.len(), want.len());
+            for (idx, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    g.to_bits() == w.to_bits(),
+                    "bit mismatch at [{},{}] ({g:e} vs {w:e}): {}x{}x{} {} \
+                     budget={} plan={} ({source})",
+                    idx / n.max(1),
+                    idx % n.max(1),
+                    m,
+                    k,
+                    n,
+                    op.tag(),
+                    budget,
+                    plan.describe()
+                );
             }
         }
     }
