@@ -45,11 +45,14 @@
 #![deny(missing_docs)]
 
 mod balancer;
+mod codec;
 mod cosim;
 pub mod engine;
 pub mod json;
 pub mod masks;
 pub mod report;
+mod scenario;
+mod sweep;
 
 pub use balancer::{BalancedTile, LoadBalancer, Schedule};
 pub use cosim::{CoSim, CoSimRecord};
