@@ -3,7 +3,9 @@
 //!
 //! The paper's entire evaluation (Figs 1, 17–20, Tables II–III) is a
 //! cartesian sweep over {network × architecture × mapping × sparsity ×
-//! balancing}. This module makes that sweep a first-class object:
+//! balancing}. This module makes that sweep a first-class object (the
+//! evaluator lives here; the input types are re-exported from their own
+//! files, `scenario.rs`, `sweep.rs` and `codec.rs`):
 //!
 //! * [`Scenario`] — a plain-data, JSON-serializable description of one
 //!   evaluation (network id, [`ArchConfig`], [`Mapping`], minibatch,
@@ -14,7 +16,9 @@
 //! * [`Engine`] — the single evaluator: [`Engine::run`] for one scenario,
 //!   [`Engine::run_all`] for a sweep, executed across a scoped thread
 //!   pool with per-`(layer, phase, mapping, sparsity)` cost memoization
-//!   so layers shared between scenarios are costed once;
+//!   so layers shared between scenarios are costed once, found through
+//!   the scenario's mask *generator* so a known scenario synthesises
+//!   nothing and a sweep synthesises each mask set once;
 //! * [`EvalResult`] — the cost of a scenario together with the scenario
 //!   that produced it, plus derived-metric helpers
 //!   ([`EvalResult::speedup_over`], [`EvalResult::energy_saving_over`])
@@ -48,9 +52,9 @@
 //! assert!(sparse_kn.speedup_over(dense_kn) > 1.0);
 //! ```
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use procrustes_sim::{
     evaluate_layer_with, ArchConfig, BalanceMode, CostSummary, Fidelity, LayerCost, LayerTask,
@@ -58,6 +62,7 @@ use procrustes_sim::{
 };
 
 use crate::json::Json;
+use crate::scenario::GeneratorKey;
 
 pub use crate::codec::balance_label;
 pub use crate::scenario::{
@@ -78,9 +83,12 @@ pub struct EngineOpts {
     /// parallelism.
     pub threads: usize,
     /// Memoize per-`(layer, phase, mapping, sparsity, arch, balance,
-    /// fidelity)` costs across scenarios (default on). Results are
-    /// identical either way; memoization only skips re-deriving costs
-    /// for shared layers.
+    /// fidelity)` costs across scenarios, and share one synthesised mask
+    /// set among the scenarios of a call that have the same generator
+    /// (default on). Results are identical either way; with `false`
+    /// every scenario resolves its own workloads and every layer goes
+    /// through the cost model, which is the oracle the memoized paths
+    /// are tested against.
     pub memoize: bool,
 }
 
@@ -100,15 +108,198 @@ impl Default for EngineOpts {
 /// cache hits.
 type CacheKey = (u64, Phase, Mapping, BalanceMode, Fidelity, u64, u64);
 
+/// The part of a [`CacheKey`] that comes from one resolved workload,
+/// plus the label to put back on a hit: all the engine keeps of a mask
+/// set once the call that synthesised it has returned.
+#[derive(Clone)]
+struct LayerKey {
+    name: String,
+    task_fp: u64,
+    sp_fp: u64,
+}
+
+fn layer_keys(workloads: &[(LayerTask, SparsityInfo)]) -> Vec<LayerKey> {
+    workloads
+        .iter()
+        .map(|(task, sp)| LayerKey {
+            name: task.name.clone(),
+            task_fp: task.fingerprint(),
+            sp_fp: sp.fingerprint(),
+        })
+        .collect()
+}
+
+/// The part of a [`CacheKey`] that comes from the scenario rather than
+/// from its workloads: what the cost model varies over one mask set.
+struct EvalPoint<'a> {
+    hw: &'a ArchConfig,
+    arch_fp: u64,
+    mapping: Mapping,
+    balance: BalanceMode,
+    fidelity: Fidelity,
+}
+
+impl<'a> EvalPoint<'a> {
+    fn new(hw: &'a ArchConfig, mapping: Mapping, balance: BalanceMode, fidelity: Fidelity) -> Self {
+        Self {
+            hw,
+            arch_fp: hw.fingerprint(),
+            mapping,
+            balance,
+            fidelity,
+        }
+    }
+
+    fn cache_key(&self, layer: &LayerKey, phase: Phase) -> CacheKey {
+        (
+            layer.task_fp,
+            phase,
+            self.mapping,
+            self.balance,
+            self.fidelity,
+            self.arch_fp,
+            layer.sp_fp,
+        )
+    }
+}
+
+/// A cached cost under the label of the layer that asked for it (the
+/// cache key excludes the label).
+fn relabelled(cached: &LayerCost, name: &str) -> LayerCost {
+    let mut cost = cached.clone();
+    name.clone_into(&mut cost.name);
+    cost
+}
+
+/// Everything an [`Engine`] remembers between calls, under one lock.
+#[derive(Default)]
+struct Memo {
+    /// The layer-cost cache: the single source of every memoized result.
+    costs: HashMap<CacheKey, LayerCost>,
+    /// Per generator, where in `costs` its layers live. Oldest first,
+    /// at most [`Engine::GENERATOR_KEY_CAP`] entries; looked up by
+    /// comparing keys, so a hit is the same generator, not a hash of it.
+    generators: VecDeque<(GeneratorKey, Vec<LayerKey>)>,
+}
+
+#[derive(Default)]
+struct Counters {
+    sets_resolved: AtomicU64,
+    scenarios_assembled: AtomicU64,
+    layer_hits: AtomicU64,
+    layer_misses: AtomicU64,
+    live_sets: AtomicU64,
+    peak_live_sets: AtomicU64,
+}
+
+/// Counts of the work an [`Engine`] has done since it was created (see
+/// [`Engine::memo_stats`]). They count work, not wall-clock: equal
+/// inputs give equal counts on any host, which makes them the oracle
+/// for "the memo did what it claims" where a timing could only suggest
+/// it. All but the three gauges only ever grow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MemoStats {
+    /// Workload sets resolved from their generator: mask sets
+    /// synthesised, the dense baseline's constant vectors included.
+    pub sets_resolved: u64,
+    /// Scenarios whose cost was assembled from the layer-cost cache
+    /// alone, without resolving (or fingerprinting) any workload.
+    pub scenarios_assembled: u64,
+    /// `(layer, phase)` costs served from the layer-cost cache.
+    pub layer_hits: u64,
+    /// `(layer, phase)` costs the cost model had to compute.
+    pub layer_misses: u64,
+    /// Gauge: resolved workload sets alive right now. Zero whenever no
+    /// call is in flight — the engine retains no mask set.
+    pub live_sets: u64,
+    /// The highest `live_sets` has been: at most `threads` per call in
+    /// flight.
+    pub peak_live_sets: u64,
+    /// Gauge: generators the engine can currently assemble without
+    /// resolving; never above [`Engine::GENERATOR_KEY_CAP`].
+    pub generator_keys: u64,
+}
+
+/// One resolved workload set, alive only inside the call that made it:
+/// it borrows the engine's gauge, so no field of [`Engine`] can hold one.
+struct Resolved<'e> {
+    network: &'static str,
+    workloads: Vec<(LayerTask, SparsityInfo)>,
+    keys: Vec<LayerKey>,
+    live_sets: &'e AtomicU64,
+}
+
+impl Drop for Resolved<'_> {
+    fn drop(&mut self) {
+        self.live_sets.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// The scenarios of one [`Engine::run_all`] call that share a generator
+/// (or one scenario on its own, when it has no key).
+struct Group<'e> {
+    key: Option<GeneratorKey>,
+    /// Indices into the call's scenarios, in input order.
+    members: Vec<usize>,
+    /// The next member nobody has taken yet.
+    next: AtomicUsize,
+    state: Mutex<GroupState<'e>>,
+}
+
+struct GroupState<'e> {
+    /// Set by the first member that needs the workloads, under the lock,
+    /// so a worker helping with this group waits for them instead of
+    /// synthesising its own.
+    resolved: Option<Arc<Resolved<'e>>>,
+    /// Members not yet finished; the set is dropped with the last one.
+    remaining: usize,
+}
+
 /// The single evaluator behind every scenario and sweep.
 ///
-/// `Engine` owns a cost cache shared across all `run`/`run_all` calls on
-/// the same instance, so sweeps that revisit a layer under the same
-/// mapping/phase/sparsity (e.g. the dense baseline across batches, or
-/// identical residual blocks within one network) pay for it once.
+/// # Lookup order
+///
+/// A scenario is looked up by what *produces* its workloads before
+/// anything is produced:
+///
+/// 1. **Generator key** — `(network, batch, sparsity generator, compute
+///    backend)`, compared as a value. If the engine has resolved this
+///    generator before, it still knows the layer-cost cache keys of its
+///    layers.
+/// 2. **Layer-cost probe** — with those keys, every `(layer, phase)` of
+///    the scenario is looked up in the layer-cost cache under one lock
+///    acquisition. If all are there, the result is assembled from them:
+///    no mask is synthesised and nothing is fingerprinted.
+/// 3. **Group resolve** — otherwise the workloads are resolved, once per
+///    generator key per [`Engine::run_all`] call: scenarios with equal
+///    keys form a group that shares one set. Each worker thread opens a
+///    group of its own and synthesises for it beside the others; only a
+///    worker that finds no unopened group left joins one that is still
+///    open, and waits if that group's set is being synthesised right
+///    then rather than making a second copy.
+/// 4. **Evaluate** — each `(layer, phase)` is served from the layer-cost
+///    cache or computed by the cost model and added to it.
+///
+/// # What is retained
+///
+/// Between calls the engine keeps the layer-cost cache (unbounded) and,
+/// for the most recent [`Engine::GENERATOR_KEY_CAP`]
+/// generators, the cache keys and names of their layers — a few KB each.
+/// It never keeps a resolved workload set: the ten sets of the Fig 17–20
+/// grid are 92 MiB of per-kernel nonzero counts, more than the whole
+/// process peaks at while evaluating it, so each is dropped when the
+/// last scenario of its group finishes. The layer-cost cache is the only
+/// store of results; the key map only says where to look in it.
+///
+/// The generator key is a value rather than a fingerprint because a
+/// 64-bit collision between two generators would silently return one
+/// network's costs for another; comparing a few words per candidate is
+/// cheaper than that risk. [`SparsityGen::Extracted`] scenarios carry
+/// their content instead of a generator and always take steps 3–4.
 pub struct Engine {
     opts: EngineOpts,
-    cache: Mutex<HashMap<CacheKey, LayerCost>>,
+    memo: Mutex<Memo>,
+    counters: Counters,
 }
 
 impl Default for Engine {
@@ -118,11 +309,17 @@ impl Default for Engine {
 }
 
 impl Engine {
+    /// How many generator keys an engine remembers; the oldest is
+    /// forgotten first. Forgetting one costs its next scenario a
+    /// resolve, nothing else.
+    pub const GENERATOR_KEY_CAP: usize = 64;
+
     /// Creates an engine with explicit options.
     pub fn new(opts: EngineOpts) -> Self {
         Self {
             opts,
-            cache: Mutex::new(HashMap::new()),
+            memo: Mutex::default(),
+            counters: Counters::default(),
         }
     }
 
@@ -144,72 +341,272 @@ impl Engine {
         &self.opts
     }
 
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        self.memo.lock().expect("no panic under the memo lock")
+    }
+
     /// Number of distinct layer×phase costs currently memoized.
     pub fn cached_layer_costs(&self) -> usize {
-        self.cache.lock().unwrap().len()
+        self.memo().costs.len()
+    }
+
+    /// What the memo has done so far; see [`MemoStats`].
+    pub fn memo_stats(&self) -> MemoStats {
+        let c = &self.counters;
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        MemoStats {
+            sets_resolved: load(&c.sets_resolved),
+            scenarios_assembled: load(&c.scenarios_assembled),
+            layer_hits: load(&c.layer_hits),
+            layer_misses: load(&c.layer_misses),
+            live_sets: load(&c.live_sets),
+            peak_live_sets: load(&c.peak_live_sets),
+            generator_keys: self.memo().generators.len() as u64,
+        }
     }
 
     /// Evaluates one scenario.
     pub fn run(&self, scenario: &Scenario) -> Result<EvalResult, ScenarioError> {
-        scenario.validate()?;
-        Ok(self.run_checked(scenario))
+        let mut results = self.run_all(std::slice::from_ref(scenario))?;
+        Ok(results.pop().expect("one result per scenario"))
     }
 
     /// Evaluates every scenario, fanning out across the engine's worker
     /// threads. Results are returned in input order and are identical for
     /// any thread count (the per-layer model is deterministic; threading
     /// only changes scheduling).
+    ///
+    /// Scenarios with equal generator keys are evaluated next to each
+    /// other, whatever their order in `scenarios`, and share one resolved
+    /// workload set (see [`Engine`], "Lookup order"): each distinct mask
+    /// set is synthesised at most once per call, at most `threads` of
+    /// them are alive at any time, and none outlives the call. Work is
+    /// handed out a group per worker first and member by member after, so
+    /// no worker idles while there is a group nobody has opened and the
+    /// time a call takes does not depend on which worker happens to reach
+    /// a group first.
     pub fn run_all(&self, scenarios: &[Scenario]) -> Result<Vec<EvalResult>, ScenarioError> {
         // Validate everything up front so workers cannot fail mid-sweep.
         for s in scenarios {
             s.validate()?;
         }
-        let threads = self.opts.threads.max(1).min(scenarios.len().max(1));
-        if threads <= 1 {
-            return Ok(scenarios.iter().map(|s| self.run_checked(s)).collect());
+        let mut keyed: Vec<(Option<GeneratorKey>, Vec<usize>)> = Vec::new();
+        for (i, scenario) in scenarios.iter().enumerate() {
+            let key = if self.opts.memoize {
+                scenario.generator_key()
+            } else {
+                None
+            };
+            let known = key.as_ref().and_then(|k| {
+                keyed
+                    .iter()
+                    .position(|(other, _)| other.as_ref() == Some(k))
+            });
+            match known {
+                Some(g) => keyed[g].1.push(i),
+                None => keyed.push((key, vec![i])),
+            }
         }
-        let next = AtomicUsize::new(0);
+        let groups: Vec<Group<'_>> = keyed
+            .into_iter()
+            .map(|(key, members)| Group {
+                key,
+                next: AtomicUsize::new(0),
+                state: Mutex::new(GroupState {
+                    resolved: None,
+                    remaining: members.len(),
+                }),
+                members,
+            })
+            .collect();
+
+        let unopened = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<EvalResult>>> =
             scenarios.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= scenarios.len() {
-                        break;
-                    }
-                    let result = self.run_checked(&scenarios[i]);
-                    *slots[i].lock().unwrap() = Some(result);
-                });
+        // A worker opens a group of its own while there is one, so that it
+        // synthesises beside the other workers rather than waiting for
+        // them, and only then takes members of the groups still open. No
+        // group is opened after a worker has started helping, so at most
+        // `threads` are ever open.
+        let work = || {
+            while let Some(group) = groups.get(unopened.fetch_add(1, Ordering::Relaxed)) {
+                self.drain(group, scenarios, &slots);
             }
-        });
+            for group in &groups {
+                self.drain(group, scenarios, &slots);
+            }
+        };
+        let threads = self.opts.threads.max(1).min(scenarios.len().max(1));
+        if threads <= 1 {
+            work();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(work);
+                }
+            });
+        }
         Ok(slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
-                    .unwrap()
-                    .expect("every slot is filled before the scope joins")
+                    .expect("a slot is locked once")
+                    .expect("every slot is filled before the workers return")
             })
             .collect())
     }
 
-    fn run_checked(&self, scenario: &Scenario) -> EvalResult {
-        let net = scenario
-            .resolve_network()
-            .expect("scenario was validated before evaluation");
-        let workloads = scenario.workloads_for(&net);
-        let cost = self.run_workloads(
-            net.name,
+    /// Evaluates the members of `group` nobody has taken yet.
+    fn drain<'e>(
+        &'e self,
+        group: &Group<'e>,
+        scenarios: &[Scenario],
+        slots: &[Mutex<Option<EvalResult>>],
+    ) {
+        while let Some(&i) = group
+            .members
+            .get(group.next.fetch_add(1, Ordering::Relaxed))
+        {
+            let result = self.run_in_group(&scenarios[i], group);
+            *slots[i].lock().expect("a slot is locked once") = Some(result);
+        }
+    }
+
+    /// One validated scenario: assembled from the cache if its generator
+    /// is known and every layer hits, else evaluated over its group's
+    /// workloads.
+    fn run_in_group<'e>(&'e self, scenario: &Scenario, group: &Group<'e>) -> EvalResult {
+        let point = EvalPoint::new(
             &scenario.arch,
             scenario.mapping,
-            &workloads,
             scenario.balance,
             scenario.fidelity,
         );
+        let assembled = group
+            .key
+            .as_ref()
+            .and_then(|key| self.assemble(key, &point));
+        let cost = assembled.unwrap_or_else(|| {
+            let set = self.resolve(scenario, group);
+            self.evaluate(set.network, &point, &set.workloads, &set.keys)
+        });
+        let mut state = group.state.lock().expect("no panic under a group lock");
+        state.remaining -= 1;
+        if state.remaining == 0 {
+            state.resolved = None;
+        }
         EvalResult {
             scenario: scenario.clone(),
             cost,
         }
+    }
+
+    /// Steps 1–2 of the lookup order: the whole network from the
+    /// layer-cost cache, or `None` at the first layer that is not there.
+    fn assemble(&self, generator: &GeneratorKey, point: &EvalPoint<'_>) -> Option<NetworkCost> {
+        let memo = self.memo();
+        let (_, keys) = memo.generators.iter().find(|(k, _)| k == generator)?;
+        let mut layers = Vec::with_capacity(keys.len() * 3);
+        for key in keys {
+            for phase in Phase::ALL {
+                let cached = memo.costs.get(&point.cache_key(key, phase))?;
+                layers.push(relabelled(cached, &key.name));
+            }
+        }
+        drop(memo);
+        let c = &self.counters;
+        c.scenarios_assembled.fetch_add(1, Ordering::Relaxed);
+        c.layer_hits
+            .fetch_add(layers.len() as u64, Ordering::Relaxed);
+        Some(NetworkCost::from_layers(
+            generator.network,
+            point.mapping,
+            layers,
+        ))
+    }
+
+    /// Step 3: the group's workload set, resolved by whichever worker
+    /// gets here first — the one that opened the group, as a rule —
+    /// while a helper arriving meanwhile waits on the group's lock: it
+    /// would otherwise spend the same time synthesising its own copy.
+    fn resolve<'e>(&'e self, scenario: &Scenario, group: &Group<'e>) -> Arc<Resolved<'e>> {
+        let mut state = group.state.lock().expect("no panic under a group lock");
+        if let Some(set) = &state.resolved {
+            return Arc::clone(set);
+        }
+        let net = scenario
+            .resolve_network()
+            .expect("scenario was validated before evaluation");
+        let workloads = scenario.workloads_for(&net);
+        let keys = layer_keys(&workloads);
+        let c = &self.counters;
+        c.sets_resolved.fetch_add(1, Ordering::Relaxed);
+        let live = c.live_sets.fetch_add(1, Ordering::Relaxed) + 1;
+        c.peak_live_sets.fetch_max(live, Ordering::Relaxed);
+        if let Some(key) = &group.key {
+            let mut memo = self.memo();
+            if !memo.generators.iter().any(|(k, _)| k == key) {
+                if memo.generators.len() == Self::GENERATOR_KEY_CAP {
+                    memo.generators.pop_front();
+                }
+                memo.generators.push_back((key.clone(), keys.clone()));
+            }
+        }
+        let set = Arc::new(Resolved {
+            network: net.name,
+            workloads,
+            keys,
+            live_sets: &c.live_sets,
+        });
+        state.resolved = Some(Arc::clone(&set));
+        set
+    }
+
+    /// Step 4, and the only caller of the cost model: every layer × phase
+    /// of `workloads` from the layer-cost cache, or computed and added to
+    /// it. `keys` are `layer_keys(workloads)`.
+    fn evaluate(
+        &self,
+        network: &str,
+        point: &EvalPoint<'_>,
+        workloads: &[(LayerTask, SparsityInfo)],
+        keys: &[LayerKey],
+    ) -> NetworkCost {
+        let mut layers = Vec::with_capacity(workloads.len() * 3);
+        for ((task, sp), key) in workloads.iter().zip(keys) {
+            for phase in Phase::ALL {
+                let compute = || {
+                    evaluate_layer_with(
+                        point.hw,
+                        task,
+                        phase,
+                        point.mapping,
+                        sp,
+                        point.balance,
+                        point.fidelity,
+                    )
+                };
+                let cache_key = self.opts.memoize.then(|| point.cache_key(key, phase));
+                let hit = cache_key.and_then(|k| {
+                    let memo = self.memo();
+                    memo.costs.get(&k).map(|c| relabelled(c, &key.name))
+                });
+                let counter = if hit.is_some() {
+                    &self.counters.layer_hits
+                } else {
+                    &self.counters.layer_misses
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                layers.push(hit.unwrap_or_else(|| {
+                    let fresh = compute();
+                    if let Some(k) = cache_key {
+                        self.memo().costs.insert(k, fresh.clone());
+                    }
+                    fresh
+                }));
+            }
+        }
+        NetworkCost::from_layers(network, point.mapping, layers)
     }
 
     /// The lower-level entry point: evaluates explicit `(task, sparsity)`
@@ -217,6 +614,9 @@ impl Engine {
     /// latency fidelity — e.g. masks extracted from a trained model, or
     /// one mask set under several balancing modes. The tasks carry their
     /// own minibatch dimension and are evaluated exactly as given.
+    ///
+    /// The workloads have no generator the engine could key on, so every
+    /// call fingerprints them to find their layer costs.
     pub fn run_workloads(
         &self,
         network: &str,
@@ -226,43 +626,8 @@ impl Engine {
         balance: BalanceMode,
         fidelity: Fidelity,
     ) -> NetworkCost {
-        let arch_fp = hw.fingerprint();
-        let mut phases = [CostSummary::new(), CostSummary::new(), CostSummary::new()];
-        let mut layers = Vec::with_capacity(workloads.len() * 3);
-        for (task, sp) in workloads {
-            let task_fp = task.fingerprint();
-            let sp_fp = sp.fingerprint();
-            for (pi, phase) in Phase::ALL.into_iter().enumerate() {
-                let cost = if self.opts.memoize {
-                    let key = (task_fp, phase, mapping, balance, fidelity, arch_fp, sp_fp);
-                    let hit = self.cache.lock().unwrap().get(&key).cloned();
-                    match hit {
-                        Some(mut cached) => {
-                            // The cache key excludes the label; restore it.
-                            cached.name.clone_from(&task.name);
-                            cached
-                        }
-                        None => {
-                            let fresh = evaluate_layer_with(
-                                hw, task, phase, mapping, sp, balance, fidelity,
-                            );
-                            self.cache.lock().unwrap().insert(key, fresh.clone());
-                            fresh
-                        }
-                    }
-                } else {
-                    evaluate_layer_with(hw, task, phase, mapping, sp, balance, fidelity)
-                };
-                phases[pi].accumulate(&cost);
-                layers.push(cost);
-            }
-        }
-        NetworkCost {
-            network: network.to_string(),
-            mapping,
-            phases,
-            layers,
-        }
+        let point = EvalPoint::new(hw, mapping, balance, fidelity);
+        self.evaluate(network, &point, workloads, &layer_keys(workloads))
     }
 }
 
@@ -281,6 +646,17 @@ pub struct NetworkCost {
 }
 
 impl NetworkCost {
+    /// Sums `layers` (layer-major, the three phases of each in
+    /// [`Phase::ALL`] order) into their per-phase summaries.
+    fn from_layers(network: &str, mapping: Mapping, layers: Vec<LayerCost>) -> Self {
+        Self {
+            network: network.to_string(),
+            mapping,
+            phases: Phase::ALL.map(|phase| layers.iter().filter(|c| c.phase == phase).collect()),
+            layers,
+        }
+    }
+
     /// The summary of one phase.
     pub fn phase(&self, phase: Phase) -> &CostSummary {
         match phase {

@@ -57,8 +57,8 @@ mod sweep;
 pub use balancer::{BalancedTile, LoadBalancer, Schedule};
 pub use cosim::{CoSim, CoSimRecord};
 pub use engine::{
-    paper_sparsity_factor, resolve_network, Engine, EngineOpts, EvalResult, NetworkCost, Scenario,
-    ScenarioBuilder, ScenarioError, SparsityGen, Sweep, SweepAxes, PAPER_NETWORKS,
+    paper_sparsity_factor, resolve_network, Engine, EngineOpts, EvalResult, MemoStats, NetworkCost,
+    Scenario, ScenarioBuilder, ScenarioError, SparsityGen, Sweep, SweepAxes, PAPER_NETWORKS,
 };
 pub use masks::MaskGenConfig;
 // The execution-backend axis of `Scenario`/`Sweep`; defined next to the

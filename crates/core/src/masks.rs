@@ -239,20 +239,14 @@ pub fn from_model(
                     1,
                     r / 2,
                 );
-                let mut nnz = vec![0u32; k * c];
-                for ki in 0..k {
-                    for ci in 0..c {
-                        let mut count = 0u32;
-                        for ri in 0..r {
-                            for si in 0..sdim {
-                                if p.values.at(&[ki, ci, ri, si]) != 0.0 {
-                                    count += 1;
-                                }
-                            }
-                        }
-                        nnz[ki * c + ci] = count;
-                    }
-                }
+                // Row-major `[k, c, r, s]`: kernel `k·C + c` is one
+                // contiguous run of `r·s` values.
+                let nnz = p
+                    .values
+                    .data()
+                    .chunks_exact(r * sdim)
+                    .map(|kernel| kernel.iter().filter(|&&v| v != 0.0).count() as u32)
+                    .collect();
                 (task, nnz)
             }
             2 => {
@@ -403,5 +397,39 @@ mod tests {
         assert_eq!(task.kernels(), 6);
         assert_eq!(sp.kernel_nnz[2], 0); // kernel (k=1, c=0)
         assert_eq!(sp.kernel_nnz[0], 9);
+    }
+
+    #[test]
+    fn from_model_counts_every_kernel_of_a_ragged_conv() {
+        use procrustes_nn::{Conv2d, Sequential};
+        use procrustes_prng::Xorshift64;
+        let (c, k, r) = (3, 5, 3);
+        let mut model = Sequential::new();
+        model.push(Conv2d::new(c, k, r, 1, 1, false, &mut Xorshift64::new(4)));
+        // Kernel (ki, ci) loses its first `(ki·C + ci) mod 10` taps, so
+        // every count is distinct from its neighbours' in both axes.
+        let zeroed = |ki: usize, ci: usize| (ki * c + ci) % 10;
+        model.visit_params(&mut |p| {
+            if p.kind == ParamKind::Prunable {
+                for ki in 0..k {
+                    for ci in 0..c {
+                        for tap in 0..r * r {
+                            let v = if tap < zeroed(ki, ci) { 0.0 } else { 1.0 };
+                            p.values.set(&[ki, ci, tap / r, tap % r], v);
+                        }
+                    }
+                }
+            }
+        });
+        let wl = from_model(&mut model, 4, 0.5);
+        let (task, sp) = &wl[0];
+        assert_eq!((task.k, task.c), (k, c));
+        sp.validate(task);
+        for ki in 0..k {
+            for ci in 0..c {
+                let expected = (r * r - zeroed(ki, ci)) as u32;
+                assert_eq!(sp.kernel_nnz[ki * c + ci], expected, "kernel ({ki}, {ci})");
+            }
+        }
     }
 }

@@ -36,33 +36,47 @@ fn canon(id: &str) -> String {
         .collect()
 }
 
+/// What the registry knows about one network.
+struct NetworkEntry {
+    /// The paper's name for it, equal to its [`NetworkArch::name`].
+    name: &'static str,
+    /// Constructor of the full-size geometry.
+    geometry: fn() -> NetworkArch,
+    /// Table II weight-sparsity factor.
+    sparsity_factor: f64,
+}
+
+fn registry(id: &str) -> Option<NetworkEntry> {
+    let entry = |name, geometry: fn() -> NetworkArch, sparsity_factor| {
+        Some(NetworkEntry {
+            name,
+            geometry,
+            sparsity_factor,
+        })
+    };
+    match canon(id).as_str() {
+        "vggs" | "vgg" => entry("VGG-S", arch::vgg_s, 5.2),
+        "resnet18" | "resnet" => entry("ResNet18", arch::resnet18, 11.7),
+        "mobilenetv2" | "mobilenet" => entry("MobileNet v2", arch::mobilenet_v2, 10.0),
+        "wrn2810" | "wrn" => entry("WRN-28-10", arch::wrn_28_10, 4.3),
+        "densenet" => entry("DenseNet", arch::densenet, 3.9),
+        _ => None,
+    }
+}
+
 /// Resolves a network id to its full-size geometry.
 ///
 /// Ids are matched case-insensitively, ignoring `-`/`_`/spaces, so
 /// `"VGG-S"`, `"vgg_s"`, and `"vggs"` are equivalent; common short
 /// aliases (`"vgg"`, `"wrn"`, `"mobilenet"`) are accepted.
 pub fn resolve_network(id: &str) -> Option<NetworkArch> {
-    match canon(id).as_str() {
-        "vggs" | "vgg" => Some(arch::vgg_s()),
-        "resnet18" | "resnet" => Some(arch::resnet18()),
-        "mobilenetv2" | "mobilenet" => Some(arch::mobilenet_v2()),
-        "wrn2810" | "wrn" => Some(arch::wrn_28_10()),
-        "densenet" => Some(arch::densenet()),
-        _ => None,
-    }
+    registry(id).map(|entry| (entry.geometry)())
 }
 
 /// The Table II per-network weight-sparsity factor, used by
 /// [`SparsityGen::PaperSynthetic`].
 pub fn paper_sparsity_factor(id: &str) -> Option<f64> {
-    match canon(id).as_str() {
-        "vggs" | "vgg" => Some(5.2),
-        "resnet18" | "resnet" => Some(11.7),
-        "mobilenetv2" | "mobilenet" => Some(10.0),
-        "wrn2810" | "wrn" => Some(4.3),
-        "densenet" => Some(3.9),
-        _ => None,
-    }
+    registry(id).map(|entry| entry.sparsity_factor)
 }
 
 // ---------------------------------------------------------------------------
@@ -280,6 +294,25 @@ pub struct Scenario {
     pub fidelity: Fidelity,
 }
 
+/// What *produces* a scenario's workloads, as opposed to the workloads
+/// themselves: every input [`Scenario::resolve_workloads`] reads. Two
+/// scenarios with equal keys resolve to identical `(task, sparsity)`
+/// lists, so the [`Engine`] synthesises the masks once for both and
+/// finds their layer costs again without synthesising at all.
+///
+/// Compared as a value, field by field — never through a hash of
+/// itself, so two generators cannot alias. (`f64` comparison makes a
+/// NaN parameter equal to nothing, which only costs the sharing.)
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct GeneratorKey {
+    /// The paper's name for the network, so `"VGG-S"` and `"vgg_s"`
+    /// share a key; also the name the resulting cost carries.
+    pub(crate) network: &'static str,
+    batch: usize,
+    compute: ComputeBackend,
+    sparsity: SparsityGen,
+}
+
 impl Scenario {
     /// The default execution backend: [`ComputeBackend::Auto`] with a
     /// threshold of 1, i.e. "whatever the sparsity generator chose" —
@@ -428,6 +461,21 @@ impl Scenario {
     pub fn resolve_workloads(&self) -> Result<Vec<(LayerTask, SparsityInfo)>, ScenarioError> {
         let net = self.resolve_network()?;
         Ok(self.workloads_for(&net))
+    }
+
+    /// The key of this scenario's workload generator, or `None` for
+    /// [`SparsityGen::Extracted`], which carries its workloads itself
+    /// (comparing two such keys would cost what resolving them does).
+    pub(crate) fn generator_key(&self) -> Option<GeneratorKey> {
+        if matches!(self.sparsity, SparsityGen::Extracted(_)) {
+            return None;
+        }
+        Some(GeneratorKey {
+            network: registry(&self.network)?.name,
+            batch: self.batch,
+            compute: self.compute,
+            sparsity: self.sparsity.clone(),
+        })
     }
 
     /// Workload materialization against an already-resolved geometry,

@@ -3,12 +3,14 @@
 use std::path::PathBuf;
 
 use procrustes_core::report::Table;
+use procrustes_core::Engine;
 
-/// Scale and output configuration shared by all experiments.
-#[derive(Debug, Clone)]
+/// Scale and output configuration shared by all experiments, and the
+/// one [`Engine`] behind the accelerator-model sweeps.
 pub struct ExpContext {
     quick: bool,
     out: Option<PathBuf>,
+    engine: Engine,
 }
 
 impl ExpContext {
@@ -17,7 +19,17 @@ impl ExpContext {
         if let Some(dir) = &out {
             std::fs::create_dir_all(dir).expect("create --out directory");
         }
-        Self { quick, out }
+        Self {
+            quick,
+            out,
+            engine: Engine::default(),
+        }
+    }
+
+    /// The engine Figs 17–20 share, so a layer cost one figure computed
+    /// (every dense baseline, for a start) is a cache hit in the next.
+    pub fn engine(&self) -> &Engine {
+        &self.engine
     }
 
     /// Number of training steps for accuracy experiments.

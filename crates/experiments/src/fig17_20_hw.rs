@@ -1,6 +1,6 @@
 //! Figs 17–20: the accelerator-model sweeps over the paper's five
 //! full-size networks, each expressed as one [`Sweep`] declaration fed to
-//! the shared [`Engine`].
+//! the shared engine, [`ExpContext::engine`].
 //!
 //! * Fig 17 — energy breakdown (DRAM/GLB/RF/MAC) under the `K,N`
 //!   dataflow, dense vs sparse, per phase.
@@ -14,9 +14,7 @@
 //! identical to the pre-`Sweep` per-figure loops.
 
 use procrustes_core::report::{fmt_cycles, fmt_joules, Table};
-use procrustes_core::{
-    Engine, EvalResult, MaskGenConfig, Scenario, SparsityGen, Sweep, PAPER_NETWORKS,
-};
+use procrustes_core::{EvalResult, MaskGenConfig, Scenario, SparsityGen, Sweep, PAPER_NETWORKS};
 use procrustes_nn::arch::NetworkArch;
 use procrustes_sim::{ArchConfig, Mapping, Phase};
 
@@ -47,9 +45,7 @@ pub fn run_fig17(ctx: &ExpContext) {
         .sparsities([SparsityGen::Dense, SparsityGen::PaperSynthetic { seed: 1 }])
         .build()
         .expect("fig17 sweep is valid");
-    let results = Engine::default()
-        .run_all(&scenarios)
-        .expect("fig17 sweep runs");
+    let results = ctx.engine().run_all(&scenarios).expect("fig17 sweep runs");
 
     let mut t = Table::new(
         "Fig 17 — energy breakdown, K,N dataflow (per phase, dense vs sparse)",
@@ -96,9 +92,7 @@ pub fn run_fig18(ctx: &ExpContext) {
         .sparsities([SparsityGen::Dense, SparsityGen::PaperSynthetic { seed: 2 }])
         .build()
         .expect("fig18 sweep is valid");
-    let results = Engine::default()
-        .run_all(&scenarios)
-        .expect("fig18 sweep runs");
+    let results = ctx.engine().run_all(&scenarios).expect("fig18 sweep runs");
 
     let mut t = Table::new(
         "Fig 18 — energy across dataflows (total per mapping, dense vs sparse)",
@@ -136,9 +130,7 @@ pub fn run_fig19(ctx: &ExpContext) {
         .sparsities([SparsityGen::Dense, SparsityGen::PaperSynthetic { seed: 3 }])
         .build()
         .expect("fig19 sweep is valid");
-    let results = Engine::default()
-        .run_all(&scenarios)
-        .expect("fig19 sweep runs");
+    let results = ctx.engine().run_all(&scenarios).expect("fig19 sweep runs");
 
     let mut t = Table::new(
         "Fig 19 — training latency across dataflows (cycles per iteration)",
@@ -192,9 +184,7 @@ pub fn run_fig20(ctx: &ExpContext) {
         .sparsities([SparsityGen::PaperSynthetic { seed: 4 }])
         .build()
         .expect("fig20 sweep is valid");
-    let results = Engine::default()
-        .run_all(&scenarios)
-        .expect("fig20 sweep runs");
+    let results = ctx.engine().run_all(&scenarios).expect("fig20 sweep runs");
 
     let mut t = Table::new(
         "Fig 20 — scalability: 16x16 vs 32x32 PEs (sparse, per mapping)",
