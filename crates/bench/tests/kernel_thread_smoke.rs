@@ -15,7 +15,7 @@
 
 use procrustes_bench::best_of as time;
 use procrustes_prng::Xorshift64;
-use procrustes_tensor::kernel::{self, Blueprint, Tier};
+use procrustes_tensor::kernel::{self, Blueprint};
 use procrustes_tensor::{Scratch, Tensor};
 
 #[test]
@@ -40,9 +40,8 @@ fn threaded_tier_beats_serial_by_1_5x_on_pinned_shapes() {
         // threaded tier on these shapes, with the worker count visible
         // for the BENCH records.
         let (plan, source) = kernel::explain(&wide_bp);
-        assert_eq!(
-            plan.tier(),
-            Tier::Threaded,
+        assert!(
+            plan.workers > 1,
             "{m}x{k}x{n} at budget 4 must resolve threaded, got {} ({source})",
             plan.describe()
         );

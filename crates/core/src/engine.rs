@@ -14,8 +14,9 @@
 //! * [`Sweep`] — a cartesian-product builder that expands axis lists into
 //!   `Vec<Scenario>` in a documented deterministic order;
 //! * [`Engine`] — the single evaluator: [`Engine::run`] for one scenario,
-//!   [`Engine::run_all`] for a sweep, executed across a scoped thread
-//!   pool with per-`(layer, phase, mapping, sparsity)` cost memoization
+//!   [`Engine::run_all`] for a sweep, executed across the workspace's
+//!   worker pool ([`procrustes_tensor::pool`]) with
+//!   per-`(layer, phase, mapping, sparsity)` cost memoization
 //!   so layers shared between scenarios are costed once, found through
 //!   the scenario's mask *generator* so a known scenario synthesises
 //!   nothing and a sweep synthesises each mask set once;
@@ -60,6 +61,7 @@ use procrustes_sim::{
     evaluate_layer_with, ArchConfig, BalanceMode, CostSummary, Fidelity, LayerCost, LayerTask,
     Mapping, Phase, SparsityInfo,
 };
+use procrustes_tensor::{pool, Scratch};
 
 use crate::json::Json;
 use crate::scenario::GeneratorKey;
@@ -78,9 +80,19 @@ pub use crate::sweep::{Sweep, SweepAxes};
 /// Tuning knobs for [`Engine`].
 #[derive(Debug, Clone)]
 pub struct EngineOpts {
-    /// Worker threads for [`Engine::run_all`] (clamped to the scenario
-    /// count; `1` means serial). Defaults to the machine's available
-    /// parallelism.
+    /// Workers for [`Engine::run_all`] (clamped to the scenario count,
+    /// not otherwise: sixteen means sixteen). Defaults to the machine's
+    /// available parallelism.
+    ///
+    /// The workers are the indices of one [`pool::run`] job: the calling
+    /// thread plus `threads - 1` long-lived pool threads, which the
+    /// threaded GEMM tier shares. `1` runs on the calling thread alone
+    /// and never touches the pool. The pool has one job in flight, so a
+    /// `run_all` that arrives while another thread's `run_all` or GEMM
+    /// is dispatched waits its turn; one called from inside a pool job
+    /// runs all its workers inline on the calling thread. A panic in
+    /// any worker is re-raised on the caller once every worker has
+    /// stopped, and the pool stays usable.
     pub threads: usize,
     /// Memoize per-`(layer, phase, mapping, sparsity, arch, balance,
     /// fidelity)` costs across scenarios, and share one synthesised mask
@@ -437,15 +449,7 @@ impl Engine {
             }
         };
         let threads = self.opts.threads.max(1).min(scenarios.len().max(1));
-        if threads <= 1 {
-            work();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(work);
-                }
-            });
-        }
+        pool::run(threads, &mut Scratch::new(), &|_, _| work());
         Ok(slots
             .into_iter()
             .map(|slot| {

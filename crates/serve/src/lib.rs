@@ -96,7 +96,12 @@
 //! replica store (and writes it through to its disk cache, if any) and
 //! answers with one `stored` line. Clients normally never send `store`,
 //! but it is ordinary protocol surface: hand-written lines are parsed
-//! with the same unknown-field strictness as everything else.
+//! with the same unknown-field strictness as everything else, and any
+//! TCP client can write one. A daemon that is not part of a cluster
+//! therefore refuses every `store`, and a ring member refuses one whose
+//! `fp` is not the fingerprint of the valid `scenario` inside `result`;
+//! both get an `error` line and count in `parse_errors`, not in
+//! `replica_writes`.
 //!
 //! `Scenario`, `Sweep`, and `SearchSpec` are the documents produced by
 //! [`Scenario::to_json`], [`Sweep::to_json`], and

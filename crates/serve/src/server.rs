@@ -10,6 +10,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use procrustes_core::json::Json;
 use procrustes_core::{Engine, Scenario};
 use procrustes_quantile::Dumique;
 use procrustes_search::{run_search, EvalBackend, SearchSpec};
@@ -761,6 +762,35 @@ fn read_request_line(
     }
 }
 
+/// Whether a `store` may install `doc` under `fingerprint`. Any TCP
+/// client can send one, so the pair is taken on trust only as far as it
+/// can be checked: a daemon outside a ring has no primary to replicate
+/// from and refuses every `store`, and a ring member refuses a document
+/// that is not addressed by the fingerprint of its own scenario — the
+/// key a later `eval` of that scenario will look up.
+fn admit_store(fingerprint: u64, doc: &str, clustered: bool) -> Result<(), String> {
+    if !clustered {
+        return Err("store refused: this daemon is not part of a cluster".into());
+    }
+    let v = Json::parse(doc).map_err(|e| format!("store refused: {e}"))?;
+    let scenario = v
+        .get("scenario")
+        .ok_or("store refused: result has no 'scenario' member")?;
+    let scenario =
+        Scenario::from_json_value(scenario).map_err(|e| format!("store refused: {e}"))?;
+    scenario
+        .validate()
+        .map_err(|e| format!("store refused: {e}"))?;
+    let actual = scenario.fingerprint();
+    if actual != fingerprint {
+        return Err(format!(
+            "store refused: fp {fingerprint:016x} is not the fingerprint of the result's \
+             scenario ({actual:016x})"
+        ));
+    }
+    Ok(())
+}
+
 /// Skips the remainder of an oversized line without buffering it,
 /// resynchronizing the stream on the next newline. Returns `false` when
 /// the stream ended (or the daemon stopped) before a newline arrived.
@@ -863,6 +893,13 @@ fn handle_connection(stream: TcpStream, router: &Router, shared: &Shared) -> io:
                 }
             },
             Request::Store { fingerprint, doc } => {
+                if let Err(error) = admit_store(fingerprint, &doc, router.cluster.is_some()) {
+                    if let Ok(mut metrics) = shared.metrics.lock() {
+                        metrics.parse_errors += 1;
+                    }
+                    write_line(&mut writer, shared, &Response::Error { error })?;
+                    continue;
+                }
                 shared.stats.replica_writes.fetch_add(1, Ordering::Relaxed);
                 shared
                     .replica_store

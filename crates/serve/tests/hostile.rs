@@ -8,8 +8,8 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
-use procrustes_core::{Scenario, Sweep};
-use procrustes_serve::{Client, ClientError, Response, ServeConfig};
+use procrustes_core::{Engine, Scenario, Sweep};
+use procrustes_serve::{Client, ClientError, Request, Response, Route, ServeConfig, Source};
 
 fn hostile_config() -> ServeConfig {
     ServeConfig {
@@ -154,4 +154,106 @@ fn oversized_line_is_discarded_with_an_error_and_the_stream_resyncs() {
     let mut client = Client::connect(addr).unwrap();
     client.shutdown().unwrap();
     server.join().unwrap().unwrap();
+}
+
+/// Sends one `store` and returns the refusal it must get.
+fn refused_store(client: &mut Client, fingerprint: u64, doc: &str) -> String {
+    let forged = Request::Store {
+        fingerprint,
+        doc: doc.to_string(),
+    };
+    client.send_raw(&forged.to_json()).unwrap();
+    match client.read_response().unwrap() {
+        Response::Error { error } => error,
+        other => panic!("a forged store must be refused, got {}", other.to_json()),
+    }
+}
+
+/// `eval` pinned to the receiving node, so the answer says what that
+/// node's own stores hold.
+fn eval_local(client: &mut Client, scenario: &Scenario) -> (Source, String) {
+    let request = Request::Eval {
+        scenario: Box::new(scenario.clone()),
+        route: Route::Local,
+    };
+    client.send_raw(&request.to_json()).unwrap();
+    match client.read_response().unwrap() {
+        Response::Result { source, doc, .. } => (source, doc),
+        other => panic!("expected a result line, got {}", other.to_json()),
+    }
+}
+
+#[test]
+fn a_plain_daemon_refuses_every_store() {
+    let (addr, server) = common::start(hostile_config());
+    let mut client = Client::connect(addr).unwrap();
+    let scenario = Scenario::builder("VGG-S").build().unwrap();
+    // Even a perfectly honest pair: there is no primary to have sent it.
+    let honest = Engine::serial().run(&scenario).unwrap().to_json();
+    let error = refused_store(&mut client, scenario.fingerprint(), &honest);
+    assert!(error.contains("not part of a cluster"), "{error}");
+    let forged = honest.replacen("\"cycles\":", "\"cycles\":1", 1);
+    assert_ne!(forged, honest);
+    refused_store(&mut client, scenario.fingerprint(), &forged);
+
+    let metrics = client.metrics().unwrap();
+    assert_eq!(metrics.replica_writes, 0);
+    assert_eq!(metrics.parse_errors, 2);
+    // Nothing was installed: the scenario is computed, to the real bytes.
+    let served = client.eval(&scenario).unwrap();
+    assert_eq!(served.source, Source::Computed);
+    assert_eq!(served.doc, honest);
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn a_ring_member_refuses_a_store_under_another_scenarios_fingerprint() {
+    let (addrs, handles) = common::start_cluster(vec![hostile_config(); 2], &[]);
+    let mut client = Client::connect(addrs[0]).unwrap();
+    let victim = Scenario::builder("VGG-S").batch(4).build().unwrap();
+    let other = Scenario::builder("VGG-S").batch(8).build().unwrap();
+    let other_doc = Engine::serial().run(&other).unwrap().to_json();
+
+    // A genuine document, addressed by the fingerprint of a scenario it
+    // does not describe: accepted, it would answer the victim's `eval`.
+    let error = refused_store(&mut client, victim.fingerprint(), &other_doc);
+    assert!(error.contains("not the fingerprint"), "{error}");
+    // No scenario to check the key against, or not a valid one.
+    refused_store(&mut client, victim.fingerprint(), r#"{"totals":{}}"#);
+    let invalid = other_doc.replacen("\"batch\":8", "\"batch\":0", 1);
+    assert_ne!(invalid, other_doc);
+    refused_store(&mut client, victim.fingerprint(), &invalid);
+    let metrics = client.metrics().unwrap();
+    assert_eq!(metrics.replica_writes, 0);
+    assert_eq!(metrics.parse_errors, 3);
+
+    let (source, doc) = eval_local(&mut client, &victim);
+    assert_eq!(source, Source::Computed, "nothing forged was installed");
+    assert_eq!(doc, Engine::serial().run(&victim).unwrap().to_json());
+
+    // The honest pair is what replication sends, and is still accepted:
+    // the next local `eval` of it is served from the replica store.
+    client
+        .send_raw(
+            &Request::Store {
+                fingerprint: other.fingerprint(),
+                doc: other_doc.clone(),
+            }
+            .to_json(),
+        )
+        .unwrap();
+    assert!(matches!(client.read_response().unwrap(), Response::Stored));
+    assert_eq!(client.metrics().unwrap().replica_writes, 1);
+    assert_eq!(
+        eval_local(&mut client, &other),
+        (Source::Replica, other_doc)
+    );
+
+    for &addr in &addrs {
+        Client::connect(addr).unwrap().shutdown().unwrap();
+    }
+    for handle in handles {
+        handle.join().unwrap().unwrap();
+    }
 }

@@ -13,9 +13,9 @@
 //!   ranked at call time by the deterministic cost model.
 //! - [`autotune`] — that cost model, and the pinned shapes the
 //!   `kernel_autotune` bin measures it against.
-//! - [`thread`] — the threaded tier: a long-lived worker pool that
-//!   splits one product's *output* (j-panels, or m-tiles for wide-m /
-//!   narrow-n shapes) across workers. Chosen by the same cost model;
+//! - [`thread`] — the threaded tier: splits one product's *output*
+//!   (j-panels, or m-tiles for wide-m / narrow-n shapes) across the
+//!   workers of [`crate::pool`]. Chosen by the same cost model;
 //!   bitwise-identical to the serial tier at every worker count.
 //!
 //! [`gemm`] is the one entry point every caller uses.
@@ -63,7 +63,7 @@ pub mod selector;
 pub mod thread;
 
 pub use blueprint::{Blueprint, Op};
-pub use routine::{Routine, Tier};
+pub use routine::Routine;
 pub use selector::{explain, select, Plan};
 pub use thread::default_threads;
 

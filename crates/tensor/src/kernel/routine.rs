@@ -31,32 +31,10 @@
 //! finite data, and what the CSB kernels do by construction).
 
 use super::blueprint::{Blueprint, Op};
+use super::thread::{chunk, MAX_WORKERS};
 use crate::scratch::Scratch;
-
-/// Whether a plan runs on the calling thread alone or fans the output
-/// across the kernel worker pool (see [`super::thread`]).
-///
-/// The tier never changes a result byte — each output element's `k`
-/// reduction stays strictly sequential on one worker — so the selector
-/// may flip a shape between tiers freely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Tier {
-    /// The whole product runs on the calling thread.
-    Serial,
-    /// The output is split into per-worker j-panels (or m-tiles) and
-    /// dispatched to the long-lived worker pool.
-    Threaded,
-}
-
-impl Tier {
-    /// Short lowercase tag (`serial` | `threaded`) for reports.
-    pub fn tag(self) -> &'static str {
-        match self {
-            Tier::Serial => "serial",
-            Tier::Threaded => "threaded",
-        }
-    }
-}
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 
 /// A concrete kernel choice: strategy plus blocking parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -138,9 +116,9 @@ impl Routine {
 ///
 /// The serial tier always runs the full slab; the threaded tier (see
 /// [`super::thread`]) hands each worker a disjoint slab. Every kernel
-/// below touches only the `dst` elements inside its slab and reduces
-/// each of them in ascending `p` exactly as the full-problem loop
-/// would, so slab boundaries never perturb a result bit.
+/// below reaches `dst` only through its [`SlabMut`] and reduces each
+/// element in ascending `p` exactly as the full-problem loop would, so
+/// slab boundaries never perturb a result bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Slab {
     pub(crate) i0: usize,
@@ -157,6 +135,149 @@ impl Slab {
             i1: bp.m,
             j0: 0,
             j1: bp.n,
+        }
+    }
+
+    fn overlaps(&self, other: &Slab) -> bool {
+        self.i0 < other.i1 && other.i0 < self.i1 && self.j0 < other.j1 && other.j0 < self.j1
+    }
+}
+
+/// One worker's exclusive view of its [`Slab`] of a row-major `[m, n]`
+/// destination: the only way a kernel touches `dst`.
+///
+/// A view never yields a reference to the destination as a whole, only
+/// [`row`](Self::row) segments inside its slab, so the workers of one
+/// product — each holding the view of a disjoint slab, see
+/// [`SlabDeal`] — never hold references to the same element, and a
+/// kernel that strays outside its slab panics instead of racing.
+pub(crate) struct SlabMut<'a> {
+    /// Element `[0, 0]` of the destination.
+    base: *mut f32,
+    /// Row pitch of the destination.
+    n: usize,
+    slab: Slab,
+    dst: PhantomData<&'a mut [f32]>,
+}
+
+impl<'a> SlabMut<'a> {
+    /// The view of the whole of `dst` — what the serial tier runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is not `bp.m * bp.n` long.
+    pub(crate) fn full(bp: &Blueprint, dst: &'a mut [f32]) -> Self {
+        assert_eq!(dst.len(), bp.m * bp.n, "kernel: dst length != m*n");
+        Self {
+            base: dst.as_mut_ptr(),
+            n: bp.n,
+            slab: Slab::full(bp),
+            dst: PhantomData,
+        }
+    }
+
+    /// The region this view covers.
+    pub(crate) fn slab(&self) -> Slab {
+        self.slab
+    }
+
+    /// Columns `j..j + w` of row `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment does not lie inside the slab.
+    #[inline(always)]
+    #[allow(unsafe_code)]
+    pub(crate) fn row(&mut self, i: usize, j: usize, w: usize) -> &mut [f32] {
+        let s = &self.slab;
+        assert!(
+            s.i0 <= i && i < s.i1 && s.j0 <= j && j <= s.j1 && w <= s.j1 - j,
+            "kernel: row segment outside the slab"
+        );
+        // SAFETY: `base` comes from a `&'a mut [f32]` of `m * n`
+        // elements that nothing else can use during `'a` (the view, or
+        // the deal it was claimed from, holds that borrow), and both
+        // constructors check that the slab lies inside `[m, n]`; with
+        // the assert above the segment is therefore in bounds. No other
+        // reference covers it: segments of this view borrow `self`
+        // mutably, and any other view of the same destination covers a
+        // slab disjoint from this one (`SlabDeal::new` asserts it and
+        // `claim` hands each slab out once).
+        unsafe { std::slice::from_raw_parts_mut(self.base.add(i * self.n + j), w) }
+    }
+}
+
+/// Deals the destination of one threaded product out to its workers:
+/// worker `idx` [`claim`](Self::claim)s the view of
+/// [`chunk`]`(bp, workers, idx)`, once.
+///
+/// Holds the caller's `&mut [f32]` for as long as any view lives, keeps
+/// its base pointer in an atomic so that workers can share `&SlabDeal`,
+/// and checks what [`SlabMut::row`] relies on — the chunks lie inside
+/// the destination and are pairwise disjoint — itself, at construction,
+/// rather than trusting the geometry code.
+pub(crate) struct SlabDeal<'a> {
+    base: AtomicPtr<f32>,
+    n: usize,
+    workers: usize,
+    slabs: [Slab; MAX_WORKERS],
+    /// Bit `idx` is set once worker `idx` has claimed its view.
+    claimed: AtomicU32,
+    dst: PhantomData<&'a mut [f32]>,
+}
+
+impl<'a> SlabDeal<'a> {
+    /// Cuts `dst` into the `workers` chunks of `bp`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst` is not `bp.m * bp.n` long, if `workers` is not in
+    /// `1..=MAX_WORKERS`, or if the chunks leave the destination or
+    /// overlap (a bug in `chunk`).
+    pub(crate) fn new(bp: &Blueprint, workers: usize, dst: &'a mut [f32]) -> Self {
+        assert_eq!(dst.len(), bp.m * bp.n, "kernel: dst length != m*n");
+        assert!((1..=MAX_WORKERS).contains(&workers));
+        let mut slabs = [Slab::full(bp); MAX_WORKERS];
+        for idx in 0..workers {
+            let slab = chunk(bp, workers, idx);
+            assert!(
+                slab.i0 <= slab.i1 && slab.i1 <= bp.m && slab.j0 <= slab.j1 && slab.j1 <= bp.n,
+                "kernel: chunk {idx} leaves the output"
+            );
+            assert!(
+                slabs[..idx].iter().all(|other| !slab.overlaps(other)),
+                "kernel: chunk {idx} overlaps another"
+            );
+            slabs[idx] = slab;
+        }
+        Self {
+            base: AtomicPtr::new(dst.as_mut_ptr()),
+            n: bp.n,
+            workers,
+            slabs,
+            claimed: AtomicU32::new(0),
+            dst: PhantomData,
+        }
+    }
+
+    /// Worker `idx`'s view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not a worker of this deal or has claimed
+    /// already.
+    pub(crate) fn claim(&self, idx: usize) -> SlabMut<'_> {
+        assert!(idx < self.workers, "kernel: no worker {idx}");
+        // Relaxed is enough on both atomics: the read-modify-write lets
+        // one claimant per bit through whatever the ordering, and `base`
+        // is written once, before the deal can be shared.
+        let before = self.claimed.fetch_or(1 << idx, Ordering::Relaxed);
+        assert!(before & (1 << idx) == 0, "kernel: slab {idx} claimed twice");
+        SlabMut {
+            base: self.base.load(Ordering::Relaxed),
+            n: self.n,
+            slab: self.slabs[idx],
+            dst: PhantomData,
         }
     }
 }
@@ -180,50 +301,52 @@ pub fn execute(
     rhs: &[f32],
     scratch: &mut Scratch,
 ) {
-    execute_slab(routine, bp, dst, lhs, rhs, scratch, Slab::full(bp));
+    execute_slab(routine, bp, SlabMut::full(bp, dst), lhs, rhs, scratch);
 }
 
 /// [`execute`] restricted to one output slab — the worker-side entry
-/// point of the threaded tier. The full slab reproduces `execute`
-/// exactly; a partial slab writes only its own `dst` region.
+/// point of the threaded tier. The full view reproduces `execute`
+/// exactly; a partial one writes only its own region of the
+/// destination.
 pub(crate) fn execute_slab(
     routine: Routine,
     bp: &Blueprint,
-    dst: &mut [f32],
+    mut dst: SlabMut<'_>,
     lhs: &[f32],
     rhs: &[f32],
     scratch: &mut Scratch,
-    slab: Slab,
 ) {
     assert_eq!(lhs.len(), bp.lhs_len(), "kernel: lhs length != m*k");
     assert_eq!(rhs.len(), bp.rhs_len(), "kernel: rhs length != k*n");
-    assert_eq!(dst.len(), bp.m * bp.n, "kernel: dst length != m*n");
     assert!(
         routine.supports(bp),
         "kernel: routine {} cannot serve op={}",
         routine.describe(),
         bp.op.tag()
     );
+    let slab = dst.slab();
     debug_assert!(
-        slab.i1 <= bp.m && slab.j1 <= bp.n,
-        "kernel: slab exceeds output"
+        dst.n == bp.n && slab.i1 <= bp.m && slab.j1 <= bp.n,
+        "kernel: view of another output"
     );
+    let dst = &mut dst;
     match routine {
-        Routine::RowStream => row_stream(dst, lhs, rhs, bp.k, bp.n, slab),
-        Routine::NtRegTile => nt_reg_tile(dst, lhs, rhs, bp.k, bp.n, slab),
+        Routine::RowStream => row_stream(dst, lhs, rhs, bp.k, bp.n),
+        Routine::NtRegTile => nt_reg_tile(dst, lhs, rhs, bp.k),
         Routine::Packed { mr, nr, kc } => {
-            dispatch_packed(mr, nr, kc as usize, false, bp, dst, lhs, rhs, scratch, slab)
+            dispatch_packed(mr, nr, kc as usize, false, bp, dst, lhs, rhs, scratch)
         }
         Routine::PackedLhs { mr, nr, kc } => {
-            dispatch_packed(mr, nr, kc as usize, true, bp, dst, lhs, rhs, scratch, slab)
+            dispatch_packed(mr, nr, kc as usize, true, bp, dst, lhs, rhs, scratch)
         }
     }
 }
 
-/// Zeroes exactly the slab's `dst` region (the `k == 0` product).
-fn zero_slab(dst: &mut [f32], n: usize, slab: Slab) {
+/// Zeroes exactly the view's region (the `k == 0` product).
+fn zero_slab(dst: &mut SlabMut<'_>) {
+    let slab = dst.slab();
     for i in slab.i0..slab.i1 {
-        dst[i * n + slab.j0..i * n + slab.j1].fill(0.0);
+        dst.row(i, slab.j0, slab.j1 - slab.j0).fill(0.0);
     }
 }
 
@@ -237,18 +360,17 @@ fn dispatch_packed(
     kc: usize,
     pack_lhs: bool,
     bp: &Blueprint,
-    dst: &mut [f32],
+    dst: &mut SlabMut<'_>,
     lhs: &[f32],
     rhs: &[f32],
     scratch: &mut Scratch,
-    slab: Slab,
 ) {
     macro_rules! go {
         ($mr:literal, $nr:literal) => {
             if pack_lhs {
-                run_packed_lhs::<$mr, $nr>(dst, lhs, rhs, bp, kc, scratch, slab)
+                run_packed_lhs::<$mr, $nr>(dst, lhs, rhs, bp, kc, scratch)
             } else {
-                run_packed::<$mr, $nr>(dst, lhs, rhs, bp, kc, scratch, slab)
+                run_packed::<$mr, $nr>(dst, lhs, rhs, bp, kc, scratch)
             }
         };
     }
@@ -268,19 +390,19 @@ fn dispatch_packed(
 /// (never reading stale `dst`), later blocks reload and continue, so
 /// each output element sees its terms in ascending `p` exactly once.
 fn run_packed<const MR: usize, const NR: usize>(
-    dst: &mut [f32],
+    dst: &mut SlabMut<'_>,
     lhs: &[f32],
     rhs: &[f32],
     bp: &Blueprint,
     kc_blk: usize,
     scratch: &mut Scratch,
-    slab: Slab,
 ) {
     let (m, k, n) = (bp.m, bp.k, bp.n);
     if k == 0 {
-        zero_slab(dst, n, slab);
+        zero_slab(dst);
         return;
     }
+    let slab = dst.slab();
     // Lhs element (row, p) lives at row*rs + p*cs: row-major [m, k] for
     // Nn/Nt, column-walked [k, m] for Tn (the untransposed view).
     let (rs, cs) = match bp.op {
@@ -308,11 +430,11 @@ fn run_packed<const MR: usize, const NR: usize>(
             let first = k0 == 0;
             let mut i = slab.i0;
             while i + MR <= slab.i1 {
-                tile::<MR, NR>(dst, lhs, rs, cs, i, j, jw, n, k0, kc, panel, first);
+                tile::<MR, NR>(dst, lhs, rs, cs, i, j, jw, k0, kc, panel, first);
                 i += MR;
             }
             while i < slab.i1 {
-                tile::<1, NR>(dst, lhs, rs, cs, i, j, jw, n, k0, kc, panel, first);
+                tile::<1, NR>(dst, lhs, rs, cs, i, j, jw, k0, kc, panel, first);
                 i += 1;
             }
             k0 += kc;
@@ -329,14 +451,13 @@ fn run_packed<const MR: usize, const NR: usize>(
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn tile<const MR: usize, const NR: usize>(
-    dst: &mut [f32],
+    dst: &mut SlabMut<'_>,
     lhs: &[f32],
     rs: usize,
     cs: usize,
     i: usize,
     j: usize,
     jw: usize,
-    n: usize,
     k0: usize,
     kc: usize,
     panel: &[f32],
@@ -345,12 +466,12 @@ fn tile<const MR: usize, const NR: usize>(
     let mut acc = [[0.0f32; NR]; MR];
     if !first {
         for (mi, accm) in acc.iter_mut().enumerate() {
-            accm[..jw].copy_from_slice(&dst[(i + mi) * n + j..(i + mi) * n + j + jw]);
+            accm[..jw].copy_from_slice(dst.row(i + mi, j, jw));
         }
     }
     micro::<MR, NR>(&mut acc, lhs, rs, cs, i, k0, kc, panel);
     for (mi, accm) in acc.iter().enumerate() {
-        dst[(i + mi) * n + j..(i + mi) * n + j + jw].copy_from_slice(&accm[..jw]);
+        dst.row(i + mi, j, jw).copy_from_slice(&accm[..jw]);
     }
 }
 
@@ -398,20 +519,20 @@ fn micro<const MR: usize, const NR: usize>(
 /// between blocks — so results are bitwise-identical to
 /// [`Routine::Packed`].
 fn run_packed_lhs<const MR: usize, const NR: usize>(
-    dst: &mut [f32],
+    dst: &mut SlabMut<'_>,
     lhs: &[f32],
     rhs: &[f32],
     bp: &Blueprint,
     kc_blk: usize,
     scratch: &mut Scratch,
-    slab: Slab,
 ) {
     debug_assert_eq!(bp.op, Op::Tn);
     let (m, k, n) = (bp.m, bp.k, bp.n);
     if k == 0 {
-        zero_slab(dst, n, slab);
+        zero_slab(dst);
         return;
     }
+    let slab = dst.slab();
     let kc_blk = kc_blk.min(k).max(1);
     // Only this slab's rows are packed: tile t covers rows
     // slab.i0 + t*MR .. + MR, so per-worker pack cost scales with the
@@ -446,11 +567,11 @@ fn run_packed_lhs<const MR: usize, const NR: usize>(
             let first = k0 == 0;
             for t in 0..tiles {
                 let apanel = &apack[(kb * tiles + t) * kc_blk * MR..][..kc * MR];
-                tile_lhs::<MR, NR>(dst, apanel, slab.i0 + t * MR, j, jw, n, kc, panel, first);
+                tile_lhs::<MR, NR>(dst, apanel, slab.i0 + t * MR, j, jw, kc, panel, first);
             }
             let mut i = slab.i0 + tiles * MR;
             while i < slab.i1 {
-                tile::<1, NR>(dst, lhs, 1, m, i, j, jw, n, k0, kc, panel, first);
+                tile::<1, NR>(dst, lhs, 1, m, i, j, jw, k0, kc, panel, first);
                 i += 1;
             }
             k0 += kc;
@@ -470,12 +591,11 @@ fn run_packed_lhs<const MR: usize, const NR: usize>(
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn tile_lhs<const MR: usize, const NR: usize>(
-    dst: &mut [f32],
+    dst: &mut SlabMut<'_>,
     apanel: &[f32],
     i: usize,
     j: usize,
     jw: usize,
-    n: usize,
     kc: usize,
     panel: &[f32],
     first: bool,
@@ -483,7 +603,7 @@ fn tile_lhs<const MR: usize, const NR: usize>(
     let mut acc = [[0.0f32; NR]; MR];
     if !first {
         for (mi, accm) in acc.iter_mut().enumerate() {
-            accm[..jw].copy_from_slice(&dst[(i + mi) * n + j..(i + mi) * n + j + jw]);
+            accm[..jw].copy_from_slice(dst.row(i + mi, j, jw));
         }
     }
     for p in 0..kc {
@@ -499,7 +619,7 @@ fn tile_lhs<const MR: usize, const NR: usize>(
         }
     }
     for (mi, accm) in acc.iter().enumerate() {
-        dst[(i + mi) * n + j..(i + mi) * n + j + jw].copy_from_slice(&accm[..jw]);
+        dst.row(i + mi, j, jw).copy_from_slice(&accm[..jw]);
     }
 }
 
@@ -549,10 +669,11 @@ fn pack_rhs_t<const NR: usize>(
 }
 
 /// Seed panelled-ikj kernel: `Nn`, lhs zero-skip, accumulates in `dst` memory.
-fn row_stream(dst: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize, slab: Slab) {
+fn row_stream(dst: &mut SlabMut<'_>, a: &[f32], b: &[f32], k: usize, n: usize) {
     const NB: usize = 256;
     const MR: usize = 4;
-    zero_slab(dst, n, slab);
+    zero_slab(dst);
+    let slab = dst.slab();
     let mut j = slab.j0;
     while j < slab.j1 {
         let jw = NB.min(slab.j1 - j);
@@ -564,8 +685,7 @@ fn row_stream(dst: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize, slab: S
                 for mi in 0..mr {
                     let av = a[(i + mi) * k + p];
                     if av != 0.0 {
-                        let orow = &mut dst[(i + mi) * n + j..(i + mi) * n + j + jw];
-                        for (o, &bv) in orow.iter_mut().zip(brow) {
+                        for (o, &bv) in dst.row(i + mi, j, jw).iter_mut().zip(brow) {
                             *o += av * bv;
                         }
                     }
@@ -579,9 +699,10 @@ fn row_stream(dst: &mut [f32], a: &[f32], b: &[f32], k: usize, n: usize, slab: S
 
 /// Seed 4×8 register-tile kernel for `Nt` (`bt: [n, k]`): both operands
 /// walked along contiguous rows, lhs zero-skip.
-fn nt_reg_tile(dst: &mut [f32], a: &[f32], bt: &[f32], k: usize, n: usize, slab: Slab) {
+fn nt_reg_tile(dst: &mut SlabMut<'_>, a: &[f32], bt: &[f32], k: usize) {
     const MR: usize = 4;
     const NR: usize = 8;
+    let slab = dst.slab();
     let empty: &[f32] = &[];
     let mut j = slab.j0;
     while j + NR <= slab.j1 {
@@ -603,7 +724,7 @@ fn nt_reg_tile(dst: &mut [f32], a: &[f32], bt: &[f32], k: usize, n: usize, slab:
                 }
             }
             for (mi, accm) in acc.iter().enumerate() {
-                dst[(i + mi) * n + j..(i + mi) * n + j + NR].copy_from_slice(accm);
+                dst.row(i + mi, j, NR).copy_from_slice(accm);
             }
             i += MR;
         }
@@ -617,7 +738,7 @@ fn nt_reg_tile(dst: &mut [f32], a: &[f32], bt: &[f32], k: usize, n: usize, slab:
                     }
                 }
             }
-            dst[i * n + j..i * n + j + NR].copy_from_slice(&acc);
+            dst.row(i, j, NR).copy_from_slice(&acc);
             i += 1;
         }
         j += NR;
@@ -632,7 +753,7 @@ fn nt_reg_tile(dst: &mut [f32], a: &[f32], bt: &[f32], k: usize, n: usize, slab:
                     acc += av * bv;
                 }
             }
-            dst[i * n + j] = acc;
+            dst.row(i, j, 1)[0] = acc;
         }
         j += 1;
     }
@@ -643,6 +764,7 @@ mod tests {
     use super::*;
     use crate::reference::matmul_ikj;
     use procrustes_prng::{UniformRng, Xorshift64};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn sparse_mat(len: usize, keep: f64, seed: u64) -> Vec<f32> {
         let mut rng = Xorshift64::new(seed);
@@ -761,6 +883,40 @@ mod tests {
             &mut scratch,
         );
         assert_eq!(dst, vec![0.0; 15]);
+    }
+
+    #[test]
+    fn a_view_yields_only_segments_inside_its_slab() {
+        let bp = Blueprint::nn(4, 1, 256);
+        let mut dst = vec![0.0f32; 4 * 256];
+        {
+            let deal = SlabDeal::new(&bp, 2, &mut dst);
+            let mut right = deal.claim(1);
+            assert_eq!((right.slab().j0, right.slab().j1), (128, 256));
+            right.row(3, 128, 128).fill(1.0);
+            right.row(0, 256, 0).fill(1.0);
+            for (i, j, w) in [(0, 127, 1), (0, 0, 128), (0, 200, 57), (4, 128, 1)] {
+                let strayed = catch_unwind(AssertUnwindSafe(|| right.row(i, j, w).len()));
+                assert!(strayed.is_err(), "row({i}, {j}, {w}) lies outside");
+            }
+        }
+        assert_eq!(dst.iter().sum::<f32>(), 128.0);
+        assert!(dst[3 * 256 + 128..].iter().all(|&v| v == 1.0));
+    }
+
+    #[test]
+    fn a_slab_is_claimed_once_and_only_by_a_worker_of_the_deal() {
+        let bp = Blueprint::nn(8, 1, 256);
+        let mut dst = vec![0.0f32; 8 * 256];
+        let deal = SlabDeal::new(&bp, 3, &mut dst);
+        let views: Vec<SlabMut<'_>> = (0..3).map(|idx| deal.claim(idx)).collect();
+        for (idx, view) in views.iter().enumerate() {
+            assert_eq!(view.slab(), chunk(&bp, 3, idx));
+        }
+        for idx in [0, 2, 3, MAX_WORKERS] {
+            let again = catch_unwind(AssertUnwindSafe(|| deal.claim(idx).slab()));
+            assert!(again.is_err(), "slab {idx} claimed twice or from nowhere");
+        }
     }
 
     #[test]

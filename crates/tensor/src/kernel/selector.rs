@@ -23,7 +23,7 @@
 
 use super::autotune;
 use super::blueprint::{Blueprint, Op};
-use super::routine::{Routine, Tier};
+use super::routine::Routine;
 
 /// Problems smaller than this many multiply-accumulates skip the cost
 /// model and use a streaming kernel: at this size the packed kernels'
@@ -45,21 +45,14 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Which tier this plan runs on.
-    pub fn tier(&self) -> Tier {
-        if self.workers > 1 {
-            Tier::Threaded
-        } else {
-            Tier::Serial
-        }
-    }
-
     /// Human-readable tag for benchmark attribution, e.g.
     /// `packed-2x64/kc128@serial` or `packed-2x64/kc128@threadedx4`.
     pub fn describe(&self) -> String {
-        match self.tier() {
-            Tier::Serial => format!("{}@serial", self.routine.describe()),
-            Tier::Threaded => format!("{}@threadedx{}", self.routine.describe(), self.workers),
+        let routine = self.routine.describe();
+        if self.workers > 1 {
+            format!("{routine}@threadedx{}", self.workers)
+        } else {
+            format!("{routine}@serial")
         }
     }
 }
@@ -206,7 +199,6 @@ mod tests {
     #[test]
     fn wide_budget_goes_threaded_at_size() {
         let p = select(&Blueprint::nn(512, 512, 512).with_threads(8));
-        assert_eq!(p.tier(), Tier::Threaded);
         assert!(p.workers > 1);
         assert!(p.describe().contains("threadedx"));
     }

@@ -1,5 +1,5 @@
-//! The threaded tier: a small long-lived worker pool that splits one
-//! GEMM's output across threads.
+//! The threaded tier: splits one GEMM's output across the workers of
+//! the pool.
 //!
 //! # Why splitting the output preserves bitwise equality
 //!
@@ -24,21 +24,20 @@
 //! lets the counting-allocator test pin zero steady-state allocations
 //! for the threaded tier too.
 //!
-//! # Pool shape
+//! # Dispatch
 //!
-//! Workers are spawned lazily on first threaded dispatch and then live
-//! for the process lifetime, parked on a condvar between jobs. Each
-//! owns a private [`Scratch`] pool, so packing buffers are reused
-//! across jobs without cross-thread traffic. A dispatch publishes one
-//! job under a mutex, the caller computes chunk 0 itself (with its own
-//! scratch), and the pool's remaining participants compute chunks
-//! `1..workers`; a second mutex serializes concurrent dispatching
-//! callers so at most one job is in flight.
+//! The chunks go to the workspace's worker pool ([`crate::pool`]): the
+//! caller computes chunk 0 with its own [`Scratch`], pool thread `w`
+//! chunk `w` with the scratch it keeps, so packing buffers are reused
+//! across products without cross-thread traffic. Each worker reaches
+//! `dst` only through the `SlabMut` view of its own chunk, which
+//! yields row segments inside that chunk and nothing else.
 
 use super::blueprint::Blueprint;
-use super::routine::{execute_slab, Routine, Slab};
+use super::routine::{execute_slab, Routine, Slab, SlabDeal};
+use crate::pool;
 use crate::scratch::Scratch;
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Hard ceiling on workers per job (including the calling thread);
 /// budgets above it are clamped.
@@ -148,132 +147,21 @@ pub(crate) fn chunk(bp: &Blueprint, workers: usize, idx: usize) -> Slab {
     }
 }
 
-/// One published unit of work: the problem plus raw views of the
-/// caller's buffers. Workers reconstruct slices from these pointers for
-/// exactly the duration of the dispatch (see the safety argument on
-/// [`run`]).
-#[derive(Clone, Copy)]
-struct Job {
-    dst: *mut f32,
-    dst_len: usize,
-    lhs: *const f32,
-    lhs_len: usize,
-    rhs: *const f32,
-    rhs_len: usize,
-    bp: Blueprint,
-    routine: Routine,
-    workers: usize,
-}
-
-// SAFETY: a Job only crosses threads while the dispatching caller is
-// blocked inside `run`, which keeps the borrows behind these pointers
-// alive; workers write disjoint dst slabs (see `run`).
-#[allow(unsafe_code)]
-unsafe impl Send for Job {}
-
-struct State {
-    /// Monotone job counter: workers run a job at most once by
-    /// comparing against the last sequence number they observed.
-    seq: u64,
-    job: Option<Job>,
-    /// Helper workers still to finish the current job (the caller's own
-    /// chunk is not counted).
-    pending: usize,
-}
-
-struct Pool {
-    state: Mutex<State>,
-    /// Workers park here between jobs.
-    work_cv: Condvar,
-    /// The dispatching caller parks here until `pending == 0`.
-    done_cv: Condvar,
-    /// Serializes dispatching callers; holds the spawned-helper count.
-    dispatch: Mutex<usize>,
-}
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool {
-        state: Mutex::new(State {
-            seq: 0,
-            job: None,
-            pending: 0,
-        }),
-        work_cv: Condvar::new(),
-        done_cv: Condvar::new(),
-        dispatch: Mutex::new(0),
-    })
-}
-
-/// Executes the caller-side view of one chunk.
-///
-/// # Safety
-///
-/// `job`'s pointers must be live and sized as recorded, and no other
-/// thread may touch the dst elements inside this chunk's slab for the
-/// duration of the call. `run` upholds this: slabs of one job are
-/// disjoint by construction and the caller's buffers outlive the
-/// dispatch.
-#[allow(unsafe_code)]
-unsafe fn run_chunk(job: &Job, idx: usize, scratch: &mut Scratch) {
-    // SAFETY: per the function contract — pointers live for the whole
-    // dispatch, lengths as recorded at publication. The dst slice
-    // nominally spans the full output, but this worker writes (and
-    // reads) only the elements inside its disjoint slab.
-    let dst = unsafe { std::slice::from_raw_parts_mut(job.dst, job.dst_len) };
-    let lhs = unsafe { std::slice::from_raw_parts(job.lhs, job.lhs_len) };
-    let rhs = unsafe { std::slice::from_raw_parts(job.rhs, job.rhs_len) };
-    let slab = chunk(&job.bp, job.workers, idx);
-    execute_slab(job.routine, &job.bp, dst, lhs, rhs, scratch, slab);
-}
-
-/// Helper-thread body: wait for a job with a fresh sequence number,
-/// compute chunk `idx` if this worker participates, repeat forever.
-fn worker_loop(idx: usize) {
-    let p = pool();
-    let mut scratch = Scratch::new();
-    let mut last_seen = 0u64;
-    loop {
-        let job = {
-            let mut st = p.state.lock().expect("kernel pool poisoned");
-            loop {
-                if st.seq > last_seen {
-                    last_seen = st.seq;
-                    if let Some(job) = st.job.filter(|j| idx < j.workers) {
-                        break job;
-                    }
-                }
-                st = p.work_cv.wait(st).expect("kernel pool poisoned");
-            }
-        };
-        // SAFETY: the dispatching caller is blocked in `run` until this
-        // worker decrements `pending` below, so the buffers behind the
-        // job's pointers are live; slab disjointness per `chunk`.
-        #[allow(unsafe_code)]
-        unsafe {
-            run_chunk(&job, idx, &mut scratch)
-        };
-        let mut st = p.state.lock().expect("kernel pool poisoned");
-        st.pending -= 1;
-        if st.pending == 0 {
-            p.done_cv.notify_all();
-        }
-    }
-}
-
 /// Runs `routine` on `bp` across `workers` threads (the caller plus
 /// `workers - 1` pool helpers), bitwise-identically to the serial tier.
 ///
-/// The caller computes chunk 0 with its own `scratch` and blocks until
-/// every helper finishes its chunk, so on return `dst` is fully
-/// written and no worker retains a reference into the caller's
-/// buffers. Helper threads are spawned on first use (the only
-/// allocation this tier performs after its scratch pools are warm).
+/// Worker `idx` claims the view of chunk `idx` from a [`SlabDeal`] over
+/// `dst` and runs the serial kernel on it — the caller with its own
+/// `scratch`, each helper with the one it keeps. [`pool::run`] returns
+/// once every worker has finished, so on return `dst` is fully written;
+/// nested inside another pool job (say an engine worker's) the chunks
+/// run one after another on the calling thread, to the same bytes.
 ///
 /// # Panics
 ///
 /// Panics if `workers` exceeds what [`effective_workers`] allows for
-/// `bp` — the selector never produces such a plan.
+/// `bp` — the selector never produces such a plan — or if a slice
+/// length disagrees with the blueprint.
 pub(crate) fn run(
     routine: Routine,
     bp: &Blueprint,
@@ -290,52 +178,10 @@ pub(crate) fn run(
         bp.k,
         bp.n
     );
-    assert_eq!(lhs.len(), bp.lhs_len(), "kernel: lhs length != m*k");
-    assert_eq!(rhs.len(), bp.rhs_len(), "kernel: rhs length != k*n");
-    assert_eq!(dst.len(), bp.m * bp.n, "kernel: dst length != m*n");
-    let p = pool();
-    // One job in flight at a time: concurrent callers queue here.
-    let mut spawned = p.dispatch.lock().expect("kernel pool poisoned");
-    while *spawned < workers - 1 {
-        *spawned += 1;
-        let idx = *spawned;
-        std::thread::Builder::new()
-            .name(format!("procrustes-kernel-{idx}"))
-            .spawn(move || worker_loop(idx))
-            .expect("kernel: failed to spawn pool worker");
-    }
-    let job = Job {
-        dst: dst.as_mut_ptr(),
-        dst_len: dst.len(),
-        lhs: lhs.as_ptr(),
-        lhs_len: lhs.len(),
-        rhs: rhs.as_ptr(),
-        rhs_len: rhs.len(),
-        bp: *bp,
-        routine,
-        workers,
-    };
-    {
-        let mut st = p.state.lock().expect("kernel pool poisoned");
-        st.job = Some(job);
-        st.pending = workers - 1;
-        st.seq += 1;
-        p.work_cv.notify_all();
-    }
-    // SAFETY: dst/lhs/rhs are borrowed for this whole call; chunk 0 is
-    // disjoint from every helper's chunk.
-    #[allow(unsafe_code)]
-    unsafe {
-        run_chunk(&job, 0, scratch)
-    };
-    let mut st = p.state.lock().expect("kernel pool poisoned");
-    while st.pending != 0 {
-        st = p.done_cv.wait(st).expect("kernel pool poisoned");
-    }
-    // Keep `spawned` (the dispatch guard) alive until the job fully
-    // drained so the next caller cannot republish over a live job.
-    drop(st);
-    drop(spawned);
+    let deal = SlabDeal::new(bp, workers, dst);
+    pool::run(workers, scratch, &|idx, scratch| {
+        execute_slab(routine, bp, deal.claim(idx), lhs, rhs, scratch);
+    });
 }
 
 #[cfg(test)]

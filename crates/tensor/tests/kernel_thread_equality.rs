@@ -160,3 +160,74 @@ fn threaded_gemm_is_bitwise_equal_across_worker_counts() {
          pool regression is hiding the property under test"
     );
 }
+
+/// A panic inside one pool job must cost the next ones nothing: after a
+/// dispatch that panics at index `bad` — the caller's own index and
+/// every helper's in turn — each pinned shape still comes out of the
+/// public `kernel::gemm` bit-equal to the reference at budgets 2/4/8.
+/// A pool that lost a helper, kept a stale `pending`, or poisoned a
+/// lock hangs or panics here instead.
+#[test]
+fn gemm_is_bitwise_equal_after_a_panicking_dispatch_at_each_index() {
+    use procrustes_tensor::pool;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let mut scratch = Scratch::new();
+    let problems: Vec<_> = PINNED_SHAPES
+        .iter()
+        .map(|&(op, m, k, n)| {
+            let base = Blueprint {
+                m,
+                k,
+                n,
+                op,
+                threads: 1,
+            };
+            let mut rng = Xorshift64::new((m * 1_000_003 + k * 1009 + n) as u64);
+            let lhs = sparse(base.lhs_len(), &mut rng);
+            let rhs = sparse(base.rhs_len(), &mut rng);
+            let want = reference_for(&base, &lhs, &rhs);
+            (base, lhs, rhs, want)
+        })
+        .collect();
+
+    const WORKERS: usize = 4;
+    let mut threaded_runs = 0;
+    for bad in 0..WORKERS {
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool::run(WORKERS, &mut Scratch::new(), &|index, _| {
+                assert!(index != bad, "injected at index {index}");
+            })
+        }));
+        let payload = caught.expect_err("the injected panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some(format!("injected at index {bad}").as_str())
+        );
+
+        for (base, lhs, rhs, want) in &problems {
+            for budget in [2usize, 4, 8] {
+                let bp = base.with_threads(budget);
+                let plan = kernel::explain(&bp).0;
+                threaded_runs += usize::from(plan.workers > 1);
+                let mut got = vec![f32::NAN; bp.m * bp.n];
+                kernel::gemm(&bp, &mut got, lhs, rhs, &mut scratch);
+                assert!(
+                    got.iter()
+                        .zip(want)
+                        .all(|(g, w)| g.to_bits() == w.to_bits()),
+                    "{}x{}x{} {} differs after a panic at index {bad}: plan={}",
+                    bp.m,
+                    bp.k,
+                    bp.n,
+                    bp.op.tag(),
+                    plan.describe()
+                );
+            }
+        }
+    }
+    assert!(
+        threaded_runs >= WORKERS * 20,
+        "only {threaded_runs} runs went through the pool after a panic"
+    );
+}
