@@ -1,13 +1,16 @@
 //! A `#[test]`-based performance guard for the CSB compute kernels in the
 //! paper's regime: the five tiny-VGG conv geometries at batch 8 with
 //! 10 % of the weights stored. Both sides run their steady-state hot
-//! loop — the forward kernels consume the same precomputed im2col
-//! columns (as `Conv2d` hands them over), the backward-input kernels the
-//! same upstream gradient, every output comes from a warmed pool — and
-//! the compressed kernels must beat the dense GEMMs on the summed stack,
-//! because their work scales with the stored nonzeros. A 512×512 fc
-//! layer at the same density is guarded the same way, forward and
-//! backward, on the cached `FcDecode` that `Linear` runs.
+//! loop — the forward kernels read the same padded input planes (as
+//! `Conv2d` hands them over: the gather on the CSB side, the view-fed
+//! GEMM on the dense one), the backward-input kernels the same upstream
+//! gradient, every output comes from a warmed pool — and the compressed
+//! kernels must beat the dense GEMMs on the summed stack, because their
+//! work scales with the stored nonzeros. The forward pair over
+//! materialised im2col columns (the SpMM and the GEMM the planes are
+//! tested against) is timed and printed beside it. A 512×512 fc layer
+//! at the same density is guarded the same way, forward and backward,
+//! on the cached `FcDecode` that `Linear` runs.
 //!
 //! The same comparison is printed (never asserted) at
 //! `ComputeBackend::AUTO_MAX_DENSITY`, the density at which `Auto`
@@ -29,7 +32,10 @@ use procrustes_nn::ComputeBackend;
 use procrustes_prng::{UniformRng, Xorshift64};
 use procrustes_sparse::{ConvDecode, CsbTensor, FcDecode};
 use procrustes_tensor::kernel::{self, Blueprint};
-use procrustes_tensor::{conv2d_backward_input_gemm, conv2d_from_cols, im2col, Scratch, Tensor};
+use procrustes_tensor::{
+    conv2d_backward_input_gemm, conv2d_from_cols, conv2d_from_planes, im2col, PaddedPlanes,
+    Scratch, Tensor,
+};
 
 /// The paper's operating point: one weight in ten survives.
 const KEEP: f64 = 0.1;
@@ -55,10 +61,12 @@ fn sparse_tensor(dims: &[usize], keep: f64, seed: u64) -> Tensor {
 }
 
 /// Summed best-of times over the conv stack at one weight density:
-/// `(csb forward, dense forward, csb backward-input, dense backward-input)`.
-fn conv_stack_times(keep: f64) -> [Duration; 4] {
+/// `(csb forward, dense forward, csb backward-input, dense
+/// backward-input)` on the layers' path, then `(csb forward, dense
+/// forward)` over im2col columns.
+fn conv_stack_times(keep: f64) -> [Duration; 6] {
     let mut scratch = Scratch::new();
-    let mut total = [Duration::ZERO; 4];
+    let mut total = [Duration::ZERO; 6];
     for (li, &(c, k, hw)) in FIG06_CONV_LAYERS.iter().enumerate() {
         let seed = 10 * li as u64;
         let w = sparse_tensor(&[k, c, 3, 3], keep, seed + 1);
@@ -74,11 +82,23 @@ fn conv_stack_times(keep: f64) -> [Duration; 4] {
             &mut Xorshift64::new(seed + 3),
         );
         let cols = im2col(&x, 3, 3, 1, 1);
+        let xp = PaddedPlanes::of_input(&x, 3, 3, 1, 1, &mut scratch);
 
         // Same operands, same results — the timing comparison is honest.
-        let dense_y = conv2d_from_cols(&w, cols.data(), FIG06_BATCH, hw, hw, &mut scratch);
-        let csb_y = decode.forward_from_cols(cols.data(), FIG06_BATCH, hw, hw, &mut scratch);
+        let dense_y = conv2d_from_planes(&w, &xp, &mut scratch);
+        let csb_y = decode.forward(&xp, &mut scratch);
         assert_eq!(dense_y.data(), csb_y.data(), "forward must agree bitwise");
+        for oracle in [
+            conv2d_from_cols(&w, cols.data(), FIG06_BATCH, hw, hw, &mut scratch),
+            decode.forward_from_cols(cols.data(), FIG06_BATCH, hw, hw, &mut scratch),
+        ] {
+            assert_eq!(
+                oracle.data(),
+                csb_y.data(),
+                "planes must agree with columns"
+            );
+            scratch.recycle(oracle);
+        }
         let dense_dx = conv2d_backward_input_gemm(&dy, &w, hw, hw, 1, 1, &mut scratch);
         let csb_dx = decode.backward_input(&dy, hw, hw, 1, 1, &mut scratch);
         assert_eq!(
@@ -91,10 +111,18 @@ fn conv_stack_times(keep: f64) -> [Duration; 4] {
         }
 
         total[0] += time(5, || {
-            let y = decode.forward_from_cols(cols.data(), FIG06_BATCH, hw, hw, &mut scratch);
+            let y = decode.forward(&xp, &mut scratch);
             scratch.recycle(y);
         });
         total[1] += time(5, || {
+            let y = conv2d_from_planes(&w, &xp, &mut scratch);
+            scratch.recycle(y);
+        });
+        total[4] += time(5, || {
+            let y = decode.forward_from_cols(cols.data(), FIG06_BATCH, hw, hw, &mut scratch);
+            scratch.recycle(y);
+        });
+        total[5] += time(5, || {
             let y = conv2d_from_cols(&w, cols.data(), FIG06_BATCH, hw, hw, &mut scratch);
             scratch.recycle(y);
         });
@@ -113,13 +141,19 @@ fn conv_stack_times(keep: f64) -> [Duration; 4] {
 #[test]
 fn csb_conv_kernels_beat_dense_on_the_fig06_stack_at_paper_density() {
     let _turn = exclusive();
-    let [csb_fw, dense_fw, csb_bw, dense_bw] = conv_stack_times(KEEP);
+    let [csb_fw, dense_fw, csb_bw, dense_bw, spmm_fw, cols_fw] = conv_stack_times(KEEP);
     println!("conv stack at {KEEP} density: forward csb {csb_fw:?} vs dense {dense_fw:?}");
+    println!(
+        "conv stack at {KEEP} density: forward over im2col columns csb {spmm_fw:?} vs dense {cols_fw:?}"
+    );
     println!("conv stack at {KEEP} density: backward-input csb {csb_bw:?} vs dense {dense_bw:?}");
 
     let auto = ComputeBackend::AUTO_MAX_DENSITY;
-    let [fw, dfw, bw, dbw] = conv_stack_times(auto);
+    let [fw, dfw, bw, dbw, spmm, cols] = conv_stack_times(auto);
     println!("conv stack at {auto} density (Auto threshold): forward csb {fw:?} vs dense {dfw:?}");
+    println!(
+        "conv stack at {auto} density (Auto threshold): forward over im2col columns csb {spmm:?} vs dense {cols:?}"
+    );
     println!(
         "conv stack at {auto} density (Auto threshold): backward-input csb {bw:?} vs dense {dbw:?}"
     );

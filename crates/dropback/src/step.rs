@@ -21,9 +21,9 @@ pub(crate) fn forward_backward(
     let logits = model.forward_with(x, true, scratch);
     let (loss, dlogits) = SoftmaxCrossEntropy.loss_and_grad_with(&logits, labels, scratch);
     scratch.recycle(logits);
-    let dx = model.backward_with(&dlogits, scratch);
+    // Nothing reads the gradient of the data: the first layer skips it.
+    model.backward_params_with(&dlogits, scratch);
     scratch.recycle(dlogits);
-    scratch.recycle(dx);
     loss
 }
 

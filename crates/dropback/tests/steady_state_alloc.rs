@@ -3,8 +3,9 @@
 //! Once shapes have stabilized (one warm-up step fills the scratch
 //! pool, the per-layer caches, and the optimizer's velocity slots), a
 //! training step must perform **zero heap allocations** in tensor code:
-//! every buffer — im2col columns, GEMM outputs, layer activations,
-//! gradients, the loss buffers — is served from the per-trainer
+//! every buffer — padded conv planes and their offset tables, GEMM
+//! outputs, layer activations, gradients, the loss buffers — is served
+//! from the per-trainer
 //! [`Scratch`](procrustes_nn::Scratch) pool or an in-place per-layer
 //! cache.
 //!
@@ -59,7 +60,7 @@ fn steady_state_training_step_performs_zero_allocations() {
     let (x, labels) = data.batch(4, &mut rng);
 
     // Warm-up: first step allocates the scratch pool, per-layer caches
-    // (im2col columns, BN x̂, pool argmax), and SGD velocity; a couple
+    // (padded conv planes, BN x̂, pool argmax), and SGD velocity; a couple
     // more let the pool reach its fixed point.
     for _ in 0..3 {
         trainer.train_step(&x, &labels);

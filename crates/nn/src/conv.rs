@@ -2,8 +2,8 @@
 
 use procrustes_prng::UniformRng;
 use procrustes_tensor::{
-    conv2d_backward_input_gemm, conv2d_backward_weights_from_cols, conv2d_from_cols, conv_out_dim,
-    im2col_into, Init, Scratch, Tensor,
+    conv2d_backward_input_gemm, conv2d_backward_weights_from_planes, conv2d_from_planes,
+    conv_out_dim, Init, PaddedPlanes, Scratch, Tensor,
 };
 
 use crate::store::{ComputeBackend, Decode, WeightStore};
@@ -40,15 +40,14 @@ pub struct Conv2d {
     bias: Option<(Tensor, Tensor)>,
     stride: usize,
     pad: usize,
-    /// The im2col column matrix of the last training-mode input —
-    /// cached *instead of* the raw activations: the forward GEMM
-    /// consumes it directly and the weight-update GEMM (`dy·colsᵀ`)
-    /// reuses it, so backward never re-unfolds (or clones) `x`. The
-    /// buffer persists across steps and is refilled in place.
-    cols: Option<Tensor>,
-    /// `[n, c, h, w]` of the last training-mode input (backward-input
-    /// geometry).
-    in_dims: Option<[usize; 4]>,
+    /// The zero-padded planes of the last training-mode input (1.13×
+    /// a 32×32 input at pad 1) — cached *instead of* the raw
+    /// activations or their im2col matrix (9×): the forward product
+    /// reads its columns out of them as a view, on either backend, and
+    /// the weight update (`dy·colsᵀ`) reads the same view again, so
+    /// nothing is ever unfolded. The planes persist across steps and
+    /// are refilled in place.
+    xp: Option<PaddedPlanes>,
 }
 
 impl Conv2d {
@@ -75,8 +74,7 @@ impl Conv2d {
             bias,
             stride,
             pad,
-            cols: None,
-            in_dims: None,
+            xp: None,
         }
     }
 
@@ -97,9 +95,25 @@ impl Conv2d {
         &self.store
     }
 
+    /// Floats the layer holds of its last training-mode input: the
+    /// padded planes, never their `C·R·S × N·P·Q` column matrix.
+    pub fn cached_floats(&self) -> usize {
+        self.xp.as_ref().map_or(0, PaddedPlanes::len)
+    }
+
     fn dims(&self) -> (usize, usize, usize) {
         let s = self.store.tensor().shape();
         (s.dim(0), s.dim(1), s.dim(2))
+    }
+
+    /// The forward product over `xp` on the store's backend: the GEMM on
+    /// dense weights, the gather on the decoded nonzeros — one view of
+    /// the same planes either way.
+    fn product(&self, xp: &PaddedPlanes, scratch: &mut Scratch) -> Tensor {
+        match self.store.decode() {
+            Some(Decode::Conv(decode)) => decode.forward(xp, scratch),
+            _ => conv2d_from_planes(self.store.tensor(), xp, scratch),
+        }
     }
 }
 
@@ -114,32 +128,32 @@ impl Layer for Conv2d {
             c, cw,
             "conv: input channels {c} != weight input channels {cw}"
         );
-        let p = conv_out_dim(h, kernel, self.stride, self.pad);
-        let q = conv_out_dim(wdt, kernel, self.stride, self.pad);
-        let cols_dims = [c * kernel * kernel, n * p * q];
-        // Eval mode caches nothing: it unfolds into a pooled buffer and
-        // returns it right after the product.
-        let mut pooled = None;
-        let cols: &[f32] = if train {
-            // Unfold once; forward consumes it and backward reuses it.
-            let cols = ensure_cached(&mut self.cols, &cols_dims);
-            im2col_into(x, kernel, kernel, self.stride, self.pad, cols.data_mut());
-            self.in_dims = Some([n, c, h, wdt]);
-            cols.data()
+        let (stride, pad) = (self.stride, self.pad);
+        let mut y = if train {
+            // Pad once; forward reads it and backward reads it again.
+            let xp = match self.xp.take() {
+                Some(mut xp) if xp.source_dims() == [n, c, h, wdt] => {
+                    xp.refill(x);
+                    xp
+                }
+                stale => {
+                    if let Some(stale) = stale {
+                        stale.recycle(scratch);
+                    }
+                    PaddedPlanes::of_input(x, kernel, kernel, stride, pad, scratch)
+                }
+            };
+            let y = self.product(&xp, scratch);
+            self.xp = Some(xp);
+            y
         } else {
-            let tmp = pooled.insert(scratch.take_any(cols_dims[0] * cols_dims[1]));
-            im2col_into(x, kernel, kernel, self.stride, self.pad, tmp);
-            tmp
+            // Eval mode caches nothing: it pads into pooled planes and
+            // returns them right after the product.
+            let xp = PaddedPlanes::of_input(x, kernel, kernel, stride, pad, scratch);
+            let y = self.product(&xp, scratch);
+            xp.recycle(scratch);
+            y
         };
-        // One product over the same columns on either backend: the GEMM
-        // on dense weights, the SpMM on the decoded nonzeros.
-        let mut y = match self.store.decode() {
-            Some(Decode::Conv(decode)) => decode.forward_from_cols(cols, n, p, q, scratch),
-            _ => conv2d_from_cols(self.store.tensor(), cols, n, p, q, scratch),
-        };
-        if let Some(tmp) = pooled {
-            scratch.recycle_vec(tmp);
-        }
         if let Some((b, _)) = &self.bias {
             let (n, k) = (y.shape().dim(0), y.shape().dim(1));
             let plane = y.shape().dim(2) * y.shape().dim(3);
@@ -157,19 +171,30 @@ impl Layer for Conv2d {
     }
 
     fn backward_with(&mut self, dy: &Tensor, scratch: &mut Scratch) -> Tensor {
-        let [_, c, h, w] = self
-            .in_dims
-            .expect("Conv2d::backward called before training-mode forward");
-        let cols = self
-            .cols
+        self.backward_params_with(dy, scratch);
+        let [_, _, h, w] = self.xp.as_ref().expect("just used").source_dims();
+        // The input gradient streams the weights (rotated at fetch, Fig
+        // 2b) — a GEMM against the rotated filter matrix on the dense
+        // path, the gather over the decoded nonzeros on the sparse one;
+        // both read the padded planes of `dy` and reduce in the same
+        // order.
+        let (stride, pad) = (self.stride, self.pad);
+        match self.store.decode() {
+            Some(Decode::Conv(decode)) => decode.backward_input(dy, h, w, stride, pad, scratch),
+            _ => conv2d_backward_input_gemm(dy, self.store.tensor(), h, w, stride, pad, scratch),
+        }
+    }
+
+    fn backward_params_with(&mut self, dy: &Tensor, scratch: &mut Scratch) {
+        let xp = self
+            .xp
             .as_ref()
             .expect("Conv2d::backward called before training-mode forward");
-        let (_, _, kernel) = self.dims();
         // Weight update: dy·colsᵀ over the forward pass's cached
-        // columns. The gradient stays dense — Dropback-style training
+        // planes. The gradient stays dense — Dropback-style training
         // needs ∂L/∂w at *pruned* positions too, so candidates can be
         // (re-)admitted.
-        let dw = conv2d_backward_weights_from_cols(dy, cols.data(), c, kernel, kernel, scratch);
+        let dw = conv2d_backward_weights_from_planes(dy, xp, scratch);
         self.dweight.axpy(1.0, &dw);
         scratch.recycle(dw);
         if let Some((_, db)) = &mut self.bias {
@@ -183,15 +208,6 @@ impl Layer for Conv2d {
                     db.data_mut()[ki] += s;
                 }
             }
-        }
-        // The input gradient streams the weights (rotated at fetch, Fig
-        // 2b) — a GEMM against the rotated filter matrix on the dense
-        // path, the gather kernel over the decoded nonzeros on the
-        // sparse one; both reduce in the same order.
-        let (stride, pad) = (self.stride, self.pad);
-        match self.store.decode() {
-            Some(Decode::Conv(decode)) => decode.backward_input(dy, h, w, stride, pad, scratch),
-            _ => conv2d_backward_input_gemm(dy, self.store.tensor(), h, w, stride, pad, scratch),
         }
     }
 

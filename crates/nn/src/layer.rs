@@ -71,6 +71,26 @@ pub trait Layer {
     /// Implementations panic if called before a training-mode forward.
     fn backward_with(&mut self, dy: &Tensor, scratch: &mut Scratch) -> Tensor;
 
+    /// Back-propagates `dy` into the parameter gradients only, for a
+    /// layer nothing upstream of which needs `dx` — the first layer of
+    /// a model, whose input is the data. The default runs
+    /// [`backward_with`](Layer::backward_with) and recycles `dx`; layers
+    /// whose input gradient is a product of its own ([`Conv2d`],
+    /// [`Linear`]) skip it, and [`Sequential`] passes the call to its
+    /// first layer. Parameter gradients are the same either way.
+    ///
+    /// [`Conv2d`]: crate::Conv2d
+    /// [`Linear`]: crate::Linear
+    /// [`Sequential`]: crate::Sequential
+    ///
+    /// # Panics
+    ///
+    /// Implementations panic if called before a training-mode forward.
+    fn backward_params_with(&mut self, dy: &Tensor, scratch: &mut Scratch) {
+        let dx = self.backward_with(dy, scratch);
+        scratch.recycle(dx);
+    }
+
     /// Computes the layer output with a throwaway workspace.
     ///
     /// Convenience wrapper over [`forward_with`](Layer::forward_with)

@@ -106,6 +106,28 @@ impl Layer for Linear {
     }
 
     fn backward_with(&mut self, dy: &Tensor, scratch: &mut Scratch) -> Tensor {
+        self.backward_params_with(dy, scratch);
+        let (n, o) = (dy.shape().dim(0), dy.shape().dim(1));
+        let inp = self.store.tensor().shape().dim(1);
+        // dx = dy · W, through the transposed fetch of the decode when
+        // the store is compressed.
+        match self.store.decode() {
+            Some(Decode::Fc(decode)) => decode.backward_input(dy, scratch),
+            _ => {
+                let mut dx = scratch.take_tensor_any(&[n, inp]);
+                kernel::gemm(
+                    &Blueprint::nn(n, o, inp).with_threads(kernel::default_threads()),
+                    dx.data_mut(),
+                    dy.data(),
+                    self.store.tensor().data(),
+                    scratch,
+                );
+                dx
+            }
+        }
+    }
+
+    fn backward_params_with(&mut self, dy: &Tensor, scratch: &mut Scratch) {
         let x = self
             .cached_x
             .as_ref()
@@ -135,22 +157,6 @@ impl Layer for Linear {
                 for oi in 0..o {
                     db.data_mut()[oi] += dy.data()[ni * o + oi];
                 }
-            }
-        }
-        // dx = dy · W, through the transposed fetch of the decode when
-        // the store is compressed.
-        match self.store.decode() {
-            Some(Decode::Fc(decode)) => decode.backward_input(dy, scratch),
-            _ => {
-                let mut dx = scratch.take_tensor_any(&[n, inp]);
-                kernel::gemm(
-                    &Blueprint::nn(n, o, inp).with_threads(kernel::default_threads()),
-                    dx.data_mut(),
-                    dy.data(),
-                    self.store.tensor().data(),
-                    scratch,
-                );
-                dx
             }
         }
     }

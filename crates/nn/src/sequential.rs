@@ -82,6 +82,24 @@ impl Sequential {
     }
 }
 
+/// Back-propagates `dy` through `layers`, last to first, recycling each
+/// intermediate gradient once consumed; `None` if there are no layers
+/// (the gradient is still `dy`).
+fn backward_through(
+    layers: &mut [Box<dyn Layer>],
+    dy: &Tensor,
+    scratch: &mut Scratch,
+) -> Option<Tensor> {
+    let mut cur: Option<Tensor> = None;
+    for layer in layers.iter_mut().rev() {
+        let next = layer.backward_with(cur.as_ref().unwrap_or(dy), scratch);
+        if let Some(spent) = cur.replace(next) {
+            scratch.recycle(spent);
+        }
+    }
+    cur
+}
+
 impl Layer for Sequential {
     fn forward_with(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Tensor {
         // Each intermediate activation is recycled as soon as the next
@@ -102,17 +120,23 @@ impl Layer for Sequential {
     }
 
     fn backward_with(&mut self, dy: &Tensor, scratch: &mut Scratch) -> Tensor {
-        let mut layers = self.layers.iter_mut().rev();
-        let Some(last) = layers.next() else {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
             return dy.clone();
         };
-        let mut cur = last.backward_with(dy, scratch);
-        for layer in layers {
-            let next = layer.backward_with(&cur, scratch);
-            scratch.recycle(cur);
-            cur = next;
-        }
-        cur
+        let cur = backward_through(rest, dy, scratch);
+        let dx = first.backward_with(cur.as_ref().unwrap_or(dy), scratch);
+        cur.into_iter().for_each(|spent| scratch.recycle(spent));
+        dx
+    }
+
+    fn backward_params_with(&mut self, dy: &Tensor, scratch: &mut Scratch) {
+        // Every layer but the first owes its predecessor a gradient.
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let cur = backward_through(rest, dy, scratch);
+        first.backward_params_with(cur.as_ref().unwrap_or(dy), scratch);
+        cur.into_iter().for_each(|spent| scratch.recycle(spent));
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamTensor<'_>)) {
@@ -160,6 +184,35 @@ mod tests {
         assert_eq!(y.shape().dims(), &[2, 3]);
         let dx = m.backward(&Tensor::ones(&[2, 3]));
         assert_eq!(dx.shape().dims(), &[2, 1, 4, 4]);
+    }
+
+    #[test]
+    fn params_only_backward_leaves_the_same_gradients() {
+        let x = Tensor::randn(&[2, 1, 4, 4], 1.0, &mut Xorshift64::new(2));
+        let dy = Tensor::randn(&[2, 3], 1.0, &mut Xorshift64::new(3));
+        let grads = |params_only: bool| {
+            let mut m = small_model();
+            let mut scratch = Scratch::new();
+            let y = m.forward_with(&x, true, &mut scratch);
+            scratch.recycle(y);
+            if params_only {
+                m.backward_params_with(&dy, &mut scratch);
+            } else {
+                let dx = m.backward_with(&dy, &mut scratch);
+                scratch.recycle(dx);
+            }
+            let mut grads = Vec::new();
+            m.visit_params(&mut |p| grads.push(p.grads.clone()));
+            grads
+        };
+        assert_eq!(grads(true), grads(false));
+        // A lone layer is its own first layer.
+        let mut lone = Sequential::new();
+        lone.push(Linear::new(3, 2, true, &mut Xorshift64::new(4)));
+        let mut scratch = Scratch::new();
+        lone.forward_with(&Tensor::ones(&[1, 3]), true, &mut scratch);
+        lone.backward_params_with(&Tensor::ones(&[1, 2]), &mut scratch);
+        lone.visit_params(&mut |p| assert!(p.grads.sum() != 0.0, "{}", p.name));
     }
 
     #[test]

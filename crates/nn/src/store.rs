@@ -44,16 +44,19 @@ impl ComputeBackend {
     ///
     /// Measured, not assumed (`crates/bench/tests/csb_kernel_smoke.rs`
     /// prints it on every perf run; tiny-VGG conv stack, batch 8, serial
-    /// CSB kernels against the 2-thread GEMMs on a 2-core AVX-512 host):
-    /// at this density a promoted layer's kernel pair costs 5.3 ms on CSB
-    /// against 9.5 ms dense. The halves differ: the forward SpMM alone
-    /// breaks even near density 0.2 and loses at 0.5 (2.7 vs 1.9 ms),
-    /// while the backward-input gather wins at every density (2.7 vs
-    /// 7.5 ms at 0.5), so the pair only meets the dense one near density
-    /// 1.0. The threshold stays well below that because each resync of a
-    /// promoted layer also pays an encode and a decode that scale with
-    /// the nonzeros. Backends are bit-equal, so the threshold can only
-    /// move time, never a result.
+    /// CSB gather against the 2-thread view-fed GEMMs on a 2-core
+    /// AVX-512 host, neither side paying an unfold since both read the
+    /// same padded planes): at this density a promoted layer's kernel
+    /// pair breaks even — 3.7 / 4.0 / 5.2 ms on CSB against 4.4 / 4.2 /
+    /// 4.7 ms dense over three runs of a host that drifts ±15 % — with
+    /// each half within that noise of its twin (forward 1.8–2.6 vs
+    /// 1.8–2.2 ms, backward-input 1.9–2.6 vs 2.2–2.6 ms). Below it the
+    /// sparse pair wins, 1.1–1.4 ms against 2.4–3.3 ms at density 0.10.
+    /// So the threshold sits at the measured crossover of the kernels
+    /// alone; each resync of a promoted layer also pays an encode and a
+    /// decode that scale with the nonzeros, and a threaded gather would
+    /// move it up (ROADMAP item 1c). Backends are bit-equal, so the
+    /// threshold can only move time, never a result.
     pub const AUTO_MAX_DENSITY: f64 = 0.5;
 
     /// [`ComputeBackend::Auto`] with the default threshold.

@@ -66,6 +66,52 @@ fn conv_layer_matches_across_backends_and_densities() {
     }
 }
 
+/// Convolution is a layout: between its forward and its backward pass
+/// a `Conv2d` holds the zero-padded planes of its input — on either
+/// backend, at any stride — and no buffer the size of their
+/// `C·R·S × N·P·Q` column matrix (9× the input for a 3×3 filter).
+#[test]
+fn conv_layers_cache_padded_planes_never_columns() {
+    let mut scratch = Scratch::new();
+    // tiny-VGG's five conv geometries at batch 8, then a strided and a
+    // 1×1 layer: `(c, k, hw, kernel, stride, pad)`.
+    for (c, k, hw, kernel, stride, pad) in [
+        (3, 16, 32, 3, 1, 1),
+        (16, 16, 32, 3, 1, 1),
+        (16, 32, 16, 3, 1, 1),
+        (32, 32, 16, 3, 1, 1),
+        (32, 64, 8, 3, 1, 1),
+        (8, 8, 17, 3, 2, 1),
+        (8, 4, 9, 1, 1, 0),
+    ] {
+        for backend in [ComputeBackend::Dense, ComputeBackend::Csb] {
+            let mut conv = Conv2d::new(c, k, kernel, stride, pad, false, &mut Xorshift64::new(3));
+            sparsify(&mut conv, 0.1, 4);
+            conv.set_compute_backend(backend);
+            assert_eq!(conv.cached_floats(), 0, "nothing cached before a forward");
+            let x = Tensor::randn(&[8, c, hw, hw], 1.0, &mut Xorshift64::new(5));
+            // Two steps: the second refills the planes in place.
+            for _ in 0..2 {
+                let y = conv.forward_with(&x, true, &mut scratch);
+                let dx = conv.backward_with(&y, &mut scratch);
+                scratch.recycle(y);
+                scratch.recycle(dx);
+                let padded = 8 * c * (hw + 2 * pad) * (hw + 2 * pad);
+                assert_eq!(conv.cached_floats(), padded, "{c}->{k} at {hw}");
+            }
+            // Eval mode pads into pooled planes and keeps nothing more.
+            let before = conv.cached_floats();
+            let y = conv.forward_with(&x, false, &mut scratch);
+            assert_eq!(conv.cached_floats(), before);
+            let columns = c * kernel * kernel * y.len() / k;
+            if kernel > 1 {
+                assert!(before < columns, "{before} cached vs {columns} columns");
+            }
+            scratch.recycle(y);
+        }
+    }
+}
+
 #[test]
 fn linear_layer_matches_across_backends_and_densities() {
     for (keep, seed) in [(0.0, 5u64), (0.1, 6), (0.5, 7), (1.0, 8)] {

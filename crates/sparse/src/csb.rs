@@ -139,8 +139,9 @@ impl CsbTensor {
             w.shape().dim(2),
             w.shape().dim(3),
         );
+        // Filter (k, c) is `r` contiguous rows of `s` weights.
         let layout = CsbLayout::Conv { k, c, r, s };
-        Self::compress(layout, |gi, gj, bi, bj| w.at(&[gi, gj, bi, bj]))
+        Self::compress(layout, w.data(), (c * r * s, r * s), s)
     }
 
     /// Compresses a dense `[out, in]` fc weight matrix with `edge`-sized
@@ -157,25 +158,28 @@ impl CsbTensor {
         );
         assert!(edge > 0, "from_dense_fc: block edge must be positive");
         let (out, inp) = (w.shape().dim(0), w.shape().dim(1));
+        // Fragment (gi, gj) starts `edge` rows down / `edge` columns
+        // across; its rows are `inp` apart.
         let layout = CsbLayout::Fc { out, inp, edge };
-        Self::compress(layout, |gi, gj, bi, bj| {
-            w.at(&[gi * edge + bi, gj * edge + bj])
-        })
+        Self::compress(layout, w.data(), (edge * inp, edge), inp)
     }
 
-    fn compress(layout: CsbLayout, value_at: impl Fn(usize, usize, usize, usize) -> f32) -> Self {
+    /// Encodes the row-major dense weights `w`: block `(gi, gj)` starts
+    /// at `gi·origin.0 + gj·origin.1` and its rows are `pitch` apart.
+    fn compress(layout: CsbLayout, w: &[f32], origin: (usize, usize), pitch: usize) -> Self {
+        assert_eq!(w.len(), layout.dense_len(), "CSB: weight count mismatch");
         let (gr, gc) = layout.grid();
         let mut ptr = Vec::with_capacity(gr * gc + 1);
         let mut masks = Vec::with_capacity(gr * gc);
-        let mut data = Vec::new();
+        let mut data = Vec::with_capacity(w.iter().filter(|&&v| v != 0.0).count());
         ptr.push(0u32);
         for gi in 0..gr {
             for gj in 0..gc {
                 let (br, bc) = layout.block_extent(gi, gj);
+                let block = &w[gi * origin.0 + gj * origin.1..];
                 let mut mask = BitMask::zeros(br * bc);
                 for bi in 0..br {
-                    for bj in 0..bc {
-                        let v = value_at(gi, gj, bi, bj);
+                    for (bj, &v) in block[bi * pitch..][..bc].iter().enumerate() {
                         if v != 0.0 {
                             mask.set(bi * bc + bj, true);
                             data.push(v);
@@ -613,6 +617,63 @@ mod tests {
             edge: 4,
         };
         layout.block_extent(3, 0);
+    }
+
+    /// The encoder walks the flat slice by block rows; the element-wise
+    /// encoder it replaced read every weight through `Tensor::at`. Same
+    /// `ptr`, `masks` and `data`, on conv filters and on fc grids ragged
+    /// on either side.
+    #[test]
+    fn flat_slice_encoding_equals_the_element_wise_one() {
+        let element_wise = |layout: CsbLayout, at: &dyn Fn(usize, usize, usize, usize) -> f32| {
+            let (gr, gc) = layout.grid();
+            let (mut ptr, mut masks, mut data) = (vec![0u32], Vec::new(), Vec::new());
+            for b in 0..gr * gc {
+                let (br, bc) = layout.block_extent(b / gc, b % gc);
+                let values: Vec<f32> = (0..br * bc)
+                    .map(|slot| at(b / gc, b % gc, slot / bc, slot % bc))
+                    .collect();
+                masks.push(BitMask::from_fn(br * bc, |slot| values[slot] != 0.0));
+                data.extend(values.into_iter().filter(|&v| v != 0.0));
+                ptr.push(data.len() as u32);
+            }
+            CsbTensor {
+                layout,
+                ptr,
+                masks,
+                data,
+            }
+        };
+        for (seed, [k, c, r, s]) in [[4, 3, 3, 3], [2, 5, 1, 1], [3, 2, 3, 2], [1, 1, 5, 5]]
+            .into_iter()
+            .enumerate()
+        {
+            let w = sparse_conv_weights(k, c, r, s, 0.3, 40 + seed as u64);
+            let want = element_wise(CsbLayout::Conv { k, c, r, s }, &|gi, gj, bi, bj| {
+                w.at(&[gi, gj, bi, bj])
+            });
+            assert!(
+                CsbTensor::from_dense_conv(&w) == want,
+                "conv {k}x{c}x{r}x{s}"
+            );
+        }
+        let mut rng = Xorshift64::new(47);
+        for (out, inp, edge) in [(3, 5, 8), (4, 4, 4), (7, 11, 3), (9, 5, 4), (70, 130, 64)] {
+            let w = Tensor::from_fn(&[out, inp], |_| {
+                if rng.next_f64() < 0.2 {
+                    rng.next_f32() - 0.5
+                } else {
+                    0.0
+                }
+            });
+            let want = element_wise(CsbLayout::Fc { out, inp, edge }, &|gi, gj, bi, bj| {
+                w.at(&[gi * edge + bi, gj * edge + bj])
+            });
+            assert!(
+                CsbTensor::from_dense_fc(&w, edge) == want,
+                "fc {out}x{inp} edge {edge}"
+            );
+        }
     }
 
     #[test]

@@ -9,14 +9,25 @@
 //!
 //! The stored nonzeros drive every loop nest and the innermost loop is a
 //! contiguous `f32` run. Layers flatten a [`CsbTensor`] once per weight
-//! resync into a [`ConvDecode`] or an [`FcDecode`]; both hold the weight
-//! matrix as the same CSR, and one SpMM over a column matrix serves the
-//! conv forward (the im2col columns), the fc forward (`xᵀ`) and the fc
-//! backward (`dyᵀ` against the CSR of `Wᵀ`) — a fully-connected layer is
-//! a convolution at `P = Q = 1`. Only the conv backward-input, which
-//! reads the filters rotated, has a loop nest of its own. The `csb_*`
-//! functions are the decode-per-call convenience wrappers over the same
-//! kernels.
+//! resync into a [`ConvDecode`] or an [`FcDecode`], each a pair of CSRs
+//! (the weight matrix in the order each pass fetches it), and two loop
+//! nests consume them:
+//!
+//! - **The gather** serves both convolutions. Like the PEs of Fig 2 it
+//!   never unfolds an activation: it runs over the zero-padded planes
+//!   ([`PaddedPlanes`]) the dense kernels read too, where at stride 1
+//!   every stored weight is one contiguous shifted run of a `Wp`-wide
+//!   view of the output. The forward pass streams the `[K, C·R·S]` rows
+//!   over the padded input; the backward-input pass streams the rotated
+//!   `[C, K·R·S]` rows over the dilated, padded upstream gradient — one
+//!   loop nest, two tap orders.
+//! - **The SpMM** over a materialised column matrix serves the
+//!   fully-connected products (`xᵀ`, and `dyᵀ` against the CSR of `Wᵀ`:
+//!   a fully-connected layer is a convolution at `P = Q = 1`) and
+//!   [`ConvDecode::forward_from_cols`], the im2col oracle the gather is
+//!   tested against.
+//!
+//! The `csb_*` functions are the decode-per-call convenience wrappers.
 //!
 //! # Numerical contract
 //!
@@ -41,11 +52,11 @@
 //! Training under either backend therefore produces identical loss
 //! curves; the equivalence suites in `tests/` pin this down.
 
-use procrustes_tensor::{conv_out_dim, im2col_into, Scratch, Tensor};
+use procrustes_tensor::{conv_out_dim, im2col_into, PaddedPlanes, Scratch, Tensor};
 
 use crate::{CsbLayout, CsbTensor};
 
-/// Accumulator-block width of the SpMM and the backward-input gather:
+/// Accumulator-block width of the SpMM and the gather:
 /// this many output positions stay in registers while one row's nonzeros
 /// stream through them — eight 512-bit vectors, the register budget of
 /// the dense GEMM's 2×64 tile (64 and 256 both measured slower on the
@@ -172,27 +183,85 @@ impl Csr {
         }
         Tensor::from_vec(&[n, self.rows()], y)
     }
-}
 
-/// One stored weight as the backward-input kernel reads it: output
-/// channel, filter tap, value.
-#[derive(Debug, Clone, Copy, Default)]
-struct Tap {
-    k: u32,
-    r: u32,
-    s: u32,
-    v: f32,
+    /// The convolution of `planes` with this matrix's rows as filters:
+    /// `y[n][o][p][q] = Σ v · window i of sample n at (p, q)` over row
+    /// `o`'s entries `(i, v)` in order, `i` a `(channel, r, s)` tap of
+    /// the planes' tables; `y` is laid out `[N, rows, P, Q]`.
+    ///
+    /// At stride 1 a sample's output is walked as a `Wp`-wide view —
+    /// position `p·Wp + q` — in which every tap is the contiguous run of
+    /// the planes that starts at its `row_base`: an `NR`-wide (128)
+    /// block of that view stays in registers while a row's entries
+    /// stream their shifted runs through it, and the view's surplus
+    /// columns (`q >= Q`, which read the next row's head or the next
+    /// sample) are dropped at the store. A strided convolution reads the
+    /// same tables element by element (`col_off`), with no surplus.
+    /// Either way each output element sees its row's entries in order
+    /// from `0.0` — the dense GEMM's reduction order.
+    fn gather(&self, planes: &PaddedPlanes, y: &mut [f32]) {
+        let view = planes.view();
+        let [n, c, hp, wp] = planes.dims();
+        let (p, q) = planes.out_dims();
+        let rows = self.rows();
+        assert_eq!(self.cols, view.rows(), "csb gather: tap count mismatch");
+        assert_eq!(y.len(), n * rows * p * q, "csb gather: output length");
+        let mut acc = [0.0f32; NR];
+        if view.step != 1 {
+            let (npq, pq) = (n * p * q, p * q);
+            for j in (0..npq).step_by(NR) {
+                let width = NR.min(npq - j);
+                let offsets = &view.col_off[j..j + width];
+                for o in 0..rows {
+                    acc[..width].fill(0.0);
+                    for (i, v) in self.row(o) {
+                        let base = view.row_base[i];
+                        for (a, &off) in acc[..width].iter_mut().zip(offsets) {
+                            *a += v * view.src[base + off];
+                        }
+                    }
+                    store_rows(&acc[..width], j, pq, pq, &mut y[o * pq..], rows * pq);
+                }
+            }
+            return;
+        }
+        // The view ends with the last kept column of the last row; a tap
+        // reaches at most `reach` past a position.
+        let len = (p - 1) * wp + q;
+        let reach = view.row_base.last().copied().unwrap_or(0);
+        for ni in 0..n {
+            let src = &view.src[ni * c * hp * wp..];
+            for j in (0..len).step_by(NR) {
+                let width = NR.min(len - j);
+                // A full block may run into the next sample (dropped at
+                // the store); only the last sample's last block cannot.
+                let full = reach + j + NR <= src.len();
+                for o in 0..rows {
+                    let runs = self.row(o).map(|(i, v)| (view.row_base[i] + j, v));
+                    if full {
+                        // Constant width: the block lives in registers.
+                        stream_runs(&mut acc, src, runs);
+                    } else {
+                        stream_runs(&mut acc[..width], src, runs);
+                    }
+                    let out = &mut y[(ni * rows + o) * p * q..][..p * q];
+                    store_rows(&acc[..width], j, wp, q, out, q);
+                }
+            }
+        }
+    }
 }
 
 /// A flat decode of a conv-layout [`CsbTensor`] in the two orders the
 /// training step reads it, so the kernels never touch masks or
 /// pointers:
 ///
-/// - by output channel `k` (CSR): `(c·R·S + r·S + s, value)` ascending —
-///   the rows of the `[K, C·R·S]` weight matrix, for the forward SpMM;
-/// - by input channel `c`: `(k, r, s, value)` with `k` ascending and
-///   each block's taps in descending `(r, s)` — the 180°-rotated fetch
-///   order of the backward pass (Fig 2b).
+/// - by output channel `k`: `(c·R·S + r·S + s, value)` ascending — the
+///   rows of the `[K, C·R·S]` weight matrix, for the forward pass;
+/// - by input channel `c`: `(k·R·S + r'·S + s', value)` ascending with
+///   `(r', s') = (R-1-r, S-1-s)` — the rows of the 180°-rotated,
+///   channel-swapped `[C, K·R·S]` matrix, the fetch order of the
+///   backward pass (Fig 2b).
 ///
 /// Layers build one per weight resync (see `WeightStore` in
 /// `procrustes-nn`) and run every forward and backward-input
@@ -203,15 +272,16 @@ struct Tap {
 ///
 /// ```
 /// use procrustes_sparse::{ConvDecode, CsbTensor};
-/// use procrustes_tensor::{im2col, reference::conv2d, Scratch, Tensor};
+/// use procrustes_tensor::{reference::conv2d, PaddedPlanes, Scratch, Tensor};
 ///
 /// let w = Tensor::from_vec(&[1, 1, 3, 3],
 ///     vec![0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 1.0]);
 /// let decode = ConvDecode::from_csb(&CsbTensor::from_dense_conv(&w));
 /// assert_eq!(decode.nnz(), 2);
 /// let x = Tensor::ones(&[1, 1, 4, 4]);
-/// let cols = im2col(&x, 3, 3, 1, 1);
-/// let y = decode.forward_from_cols(cols.data(), 1, 4, 4, &mut Scratch::new());
+/// let mut scratch = Scratch::new();
+/// let xp = PaddedPlanes::of_input(&x, 3, 3, 1, 1, &mut scratch);
+/// let y = decode.forward(&xp, &mut scratch);
 /// assert_eq!(y.data(), conv2d(&x, &w, 1, 1).data());
 /// ```
 #[derive(Debug, Clone)]
@@ -222,9 +292,8 @@ pub struct ConvDecode {
     s: usize,
     /// The `[K, C·R·S]` weight matrix.
     rows: Csr,
-    /// `chan_ptr[c]..chan_ptr[c+1]` indexes input channel `c`'s taps.
-    chan_ptr: Vec<u32>,
-    taps: Vec<Tap>,
+    /// The rotated, channel-swapped `[C, K·R·S]` weight matrix.
+    rot: Csr,
 }
 
 impl ConvDecode {
@@ -259,19 +328,15 @@ impl ConvDecode {
             chan_ptr[ci + 1] += chan_ptr[ci];
         }
         let mut cursor = chan_ptr[..c].to_vec();
-        let mut taps = vec![Tap::default(); nnz];
+        let (mut rot_idx, mut rot_val) = (vec![0u32; nnz], vec![0.0f32; nnz]);
         for ki in 0..k {
             for (ci, cursor) in cursor.iter_mut().enumerate() {
                 // The rotated fetch: a block's last slot comes first.
                 let end = *cursor as usize + w.block_nnz(ki, ci);
                 let slots = w.block_mask(ki, ci).iter_ones();
                 for (i, (slot, &v)) in slots.zip(w.block_values(ki, ci)).enumerate() {
-                    taps[end - 1 - i] = Tap {
-                        k: ki as u32,
-                        r: (slot / s) as u32,
-                        s: (slot % s) as u32,
-                        v,
-                    };
+                    rot_idx[end - 1 - i] = ((ki + 1) * r * s - 1 - slot) as u32;
+                    rot_val[end - 1 - i] = v;
                 }
                 *cursor = end as u32;
             }
@@ -282,14 +347,19 @@ impl ConvDecode {
             idx,
             val,
         };
+        let rot = Csr {
+            cols: k * r * s,
+            row_ptr: chan_ptr,
+            idx: rot_idx,
+            val: rot_val,
+        };
         Self {
             k,
             c,
             r,
             s,
             rows,
-            chan_ptr,
-            taps,
+            rot,
         }
     }
 
@@ -300,14 +370,42 @@ impl ConvDecode {
 
     /// Stored nonzeros.
     pub fn nnz(&self) -> usize {
-        self.taps.len()
+        self.rows.val.len()
+    }
+
+    /// Forward convolution over the padded input planes (the ones the
+    /// dense `conv2d_from_planes` and the weight update read): the
+    /// gather with the `[K, C·R·S]` weight rows as filters. The result
+    /// tensor `[N, K, P, Q]` comes from `scratch`.
+    ///
+    /// Per output element the terms arrive in ascending `(c, r, s)` from
+    /// `0.0` — the dense GEMM's reduction order — so the result is
+    /// bitwise-equal to `conv2d_from_planes`, `conv2d_from_cols` and
+    /// [`forward_from_cols`](Self::forward_from_cols) at any stride and
+    /// padding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the planes were not built for these weights' channels
+    /// and filter extents.
+    pub fn forward(&self, xp: &PaddedPlanes, scratch: &mut Scratch) -> Tensor {
+        let [n, c, ..] = xp.dims();
+        assert_eq!(
+            (c, xp.filter_dims()),
+            (self.c, (self.r, self.s)),
+            "csb conv: planes do not match the weights"
+        );
+        let (p, q) = xp.out_dims();
+        let mut y = scratch.take_any(n * self.k * p * q);
+        self.rows.gather(xp, &mut y);
+        Tensor::from_vec(&[n, self.k, p, q], y)
     }
 
     /// Forward convolution from precomputed im2col columns
-    /// (`[C·R·S, N·P·Q]`, as `im2col_into` lays them out): the sparse
-    /// counterpart of `conv2d_from_cols`, an SpMM of the `[K, C·R·S]`
-    /// weight rows against the columns. The result tensor `[N, K, P, Q]`
-    /// comes from `scratch`.
+    /// (`[C·R·S, N·P·Q]`, as `im2col_into` lays them out): the oracle of
+    /// [`forward`](Self::forward), an SpMM of the `[K, C·R·S]` weight
+    /// rows against the materialised columns. The result tensor
+    /// `[N, K, P, Q]` comes from `scratch`.
     ///
     /// Per output element the terms arrive in ascending `(c, r, s)` from
     /// `0.0` — the dense GEMM's reduction order — so the result is
@@ -333,19 +431,15 @@ impl ConvDecode {
     /// the 180°-rotated sparse filters. `h`/`wdt` are the input spatial
     /// extents; the result tensor `[N, C, H, W]` comes from `scratch`.
     ///
-    /// Gather form over a padded upstream gradient: each sample's `dy`
-    /// planes are dilated by `stride` and zero-padded by
-    /// `(R-1-pad, S-1-pad)` into a pooled buffer, so that in a
-    /// `W+S-1`-wide view of `dx` every tap is one contiguous shifted run
-    /// of its `dy` plane. Per input channel an `NR`-wide (128) block of that
-    /// view stays in registers while the channel's taps — `k` ascending,
-    /// each block's `(r, s)` descending — stream their runs through it;
-    /// the view's surplus columns are dropped at the store. For a fixed
-    /// `dx` element descending `(r, s)` is ascending `(p, q)`, so terms
-    /// arrive in the scatter oracle's `(k, p, q)` order from `0.0` and
-    /// the result is bitwise-equal to `reference::conv2d_backward_input`
-    /// (zero `dy` elements and the padding are multiplied, not skipped —
-    /// see the module docs).
+    /// The same gather as [`forward`](Self::forward), over the planes of
+    /// the upstream gradient — dilated by `stride` and zero-padded by
+    /// `(R-1-pad, S-1-pad)` into a pooled buffer
+    /// (`PaddedPlanes::of_upstream`) — with the rotated `[C, K·R·S]` rows
+    /// as filters sliding at stride 1. For a fixed `dx` element ascending
+    /// `(k, r', s')` is ascending `(k, p, q)`, so terms arrive in the
+    /// scatter oracle's order from `0.0` and the result is bitwise-equal
+    /// to `reference::conv2d_backward_input` (zero `dy` elements and the
+    /// padding are multiplied, not skipped — see the module docs).
     ///
     /// # Panics
     ///
@@ -360,59 +454,17 @@ impl ConvDecode {
         pad: usize,
         scratch: &mut Scratch,
     ) -> Tensor {
-        let [k, c, r, s] = self.dims();
-        let (n, p, q) = check_upstream(dy, self.dims(), h, wdt, stride, pad);
-        let (hp, wp) = (h + r - 1, wdt + s - 1);
-        let plane = hp * wp;
-        // The dy rows and columns that land inside the padded plane: one
-        // that only ever met the forward padding reaches no dx element.
-        let (rows, cols) = (
-            valid_out_range(p, hp, r - 1, stride, pad),
-            valid_out_range(q, wp, s - 1, stride, pad),
-        );
-        // Zero-filled once; every sample overwrites the same positions.
-        // The tail slack keeps the last block's surplus reads in bounds.
-        let mut dyp = scratch.take(k * plane + s + NR);
-        let mut dx = scratch.take_any(n * c * h * wdt);
-        let mut acc = [0.0f32; NR];
-        for ni in 0..n {
-            if let (Some((p_lo, p_hi)), Some((q_lo, q_hi))) = (rows, cols) {
-                for ki in 0..k {
-                    let src = &dy.data()[(ni * k + ki) * p * q..][..p * q];
-                    let dst = &mut dyp[ki * plane..][..plane];
-                    for pi in p_lo..=p_hi {
-                        let at = (pi * stride + r - 1 - pad) * wp + q_lo * stride + s - 1 - pad;
-                        let run = &src[pi * q + q_lo..=pi * q + q_hi];
-                        for (slot, &g) in dst[at..].iter_mut().step_by(stride).zip(run) {
-                            *slot = g;
-                        }
-                    }
-                }
-            }
-            for j in (0..h * wp).step_by(NR) {
-                let width = NR.min(h * wp - j);
-                for ci in 0..c {
-                    let taps = self.chan_ptr[ci] as usize..self.chan_ptr[ci + 1] as usize;
-                    let runs = self.taps[taps].iter().map(|t| {
-                        let (ki, rot_r, rot_s) =
-                            (t.k as usize, r - 1 - t.r as usize, s - 1 - t.s as usize);
-                        (ki * plane + rot_r * wp + rot_s + j, t.v)
-                    });
-                    // Always a full block: past the view's end it reads
-                    // the next plane or the slack, and `width` drops it.
-                    stream_runs(&mut acc, &dyp, runs);
-                    let out = &mut dx[(ni * c + ci) * h * wdt..][..h * wdt];
-                    store_rows(&acc[..width], j, wp, wdt, out, wdt);
-                }
-            }
-        }
-        scratch.recycle_vec(dyp);
-        Tensor::from_vec(&[n, c, h, wdt], dx)
+        let (n, _, _) = check_upstream(dy, self.dims(), h, wdt, stride, pad);
+        let dyp = PaddedPlanes::of_upstream(dy, self.r, self.s, h, wdt, stride, pad, scratch);
+        let mut dx = scratch.take_any(n * self.c * h * wdt);
+        self.rot.gather(&dyp, &mut dx);
+        dyp.recycle(scratch);
+        Tensor::from_vec(&[n, self.c, h, wdt], dx)
     }
 }
 
 /// `acc = Σ v · src[at..at + acc.len()]` over `runs` in order, from
-/// `0.0` — the one inner loop of the SpMM and the backward-input gather.
+/// `0.0` — the one inner loop of the SpMM and the gather.
 #[inline(always)]
 fn stream_runs(acc: &mut [f32], src: &[f32], runs: impl Iterator<Item = (usize, f32)>) {
     acc.fill(0.0);
@@ -506,10 +558,12 @@ fn check_upstream(
 /// Forward convolution with CSB weights: the sparse counterpart of
 /// `conv2d_from_cols`, skipping every zero weight.
 ///
-/// Convenience wrapper that decodes and unfolds on every call;
-/// steady-state callers (the `Conv2d` layer) cache a [`ConvDecode`] and
-/// run [`ConvDecode::forward_from_cols`] over the columns they already
-/// hold. Bitwise-equal to the dense forward path for the same operands.
+/// The im2col oracle: decodes, unfolds and runs
+/// [`ConvDecode::forward_from_cols`] on every call. Steady-state
+/// callers (the `Conv2d` layer) cache a [`ConvDecode`] and run
+/// [`ConvDecode::forward`] over the padded planes they already hold,
+/// which never unfolds. Bitwise-equal to it and to the dense forward
+/// path for the same operands.
 ///
 /// # Panics
 ///
@@ -595,10 +649,9 @@ pub fn csb_conv2d_backward_weights_masked(
     let dws = dw.data_mut();
     // One dot product per stored position, over (n, p, q) ascending —
     // the scatter kernel's reduction order for that element.
-    for ci in 0..c {
-        let taps = decode.chan_ptr[ci] as usize..decode.chan_ptr[ci + 1] as usize;
-        for tap in &decode.taps[taps] {
-            let (ki, ri, si) = (tap.k as usize, tap.r as usize, tap.s as usize);
+    for ki in 0..k {
+        for (tap, _) in decode.rows.row(ki) {
+            let (ci, ri, si) = (tap / (r * s), tap / s % r, tap % s);
             let (Some((p_lo, p_hi)), Some((q_lo, q_hi))) = (
                 valid_out_range(p, h, ri, stride, pad),
                 valid_out_range(q, wdt, si, stride, pad),
@@ -876,6 +929,14 @@ mod tests {
                     bits(&got),
                     "{what}"
                 );
+                // The gather over the padded planes — what the layers
+                // run — never sees the columns and gives the same bits.
+                let xp = PaddedPlanes::of_input(&x, r, s, stride, pad, &mut scratch);
+                let gathered = decode.forward(&xp, &mut scratch);
+                assert_eq!(gathered.shape(), got.shape(), "{what}");
+                assert_eq!(bits(&gathered), bits(&got), "{what}: gather vs SpMM");
+                xp.recycle(&mut scratch);
+                scratch.recycle(gathered);
                 scratch.recycle(got);
                 scratch.recycle(dense);
             }
@@ -938,18 +999,16 @@ mod tests {
         assert_eq!(d.rows.row_ptr, [0, 3, 4]);
         assert_eq!(d.rows.idx, [0, 4, 8, 2], "forward: ascending (c, r, s)");
         assert_eq!(d.rows.val, [1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(d.chan_ptr, [0, 4]);
-        let taps: Vec<_> = d.taps.iter().map(|t| (t.k, t.r, t.s, t.v)).collect();
+        assert_eq!((d.rot.rows(), d.rot.cols), (1, 18));
+        assert_eq!(d.rot.row_ptr, [0, 4]);
+        // Slots 8, 4, 0 of filter 0 rotate to 0, 4, 8; slot 2 of filter
+        // 1 to 9 + 6.
         assert_eq!(
-            taps,
-            [
-                (0, 2, 2, 3.0),
-                (0, 1, 1, 2.0),
-                (0, 0, 0, 1.0),
-                (1, 0, 2, 4.0)
-            ],
+            d.rot.idx,
+            [0, 4, 8, 15],
             "backward: k ascending, each block's taps rotated"
         );
+        assert_eq!(d.rot.val, [3.0, 2.0, 1.0, 4.0]);
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! The three convolution kernels of CNN training (Fig 2 of the paper),
-//! each as one GEMM over im2col columns, plus the im2col unfold itself.
+//! each as one GEMM over the columns of a convolution — read as a
+//! *view* of the padded input planes on the hot path
+//! ([`PaddedPlanes`]), or from a materialised [`im2col`] matrix by the
+//! `*_from_cols` oracles the view is tested against.
 //!
 //! All kernels take activations in `NCHW` layout and weights in `KCRS`
 //! layout, and support symmetric zero padding and a uniform stride — the
 //! configurations the paper's five networks use. Each compares equal
-//! (`f32 ==`) to its scatter-loop oracle in [`crate::reference`].
+//! (`f32 ==`) to its scatter-loop oracle in [`crate::reference`], and a
+//! product over the planes to the same product over the unfolded
+//! columns: only the GEMM's pack step tells the two apart.
 
-use crate::kernel::{self, Blueprint};
-use crate::{Scratch, Tensor};
+use crate::kernel::{self, Blueprint, Rhs};
+use crate::{PaddedPlanes, Scratch, Tensor};
 
 /// Output extent of a convolution along one axis.
 ///
@@ -35,7 +40,9 @@ pub fn conv_out_dim(input: usize, filter: usize, stride: usize, pad: usize) -> u
 
 /// Unfolds `x` (`NCHW`) into a `[C·R·S, N·P·Q]` matrix of convolution
 /// windows, so the forward pass becomes one matmul
-/// (see [`conv2d_from_cols`]).
+/// (see [`conv2d_from_cols`]). The training step never builds this
+/// matrix — it reads the same values through [`PaddedPlanes::view`] —
+/// so this is the oracle that view is checked against.
 pub fn im2col(x: &Tensor, r: usize, s: usize, stride: usize, pad: usize) -> Tensor {
     assert_eq!(x.shape().rank(), 4, "im2col: x must be NCHW");
     let (n, c, h, wdt) = (
@@ -54,9 +61,10 @@ pub fn im2col(x: &Tensor, r: usize, s: usize, stride: usize, pad: usize) -> Tens
 }
 
 /// [`im2col`] into a caller-provided buffer of exactly
-/// `(C·R·S)·(N·P·Q)` elements — the allocation-free form layers use with
-/// their cached column tensors. The buffer is fully overwritten
-/// (padding positions become `0.0`).
+/// `(C·R·S)·(N·P·Q)` elements. The buffer is fully overwritten
+/// (padding positions become `0.0`): each output row of a window row is
+/// one zero-fill / copy / zero-fill at stride 1, an element loop
+/// otherwise.
 ///
 /// # Panics
 ///
@@ -72,34 +80,43 @@ pub fn im2col_into(x: &Tensor, r: usize, s: usize, stride: usize, pad: usize, ds
     );
     let p = conv_out_dim(h, r, stride, pad);
     let q = conv_out_dim(wdt, s, stride, pad);
-    let cols = n * p * q;
     assert_eq!(
         dst.len(),
-        c * r * s * cols,
+        c * r * s * n * p * q,
         "im2col_into: dst length mismatch"
     );
-    dst.fill(0.0);
-    let out = dst;
     let xs = x.data();
+    // One `q`-long run of `dst` per (c, r, s, n, p), in `dst` order.
+    let mut runs = dst.chunks_exact_mut(q);
     for ci in 0..c {
         for ri in 0..r {
             for si in 0..s {
-                let row = (ci * r + ri) * s + si;
+                // Outputs `q_lo..q_hi` read inside the row: the others
+                // see only padding.
+                let q_lo = pad.saturating_sub(si).div_ceil(stride).min(q);
+                let q_hi = (wdt + pad)
+                    .saturating_sub(si)
+                    .div_ceil(stride)
+                    .clamp(q_lo, q);
                 for ni in 0..n {
                     for pi in 0..p {
+                        let run = runs.next().expect("one run per output row");
                         let hi = pi * stride + ri;
-                        if hi < pad || hi - pad >= h {
+                        if hi < pad || hi - pad >= h || q_lo == q_hi {
+                            run.fill(0.0);
                             continue;
                         }
-                        let hi = hi - pad;
-                        for qi in 0..q {
-                            let wi = qi * stride + si;
-                            if wi < pad || wi - pad >= wdt {
-                                continue;
+                        let row = &xs[((ni * c + ci) * h + hi - pad) * wdt..][..wdt];
+                        let first = q_lo * stride + si - pad;
+                        run[..q_lo].fill(0.0);
+                        run[q_hi..].fill(0.0);
+                        if stride == 1 {
+                            run[q_lo..q_hi].copy_from_slice(&row[first..][..q_hi - q_lo]);
+                        } else {
+                            let taken = row[first..].iter().step_by(stride);
+                            for (slot, &v) in run[q_lo..q_hi].iter_mut().zip(taken) {
+                                *slot = v;
                             }
-                            let wi = wi - pad;
-                            out[row * cols + (ni * p + pi) * q + qi] =
-                                xs[((ni * c + ci) * h + hi) * wdt + wi];
                         }
                     }
                 }
@@ -122,10 +139,30 @@ fn permute_group_pair(dst: &mut [f32], src: &[f32], a: usize, b: usize, plane: u
     }
 }
 
-/// Forward convolution from precomputed im2col columns: one GEMM
-/// (`[K, C·R·S] × [C·R·S, N·P·Q]`) plus the `[K, N] → [N, K]` plane
-/// reorder. All buffers come from `scratch` (the result tensor too, so
-/// callers can recycle it).
+/// Forward convolution over the padded input planes: one GEMM
+/// (`[K, C·R·S] × [C·R·S, N·P·Q]`, the rhs read through
+/// [`PaddedPlanes::view`]) plus the `[K, N] → [N, K]` plane reorder.
+/// All buffers come from `scratch` (the result tensor too, so callers
+/// can recycle it). Equal (`f32 ==`) to [`conv2d_from_cols`] over the
+/// unfolded input.
+///
+/// # Panics
+///
+/// Panics if `w` is not `KCRS` or disagrees with the planes' channels
+/// or filter extents.
+pub fn conv2d_from_planes(w: &Tensor, planes: &PaddedPlanes, scratch: &mut Scratch) -> Tensor {
+    let [n, c, ..] = planes.dims();
+    let ((r, s), (p, q)) = (planes.filter_dims(), planes.out_dims());
+    assert_eq!(
+        w.shape().dims()[1..],
+        [c, r, s],
+        "conv2d_from_planes: weights do not match the planes"
+    );
+    forward(w, Rhs::Cols(planes.view()), n, p, q, scratch)
+}
+
+/// Forward convolution from precomputed im2col columns: the oracle of
+/// [`conv2d_from_planes`], the same GEMM over the materialised matrix.
 ///
 /// # Panics
 ///
@@ -138,42 +175,62 @@ pub fn conv2d_from_cols(
     q: usize,
     scratch: &mut Scratch,
 ) -> Tensor {
-    assert_eq!(
-        w.shape().rank(),
-        4,
-        "conv2d_from_cols: weights must be KCRS"
-    );
+    forward(w, Rhs::Slice(cols), n, p, q, scratch)
+}
+
+fn forward(
+    w: &Tensor,
+    cols: Rhs<'_>,
+    n: usize,
+    p: usize,
+    q: usize,
+    scratch: &mut Scratch,
+) -> Tensor {
+    assert_eq!(w.shape().rank(), 4, "conv forward: weights must be KCRS");
     let k = w.shape().dim(0);
     let crs = w.len() / k;
     let npq = n * p * q;
-    assert_eq!(
-        cols.len(),
-        crs * npq,
-        "conv2d_from_cols: column matrix length mismatch"
-    );
     let mut ymat = scratch.take_any(k * npq);
     // KCRS weights are row-major [K, C·R·S] as-is: no reshape copy.
-    kernel::gemm(
-        &Blueprint::nn(k, crs, npq).with_threads(kernel::default_threads()),
-        &mut ymat,
-        w.data(),
-        cols,
-        scratch,
-    );
+    let bp = Blueprint::nn(k, crs, npq).with_threads(kernel::default_threads());
+    kernel::gemm_rhs(&bp, &mut ymat, w.data(), cols, scratch);
     let mut y = scratch.take_any(npq * k);
     permute_group_pair(&mut y, &ymat, k, n, p * q);
     scratch.recycle_vec(ymat);
     Tensor::from_vec(&[n, k, p, q], y)
 }
 
-/// Weight-update convolution from the forward pass's cached im2col
-/// columns: `∂L/∂w = dy_mat · colsᵀ`, one transposed-B GEMM.
+/// Weight-update convolution over the forward pass's padded input
+/// planes: `∂L/∂w = dy_mat · colsᵀ`, one transposed-B GEMM whose rhs
+/// panels are packed straight out of the planes.
 ///
 /// For each `dw[k,c,r,s]` the contributions arrive over
 /// `(n, p, q)` ascending — exactly the scatter kernel's
 /// ([`conv2d_backward_weights`](crate::reference::conv2d_backward_weights))
 /// reduction order — so the result compares equal (`f32 ==`) to it on
-/// finite data.
+/// finite data, and to [`conv2d_backward_weights_from_cols`].
+///
+/// # Panics
+///
+/// Panics if `dy` is not `[N, K, P, Q]` of the planes' convolution.
+pub fn conv2d_backward_weights_from_planes(
+    dy: &Tensor,
+    planes: &PaddedPlanes,
+    scratch: &mut Scratch,
+) -> Tensor {
+    let [n, c, ..] = planes.dims();
+    let ((r, s), (p, q)) = (planes.filter_dims(), planes.out_dims());
+    assert_eq!(dy.shape().rank(), 4, "conv wu: dy must be NKPQ");
+    assert_eq!(
+        [dy.shape().dim(0), dy.shape().dim(2), dy.shape().dim(3)],
+        [n, p, q],
+        "conv wu: dy does not match the planes"
+    );
+    backward_weights(dy, Rhs::Cols(planes.view()), c, r, s, scratch)
+}
+
+/// Weight-update convolution from materialised im2col columns: the
+/// oracle of [`conv2d_backward_weights_from_planes`].
 ///
 /// # Panics
 ///
@@ -187,6 +244,17 @@ pub fn conv2d_backward_weights_from_cols(
     scratch: &mut Scratch,
 ) -> Tensor {
     assert_eq!(dy.shape().rank(), 4, "conv wu: dy must be NKPQ");
+    backward_weights(dy, Rhs::Slice(cols), c, r, s, scratch)
+}
+
+fn backward_weights(
+    dy: &Tensor,
+    cols: Rhs<'_>,
+    c: usize,
+    r: usize,
+    s: usize,
+    scratch: &mut Scratch,
+) -> Tensor {
     let (n, k, p, q) = (
         dy.shape().dim(0),
         dy.shape().dim(1),
@@ -195,29 +263,21 @@ pub fn conv2d_backward_weights_from_cols(
     );
     let npq = n * p * q;
     let crs = c * r * s;
-    assert_eq!(
-        cols.len(),
-        crs * npq,
-        "conv wu: column matrix length mismatch"
-    );
     // dy arrives [N, K, P, Q]; the GEMM wants K-major rows.
     let mut dyt = scratch.take_any(k * npq);
     permute_group_pair(&mut dyt, dy.data(), n, k, p * q);
     let mut dw = scratch.take_any(k * crs);
-    kernel::gemm(
-        &Blueprint::nt(k, npq, crs).with_threads(kernel::default_threads()),
-        &mut dw,
-        &dyt,
-        cols,
-        scratch,
-    );
+    let bp = Blueprint::nt(k, npq, crs).with_threads(kernel::default_threads());
+    kernel::gemm_rhs(&bp, &mut dw, &dyt, cols, scratch);
     scratch.recycle_vec(dyt);
     Tensor::from_vec(&[k, c, r, s], dw)
 }
 
 /// Backward-pass convolution (Fig 2b) as a GEMM: gathers `∂L/∂x` by
-/// multiplying 180°-rotated, channel-swapped filters against the im2col
-/// matrix of the (stride-dilated, full-padded) upstream gradient.
+/// multiplying 180°-rotated, channel-swapped filters against the
+/// columns of the (stride-dilated, full-padded) upstream gradient —
+/// read, like the forward pass's, as a view of its padded planes
+/// ([`PaddedPlanes::of_upstream`]), never unfolded.
 ///
 /// # Why this formulation
 ///
@@ -247,12 +307,7 @@ pub fn conv2d_backward_input_gemm(
 ) -> Tensor {
     assert_eq!(dy.shape().rank(), 4, "conv bw: dy must be NKPQ");
     assert_eq!(w.shape().rank(), 4, "conv bw: weights must be KCRS");
-    let (n, k, p, q) = (
-        dy.shape().dim(0),
-        dy.shape().dim(1),
-        dy.shape().dim(2),
-        dy.shape().dim(3),
-    );
+    let (n, k) = (dy.shape().dim(0), dy.shape().dim(1));
     let (kw, c, r, s) = (
         w.shape().dim(0),
         w.shape().dim(1),
@@ -262,16 +317,6 @@ pub fn conv2d_backward_input_gemm(
     assert_eq!(
         k, kw,
         "conv bw: dy channels {k} != weight out-channels {kw}"
-    );
-    assert_eq!(
-        p,
-        conv_out_dim(h, r, stride, pad),
-        "conv bw: dy height inconsistent with input geometry"
-    );
-    assert_eq!(
-        q,
-        conv_out_dim(wdt, s, stride, pad),
-        "conv bw: dy width inconsistent with input geometry"
     );
 
     let krs = k * r * s;
@@ -292,51 +337,19 @@ pub fn conv2d_backward_input_gemm(
         }
     }
 
-    // im2col of dy dilated by `stride` and padded by (r-1-pad, s-1-pad):
-    // dycols[(k, r', s')][(n, hi, wi)] = dy[n, k, pi, qi] where
-    // hi = pi·stride + (r-1-pad) - r'  (and likewise for wi), 0 where no
-    // such pi/qi exists. `take` zero-fills, so only hits are written.
-    let padh = (r - 1) as isize - pad as isize;
-    let padw = (s - 1) as isize - pad as isize;
-    let mut dycols = scratch.take(krs * nhw);
-    let dys = dy.data();
-    for ki in 0..k {
-        for rr in 0..r {
-            let off_h = padh - rr as isize;
-            for ss in 0..s {
-                let off_w = padw - ss as isize;
-                let rowbase = ((ki * r + rr) * s + ss) * nhw;
-                for ni in 0..n {
-                    for pi in 0..p {
-                        let hi = pi as isize * stride as isize + off_h;
-                        if hi < 0 || hi >= h as isize {
-                            continue;
-                        }
-                        let dstbase = rowbase + (ni * h + hi as usize) * wdt;
-                        let srcbase = ((ni * k + ki) * p + pi) * q;
-                        for qi in 0..q {
-                            let wi = qi as isize * stride as isize + off_w;
-                            if wi < 0 || wi >= wdt as isize {
-                                continue;
-                            }
-                            dycols[dstbase + wi as usize] = dys[srcbase + qi];
-                        }
-                    }
-                }
-            }
-        }
-    }
-
+    // cols[(k, r', s')][(n, hi, wi)] = the dilated, padded dy at
+    // (hi + r', wi + s') of plane (n, k).
+    let dyp = PaddedPlanes::of_upstream(dy, r, s, h, wdt, stride, pad, scratch);
     let mut dxmat = scratch.take_any(c * nhw);
-    kernel::gemm(
+    kernel::gemm_cols(
         &Blueprint::nn(c, krs, nhw).with_threads(kernel::default_threads()),
         &mut dxmat,
         &wrot,
-        &dycols,
+        &dyp.view(),
         scratch,
     );
     scratch.recycle_vec(wrot);
-    scratch.recycle_vec(dycols);
+    dyp.recycle(scratch);
 
     let mut dx = scratch.take_any(c * nhw);
     permute_group_pair(&mut dx, &dxmat, c, n, h * wdt);

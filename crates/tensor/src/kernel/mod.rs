@@ -8,6 +8,10 @@
 //! - [`routine`] — the executable kernels ([`Routine`]): the seed
 //!   streaming loops and the register-tiled microkernel over packed
 //!   rhs panels staged through the [`Scratch`] pool.
+//! - [`cols`] — the rhs of a convolution product as a *view*
+//!   ([`ColsView`]): the im2col matrix read through two offset tables
+//!   out of the padded input planes, so the packed routine's pack step
+//!   is the only code that ever sees it ([`gemm_cols`]).
 //! - [`selector`] — the policy mapping blueprints to plans, in two
 //!   steps: tiny problems take a streaming kernel, everything else is
 //!   ranked at call time by the deterministic cost model.
@@ -18,7 +22,8 @@
 //!   workers of [`crate::pool`]. Chosen by the same cost model;
 //!   bitwise-identical to the serial tier at every worker count.
 //!
-//! [`gemm`] is the one entry point every caller uses.
+//! [`gemm`] is the one entry point every caller uses; [`gemm_cols`] is
+//! the same entry with a [`ColsView`] for its rhs.
 //!
 //! # The accumulation-order contract
 //!
@@ -58,14 +63,18 @@
 
 pub mod autotune;
 pub mod blueprint;
+pub mod cols;
 pub mod routine;
 pub mod selector;
 pub mod thread;
 
 pub use blueprint::{Blueprint, Op};
+pub use cols::ColsView;
 pub use routine::Routine;
-pub use selector::{explain, select, Plan};
+pub use selector::{explain, select, select_cols, Plan};
 pub use thread::default_threads;
+
+pub(crate) use routine::Rhs;
 
 use crate::scratch::Scratch;
 
@@ -95,10 +104,62 @@ use crate::scratch::Scratch;
 /// assert_eq!(dst, a);
 /// ```
 pub fn gemm(bp: &Blueprint, dst: &mut [f32], lhs: &[f32], rhs: &[f32], scratch: &mut Scratch) {
-    let plan = selector::select(bp);
+    gemm_rhs(bp, dst, lhs, Rhs::Slice(rhs), scratch);
+}
+
+/// [`gemm`] with the columns of a convolution for its rhs, read out of
+/// the padded planes instead of a materialised matrix: `cols` stands
+/// for the `[k, n]` operand of an `Nn` blueprint (the forward and
+/// backward-input products) or the `[n, k]` one of an `Nt` blueprint
+/// (the weight update). Same tiers, same reduction order, same result
+/// bytes as `gemm` over the unfolded matrix; the plan is
+/// [`select_cols`]'s.
+///
+/// # Panics
+///
+/// Panics if the view's extents or a slice length disagree with the
+/// blueprint, or on a `Tn` blueprint.
+///
+/// # Examples
+///
+/// ```
+/// use procrustes_tensor::kernel::{gemm_cols, Blueprint, ColsView};
+/// use procrustes_tensor::Scratch;
+/// // A 1×2 filter sliding over [1, 2, 3]: columns [[1, 2], [2, 3]].
+/// let cols = ColsView { src: &[1.0, 2.0, 3.0], row_base: &[0, 1], col_off: &[0, 1], step: 1 };
+/// let mut y = [0.0f32; 2];
+/// gemm_cols(&Blueprint::nn(1, 2, 2), &mut y, &[10.0, 1.0], &cols, &mut Scratch::new());
+/// assert_eq!(y, [12.0, 23.0]);
+/// ```
+pub fn gemm_cols(
+    bp: &Blueprint,
+    dst: &mut [f32],
+    lhs: &[f32],
+    cols: &ColsView<'_>,
+    scratch: &mut Scratch,
+) {
+    gemm_rhs(bp, dst, lhs, Rhs::Cols(*cols), scratch);
+}
+
+/// [`gemm`] or [`gemm_cols`], by the kind of `rhs`.
+pub(crate) fn gemm_rhs(
+    bp: &Blueprint,
+    dst: &mut [f32],
+    lhs: &[f32],
+    rhs: Rhs<'_>,
+    scratch: &mut Scratch,
+) {
+    let plan = match rhs {
+        Rhs::Slice(_) => selector::select(bp),
+        Rhs::Cols(cols) => {
+            cols.check();
+            selector::select_cols(bp)
+        }
+    };
     if plan.workers > 1 {
         thread::run(plan.routine, bp, plan.workers, dst, lhs, rhs, scratch);
     } else {
-        routine::execute(plan.routine, bp, dst, lhs, rhs, scratch);
+        let dst = routine::SlabMut::full(bp, dst);
+        routine::execute_slab(plan.routine, bp, dst, lhs, rhs, scratch);
     }
 }

@@ -31,6 +31,7 @@
 //! finite data, and what the CSB kernels do by construction).
 
 use super::blueprint::{Blueprint, Op};
+use super::cols::{for_each_run, ColsView};
 use super::thread::{chunk, MAX_WORKERS};
 use crate::scratch::Scratch;
 use std::marker::PhantomData;
@@ -109,6 +110,18 @@ impl Routine {
             Routine::PackedLhs { mr, nr, kc } => format!("packed-lhs-{mr}x{nr}/kc{kc}"),
         }
     }
+}
+
+/// Where a product's rhs comes from: a materialised matrix, or the
+/// padded planes of a convolution read as one (see [`super::cols`]).
+/// Only the pack step of [`Routine::Packed`] tells them apart.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rhs<'a> {
+    /// Row-major `[k, n]` (`Nn`, `Tn`) or `[n, k]` (`Nt`).
+    Slice(&'a [f32]),
+    /// The `[C·R·S, N·P·Q]` columns: `[k, n]` of an `Nn` product,
+    /// `[n, k]` of an `Nt` one.
+    Cols(ColsView<'a>),
 }
 
 /// A rectangular region of the output a single worker computes:
@@ -301,6 +314,7 @@ pub fn execute(
     rhs: &[f32],
     scratch: &mut Scratch,
 ) {
+    let rhs = Rhs::Slice(rhs);
     execute_slab(routine, bp, SlabMut::full(bp, dst), lhs, rhs, scratch);
 }
 
@@ -313,11 +327,21 @@ pub(crate) fn execute_slab(
     bp: &Blueprint,
     mut dst: SlabMut<'_>,
     lhs: &[f32],
-    rhs: &[f32],
+    rhs: Rhs<'_>,
     scratch: &mut Scratch,
 ) {
     assert_eq!(lhs.len(), bp.lhs_len(), "kernel: lhs length != m*k");
-    assert_eq!(rhs.len(), bp.rhs_len(), "kernel: rhs length != k*n");
+    match rhs {
+        Rhs::Slice(b) => assert_eq!(b.len(), bp.rhs_len(), "kernel: rhs length != k*n"),
+        Rhs::Cols(v) => {
+            let extents = match bp.op {
+                Op::Nn => (bp.k, bp.n),
+                Op::Nt => (bp.n, bp.k),
+                Op::Tn => panic!("kernel: a column view cannot be the rhs of a tn product"),
+            };
+            assert_eq!((v.rows(), v.cols()), extents, "kernel: view extents != rhs");
+        }
+    }
     assert!(
         routine.supports(bp),
         "kernel: routine {} cannot serve op={}",
@@ -330,15 +354,20 @@ pub(crate) fn execute_slab(
         "kernel: view of another output"
     );
     let dst = &mut dst;
-    match routine {
-        Routine::RowStream => row_stream(dst, lhs, rhs, bp.k, bp.n),
-        Routine::NtRegTile => nt_reg_tile(dst, lhs, rhs, bp.k),
-        Routine::Packed { mr, nr, kc } => {
+    match (routine, rhs) {
+        (Routine::Packed { mr, nr, kc }, rhs) => {
             dispatch_packed(mr, nr, kc as usize, false, bp, dst, lhs, rhs, scratch)
         }
-        Routine::PackedLhs { mr, nr, kc } => {
+        (Routine::RowStream, Rhs::Slice(b)) => row_stream(dst, lhs, b, bp.k, bp.n),
+        (Routine::NtRegTile, Rhs::Slice(b)) => nt_reg_tile(dst, lhs, b, bp.k),
+        (Routine::PackedLhs { mr, nr, kc }, rhs @ Rhs::Slice(_)) => {
             dispatch_packed(mr, nr, kc as usize, true, bp, dst, lhs, rhs, scratch)
         }
+        // Only a pack step can read through the tables.
+        (other, Rhs::Cols(_)) => panic!(
+            "kernel: routine {} cannot read a column view",
+            other.describe()
+        ),
     }
 }
 
@@ -362,15 +391,16 @@ fn dispatch_packed(
     bp: &Blueprint,
     dst: &mut SlabMut<'_>,
     lhs: &[f32],
-    rhs: &[f32],
+    rhs: Rhs<'_>,
     scratch: &mut Scratch,
 ) {
     macro_rules! go {
         ($mr:literal, $nr:literal) => {
-            if pack_lhs {
-                run_packed_lhs::<$mr, $nr>(dst, lhs, rhs, bp, kc, scratch)
-            } else {
-                run_packed::<$mr, $nr>(dst, lhs, rhs, bp, kc, scratch)
+            match rhs {
+                Rhs::Slice(b) if pack_lhs => {
+                    run_packed_lhs::<$mr, $nr>(dst, lhs, b, bp, kc, scratch)
+                }
+                _ => run_packed::<$mr, $nr>(dst, lhs, rhs, bp, kc, scratch),
             }
         };
     }
@@ -392,7 +422,7 @@ fn dispatch_packed(
 fn run_packed<const MR: usize, const NR: usize>(
     dst: &mut SlabMut<'_>,
     lhs: &[f32],
-    rhs: &[f32],
+    rhs: Rhs<'_>,
     bp: &Blueprint,
     kc_blk: usize,
     scratch: &mut Scratch,
@@ -423,9 +453,11 @@ fn run_packed<const MR: usize, const NR: usize>(
             let kc = kc_blk.min(k - k0);
             let panel = &mut panels[which];
             which ^= 1;
-            match bp.op {
-                Op::Nt => pack_rhs_t::<NR>(panel, rhs, k0, kc, j, jw, k),
-                Op::Nn | Op::Tn => pack_rhs_n::<NR>(panel, rhs, k0, kc, j, jw, n),
+            match (rhs, bp.op) {
+                (Rhs::Slice(b), Op::Nt) => pack_rhs_t::<NR>(panel, b, k0, kc, j, jw, k),
+                (Rhs::Slice(b), Op::Nn | Op::Tn) => pack_rhs_n::<NR>(panel, b, k0, kc, j, jw, n),
+                (Rhs::Cols(v), Op::Nt) => pack_cols_t::<NR>(panel, &v, k0, kc, j, jw),
+                (Rhs::Cols(v), Op::Nn | Op::Tn) => pack_cols_n::<NR>(panel, &v, k0, kc, j, jw),
             }
             let first = k0 == 0;
             let mut i = slab.i0;
@@ -665,6 +697,71 @@ fn pack_rhs_t<const NR: usize>(
                 panel[p * NR + jr] = 0.0;
             }
         }
+    }
+}
+
+/// [`pack_rhs_n`] out of a column view: row `p` of the panel is row
+/// `k0 + p` of the columns, `cols[k0 + p][j..j + jw]`, which the planes
+/// hold as one run per output row the panel crosses — so the panel is
+/// filled run by run, every reduction row copying the same runs from
+/// its own tap's base.
+fn pack_cols_n<const NR: usize>(
+    panel: &mut [f32],
+    v: &ColsView<'_>,
+    k0: usize,
+    kc: usize,
+    j: usize,
+    jw: usize,
+) {
+    let bases = &v.row_base[k0..k0 + kc];
+    if jw < NR {
+        for row in panel[..kc * NR].chunks_exact_mut(NR) {
+            row[jw..].fill(0.0);
+        }
+    }
+    let offsets = &v.col_off[j..j + jw];
+    for_each_run(offsets, v.step, |at, len| {
+        let rows = panel[..kc * NR].chunks_exact_mut(NR);
+        if v.step == 1 {
+            for (row, &base) in rows.zip(bases) {
+                row[at..at + len].copy_from_slice(&v.src[base + offsets[at]..][..len]);
+            }
+        } else {
+            for (row, &base) in rows.zip(bases) {
+                let run = v.src[base + offsets[at]..].iter().step_by(v.step);
+                for (slot, &x) in row[at..at + len].iter_mut().zip(run) {
+                    *slot = x;
+                }
+            }
+        }
+    });
+}
+
+/// [`pack_rhs_t`] out of a column view: row `p` of the panel is column
+/// `k0 + p` of the columns across rows `j..j + jw`,
+/// `cols[j..j + jw][k0 + p]` — one window origin plus each tap's base.
+///
+/// The read is `get(..).unwrap_or(0.0)` rather than an index: without a
+/// panic edge in the loop the compiler turns the `jw` table-driven
+/// loads into hardware gathers, which is what makes this pack cheaper
+/// than the strided copy out of a materialised matrix. The fallback
+/// never fires: [`ColsView::check`] has bounded every `base + offset`.
+fn pack_cols_t<const NR: usize>(
+    panel: &mut [f32],
+    v: &ColsView<'_>,
+    k0: usize,
+    kc: usize,
+    j: usize,
+    jw: usize,
+) {
+    let bases = &v.row_base[j..j + jw];
+    let offsets = &v.col_off[k0..k0 + kc];
+    for (row, &off) in panel[..kc * NR].chunks_exact_mut(NR).zip(offsets) {
+        let src = &v.src[off..];
+        for (slot, &base) in row.iter_mut().zip(bases) {
+            *slot = src.get(base).copied().unwrap_or(0.0);
+        }
+        row[jw..].fill(0.0);
     }
 }
 

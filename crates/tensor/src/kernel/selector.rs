@@ -79,6 +79,27 @@ pub fn explain(bp: &Blueprint) -> (Plan, &'static str) {
     (autotune::best_plan(bp), "model")
 }
 
+/// The plan for a product whose rhs is a
+/// [`ColsView`](super::cols::ColsView). Only a pack step can read
+/// through the view's tables, so where [`select`] would stream (tiny
+/// problems, three-row outputs) the product takes the full-width packed
+/// tile at the same worker count instead; everywhere else the plan is
+/// `select`'s — still a pure function of the blueprint.
+pub fn select_cols(bp: &Blueprint) -> Plan {
+    let plan = select(bp);
+    match plan.routine {
+        Routine::Packed { .. } => plan,
+        _ => Plan {
+            routine: Routine::Packed {
+                mr: 2,
+                nr: 64,
+                kc: 128,
+            },
+            ..plan
+        },
+    }
+}
+
 /// Streaming choice for problems too small to amortize packing. The
 /// seed kernels only exist for `Nn`/`Nt`; `Tn` takes a narrow packed
 /// tile whose panel is clamped to the problem anyway.
@@ -166,6 +187,64 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The same table for the products whose rhs is a column view — the
+    /// fifteen conv products of that step (forward, weight update,
+    /// backward-input per layer; the first layer's backward-input only
+    /// runs when its `dx` is asked for). A view is served by `Packed`
+    /// only: where the extents' own plan streams, the full-width packed
+    /// tile steps in at the same worker counts; every other plan is the
+    /// extents' own.
+    #[test]
+    fn view_fed_conv_products_keep_their_recorded_plans() {
+        type Golden = (Op, usize, usize, usize, &'static str, [usize; 4]);
+        #[rustfmt::skip]
+        let golden: &[Golden] = &[
+            (Op::Nn, 16, 27, 8192, "packed-2x64/kc128", [1, 2, 4, 8]),
+            (Op::Nn, 16, 144, 8192, "packed-2x64/kc256", [1, 2, 4, 8]),
+            (Op::Nn, 32, 144, 2048, "packed-2x64/kc256", [1, 2, 4, 8]),
+            (Op::Nn, 32, 288, 2048, "packed-2x64/kc128", [1, 2, 4, 8]),
+            (Op::Nn, 64, 288, 512, "packed-2x64/kc128", [1, 2, 4, 8]),
+            (Op::Nt, 16, 8192, 27, "packed-2x64/kc128", [1, 1, 1, 1]),
+            (Op::Nt, 16, 8192, 144, "packed-2x64/kc128", [1, 2, 3, 3]),
+            (Op::Nt, 32, 2048, 144, "packed-2x64/kc128", [1, 2, 3, 3]),
+            (Op::Nt, 32, 2048, 288, "packed-2x64/kc128", [1, 2, 4, 5]),
+            (Op::Nt, 64, 512, 288, "packed-2x64/kc128", [1, 2, 4, 5]),
+            (Op::Nn, 3, 144, 8192, "packed-2x64/kc128", [1, 2, 4, 8]),
+            (Op::Nn, 16, 144, 8192, "packed-2x64/kc256", [1, 2, 4, 8]),
+            (Op::Nn, 16, 288, 2048, "packed-2x64/kc128", [1, 2, 4, 8]),
+            (Op::Nn, 32, 288, 2048, "packed-2x64/kc128", [1, 2, 4, 8]),
+            (Op::Nn, 32, 576, 512, "packed-2x64/kc128", [1, 2, 4, 8]),
+        ];
+        for &(op, m, k, n, routine, workers) in golden {
+            for (budget, w) in [1, 2, 4, 8].into_iter().zip(workers) {
+                let bp = Blueprint {
+                    m,
+                    k,
+                    n,
+                    op,
+                    threads: budget,
+                };
+                let want = match w {
+                    1 => format!("{routine}@serial"),
+                    _ => format!("{routine}@threadedx{w}"),
+                };
+                let plan = select_cols(&bp);
+                assert_eq!(
+                    plan.describe(),
+                    want,
+                    "{} {m}x{k}x{n} at budget {budget}",
+                    op.tag()
+                );
+                if matches!(select(&bp).routine, Routine::Packed { .. }) {
+                    assert_eq!(plan, select(&bp), "a packed plan is kept as is");
+                }
+            }
+        }
+        // Tiny problems pack too: nothing else reads through the tables.
+        let tiny = select_cols(&Blueprint::nt(4, 4, 4));
+        assert_eq!(tiny.describe(), "packed-2x64/kc128@serial");
     }
 
     #[test]

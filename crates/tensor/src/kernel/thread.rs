@@ -34,7 +34,7 @@
 //! yields row segments inside that chunk and nothing else.
 
 use super::blueprint::Blueprint;
-use super::routine::{execute_slab, Routine, Slab, SlabDeal};
+use super::routine::{execute_slab, Rhs, Routine, Slab, SlabDeal};
 use crate::pool;
 use crate::scratch::Scratch;
 use std::sync::OnceLock;
@@ -168,7 +168,7 @@ pub(crate) fn run(
     workers: usize,
     dst: &mut [f32],
     lhs: &[f32],
-    rhs: &[f32],
+    rhs: Rhs<'_>,
     scratch: &mut Scratch,
 ) {
     assert!(
@@ -281,7 +281,7 @@ mod tests {
                 workers,
                 &mut threaded,
                 &lhs,
-                &rhs,
+                Rhs::Slice(&rhs),
                 &mut scratch,
             );
             assert!(

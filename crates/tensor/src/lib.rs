@@ -13,11 +13,21 @@
 //!   accumulation-order contract (see the [`kernel`] module docs) that
 //!   keeps results exactly equal to the naive seed loops in
 //!   [`mod@reference`] and to the CSB sparse kernels;
+//! * [`PaddedPlanes`] — convolution as a *layout*: an `NCHW` tensor
+//!   copied once into zero-padded planes, plus the two offset tables
+//!   through which those planes read as the `[C·R·S, N·P·Q]` column
+//!   matrix of a convolution ([`kernel::ColsView`]) — so no training
+//!   step builds, stores or re-reads an im2col matrix;
 //! * the three convolution kernels of CNN training (Fig 2 of the paper),
-//!   each as one GEMM over [`im2col`] columns: [`conv2d_from_cols`]
+//!   each as one GEMM whose rhs is that view: [`conv2d_from_planes`]
 //!   (forward), [`conv2d_backward_input_gemm`] (backward pass — the
-//!   180°-rotated-filter convolution), and
-//!   [`conv2d_backward_weights_from_cols`] (weight update);
+//!   180°-rotated-filter convolution over the padded planes of the
+//!   upstream gradient), and [`conv2d_backward_weights_from_planes`]
+//!   (weight update);
+//! * [`im2col`] / [`im2col_into`], [`conv2d_from_cols`] and
+//!   [`conv2d_backward_weights_from_cols`] — the same products over a
+//!   materialised column matrix: the oracles of the view-fed kernels
+//!   (`tests/cols_view_equality.rs`), not called by any layer;
 //! * [`mod@reference`] — the seed scatter-loop convolutions and the naive
 //!   matmul, kept as the oracles every optimized kernel must equal
 //!   (`f32 ==`);
@@ -37,15 +47,20 @@
 //! # Examples
 //!
 //! ```
-//! use procrustes_tensor::{conv2d_from_cols, im2col, Scratch, Tensor};
+//! use procrustes_tensor::{conv2d_from_cols, conv2d_from_planes, im2col};
+//! use procrustes_tensor::{PaddedPlanes, Scratch, Tensor};
 //!
 //! let x = Tensor::from_fn(&[1, 1, 4, 4], |i| i[2] as f32 + i[3] as f32);
 //! let w = Tensor::ones(&[1, 1, 3, 3]);
-//! let cols = im2col(&x, 3, 3, 1, 0);
-//! let y = conv2d_from_cols(&w, cols.data(), 1, 2, 2, &mut Scratch::new());
+//! let mut scratch = Scratch::new();
+//! let planes = PaddedPlanes::of_input(&x, 3, 3, 1, 0, &mut scratch);
+//! let y = conv2d_from_planes(&w, &planes, &mut scratch);
 //! assert_eq!(y.shape().dims(), &[1, 1, 2, 2]);
 //! // 3x3 box filter over an (h + w) ramp: sum of h+w over the window.
 //! assert_eq!(y.at(&[0, 0, 0, 0]), 18.0);
+//! // The oracle: the same GEMM over the unfolded columns.
+//! let cols = im2col(&x, 3, 3, 1, 0);
+//! assert_eq!(y, conv2d_from_cols(&w, cols.data(), 1, 2, 2, &mut scratch));
 //! ```
 
 // `deny`, not `forbid`: two sites allow the lint for one block each,
@@ -65,6 +80,7 @@ mod conv;
 pub mod gradcheck;
 mod init;
 pub mod kernel;
+mod planes;
 pub mod pool;
 pub mod reference;
 mod scratch;
@@ -72,10 +88,12 @@ mod shape;
 mod tensor;
 
 pub use conv::{
-    conv2d_backward_input_gemm, conv2d_backward_weights_from_cols, conv2d_from_cols, conv_out_dim,
+    conv2d_backward_input_gemm, conv2d_backward_weights_from_cols,
+    conv2d_backward_weights_from_planes, conv2d_from_cols, conv2d_from_planes, conv_out_dim,
     im2col, im2col_into,
 };
 pub use init::{kaiming_std, xavier_std, Init};
+pub use planes::PaddedPlanes;
 pub use scratch::Scratch;
 pub use shape::{Shape, MAX_RANK};
 pub use tensor::{transpose_into, Tensor};

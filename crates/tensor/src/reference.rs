@@ -6,10 +6,13 @@
 //! convolutions [`conv2d`], [`conv2d_backward_input`] and
 //! [`conv2d_backward_weights`] (Fig 2a–c of the paper, written straight
 //! from Alg 1) and the allocating [`conv2d_im2col`] are the oracles for
-//! the crate-root trio ([`conv2d_from_cols`],
+//! the crate-root convolutions — over padded planes
+//! ([`conv2d_from_planes`](crate::conv2d_from_planes),
 //! [`conv2d_backward_input_gemm`](crate::conv2d_backward_input_gemm),
+//! [`conv2d_backward_weights_from_planes`](crate::conv2d_backward_weights_from_planes))
+//! and over im2col columns ([`conv2d_from_cols`],
 //! [`conv2d_backward_weights_from_cols`](crate::conv2d_backward_weights_from_cols))
-//! and for the CSB kernels in `procrustes-sparse`. The hot paths must
+//! — and for the CSB kernels in `procrustes-sparse`. The hot paths must
 //! reproduce these loops' results exactly (`f32 ==` on every element);
 //! the smokes in `crates/bench/tests` additionally time the speedup
 //! over them so a regression in either direction is visible. Nothing on

@@ -1,7 +1,7 @@
 //! A reusable buffer pool for the training hot loop.
 //!
-//! Every forward/backward pass needs short-lived `f32` buffers: im2col
-//! column matrices, GEMM outputs, permuted gradients, layer outputs.
+//! Every forward/backward pass needs short-lived `f32` buffers: padded
+//! conv planes, GEMM outputs, permuted gradients, layer outputs.
 //! Allocating them fresh each step is pure overhead once shapes have
 //! stabilized, so the layers and trainers thread a [`Scratch`] through
 //! the hot path instead: buffers are taken from the pool, wrapped in
@@ -13,7 +13,8 @@
 
 use crate::Tensor;
 
-/// A pool of reusable `f32` buffers.
+/// A pool of reusable `f32` buffers (and of the offset tables padded
+/// conv planes are read through).
 ///
 /// `take` hands out zero-filled buffers (best-fit by capacity so the
 /// same request sequence maps onto the same buffers every step);
@@ -35,6 +36,24 @@ use crate::Tensor;
 #[derive(Default)]
 pub struct Scratch {
     pool: Vec<Vec<f32>>,
+    /// Offset tables (see [`take_offsets`](Self::take_offsets)).
+    offsets: Vec<Vec<usize>>,
+}
+
+/// Removes from `pool` the smallest buffer whose capacity holds `len`
+/// elements, or starts a new one.
+fn best_fit<T>(pool: &mut Vec<Vec<T>>, len: usize) -> Vec<T> {
+    let mut best: Option<(usize, usize)> = None;
+    for (i, buf) in pool.iter().enumerate() {
+        let cap = buf.capacity();
+        if cap >= len && best.is_none_or(|(_, c)| cap < c) {
+            best = Some((i, cap));
+        }
+    }
+    match best {
+        Some((i, _)) => pool.swap_remove(i),
+        None => Vec::with_capacity(len),
+    }
 }
 
 impl Scratch {
@@ -56,23 +75,25 @@ impl Scratch {
     /// consumers that fully overwrite it, e.g. GEMM destinations, which
     /// would otherwise pay a redundant zeroing pass per step.
     pub fn take_any(&mut self, len: usize) -> Vec<f32> {
-        let mut best: Option<(usize, usize)> = None;
-        for (i, buf) in self.pool.iter().enumerate() {
-            let cap = buf.capacity();
-            if cap >= len && best.is_none_or(|(_, c)| cap < c) {
-                best = Some((i, cap));
-            }
-        }
-        let mut buf = match best {
-            Some((i, _)) => self.pool.swap_remove(i),
-            None => Vec::with_capacity(len),
-        };
-        if buf.len() > len {
-            buf.truncate(len);
-        } else {
-            buf.resize(len, 0.0);
-        }
+        let mut buf = best_fit(&mut self.pool, len);
+        buf.resize(len, 0.0);
         buf
+    }
+
+    /// Takes an empty offset table with room for `len` entries — the
+    /// index-typed sibling of [`take_any`](Self::take_any), for the two
+    /// tables of a [`PaddedPlanes`](crate::PaddedPlanes).
+    pub fn take_offsets(&mut self, len: usize) -> Vec<usize> {
+        let mut buf = best_fit(&mut self.offsets, len);
+        buf.clear();
+        buf
+    }
+
+    /// Returns an offset table to the pool.
+    pub fn recycle_offsets(&mut self, buf: Vec<usize>) {
+        if buf.capacity() > 0 {
+            self.offsets.push(buf);
+        }
     }
 
     /// Takes a zero-filled tensor of the given dimensions.
