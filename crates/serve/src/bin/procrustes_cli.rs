@@ -205,7 +205,7 @@ fn run() -> Result<(), String> {
                 "requests={} parse_errors={} served={} computed={} memo_hits={} \
                  disk_hits={} hit_rate={:.3} queue_depth={} shed={} forwarded={} \
                  peer_failovers={} faults_injected={} replica_hits={} \
-                 replica_writes={} degraded={}",
+                 replica_writes={} degraded={} verify_misses={}",
                 m.requests,
                 m.parse_errors,
                 m.served,
@@ -221,6 +221,7 @@ fn run() -> Result<(), String> {
                 m.replica_hits,
                 m.replica_writes,
                 m.degraded,
+                m.verify_misses,
             );
             for (verb, v) in &m.verbs {
                 let fmt = |q: Option<f64>| q.map_or("n/a".into(), |q| format!("{q:.3}ms"));

@@ -1,14 +1,36 @@
-//! The persistent, content-addressed result cache with an optional
-//! LRU size budget.
+//! The one place the daemon holds result documents: [`DocStore`], a
+//! bounded memory tier over an optional persistent [`DiskCache`].
 //!
-//! One file per scenario fingerprint (`<fp:016x>.json`) holding the
-//! canonical `EvalResult` JSON document. Writes go through a tmp file in
-//! the same directory followed by an atomic rename, so a crashed daemon
-//! never leaves a torn entry and concurrent shards never observe a
-//! partial write. Because both the fingerprint (FNV-1a over canonical
-//! scenario JSON, see [`Scenario::fingerprint`]) and the result
-//! serialization are stable across processes, a restarted daemon serves
-//! byte-identical documents from this cache without recomputation.
+//! **Two tiers.** The memory tier keeps whole documents under an
+//! LRU-by-bytes budget ([`MEMORY_BUDGET`]); the disk tier is one file
+//! per scenario fingerprint (`<fp:016x>.json`) under its own optional
+//! budget (`--cache-budget`). Both account with the same [`LruIndex`].
+//! A document evicted from memory is still on disk when a cache
+//! directory is configured, and is recomputed when not. The memory lock
+//! is never held across file I/O.
+//!
+//! **One verification rule.** The key is derived, never accepted: it is
+//! [`key_of`] the request's canonical scenario text, which is
+//! [`Scenario::fingerprint`]. A hit is verified, never trusted: every
+//! result document begins `{"scenario":<that same text>,`, so
+//! [`DocStore::get`] compares that prefix with the request's own text
+//! byte for byte, in memory and after a disk read alike. A document
+//! that describes another scenario — a 64-bit collision, a stale or
+//! misfiled file — is dropped from both tiers, counted
+//! (`metrics.verify_misses`) and answered as a miss, so the shard
+//! recomputes and overwrites it. [`DocStore::put`] applies the same
+//! rule on the way in, which is what a `store` must satisfy beyond the
+//! admission checks: the document's embedded scenario has to be the
+//! canonical serialisation of itself, spelled exactly as a later `eval`
+//! of it will spell it.
+//!
+//! **The disk tier.** Writes go through a tmp file in the same
+//! directory followed by an atomic rename, so a crashed daemon never
+//! leaves a torn entry and concurrent shards never observe a partial
+//! write. Because both the fingerprint (FNV-1a over canonical scenario
+//! JSON) and the result serialization are stable across processes, a
+//! restarted daemon serves byte-identical documents from this cache
+//! without recomputation.
 //!
 //! Opening the cache **warms** it: the directory is scanned once, stale
 //! `.tmp` files from a crashed writer are removed, and every committed
@@ -35,12 +57,36 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use procrustes_core::json::Json;
+use procrustes_sim::Fnv1a;
 
 use crate::fault::{Failpoint, Faults};
+use crate::proto::Source;
+
+/// The daemon's memory-tier budget. Documents are ~1.4 KB, so this is
+/// ~48 000 of them — two orders of magnitude above the paper's largest
+/// figure sweep.
+pub(crate) const MEMORY_BUDGET: u64 = 64 << 20;
+
+/// The key a scenario's documents live under: FNV-1a over its canonical
+/// JSON text, i.e. [`procrustes_core::Scenario::fingerprint`] without
+/// serialising the scenario a second time.
+pub(crate) fn key_of(scenario: &str) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write(scenario.as_bytes());
+    h.finish()
+}
+
+/// Whether `doc` is a result document for exactly `scenario` (its
+/// canonical text): one prefix comparison, no parse.
+fn describes(doc: &str, scenario: &str) -> bool {
+    doc.strip_prefix(r#"{"scenario":"#)
+        .and_then(|rest| rest.strip_prefix(scenario))
+        .is_some_and(|rest| rest.starts_with(','))
+}
 
 /// The LRU index: recency sequence → fingerprint, plus the reverse map
 /// carrying each entry's committed size.
@@ -74,11 +120,8 @@ impl LruIndex {
 
     /// Refreshes recency on a hit (no size change).
     fn touch(&mut self, fingerprint: u64) {
-        if let Some(&(seq, bytes)) = self.entries.get(&fingerprint) {
-            self.clock += 1;
-            self.by_seq.remove(&seq);
-            self.by_seq.insert(self.clock, fingerprint);
-            self.entries.insert(fingerprint, (self.clock, bytes));
+        if let Some(&(_, bytes)) = self.entries.get(&fingerprint) {
+            self.upsert(fingerprint, bytes);
         }
     }
 
@@ -90,9 +133,157 @@ impl LruIndex {
         }
     }
 
-    /// The least-recently-used fingerprint, if any.
-    fn lru(&self) -> Option<u64> {
-        self.by_seq.values().next().copied()
+    /// While `total_bytes > budget`, drops and returns the
+    /// least-recently-used entry — never the most recent one: a single
+    /// document larger than the whole budget is kept until something
+    /// newer arrives.
+    fn evict_one(&mut self, budget: u64) -> Option<u64> {
+        if self.total_bytes <= budget || self.by_seq.len() <= 1 {
+            return None;
+        }
+        let victim = *self.by_seq.values().next()?;
+        self.remove(victim);
+        self.evictions += 1;
+        Some(victim)
+    }
+}
+
+/// One document in the memory tier.
+struct Held {
+    doc: String,
+    /// What the next hit reports: [`Source::Replica`] for a standby
+    /// copy installed by a `store` and not served yet,
+    /// [`Source::Memo`] ever after.
+    source: Source,
+}
+
+/// The memory tier: documents by key, LRU-accounted by document bytes.
+#[derive(Default)]
+struct Memory {
+    index: LruIndex,
+    docs: HashMap<u64, Held>,
+    /// Held documents (in either tier) that failed verification.
+    verify_misses: u64,
+}
+
+impl Memory {
+    /// A copy of the document under `key`, marked recently used, and
+    /// what to report as its source.
+    fn hit(&mut self, key: u64) -> Option<(Source, String)> {
+        let held = self.docs.get_mut(&key)?;
+        self.index.touch(key);
+        let source = std::mem::replace(&mut held.source, Source::Memo);
+        Some((source, held.doc.clone()))
+    }
+
+    /// Counts a failed verification and drops the document, if held.
+    fn reject(&mut self, key: u64) {
+        self.verify_misses += 1;
+        self.index.remove(key);
+        self.docs.remove(&key);
+    }
+}
+
+/// The daemon's document store (see the module docs): a bounded memory
+/// tier over an optional [`DiskCache`], keyed by the scenario text and
+/// verified against it on every hit.
+pub(crate) struct DocStore {
+    memory: Mutex<Memory>,
+    budget: u64,
+    disk: Option<DiskCache>,
+}
+
+impl DocStore {
+    /// A store whose memory tier holds at most `budget` document bytes.
+    pub(crate) fn new(budget: u64, disk: Option<DiskCache>) -> Self {
+        Self {
+            memory: Mutex::default(),
+            budget,
+            disk,
+        }
+    }
+
+    fn memory(&self) -> MutexGuard<'_, Memory> {
+        self.memory.lock().expect("document store lock")
+    }
+
+    /// The document held for `scenario` (canonical text) and the tier it
+    /// came from — memory first, then disk, which promotes it to memory.
+    /// A held document that describes another scenario is dropped from
+    /// both tiers, counted and reported as a miss.
+    pub(crate) fn get(&self, scenario: &str) -> Option<(Source, String)> {
+        let key = key_of(scenario);
+        // Its own statement: the memory lock is released before the
+        // disk tier is read.
+        let held = self.memory().hit(key);
+        let (source, doc) = match held {
+            Some(hit) => hit,
+            None => (Source::Disk, self.disk.as_ref()?.get(key)?),
+        };
+        if !describes(&doc, scenario) {
+            self.memory().reject(key);
+            if let Some(disk) = &self.disk {
+                disk.remove(key);
+            }
+            return None;
+        }
+        if source == Source::Disk {
+            self.remember(key, &doc, Source::Memo);
+        }
+        Some((source, doc))
+    }
+
+    /// Installs `doc` as the result for `scenario` (the canonical text
+    /// it was computed from) in both tiers. `source` is what its first
+    /// hit reports: [`Source::Replica`] for a standby copy accepted from
+    /// a peer, else [`Source::Memo`]. A failed disk write is logged,
+    /// not fatal: the document is still held in memory.
+    ///
+    /// # Errors
+    ///
+    /// Refuses a document that does not begin with `scenario`'s text.
+    pub(crate) fn put(&self, scenario: &str, doc: &str, source: Source) -> Result<(), String> {
+        if !describes(doc, scenario) {
+            return Err("the result's scenario is not in canonical form".into());
+        }
+        let key = key_of(scenario);
+        self.remember(key, doc, source);
+        if let Some(disk) = &self.disk {
+            if let Err(e) = disk.put(key, doc) {
+                eprintln!("procrustes-serve: cache write failed for {key:016x}: {e}");
+            }
+        }
+        Ok(())
+    }
+
+    /// Holds `doc` in the memory tier, evicting down to the budget. A
+    /// key already held keeps its source: a standby copy of a document
+    /// this node serves already is not a new replica.
+    fn remember(&self, key: u64, doc: &str, source: Source) {
+        let mut guard = self.memory();
+        let memory = &mut *guard;
+        let source = memory.docs.get(&key).map_or(source, |held| held.source);
+        let doc = doc.to_string();
+        memory.index.upsert(key, doc.len() as u64);
+        memory.docs.insert(key, Held { doc, source });
+        while let Some(victim) = memory.index.evict_one(self.budget) {
+            memory.docs.remove(&victim);
+        }
+    }
+
+    /// The disk tier, if a cache directory is configured.
+    pub(crate) fn disk(&self) -> Option<&DiskCache> {
+        self.disk.as_ref()
+    }
+
+    /// Documents currently held in the memory tier.
+    pub(crate) fn memory_entries(&self) -> u64 {
+        self.memory().docs.len() as u64
+    }
+
+    /// Held documents dropped because they described another scenario.
+    pub(crate) fn verify_misses(&self) -> u64 {
+        self.memory().verify_misses
     }
 }
 
@@ -108,18 +299,6 @@ pub struct DiskCache {
 }
 
 impl DiskCache {
-    /// Opens (creating if needed) an unbounded cache directory and warms
-    /// the index. Equivalent to [`DiskCache::open_with_budget`] with no
-    /// budget.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error when the directory cannot be created or
-    /// scanned.
-    pub fn open(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        Self::open_with_budget(dir, None)
-    }
-
     /// Opens (creating if needed) a cache directory, removes stale
     /// `.tmp` files left by a crashed writer, indexes every committed
     /// entry (warmup), and — when a byte budget is given — immediately
@@ -171,18 +350,8 @@ impl DiskCache {
             index: Arc::new(Mutex::new(index)),
             faults: Faults::none(),
         };
-        cache.evict_over_budget(&mut cache.index.lock().expect("cache index lock"));
+        cache.evict_over_budget(&mut cache.index());
         Ok(cache)
-    }
-
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configured byte budget, if any.
-    pub fn budget(&self) -> Option<u64> {
-        self.budget
     }
 
     /// Arms the cache's `cache_corrupt` failpoint (chaos testing). The
@@ -190,6 +359,10 @@ impl DiskCache {
     /// from one plan and one `faults_injected` counter.
     pub(crate) fn set_faults(&mut self, faults: Faults) {
         self.faults = faults;
+    }
+
+    fn index(&self) -> MutexGuard<'_, LruIndex> {
+        self.index.lock().expect("cache index lock")
     }
 
     fn path(&self, fingerprint: u64) -> PathBuf {
@@ -204,32 +377,31 @@ impl DiskCache {
     /// line-delimited framing when spliced into a response) — is dropped
     /// from the index and treated as a miss so the server recomputes and
     /// overwrites it rather than serving garbage.
+    ///
+    /// The file is read and validated *before* the index lock is taken,
+    /// so one shard's disk read never queues the others (or a writer)
+    /// behind it. An entry evicted in between reads as a miss.
     pub fn get(&self, fingerprint: u64) -> Option<String> {
-        let mut index = self.index.lock().expect("cache index lock");
-        let mut doc = match fs::read_to_string(self.path(fingerprint)) {
-            Ok(doc) => doc,
-            Err(_) => {
-                index.remove(fingerprint);
-                return None;
+        let mut doc = fs::read_to_string(self.path(fingerprint)).ok();
+        if let Some(doc) = &mut doc {
+            if self.faults.fires(Failpoint::CacheCorrupt) {
+                // Chaos: this read observes the entry truncated
+                // mid-document, exactly what a torn external copy looks
+                // like. The real corruption check below then takes over.
+                let mut cut = doc.len() / 2;
+                while cut > 0 && !doc.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                doc.truncate(cut);
             }
-        };
-        if self.faults.fires(Failpoint::CacheCorrupt) {
-            // Chaos: this read observes the entry truncated mid-document,
-            // exactly what a torn external copy looks like. The real
-            // corruption check below then takes over — drop from the
-            // index, report a miss, let the server recompute.
-            let mut cut = doc.len() / 2;
-            while cut > 0 && !doc.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            doc.truncate(cut);
         }
-        if doc.contains('\n') || doc.contains('\r') || Json::parse(&doc).is_err() {
-            index.remove(fingerprint);
-            return None;
+        let doc = doc.filter(|doc| !doc.contains(['\n', '\r']) && Json::parse(doc).is_ok());
+        let mut index = self.index();
+        match doc {
+            Some(_) => index.touch(fingerprint),
+            None => index.remove(fingerprint),
         }
-        index.touch(fingerprint);
-        Some(doc)
+        doc
     }
 
     /// Stores a document under a fingerprint (atomic tmp + rename), then
@@ -242,7 +414,7 @@ impl DiskCache {
     /// Propagates I/O errors; callers treat a failed store as non-fatal
     /// (the result is still served, just not persisted).
     pub fn put(&self, fingerprint: u64, doc: &str) -> io::Result<()> {
-        let mut index = self.index.lock().expect("cache index lock");
+        let mut index = self.index();
         let tmp = self.dir.join(format!("{fingerprint:016x}.tmp"));
         fs::write(&tmp, doc)?;
         fs::rename(&tmp, self.path(fingerprint))?;
@@ -251,33 +423,35 @@ impl DiskCache {
         Ok(())
     }
 
-    /// Evicts least-recently-used entries until `total_bytes <= budget`
-    /// (never touching the most recent entry: a single document larger
-    /// than the whole budget is kept until something newer arrives).
+    /// Deletes an entry its reader found unfit to serve.
+    fn remove(&self, fingerprint: u64) {
+        let mut index = self.index();
+        let _ = fs::remove_file(self.path(fingerprint));
+        index.remove(fingerprint);
+    }
+
+    /// Evicts least-recently-used entries until `total_bytes <= budget`.
     fn evict_over_budget(&self, index: &mut LruIndex) {
         let Some(budget) = self.budget else { return };
-        while index.total_bytes > budget && index.by_seq.len() > 1 {
-            let Some(victim) = index.lru() else { break };
+        while let Some(victim) = index.evict_one(budget) {
             let _ = fs::remove_file(self.path(victim));
-            index.remove(victim);
-            index.evictions += 1;
         }
     }
 
     /// Number of committed entries (answered from the warm index, not a
     /// directory scan).
     pub fn entries(&self) -> u64 {
-        self.index.lock().expect("cache index lock").entries.len() as u64
+        self.index().entries.len() as u64
     }
 
     /// Total committed bytes currently indexed.
     pub fn total_bytes(&self) -> u64 {
-        self.index.lock().expect("cache index lock").total_bytes
+        self.index().total_bytes
     }
 
     /// Entries evicted to honor the budget since this cache was opened.
     pub fn evictions(&self) -> u64 {
-        self.index.lock().expect("cache index lock").evictions
+        self.index().evictions
     }
 }
 
@@ -299,13 +473,13 @@ mod tests {
     #[test]
     fn roundtrip_and_miss() {
         let dir = tmp_dir("cache");
-        let cache = DiskCache::open(&dir).unwrap();
+        let cache = DiskCache::open_with_budget(&dir, None).unwrap();
         assert_eq!(cache.get(0xABCD), None);
         cache.put(0xABCD, r#"{"cycles":1}"#).unwrap();
         assert_eq!(cache.get(0xABCD).as_deref(), Some(r#"{"cycles":1}"#));
         assert_eq!(cache.entries(), 1);
         // Reopening sees the same entry (persistence + warm index).
-        let reopened = DiskCache::open(&dir).unwrap();
+        let reopened = DiskCache::open_with_budget(&dir, None).unwrap();
         assert_eq!(reopened.entries(), 1);
         assert_eq!(reopened.total_bytes(), r#"{"cycles":1}"#.len() as u64);
         assert_eq!(reopened.get(0xABCD).as_deref(), Some(r#"{"cycles":1}"#));
@@ -315,7 +489,7 @@ mod tests {
     #[test]
     fn corrupt_entries_read_as_miss() {
         let dir = tmp_dir("corrupt");
-        let cache = DiskCache::open(&dir).unwrap();
+        let cache = DiskCache::open_with_budget(&dir, None).unwrap();
         cache.put(7, r#"{"ok":true}"#).unwrap();
         fs::write(cache.path(7), "{\"truncat").unwrap();
         assert_eq!(cache.get(7), None);
@@ -334,7 +508,7 @@ mod tests {
     fn armed_cache_corrupt_failpoint_reads_as_miss_then_recovers() {
         use crate::fault::FaultPlan;
         let dir = tmp_dir("faultcache");
-        let mut cache = DiskCache::open(&dir).unwrap();
+        let mut cache = DiskCache::open_with_budget(&dir, None).unwrap();
         cache.set_faults(Faults::armed(
             FaultPlan::parse("cache_corrupt=0..1").unwrap(),
         ));
@@ -354,7 +528,7 @@ mod tests {
         // A crashed writer left a half-written tmp file behind.
         fs::write(dir.join("00000000000000aa.tmp"), "{\"half").unwrap();
         fs::write(dir.join("00000000000000bb.json"), r#"{"ok":1}"#).unwrap();
-        let cache = DiskCache::open(&dir).unwrap();
+        let cache = DiskCache::open_with_budget(&dir, None).unwrap();
         assert!(!dir.join("00000000000000aa.tmp").exists());
         assert_eq!(cache.entries(), 1);
         assert_eq!(cache.get(0xBB).as_deref(), Some(r#"{"ok":1}"#));
@@ -383,7 +557,7 @@ mod tests {
     #[test]
     fn over_budget_directory_is_trimmed_on_open() {
         let dir = tmp_dir("trim");
-        let unbounded = DiskCache::open(&dir).unwrap();
+        let unbounded = DiskCache::open_with_budget(&dir, None).unwrap();
         for fp in 0..8u64 {
             unbounded.put(fp, &format!(r#"{{"id":{fp:04}}}"#)).unwrap();
         }
@@ -405,5 +579,119 @@ mod tests {
         // The newer write evicted it.
         assert_eq!(cache.get(1), None);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A canonical-looking scenario text and a single-line JSON result
+    /// document for it (every document is the same length).
+    fn text(i: u64) -> String {
+        format!(r#"{{"network":"n{i:04}"}}"#)
+    }
+
+    fn doc(scenario: &str) -> String {
+        format!(r#"{{"scenario":{scenario},"totals":{{"cycles":42}}}}"#)
+    }
+
+    /// A store with or without a disk tier, and the directory to remove.
+    fn store(tag: &str, budget: u64, with_disk: bool) -> (DocStore, PathBuf) {
+        let dir = tmp_dir(tag);
+        let disk = with_disk.then(|| DiskCache::open_with_budget(&dir, None).unwrap());
+        (DocStore::new(budget, disk), dir)
+    }
+
+    #[test]
+    fn a_colliding_key_is_a_counted_miss_never_the_other_scenarios_bytes() {
+        for with_disk in [false, true] {
+            let (store, dir) = store("collide", 1 << 20, with_disk);
+            let (a, b, c) = (text(1), text(2), text(3));
+            store.put(&a, &doc(&a), Source::Memo).unwrap();
+            // What a 64-bit collision leaves behind: a's document under
+            // b's key, in every tier.
+            store.remember(key_of(&b), &doc(&a), Source::Memo);
+            if let Some(disk) = store.disk() {
+                disk.put(key_of(&b), &doc(&a)).unwrap();
+            }
+            assert_eq!(store.get(&b), None, "a's bytes must not answer b");
+            assert_eq!(store.verify_misses(), 1);
+            // Dropped from both tiers, so the next lookup is a plain miss.
+            assert_eq!(store.memory_entries(), 1);
+            assert_eq!(store.disk().map(DiskCache::entries), with_disk.then_some(1));
+            assert_eq!(store.get(&b), None);
+            assert_eq!(store.verify_misses(), 1);
+            // The recompute overwrites it; a's own entry never moved.
+            store.put(&b, &doc(&b), Source::Memo).unwrap();
+            assert_eq!(store.get(&b), Some((Source::Memo, doc(&b))));
+            assert_eq!(store.get(&a), Some((Source::Memo, doc(&a))));
+            // The same rule on the way in.
+            assert!(store.put(&b, &doc(&a), Source::Memo).is_err());
+            // A misfiled cache file (memory holds nothing for the key).
+            if let Some(disk) = store.disk() {
+                disk.put(key_of(&c), &doc(&a)).unwrap();
+                assert_eq!(store.get(&c), None);
+                assert_eq!(store.verify_misses(), 2);
+                assert_eq!(disk.get(key_of(&c)), None, "the file is gone");
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn memory_tier_holds_its_budget_and_evicts_least_recently_used() {
+        let len = doc(&text(0)).len() as u64;
+        for with_disk in [false, true] {
+            let (store, dir) = store("membudget", 4 * len, with_disk);
+            let held = |store: &DocStore| store.memory().index.total_bytes;
+            for i in 0..4 {
+                store.put(&text(i), &doc(&text(i)), Source::Memo).unwrap();
+            }
+            // A hit refreshes entry 0, so entry 1 is the LRU victim.
+            assert_eq!(store.get(&text(0)), Some((Source::Memo, doc(&text(0)))));
+            store.put(&text(4), &doc(&text(4)), Source::Memo).unwrap();
+            assert_eq!(store.memory_entries(), 4);
+            assert!(store.memory().docs.contains_key(&key_of(&text(0))));
+            // Evicted from memory: still on disk if there is one (and
+            // promoted back), recomputed if not.
+            let evicted = store.get(&text(1));
+            assert_eq!(evicted, with_disk.then(|| (Source::Disk, doc(&text(1)))));
+            if with_disk {
+                assert_eq!(store.get(&text(1)), Some((Source::Memo, doc(&text(1)))));
+            }
+            // Ten budgets' worth of distinct documents never overshoot.
+            for i in 5..45 {
+                store.put(&text(i), &doc(&text(i)), Source::Memo).unwrap();
+                assert!(held(&store) <= 4 * len, "{} > {}", held(&store), 4 * len);
+            }
+            assert_eq!(store.memory_entries(), 4);
+            assert_eq!(
+                store.disk().map(DiskCache::entries),
+                with_disk.then_some(45)
+            );
+            assert_eq!(store.verify_misses(), 0);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_replica_reports_its_source_once_then_reads_as_memo() {
+        use procrustes_core::{Engine, Scenario};
+        // A real pair, which also pins the two facts the store stands
+        // on: the key is the scenario's fingerprint, and a result
+        // document leads with its scenario's canonical text.
+        let scenario = Scenario::builder("VGG-S").batch(2).build().unwrap();
+        let (text, doc) = (
+            scenario.to_json(),
+            Engine::serial().run(&scenario).unwrap().to_json(),
+        );
+        assert_eq!(key_of(&text), scenario.fingerprint());
+        let (store, _) = store("replica", 1 << 20, false);
+        store.put(&text, &doc, Source::Replica).unwrap();
+        assert_eq!(store.get(&text), Some((Source::Replica, doc.clone())));
+        assert_eq!(store.get(&text), Some((Source::Memo, doc.clone())));
+        // A standby copy of a document already being served is not a
+        // new replica.
+        store.put(&text, &doc, Source::Replica).unwrap();
+        assert_eq!(store.get(&text), Some((Source::Memo, doc.clone())));
+        // A non-canonical spelling of the same scenario is refused.
+        let spaced = doc.replacen(r#"{"scenario":{"#, r#"{"scenario": {"#, 1);
+        assert!(store.put(&text, &spaced, Source::Replica).is_err());
     }
 }

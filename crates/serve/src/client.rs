@@ -63,6 +63,29 @@ impl From<io::Error> for ClientError {
     }
 }
 
+impl ClientError {
+    /// What a line other than the one a call was waiting for (`wanted`)
+    /// means to its caller: the daemon's `error` or `shed` refusal, or
+    /// a line that has no place in the exchange.
+    fn from_reply(reply: Response, wanted: &str) -> Self {
+        match reply {
+            Response::Error { error } => ClientError::Server(error),
+            Response::Shed {
+                reason,
+                retry_after_ms,
+                queue_depth,
+                limit,
+            } => ClientError::Shed {
+                reason,
+                retry_after_ms,
+                queue_depth,
+                limit,
+            },
+            other => ClientError::Protocol(format!("expected {wanted}, got {}", other.to_json())),
+        }
+    }
+}
+
 /// One result served by the daemon.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Served {
@@ -155,22 +178,7 @@ impl Client {
         };
         match self.roundtrip(&request)? {
             Response::Result { index, source, doc } => Ok(Served { index, source, doc }),
-            Response::Error { error } => Err(ClientError::Server(error)),
-            Response::Shed {
-                reason,
-                retry_after_ms,
-                queue_depth,
-                limit,
-            } => Err(ClientError::Shed {
-                reason,
-                retry_after_ms,
-                queue_depth,
-                limit,
-            }),
-            other => Err(ClientError::Protocol(format!(
-                "expected a result line, got {}",
-                other.to_json()
-            ))),
+            other => Err(ClientError::from_reply(other, "a result line")),
         }
     }
 
@@ -195,26 +203,7 @@ impl Client {
                     on_result(Served { index, source, doc });
                 }
                 Response::Done { count } => return Ok(count),
-                Response::Error { error } => return Err(ClientError::Server(error)),
-                Response::Shed {
-                    reason,
-                    retry_after_ms,
-                    queue_depth,
-                    limit,
-                } => {
-                    return Err(ClientError::Shed {
-                        reason,
-                        retry_after_ms,
-                        queue_depth,
-                        limit,
-                    })
-                }
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "unexpected line in sweep stream: {}",
-                        other.to_json()
-                    )))
-                }
+                other => return Err(ClientError::from_reply(other, "a sweep stream line")),
             }
         }
     }
@@ -279,13 +268,7 @@ impl Client {
                         front,
                     })
                 }
-                Response::Error { error } => return Err(ClientError::Server(error)),
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "unexpected line in search stream: {}",
-                        other.to_json()
-                    )))
-                }
+                other => return Err(ClientError::from_reply(other, "a search stream line")),
             }
         }
     }
@@ -308,11 +291,7 @@ impl Client {
     pub fn metrics(&mut self) -> Result<ServerMetrics, ClientError> {
         match self.roundtrip(&Request::Metrics)? {
             Response::Metrics(metrics) => Ok(metrics),
-            Response::Error { error } => Err(ClientError::Server(error)),
-            other => Err(ClientError::Protocol(format!(
-                "expected a metrics line, got {}",
-                other.to_json()
-            ))),
+            other => Err(ClientError::from_reply(other, "a metrics line")),
         }
     }
 
@@ -324,11 +303,7 @@ impl Client {
     pub fn status(&mut self) -> Result<ServerStatus, ClientError> {
         match self.roundtrip(&Request::Status)? {
             Response::Status(status) => Ok(status),
-            Response::Error { error } => Err(ClientError::Server(error)),
-            other => Err(ClientError::Protocol(format!(
-                "expected a status line, got {}",
-                other.to_json()
-            ))),
+            other => Err(ClientError::from_reply(other, "a status line")),
         }
     }
 
@@ -340,11 +315,7 @@ impl Client {
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
         match self.roundtrip(&Request::Shutdown)? {
             Response::Bye => Ok(()),
-            Response::Error { error } => Err(ClientError::Server(error)),
-            other => Err(ClientError::Protocol(format!(
-                "expected a bye line, got {}",
-                other.to_json()
-            ))),
+            other => Err(ClientError::from_reply(other, "a bye line")),
         }
     }
 }

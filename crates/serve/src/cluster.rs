@@ -28,12 +28,11 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use procrustes_core::Scenario;
 use procrustes_sim::Fnv1a;
 
 use crate::fault::{Failpoint, Faults};
-use crate::proto::{Request, Response, Route, Source};
-use crate::server::{Job, JobReply, Shared};
+use crate::proto::{eval_line, Response, Route, Source};
+use crate::server::{Job, Shared};
 
 /// Connect timeout for a peer dial; a down host fails fast on a LAN.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
@@ -85,29 +84,17 @@ pub fn ring_order(fingerprint: u64, nodes: &[String]) -> Vec<usize> {
     ranked.into_iter().map(|(_, index)| index).collect()
 }
 
-/// A scenario awaiting forwarding to its ring owner.
-pub(crate) struct EvalForward {
-    pub scenario: Scenario,
-    pub fingerprint: u64,
-    pub index: usize,
-    pub reply: mpsc::Sender<JobReply>,
-}
-
 /// One unit of work queued on a peer forwarder.
 pub(crate) enum ForwardJob {
     /// Forward a scenario to the forwarder's peer for evaluation
     /// (boxed: the scenario payload dwarfs a store job).
-    Eval(Box<EvalForward>),
+    Eval(Box<Job>),
     /// Write a computed result through to the forwarder's peer as a
-    /// warm replica (best-effort: a full queue or a dead peer drops the
-    /// write — replication is an optimization, never a correctness
+    /// warm replica — the `store` request's wire line, serialised once
+    /// for all standbys (best-effort: a full queue or a dead peer drops
+    /// the write — replication is an optimization, never a correctness
     /// dependency).
-    Store {
-        /// The scenario fingerprint addressing the document.
-        fingerprint: u64,
-        /// The canonical `EvalResult` JSON document.
-        doc: String,
-    },
+    Store(String),
 }
 
 /// One ring member's observed health: the dead-until mark plus the
@@ -267,25 +254,22 @@ impl PeerConn {
         Ok(reply)
     }
 
-    /// Relays one scenario with `route:"local"` and reads the single
-    /// reply line. The `peer_write_timeout`, `peer_read_timeout`, and
-    /// `peer_drop_mid_line` failpoints synthesize the corresponding
+    /// Relays one scenario (its canonical text) with `route:"local"`
+    /// and reads the single reply line. The `peer_write_timeout`,
+    /// `peer_read_timeout`, and `peer_drop_mid_line` failpoints
+    /// synthesize the corresponding
     /// socket failures; callers already treat any error here by
     /// dropping the connection, which is exactly right for all three
     /// (after a faulted exchange the stream may hold an unconsumed
     /// reply and must not be reused).
-    fn eval(&mut self, scenario: &Scenario, faults: &Faults) -> Result<ForwardOutcome, io::Error> {
+    fn eval(&mut self, scenario: &str, faults: &Faults) -> Result<ForwardOutcome, io::Error> {
         if faults.fires(Failpoint::PeerWriteTimeout) {
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
                 "fault injected: forwarded write timed out",
             ));
         }
-        let mut line = Request::Eval {
-            scenario: Box::new(scenario.clone()),
-            route: Route::Local,
-        }
-        .to_json();
+        let mut line = eval_line(scenario, Route::Local);
         line.push('\n');
         self.writer.write_all(line.as_bytes())?;
         self.writer.flush()?;
@@ -317,16 +301,11 @@ impl PeerConn {
         }
     }
 
-    /// Writes one replica document through to the peer and waits for
-    /// its `stored` acknowledgement.
-    fn store(&mut self, fingerprint: u64, doc: &str) -> io::Result<()> {
-        let mut line = Request::Store {
-            fingerprint,
-            doc: doc.to_string(),
-        }
-        .to_json();
-        line.push('\n');
+    /// Writes one `store` request line through to the peer and waits
+    /// for its `stored` acknowledgement.
+    fn store(&mut self, line: &str) -> io::Result<()> {
         self.writer.write_all(line.as_bytes())?;
+        self.writer.write_all(b"\n")?;
         self.writer.flush()?;
         let reply = self.read_reply()?;
         match Response::parse_line(reply.trim_end()) {
@@ -371,9 +350,7 @@ fn forwarder_loop(
             ForwardJob::Eval(job) => {
                 forward_one(*job, primary, &mut conn, cluster, server, shard_senders);
             }
-            ForwardJob::Store { fingerprint, doc } => {
-                store_one(fingerprint, &doc, primary, &mut conn, cluster, server);
-            }
+            ForwardJob::Store(line) => store_one(&line, primary, &mut conn, cluster, server),
         }
     }
 }
@@ -383,8 +360,7 @@ fn forwarder_loop(
 /// standby node — if that node is down there is nowhere else this copy
 /// belongs, and dropping it only costs a potential recompute later.
 fn store_one(
-    fingerprint: u64,
-    doc: &str,
+    line: &str,
     primary: usize,
     conn: &mut Option<PeerConn>,
     cluster: &ClusterShared,
@@ -394,18 +370,13 @@ fn store_one(
         return;
     }
     let attempt_started = Instant::now();
-    let mut peer = match conn.take() {
-        Some(peer) => peer,
-        None => match PeerConn::connect(&cluster.nodes[primary], &server.faults) {
-            Ok(peer) => peer,
-            Err(_) => {
-                cluster.mark_dead_since(primary, attempt_started);
-                return;
-            }
-        },
-    };
-    match peer.store(fingerprint, doc) {
-        Ok(()) => {
+    let stored = match conn.take() {
+        Some(peer) => Ok(peer),
+        None => PeerConn::connect(&cluster.nodes[primary], &server.faults),
+    }
+    .and_then(|mut peer| peer.store(line).map(|()| peer));
+    match stored {
+        Ok(peer) => {
             cluster.mark_alive(primary);
             *conn = Some(peer);
         }
@@ -418,7 +389,7 @@ fn store_one(
 /// then — at this node's own ring position, or as the last resort —
 /// the local shard pool.
 fn forward_one(
-    job: EvalForward,
+    job: Job,
     primary: usize,
     conn: &mut Option<PeerConn>,
     cluster: &ClusterShared,
@@ -462,7 +433,7 @@ fn forward_one(
                     Err(_) => continue,
                 },
             };
-            if let Ok(answer) = peer.eval(&job.scenario, &server.faults) {
+            if let Ok(answer) = peer.eval(&job.text, &server.faults) {
                 if owner == primary {
                     *conn = Some(peer);
                 }
@@ -475,7 +446,7 @@ fn forward_one(
         match outcome {
             Some(ForwardOutcome::Doc(doc)) => {
                 cluster.mark_alive(owner);
-                server.stats.forwarded.fetch_add(1, Ordering::Relaxed);
+                server.stats.count(Source::Peer);
                 if rank > 0 {
                     server.stats.degraded.fetch_add(1, Ordering::Relaxed);
                 }
@@ -507,20 +478,10 @@ fn forward_one(
 
 /// The local fallback: queue the job on its fingerprint's shard exactly
 /// like a locally-routed request would be.
-fn dispatch_locally(
-    job: EvalForward,
-    shard_senders: &[mpsc::SyncSender<Job>],
-    server: &Arc<Shared>,
-) {
+fn dispatch_locally(job: Job, shard_senders: &[mpsc::SyncSender<Job>], server: &Arc<Shared>) {
     let shard = (job.fingerprint % shard_senders.len().max(1) as u64) as usize;
     server.depths[shard].fetch_add(1, Ordering::Relaxed);
-    let sent = shard_senders[shard].send(Job {
-        scenario: job.scenario,
-        fingerprint: job.fingerprint,
-        index: job.index,
-        reply: job.reply,
-    });
-    if sent.is_err() {
+    if shard_senders[shard].send(job).is_err() {
         server.depths[shard].fetch_sub(1, Ordering::Relaxed);
     }
 }

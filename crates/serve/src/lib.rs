@@ -15,16 +15,23 @@
 //! * **Sharding** — scenarios fan out across a fixed pool of worker
 //!   shards. The shard is chosen by [`Scenario::fingerprint`]
 //!   (`fingerprint % shards`), so identical scenarios always land on the
-//!   same shard — its in-memory memo table and its
-//!   [`Engine`](procrustes_core::Engine)'s per-layer cost cache —
-//!   regardless of which connection submitted them.
+//!   same shard — and its [`Engine`](procrustes_core::Engine)'s
+//!   per-layer cost cache — regardless of which connection submitted
+//!   them.
+//! * **One document store** — every result document the daemon holds
+//!   lives in one store: a memory tier bounded by bytes (least recently
+//!   used goes first) over the optional disk tier. A shard's whole
+//!   lookup is *store, else compute and store*. The store's key is
+//!   derived from the request's own canonical scenario text, and a hit
+//!   is served only if the stored document begins with that exact text;
+//!   one that does not (a fingerprint collision, a stale or misfiled
+//!   cache file) is dropped, counted in `verify_misses` and recomputed.
 //! * **Single-flight de-duplication** — a shard executes its queue
 //!   serially: when concurrent connections submit the same scenario, the
-//!   first job computes and memoizes, and every later job (already
-//!   queued on the *same* shard, by fingerprint affinity) is served from
-//!   the memo. An identical scenario is computed at most once per daemon
-//!   lifetime, and at most zero times when the disk cache already holds
-//!   it.
+//!   first job computes and stores, and every later job (already queued
+//!   on the *same* shard, by fingerprint affinity) is served from the
+//!   store. An identical scenario is computed at most once while the
+//!   store holds it, and not at all when the disk tier already does.
 //! * **Persistent result cache** — with `--cache-dir`, every computed
 //!   [`EvalResult`](procrustes_core::EvalResult) JSON document is
 //!   written content-addressed by scenario fingerprint
@@ -50,7 +57,7 @@
 //!   freshly computed document is written through to the next `N - 1`
 //!   owners in the fingerprint's ring order via the `store` verb. When
 //!   a primary dies, the deterministic failover owner *is* the standby
-//!   holding the warm copy, so failover serves from its replica store
+//!   holding the warm copy in its document store, so failover serves it
 //!   (`"source":"replica"`) without recomputation. Replication is best
 //!   effort and never a correctness dependency: a dropped copy only
 //!   means the failover owner computes instead.
@@ -92,15 +99,17 @@
 //! `store` is the replication verb: a primary owner pushes a freshly
 //! computed result document to a standby (the next owner(s) in the
 //! fingerprint's ring order) when the receiving daemon runs with
-//! `--replicas` above 1. The standby keeps the document in an in-memory
-//! replica store (and writes it through to its disk cache, if any) and
-//! answers with one `stored` line. Clients normally never send `store`,
-//! but it is ordinary protocol surface: hand-written lines are parsed
-//! with the same unknown-field strictness as everything else, and any
-//! TCP client can write one. A daemon that is not part of a cluster
-//! therefore refuses every `store`, and a ring member refuses one whose
-//! `fp` is not the fingerprint of the valid `scenario` inside `result`;
-//! both get an `error` line and count in `parse_errors`, not in
+//! `--replicas` above 1. The standby puts the document in its store
+//! (memory, written through to its disk cache, if any) and answers with
+//! one `stored` line. Clients normally never send `store`, but it is
+//! ordinary protocol surface: hand-written lines are parsed with the
+//! same unknown-field strictness as everything else, and any TCP client
+//! can write one. A daemon that is not part of a cluster therefore
+//! refuses every `store`, and a ring member refuses one whose `fp` is
+//! not the fingerprint of the valid `scenario` inside `result`, or
+//! whose `scenario` is not spelled canonically (member order, number
+//! text) — the store would hold it under a key its own bytes do not
+//! hash to; all get an `error` line and count in `parse_errors`, not in
 //! `replica_writes`.
 //!
 //! `Scenario`, `Sweep`, and `SearchSpec` are the documents produced by
@@ -129,6 +138,7 @@
 //!                "disk_entries": n | null}
 //! metrics     = {"kind":"metrics", "requests": n, "parse_errors": n, "served": n,
 //!                "computed": n, "memo_hits": n, "disk_hits": n, "hit_rate": x,
+//!                "cache_evictions": n, "cache_bytes": n, "verify_misses": n,
 //!                "queue_depth": n, "shed": n, "forwarded": n,
 //!                "peer_failovers": n, "faults_injected": n,
 //!                "replica_hits": n, "replica_writes": n, "degraded": n,
@@ -143,9 +153,12 @@
 //! The `"peer"` source marks a result that the receiving node obtained
 //! by forwarding the scenario to its ring owner; what that owner's
 //! cache layer was (computed/memo/disk) is visible in the *owner's*
-//! counters, not on the wire. The `"replica"` source marks a result
-//! served from the node's replica store — a warm copy written through
-//! by the scenario's primary owner before that owner died. The `shed`
+//! counters, not on the wire. The `"replica"` source marks the first
+//! serving of a warm copy written through by the scenario's primary
+//! owner before that owner died (later servings read `"memo"`). The
+//! `"memo"` source is the store's memory tier, `"disk"` its disk tier.
+//! `status.memo_entries` is a gauge — documents in the memory tier
+//! right now — and falls when the memory budget evicts. The `shed`
 //! line's `retry_after_ms` is a deterministic backoff hint (a function
 //! of the refusal state, never wall-clock); `procrustes-cli` honors it
 //! with one bounded retry. `status.peers` is the ring size (1 when
@@ -157,10 +170,13 @@
 //! or shedding primary → next owner, or local fallback).
 //! `faults_injected` counts failpoint firings under an armed
 //! `--fault-plan` (always 0 otherwise), `replica_writes` counts `store`
-//! documents this node accepted, `replica_hits` counts lookups its
-//! replica store answered, and `degraded` counts jobs that completed
+//! documents this node accepted, `replica_hits` counts first servings
+//! of such documents, and `degraded` counts jobs that completed
 //! somewhere other than their primary ring owner (failover peer or
-//! local fallback).
+//! local fallback). `verify_misses` counts stored documents that were
+//! dropped, and answered as a miss, because they did not begin with the
+//! requesting scenario's own text; `cache_evictions` and `cache_bytes`
+//! describe the disk tier.
 //!
 //! * `eval` answers with exactly one `result` line (`index` 0).
 //! * `sweep` answers with one `result` line per scenario, streamed **in
@@ -244,8 +260,9 @@ pub use server::{ServeConfig, Server};
 /// Picks the worker shard owning a scenario: `fingerprint % shards`.
 ///
 /// This is the *only* shard that will ever evaluate the scenario, which
-/// is what makes per-shard memoization equivalent to global single-flight
-/// de-duplication: identical scenarios serialize on one queue.
+/// is what makes a shard's "look up, else compute and store" equivalent
+/// to global single-flight de-duplication: identical scenarios serialize
+/// on one queue.
 pub fn shard_of(scenario: &Scenario, shards: usize) -> usize {
     (scenario.fingerprint() % shards.max(1) as u64) as usize
 }

@@ -162,17 +162,7 @@ impl Request {
     /// Serializes the request to its wire line (no trailing newline).
     pub fn to_json(&self) -> String {
         match self {
-            // `route` is emitted only when it carries information, so
-            // ordinary client evals keep the PR-5 wire form verbatim.
-            Request::Eval {
-                scenario,
-                route: Route::Auto,
-            } => format!(r#"{{"op":"eval","scenario":{}}}"#, scenario.to_json()),
-            Request::Eval { scenario, route } => format!(
-                r#"{{"op":"eval","scenario":{},"route":"{}"}}"#,
-                scenario.to_json(),
-                route.label()
-            ),
+            Request::Eval { scenario, route } => eval_line(&scenario.to_json(), *route),
             Request::Store { fingerprint, doc } => {
                 format!(r#"{{"op":"store","fp":"{fingerprint:016x}","result":{doc}}}"#)
             }
@@ -185,12 +175,26 @@ impl Request {
     }
 }
 
+/// The wire line (no trailing newline) of an `eval` of the scenario
+/// whose canonical JSON is `scenario`. `route` is emitted only when it
+/// carries information, so ordinary client evals keep the PR-5 wire
+/// form verbatim.
+pub(crate) fn eval_line(scenario: &str, route: Route) -> String {
+    match route {
+        Route::Auto => format!(r#"{{"op":"eval","scenario":{scenario}}}"#),
+        route => format!(
+            r#"{{"op":"eval","scenario":{scenario},"route":"{}"}}"#,
+            route.label()
+        ),
+    }
+}
+
 /// Where a served result came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Source {
     /// Evaluated by this daemon just now.
     Computed,
-    /// Served from a shard's in-memory memo table.
+    /// Served from the document store's memory tier.
     Memo,
     /// Loaded from the persistent on-disk cache.
     Disk,
@@ -199,9 +203,9 @@ pub enum Source {
     /// (computed/memo/disk) is not relayed; its `status` counters hold
     /// that breakdown.
     Peer,
-    /// Served from this daemon's warm replica store: a standby copy
-    /// written through by the scenario's primary owner (`--replicas`),
-    /// served without recomputation after the primary died.
+    /// The first serving of a warm replica: a standby copy written
+    /// through by the scenario's primary owner (`--replicas`), served
+    /// without recomputation after the primary died.
     Replica,
 }
 
@@ -245,11 +249,12 @@ pub struct ServerStatus {
     pub served: u64,
     /// Results evaluated by an engine (cache misses).
     pub computed: u64,
-    /// Results served from a shard memo table.
+    /// Results served from the store's memory tier.
     pub memo_hits: u64,
     /// Results served from the on-disk cache.
     pub disk_hits: u64,
-    /// Distinct results currently memoized across shards.
+    /// Documents currently held in the store's memory tier (a gauge:
+    /// it falls when the memory budget evicts).
     pub memo_entries: u64,
     /// Files in the on-disk cache (`None` when not persistent).
     pub disk_entries: Option<u64>,
@@ -329,7 +334,7 @@ pub struct ServerMetrics {
     pub served: u64,
     /// Results evaluated by an engine (cache misses).
     pub computed: u64,
-    /// Results served from a shard memo table.
+    /// Results served from the store's memory tier.
     pub memo_hits: u64,
     /// Results served from the on-disk cache.
     pub disk_hits: u64,
@@ -342,6 +347,11 @@ pub struct ServerMetrics {
     /// Bytes currently held by the on-disk cache (0 when no cache is
     /// configured).
     pub cache_bytes: u64,
+    /// Held documents dropped, and answered as a miss, because they did
+    /// not begin with the requesting scenario's own text: a fingerprint
+    /// collision, or a stale or misfiled cache file. 0 on a healthy
+    /// daemon.
+    pub verify_misses: u64,
     /// Jobs currently sitting in shard and peer-forwarder queues
     /// (instantaneous gauge; 0 on an idle daemon).
     pub queue_depth: u64,
@@ -356,7 +366,7 @@ pub struct ServerMetrics {
     /// Faults fired by this daemon's `--fault-plan` schedule (0 when no
     /// plan is armed).
     pub faults_injected: u64,
-    /// Results served from the warm replica store instead of being
+    /// Results served from a warm replica copy instead of being
     /// recomputed after their primary owner became unreachable.
     pub replica_hits: u64,
     /// Replica documents this daemon accepted from primary owners
@@ -397,6 +407,7 @@ impl ServerMetrics {
             ("hit_rate".into(), Json::f64(self.hit_rate)),
             ("cache_evictions".into(), Json::u64(self.cache_evictions)),
             ("cache_bytes".into(), Json::u64(self.cache_bytes)),
+            ("verify_misses".into(), Json::u64(self.verify_misses)),
             ("queue_depth".into(), Json::u64(self.queue_depth)),
             ("shed".into(), Json::u64(self.shed)),
             ("forwarded".into(), Json::u64(self.forwarded)),
@@ -448,6 +459,8 @@ impl ServerMetrics {
                 .ok_or("metrics field 'hit_rate' missing")?,
             cache_evictions: n("cache_evictions")?,
             cache_bytes: n("cache_bytes")?,
+            // Absent on a daemon that predates the verifying store.
+            verify_misses: n("verify_misses").unwrap_or(0),
             queue_depth: n("queue_depth")?,
             shed: n("shed")?,
             forwarded: n("forwarded")?,
@@ -845,6 +858,7 @@ mod tests {
                 hit_rate: 1.0 / 3.0,
                 cache_evictions: 7,
                 cache_bytes: 4096,
+                verify_misses: 1,
                 queue_depth: 3,
                 shed: 1,
                 forwarded: 5,

@@ -1,7 +1,6 @@
 //! The daemon: accept loop, per-connection protocol handling, the
 //! sharded worker pool, and the cluster router.
 
-use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -15,8 +14,8 @@ use procrustes_core::{Engine, Scenario};
 use procrustes_quantile::Dumique;
 use procrustes_search::{run_search, EvalBackend, SearchSpec};
 
-use crate::cache::DiskCache;
-use crate::cluster::{ring_order, Cluster, ClusterShared, EvalForward, ForwardJob};
+use crate::cache::{key_of, DiskCache, DocStore, MEMORY_BUDGET};
+use crate::cluster::{ring_order, Cluster, ClusterShared, ForwardJob};
 use crate::fault::{Failpoint, FaultPlan, Faults};
 use crate::proto::{
     FrontMember, Request, Response, Route, ServerMetrics, ServerStatus, Source, VerbMetrics, VERBS,
@@ -30,11 +29,11 @@ const POLL: Duration = Duration::from_millis(100);
 /// Tuning knobs for [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker shard count (each shard owns one serial [`Engine`] and one
-    /// memo table). Defaults to the machine's available parallelism.
+    /// Worker shard count (each shard owns one serial [`Engine`]).
+    /// Defaults to the machine's available parallelism.
     pub shards: usize,
     /// Directory for the persistent result cache; `None` keeps results
-    /// in memory only.
+    /// in memory only (up to the store's memory budget).
     pub cache_dir: Option<PathBuf>,
     /// LRU byte budget for the cache directory; `None` keeps every
     /// entry forever (the pre-cluster behaviour).
@@ -85,16 +84,24 @@ impl Default for ServeConfig {
 pub(crate) struct Stats {
     requests: AtomicU64,
     served: AtomicU64,
-    computed: AtomicU64,
-    memo_hits: AtomicU64,
-    disk_hits: AtomicU64,
-    memo_entries: AtomicU64,
+    /// Jobs answered, by the [`Source`] reported (its discriminant is
+    /// the index, `Replica` the last): a shard counts its four, a
+    /// forwarder counts `Peer`.
+    by_source: [AtomicU64; Source::Replica as usize + 1],
     shed: AtomicU64,
-    pub(crate) forwarded: AtomicU64,
     pub(crate) peer_failovers: AtomicU64,
     pub(crate) degraded: AtomicU64,
-    replica_hits: AtomicU64,
     replica_writes: AtomicU64,
+}
+
+impl Stats {
+    pub(crate) fn count(&self, source: Source) {
+        self.by_source[source as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn answered_from(&self, source: Source) -> u64 {
+        self.by_source[source as usize].load(Ordering::Relaxed)
+    }
 }
 
 /// Per-verb latency quantile estimators, lazily seeded from the first
@@ -193,7 +200,8 @@ pub(crate) struct Shared {
     stop: AtomicBool,
     pub(crate) stats: Stats,
     metrics: Mutex<MetricsTable>,
-    cache: Option<DiskCache>,
+    /// Every result document this daemon holds, in memory and on disk.
+    store: DocStore,
     max_sweep: usize,
     max_line_bytes: usize,
     shards: usize,
@@ -205,11 +213,6 @@ pub(crate) struct Shared {
     /// cloned into the disk cache and the peer forwarders so every
     /// failpoint draws from one plan).
     pub(crate) faults: Faults,
-    /// Warm replica documents accepted from primary owners via `store`,
-    /// keyed by fingerprint. Like the shard memo tables, entries live
-    /// for the daemon's lifetime (the write-through disk copy is what
-    /// the `--cache-budget` LRU governs).
-    replica_store: Mutex<HashMap<u64, String>>,
     /// The replication fan-out (`None` unless clustered with
     /// `--replicas` > 1).
     replication: Mutex<Option<Replication>>,
@@ -219,9 +222,13 @@ pub(crate) struct Shared {
 /// plus either the served `(source, document)` pair or an error message.
 pub(crate) type JobReply = (usize, Result<(Source, String), String>);
 
-/// One unit of work queued on a shard.
+/// One scenario to evaluate, queued on a shard or on a peer forwarder.
 pub(crate) struct Job {
     pub(crate) scenario: Scenario,
+    /// The scenario's canonical JSON, serialised once per request: the
+    /// text the fingerprint is derived from and every stored document
+    /// is verified against.
+    pub(crate) text: String,
     pub(crate) fingerprint: u64,
     pub(crate) index: usize,
     pub(crate) reply: mpsc::Sender<JobReply>,
@@ -307,17 +314,25 @@ fn route_scenarios(
     router: &Router,
     shared: &Shared,
 ) -> Result<(), ShedInfo> {
-    let planned: Vec<(Scenario, u64, Dest)> = scenarios
+    let planned: Vec<(Job, Dest)> = scenarios
         .into_iter()
-        .map(|scenario| {
-            let fingerprint = scenario.fingerprint();
-            let dest = router.dest_of(fingerprint, route);
-            (scenario, fingerprint, dest)
+        .enumerate()
+        .map(|(index, scenario)| {
+            let text = scenario.to_json();
+            let fingerprint = key_of(&text);
+            let job = Job {
+                scenario,
+                text,
+                fingerprint,
+                index,
+                reply: reply.clone(),
+            };
+            (job, router.dest_of(fingerprint, route))
         })
         .collect();
     let mut incoming_shard = vec![0u64; router.shards.len()];
     let mut incoming_peer = vec![0u64; router.peers.len()];
-    for (_, _, dest) in &planned {
+    for (_, dest) in &planned {
         match dest {
             Dest::Shard(i) => incoming_shard[*i] += 1,
             Dest::Forwarder(i) => incoming_peer[*i] += 1,
@@ -345,17 +360,12 @@ fn route_scenarios(
             }
         }
     }
-    for (index, (scenario, fingerprint, dest)) in planned.into_iter().enumerate() {
+    for (job, dest) in planned {
         match dest {
             Dest::Shard(i) => {
                 shared.depths[i].fetch_add(1, Ordering::Relaxed);
                 router.shards[i]
-                    .send(Job {
-                        scenario,
-                        fingerprint,
-                        index,
-                        reply: reply.clone(),
-                    })
+                    .send(job)
                     .expect("shard pool outlives connections");
             }
             Dest::Forwarder(i) => {
@@ -365,12 +375,7 @@ fn route_scenarios(
                     .expect("forwarder dest implies cluster");
                 cluster.depths[i].fetch_add(1, Ordering::Relaxed);
                 router.peers[i]
-                    .send(ForwardJob::Eval(Box::new(EvalForward {
-                        scenario,
-                        fingerprint,
-                        index,
-                        reply: reply.clone(),
-                    })))
+                    .send(ForwardJob::Eval(Box::new(job)))
                     .expect("forwarder pool outlives connections");
             }
         }
@@ -404,11 +409,11 @@ impl Server {
             .fault_plan
             .clone()
             .map_or_else(Faults::none, Faults::armed);
-        let cache = match &config.cache_dir {
+        let disk = match &config.cache_dir {
             Some(dir) => {
-                let mut cache = DiskCache::open_with_budget(dir, config.cache_budget)?;
-                cache.set_faults(faults.clone());
-                Some(cache)
+                let mut disk = DiskCache::open_with_budget(dir, config.cache_budget)?;
+                disk.set_faults(faults.clone());
+                Some(disk)
             }
             None => None,
         };
@@ -417,7 +422,7 @@ impl Server {
             stop: AtomicBool::new(false),
             stats: Stats::default(),
             metrics: Mutex::new(MetricsTable::default()),
-            cache,
+            store: DocStore::new(MEMORY_BUDGET, disk),
             max_sweep: config.max_sweep,
             max_line_bytes: config.max_line_bytes,
             shards,
@@ -425,7 +430,6 @@ impl Server {
             depths: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             local_addr: listener.local_addr()?,
             faults,
-            replica_store: Mutex::new(HashMap::new()),
             replication: Mutex::new(None),
         });
         let mut senders = Vec::with_capacity(shards);
@@ -596,70 +600,38 @@ fn wake_addr(local: SocketAddr) -> SocketAddr {
     wake
 }
 
-/// One shard: a serial engine plus a fingerprint-keyed memo of result
-/// documents. Jobs arrive in queue order; identical fingerprints always
-/// queue here (shard affinity), so the first occurrence computes and all
-/// later ones hit the memo — single-flight without any cross-shard
-/// locking. The shard's depth gauge is decremented as each job
-/// completes.
+/// One shard: a serial engine. Jobs arrive in queue order; identical
+/// fingerprints always queue here (shard affinity), so the first
+/// occurrence computes and stores and all later ones hit the store —
+/// single-flight without any cross-shard locking. The shard's depth
+/// gauge is decremented as each job completes.
 fn shard_loop(index: usize, rx: &mpsc::Receiver<Job>, shared: &Shared) {
     let engine = Engine::serial();
-    let mut memo: HashMap<u64, String> = HashMap::new();
     while let Ok(job) = rx.recv() {
         // Decrement at dequeue (the gauge counts jobs *awaiting* a
         // worker), so a drained queue reads 0 strictly before the final
         // reply reaches the client.
         shared.depths[index].fetch_sub(1, Ordering::Relaxed);
-        let stats = &shared.stats;
-        let replica = |fp: u64| {
-            shared
-                .replica_store
-                .lock()
-                .expect("replica store lock")
-                .get(&fp)
-                .cloned()
-        };
-        let outcome = if let Some(doc) = memo.get(&job.fingerprint) {
-            stats.memo_hits.fetch_add(1, Ordering::Relaxed);
-            Ok((Source::Memo, doc.clone()))
-        } else if let Some(doc) = replica(job.fingerprint) {
-            // A warm standby copy written through by the scenario's
-            // primary owner: served without recomputation — this is the
-            // whole point of `--replicas` — and promoted to the memo.
-            stats.replica_hits.fetch_add(1, Ordering::Relaxed);
-            stats.memo_entries.fetch_add(1, Ordering::Relaxed);
-            memo.insert(job.fingerprint, doc.clone());
-            Ok((Source::Replica, doc))
-        } else if let Some(doc) = shared.cache.as_ref().and_then(|c| c.get(job.fingerprint)) {
-            stats.disk_hits.fetch_add(1, Ordering::Relaxed);
-            stats.memo_entries.fetch_add(1, Ordering::Relaxed);
-            memo.insert(job.fingerprint, doc.clone());
-            Ok((Source::Disk, doc))
-        } else {
-            match engine.run(&job.scenario) {
-                Ok(result) => {
+        let outcome = match shared.store.get(&job.text) {
+            Some(hit) => Ok(hit),
+            // Unreachable `Err` for admitted jobs (scenarios are
+            // validated before dispatch), but a shard must never panic.
+            None => engine
+                .run(&job.scenario)
+                .map_err(|e| e.to_string())
+                .map(|result| {
                     let doc = result.to_json();
-                    if let Some(cache) = &shared.cache {
-                        if let Err(e) = cache.put(job.fingerprint, &doc) {
-                            eprintln!(
-                                "procrustes-serve: cache write failed for {:016x}: {e}",
-                                job.fingerprint
-                            );
-                        }
-                    }
-                    stats.computed.fetch_add(1, Ordering::Relaxed);
-                    stats.memo_entries.fetch_add(1, Ordering::Relaxed);
-                    memo.insert(job.fingerprint, doc.clone());
+                    let put = shared.store.put(&job.text, &doc, Source::Memo);
+                    debug_assert_eq!(put, Ok(()), "a computed document leads with its scenario");
                     replicate(shared, job.fingerprint, &doc);
-                    Ok((Source::Computed, doc))
-                }
-                // Unreachable for admitted jobs (scenarios are validated
-                // before dispatch), but a shard must never panic.
-                Err(e) => Err(e.to_string()),
-            }
+                    (Source::Computed, doc)
+                }),
         };
+        if let Ok((source, _)) = &outcome {
+            shared.stats.count(*source);
+        }
         // A dropped receiver means the client disconnected mid-sweep;
-        // the work is memoized either way.
+        // the work is stored either way.
         let _ = job.reply.send((job.index, outcome));
     }
 }
@@ -674,6 +646,11 @@ fn replicate(shared: &Shared, fingerprint: u64, doc: &str) {
     let Some(rep) = guard.as_ref() else {
         return;
     };
+    let line = Request::Store {
+        fingerprint,
+        doc: doc.to_string(),
+    }
+    .to_json();
     for &owner in ring_order(fingerprint, &rep.cluster.nodes)
         .iter()
         .take(rep.replicas)
@@ -684,13 +661,10 @@ fn replicate(shared: &Shared, fingerprint: u64, doc: &str) {
         // Gauge up before the send so a concurrent admission check never
         // undercounts; on a full queue, undo and drop the copy.
         rep.cluster.depths[forwarder].fetch_add(1, Ordering::Relaxed);
-        let job = ForwardJob::Store {
-            fingerprint,
-            doc: doc.to_string(),
-        };
         // `replica_writes` counts copies *accepted* (incremented by the
         // receiving standby's `store` handler), not copies attempted, so
         // the cluster-wide sum is exact.
+        let job = ForwardJob::Store(line.clone());
         if rep.senders[forwarder].try_send(job).is_err() {
             rep.cluster.depths[forwarder].fetch_sub(1, Ordering::Relaxed);
         }
@@ -762,33 +736,31 @@ fn read_request_line(
     }
 }
 
-/// Whether a `store` may install `doc` under `fingerprint`. Any TCP
-/// client can send one, so the pair is taken on trust only as far as it
-/// can be checked: a daemon outside a ring has no primary to replicate
-/// from and refuses every `store`, and a ring member refuses a document
-/// that is not addressed by the fingerprint of its own scenario — the
-/// key a later `eval` of that scenario will look up.
-fn admit_store(fingerprint: u64, doc: &str, clustered: bool) -> Result<(), String> {
+/// Whether a `store` may install `doc` under `fingerprint`; if so, the
+/// canonical text of the scenario it answers. Any TCP client can send
+/// one, so the pair is taken on trust only as far as it can be checked:
+/// a daemon outside a ring has no primary to replicate from and refuses
+/// every `store`, and a ring member refuses a document that is not
+/// addressed by the fingerprint of its own scenario — the key a later
+/// `eval` of that scenario will look up. ([`DocStore::put`] then
+/// refuses one that does not spell that scenario canonically.)
+fn admit_store(fingerprint: u64, doc: &str, clustered: bool) -> Result<String, String> {
     if !clustered {
-        return Err("store refused: this daemon is not part of a cluster".into());
+        return Err("this daemon is not part of a cluster".into());
     }
-    let v = Json::parse(doc).map_err(|e| format!("store refused: {e}"))?;
-    let scenario = v
-        .get("scenario")
-        .ok_or("store refused: result has no 'scenario' member")?;
-    let scenario =
-        Scenario::from_json_value(scenario).map_err(|e| format!("store refused: {e}"))?;
-    scenario
-        .validate()
-        .map_err(|e| format!("store refused: {e}"))?;
-    let actual = scenario.fingerprint();
+    let v = Json::parse(doc)?;
+    let scenario = v.get("scenario").ok_or("result has no 'scenario' member")?;
+    let scenario = Scenario::from_json_value(scenario).map_err(|e| e.to_string())?;
+    scenario.validate().map_err(|e| e.to_string())?;
+    let text = scenario.to_json();
+    let actual = key_of(&text);
     if actual != fingerprint {
         return Err(format!(
-            "store refused: fp {fingerprint:016x} is not the fingerprint of the result's \
-             scenario ({actual:016x})"
+            "fp {fingerprint:016x} is not the fingerprint of the result's scenario \
+             ({actual:016x})"
         ));
     }
-    Ok(())
+    Ok(text)
 }
 
 /// Skips the remainder of an oversized line without buffering it,
@@ -893,28 +865,19 @@ fn handle_connection(stream: TcpStream, router: &Router, shared: &Shared) -> io:
                 }
             },
             Request::Store { fingerprint, doc } => {
-                if let Err(error) = admit_store(fingerprint, &doc, router.cluster.is_some()) {
+                // Held in memory and written through to disk, so the
+                // warm copy survives a restart of the standby itself.
+                let stored = admit_store(fingerprint, &doc, router.cluster.is_some())
+                    .and_then(|scenario| shared.store.put(&scenario, &doc, Source::Replica));
+                if let Err(e) = stored {
                     if let Ok(mut metrics) = shared.metrics.lock() {
                         metrics.parse_errors += 1;
                     }
+                    let error = format!("store refused: {e}");
                     write_line(&mut writer, shared, &Response::Error { error })?;
                     continue;
                 }
                 shared.stats.replica_writes.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .replica_store
-                    .lock()
-                    .expect("replica store lock")
-                    .insert(fingerprint, doc.clone());
-                // Write through to disk so the warm copy survives a
-                // restart of the standby itself.
-                if let Some(cache) = &shared.cache {
-                    if let Err(e) = cache.put(fingerprint, &doc) {
-                        eprintln!(
-                            "procrustes-serve: replica cache write failed for {fingerprint:016x}: {e}"
-                        );
-                    }
-                }
                 write_line(&mut writer, shared, &Response::Stored)?;
             }
             Request::Sweep(sweep) => match admit_sweep(&sweep, shared.max_sweep) {
@@ -935,22 +898,22 @@ fn handle_connection(stream: TcpStream, router: &Router, shared: &Shared) -> io:
                     &Response::Status(ServerStatus {
                         shards: shared.shards as u64,
                         peers: router.nodes(),
-                        persistent: shared.cache.is_some(),
+                        persistent: shared.store.disk().is_some(),
                         requests: stats.requests.load(Ordering::Relaxed),
                         served: stats.served.load(Ordering::Relaxed),
-                        computed: stats.computed.load(Ordering::Relaxed),
-                        memo_hits: stats.memo_hits.load(Ordering::Relaxed),
-                        disk_hits: stats.disk_hits.load(Ordering::Relaxed),
-                        memo_entries: stats.memo_entries.load(Ordering::Relaxed),
-                        disk_entries: shared.cache.as_ref().map(DiskCache::entries),
+                        computed: stats.answered_from(Source::Computed),
+                        memo_hits: stats.answered_from(Source::Memo),
+                        disk_hits: stats.answered_from(Source::Disk),
+                        memo_entries: shared.store.memory_entries(),
+                        disk_entries: shared.store.disk().map(DiskCache::entries),
                     }),
                 )?;
             }
             Request::Metrics => {
                 let stats = &shared.stats;
-                let computed = stats.computed.load(Ordering::Relaxed);
-                let memo_hits = stats.memo_hits.load(Ordering::Relaxed);
-                let disk_hits = stats.disk_hits.load(Ordering::Relaxed);
+                let computed = stats.answered_from(Source::Computed);
+                let memo_hits = stats.answered_from(Source::Memo);
+                let disk_hits = stats.answered_from(Source::Disk);
                 let lookups = computed + memo_hits + disk_hits;
                 let (parse_errors, verbs) = {
                     let metrics = shared.metrics.lock().expect("metrics lock");
@@ -971,14 +934,15 @@ fn handle_connection(stream: TcpStream, router: &Router, shared: &Shared) -> io:
                         } else {
                             (memo_hits + disk_hits) as f64 / lookups as f64
                         },
-                        cache_evictions: shared.cache.as_ref().map_or(0, DiskCache::evictions),
-                        cache_bytes: shared.cache.as_ref().map_or(0, DiskCache::total_bytes),
+                        cache_evictions: shared.store.disk().map_or(0, DiskCache::evictions),
+                        cache_bytes: shared.store.disk().map_or(0, DiskCache::total_bytes),
+                        verify_misses: shared.store.verify_misses(),
                         queue_depth: router.queue_depth(shared),
                         shed: stats.shed.load(Ordering::Relaxed),
-                        forwarded: stats.forwarded.load(Ordering::Relaxed),
+                        forwarded: stats.answered_from(Source::Peer),
                         peer_failovers: stats.peer_failovers.load(Ordering::Relaxed),
                         faults_injected: shared.faults.injected(),
-                        replica_hits: stats.replica_hits.load(Ordering::Relaxed),
+                        replica_hits: stats.answered_from(Source::Replica),
                         replica_writes: stats.replica_writes.load(Ordering::Relaxed),
                         degraded: stats.degraded.load(Ordering::Relaxed),
                         verbs,

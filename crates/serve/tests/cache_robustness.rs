@@ -2,7 +2,7 @@
 //! entry is never fatal — the daemon skips it and recomputes — the LRU
 //! byte budget holds under concurrent writers, and eviction composes
 //! with warm replication (an entry evicted from the standby's *disk*
-//! still serves from its in-memory replica store).
+//! still serves from the document store's memory tier).
 
 mod common;
 
@@ -29,19 +29,23 @@ fn corrupt_and_truncated_entries_are_recomputed_not_fatal() {
     let corrupt = scenario(2);
     let truncated = scenario(3);
     let empty = scenario(4);
-    let expected: Vec<String> = [&healthy, &corrupt, &truncated, &empty]
+    let misfiled = scenario(5);
+    let expected: Vec<String> = [&healthy, &corrupt, &truncated, &empty, &misfiled]
         .iter()
         .map(|s| Engine::default().run(s).unwrap().to_json())
         .collect();
 
     // Seed the directory: one healthy entry, one garbage entry, one
     // entry truncated mid-document (a simulated torn write that dodged
-    // the tmp+rename protocol), and one empty file.
+    // the tmp+rename protocol), one empty file, and one intact document
+    // sitting under another scenario's fingerprint (a misfiled or stale
+    // file, or a 64-bit collision).
     let entry = |s: &Scenario| cache_dir.join(format!("{:016x}.json", s.fingerprint()));
     std::fs::write(entry(&healthy), &expected[0]).unwrap();
     std::fs::write(entry(&corrupt), "not json at all {{{").unwrap();
     std::fs::write(entry(&truncated), &expected[2][..expected[2].len() / 2]).unwrap();
     std::fs::write(entry(&empty), "").unwrap();
+    std::fs::write(entry(&misfiled), &expected[0]).unwrap();
 
     let (addr, server) = common::start(ServeConfig {
         shards: 2,
@@ -61,14 +65,17 @@ fn corrupt_and_truncated_entries_are_recomputed_not_fatal() {
         (&corrupt, &expected[1]),
         (&truncated, &expected[2]),
         (&empty, &expected[3]),
+        (&misfiled, &expected[4]),
     ] {
         let served = client.eval(s).unwrap();
         assert_eq!(served.source, Source::Computed, "bad entries recompute");
         assert_eq!(&served.doc, want, "recomputed document is canonical");
     }
+    // Only the misfiled one got as far as the scenario check.
+    assert_eq!(client.metrics().unwrap().verify_misses, 1);
 
     // The recomputed documents were re-cached: a restart serves all
-    // four from disk, bit-identically.
+    // five from disk, bit-identically.
     client.shutdown().unwrap();
     server.join().unwrap().unwrap();
     let (addr, server) = common::start(ServeConfig {
@@ -77,7 +84,7 @@ fn corrupt_and_truncated_entries_are_recomputed_not_fatal() {
         ..ServeConfig::default()
     });
     let mut client = Client::connect(addr).unwrap();
-    for (s, want) in [&healthy, &corrupt, &truncated, &empty]
+    for (s, want) in [&healthy, &corrupt, &truncated, &empty, &misfiled]
         .iter()
         .zip(&expected)
     {

@@ -224,9 +224,22 @@ fn a_ring_member_refuses_a_store_under_another_scenarios_fingerprint() {
     let invalid = other_doc.replacen("\"batch\":8", "\"batch\":0", 1);
     assert_ne!(invalid, other_doc);
     refused_store(&mut client, victim.fingerprint(), &invalid);
+    // The right fingerprint, but the embedded scenario is not spelled
+    // the way an `eval` of it will be (members reordered): accepted, it
+    // would be served under a key its own bytes do not hash to.
+    let reordered = other_doc.replacen(
+        r#"{"scenario":{"network":"VGG-S","#,
+        r#"{"scenario":{"batch":8,"network":"VGG-S","#,
+        1,
+    );
+    let reordered = reordered.replacen(r#","batch":8,"sparsity""#, r#","sparsity""#, 1);
+    assert_eq!(reordered.len(), other_doc.len());
+    assert_ne!(reordered, other_doc);
+    let error = refused_store(&mut client, other.fingerprint(), &reordered);
+    assert!(error.contains("canonical"), "{error}");
     let metrics = client.metrics().unwrap();
     assert_eq!(metrics.replica_writes, 0);
-    assert_eq!(metrics.parse_errors, 3);
+    assert_eq!(metrics.parse_errors, 4);
 
     let (source, doc) = eval_local(&mut client, &victim);
     assert_eq!(source, Source::Computed, "nothing forged was installed");
