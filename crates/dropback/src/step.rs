@@ -77,18 +77,70 @@ pub(crate) fn sgd_auxiliary(model: &mut Sequential, lr: f32) {
 
 /// Writes the materialized weights `w_i = λᵗ·w⁰_i + accumulated(i)` into
 /// the model and returns the fraction of them that is exactly zero.
+///
+/// Each weight is bitwise `wr.decayed_value(i, t) + accumulated(i)`,
+/// with λᵗ read once per call instead of once per weight; past the
+/// flush every weight is `0.0 + acc`, so `−0.0` still writes `+0.0`.
 pub(crate) fn materialize(
     model: &mut Sequential,
     wr: &WeightRecompute,
     t: u64,
     accumulated: impl Fn(usize) -> f32,
 ) -> f64 {
+    let factor = wr.decay_factor(t);
     let mut zeros = 0;
     let n = for_each_prunable(model, |offset, p| {
         for (j, w) in p.values.data_mut().iter_mut().enumerate() {
-            *w = wr.decayed_value((offset + j) as u64, t) + accumulated(offset + j);
+            let i = offset + j;
+            let decayed = if factor == 0.0 {
+                0.0
+            } else {
+                factor * wr.initial_value(i as u64)
+            };
+            *w = decayed + accumulated(i);
         }
         zeros += p.values.count_zeros();
     });
     zeros as f64 / n as f64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exact::init_from_wr;
+    use crate::testutil::micro_model;
+
+    /// Every fifth accumulator is `−0.0` (past the flush, `0.0 + −0.0`
+    /// must write `+0.0`), every fifth a nonzero value.
+    fn acc(i: usize) -> f32 {
+        match i % 5 {
+            0 => -0.0,
+            1 => i as f32 * 1e-4 - 0.3,
+            _ => 0.0,
+        }
+    }
+
+    #[test]
+    fn materialize_matches_decayed_value_bitwise_across_the_flush() {
+        let horizon = WeightRecompute::new(1, &[(1, 1.0)], 0.9)
+            .zero_iteration()
+            .unwrap();
+        for lambda in [0.9, 1.0] {
+            let mut model = micro_model(4, 5);
+            let (wr, n) = init_from_wr(&mut model, 13, lambda);
+            for t in [1, horizon - 1, horizon, horizon + 1] {
+                let sparsity = materialize(&mut model, &wr, t, acc);
+                let mut zeros = 0;
+                for_each_prunable(&mut model, |offset, p| {
+                    for (j, w) in p.values.data().iter().enumerate() {
+                        let i = offset + j;
+                        let want = wr.decayed_value(i as u64, t) + acc(i);
+                        assert_eq!(w.to_bits(), want.to_bits(), "λ={lambda} t={t} i={i}");
+                        zeros += usize::from(*w == 0.0);
+                    }
+                });
+                assert_eq!(sparsity, zeros as f64 / n as f64, "λ={lambda} t={t}");
+            }
+        }
+    }
 }

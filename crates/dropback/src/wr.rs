@@ -132,14 +132,22 @@ impl WeightRecompute {
     }
 
     /// First iteration at which the decayed initial values are exactly
-    /// zero (`None` when λ = 1, i.e. no decay).
+    /// zero — the first `t` with [`decay_factor`](Self::decay_factor)`(t)
+    /// == 0.0` (`None` when λ = 1, i.e. no decay).
     pub fn zero_iteration(&self) -> Option<u64> {
         if self.lambda == 1.0 {
             return None;
         }
-        // Smallest t with λ^t < cutoff.
-        let t = (Self::DECAY_FLUSH.ln() / self.lambda.ln()).ceil();
-        Some(t as u64)
+        // The f32 `ln` ratio lands one off where λᵗ sits on the cutoff
+        // (λ = 0.1, 0.001): start there and step to the exact point.
+        let mut t = (Self::DECAY_FLUSH.ln() / self.lambda.ln()).ceil() as u64;
+        while t > 0 && self.decay_factor(t - 1) == 0.0 {
+            t -= 1;
+        }
+        while self.decay_factor(t) != 0.0 {
+            t += 1;
+        }
+        Some(t)
     }
 }
 
@@ -183,6 +191,24 @@ mod tests {
         // paper's observation window ("the point at which all initial
         // weights have decayed to zero (1,000 iterations)").
         assert!(t0 < 1000, "zero iteration {t0}");
+    }
+
+    #[test]
+    fn zero_iteration_is_first_flushed_factor_on_lambda_grid() {
+        for k in 1..1000 {
+            let lambda = k as f32 / 1000.0;
+            let wr = WeightRecompute::new(3, &[(1, 1.0)], lambda);
+            let t0 = wr.zero_iteration().unwrap();
+            assert!(
+                (0..t0).all(|t| wr.decay_factor(t) != 0.0),
+                "λ={lambda}: a factor before {t0} is already zero"
+            );
+            assert!(
+                (t0..t0 + 8).all(|t| wr.decay_factor(t) == 0.0),
+                "λ={lambda}: decay_factor({t0}) = {}",
+                wr.decay_factor(t0)
+            );
+        }
     }
 
     #[test]

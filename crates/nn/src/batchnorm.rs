@@ -6,6 +6,23 @@
 //! destroyed by backpropagating through the batch normalization layer.”
 //! The accelerator model encodes that observation; this layer demonstrates
 //! it (see `gradient_density_is_restored_by_batchnorm` below).
+//!
+//! # Summation order
+//!
+//! The three training-mode reductions — the mean, the variance, and
+//! backward's `Σdy` / `Σdy·x̂` — run through one loop nest,
+//! `channel_sums`, that carries eight channels' accumulators together:
+//! samples outer, then positions, then the eight channels. Every channel
+//! still has exactly one accumulator, starting at `+0.0` and adding its
+//! own terms in the order of a straight per-channel loop (`n` ascending,
+//! then `h·w` ascending), so each sum is bitwise what that loop gives —
+//! `crates/nn/tests/batchnorm_equality.rs` keeps the straight loops as
+//! its oracle. The reductions are *split across channels*, never
+//! re-associated: no channel's sum is cut into partial sums, which would
+//! change its bits (the ROADMAP's ground rules). The interleave only
+//! lets eight independent add chains overlap where one used to wait on
+//! its own previous add. The normalize and `dx` passes are elementwise
+//! and walk whole `h·w` planes.
 
 use procrustes_tensor::{Scratch, Tensor};
 
@@ -71,41 +88,72 @@ impl BatchNorm2d {
         }
     }
 
+    /// The running `(mean, variance)` that eval mode normalizes with.
+    pub fn running_stats(&self) -> (&[f32], &[f32]) {
+        (&self.running_mean, &self.running_var)
+    }
+
     /// Fills `self.mean` / `self.var` with batch (train) or running
     /// (eval) statistics.
     fn stats(&mut self, x: &Tensor, train: bool) {
-        let s = x.shape();
-        let (n, c, h, w) = (s.dim(0), s.dim(1), s.dim(2), s.dim(3));
         if !train {
             self.mean.copy_from_slice(&self.running_mean);
             self.var.copy_from_slice(&self.running_var);
             return;
         }
-        let count = (n * h * w) as f32;
-        let mean = &mut self.mean;
-        let var = &mut self.var;
-        mean.fill(0.0);
-        var.fill(0.0);
+        let s = x.shape();
+        let (n, c, hw) = (s.dim(0), s.dim(1), s.dim(2) * s.dim(3));
+        let count = (n * hw) as f32;
         let xd = x.data();
-        for ni in 0..n {
-            for ci in 0..c {
-                for v in &xd[((ni * c + ci) * h) * w..((ni * c + ci) * h + h) * w] {
-                    mean[ci] += v;
-                }
-            }
-        }
-        for m in mean.iter_mut() {
+        channel_sums((n, c, hw), xd, xd, [&mut self.mean], |_, v, _| [v]);
+        for m in self.mean.iter_mut() {
             *m /= count;
         }
+        let mean = &self.mean;
+        channel_sums((n, c, hw), xd, xd, [&mut self.var], |ci, v, _| {
+            [(v - mean[ci]).powi(2)]
+        });
+        for v in self.var.iter_mut() {
+            *v /= count;
+        }
+    }
+}
+
+/// Channels whose sums one pass of [`channel_sums`] carries side by side.
+const GROUP: usize = 8;
+
+/// `sums[k][ci] = Σ term(ci, a, b)[k]` over the `(a, b)` element pairs
+/// of channel `ci` of two `NCHW` tensors of `dims = (n, c, h·w)`, each
+/// sum one accumulator in straight-loop order (module docs: "Summation
+/// order").
+fn channel_sums<const K: usize>(
+    (n, c, hw): (usize, usize, usize),
+    a: &[f32],
+    b: &[f32],
+    mut sums: [&mut [f32]; K],
+    term: impl Fn(usize, f32, f32) -> [f32; K],
+) {
+    for c0 in (0..c).step_by(GROUP) {
+        let width = GROUP.min(c - c0);
+        // A ragged last group repeats its last channel in the spare
+        // lanes; their sums are dropped.
+        let lane = |g: usize| c0 + g.min(width - 1);
+        let mut acc = [[0.0f32; GROUP]; K];
         for ni in 0..n {
-            for ci in 0..c {
-                for v in &xd[((ni * c + ci) * h) * w..((ni * c + ci) * h + h) * w] {
-                    var[ci] += (v - mean[ci]).powi(2);
+            let start = |g: usize| (ni * c + lane(g)) * hw;
+            let pa: [&[f32]; GROUP] = std::array::from_fn(|g| &a[start(g)..][..hw]);
+            let pb: [&[f32]; GROUP] = std::array::from_fn(|g| &b[start(g)..][..hw]);
+            for p in 0..hw {
+                for g in 0..GROUP {
+                    let t = term(lane(g), pa[g][p], pb[g][p]);
+                    for (acc, t) in acc.iter_mut().zip(t) {
+                        acc[g] += t;
+                    }
                 }
             }
         }
-        for v in var.iter_mut() {
-            *v /= count;
+        for (sum, acc) in sums.iter_mut().zip(&acc) {
+            sum[c0..c0 + width].copy_from_slice(&acc[..width]);
         }
     }
 }
@@ -114,7 +162,7 @@ impl Layer for BatchNorm2d {
     fn forward_with(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Tensor {
         let s = x.shape();
         assert_eq!(s.rank(), 4, "BatchNorm2d: input must be NCHW");
-        let (n, c, h, w) = (s.dim(0), s.dim(1), s.dim(2), s.dim(3));
+        let (c, hw) = (s.dim(1), s.dim(2) * s.dim(3));
         assert_eq!(c, self.gamma.len(), "BatchNorm2d: channel mismatch");
         self.stats(x, train);
         for (o, &v) in self.inv_std.iter_mut().zip(&self.var) {
@@ -122,21 +170,22 @@ impl Layer for BatchNorm2d {
         }
 
         let mut y = scratch.take_tensor_any(s.dims());
+        let (gamma, beta) = (self.gamma.data(), self.beta.data());
+        let (mean, inv_std) = (&self.mean, &self.inv_std);
+        let planes = x
+            .data()
+            .chunks_exact(hw)
+            .zip(y.data_mut().chunks_exact_mut(hw));
         if train {
             let xhat = ensure_cached(&mut self.xhat, s.dims());
-            let xd = x.data();
-            let yd = y.data_mut();
-            let xh = xhat.data_mut();
-            for ni in 0..n {
-                for ci in 0..c {
-                    let g = self.gamma.data()[ci];
-                    let b = self.beta.data()[ci];
-                    let base = (ni * c + ci) * h * w;
-                    for off in base..base + h * w {
-                        let norm = (xd[off] - self.mean[ci]) * self.inv_std[ci];
-                        xh[off] = norm;
-                        yd[off] = g * norm + b;
-                    }
+            let planes = planes.zip(xhat.data_mut().chunks_exact_mut(hw));
+            for (i, ((xp, yp), hp)) in planes.enumerate() {
+                let ci = i % c;
+                let (g, b, m, is) = (gamma[ci], beta[ci], mean[ci], inv_std[ci]);
+                for ((&x, y), h) in xp.iter().zip(yp).zip(hp) {
+                    let norm = (x - m) * is;
+                    *h = norm;
+                    *y = g * norm + b;
                 }
             }
             for ci in 0..c {
@@ -150,16 +199,11 @@ impl Layer for BatchNorm2d {
         } else {
             // Eval mode never needs x̂ for backward: normalize straight
             // into the output.
-            let xd = x.data();
-            let yd = y.data_mut();
-            for ni in 0..n {
-                for ci in 0..c {
-                    let g = self.gamma.data()[ci];
-                    let b = self.beta.data()[ci];
-                    let base = (ni * c + ci) * h * w;
-                    for off in base..base + h * w {
-                        yd[off] = g * ((xd[off] - self.mean[ci]) * self.inv_std[ci]) + b;
-                    }
+            for (i, (xp, yp)) in planes.enumerate() {
+                let ci = i % c;
+                let (g, b, m, is) = (gamma[ci], beta[ci], mean[ci], inv_std[ci]);
+                for (&x, y) in xp.iter().zip(yp) {
+                    *y = g * ((x - m) * is) + b;
                 }
             }
         }
@@ -173,40 +217,29 @@ impl Layer for BatchNorm2d {
         );
         let xhat = self.xhat.as_ref().expect("cache set with has_cache");
         let s = dy.shape();
-        let (n, c, h, w) = (s.dim(0), s.dim(1), s.dim(2), s.dim(3));
-        let m = (n * h * w) as f32;
+        let (n, c, hw) = (s.dim(0), s.dim(1), s.dim(2) * s.dim(3));
+        let m = (n * hw) as f32;
 
         // Standard batch-norm backward:
         // dβ_c = Σ dy ; dγ_c = Σ dy·x̂
         // dx = (γ·inv_std/m) · (m·dy − Σdy − x̂·Σ(dy·x̂))
-        let sum_dy = &mut self.sum_dy;
-        let sum_dy_xhat = &mut self.sum_dy_xhat;
-        sum_dy.fill(0.0);
-        sum_dy_xhat.fill(0.0);
-        let dyd = dy.data();
-        let xh = xhat.data();
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                for off in base..base + h * w {
-                    sum_dy[ci] += dyd[off];
-                    sum_dy_xhat[ci] += dyd[off] * xh[off];
-                }
-            }
-        }
+        let (dyd, xh) = (dy.data(), xhat.data());
+        let sums: [&mut [f32]; 2] = [&mut self.sum_dy, &mut self.sum_dy_xhat];
+        channel_sums((n, c, hw), dyd, xh, sums, |_, d, h| [d, d * h]);
+        let (sum_dy, sum_dy_xhat) = (&self.sum_dy, &self.sum_dy_xhat);
         for ci in 0..c {
             self.dbeta.data_mut()[ci] += sum_dy[ci];
             self.dgamma.data_mut()[ci] += sum_dy_xhat[ci];
         }
         let mut dx = scratch.take_tensor_any(s.dims());
-        let dxd = dx.data_mut();
-        for ni in 0..n {
-            for ci in 0..c {
-                let coeff = self.gamma.data()[ci] * self.cached_inv_std[ci] / m;
-                let base = (ni * c + ci) * h * w;
-                for off in base..base + h * w {
-                    dxd[off] = coeff * (m * dyd[off] - sum_dy[ci] - xh[off] * sum_dy_xhat[ci]);
-                }
+        let planes = dyd.chunks_exact(hw).zip(xh.chunks_exact(hw));
+        let planes = planes.zip(dx.data_mut().chunks_exact_mut(hw));
+        for (i, ((dyp, hp), dxp)) in planes.enumerate() {
+            let ci = i % c;
+            let coeff = self.gamma.data()[ci] * self.cached_inv_std[ci] / m;
+            let (sd, sdh) = (sum_dy[ci], sum_dy_xhat[ci]);
+            for ((&d, &h), dx) in dyp.iter().zip(hp).zip(dxp) {
+                *dx = coeff * (m * d - sd - h * sdh);
             }
         }
         dx
