@@ -62,13 +62,12 @@ fn read_input(path: &str) -> Result<String, String> {
 fn source_summary(served: &[Served]) -> String {
     let count = |s: Source| served.iter().filter(|r| r.source == s).count();
     format!(
-        "{} results (computed {}, memo {}, disk {}, peer {}, replica {})",
+        "{} results (computed {}, memo {}, disk {}, peer {})",
         served.len(),
         count(Source::Computed),
         count(Source::Memo),
         count(Source::Disk),
-        count(Source::Peer),
-        count(Source::Replica)
+        count(Source::Peer)
     )
 }
 
@@ -204,8 +203,7 @@ fn run() -> Result<(), String> {
             println!(
                 "requests={} parse_errors={} served={} computed={} memo_hits={} \
                  disk_hits={} hit_rate={:.3} queue_depth={} shed={} forwarded={} \
-                 peer_failovers={} faults_injected={} replica_hits={} \
-                 replica_writes={} degraded={} verify_misses={}",
+                 peer_failovers={} faults_injected={} degraded={} verify_misses={}",
                 m.requests,
                 m.parse_errors,
                 m.served,
@@ -218,8 +216,6 @@ fn run() -> Result<(), String> {
                 m.forwarded,
                 m.peer_failovers,
                 m.faults_injected,
-                m.replica_hits,
-                m.replica_writes,
                 m.degraded,
                 m.verify_misses,
             );

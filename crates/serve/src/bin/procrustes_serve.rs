@@ -4,7 +4,7 @@
 //! procrustes-serve [--addr HOST:PORT] [--shards N] [--cache-dir DIR]
 //!                  [--cache-budget BYTES] [--max-sweep N] [--queue-cap N]
 //!                  [--peers A:P,B:P,...] [--advertise HOST:PORT]
-//!                  [--replicas N] [--fault-plan FILE|SPEC]
+//!                  [--fault-plan FILE|SPEC]
 //! ```
 //!
 //! Binds (port 0 picks an ephemeral port, printed on the first line),
@@ -33,9 +33,6 @@ OPTIONS:
                         address, identical list on every node)
   --advertise HOST:PORT this daemon's own entry in --peers (default: --addr);
                         must match the other nodes' spelling exactly
-  --replicas N          total warm copies per computed result when clustered:
-                        the primary plus N-1 standbys written through to the
-                        next ring owners (default 1 = no replication)
   --fault-plan F|SPEC   arm deterministic fault injection from a file or an
                         inline spec, e.g. 'seed=7;peer_dial_refused=0.2;
                         cache_corrupt=3..5' (default: disarmed)
@@ -102,11 +99,6 @@ fn main() -> ExitCode {
                     .collect();
             }),
             "--advertise" => value("--advertise").map(|v| advertise = Some(v)),
-            "--replicas" => value("--replicas").and_then(|v| {
-                v.parse()
-                    .map(|n: usize| config.replicas = n.max(1))
-                    .map_err(|e| format!("--replicas: {e}"))
-            }),
             "--fault-plan" => value("--fault-plan").and_then(|v| {
                 FaultPlan::load(&v)
                     .map(|plan| config.fault_plan = Some(plan))
@@ -155,7 +147,7 @@ fn main() -> ExitCode {
         None => String::new(),
     };
     println!(
-        "procrustes-serve listening on {} (shards={}, cache={}, max-sweep={}, queue-cap={}, replicas={}, {ring}{chaos})",
+        "procrustes-serve listening on {} (shards={}, cache={}, max-sweep={}, queue-cap={}, {ring}{chaos})",
         server.local_addr(),
         config.shards,
         config
@@ -164,7 +156,6 @@ fn main() -> ExitCode {
             .map_or("none".into(), |d| d.display().to_string()),
         config.max_sweep,
         config.queue_cap,
-        config.replicas,
     );
     if let Err(e) = server.run() {
         eprintln!("procrustes-serve: {e}");

@@ -19,10 +19,15 @@
 //! misfiled file — is dropped from both tiers, counted
 //! (`metrics.verify_misses`) and answered as a miss, so the shard
 //! recomputes and overwrites it. [`DocStore::put`] applies the same
-//! rule on the way in, which is what a `store` must satisfy beyond the
-//! admission checks: the document's embedded scenario has to be the
-//! canonical serialisation of itself, spelled exactly as a later `eval`
-//! of it will spell it.
+//! rule on the way in: a document whose embedded scenario is not spelled
+//! exactly as the request's canonical text is refused.
+//!
+//! **One writer per key.** The shard loop is the store's only caller,
+//! for reads and writes alike. A key always maps to the same shard
+//! (`fp % shards`), and a shard handles its jobs one at a time, so no
+//! two threads ever read or write the same key at once. In particular,
+//! no `put` can land between a [`DiskCache::get`] that finds a corrupt
+//! file and its removal of that file from the index.
 //!
 //! **The disk tier.** Writes go through a tmp file in the same
 //! directory followed by an atomic rename, so a crashed daemon never
@@ -148,32 +153,21 @@ impl LruIndex {
     }
 }
 
-/// One document in the memory tier.
-struct Held {
-    doc: String,
-    /// What the next hit reports: [`Source::Replica`] for a standby
-    /// copy installed by a `store` and not served yet,
-    /// [`Source::Memo`] ever after.
-    source: Source,
-}
-
 /// The memory tier: documents by key, LRU-accounted by document bytes.
 #[derive(Default)]
 struct Memory {
     index: LruIndex,
-    docs: HashMap<u64, Held>,
+    docs: HashMap<u64, String>,
     /// Held documents (in either tier) that failed verification.
     verify_misses: u64,
 }
 
 impl Memory {
-    /// A copy of the document under `key`, marked recently used, and
-    /// what to report as its source.
-    fn hit(&mut self, key: u64) -> Option<(Source, String)> {
-        let held = self.docs.get_mut(&key)?;
+    /// A copy of the document under `key`, marked recently used.
+    fn hit(&mut self, key: u64) -> Option<String> {
+        let doc = self.docs.get(&key)?.clone();
         self.index.touch(key);
-        let source = std::mem::replace(&mut held.source, Source::Memo);
-        Some((source, held.doc.clone()))
+        Some(doc)
     }
 
     /// Counts a failed verification and drops the document, if held.
@@ -217,7 +211,7 @@ impl DocStore {
         // disk tier is read.
         let held = self.memory().hit(key);
         let (source, doc) = match held {
-            Some(hit) => hit,
+            Some(doc) => (Source::Memo, doc),
             None => (Source::Disk, self.disk.as_ref()?.get(key)?),
         };
         if !describes(&doc, scenario) {
@@ -228,26 +222,24 @@ impl DocStore {
             return None;
         }
         if source == Source::Disk {
-            self.remember(key, &doc, Source::Memo);
+            self.remember(key, &doc);
         }
         Some((source, doc))
     }
 
     /// Installs `doc` as the result for `scenario` (the canonical text
-    /// it was computed from) in both tiers. `source` is what its first
-    /// hit reports: [`Source::Replica`] for a standby copy accepted from
-    /// a peer, else [`Source::Memo`]. A failed disk write is logged,
-    /// not fatal: the document is still held in memory.
+    /// it was computed from) in both tiers. A failed disk write is
+    /// logged, not fatal: the document is still held in memory.
     ///
     /// # Errors
     ///
     /// Refuses a document that does not begin with `scenario`'s text.
-    pub(crate) fn put(&self, scenario: &str, doc: &str, source: Source) -> Result<(), String> {
+    pub(crate) fn put(&self, scenario: &str, doc: &str) -> Result<(), String> {
         if !describes(doc, scenario) {
             return Err("the result's scenario is not in canonical form".into());
         }
         let key = key_of(scenario);
-        self.remember(key, doc, source);
+        self.remember(key, doc);
         if let Some(disk) = &self.disk {
             if let Err(e) = disk.put(key, doc) {
                 eprintln!("procrustes-serve: cache write failed for {key:016x}: {e}");
@@ -256,16 +248,12 @@ impl DocStore {
         Ok(())
     }
 
-    /// Holds `doc` in the memory tier, evicting down to the budget. A
-    /// key already held keeps its source: a standby copy of a document
-    /// this node serves already is not a new replica.
-    fn remember(&self, key: u64, doc: &str, source: Source) {
+    /// Holds `doc` in the memory tier, evicting down to the budget.
+    fn remember(&self, key: u64, doc: &str) {
         let mut guard = self.memory();
         let memory = &mut *guard;
-        let source = memory.docs.get(&key).map_or(source, |held| held.source);
-        let doc = doc.to_string();
         memory.index.upsert(key, doc.len() as u64);
-        memory.docs.insert(key, Held { doc, source });
+        memory.docs.insert(key, doc.to_string());
         while let Some(victim) = memory.index.evict_one(self.budget) {
             memory.docs.remove(&victim);
         }
@@ -380,7 +368,11 @@ impl DiskCache {
     ///
     /// The file is read and validated *before* the index lock is taken,
     /// so one shard's disk read never queues the others (or a writer)
-    /// behind it. An entry evicted in between reads as a miss.
+    /// behind it. An entry evicted in between reads as a miss. A `put`
+    /// of the *same* fingerprint in between would have its fresh index
+    /// entry dropped by a corrupt read; in the daemon that cannot
+    /// happen, because only the key's own shard reads or writes it (see
+    /// the module docs).
     pub fn get(&self, fingerprint: u64) -> Option<String> {
         let mut doc = fs::read_to_string(self.path(fingerprint)).ok();
         if let Some(doc) = &mut doc {
@@ -603,10 +595,10 @@ mod tests {
         for with_disk in [false, true] {
             let (store, dir) = store("collide", 1 << 20, with_disk);
             let (a, b, c) = (text(1), text(2), text(3));
-            store.put(&a, &doc(&a), Source::Memo).unwrap();
+            store.put(&a, &doc(&a)).unwrap();
             // What a 64-bit collision leaves behind: a's document under
             // b's key, in every tier.
-            store.remember(key_of(&b), &doc(&a), Source::Memo);
+            store.remember(key_of(&b), &doc(&a));
             if let Some(disk) = store.disk() {
                 disk.put(key_of(&b), &doc(&a)).unwrap();
             }
@@ -618,11 +610,11 @@ mod tests {
             assert_eq!(store.get(&b), None);
             assert_eq!(store.verify_misses(), 1);
             // The recompute overwrites it; a's own entry never moved.
-            store.put(&b, &doc(&b), Source::Memo).unwrap();
+            store.put(&b, &doc(&b)).unwrap();
             assert_eq!(store.get(&b), Some((Source::Memo, doc(&b))));
             assert_eq!(store.get(&a), Some((Source::Memo, doc(&a))));
             // The same rule on the way in.
-            assert!(store.put(&b, &doc(&a), Source::Memo).is_err());
+            assert!(store.put(&b, &doc(&a)).is_err());
             // A misfiled cache file (memory holds nothing for the key).
             if let Some(disk) = store.disk() {
                 disk.put(key_of(&c), &doc(&a)).unwrap();
@@ -641,11 +633,11 @@ mod tests {
             let (store, dir) = store("membudget", 4 * len, with_disk);
             let held = |store: &DocStore| store.memory().index.total_bytes;
             for i in 0..4 {
-                store.put(&text(i), &doc(&text(i)), Source::Memo).unwrap();
+                store.put(&text(i), &doc(&text(i))).unwrap();
             }
             // A hit refreshes entry 0, so entry 1 is the LRU victim.
             assert_eq!(store.get(&text(0)), Some((Source::Memo, doc(&text(0)))));
-            store.put(&text(4), &doc(&text(4)), Source::Memo).unwrap();
+            store.put(&text(4), &doc(&text(4))).unwrap();
             assert_eq!(store.memory_entries(), 4);
             assert!(store.memory().docs.contains_key(&key_of(&text(0))));
             // Evicted from memory: still on disk if there is one (and
@@ -657,7 +649,7 @@ mod tests {
             }
             // Ten budgets' worth of distinct documents never overshoot.
             for i in 5..45 {
-                store.put(&text(i), &doc(&text(i)), Source::Memo).unwrap();
+                store.put(&text(i), &doc(&text(i))).unwrap();
                 assert!(held(&store) <= 4 * len, "{} > {}", held(&store), 4 * len);
             }
             assert_eq!(store.memory_entries(), 4);
@@ -671,27 +663,22 @@ mod tests {
     }
 
     #[test]
-    fn a_replica_reports_its_source_once_then_reads_as_memo() {
+    fn put_keys_by_scenario_fingerprint_and_refuses_a_respelled_document() {
         use procrustes_core::{Engine, Scenario};
-        // A real pair, which also pins the two facts the store stands
-        // on: the key is the scenario's fingerprint, and a result
-        // document leads with its scenario's canonical text.
+        // A real pair pins the two facts the store stands on: the key is
+        // the scenario's fingerprint, and a result document leads with
+        // its scenario's canonical text.
         let scenario = Scenario::builder("VGG-S").batch(2).build().unwrap();
         let (text, doc) = (
             scenario.to_json(),
             Engine::serial().run(&scenario).unwrap().to_json(),
         );
         assert_eq!(key_of(&text), scenario.fingerprint());
-        let (store, _) = store("replica", 1 << 20, false);
-        store.put(&text, &doc, Source::Replica).unwrap();
-        assert_eq!(store.get(&text), Some((Source::Replica, doc.clone())));
-        assert_eq!(store.get(&text), Some((Source::Memo, doc.clone())));
-        // A standby copy of a document already being served is not a
-        // new replica.
-        store.put(&text, &doc, Source::Replica).unwrap();
+        let (store, _) = store("fingerprint", 1 << 20, false);
+        store.put(&text, &doc).unwrap();
         assert_eq!(store.get(&text), Some((Source::Memo, doc.clone())));
         // A non-canonical spelling of the same scenario is refused.
         let spaced = doc.replacen(r#"{"scenario":{"#, r#"{"scenario": {"#, 1);
-        assert!(store.put(&text, &spaced, Source::Replica).is_err());
+        assert!(store.put(&text, &spaced).is_err());
     }
 }

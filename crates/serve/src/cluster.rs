@@ -84,19 +84,6 @@ pub fn ring_order(fingerprint: u64, nodes: &[String]) -> Vec<usize> {
     ranked.into_iter().map(|(_, index)| index).collect()
 }
 
-/// One unit of work queued on a peer forwarder.
-pub(crate) enum ForwardJob {
-    /// Forward a scenario to the forwarder's peer for evaluation
-    /// (boxed: the scenario payload dwarfs a store job).
-    Eval(Box<Job>),
-    /// Write a computed result through to the forwarder's peer as a
-    /// warm replica — the `store` request's wire line, serialised once
-    /// for all standbys (best-effort: a full queue or a dead peer drops
-    /// the write — replication is an optimization, never a correctness
-    /// dependency).
-    Store(String),
-}
-
 /// One ring member's observed health: the dead-until mark plus the
 /// instant of the last *successful* exchange, which lets a failure
 /// verdict that raced with a success be recognized as stale.
@@ -164,7 +151,7 @@ impl ClusterShared {
 /// and threads, plus the shared ring state.
 pub(crate) struct Cluster {
     pub shared: Arc<ClusterShared>,
-    pub senders: Vec<mpsc::SyncSender<ForwardJob>>,
+    pub senders: Vec<mpsc::SyncSender<Job>>,
     pub handles: Vec<JoinHandle<()>>,
 }
 
@@ -196,7 +183,7 @@ impl Cluster {
         let mut senders = Vec::with_capacity(remote.len());
         let mut handles = Vec::with_capacity(remote.len());
         for (fi, &node) in remote.iter().enumerate() {
-            let (tx, rx) = mpsc::sync_channel::<ForwardJob>(queue_cap);
+            let (tx, rx) = mpsc::sync_channel::<Job>(queue_cap);
             senders.push(tx);
             let shared = Arc::clone(&shared);
             let server_shared = Arc::clone(server_shared);
@@ -242,18 +229,6 @@ impl PeerConn {
         })
     }
 
-    /// Reads the single reply line for a just-written request.
-    fn read_reply(&mut self) -> io::Result<String> {
-        let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "peer closed the forwarding connection",
-            ));
-        }
-        Ok(reply)
-    }
-
     /// Relays one scenario (its canonical text) with `route:"local"`
     /// and reads the single reply line. The `peer_write_timeout`,
     /// `peer_read_timeout`, and `peer_drop_mid_line` failpoints
@@ -282,7 +257,13 @@ impl PeerConn {
                 "fault injected: forwarded read timed out",
             ));
         }
-        let reply = self.read_reply()?;
+        let mut reply = String::new();
+        if self.reader.read_line(&mut reply)? == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "peer closed the forwarding connection",
+            ));
+        }
         if faults.fires(Failpoint::PeerDropMidLine) {
             // The line arrived but the socket "dies" before it is
             // usable: discard it as a torn read.
@@ -298,22 +279,6 @@ impl PeerConn {
             Response::Shed { .. } => Ok(ForwardOutcome::Shed),
             Response::Error { error } => Ok(ForwardOutcome::Refused(error)),
             other => Err(unusable(other.to_json())),
-        }
-    }
-
-    /// Writes one `store` request line through to the peer and waits
-    /// for its `stored` acknowledgement.
-    fn store(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        let reply = self.read_reply()?;
-        match Response::parse_line(reply.trim_end()) {
-            Ok(Response::Stored) => Ok(()),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected store reply: {other:?}"),
-            )),
         }
     }
 }
@@ -335,7 +300,7 @@ enum ForwardOutcome {
 fn forwarder_loop(
     forwarder_index: usize,
     primary: usize,
-    rx: &mpsc::Receiver<ForwardJob>,
+    rx: &mpsc::Receiver<Job>,
     cluster: &ClusterShared,
     server: &Arc<Shared>,
     shard_senders: &[mpsc::SyncSender<Job>],
@@ -346,41 +311,7 @@ fn forwarder_loop(
         // forwarder), so a drained queue reads 0 strictly before the
         // final reply reaches the client.
         cluster.depths[forwarder_index].fetch_sub(1, Ordering::Relaxed);
-        match job {
-            ForwardJob::Eval(job) => {
-                forward_one(*job, primary, &mut conn, cluster, server, shard_senders);
-            }
-            ForwardJob::Store(line) => store_one(&line, primary, &mut conn, cluster, server),
-        }
-    }
-}
-
-/// Delivers one replica write to this forwarder's peer. Exactly one
-/// attempt and no failover: a replica write is addressed to a specific
-/// standby node — if that node is down there is nowhere else this copy
-/// belongs, and dropping it only costs a potential recompute later.
-fn store_one(
-    line: &str,
-    primary: usize,
-    conn: &mut Option<PeerConn>,
-    cluster: &ClusterShared,
-    server: &Arc<Shared>,
-) {
-    if cluster.is_dead(primary) {
-        return;
-    }
-    let attempt_started = Instant::now();
-    let stored = match conn.take() {
-        Some(peer) => Ok(peer),
-        None => PeerConn::connect(&cluster.nodes[primary], &server.faults),
-    }
-    .and_then(|mut peer| peer.store(line).map(|()| peer));
-    match stored {
-        Ok(peer) => {
-            cluster.mark_alive(primary);
-            *conn = Some(peer);
-        }
-        Err(_) => cluster.mark_dead_since(primary, attempt_started),
+        forward_one(job, primary, &mut conn, cluster, server, shard_senders);
     }
 }
 

@@ -46,21 +46,15 @@
 //!   and single-flight stays global: one scenario is computed on exactly
 //!   one node cluster-wide. A dead peer fails over deterministically to
 //!   the next ring owner (and ultimately to local evaluation), which
-//!   never changes a single served byte — only where the work runs.
+//!   never changes a single served byte — only where the work runs. The
+//!   failover owner recomputes what the dead primary held; no node
+//!   accepts documents from another.
 //! * **Backpressure** — every shard queue and every peer-forwarder
 //!   queue is bounded by `--queue-cap`. A request whose jobs would
 //!   overflow any queue is refused as a unit with one structured `shed`
 //!   line *before anything is dispatched*; nothing about it is
 //!   evaluated, so the client can safely retry later or elsewhere. The
 //!   `shed` line carries a deterministic `retry_after_ms` backoff hint.
-//! * **Warm replication** — with `--replicas N` (clustered), every
-//!   freshly computed document is written through to the next `N - 1`
-//!   owners in the fingerprint's ring order via the `store` verb. When
-//!   a primary dies, the deterministic failover owner *is* the standby
-//!   holding the warm copy in its document store, so failover serves it
-//!   (`"source":"replica"`) without recomputation. Replication is best
-//!   effort and never a correctness dependency: a dropped copy only
-//!   means the failover owner computes instead.
 //! * **Deterministic fault injection** — `--fault-plan` arms named
 //!   failpoints ([`Failpoint`]) on a seeded, replayable schedule
 //!   ([`FaultPlan`]): refused peer dials, read/write timeouts,
@@ -78,10 +72,9 @@
 //! accepted). Requests:
 //!
 //! ```text
-//! request  = eval | store | sweep | search | status | metrics | shutdown
+//! request  = eval | sweep | search | status | metrics | shutdown
 //! eval     = {"op":"eval", "scenario": Scenario}
 //!          | {"op":"eval", "scenario": Scenario, "route":"local"}
-//! store    = {"op":"store", "fp": hex64, "result": EvalResult}
 //! sweep    = {"op":"sweep", "sweep": Sweep}
 //! search   = {"op":"search", "spec": SearchSpec}
 //! status   = {"op":"status"}
@@ -96,21 +89,10 @@
 //! absent) means normal ring routing; any value other than `"local"`
 //! is a structured error.
 //!
-//! `store` is the replication verb: a primary owner pushes a freshly
-//! computed result document to a standby (the next owner(s) in the
-//! fingerprint's ring order) when the receiving daemon runs with
-//! `--replicas` above 1. The standby puts the document in its store
-//! (memory, written through to its disk cache, if any) and answers with
-//! one `stored` line. Clients normally never send `store`, but it is
-//! ordinary protocol surface: hand-written lines are parsed with the
-//! same unknown-field strictness as everything else, and any TCP client
-//! can write one. A daemon that is not part of a cluster therefore
-//! refuses every `store`, and a ring member refuses one whose `fp` is
-//! not the fingerprint of the valid `scenario` inside `result`, or
-//! whose `scenario` is not spelled canonically (member order, number
-//! text) — the store would hold it under a key its own bytes do not
-//! hash to; all get an `error` line and count in `parse_errors`, not in
-//! `replica_writes`.
+//! No verb puts a document into a daemon's store: every document a
+//! daemon serves, it computed itself or read back from its own disk
+//! cache. Any other `op` (including the `store` verb of earlier
+//! versions) is an unknown-op `error` line, counted in `parse_errors`.
 //!
 //! `Scenario`, `Sweep`, and `SearchSpec` are the documents produced by
 //! [`Scenario::to_json`], [`Sweep::to_json`], and
@@ -122,11 +104,10 @@
 //! Responses (one line each; a request produces one or more lines):
 //!
 //! ```text
-//! response    = result | stored | done | front | search_done | status
+//! response    = result | done | front | search_done | status
 //!             | metrics | bye | error | shed
 //! result      = {"kind":"result", "index": n, "source": source, "result": EvalResult}
-//! source      = "computed" | "memo" | "disk" | "peer" | "replica"
-//! stored      = {"kind":"stored"}
+//! source      = "computed" | "memo" | "disk" | "peer"
 //! done        = {"kind":"done", "count": n}
 //! front       = {"kind":"front", "round": n, "evaluated": n,
 //!                "added": n, "removed": n, "size": n}
@@ -140,8 +121,7 @@
 //!                "computed": n, "memo_hits": n, "disk_hits": n, "hit_rate": x,
 //!                "cache_evictions": n, "cache_bytes": n, "verify_misses": n,
 //!                "queue_depth": n, "shed": n, "forwarded": n,
-//!                "peer_failovers": n, "faults_injected": n,
-//!                "replica_hits": n, "replica_writes": n, "degraded": n,
+//!                "peer_failovers": n, "faults_injected": n, "degraded": n,
 //!                "verbs": {verb: {"requests": n, "p50_ms": x | null,
 //!                                 "p95_ms": x | null}, ...}}
 //! bye         = {"kind":"bye"}
@@ -153,12 +133,10 @@
 //! The `"peer"` source marks a result that the receiving node obtained
 //! by forwarding the scenario to its ring owner; what that owner's
 //! cache layer was (computed/memo/disk) is visible in the *owner's*
-//! counters, not on the wire. The `"replica"` source marks the first
-//! serving of a warm copy written through by the scenario's primary
-//! owner before that owner died (later servings read `"memo"`). The
-//! `"memo"` source is the store's memory tier, `"disk"` its disk tier.
-//! `status.memo_entries` is a gauge — documents in the memory tier
-//! right now — and falls when the memory budget evicts. The `shed`
+//! counters, not on the wire. The `"memo"` source is the store's
+//! memory tier, `"disk"` its disk tier. `status.memo_entries` is a
+//! gauge — documents in the memory tier right now — and falls when the
+//! memory budget evicts. The `shed`
 //! line's `retry_after_ms` is a deterministic backoff hint (a function
 //! of the refusal state, never wall-clock); `procrustes-cli` honors it
 //! with one bounded retry. `status.peers` is the ring size (1 when
@@ -169,11 +147,9 @@
 //! ring owner was not this node's first routing choice reachable (dead
 //! or shedding primary → next owner, or local fallback).
 //! `faults_injected` counts failpoint firings under an armed
-//! `--fault-plan` (always 0 otherwise), `replica_writes` counts `store`
-//! documents this node accepted, `replica_hits` counts first servings
-//! of such documents, and `degraded` counts jobs that completed
-//! somewhere other than their primary ring owner (failover peer or
-//! local fallback). `verify_misses` counts stored documents that were
+//! `--fault-plan` (always 0 otherwise), and `degraded` counts jobs that
+//! completed somewhere other than their primary ring owner (failover
+//! peer or local fallback). `verify_misses` counts stored documents that were
 //! dropped, and answered as a miss, because they did not begin with the
 //! requesting scenario's own text; `cache_evictions` and `cache_bytes`
 //! describe the disk tier.

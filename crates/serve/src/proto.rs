@@ -49,15 +49,6 @@ pub enum Request {
         /// Routing mode (`auto` unless this is peer-forwarded traffic).
         route: Route,
     },
-    /// Replicate an already-evaluated result: install the document
-    /// under its fingerprint as a warm standby copy. Sent by peer
-    /// daemons (write-through replication), never by ordinary clients.
-    Store {
-        /// The scenario fingerprint the document is addressed by.
-        fingerprint: u64,
-        /// The canonical `EvalResult` JSON document.
-        doc: String,
-    },
     /// Expand and evaluate a sweep server-side.
     Sweep(Box<Sweep>),
     /// Run a Pareto design-space search server-side.
@@ -113,22 +104,6 @@ impl Request {
                     route,
                 })
             }
-            "store" => {
-                check(&["op", "fp", "result"])?;
-                let fingerprint = v
-                    .get("fp")
-                    .and_then(Json::as_str)
-                    .and_then(|s| u64::from_str_radix(s, 16).ok())
-                    .ok_or("store field 'fp' missing or not a hex fingerprint")?;
-                let doc = v.get("result").ok_or("store request has no 'result'")?;
-                if !matches!(doc, Json::Obj(_)) {
-                    return Err("store field 'result' is not a JSON object".into());
-                }
-                Ok(Request::Store {
-                    fingerprint,
-                    doc: doc.to_string(),
-                })
-            }
             "sweep" => {
                 check(&["op", "sweep"])?;
                 let doc = v.get("sweep").ok_or("sweep request has no 'sweep'")?;
@@ -154,7 +129,7 @@ impl Request {
                 Ok(Request::Shutdown)
             }
             other => Err(format!(
-                "unknown op '{other}' (known: eval, store, sweep, search, status, metrics, shutdown)"
+                "unknown op '{other}' (known: eval, sweep, search, status, metrics, shutdown)"
             )),
         }
     }
@@ -163,9 +138,6 @@ impl Request {
     pub fn to_json(&self) -> String {
         match self {
             Request::Eval { scenario, route } => eval_line(&scenario.to_json(), *route),
-            Request::Store { fingerprint, doc } => {
-                format!(r#"{{"op":"store","fp":"{fingerprint:016x}","result":{doc}}}"#)
-            }
             Request::Sweep(sw) => format!(r#"{{"op":"sweep","sweep":{}}}"#, sw.to_json()),
             Request::Search(spec) => format!(r#"{{"op":"search","spec":{}}}"#, spec.to_json()),
             Request::Status => r#"{"op":"status"}"#.into(),
@@ -203,10 +175,6 @@ pub enum Source {
     /// (computed/memo/disk) is not relayed; its `status` counters hold
     /// that breakdown.
     Peer,
-    /// The first serving of a warm replica: a standby copy written
-    /// through by the scenario's primary owner (`--replicas`), served
-    /// without recomputation after the primary died.
-    Replica,
 }
 
 impl Source {
@@ -217,7 +185,6 @@ impl Source {
             Source::Memo => "memo",
             Source::Disk => "disk",
             Source::Peer => "peer",
-            Source::Replica => "replica",
         }
     }
 
@@ -227,7 +194,6 @@ impl Source {
             "memo" => Some(Source::Memo),
             "disk" => Some(Source::Disk),
             "peer" => Some(Source::Peer),
-            "replica" => Some(Source::Replica),
             _ => None,
         }
     }
@@ -305,9 +271,7 @@ impl ServerStatus {
 }
 
 /// The request verbs tracked by the `metrics` op, in wire order.
-pub const VERBS: [&str; 7] = [
-    "eval", "store", "sweep", "search", "status", "metrics", "shutdown",
-];
+pub const VERBS: [&str; 6] = ["eval", "sweep", "search", "status", "metrics", "shutdown"];
 
 /// Per-verb serving metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -366,12 +330,6 @@ pub struct ServerMetrics {
     /// Faults fired by this daemon's `--fault-plan` schedule (0 when no
     /// plan is armed).
     pub faults_injected: u64,
-    /// Results served from a warm replica copy instead of being
-    /// recomputed after their primary owner became unreachable.
-    pub replica_hits: u64,
-    /// Replica documents this daemon accepted from primary owners
-    /// (write-through `store` requests applied).
-    pub replica_writes: u64,
     /// Jobs completed through any non-primary recovery path: a ring
     /// failover past a dead or shedding owner, or the local-evaluation
     /// last resort. 0 on a healthy cluster.
@@ -413,8 +371,6 @@ impl ServerMetrics {
             ("forwarded".into(), Json::u64(self.forwarded)),
             ("peer_failovers".into(), Json::u64(self.peer_failovers)),
             ("faults_injected".into(), Json::u64(self.faults_injected)),
-            ("replica_hits".into(), Json::u64(self.replica_hits)),
-            ("replica_writes".into(), Json::u64(self.replica_writes)),
             ("degraded".into(), Json::u64(self.degraded)),
             ("verbs".into(), Json::Obj(verbs)),
         ])
@@ -466,8 +422,6 @@ impl ServerMetrics {
             forwarded: n("forwarded")?,
             peer_failovers: n("peer_failovers")?,
             faults_injected: n("faults_injected")?,
-            replica_hits: n("replica_hits")?,
-            replica_writes: n("replica_writes")?,
             degraded: n("degraded")?,
             verbs,
         })
@@ -559,8 +513,6 @@ pub enum Response {
         /// The Pareto front, in canonical member order.
         front: Vec<FrontMember>,
     },
-    /// A `store` request's replica document was installed.
-    Stored,
     /// Daemon counters.
     Status(ServerStatus),
     /// Per-verb serving metrics.
@@ -620,7 +572,6 @@ impl Response {
                     members.join(",")
                 )
             }
-            Response::Stored => r#"{"kind":"stored"}"#.into(),
             Response::Status(s) => s.to_json_value().to_string(),
             Response::Metrics(m) => m.to_json_value().to_string(),
             Response::Bye => r#"{"kind":"bye"}"#.into(),
@@ -712,7 +663,6 @@ impl Response {
                     front,
                 })
             }
-            "stored" => Ok(Response::Stored),
             "status" => Ok(Response::Status(ServerStatus::from_json_value(&v)?)),
             "metrics" => Ok(Response::Metrics(ServerMetrics::from_json_value(&v)?)),
             "bye" => Ok(Response::Bye),
@@ -730,7 +680,7 @@ impl Response {
                     .get("limit")
                     .and_then(Json::as_u64)
                     .ok_or("shed field 'limit' missing")?,
-                // Absent on a pre-replication daemon's reply: no hint,
+                // Absent on a daemon that predates the hint: no hint,
                 // retry immediately at the client's discretion.
                 retry_after_ms: v.get("retry_after_ms").and_then(Json::as_u64).unwrap_or(0),
             }),
@@ -765,10 +715,6 @@ mod tests {
             Request::Eval {
                 scenario: Box::new(scenario),
                 route: Route::Local,
-            },
-            Request::Store {
-                fingerprint: 0xDEAD_BEEF,
-                doc: r#"{"cycles":42}"#.into(),
             },
             Request::Sweep(Box::new(
                 Sweep::new().networks(["VGG-S", "DenseNet"]).batches([2]),
@@ -806,11 +752,9 @@ mod tests {
             r#"{"op":"search","spec":{"space":{"networks":["VGG-S"]},"seeed":1}}"#,
             r#"{"op":"search","spec":{"space":{"networks":["VGG-S"]},"objectives":["speed"]}}"#,
             r#"{"op":"metrics","verbose":true}"#,
+            // No verb installs a document, however well formed.
             r#"{"op":"store"}"#,
-            r#"{"op":"store","fp":"xyz","result":{"cycles":1}}"#,
-            r#"{"op":"store","fp":17,"result":{"cycles":1}}"#,
-            r#"{"op":"store","fp":"00ab","result":"not an object"}"#,
-            r#"{"op":"store","fp":"00ab","result":{"cycles":1},"extra":1}"#,
+            r#"{"op":"store","fp":"00ab","result":{"cycles":1}}"#,
         ] {
             assert!(Request::parse_line(bad).is_err(), "{bad:?}");
         }
@@ -847,7 +791,6 @@ mod tests {
                 limit: 512,
                 retry_after_ms: 150,
             },
-            Response::Stored,
             Response::Metrics(ServerMetrics {
                 requests: 9,
                 parse_errors: 1,
@@ -864,8 +807,6 @@ mod tests {
                 forwarded: 5,
                 peer_failovers: 2,
                 faults_injected: 11,
-                replica_hits: 3,
-                replica_writes: 8,
                 degraded: 2,
                 verbs: VERBS
                     .iter()

@@ -9,13 +9,12 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use procrustes_core::json::Json;
 use procrustes_core::{Engine, Scenario};
 use procrustes_quantile::Dumique;
 use procrustes_search::{run_search, EvalBackend, SearchSpec};
 
 use crate::cache::{key_of, DiskCache, DocStore, MEMORY_BUDGET};
-use crate::cluster::{ring_order, Cluster, ClusterShared, ForwardJob};
+use crate::cluster::{ring_order, Cluster, ClusterShared};
 use crate::fault::{Failpoint, FaultPlan, Faults};
 use crate::proto::{
     FrontMember, Request, Response, Route, ServerMetrics, ServerStatus, Source, VerbMetrics, VERBS,
@@ -51,13 +50,6 @@ pub struct ServeConfig {
     /// dispatched. The default equals the default `max_sweep`, so a
     /// default-configured daemon never sheds a request it admitted.
     pub queue_cap: usize,
-    /// Warm copies per scenario across the cluster (`--replicas`,
-    /// default 1 = owner only, no replication). With `N > 1`, a node
-    /// that computes a scenario writes the result through to the next
-    /// `N - 1` ring owners, so failover after a dead primary serves
-    /// from a warm replica instead of recomputing. Ignored when not
-    /// clustered.
-    pub replicas: usize,
     /// Deterministic fault-injection plan (`--fault-plan`); `None` (the
     /// default) disarms every failpoint at zero cost.
     pub fault_plan: Option<FaultPlan>,
@@ -72,7 +64,6 @@ impl Default for ServeConfig {
             max_sweep: 4096,
             max_line_bytes: 8 << 20,
             queue_cap: 4096,
-            replicas: 1,
             fault_plan: None,
         }
     }
@@ -85,13 +76,12 @@ pub(crate) struct Stats {
     requests: AtomicU64,
     served: AtomicU64,
     /// Jobs answered, by the [`Source`] reported (its discriminant is
-    /// the index, `Replica` the last): a shard counts its four, a
+    /// the index, `Peer` the last): a shard counts its three, a
     /// forwarder counts `Peer`.
-    by_source: [AtomicU64; Source::Replica as usize + 1],
+    by_source: [AtomicU64; Source::Peer as usize + 1],
     shed: AtomicU64,
     pub(crate) peer_failovers: AtomicU64,
     pub(crate) degraded: AtomicU64,
-    replica_writes: AtomicU64,
 }
 
 impl Stats {
@@ -173,25 +163,12 @@ impl MetricsTable {
 fn verb_index(request: &Request) -> usize {
     match request {
         Request::Eval { .. } => 0,
-        Request::Store { .. } => 1,
-        Request::Sweep(_) => 2,
-        Request::Search(_) => 3,
-        Request::Status => 4,
-        Request::Metrics => 5,
-        Request::Shutdown => 6,
+        Request::Sweep(_) => 1,
+        Request::Search(_) => 2,
+        Request::Status => 3,
+        Request::Metrics => 4,
+        Request::Shutdown => 5,
     }
-}
-
-/// The write-through replication fan-out, installed by
-/// [`Server::enable_cluster`] when `--replicas` exceeds 1. Holds clones
-/// of the forwarder senders so shard workers can push replica writes;
-/// torn down (taken back to `None`) before the forwarders are joined at
-/// shutdown, or the cloned senders would keep their channels open
-/// forever.
-pub(crate) struct Replication {
-    cluster: Arc<ClusterShared>,
-    senders: Vec<mpsc::SyncSender<ForwardJob>>,
-    replicas: usize,
 }
 
 /// State shared by the accept loop, connections, shard workers, and
@@ -213,9 +190,6 @@ pub(crate) struct Shared {
     /// cloned into the disk cache and the peer forwarders so every
     /// failpoint draws from one plan).
     pub(crate) faults: Faults,
-    /// The replication fan-out (`None` unless clustered with
-    /// `--replicas` > 1).
-    replication: Mutex<Option<Replication>>,
 }
 
 /// What a shard or forwarder sends back for one job: the job's index
@@ -240,7 +214,7 @@ pub(crate) struct Job {
 #[derive(Clone)]
 struct Router {
     shards: Vec<mpsc::SyncSender<Job>>,
-    peers: Vec<mpsc::SyncSender<ForwardJob>>,
+    peers: Vec<mpsc::SyncSender<Job>>,
     cluster: Option<Arc<ClusterShared>>,
 }
 
@@ -375,7 +349,7 @@ fn route_scenarios(
                     .expect("forwarder dest implies cluster");
                 cluster.depths[i].fetch_add(1, Ordering::Relaxed);
                 router.peers[i]
-                    .send(ForwardJob::Eval(Box::new(job)))
+                    .send(job)
                     .expect("forwarder pool outlives connections");
             }
         }
@@ -391,7 +365,6 @@ pub struct Server {
     senders: Vec<mpsc::SyncSender<Job>>,
     workers: Vec<JoinHandle<()>>,
     cluster: Option<Cluster>,
-    replicas: usize,
 }
 
 impl Server {
@@ -430,7 +403,6 @@ impl Server {
             depths: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             local_addr: listener.local_addr()?,
             faults,
-            replication: Mutex::new(None),
         });
         let mut senders = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
@@ -446,7 +418,6 @@ impl Server {
             senders,
             workers,
             cluster: None,
-            replicas: config.replicas.max(1),
         })
     }
 
@@ -486,21 +457,13 @@ impl Server {
             .iter()
             .position(|n| n == advertise)
             .expect("advertise was just ensured present");
-        let cluster = Cluster::start(
+        self.cluster = Some(Cluster::start(
             nodes,
             self_index,
             self.shared.queue_cap,
             &self.senders,
             &self.shared,
-        );
-        if self.replicas > 1 {
-            *self.shared.replication.lock().expect("replication lock") = Some(Replication {
-                cluster: Arc::clone(&cluster.shared),
-                senders: cluster.senders.clone(),
-                replicas: self.replicas,
-            });
-        }
-        self.cluster = Some(cluster);
+        ));
         Ok(())
     }
 
@@ -560,15 +523,6 @@ impl Server {
             let _ = conn.join();
         }
         drop(router);
-        // The replication handle holds clones of the forwarder senders
-        // (reachable from shard workers); take it down first or the
-        // forwarder channels below never close. A shard mid-compute
-        // simply finds it gone and skips the replica push.
-        self.shared
-            .replication
-            .lock()
-            .expect("replication lock")
-            .take();
         // Forwarders drain before the shard pool: their local-fallback
         // path still holds shard senders.
         if let Some(cluster) = self.cluster {
@@ -621,9 +575,8 @@ fn shard_loop(index: usize, rx: &mpsc::Receiver<Job>, shared: &Shared) {
                 .map_err(|e| e.to_string())
                 .map(|result| {
                     let doc = result.to_json();
-                    let put = shared.store.put(&job.text, &doc, Source::Memo);
+                    let put = shared.store.put(&job.text, &doc);
                     debug_assert_eq!(put, Ok(()), "a computed document leads with its scenario");
-                    replicate(shared, job.fingerprint, &doc);
                     (Source::Computed, doc)
                 }),
         };
@@ -633,41 +586,6 @@ fn shard_loop(index: usize, rx: &mpsc::Receiver<Job>, shared: &Shared) {
         // A dropped receiver means the client disconnected mid-sweep;
         // the work is stored either way.
         let _ = job.reply.send((job.index, outcome));
-    }
-}
-
-/// Pushes a freshly computed document to the next `replicas - 1` owners
-/// in the fingerprint's ring order (write-through replication). Best
-/// effort: a full forwarder queue or an unreachable standby drops the
-/// copy rather than stalling the shard — replication is a warmth
-/// optimisation, never a correctness dependency.
-fn replicate(shared: &Shared, fingerprint: u64, doc: &str) {
-    let guard = shared.replication.lock().expect("replication lock");
-    let Some(rep) = guard.as_ref() else {
-        return;
-    };
-    let line = Request::Store {
-        fingerprint,
-        doc: doc.to_string(),
-    }
-    .to_json();
-    for &owner in ring_order(fingerprint, &rep.cluster.nodes)
-        .iter()
-        .take(rep.replicas)
-    {
-        let Some(forwarder) = rep.cluster.forwarder_of[owner] else {
-            continue; // self: this daemon already holds the document
-        };
-        // Gauge up before the send so a concurrent admission check never
-        // undercounts; on a full queue, undo and drop the copy.
-        rep.cluster.depths[forwarder].fetch_add(1, Ordering::Relaxed);
-        // `replica_writes` counts copies *accepted* (incremented by the
-        // receiving standby's `store` handler), not copies attempted, so
-        // the cluster-wide sum is exact.
-        let job = ForwardJob::Store(line.clone());
-        if rep.senders[forwarder].try_send(job).is_err() {
-            rep.cluster.depths[forwarder].fetch_sub(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -734,33 +652,6 @@ fn read_request_line(
             },
         }
     }
-}
-
-/// Whether a `store` may install `doc` under `fingerprint`; if so, the
-/// canonical text of the scenario it answers. Any TCP client can send
-/// one, so the pair is taken on trust only as far as it can be checked:
-/// a daemon outside a ring has no primary to replicate from and refuses
-/// every `store`, and a ring member refuses a document that is not
-/// addressed by the fingerprint of its own scenario — the key a later
-/// `eval` of that scenario will look up. ([`DocStore::put`] then
-/// refuses one that does not spell that scenario canonically.)
-fn admit_store(fingerprint: u64, doc: &str, clustered: bool) -> Result<String, String> {
-    if !clustered {
-        return Err("this daemon is not part of a cluster".into());
-    }
-    let v = Json::parse(doc)?;
-    let scenario = v.get("scenario").ok_or("result has no 'scenario' member")?;
-    let scenario = Scenario::from_json_value(scenario).map_err(|e| e.to_string())?;
-    scenario.validate().map_err(|e| e.to_string())?;
-    let text = scenario.to_json();
-    let actual = key_of(&text);
-    if actual != fingerprint {
-        return Err(format!(
-            "fp {fingerprint:016x} is not the fingerprint of the result's scenario \
-             ({actual:016x})"
-        ));
-    }
-    Ok(text)
 }
 
 /// Skips the remainder of an oversized line without buffering it,
@@ -864,22 +755,6 @@ fn handle_connection(stream: TcpStream, router: &Router, shared: &Shared) -> io:
                     serve_scenarios(vec![*scenario], false, route, router, shared, &mut writer)?;
                 }
             },
-            Request::Store { fingerprint, doc } => {
-                // Held in memory and written through to disk, so the
-                // warm copy survives a restart of the standby itself.
-                let stored = admit_store(fingerprint, &doc, router.cluster.is_some())
-                    .and_then(|scenario| shared.store.put(&scenario, &doc, Source::Replica));
-                if let Err(e) = stored {
-                    if let Ok(mut metrics) = shared.metrics.lock() {
-                        metrics.parse_errors += 1;
-                    }
-                    let error = format!("store refused: {e}");
-                    write_line(&mut writer, shared, &Response::Error { error })?;
-                    continue;
-                }
-                shared.stats.replica_writes.fetch_add(1, Ordering::Relaxed);
-                write_line(&mut writer, shared, &Response::Stored)?;
-            }
             Request::Sweep(sweep) => match admit_sweep(&sweep, shared.max_sweep) {
                 Err(error) => write_line(&mut writer, shared, &Response::Error { error })?,
                 Ok(scenarios) => {
@@ -942,8 +817,6 @@ fn handle_connection(stream: TcpStream, router: &Router, shared: &Shared) -> io:
                         forwarded: stats.answered_from(Source::Peer),
                         peer_failovers: stats.peer_failovers.load(Ordering::Relaxed),
                         faults_injected: shared.faults.injected(),
-                        replica_hits: stats.answered_from(Source::Replica),
-                        replica_writes: stats.replica_writes.load(Ordering::Relaxed),
                         degraded: stats.degraded.load(Ordering::Relaxed),
                         verbs,
                     }),

@@ -1,10 +1,9 @@
 //! Multi-process chaos smoke (perf-job visibility, not merge-gating):
-//! three real `procrustes-serve` daemons run with `--replicas 2` and
-//! *armed* `--fault-plan` schedules; one is SIGKILLed with no drain;
-//! the paper sweep rerun through a survivor must still be bit-identical
-//! to the in-process engine, with the victim's scenarios served warm
-//! from their standbys whenever the (best-effort, faulted) replication
-//! managed to land the copies.
+//! three real `procrustes-serve` daemons run with *armed*
+//! `--fault-plan` schedules; one is SIGKILLed with no drain; the paper
+//! sweep rerun through a survivor must still be bit-identical to the
+//! in-process engine, with the victim's scenarios recomputed by the
+//! survivors.
 
 use std::net::{SocketAddr, TcpListener};
 use std::process::{Child, Command, Stdio};
@@ -47,8 +46,6 @@ fn spawn_daemon(addr: SocketAddr, peers: &str, fault_plan: &str) -> Daemon {
                 peers,
                 "--advertise",
                 &addr.to_string(),
-                "--replicas",
-                "2",
                 "--fault-plan",
                 fault_plan,
             ])
@@ -129,23 +126,6 @@ fn sigkill_under_an_armed_fault_plan_stays_bit_identical() {
     let served = client0.sweep(&sweep).unwrap();
     assert_docs(&served, &expected, "cold faulted sweep via node 0");
 
-    // Let the best-effort replication quiesce: poll the cluster-wide
-    // accepted-store counter until it stops moving (faulted store
-    // attempts may legitimately drop copies, so there is no exact
-    // target).
-    let mut last = u64::MAX;
-    for _ in 0..50 {
-        let accepted: u64 = addrs
-            .iter()
-            .map(|&a| await_ready(a).metrics().unwrap().replica_writes)
-            .sum();
-        if accepted == last {
-            break;
-        }
-        last = accepted;
-        std::thread::sleep(Duration::from_millis(100));
-    }
-
     // SIGKILL the owner of the most scenarios — no drain, no goodbye.
     let nodes: Vec<String> = addrs.iter().map(ToString::to_string).collect();
     let victim = (0..3usize)
@@ -156,37 +136,37 @@ fn sigkill_under_an_armed_fault_plan_stays_bit_identical() {
                 .count()
         })
         .unwrap();
+    let survivors: Vec<SocketAddr> = (0..3).filter(|&i| i != victim).map(|i| addrs[i]).collect();
+    let computed = || -> u64 {
+        survivors
+            .iter()
+            .map(|&a| await_ready(a).status().unwrap().computed)
+            .sum()
+    };
+    let computed_before = computed();
     let mut corpse = daemons.remove(victim);
     corpse.0.kill().expect("SIGKILL victim");
     corpse.0.wait().expect("reap victim");
     let survivor = addrs[(victim + 1) % 3];
 
-    // Rerun through a survivor: still bit-identical, and warm wherever
-    // replication landed.
+    // Rerun through a survivor: still bit-identical, with the killed
+    // owner's scenarios recomputed where they fail over.
     let mut client = await_ready(survivor);
     let served = client.sweep(&sweep).unwrap();
     assert_docs(&served, &expected, "post-SIGKILL sweep via a survivor");
 
-    let mut injected = 0;
-    let mut replica_hits = 0;
-    for &addr in &addrs {
-        if addr == addrs[victim] {
-            continue;
-        }
-        let m = await_ready(addr).metrics().unwrap();
-        injected += m.faults_injected;
-        replica_hits += m.replica_hits;
-    }
+    let injected: u64 = survivors
+        .iter()
+        .map(|&a| await_ready(a).metrics().unwrap().faults_injected)
+        .sum();
     assert!(injected > 0, "the range rule guarantees an injected fault");
     println!(
-        "chaos smoke: survivors injected {injected} faults, served {replica_hits} \
-         replica hits for the killed owner ({last} standby copies landed)"
+        "chaos smoke: survivors injected {injected} faults and recomputed {} \
+         scenarios after the kill",
+        computed() - computed_before
     );
 
-    for &addr in &addrs {
-        if addr == addrs[victim] {
-            continue;
-        }
+    for &addr in &survivors {
         await_ready(addr).shutdown().unwrap();
     }
     for daemon in &mut daemons {
