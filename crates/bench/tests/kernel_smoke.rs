@@ -28,7 +28,7 @@ fn selector_chosen_gemm_beats_naive_by_2x_on_pinned_shapes() {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
         let bp = Blueprint::nn(m, k, n);
-        let (routine, source) = kernel::explain(&bp);
+        let routine = kernel::select(&bp);
 
         // Same operands, same results — the timing comparison is honest.
         let mut dst = vec![0.0f32; m * n];
@@ -45,7 +45,7 @@ fn selector_chosen_gemm_beats_naive_by_2x_on_pinned_shapes() {
         let naive_t = time(5, || matmul_ikj(a.data(), b.data(), m, k, n));
         let ratio = naive_t.as_secs_f64() / kernel_t.as_secs_f64();
         println!(
-            "gemm {m}x{k}x{n} via {} ({source}): kernel {kernel_t:?} vs \
+            "gemm {m}x{k}x{n} via {}: kernel {kernel_t:?} vs \
              naive {naive_t:?} ({ratio:.2}x)",
             routine.describe()
         );

@@ -10,7 +10,7 @@
 //! physically speed anything up (the workers time-slice one core). So
 //! the ratio gates only on `--release` with ≥4 available cores — the
 //! CI perf job's runners — and everywhere else the test still verifies
-//! bitwise agreement, threaded-tier attribution via `kernel::explain`,
+//! bitwise agreement, threaded-tier attribution via `kernel::select`,
 //! and *reports* the timings.
 
 use procrustes_bench::best_of as time;
@@ -39,10 +39,10 @@ fn threaded_tier_beats_serial_by_1_5x_on_pinned_shapes() {
         // Attribution: the wide budget must actually resolve to the
         // threaded tier on these shapes, with the worker count visible
         // for the BENCH records.
-        let (plan, source) = kernel::explain(&wide_bp);
+        let plan = kernel::select(&wide_bp);
         assert!(
             plan.workers > 1,
-            "{m}x{k}x{n} at budget 4 must resolve threaded, got {} ({source})",
+            "{m}x{k}x{n} at budget 4 must resolve threaded, got {}",
             plan.describe()
         );
         assert!(plan.workers >= 2 && plan.workers <= 4);
@@ -81,7 +81,7 @@ fn threaded_tier_beats_serial_by_1_5x_on_pinned_shapes() {
         });
         let ratio = serial_t.as_secs_f64() / wide_t.as_secs_f64();
         println!(
-            "gemm {m}x{k}x{n} via {} ({source}, {cores} cores): threaded {wide_t:?} vs \
+            "gemm {m}x{k}x{n} via {} ({cores} cores): threaded {wide_t:?} vs \
              serial {serial_t:?} ({ratio:.2}x)",
             plan.describe()
         );

@@ -1,20 +1,17 @@
 //! The deterministic cost model the [selector](super::selector) ranks
-//! routines with, and the pinned shapes the `kernel_autotune` bin
-//! measures it against.
+//! plans with, and the pinned shapes the equality suites cover.
 //!
 //! # Why a cost model and not a stopwatch
 //!
 //! A plan must be reproducible on *any* machine — benchmark
 //! attribution and the golden plan test compare plan strings across
 //! hosts — so selection cannot depend on one host's wall-clock noise.
-//! Candidates are ranked with a deterministic integer cost model
-//! (micro-op count plus memory traffic, with register-pressure and
-//! L1-overflow penalties), calibrated once against measurements on the
-//! development host. Wall-clock numbers come from
-//! `cargo run --release -p procrustes-tensor --bin kernel_autotune`, an
-//! advisory report (per routine, tier and worker count) for
-//! re-calibrating the constants here; it never feeds back into
-//! selection.
+//! Every product runs the one [`MR`]×[`NR`] register tile; what is left
+//! to choose — the reduction block `kc`, whether a `Tn` lhs is packed,
+//! and the worker count — is ranked with a deterministic integer cost
+//! model (micro-op count plus memory traffic, with an L1-overflow
+//! penalty), calibrated once against wall-clock sweeps on the
+//! development host.
 //!
 //! # The parallelism dimension
 //!
@@ -30,11 +27,11 @@
 //! microseconds.
 
 use super::blueprint::{Blueprint, Op};
-use super::routine::Routine;
+use super::routine::{Routine, MR, NR};
 use super::selector::Plan;
 use super::thread;
 
-/// The pinned shapes the sweep and the equality suites cover: the
+/// The pinned shapes the equality suites cover: the
 /// three GEMM shapes behind the benchmark's `tensor.gemm_gflops`, the
 /// conv im2col products and fc forward/backward shapes of the FIG06
 /// training stack, and degenerate extents (vector-matrix, skinny
@@ -72,125 +69,81 @@ pub const DISPATCH_COST: u128 = 6_000_000;
 /// rhs panels and pays one condvar round-trip.
 pub const PER_WORKER_COST: u128 = 500_000;
 
-/// All packed-routine candidates the model ranks: the one full-width
-/// register tile (`2×64`) at the two `kc` rungs that can win, in both
-/// the plain and the packed-lhs (`Tn`-only) variants.
+/// Every routine the model ranks: the two `kc` rungs that can win, in
+/// both the plain and the packed-lhs (`Tn`-only) variants.
 ///
 /// Every routine listed here must be selectable — the
 /// `every_candidate_is_selectable` test exhibits a shape for each — so
-/// before adding a tile or a rung, check it against [`model_cost`]:
-///
-/// - **A taller 64-wide tile loses on every shape.** The microkernel
-///   term is `⌈m/mr⌉·k·⌈n/64⌉·(5·mr + 6)`, ×1.3 once `4·mr` accumulator
-///   registers exceed eight and a further ×1.08 past sixteen: 16 per
-///   tile step for `mr = 2`, 33.8 for 4, 50.5 for 6. Since
-///   `⌈m/2⌉·16 ≤ ⌈m/4⌉·32 < ⌈m/4⌉·33.8` and
-///   `⌈m/2⌉·16 ≤ ⌈m/6⌉·48 < ⌈m/6⌉·50.5`, and no memory term depends on
-///   `mr`, `2×64` is never dearer. The measured sweep agrees on every
-///   pinned shape that selects a packed routine (256³: 44.7 / 36.9 /
-///   33.8 GFLOP/s for `mr` = 2 / 4 / 6 on the AVX-512 development host).
-/// - **`kc = 256` wins exactly where `128 < k ≤ 148`; no larger rung
-///   wins anywhere.** The effective block is `min(kc, k)`, so for
-///   `k ≤ 128` every rung is the same loop and the tie goes to the
-///   first. A block above 148 rows overflows L1 and costs ×1.5 on the
-///   microkernel term — at least `6.25·m·k·n` units — while the most a
-///   larger block can save is all of `kc = 128`'s `dst` reload traffic,
-///   `50·m·n·(⌈k/128⌉ − 1) < 0.4·m·k·n`. So past `k = 148` the 128 rung
-///   wins, in `128 < k ≤ 148` a single un-penalized block saves one
-///   `dst` round trip, and a `kc = 512` rung would only ever tie with
-///   256.
-///
-/// The narrow entry in [`SUPPORTED_TILES`](super::routine::SUPPORTED_TILES),
-/// `(4, 16)`, is the tiny-problem fallback and is not ranked (m-tails
-/// need no tile of their own: every packed kernel finishes its ragged
-/// rows with its own `MR = 1` instantiation). The measured sweep shows
-/// the autovectorizer emits scalar code for sub-64-wide inner loops on
-/// wide-SIMD hosts (4–6 GFLOP/s vs 40–57 for the 64-wide tiles), so
-/// ranking a narrow tile as if it vectorized would let the model pick
-/// an un-vectorized kernel.
+/// before adding a rung, check it against [`model_cost`]: **`kc = 256`
+/// wins exactly where `128 < k ≤ 148`; no larger rung wins anywhere.**
+/// The effective block is `min(kc, k)`, so for `k ≤ 128` every rung is
+/// the same loop and the tie goes to the first. A block above 148 rows
+/// overflows L1 and costs ×1.5 on the microkernel term — at least
+/// `6.25·m·k·n` units — while the most a larger block can save is all of
+/// `kc = 128`'s `dst` reload traffic, `50·m·n·(⌈k/128⌉ − 1) < 0.4·m·k·n`.
+/// So past `k = 148` the 128 rung wins, in `128 < k ≤ 148` a single
+/// un-penalized block saves one `dst` round trip, and a `kc = 512` rung
+/// would only ever tie with 256.
 ///
 /// An iterator rather than a collection: the selector ranks on the
 /// `kernel::gemm` hot path, whose steady-state zero-allocation contract
 /// a collected pool would break.
 pub fn candidates() -> impl Iterator<Item = Routine> {
-    [128u16, 256].into_iter().flat_map(|kc| {
-        [
-            Routine::Packed { mr: 2, nr: 64, kc },
-            Routine::PackedLhs { mr: 2, nr: 64, kc },
-        ]
-    })
+    [128u16, 256]
+        .into_iter()
+        .flat_map(|kc| [Routine::Packed { kc }, Routine::PackedLhs { kc }])
 }
 
 /// Deterministic cost of serving `bp` with `r` on one thread, in
 /// abstract integer units scaled by 100 (lower is better).
 ///
-/// For packed routines the model charges the microkernel inner loop
-/// (`W = ⌈nr/16⌉` SIMD lanes worth of FMA, lhs loads, and loop
-/// overhead per reduction step per tile), multiplies in a graded
-/// register-pressure penalty when the accumulator tile exceeds eight
-/// vector registers (×1.3 for `mr·W > 8`, a further ×1.08 past 16) and
-/// a ×1.5 penalty when the packed panel overflows L1
-/// (`nr·kc·4 > 37 KB` — this is what steers Nt shapes, whose packing
+/// The model charges the microkernel inner loop (`W = NR/16` SIMD lanes
+/// worth of FMA, lhs loads, and loop overhead per reduction step per
+/// tile), multiplies in a ×1.5 penalty when the packed panel overflows
+/// L1 (`NR·kc·4 > 37 KB` — this is what steers Nt shapes, whose packing
 /// reads are strided, to `kc = 128`), then adds memory traffic (pack
 /// writes+reads, dst reload per extra k-block, lhs re-read per j-panel)
 /// at a quarter-unit per element. On `Tn` the plain packed kernel's
 /// lhs reads stride by `m` — one cache line per element — so its lhs
 /// traffic is charged ×4; the packed-lhs variant instead pays a
 /// one-time `4·m·k` pack (strided read + contiguous write) and reads
-/// the panel contiguously thereafter, which is why it wins every
-/// non-tiny `Tn` shape. The constants were calibrated against
-/// `kernel_autotune` sweeps on an AVX-512 development host; only the induced
-/// *ordering* matters, and it reproduces the measured ordering on the
-/// pinned shapes (where measured differences exceed run-to-run noise).
+/// the panel contiguously thereafter, which is why it wins every `Tn`
+/// shape with more than a handful of rows. Only the induced *ordering*
+/// matters, and it reproduces the measured ordering on the pinned
+/// shapes (where measured differences exceed run-to-run noise).
 pub fn model_cost(bp: &Blueprint, r: Routine) -> u128 {
     let (m, k, n) = (bp.m as u128, bp.k as u128, bp.n as u128);
     if m == 0 || n == 0 {
         return 0;
     }
-    match r {
-        // Streaming seed kernels: no pack, but a wider per-element cost
-        // (they run ~2.5-3x slower than the best packed tiles at size).
-        Routine::RowStream | Routine::NtRegTile => {
-            let lanes = match r {
-                Routine::RowStream => n.div_ceil(16),
-                _ => n.div_ceil(8),
-            };
-            (m * k * lanes * 3 + m * n) * 100
-        }
-        Routine::Packed { mr, nr, kc } | Routine::PackedLhs { mr, nr, kc } => {
-            let pack_lhs = matches!(r, Routine::PackedLhs { .. });
-            let (mr, nr) = (mr as u128, nr as u128);
-            let kc = (kc as u128).min(k.max(1));
-            let w = nr.div_ceil(16);
-            let tiles_i = m.div_ceil(mr);
-            let panels_j = n.div_ceil(nr);
-            let kblocks = k.max(1).div_ceil(kc);
-            let micro = tiles_i * k * panels_j * (mr * w + mr + 2 + w);
-            let mut scaled = micro * 100;
-            if mr * w > 8 {
-                scaled = scaled * 130 / 100;
-            }
-            if mr * w > 16 {
-                scaled = scaled * 108 / 100;
-            }
-            if nr * kc * 4 > 37 * 1024 {
-                scaled = scaled * 150 / 100;
-            }
-            let pack = 2 * panels_j * k * nr;
-            let dst_traffic = m * n * (2 * kblocks - 1);
-            let lhs_traffic = if pack_lhs {
-                // One strided pack of the whole lhs, contiguous panel
-                // reads per j-panel thereafter.
-                4 * m * k + panels_j * m * k
-            } else if bp.op == Op::Tn {
-                // Strided lhs reads: one cache line touched per element.
-                4 * panels_j * m * k
-            } else {
-                panels_j * m * k
-            };
-            scaled + (pack + dst_traffic + lhs_traffic) * 100 / 4
-        }
+    let (pack_lhs, kc) = match r {
+        Routine::Packed { kc } => (false, kc),
+        Routine::PackedLhs { kc } => (true, kc),
+    };
+    let (mr, nr) = (MR as u128, NR as u128);
+    let kc = (kc as u128).min(k.max(1));
+    let w = nr / 16;
+    let tiles_i = m.div_ceil(mr);
+    let panels_j = n.div_ceil(nr);
+    let kblocks = k.max(1).div_ceil(kc);
+    let micro = tiles_i * k * panels_j * (mr * w + mr + 2 + w);
+    let mut scaled = micro * 100;
+    if nr * kc * 4 > 37 * 1024 {
+        scaled = scaled * 150 / 100;
     }
+    let pack = 2 * panels_j * k * nr;
+    let dst_traffic = m * n * (2 * kblocks - 1);
+    let lhs_traffic = if pack_lhs {
+        // One strided pack of the whole lhs, contiguous panel reads per
+        // j-panel thereafter.
+        4 * m * k + panels_j * m * k
+    } else if bp.op == Op::Tn {
+        // Strided lhs reads: one cache line touched per element.
+        4 * panels_j * m * k
+    } else {
+        panels_j * m * k
+    };
+    scaled + (pack + dst_traffic + lhs_traffic) * 100 / 4
 }
 
 /// [`model_cost`] extended with the threaded tier: `workers > 1`
@@ -207,19 +160,14 @@ pub fn plan_cost(bp: &Blueprint, r: Routine, workers: usize) -> u128 {
 }
 
 /// The model's best plan for `bp`: every [candidate](candidates)
-/// routine plus the applicable seed kernel, crossed with every
-/// feasible worker count (1, the powers of two, and the
-/// shape's clamped budget). Ties break toward the earlier candidate
-/// and the smaller worker count, so the result is fully deterministic.
+/// routine crossed with every feasible worker count (1, the powers of
+/// two, and the shape's clamped budget). Ties break toward the earlier
+/// candidate and the smaller worker count, so the result is fully
+/// deterministic.
 pub fn best_plan(bp: &Blueprint) -> Plan {
-    let seed = match bp.op {
-        Op::Nn => Some(Routine::RowStream),
-        Op::Nt => Some(Routine::NtRegTile),
-        Op::Tn => None,
-    };
     let cap = thread::effective_workers(bp, bp.threads);
     let mut best: Option<(u128, Plan)> = None;
-    for r in candidates().chain(seed) {
+    for r in candidates() {
         if !r.supports(bp) {
             continue;
         }
@@ -308,11 +256,7 @@ mod tests {
     #[test]
     fn plan_cost_charges_dispatch_overhead() {
         let bp = Blueprint::nn(256, 256, 256);
-        let r = Routine::Packed {
-            mr: 2,
-            nr: 64,
-            kc: 128,
-        };
+        let r = Routine::Packed { kc: 128 };
         let serial = plan_cost(&bp, r, 1);
         let wide = plan_cost(&bp, r, 4);
         assert_eq!(serial, model_cost(&bp, r));

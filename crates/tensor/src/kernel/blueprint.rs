@@ -6,7 +6,7 @@
 //! carries no data pointers — the same blueprint value describes every
 //! GEMM of that shape, which is what lets the
 //! [selector](super::selector) be a pure function from blueprints to
-//! plans, and what the `kernel_autotune` bin sweeps over.
+//! plans.
 
 /// Which operand, if any, is stored transposed.
 ///

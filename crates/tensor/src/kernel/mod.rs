@@ -5,18 +5,18 @@
 //!
 //! - [`blueprint`] — a plain-data key describing a GEMM problem
 //!   ([`Blueprint`]: extents, operand layout, worker budget).
-//! - [`routine`] — the executable kernels ([`Routine`]): the seed
-//!   streaming loops and the register-tiled microkernel over packed
-//!   rhs panels staged through the [`Scratch`] pool.
+//! - [`routine`] — the executable kernels ([`Routine`]): one 2×64
+//!   register-tiled microkernel over rhs panels packed through the
+//!   [`Scratch`] pool, with a variant that packs the `Tn` lhs too.
 //! - [`cols`] — the rhs of a convolution product as a *view*
 //!   ([`ColsView`]): the im2col matrix read through two offset tables
 //!   out of the padded input planes, so the packed routine's pack step
 //!   is the only code that ever sees it ([`gemm_cols`]).
-//! - [`selector`] — the policy mapping blueprints to plans, in two
-//!   steps: tiny problems take a streaming kernel, everything else is
-//!   ranked at call time by the deterministic cost model.
+//! - [`selector`] — the policy mapping blueprints to plans: the
+//!   reduction block, the lhs pack and the worker count, ranked at call
+//!   time by the deterministic cost model.
 //! - [`autotune`] — that cost model, and the pinned shapes the
-//!   `kernel_autotune` bin measures it against.
+//!   equality suites cover.
 //! - [`thread`] — the threaded tier: splits one product's *output*
 //!   (j-panels, or m-tiles for wide-m / narrow-n shapes) across the
 //!   workers of [`crate::pool`]. Chosen by the same cost model;
@@ -71,7 +71,7 @@ pub mod thread;
 pub use blueprint::{Blueprint, Op};
 pub use cols::ColsView;
 pub use routine::Routine;
-pub use selector::{explain, select, select_cols, Plan};
+pub use selector::{explain, select, Plan};
 pub use thread::default_threads;
 
 pub(crate) use routine::Rhs;
@@ -112,8 +112,7 @@ pub fn gemm(bp: &Blueprint, dst: &mut [f32], lhs: &[f32], rhs: &[f32], scratch: 
 /// for the `[k, n]` operand of an `Nn` blueprint (the forward and
 /// backward-input products) or the `[n, k]` one of an `Nt` blueprint
 /// (the weight update). Same tiers, same reduction order, same result
-/// bytes as `gemm` over the unfolded matrix; the plan is
-/// [`select_cols`]'s.
+/// bytes and the same plan as `gemm` over the unfolded matrix.
 ///
 /// # Panics
 ///
@@ -149,13 +148,10 @@ pub(crate) fn gemm_rhs(
     rhs: Rhs<'_>,
     scratch: &mut Scratch,
 ) {
-    let plan = match rhs {
-        Rhs::Slice(_) => selector::select(bp),
-        Rhs::Cols(cols) => {
-            cols.check();
-            selector::select_cols(bp)
-        }
-    };
+    if let Rhs::Cols(cols) = rhs {
+        cols.check();
+    }
+    let plan = selector::select(bp);
     if plan.workers > 1 {
         thread::run(plan.routine, bp, plan.workers, dst, lhs, rhs, scratch);
     } else {

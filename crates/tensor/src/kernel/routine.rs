@@ -2,33 +2,26 @@
 //! served by.
 //!
 //! A [`Routine`] is a concrete compute strategy — a plain-data value
-//! naming one of the kernels below plus its blocking parameters. The
+//! naming one of the kernels below plus its reduction block `kc`. The
 //! [selector](super::selector) picks one per [`Blueprint`]; [`execute`]
-//! runs it. Three families exist:
-//!
-//! - **`RowStream`** — the seed panelled-ikj kernel (no packing,
-//!   accumulates in `dst` memory). Cheapest for tiny `Nn` problems
-//!   where packing overhead cannot amortize.
-//! - **`NtRegTile`** — the seed 4×8 register-tile kernel over
-//!   transposed-rhs rows. Cheapest for tiny `Nt` problems.
-//! - **`Packed`** — the register-tiled workhorse: rhs is packed one
-//!   `kc×NR` panel at a time into [`Scratch`]-pooled, ping-pong
-//!   (double-buffered) staging buffers, and each `MR×NR` output tile is
-//!   accumulated in a register-resident array the autovectorizer maps
-//!   onto SIMD lanes. The packed panel is reused across every i-tile of
-//!   the current j-panel, which is where the ≥2× throughput over the
-//!   seed kernel comes from.
+//! runs it. Both run the one [`MR`]×[`NR`] register tile: rhs is packed
+//! one `kc×NR` panel at a time into [`Scratch`]-pooled, ping-pong
+//! (double-buffered) staging buffers, and each output tile is
+//! accumulated in a register-resident array the autovectorizer maps
+//! onto SIMD lanes. The packed panel is reused across every i-tile of
+//! the current j-panel. [`Routine::PackedLhs`] additionally packs the
+//! `Tn` layout's strided lhs.
 //!
 //! # Bitwise equality
 //!
-//! All routines honour the accumulation-order contract from
+//! Both routines honour the accumulation-order contract from
 //! [`crate::kernel`]: per output element, partial products are reduced
-//! left-to-right in ascending `p`, starting from `0.0`. The `Packed`
-//! kernels split `p` into `kc`-sized blocks, but blocks are visited in
-//! ascending order and each accumulator is carried through memory
-//! between blocks — no element's sum ever re-associates. Every routine
-//! skips terms whose lhs operand is exactly zero (bitwise-neutral on
-//! finite data, and what the CSB kernels do by construction).
+//! left-to-right in ascending `p`, starting from `0.0`. They split `p`
+//! into `kc`-sized blocks, but blocks are visited in ascending order
+//! and each accumulator is carried through memory between blocks — no
+//! element's sum ever re-associates. Both skip terms whose lhs operand
+//! is exactly zero (bitwise-neutral on finite data, and what the CSB
+//! kernels do by construction).
 
 use super::blueprint::{Blueprint, Op};
 use super::cols::{for_each_run, ColsView};
@@ -37,66 +30,51 @@ use crate::scratch::Scratch;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 
-/// A concrete kernel choice: strategy plus blocking parameters.
+/// Output-tile rows held in registers per microkernel call. Ragged
+/// rows run the same kernel one row at a time.
+///
+/// A taller 64-wide tile measured slower on every pinned shape (256³:
+/// 44.7 / 36.9 / 33.8 GFLOP/s for 2 / 4 / 6 rows on an AVX-512 host).
+pub const MR: usize = 2;
+
+/// Output-tile columns, the packed panel width: the width at which the
+/// autovectorizer emits full-width fused loads and FMAs. A 16-wide tile
+/// compiled to scalar code on the same host (4–6 GFLOP/s against 40–57).
+pub const NR: usize = 64;
+
+/// A concrete kernel choice: strategy plus reduction block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Routine {
-    /// Seed panelled-ikj kernel (`Nn` only): streams rhs rows against an
-    /// `MR`-row output panel held in `dst` memory. No packing, no
-    /// scratch use.
-    RowStream,
-    /// Seed 4×8 register-tile kernel (`Nt` only): walks contiguous rows
-    /// of both operands. No packing, no scratch use.
-    NtRegTile,
     /// Register-tiled kernel over packed rhs panels (all ops).
     Packed {
-        /// Output-tile rows held in registers per microkernel call.
-        mr: u8,
-        /// Output-tile columns (= packed panel width).
-        nr: u8,
         /// Reduction block: rhs is packed and consumed `kc` rows at a
         /// time so the active panel stays cache-resident.
         kc: u16,
     },
     /// Register-tiled kernel over packed rhs panels **and** a packed
-    /// `[kc][mr]` lhs (`Tn` only).
+    /// `[kc][MR]` lhs (`Tn` only).
     ///
     /// The `Tn` layout stores lhs as `at: [k, m]`, so the plain
     /// [`Routine::Packed`] microkernel reads it with stride `m` — one
     /// cache line touched per element on the fc weight-update shapes.
-    /// This variant pre-packs the full-`mr` row tiles once per call
-    /// into `[kc][mr]` panels the microkernel walks contiguously;
-    /// `m % mr` tail rows keep the strided path. Same reduction order,
+    /// This variant pre-packs the full-`MR` row tiles once per call
+    /// into `[kc][MR]` panels the microkernel walks contiguously;
+    /// `m % MR` tail rows keep the strided path. Same reduction order,
     /// bitwise-identical results.
     PackedLhs {
-        /// Output-tile rows held in registers per microkernel call.
-        mr: u8,
-        /// Output-tile columns (= packed panel width).
-        nr: u8,
         /// Reduction block shared by the lhs and rhs packs.
         kc: u16,
     },
 }
 
-/// The `(mr, nr)` register-tile geometries the dispatcher can
-/// instantiate — exactly the ones something can select: the narrow
-/// tiny-problem fallback and the one full-width tile the cost model
-/// ranks (see [`candidates`](super::autotune::candidates) for why a
-/// taller 64-wide tile can never win). `kc` is a runtime parameter;
-/// these pairs are the compile-time monomorphizations.
-pub const SUPPORTED_TILES: &[(u8, u8)] = &[(4, 16), (2, 64)];
-
 impl Routine {
-    /// Whether this routine can serve the given blueprint: each seed
-    /// kernel and `PackedLhs` is written for one operand layout,
-    /// `Packed` serves every op.
+    /// Whether this routine can serve the given blueprint: `Packed`
+    /// serves every op, `PackedLhs` only `Tn`; neither runs with an
+    /// empty reduction block.
     pub fn supports(&self, bp: &Blueprint) -> bool {
         match self {
-            Routine::RowStream => bp.op == Op::Nn,
-            Routine::NtRegTile => bp.op == Op::Nt,
-            Routine::Packed { mr, nr, kc } => *kc > 0 && SUPPORTED_TILES.contains(&(*mr, *nr)),
-            Routine::PackedLhs { mr, nr, kc } => {
-                bp.op == Op::Tn && *kc > 0 && SUPPORTED_TILES.contains(&(*mr, *nr))
-            }
+            Routine::Packed { kc } => *kc > 0,
+            Routine::PackedLhs { kc } => bp.op == Op::Tn && *kc > 0,
         }
     }
 
@@ -104,10 +82,8 @@ impl Routine {
     /// `packed-2x64/kc256`.
     pub fn describe(&self) -> String {
         match self {
-            Routine::RowStream => "row-stream".to_string(),
-            Routine::NtRegTile => "nt-reg-tile".to_string(),
-            Routine::Packed { mr, nr, kc } => format!("packed-{mr}x{nr}/kc{kc}"),
-            Routine::PackedLhs { mr, nr, kc } => format!("packed-lhs-{mr}x{nr}/kc{kc}"),
+            Routine::Packed { kc } => format!("packed-{MR}x{NR}/kc{kc}"),
+            Routine::PackedLhs { kc } => format!("packed-lhs-{MR}x{NR}/kc{kc}"),
         }
     }
 }
@@ -355,19 +331,12 @@ pub(crate) fn execute_slab(
     );
     let dst = &mut dst;
     match (routine, rhs) {
-        (Routine::Packed { mr, nr, kc }, rhs) => {
-            dispatch_packed(mr, nr, kc as usize, false, bp, dst, lhs, rhs, scratch)
+        (Routine::Packed { kc }, rhs) => run_packed(dst, lhs, rhs, bp, kc as usize, scratch),
+        (Routine::PackedLhs { kc }, Rhs::Slice(b)) => {
+            run_packed_lhs(dst, lhs, b, bp, kc as usize, scratch)
         }
-        (Routine::RowStream, Rhs::Slice(b)) => row_stream(dst, lhs, b, bp.k, bp.n),
-        (Routine::NtRegTile, Rhs::Slice(b)) => nt_reg_tile(dst, lhs, b, bp.k),
-        (Routine::PackedLhs { mr, nr, kc }, rhs @ Rhs::Slice(_)) => {
-            dispatch_packed(mr, nr, kc as usize, true, bp, dst, lhs, rhs, scratch)
-        }
-        // Only a pack step can read through the tables.
-        (other, Rhs::Cols(_)) => panic!(
-            "kernel: routine {} cannot read a column view",
-            other.describe()
-        ),
+        // `PackedLhs` serves only `Tn`, which the view check refused.
+        (Routine::PackedLhs { .. }, Rhs::Cols(_)) => unreachable!(),
     }
 }
 
@@ -379,47 +348,15 @@ fn zero_slab(dst: &mut SlabMut<'_>) {
     }
 }
 
-/// Monomorphization dispatch: maps the runtime `(mr, nr)` pair onto the
-/// matching const-generic instantiation and `pack_lhs` onto the
-/// packed-lhs `Tn` kernel.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_packed(
-    mr: u8,
-    nr: u8,
-    kc: usize,
-    pack_lhs: bool,
-    bp: &Blueprint,
-    dst: &mut SlabMut<'_>,
-    lhs: &[f32],
-    rhs: Rhs<'_>,
-    scratch: &mut Scratch,
-) {
-    macro_rules! go {
-        ($mr:literal, $nr:literal) => {
-            match rhs {
-                Rhs::Slice(b) if pack_lhs => {
-                    run_packed_lhs::<$mr, $nr>(dst, lhs, b, bp, kc, scratch)
-                }
-                _ => run_packed::<$mr, $nr>(dst, lhs, rhs, bp, kc, scratch),
-            }
-        };
-    }
-    match (mr, nr) {
-        (4, 16) => go!(4, 16),
-        (2, 64) => go!(2, 64),
-        other => unreachable!("kernel: tile {other:?} not in SUPPORTED_TILES"),
-    }
-}
-
 /// The packed register-tiled kernel.
 ///
 /// Loop structure (outer to inner): j-panels of `NR` columns → k-blocks
 /// of `kc` (rhs panel packed once per block, reused by every i-tile) →
-/// i-tiles of `MR` rows (`MR=1` tail). Accumulators live in a
+/// i-tiles of `MR` rows (one-row tail). Accumulators live in a
 /// `[[f32; NR]; MR]` array; the first k-block stores them directly
 /// (never reading stale `dst`), later blocks reload and continue, so
 /// each output element sees its terms in ascending `p` exactly once.
-fn run_packed<const MR: usize, const NR: usize>(
+fn run_packed(
     dst: &mut SlabMut<'_>,
     lhs: &[f32],
     rhs: Rhs<'_>,
@@ -454,19 +391,19 @@ fn run_packed<const MR: usize, const NR: usize>(
             let panel = &mut panels[which];
             which ^= 1;
             match (rhs, bp.op) {
-                (Rhs::Slice(b), Op::Nt) => pack_rhs_t::<NR>(panel, b, k0, kc, j, jw, k),
-                (Rhs::Slice(b), Op::Nn | Op::Tn) => pack_rhs_n::<NR>(panel, b, k0, kc, j, jw, n),
-                (Rhs::Cols(v), Op::Nt) => pack_cols_t::<NR>(panel, &v, k0, kc, j, jw),
-                (Rhs::Cols(v), Op::Nn | Op::Tn) => pack_cols_n::<NR>(panel, &v, k0, kc, j, jw),
+                (Rhs::Slice(b), Op::Nt) => pack_rhs_t(panel, b, k0, kc, j, jw, k),
+                (Rhs::Slice(b), Op::Nn | Op::Tn) => pack_rhs_n(panel, b, k0, kc, j, jw, n),
+                (Rhs::Cols(v), Op::Nt) => pack_cols_t(panel, &v, k0, kc, j, jw),
+                (Rhs::Cols(v), Op::Nn | Op::Tn) => pack_cols_n(panel, &v, k0, kc, j, jw),
             }
             let first = k0 == 0;
             let mut i = slab.i0;
             while i + MR <= slab.i1 {
-                tile::<MR, NR>(dst, lhs, rs, cs, i, j, jw, k0, kc, panel, first);
+                tile::<MR>(dst, lhs, rs, cs, i, j, jw, k0, kc, panel, first);
                 i += MR;
             }
             while i < slab.i1 {
-                tile::<1, NR>(dst, lhs, rs, cs, i, j, jw, k0, kc, panel, first);
+                tile::<1>(dst, lhs, rs, cs, i, j, jw, k0, kc, panel, first);
                 i += 1;
             }
             k0 += kc;
@@ -478,11 +415,11 @@ fn run_packed<const MR: usize, const NR: usize>(
     scratch.recycle_vec(p1);
 }
 
-/// One `MR×NR` output tile: load (unless first k-block), accumulate the
-/// block, store.
+/// One `R×NR` output tile (`R` = [`MR`], or 1 for a ragged row): load
+/// (unless first k-block), accumulate the block, store.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn tile<const MR: usize, const NR: usize>(
+fn tile<const R: usize>(
     dst: &mut SlabMut<'_>,
     lhs: &[f32],
     rs: usize,
@@ -495,27 +432,27 @@ fn tile<const MR: usize, const NR: usize>(
     panel: &[f32],
     first: bool,
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
+    let mut acc = [[0.0f32; NR]; R];
     if !first {
         for (mi, accm) in acc.iter_mut().enumerate() {
             accm[..jw].copy_from_slice(dst.row(i + mi, j, jw));
         }
     }
-    micro::<MR, NR>(&mut acc, lhs, rs, cs, i, k0, kc, panel);
+    micro::<R>(&mut acc, lhs, rs, cs, i, k0, kc, panel);
     for (mi, accm) in acc.iter().enumerate() {
         dst.row(i + mi, j, jw).copy_from_slice(&accm[..jw]);
     }
 }
 
-/// The innermost loop: `kc` reduction steps over an `MR×NR` register
+/// The innermost loop: `kc` reduction steps over an `R×NR` register
 /// tile against a packed panel. Written so the `jr` loop vectorizes to
 /// full-width fused loads/FMAs; the lhs operand is read directly with
 /// strided indexing (packing lhs measurably defeats the
 /// autovectorizer).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn micro<const MR: usize, const NR: usize>(
-    acc: &mut [[f32; NR]; MR],
+fn micro<const R: usize>(
+    acc: &mut [[f32; NR]; R],
     lhs: &[f32],
     rs: usize,
     cs: usize,
@@ -550,7 +487,7 @@ fn micro<const MR: usize, const NR: usize>(
 /// k-blocks ascend and each accumulator is carried through `dst`
 /// between blocks — so results are bitwise-identical to
 /// [`Routine::Packed`].
-fn run_packed_lhs<const MR: usize, const NR: usize>(
+fn run_packed_lhs(
     dst: &mut SlabMut<'_>,
     lhs: &[f32],
     rhs: &[f32],
@@ -595,15 +532,15 @@ fn run_packed_lhs<const MR: usize, const NR: usize>(
             let panel = &mut panels[which];
             which ^= 1;
             // Tn rhs is row-major [k, n], same pack as Nn.
-            pack_rhs_n::<NR>(panel, rhs, k0, kc, j, jw, n);
+            pack_rhs_n(panel, rhs, k0, kc, j, jw, n);
             let first = k0 == 0;
             for t in 0..tiles {
                 let apanel = &apack[(kb * tiles + t) * kc_blk * MR..][..kc * MR];
-                tile_lhs::<MR, NR>(dst, apanel, slab.i0 + t * MR, j, jw, kc, panel, first);
+                tile_lhs(dst, apanel, slab.i0 + t * MR, j, jw, kc, panel, first);
             }
             let mut i = slab.i0 + tiles * MR;
             while i < slab.i1 {
-                tile::<1, NR>(dst, lhs, 1, m, i, j, jw, k0, kc, panel, first);
+                tile::<1>(dst, lhs, 1, m, i, j, jw, k0, kc, panel, first);
                 i += 1;
             }
             k0 += kc;
@@ -622,7 +559,7 @@ fn run_packed_lhs<const MR: usize, const NR: usize>(
 /// reads.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn tile_lhs<const MR: usize, const NR: usize>(
+fn tile_lhs(
     dst: &mut SlabMut<'_>,
     apanel: &[f32],
     i: usize,
@@ -657,15 +594,7 @@ fn tile_lhs<const MR: usize, const NR: usize>(
 
 /// Packs a `kc×jw` slab of a row-major `[k, n]` rhs into `[kc][NR]`
 /// layout, zero-padding columns `jw..NR`.
-fn pack_rhs_n<const NR: usize>(
-    panel: &mut [f32],
-    b: &[f32],
-    k0: usize,
-    kc: usize,
-    j: usize,
-    jw: usize,
-    n: usize,
-) {
+fn pack_rhs_n(panel: &mut [f32], b: &[f32], k0: usize, kc: usize, j: usize, jw: usize, n: usize) {
     for p in 0..kc {
         let src = &b[(k0 + p) * n + j..(k0 + p) * n + j + jw];
         let dst = &mut panel[p * NR..p * NR + NR];
@@ -677,15 +606,7 @@ fn pack_rhs_n<const NR: usize>(
 /// Packs a `kc×jw` slab of a transposed rhs (`bt: [n, k]`, so
 /// `b[p][j+jr] = bt[j+jr][p]`) into the same `[kc][NR]` layout —
 /// reading `bt` along its contiguous rows.
-fn pack_rhs_t<const NR: usize>(
-    panel: &mut [f32],
-    bt: &[f32],
-    k0: usize,
-    kc: usize,
-    j: usize,
-    jw: usize,
-    k: usize,
-) {
+fn pack_rhs_t(panel: &mut [f32], bt: &[f32], k0: usize, kc: usize, j: usize, jw: usize, k: usize) {
     for jr in 0..NR {
         if jr < jw {
             let src = &bt[(j + jr) * k + k0..(j + jr) * k + k0 + kc];
@@ -705,14 +626,7 @@ fn pack_rhs_t<const NR: usize>(
 /// hold as one run per output row the panel crosses — so the panel is
 /// filled run by run, every reduction row copying the same runs from
 /// its own tap's base.
-fn pack_cols_n<const NR: usize>(
-    panel: &mut [f32],
-    v: &ColsView<'_>,
-    k0: usize,
-    kc: usize,
-    j: usize,
-    jw: usize,
-) {
+fn pack_cols_n(panel: &mut [f32], v: &ColsView<'_>, k0: usize, kc: usize, j: usize, jw: usize) {
     let bases = &v.row_base[k0..k0 + kc];
     if jw < NR {
         for row in panel[..kc * NR].chunks_exact_mut(NR) {
@@ -746,14 +660,7 @@ fn pack_cols_n<const NR: usize>(
 /// loads into hardware gathers, which is what makes this pack cheaper
 /// than the strided copy out of a materialised matrix. The fallback
 /// never fires: [`ColsView::check`] has bounded every `base + offset`.
-fn pack_cols_t<const NR: usize>(
-    panel: &mut [f32],
-    v: &ColsView<'_>,
-    k0: usize,
-    kc: usize,
-    j: usize,
-    jw: usize,
-) {
+fn pack_cols_t(panel: &mut [f32], v: &ColsView<'_>, k0: usize, kc: usize, j: usize, jw: usize) {
     let bases = &v.row_base[j..j + jw];
     let offsets = &v.col_off[k0..k0 + kc];
     for (row, &off) in panel[..kc * NR].chunks_exact_mut(NR).zip(offsets) {
@@ -762,97 +669,6 @@ fn pack_cols_t<const NR: usize>(
             *slot = src.get(base).copied().unwrap_or(0.0);
         }
         row[jw..].fill(0.0);
-    }
-}
-
-/// Seed panelled-ikj kernel: `Nn`, lhs zero-skip, accumulates in `dst` memory.
-fn row_stream(dst: &mut SlabMut<'_>, a: &[f32], b: &[f32], k: usize, n: usize) {
-    const NB: usize = 256;
-    const MR: usize = 4;
-    zero_slab(dst);
-    let slab = dst.slab();
-    let mut j = slab.j0;
-    while j < slab.j1 {
-        let jw = NB.min(slab.j1 - j);
-        let mut i = slab.i0;
-        while i < slab.i1 {
-            let mr = MR.min(slab.i1 - i);
-            for p in 0..k {
-                let brow = &b[p * n + j..p * n + j + jw];
-                for mi in 0..mr {
-                    let av = a[(i + mi) * k + p];
-                    if av != 0.0 {
-                        for (o, &bv) in dst.row(i + mi, j, jw).iter_mut().zip(brow) {
-                            *o += av * bv;
-                        }
-                    }
-                }
-            }
-            i += mr;
-        }
-        j += NB;
-    }
-}
-
-/// Seed 4×8 register-tile kernel for `Nt` (`bt: [n, k]`): both operands
-/// walked along contiguous rows, lhs zero-skip.
-fn nt_reg_tile(dst: &mut SlabMut<'_>, a: &[f32], bt: &[f32], k: usize) {
-    const MR: usize = 4;
-    const NR: usize = 8;
-    let slab = dst.slab();
-    let empty: &[f32] = &[];
-    let mut j = slab.j0;
-    while j + NR <= slab.j1 {
-        let mut btr = [empty; NR];
-        for (nj, slot) in btr.iter_mut().enumerate() {
-            *slot = &bt[(j + nj) * k..(j + nj + 1) * k];
-        }
-        let mut i = slab.i0;
-        while i + MR <= slab.i1 {
-            let mut acc = [[0.0f32; NR]; MR];
-            for p in 0..k {
-                for (mi, accm) in acc.iter_mut().enumerate() {
-                    let av = a[(i + mi) * k + p];
-                    if av != 0.0 {
-                        for (slot, brow) in accm.iter_mut().zip(&btr) {
-                            *slot += av * brow[p];
-                        }
-                    }
-                }
-            }
-            for (mi, accm) in acc.iter().enumerate() {
-                dst.row(i + mi, j, NR).copy_from_slice(accm);
-            }
-            i += MR;
-        }
-        while i < slab.i1 {
-            let mut acc = [0.0f32; NR];
-            for p in 0..k {
-                let av = a[i * k + p];
-                if av != 0.0 {
-                    for (slot, brow) in acc.iter_mut().zip(&btr) {
-                        *slot += av * brow[p];
-                    }
-                }
-            }
-            dst.row(i, j, NR).copy_from_slice(&acc);
-            i += 1;
-        }
-        j += NR;
-    }
-    while j < slab.j1 {
-        let brow = &bt[j * k..(j + 1) * k];
-        for i in slab.i0..slab.i1 {
-            let arow = &a[i * k..(i + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow) {
-                if av != 0.0 {
-                    acc += av * bv;
-                }
-            }
-            dst.row(i, j, 1)[0] = acc;
-        }
-        j += 1;
     }
 }
 
@@ -921,45 +737,56 @@ mod tests {
                 let lhs = sparse_mat(bp.lhs_len(), 0.5, (m * 31 + n) as u64);
                 let rhs = sparse_mat(bp.rhs_len(), 0.9, (k * 17 + n + 1) as u64);
                 let want = reference_for(&bp, &lhs, &rhs);
-                for &(mr, nr) in SUPPORTED_TILES {
-                    for kc in [4u16, 16, 256] {
-                        let mut routines = vec![Routine::Packed { mr, nr, kc }];
-                        if op == Op::Tn {
-                            routines.push(Routine::PackedLhs { mr, nr, kc });
-                        }
-                        for r in routines {
-                            let mut got = vec![f32::NAN; m * n];
-                            execute(r, &bp, &mut got, &lhs, &rhs, &mut scratch);
-                            assert_eq!(got, want, "{} op={}", r.describe(), op.tag());
-                        }
+                for kc in [4u16, 16, 256] {
+                    let mut routines = vec![Routine::Packed { kc }];
+                    if op == Op::Tn {
+                        routines.push(Routine::PackedLhs { kc });
+                    }
+                    for r in routines {
+                        let mut got = vec![f32::NAN; m * n];
+                        execute(r, &bp, &mut got, &lhs, &rhs, &mut scratch);
+                        assert_eq!(got, want, "{} op={}", r.describe(), op.tag());
                     }
                 }
             }
         }
     }
 
+    /// The fc2 products of a tiny-VGG step (`Nt 8×64×10` forward,
+    /// `Nn 8×10×64` backward-input, `Tn 10×8×64` weight update) and a
+    /// 4³ product per op: far narrower than one panel, through every
+    /// routine that serves the op.
     #[test]
-    fn seed_routines_match_reference() {
+    fn tiny_fc_products_match_reference() {
         let mut scratch = Scratch::new();
-        let (m, k, n) = (13, 21, 40);
-        let bp = Blueprint::nn(m, k, n);
-        let lhs = sparse_mat(bp.lhs_len(), 0.4, 3);
-        let rhs = sparse_mat(bp.rhs_len(), 0.9, 4);
-        let mut got = vec![f32::NAN; m * n];
-        execute(Routine::RowStream, &bp, &mut got, &lhs, &rhs, &mut scratch);
-        assert_eq!(got, reference_for(&bp, &lhs, &rhs));
-
-        let bp = Blueprint::nt(m, k, n);
-        let rhs_t = sparse_mat(bp.rhs_len(), 0.9, 5);
-        execute(
-            Routine::NtRegTile,
-            &bp,
-            &mut got,
-            &lhs,
-            &rhs_t,
-            &mut scratch,
-        );
-        assert_eq!(got, reference_for(&bp, &lhs, &rhs_t));
+        let shapes = [
+            Blueprint::nt(8, 64, 10),
+            Blueprint::nn(8, 10, 64),
+            Blueprint::tn(10, 8, 64),
+            Blueprint::nn(4, 4, 4),
+            Blueprint::nt(4, 4, 4),
+            Blueprint::tn(4, 4, 4),
+        ];
+        for (seed, bp) in shapes.iter().enumerate() {
+            let lhs = sparse_mat(bp.lhs_len(), 0.4, 2 * seed as u64 + 3);
+            let rhs = sparse_mat(bp.rhs_len(), 0.9, 2 * seed as u64 + 4);
+            let want = reference_for(bp, &lhs, &rhs);
+            for r in crate::kernel::autotune::candidates().filter(|r| r.supports(bp)) {
+                let mut got = vec![f32::NAN; bp.m * bp.n];
+                execute(r, bp, &mut got, &lhs, &rhs, &mut scratch);
+                assert!(
+                    got.iter()
+                        .zip(&want)
+                        .all(|(g, w)| g.to_bits() == w.to_bits()),
+                    "{} {}x{}x{} via {}",
+                    bp.op.tag(),
+                    bp.m,
+                    bp.k,
+                    bp.n,
+                    r.describe()
+                );
+            }
+        }
     }
 
     #[test]
@@ -967,18 +794,8 @@ mod tests {
         let mut scratch = Scratch::new();
         let bp = Blueprint::nn(3, 0, 5);
         let mut dst = vec![f32::NAN; 15];
-        execute(
-            Routine::Packed {
-                mr: 2,
-                nr: 64,
-                kc: 256,
-            },
-            &bp,
-            &mut dst,
-            &[],
-            &[],
-            &mut scratch,
-        );
+        let r = Routine::Packed { kc: 256 };
+        execute(r, &bp, &mut dst, &[], &[], &mut scratch);
         assert_eq!(dst, vec![0.0; 15]);
     }
 
@@ -1018,29 +835,17 @@ mod tests {
 
     #[test]
     fn supports_gates_routines_on_op_and_tile() {
-        assert!(Routine::RowStream.supports(&Blueprint::nn(4, 4, 4)));
-        assert!(!Routine::RowStream.supports(&Blueprint::nt(4, 4, 4)));
-        assert!(Routine::NtRegTile.supports(&Blueprint::nt(4, 4, 4)));
-        assert!(!Routine::NtRegTile.supports(&Blueprint::tn(4, 4, 4)));
-        let p = Routine::Packed {
-            mr: 2,
-            nr: 64,
-            kc: 128,
-        };
-        assert!(p.supports(&Blueprint::tn(4, 4, 4)));
-        assert!(!Routine::Packed {
-            mr: 4,
-            nr: 32,
-            kc: 128
+        let all = [
+            Blueprint::nn(4, 4, 4),
+            Blueprint::nt(4, 4, 4),
+            Blueprint::tn(4, 4, 4),
+        ];
+        for bp in &all {
+            let tn = bp.op == Op::Tn;
+            assert!(Routine::Packed { kc: 128 }.supports(bp));
+            assert_eq!(Routine::PackedLhs { kc: 128 }.supports(bp), tn);
+            assert!(!Routine::Packed { kc: 0 }.supports(bp));
+            assert!(!Routine::PackedLhs { kc: 0 }.supports(bp));
         }
-        .supports(&Blueprint::nn(4, 4, 4)));
-        let pl = Routine::PackedLhs {
-            mr: 2,
-            nr: 64,
-            kc: 128,
-        };
-        assert!(pl.supports(&Blueprint::tn(4, 4, 4)));
-        assert!(!pl.supports(&Blueprint::nn(4, 4, 4)));
-        assert!(!pl.supports(&Blueprint::nt(4, 4, 4)));
     }
 }

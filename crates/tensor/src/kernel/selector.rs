@@ -1,18 +1,12 @@
 //! The selector layer: maps a [`Blueprint`] to the [`Plan`] that
 //! serves it — a [`Routine`] plus the worker count to run it at.
 //!
-//! Two steps:
-//!
-//! 1. **Tiny problems** (`m·k·n` below [`TINY_FLOP_CUTOFF`]) go
-//!    straight to the cheapest streaming kernel, serial — packing a
-//!    panel that is used once costs more than it saves, and a pool
-//!    dispatch costs more than the whole product.
-//! 2. **The cost model**: everything else is ranked at call time by
-//!    [`autotune::best_plan`] on the problem's real extents and worker
-//!    budget — every candidate routine crossed with every feasible
-//!    worker count, including the per-dispatch overhead charge. The
-//!    ranking is integer arithmetic over at most four routines and four
-//!    worker counts (well under a microsecond) and allocates nothing.
+//! Every plan comes from the cost model: [`autotune::best_plan`] ranks
+//! every candidate routine crossed with every feasible worker count on
+//! the problem's real extents and worker budget, including the
+//! per-dispatch overhead charge that keeps small products serial. The
+//! ranking is integer arithmetic over at most four routines and four
+//! worker counts (well under a microsecond) and allocates nothing.
 //!
 //! `select` is a pure function of the blueprint — same key (extents,
 //! layout, worker budget), same plan, on every call and
@@ -22,13 +16,8 @@
 //! only wall-clock: see [`super::thread`].
 
 use super::autotune;
-use super::blueprint::{Blueprint, Op};
+use super::blueprint::Blueprint;
 use super::routine::Routine;
-
-/// Problems smaller than this many multiply-accumulates skip the cost
-/// model and use a streaming kernel: at this size the packed kernels'
-/// panel staging is pure overhead.
-pub const TINY_FLOP_CUTOFF: usize = 32 * 32 * 32;
 
 /// A resolved execution plan: which kernel, and how many workers run
 /// it (`1` = the serial tier).
@@ -57,79 +46,42 @@ impl Plan {
     }
 }
 
-/// Chooses the plan for a blueprint. Pure and deterministic; see the
-/// module docs for the resolution order.
+/// Chooses the plan for a blueprint. Pure and deterministic; a product
+/// whose rhs is a [`ColsView`](super::cols::ColsView) gets the same
+/// plan as over the unfolded matrix, since `Packed` reads either
+/// through its pack step.
 pub fn select(bp: &Blueprint) -> Plan {
-    explain(bp).0
+    autotune::best_plan(bp)
 }
 
-/// Like [`select`], but also names the resolution step that decided:
-/// `"tiny"` or `"model"`. The benchmark harness records
-/// this next to each timing so BENCH entries are attributable.
+/// [`select`], plus the name of the resolution step that decided. The
+/// cost model is the only step, so the name is always `"model"`; the
+/// pair is kept for callers that record it next to a timing.
 pub fn explain(bp: &Blueprint) -> (Plan, &'static str) {
-    if bp.m.saturating_mul(bp.k).saturating_mul(bp.n) < TINY_FLOP_CUTOFF {
-        return (
-            Plan {
-                routine: tiny_fallback(bp),
-                workers: 1,
-            },
-            "tiny",
-        );
-    }
-    (autotune::best_plan(bp), "model")
-}
-
-/// The plan for a product whose rhs is a
-/// [`ColsView`](super::cols::ColsView). Only a pack step can read
-/// through the view's tables, so where [`select`] would stream (tiny
-/// problems, three-row outputs) the product takes the full-width packed
-/// tile at the same worker count instead; everywhere else the plan is
-/// `select`'s — still a pure function of the blueprint.
-pub fn select_cols(bp: &Blueprint) -> Plan {
-    let plan = select(bp);
-    match plan.routine {
-        Routine::Packed { .. } => plan,
-        _ => Plan {
-            routine: Routine::Packed {
-                mr: 2,
-                nr: 64,
-                kc: 128,
-            },
-            ..plan
-        },
-    }
-}
-
-/// Streaming choice for problems too small to amortize packing. The
-/// seed kernels only exist for `Nn`/`Nt`; `Tn` takes a narrow packed
-/// tile whose panel is clamped to the problem anyway.
-fn tiny_fallback(bp: &Blueprint) -> Routine {
-    match bp.op {
-        Op::Nn => Routine::RowStream,
-        Op::Nt => Routine::NtRegTile,
-        Op::Tn => Routine::Packed {
-            mr: 4,
-            nr: 16,
-            kc: 128,
-        },
-    }
+    (select(bp), "model")
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::blueprint::Op;
     use super::super::thread;
     use super::*;
 
+    /// A 64-unit product at a budget of 8 could split eight ways; the
+    /// dispatch charge alone keeps it serial.
     #[test]
-    fn tiny_problems_stream_serially() {
-        let p = select(&Blueprint::nn(4, 4, 4).with_threads(8));
-        assert_eq!(p.routine, Routine::RowStream);
-        assert_eq!(p.workers, 1);
-        assert_eq!(select(&Blueprint::nt(4, 4, 4)).routine, Routine::NtRegTile);
-        assert!(matches!(
-            select(&Blueprint::tn(4, 4, 4)).routine,
-            Routine::Packed { .. }
-        ));
+    fn tiny_problems_stay_serial() {
+        for op in [Op::Nn, Op::Nt, Op::Tn] {
+            let bp = Blueprint {
+                m: 1,
+                k: 1,
+                n: 4096,
+                op,
+                threads: 8,
+            };
+            assert_eq!(thread::effective_workers(&bp, 8), 8, "{}", op.tag());
+            assert_eq!(select(&bp).workers, 1, "{}", op.tag());
+        }
     }
 
     /// Golden plans for every GEMM one tiny-VGG batch-8 training step
@@ -145,7 +97,7 @@ mod tests {
         let golden: &[Golden] = &[
             (Op::Nn, 16, 27, 8192, "packed-2x64/kc128", [1, 2, 4, 8]),
             (Op::Nt, 16, 8192, 27, "packed-2x64/kc128", [1, 1, 1, 1]),
-            (Op::Nn, 3, 144, 8192, "row-stream", [1, 2, 4, 8]),
+            (Op::Nn, 3, 144, 8192, "packed-2x64/kc256", [1, 2, 4, 8]),
             (Op::Nn, 16, 144, 8192, "packed-2x64/kc256", [1, 2, 4, 8]),
             (Op::Nt, 16, 8192, 144, "packed-2x64/kc128", [1, 2, 3, 3]),
             (Op::Nn, 32, 144, 2048, "packed-2x64/kc256", [1, 2, 4, 8]),
@@ -159,9 +111,9 @@ mod tests {
             (Op::Nt, 8, 1024, 64, "packed-2x64/kc128", [1, 1, 1, 1]),
             (Op::Tn, 64, 8, 1024, "packed-lhs-2x64/kc128", [1, 1, 1, 1]),
             (Op::Nn, 8, 64, 1024, "packed-2x64/kc128", [1, 1, 1, 1]),
-            (Op::Nt, 8, 64, 10, "nt-reg-tile", [1, 1, 1, 1]),
-            (Op::Tn, 10, 8, 64, "packed-4x16/kc128", [1, 1, 1, 1]),
-            (Op::Nn, 8, 10, 64, "row-stream", [1, 1, 1, 1]),
+            (Op::Nt, 8, 64, 10, "packed-2x64/kc128", [1, 1, 1, 1]),
+            (Op::Tn, 10, 8, 64, "packed-2x64/kc128", [1, 1, 1, 1]),
+            (Op::Nn, 8, 10, 64, "packed-2x64/kc128", [1, 1, 1, 1]),
             (Op::Nn, 64, 288, 2048, "packed-2x64/kc128", [1, 2, 4, 8]),
             (Op::Nn, 256, 256, 256, "packed-2x64/kc128", [1, 2, 4, 4]),
             (Op::Nn, 64, 576, 512, "packed-2x64/kc128", [1, 2, 4, 8]),
@@ -192,10 +144,8 @@ mod tests {
     /// The same table for the products whose rhs is a column view — the
     /// fifteen conv products of that step (forward, weight update,
     /// backward-input per layer; the first layer's backward-input only
-    /// runs when its `dx` is asked for). A view is served by `Packed`
-    /// only: where the extents' own plan streams, the full-width packed
-    /// tile steps in at the same worker counts; every other plan is the
-    /// extents' own.
+    /// runs when its `dx` is asked for). A view gets the extents' own
+    /// plan: both routines read it through their pack step.
     #[test]
     fn view_fed_conv_products_keep_their_recorded_plans() {
         type Golden = (Op, usize, usize, usize, &'static str, [usize; 4]);
@@ -211,7 +161,7 @@ mod tests {
             (Op::Nt, 32, 2048, 144, "packed-2x64/kc128", [1, 2, 3, 3]),
             (Op::Nt, 32, 2048, 288, "packed-2x64/kc128", [1, 2, 4, 5]),
             (Op::Nt, 64, 512, 288, "packed-2x64/kc128", [1, 2, 4, 5]),
-            (Op::Nn, 3, 144, 8192, "packed-2x64/kc128", [1, 2, 4, 8]),
+            (Op::Nn, 3, 144, 8192, "packed-2x64/kc256", [1, 2, 4, 8]),
             (Op::Nn, 16, 144, 8192, "packed-2x64/kc256", [1, 2, 4, 8]),
             (Op::Nn, 16, 288, 2048, "packed-2x64/kc128", [1, 2, 4, 8]),
             (Op::Nn, 32, 288, 2048, "packed-2x64/kc128", [1, 2, 4, 8]),
@@ -230,21 +180,14 @@ mod tests {
                     1 => format!("{routine}@serial"),
                     _ => format!("{routine}@threadedx{w}"),
                 };
-                let plan = select_cols(&bp);
                 assert_eq!(
-                    plan.describe(),
+                    select(&bp).describe(),
                     want,
                     "{} {m}x{k}x{n} at budget {budget}",
                     op.tag()
                 );
-                if matches!(select(&bp).routine, Routine::Packed { .. }) {
-                    assert_eq!(plan, select(&bp), "a packed plan is kept as is");
-                }
             }
         }
-        // Tiny problems pack too: nothing else reads through the tables.
-        let tiny = select_cols(&Blueprint::nt(4, 4, 4));
-        assert_eq!(tiny.describe(), "packed-2x64/kc128@serial");
     }
 
     #[test]
@@ -255,7 +198,7 @@ mod tests {
 
     #[test]
     fn explain_names_the_resolution_step() {
-        assert_eq!(explain(&Blueprint::nn(4, 4, 4)).1, "tiny");
+        assert_eq!(explain(&Blueprint::nn(4, 4, 4)).1, "model");
         let (plan, source) = explain(&Blueprint::nn(64, 288, 2048));
         assert_eq!(source, "model");
         assert_eq!(plan, select(&Blueprint::nn(64, 288, 2048)));

@@ -34,7 +34,7 @@
 //! yields row segments inside that chunk and nothing else.
 
 use super::blueprint::Blueprint;
-use super::routine::{execute_slab, Rhs, Routine, Slab, SlabDeal};
+use super::routine::{execute_slab, Rhs, Routine, Slab, SlabDeal, MR, NR};
 use crate::pool;
 use crate::scratch::Scratch;
 use std::sync::OnceLock;
@@ -82,14 +82,15 @@ fn parse_threads(var: Option<&str>, host: usize) -> usize {
     budget.clamp(1, MAX_WORKERS)
 }
 
-/// Row-split granularity: m is chunked in units of 8 rows (a full
-/// register tile for every supported `mr`).
-pub(crate) const M_UNIT: usize = 8;
+/// Row-split granularity: m is chunked in units of 8 rows, four
+/// [`MR`]-row register tiles, so interior chunk boundaries never create
+/// ragged rows.
+pub(crate) const M_UNIT: usize = 4 * MR;
 
-/// Column-split granularity: n is chunked in units of 64 columns — a
-/// multiple of every supported `nr`, so interior chunk boundaries never
-/// create ragged packed panels.
-pub(crate) const N_UNIT: usize = 64;
+/// Column-split granularity: n is chunked in units of one [`NR`]-wide
+/// packed panel, so interior chunk boundaries never create ragged
+/// panels.
+pub(crate) const N_UNIT: usize = NR;
 
 /// Whether this shape splits by rows (m-tiles) instead of columns
 /// (j-panels): wide-m / narrow-n problems — the fc weight-update `Tn`
@@ -262,11 +263,7 @@ mod tests {
 
     #[test]
     fn threaded_run_matches_serial_bitwise() {
-        let routine = Routine::Packed {
-            mr: 2,
-            nr: 64,
-            kc: 128,
-        };
+        let routine = Routine::Packed { kc: 128 };
         let bp = Blueprint::nn(48, 96, 640);
         let lhs: Vec<f32> = (0..bp.lhs_len()).map(|i| (i as f32).sin()).collect();
         let rhs: Vec<f32> = (0..bp.rhs_len()).map(|i| (i as f32).cos()).collect();

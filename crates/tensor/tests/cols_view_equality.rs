@@ -70,7 +70,7 @@ fn view_fed_products_equal_the_products_over_im2col_columns() {
         for budget in BUDGETS {
             // Forward form: [m, C·R·S] · cols.
             let bp = Blueprint::nn(m, crs, npq).with_threads(budget);
-            threaded += usize::from(kernel::select_cols(&bp).workers > 1);
+            threaded += usize::from(kernel::select(&bp).workers > 1);
             let lhs = tensor(&[m, crs], 0.5, &mut rng);
             let (mut got, mut want) = (vec![f32::NAN; m * npq], vec![f32::NAN; m * npq]);
             kernel::gemm_cols(&bp, &mut got, lhs.data(), &view, &mut scratch);
@@ -79,7 +79,7 @@ fn view_fed_products_equal_the_products_over_im2col_columns() {
 
             // Weight-update form: [m, N·P·Q] · colsᵀ.
             let bp = Blueprint::nt(m, npq, crs).with_threads(budget);
-            threaded += usize::from(kernel::select_cols(&bp).workers > 1);
+            threaded += usize::from(kernel::select(&bp).workers > 1);
             let lhs = tensor(&[m, npq], 0.3, &mut rng);
             let (mut got, mut want) = (vec![f32::NAN; m * crs], vec![f32::NAN; m * crs]);
             kernel::gemm_cols(&bp, &mut got, lhs.data(), &view, &mut scratch);

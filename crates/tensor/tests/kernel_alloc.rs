@@ -52,13 +52,16 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_gemm_calls_perform_zero_allocations() {
-    // One problem per operand layout, all large enough to take the
-    // packed (panel-staging) routines rather than the seed streams.
+    // One problem per operand layout, plus the tiny fc2 trio of a
+    // tiny-VGG step: every product stages its panels through the pool.
     let problems = [
         Blueprint::nn(48, 96, 130),
         Blueprint::nt(48, 96, 130),
         Blueprint::tn(48, 96, 130),
         Blueprint::nn(17, 200, 64),
+        Blueprint::nt(8, 64, 10),
+        Blueprint::nn(8, 10, 64),
+        Blueprint::tn(10, 8, 64),
     ];
     let lhs = vec![1.0f32; 48 * 200];
     let rhs = vec![0.5f32; 200 * 130];
@@ -94,7 +97,7 @@ fn steady_state_gemm_calls_perform_zero_allocations() {
     assert_eq!(
         after - before,
         0,
-        "steady-state kernel::gemm must not allocate (got {} allocations over 20 calls)",
+        "steady-state kernel::gemm must not allocate (got {} allocations over 35 calls)",
         after - before
     );
 

@@ -1,9 +1,9 @@
 //! The kernel subsystem's bit-for-bit equality contract, pinned over
 //! seeded randomized shapes.
 //!
-//! Whatever routine the selector dispatches — seed streaming loop or
-//! any register-tiled microkernel the cost model ranks — the `f32`
-//! output must equal the naive reference
+//! Whatever plan the selector dispatches — either routine, any `kc`
+//! the cost model ranks — the `f32` output must equal the naive
+//! reference
 //! `matmul_ikj` **exactly** (`==` on every element, not a tolerance).
 //! The sweep deliberately includes the shapes that bend kernel edge
 //! cases: `k = 0` (pure zeroing), `m = 1` (only the MR=1 tail runs),
@@ -124,7 +124,7 @@ fn randomized_shapes_match_reference_bitwise() {
     let mut rng = Xorshift64::new(0xc0ffee);
     for case in 0..40u64 {
         // Skewed small so debug-build runtime stays bounded while still
-        // crossing the tiny-problem cutoff.
+        // crossing the 64-column panel width.
         let m = 1 + (rng.next_u64() % 64) as usize;
         let k = (rng.next_u64() % 97) as usize; // includes k = 0
         let n = 1 + (rng.next_u64() % 160) as usize;
