@@ -15,6 +15,9 @@
 //! The same comparison is printed (never asserted) at
 //! `ComputeBackend::AUTO_MAX_DENSITY`, the density at which `Auto`
 //! starts promoting layers: that constant's documentation quotes it.
+//! So is the resync of tiny-VGG's weight stores at 10 % density — the
+//! re-encode of every promoted master into its CSRs that a sparse
+//! training step pays once.
 //!
 //! Runs under plain `cargo test` in the offline build. The timing
 //! assertions are conditional, per the offline/1-CPU environment:
@@ -28,9 +31,9 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use procrustes_bench::{best_of as time, FIG06_BATCH, FIG06_CONV_LAYERS};
-use procrustes_nn::ComputeBackend;
+use procrustes_nn::{arch, ComputeBackend, Layer, ParamKind, WeightStore};
 use procrustes_prng::{UniformRng, Xorshift64};
-use procrustes_sparse::{ConvDecode, CsbTensor, FcDecode};
+use procrustes_sparse::{ConvDecode, FcDecode};
 use procrustes_tensor::kernel::{self, Blueprint};
 use procrustes_tensor::{
     conv2d_backward_input_gemm, conv2d_from_cols, conv2d_from_planes, im2col, PaddedPlanes,
@@ -70,7 +73,7 @@ fn conv_stack_times(keep: f64) -> [Duration; 6] {
     for (li, &(c, k, hw)) in FIG06_CONV_LAYERS.iter().enumerate() {
         let seed = 10 * li as u64;
         let w = sparse_tensor(&[k, c, 3, 3], keep, seed + 1);
-        let decode = ConvDecode::from_csb(&CsbTensor::from_dense_conv(&w));
+        let decode = ConvDecode::from_dense(&w);
         let x = Tensor::randn(
             &[FIG06_BATCH, c, hw, hw],
             1.0,
@@ -180,7 +183,7 @@ fn csb_fc_forward_not_slower_than_dense_at_high_sparsity() {
     let _turn = exclusive();
     const N: usize = 16;
     let w = sparse_tensor(&[512, 512], KEEP, 3);
-    let decode = FcDecode::from_csb(&CsbTensor::from_dense_fc(&w, 64));
+    let decode = FcDecode::from_dense(&w);
     let x = Tensor::randn(&[N, 512], 1.0, &mut Xorshift64::new(4));
     let dy = Tensor::randn(&[N, 512], 1.0, &mut Xorshift64::new(5));
     let mut scratch = Scratch::new();
@@ -234,4 +237,35 @@ fn csb_fc_forward_not_slower_than_dense_at_high_sparsity() {
             "optimized csb fc forward ({csb_fw:?}) must beat dense ({dense_fw:?}) at {KEEP} density"
         );
     }
+}
+
+#[test]
+fn tiny_vgg_weight_store_resync_time_is_printed() {
+    let _turn = exclusive();
+    // Tiny-VGG's conv and fc weights, 10 % of each kept, on the CSB
+    // backend.
+    let mut model = arch::tiny_vgg(10, &mut Xorshift64::new(1));
+    let mut stores = Vec::new();
+    model.visit_params(&mut |p| {
+        if p.kind == ParamKind::Prunable {
+            let seed = stores.len() as u64;
+            let mut store = WeightStore::new(sparse_tensor(p.values.shape().dims(), KEEP, seed));
+            store.set_backend(ComputeBackend::Csb);
+            store.sync();
+            stores.push(store);
+        }
+    });
+    assert!(stores.iter().all(WeightStore::is_csb));
+    // What a training step does to each store: write the master, then
+    // resync before the next forward.
+    let resync = time(20, || {
+        for store in &mut stores {
+            store.tensor_mut();
+            store.sync();
+        }
+    });
+    println!(
+        "weight-store resync of tiny-VGG at {KEEP} density: {resync:?} over {} stores",
+        stores.len()
+    );
 }

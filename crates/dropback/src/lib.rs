@@ -16,11 +16,14 @@
 //!    the admission threshold ϑ; each produced gradient costs one
 //!    comparison.
 //!
-//! This crate implements three trainers over `procrustes-nn` models:
+//! This crate implements four trainers over `procrustes-nn` models:
 //!
 //! * [`DenseSgdTrainer`] — the unpruned baseline (“baseline (SGD)”);
 //! * [`DropbackExact`] — original Dropback, Alg 2: exact sort, no decay;
-//! * [`ProcrustesTrainer`] — Alg 3 + quantile estimation + WR unit.
+//! * [`ProcrustesTrainer`] — Alg 3 + quantile estimation + WR unit;
+//! * [`GradualMagnitudeTrainer`] — the gradual magnitude-pruning
+//!   comparator (Eager-Pruning style), thresholded by the same quantile
+//!   estimator.
 //!
 //! plus the functional models of the hardware blocks:
 //! [`WeightRecompute`] (the WR unit) and [`TrackedSet`] (the accumulated-
@@ -95,7 +98,7 @@ pub struct StepStats {
 
 /// The common trainer interface.
 ///
-/// All three training algorithms expose one step of SGD-style training on
+/// All four training algorithms expose one step of SGD-style training on
 /// a labelled minibatch plus evaluation on held-out data, so experiments
 /// can swap them freely (paper Figs 6, 7, 15, 16 compare exactly these).
 pub trait Trainer {

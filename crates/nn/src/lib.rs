@@ -75,7 +75,7 @@ pub use loss::{accuracy, SoftmaxCrossEntropy};
 pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
 pub use sequential::Sequential;
 pub use sgd::Sgd;
-pub use store::{ComputeBackend, Decode, WeightStore, DEFAULT_FC_EDGE};
+pub use store::{ComputeBackend, Decode, WeightStore};
 pub use util::{concat_channels, concat_channels_with, slice_channels, slice_channels_with};
 
 // The scratch workspace threaded through `Layer::forward_with` /

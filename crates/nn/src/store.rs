@@ -1,25 +1,26 @@
 //! Weight storage for sparse-aware layers: a dense master tensor with an
-//! optional compressed-sparse-block compute representation.
+//! optional sparse compute representation.
 //!
 //! Sparse trainers (Dropback, Procrustes) rewrite the materialized weight
 //! tensor every step through [`Layer::visit_params`](crate::Layer), so
-//! the dense tensor stays the single source of truth; the CSB copy is a
-//! *compute cache* re-derived lazily before the next forward pass
+//! the dense tensor stays the single source of truth; the [`Decode`] is
+//! a *compute cache* re-derived lazily before the next forward pass
 //! whenever the weights may have changed ("resyncing layout after mask
 //! updates"). The store owns everything that decision needs — the
 //! master, the [`ComputeBackend`] policy and the dirty bit — so a layer
 //! only marks, syncs and dispatches. Switching backends never changes
-//! results: the CSB kernels are bitwise-equal to the dense ones (see
+//! results: the sparse kernels are bitwise-equal to the dense ones (see
 //! `procrustes_sparse::kernels`).
 //!
-//! A resync encodes the master once, as a conv-layout [`CsbTensor`] for
-//! a `KCRS` master and an fc-layout one for `[out, in]`, and flattens
-//! that tensor into the [`Decode`] the kernels walk, so masks and
-//! pointers are read once per resync, not once per forward and once per
-//! backward call. The fc backward reads the same tensor transposed (the
-//! decode holds both orders); no second tensor is built.
+//! A resync reads the master once per order and encodes its nonzeros
+//! straight into the CSRs the kernels walk — forward and rotated for a
+//! `KCRS` master, `W` and `Wᵀ` for `[out, in]` — reusing the previous
+//! resync's buffers, so a steady-state resync allocates nothing. The
+//! compressed-sparse-block format (`procrustes_sparse::CsbTensor`) is
+//! what the accelerator stores and the simulator accounts for; the CPU
+//! twin derives its CSRs from the master without building it.
 
-use procrustes_sparse::{ConvDecode, CsbTensor, FcDecode};
+use procrustes_sparse::{ConvDecode, FcDecode};
 use procrustes_tensor::Tensor;
 
 /// Which kernels a sparse-aware layer runs its weights through.
@@ -53,10 +54,10 @@ impl ComputeBackend {
     /// 1.8–2.2 ms, backward-input 1.9–2.6 vs 2.2–2.6 ms). Below it the
     /// sparse pair wins, 1.1–1.4 ms against 2.4–3.3 ms at density 0.10.
     /// So the threshold sits at the measured crossover of the kernels
-    /// alone; each resync of a promoted layer also pays an encode and a
-    /// decode that scale with the nonzeros, and a threaded gather would
-    /// move it up (ROADMAP item 1c). Backends are bit-equal, so the
-    /// threshold can only move time, never a result.
+    /// alone; each resync of a promoted layer also pays an encode that
+    /// reads the master and writes its nonzeros, and a threaded gather
+    /// would move it up (ROADMAP item 1c). Backends are bit-equal, so
+    /// the threshold can only move time, never a result.
     pub const AUTO_MAX_DENSITY: f64 = 0.5;
 
     /// [`ComputeBackend::Auto`] with the default threshold.
@@ -85,11 +86,8 @@ impl ComputeBackend {
     }
 }
 
-/// The fc block edge (the paper sizes fc regions per layer; 64 keeps
-/// pointer overhead negligible while borders stay cheap).
-pub const DEFAULT_FC_EDGE: usize = 64;
-
-/// The flat decode of a store's CSB copy that its layer's kernels run on.
+/// The sparse encoding of a store's master that its layer's kernels run
+/// on.
 #[derive(Debug)]
 pub enum Decode {
     /// Of a `KCRS` master: forward order and rotated backward order.
@@ -101,16 +99,16 @@ pub enum Decode {
 /// A layer's weight tensor with its compute representation.
 ///
 /// The dense master is what trainers mutate; under a CSB-selecting
-/// [`ComputeBackend`] the store also caches the master's compressed copy
-/// and its [`Decode`]. Handing out the master mutably marks the cache
-/// stale, and [`WeightStore::sync`] re-derives it.
+/// [`ComputeBackend`] the store also caches the master's [`Decode`].
+/// Handing out the master mutably marks the cache stale, and
+/// [`WeightStore::sync`] re-derives it.
 pub struct WeightStore {
     master: Tensor,
     backend: ComputeBackend,
     /// Set whenever the master or the backend may have changed since the
     /// last sync.
     dirty: bool,
-    cache: Option<(CsbTensor, Decode)>,
+    decode: Option<Decode>,
 }
 
 impl WeightStore {
@@ -121,7 +119,7 @@ impl WeightStore {
             master,
             backend: ComputeBackend::Dense,
             dirty: false,
-            cache: None,
+            decode: None,
         }
     }
 
@@ -143,20 +141,15 @@ impl WeightStore {
         self.dirty = true;
     }
 
-    /// The CSB compute copy, if the store is compressed.
-    pub fn csb(&self) -> Option<&CsbTensor> {
-        self.cache.as_ref().map(|(csb, _)| csb)
-    }
-
     /// The decode to run the sparse kernels on, if the store is
     /// compressed; `None` selects the dense kernels on the master.
     pub fn decode(&self) -> Option<&Decode> {
-        self.cache.as_ref().map(|(_, decode)| decode)
+        self.decode.as_ref()
     }
 
     /// True when the compressed representation is active.
     pub fn is_csb(&self) -> bool {
-        self.cache.is_some()
+        self.decode.is_some()
     }
 
     /// Density (fraction of nonzeros) of the master tensor.
@@ -164,10 +157,10 @@ impl WeightStore {
         1.0 - self.master.sparsity()
     }
 
-    /// Re-derives the compute representation if it is stale: compresses
-    /// the master (one CSB encode, one decode) or drops the compressed
-    /// copy, according to what the backend wants for the master's
-    /// current density.
+    /// Re-derives the compute representation if it is stale: re-encodes
+    /// the master's nonzeros into the decode (reusing its buffers) or
+    /// drops the decode, according to what the backend wants for the
+    /// master's current density.
     ///
     /// # Panics
     ///
@@ -183,25 +176,28 @@ impl WeightStore {
             ComputeBackend::Csb => true,
             ComputeBackend::Auto { .. } => self.backend.wants_csb(self.density()),
         };
-        self.cache = wants.then(|| {
-            if self.master.shape().rank() == 4 {
-                let csb = CsbTensor::from_dense_conv(&self.master);
-                let decode = Decode::Conv(ConvDecode::from_csb(&csb));
-                (csb, decode)
-            } else {
-                let csb = CsbTensor::from_dense_fc(&self.master, DEFAULT_FC_EDGE);
-                let decode = Decode::Fc(FcDecode::from_csb(&csb));
-                (csb, decode)
+        match (wants, &mut self.decode) {
+            (false, decode) => *decode = None,
+            (true, Some(Decode::Conv(d))) => d.encode(&self.master),
+            (true, Some(Decode::Fc(d))) => d.encode(&self.master),
+            (true, decode @ None) => {
+                *decode = Some(if self.master.shape().rank() == 4 {
+                    Decode::Conv(ConvDecode::from_dense(&self.master))
+                } else {
+                    Decode::Fc(FcDecode::from_dense(&self.master))
+                });
             }
-        });
+        }
     }
 }
 
 impl std::fmt::Debug for WeightStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "WeightStore({:?}", self.master.shape())?;
-        if let Some(csb) = self.csb() {
-            write!(f, ", csb nnz {}", csb.nnz())?;
+        match &self.decode {
+            Some(Decode::Conv(d)) => write!(f, ", csb nnz {}", d.nnz())?,
+            Some(Decode::Fc(d)) => write!(f, ", csb nnz {}", d.nnz())?,
+            None => {}
         }
         write!(f, ")")
     }
@@ -231,7 +227,6 @@ mod tests {
         store.set_backend(ComputeBackend::auto());
         store.sync();
         assert!(store.is_csb(), "25% density should promote");
-        assert_eq!(store.csb().unwrap().nnz(), 1);
         assert!(matches!(store.decode(), Some(Decode::Conv(d)) if d.nnz() == 1));
         // Refill the master through the mutable view, resync: demotes.
         store.tensor_mut().map_inplace(|_| 1.0);
@@ -246,10 +241,10 @@ mod tests {
         let mut store = WeightStore::new(dense);
         store.set_backend(ComputeBackend::Csb);
         store.sync();
-        assert_eq!(&store.csb().unwrap().to_dense(), store.tensor());
         let Some(Decode::Fc(decode)) = store.decode() else {
             panic!("an [out, in] master decodes as fc");
         };
+        assert_eq!(decode.nnz(), 3);
         let mut scratch = procrustes_tensor::Scratch::new();
         let dy = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]);
         let dx = decode.backward_input(&dy, &mut scratch);

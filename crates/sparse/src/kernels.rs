@@ -2,16 +2,19 @@
 //!
 //! These are the software analogues of the Procrustes PE datapath: the
 //! forward and backward convolutions and the fully-connected products,
-//! consuming weights directly in the [`CsbTensor`] format so that every
-//! elided (zero) weight is also an elided multiply-accumulate — the
-//! *computation sparsity* of §III-A turned into actual work savings, the
-//! same way SparseTrain exploits dataflow sparsity inside the kernels.
+//! reading only the nonzero weights so that every elided (zero) weight
+//! is also an elided multiply-accumulate — the *computation sparsity* of
+//! §III-A turned into actual work savings, the same way SparseTrain
+//! exploits dataflow sparsity inside the kernels.
 //!
-//! The stored nonzeros drive every loop nest and the innermost loop is a
-//! contiguous `f32` run. Layers flatten a [`CsbTensor`] once per weight
-//! resync into a [`ConvDecode`] or an [`FcDecode`], each a pair of CSRs
-//! (the weight matrix in the order each pass fetches it), and two loop
-//! nests consume them:
+//! [`CsbTensor`] is the format the accelerator stores, the one the
+//! simulator and Fig 8 account for; the PEs rotate or transpose it on
+//! the fetch path. The kernels here read what that fetch delivers: layers
+//! encode their dense master once per weight resync, straight into a
+//! [`ConvDecode`] or an [`FcDecode`], each a pair of CSRs (the weight
+//! matrix in the order each pass fetches it). The stored nonzeros drive
+//! every loop nest, the innermost loop is a contiguous `f32` run, and
+//! two loop nests consume the CSRs:
 //!
 //! - **The gather** serves both convolutions. Like the PEs of Fig 2 it
 //!   never unfolds an activation: it runs over the zero-padded planes
@@ -27,7 +30,8 @@
 //!   [`ConvDecode::forward_from_cols`], the im2col oracle the gather is
 //!   tested against.
 //!
-//! The `csb_*` functions are the decode-per-call convenience wrappers.
+//! The `csb_*` functions are the decode-per-call convenience wrappers:
+//! they take a [`CsbTensor`], decompress it and encode the decode.
 //!
 //! # Numerical contract
 //!
@@ -54,7 +58,7 @@
 
 use procrustes_tensor::{conv_out_dim, im2col_into, PaddedPlanes, Scratch, Tensor};
 
-use crate::{CsbLayout, CsbTensor};
+use crate::CsbTensor;
 
 /// Accumulator-block width of the SpMM and the gather:
 /// this many output positions stay in registers while one row's nonzeros
@@ -66,7 +70,7 @@ const NR: usize = 128;
 /// A sparse matrix by rows: `row_ptr[r]..row_ptr[r + 1]` indexes row
 /// `r`'s `(column, value)` pairs, ascending by column — the order the
 /// dense kernels reduce in.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Csr {
     cols: usize,
     row_ptr: Vec<u32>,
@@ -75,55 +79,71 @@ struct Csr {
 }
 
 impl Csr {
-    /// Counting sort by row of the `(row, column, value)` entries that
+    /// Re-encodes the matrix, in the vectors it already holds, as the
+    /// nonzeros of the row-major `data` with `cols`-wide rows: one read
+    /// of `data`, each row's columns ascending. `-0.0 == 0.0`, so a
+    /// signed zero is not stored.
+    fn set_from_dense(&mut self, data: &[f32], cols: usize) {
+        self.cols = cols;
+        self.row_ptr.clear();
+        self.idx.clear();
+        self.val.clear();
+        self.row_ptr.push(0);
+        for row in data.chunks_exact(cols.max(1)) {
+            for (c, &v) in row.iter().enumerate() {
+                if v != 0.0 {
+                    self.idx.push(c as u32);
+                    self.val.push(v);
+                }
+            }
+            self.row_ptr.push(self.idx.len() as u32);
+        }
+    }
+
+    /// Re-encodes the matrix, in the vectors it already holds, as the
+    /// counting sort by row of the `(row, column, value)` entries that
     /// `for_each` feeds its visitor, the same ones on each of its two
     /// calls. Stable: a row keeps its entries in arrival order, so each
     /// row's columns must arrive ascending.
-    fn from_entries(
+    fn set_from_entries(
+        &mut self,
         rows: usize,
         cols: usize,
         for_each: impl Fn(&mut dyn FnMut(usize, usize, f32)),
-    ) -> Self {
-        let mut row_ptr = vec![0u32; rows + 1];
+    ) {
+        self.cols = cols;
+        let Self {
+            row_ptr, idx, val, ..
+        } = self;
+        row_ptr.clear();
+        row_ptr.resize(rows + 1, 0);
         for_each(&mut |r, _, _| row_ptr[r + 1] += 1);
         for r in 0..rows {
             row_ptr[r + 1] += row_ptr[r];
         }
-        let mut cursor = row_ptr[..rows].to_vec();
         let nnz = row_ptr[rows] as usize;
-        let (mut idx, mut val) = (vec![0u32; nnz], vec![0.0f32; nnz]);
+        idx.resize(nnz, 0);
+        val.resize(nnz, 0.0);
+        // `row_ptr[r]` is row `r`'s cursor: it ends at row `r + 1`'s
+        // start, and the shift below restores every start.
         for_each(&mut |r, c, v| {
-            let at = cursor[r] as usize;
+            let at = row_ptr[r] as usize;
             idx[at] = c as u32;
             val[at] = v;
-            cursor[r] += 1;
+            row_ptr[r] += 1;
         });
-        Self {
-            cols,
-            row_ptr,
-            idx,
-            val,
-        }
+        row_ptr.copy_within(0..rows, 1);
+        row_ptr[0] = 0;
     }
 
     fn rows(&self) -> usize {
         self.row_ptr.len() - 1
     }
 
-    fn row(&self, r: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
+    fn row(&self, r: usize) -> impl DoubleEndedIterator<Item = (usize, f32)> + '_ {
         let span = self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize;
         let pairs = self.idx[span.clone()].iter().zip(&self.val[span]);
         pairs.map(|(&i, &v)| (i as usize, v))
-    }
-
-    /// The CSR of the transpose, O(nnz): rows are read in order, so each
-    /// row of the result keeps ascending columns.
-    fn transposed(&self) -> Self {
-        Self::from_entries(self.cols, self.rows(), |visit| {
-            for r in 0..self.rows() {
-                self.row(r).for_each(|(c, v)| visit(c, r, v));
-            }
-        })
     }
 
     /// `y = A·B` for a row-major `b: [cols, npq]` whose columns are
@@ -252,9 +272,8 @@ impl Csr {
     }
 }
 
-/// A flat decode of a conv-layout [`CsbTensor`] in the two orders the
-/// training step reads it, so the kernels never touch masks or
-/// pointers:
+/// A `KCRS` weight tensor as the two CSRs the training step reads, so
+/// the kernels touch only stored nonzeros:
 ///
 /// - by output channel `k`: `(c·R·S + r·S + s, value)` ascending — the
 ///   rows of the `[K, C·R·S]` weight matrix, for the forward pass;
@@ -263,20 +282,20 @@ impl Csr {
 ///   channel-swapped `[C, K·R·S]` matrix, the fetch order of the
 ///   backward pass (Fig 2b).
 ///
-/// Layers build one per weight resync (see `WeightStore` in
-/// `procrustes-nn`) and run every forward and backward-input
-/// convolution through it with pooled outputs, so the steady-state
-/// sparse conv path decodes once per step and allocates nothing.
+/// Layers re-encode one per weight resync (see `WeightStore` in
+/// `procrustes-nn`) into the buffers it already holds, and run every
+/// forward and backward-input convolution through it with pooled
+/// outputs, so the steady-state sparse conv path allocates nothing.
 ///
 /// # Examples
 ///
 /// ```
-/// use procrustes_sparse::{ConvDecode, CsbTensor};
+/// use procrustes_sparse::ConvDecode;
 /// use procrustes_tensor::{reference::conv2d, PaddedPlanes, Scratch, Tensor};
 ///
 /// let w = Tensor::from_vec(&[1, 1, 3, 3],
 ///     vec![0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 1.0]);
-/// let decode = ConvDecode::from_csb(&CsbTensor::from_dense_conv(&w));
+/// let decode = ConvDecode::from_dense(&w);
 /// assert_eq!(decode.nnz(), 2);
 /// let x = Tensor::ones(&[1, 1, 4, 4]);
 /// let mut scratch = Scratch::new();
@@ -297,70 +316,52 @@ pub struct ConvDecode {
 }
 
 impl ConvDecode {
-    /// Decodes a conv-layout CSB tensor: one scan of the masks and
-    /// packed values per order.
+    /// Encodes the nonzeros of a `KCRS` weight tensor in both orders.
     ///
     /// # Panics
     ///
-    /// Panics if `w` is not conv-layout.
-    pub fn from_csb(w: &CsbTensor) -> Self {
-        let CsbLayout::Conv { k, c, r, s } = w.layout() else {
-            panic!("csb conv kernel: weights must have a conv layout");
+    /// Panics if `w` is not rank 4.
+    pub fn from_dense(w: &Tensor) -> Self {
+        let mut decode = Self {
+            k: 0,
+            c: 0,
+            r: 0,
+            s: 0,
+            rows: Csr::default(),
+            rot: Csr::default(),
         };
-        let nnz = w.nnz();
-        let mut row_ptr = Vec::with_capacity(k + 1);
-        let mut idx = Vec::with_capacity(nnz);
-        let mut val = Vec::with_capacity(nnz);
-        let mut chan_ptr = vec![0u32; c + 1];
-        row_ptr.push(0);
-        for ki in 0..k {
-            for ci in 0..c {
-                let slots = w.block_mask(ki, ci).iter_ones();
-                for (slot, &v) in slots.zip(w.block_values(ki, ci)) {
-                    idx.push((ci * r * s + slot) as u32);
-                    val.push(v);
+        decode.encode(w);
+        decode
+    }
+
+    /// Re-encodes both orders from `w` into this decode's buffers, which
+    /// grow only when `w` stores more nonzeros than they have held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is not rank 4.
+    pub fn encode(&mut self, w: &Tensor) {
+        let shape = w.shape();
+        assert_eq!(
+            shape.rank(),
+            4,
+            "csb conv kernel: weights must have a conv layout (KCRS)"
+        );
+        let [k, c, r, s] = [0, 1, 2, 3].map(|d| shape.dim(d));
+        let (crs, rs) = (c * r * s, r * s);
+        self.rows.set_from_dense(w.data(), crs);
+        // The rotated fetch reads a filter's last tap first, so each
+        // forward row is read backwards: per channel, `k` ascending and
+        // the rotated taps ascending.
+        let rows = &self.rows;
+        self.rot.set_from_entries(c, k * rs, |visit| {
+            for ki in 0..k {
+                for (i, v) in rows.row(ki).rev() {
+                    visit(i / rs, (ki + 1) * rs - 1 - i % rs, v);
                 }
-                chan_ptr[ci + 1] += w.block_nnz(ki, ci) as u32;
             }
-            row_ptr.push(idx.len() as u32);
-        }
-        for ci in 0..c {
-            chan_ptr[ci + 1] += chan_ptr[ci];
-        }
-        let mut cursor = chan_ptr[..c].to_vec();
-        let (mut rot_idx, mut rot_val) = (vec![0u32; nnz], vec![0.0f32; nnz]);
-        for ki in 0..k {
-            for (ci, cursor) in cursor.iter_mut().enumerate() {
-                // The rotated fetch: a block's last slot comes first.
-                let end = *cursor as usize + w.block_nnz(ki, ci);
-                let slots = w.block_mask(ki, ci).iter_ones();
-                for (i, (slot, &v)) in slots.zip(w.block_values(ki, ci)).enumerate() {
-                    rot_idx[end - 1 - i] = ((ki + 1) * r * s - 1 - slot) as u32;
-                    rot_val[end - 1 - i] = v;
-                }
-                *cursor = end as u32;
-            }
-        }
-        let rows = Csr {
-            cols: c * r * s,
-            row_ptr,
-            idx,
-            val,
-        };
-        let rot = Csr {
-            cols: k * r * s,
-            row_ptr: chan_ptr,
-            idx: rot_idx,
-            val: rot_val,
-        };
-        Self {
-            k,
-            c,
-            r,
-            s,
-            rows,
-            rot,
-        }
+        });
+        (self.k, self.c, self.r, self.s) = (k, c, r, s);
     }
 
     /// `[K, C, R, S]` of the decoded weights.
@@ -583,7 +584,7 @@ fn check_upstream(
 /// assert_eq!(y.data(), conv2d(&x, &w, 1, 0).data());
 /// ```
 pub fn csb_conv2d(x: &Tensor, w: &CsbTensor, stride: usize, pad: usize) -> Tensor {
-    let decode = ConvDecode::from_csb(w);
+    let decode = ConvDecode::from_dense(&w.to_dense());
     let [_, c, r, s] = decode.dims();
     let (n, h, wdt) = check_activations(x, c);
     let p = conv_out_dim(h, r, stride, pad);
@@ -614,7 +615,8 @@ pub fn csb_conv2d_backward_input(
     stride: usize,
     pad: usize,
 ) -> Tensor {
-    ConvDecode::from_csb(w).backward_input(dy, h, wdt, stride, pad, &mut Scratch::new())
+    let decode = ConvDecode::from_dense(&w.to_dense());
+    decode.backward_input(dy, h, wdt, stride, pad, &mut Scratch::new())
 }
 
 /// Weight-update convolution restricted to the CSB mask: accumulates
@@ -638,7 +640,7 @@ pub fn csb_conv2d_backward_weights_masked(
     stride: usize,
     pad: usize,
 ) -> Tensor {
-    let decode = ConvDecode::from_csb(mask);
+    let decode = ConvDecode::from_dense(&mask.to_dense());
     let [k, c, r, s] = decode.dims();
     let (n, h, wdt) = check_activations(x, c);
     let (nd, p, q) = check_upstream(dy, decode.dims(), h, wdt, stride, pad);
@@ -676,24 +678,23 @@ pub fn csb_conv2d_backward_weights_masked(
     dw
 }
 
-/// A flat decode of an fc-layout [`CsbTensor`] in the two orders the
-/// training step reads it: the CSR of `W` (per output `o`, ascending
-/// input `i`) for the forward product and the CSR of `Wᵀ` (per input
-/// `i`, ascending `o`) for the backward one — the transposed fetch of
-/// the one stored tensor, obtained by a counting sort of the first CSR.
+/// An `[out, in]` weight matrix as the two CSRs the training step
+/// reads: the CSR of `W` (per output `o`, ascending input `i`) for the
+/// forward product and the CSR of `Wᵀ` (per input `i`, ascending `o`) for
+/// the backward one.
 ///
-/// Layers build one per weight resync (see `WeightStore` in
-/// `procrustes-nn`) and run both products through the SpMM the conv
-/// forward uses, with pooled buffers.
+/// Layers re-encode one per weight resync (see `WeightStore` in
+/// `procrustes-nn`) into the buffers it already holds, and run both
+/// products through the SpMM the conv forward uses, with pooled buffers.
 ///
 /// # Examples
 ///
 /// ```
-/// use procrustes_sparse::{CsbTensor, FcDecode};
+/// use procrustes_sparse::FcDecode;
 /// use procrustes_tensor::{Scratch, Tensor};
 ///
 /// let w = Tensor::from_vec(&[2, 3], vec![1.0, 0.0, 2.0, 0.0, 3.0, 0.0]);
-/// let decode = FcDecode::from_csb(&CsbTensor::from_dense_fc(&w, 2));
+/// let decode = FcDecode::from_dense(&w);
 /// let mut scratch = Scratch::new();
 /// let x = Tensor::from_vec(&[1, 3], vec![10.0, 20.0, 30.0]);
 /// assert_eq!(decode.forward(&x, &mut scratch).data(), &[70.0, 60.0]);
@@ -707,26 +708,43 @@ pub struct FcDecode {
 }
 
 impl FcDecode {
-    /// Decodes an fc-layout CSB tensor.
-    ///
-    /// Blocks are visited in grid order so each row's entries arrive
-    /// with ascending column index — the ikj matmul's reduction order.
+    /// Encodes the nonzeros of an `[out, in]` weight matrix in both
+    /// orders.
     ///
     /// # Panics
     ///
-    /// Panics if `w` is not fc-layout.
-    pub fn from_csb(w: &CsbTensor) -> Self {
-        let CsbLayout::Fc { out, inp, edge } = w.layout() else {
-            panic!("FcDecode: weights must have an fc layout");
+    /// Panics if `w` is not rank 2.
+    pub fn from_dense(w: &Tensor) -> Self {
+        let mut decode = Self {
+            w: Csr::default(),
+            wt: Csr::default(),
         };
-        let w = Csr::from_entries(out, inp, |visit| {
-            w.iter_nonzeros().for_each(|e| {
-                let (o, i) = (e.grid_row * edge + e.in_row, e.grid_col * edge + e.in_col);
-                visit(o, i, e.value)
-            })
+        decode.encode(w);
+        decode
+    }
+
+    /// Re-encodes both orders from `w` into this decode's buffers, which
+    /// grow only when `w` stores more nonzeros than they have held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` is not rank 2.
+    pub fn encode(&mut self, w: &Tensor) {
+        let shape = w.shape();
+        assert_eq!(
+            shape.rank(),
+            2,
+            "FcDecode: weights must have an fc layout ([out, in])"
+        );
+        let (out, inp) = (shape.dim(0), shape.dim(1));
+        self.w.set_from_dense(w.data(), inp);
+        // Rows of `W` read in order give each row of `Wᵀ` ascending `o`.
+        let rows = &self.w;
+        self.wt.set_from_entries(inp, out, |visit| {
+            for o in 0..out {
+                rows.row(o).for_each(|(i, v)| visit(i, o, v));
+            }
         });
-        let wt = w.transposed();
-        Self { w, wt }
     }
 
     /// Stored nonzeros.
@@ -791,7 +809,7 @@ impl FcDecode {
 /// assert_eq!(dx.data(), &[1.0, 3.0, 2.0]);
 /// ```
 pub fn csb_fc_forward(x: &Tensor, w: &CsbTensor) -> Tensor {
-    FcDecode::from_csb(w).forward(x, &mut Scratch::new())
+    FcDecode::from_dense(&w.to_dense()).forward(x, &mut Scratch::new())
 }
 
 #[cfg(test)]
@@ -860,11 +878,11 @@ mod tests {
                 let w = with_nnz(dims, nnz, seed + nnz as u64);
                 let csb = if dims.len() == 4 {
                     let csb = CsbTensor::from_dense_conv(&w);
-                    assert_eq!(ConvDecode::from_csb(&csb).nnz(), nnz);
+                    assert_eq!(ConvDecode::from_dense(&w).nnz(), nnz);
                     csb
                 } else {
                     let csb = CsbTensor::from_dense_fc(&w, 64);
-                    assert_eq!(FcDecode::from_csb(&csb).nnz(), nnz);
+                    assert_eq!(FcDecode::from_dense(&w).nnz(), nnz);
                     csb
                 };
                 assert_eq!(csb.nnz(), nnz, "case must hold the nnz it claims");
@@ -896,7 +914,7 @@ mod tests {
             let cols = im2col(&x, r, s, stride, pad);
             for (w, csb) in weight_cases(&[k, c, r, s], 10 * gi as u64) {
                 let what = format!("geometry {gi}, nnz {}", csb.nnz());
-                let decode = ConvDecode::from_csb(&csb);
+                let decode = ConvDecode::from_dense(&w);
                 let got = decode.forward_from_cols(cols.data(), n, p, q, &mut scratch);
                 assert_eq!(got.shape().dims(), &[n, k, p, q], "{what}");
                 // The dense trio's forward, on the same columns.
@@ -964,7 +982,7 @@ mod tests {
             }
             assert!(negative_zeros.data()[0].is_sign_negative());
             for (w, csb) in weight_cases(&[k, c, r, s], 10 * gi as u64) {
-                let decode = ConvDecode::from_csb(&csb);
+                let decode = ConvDecode::from_dense(&w);
                 for (di, dy) in [&mixed, &dead_planes, &negative_zeros]
                     .into_iter()
                     .enumerate()
@@ -988,13 +1006,18 @@ mod tests {
 
     #[test]
     fn conv_decode_orders_match_the_two_passes() {
-        // One block with slots 0, 4 and 8 set, one with slot 2.
+        // One filter with taps 0, 4 and 8 set, one with tap 2 and a
+        // negative zero at tap 5, which is not stored.
         let mut w = Tensor::zeros(&[2, 1, 3, 3]);
         w.data_mut()[0] = 1.0;
         w.data_mut()[4] = 2.0;
         w.data_mut()[8] = 3.0;
         w.data_mut()[9 + 2] = 4.0;
-        let d = ConvDecode::from_csb(&CsbTensor::from_dense_conv(&w));
+        w.data_mut()[9 + 5] = -0.0;
+        assert!(w.data()[9 + 5].is_sign_negative());
+        // Re-encoded over the buffers of a larger, denser tensor.
+        let mut d = ConvDecode::from_dense(&Tensor::ones(&[3, 2, 3, 3]));
+        d.encode(&w);
         assert_eq!(d.dims(), [2, 1, 3, 3]);
         assert_eq!(d.rows.row_ptr, [0, 3, 4]);
         assert_eq!(d.rows.idx, [0, 4, 8, 2], "forward: ascending (c, r, s)");
@@ -1030,14 +1053,19 @@ mod tests {
 
     #[test]
     fn fc_decode_orders_match_the_two_passes() {
-        // Rows 0 and 2 of a 3×5 matrix, split across 2-edge blocks.
+        // Rows 0 and 2 of a 3×5 matrix hold the nonzeros.
         let mut w = Tensor::zeros(&[3, 5]);
         w.data_mut()[1] = 1.0;
         w.data_mut()[4] = 2.0;
         w.data_mut()[10] = 3.0;
         w.data_mut()[11] = 4.0;
         w.data_mut()[14] = 5.0;
-        let d = FcDecode::from_csb(&CsbTensor::from_dense_fc(&w, 2));
+        // A negative zero in row 1, which is not stored.
+        w.data_mut()[7] = -0.0;
+        assert!(w.data()[7].is_sign_negative());
+        // Re-encoded over the buffers of a larger, denser matrix.
+        let mut d = FcDecode::from_dense(&Tensor::ones(&[4, 6]));
+        d.encode(&w);
         assert_eq!((d.w.rows(), d.w.cols), (3, 5));
         assert_eq!(d.w.row_ptr, [0, 2, 2, 5]);
         assert_eq!(d.w.idx, [1, 4, 0, 1, 4], "forward: ascending i per o");
@@ -1069,7 +1097,7 @@ mod tests {
         let mut scratch = Scratch::new();
         for (si, dims) in FC_SHAPES.into_iter().enumerate() {
             for (w, csb) in weight_cases(&dims, 500 + 10 * si as u64) {
-                let decode = FcDecode::from_csb(&csb);
+                let decode = FcDecode::from_dense(&w);
                 let wt = w.transpose2d();
                 for n in FC_BATCHES {
                     let what = format!("dims {dims:?}, nnz {}, n {n}", csb.nnz());
@@ -1098,7 +1126,7 @@ mod tests {
         let mut scratch = Scratch::new();
         for (si, dims) in FC_SHAPES.into_iter().enumerate() {
             for (w, csb) in weight_cases(&dims, 700 + 10 * si as u64) {
-                let decode = FcDecode::from_csb(&csb);
+                let decode = FcDecode::from_dense(&w);
                 let transposed = csb.transposed_fc();
                 for n in FC_BATCHES {
                     let what = format!("dims {dims:?}, nnz {}, n {n}", csb.nnz());

@@ -13,7 +13,7 @@
 //!   there is a single input channel; elsewhere it bounds the result.
 
 use procrustes_prng::{UniformRng, Xorshift64};
-use procrustes_sparse::{ConvDecode, CsbTensor};
+use procrustes_sparse::ConvDecode;
 use procrustes_tensor::reference::conv2d;
 use procrustes_tensor::{conv2d_from_planes, im2col, PaddedPlanes, Scratch, Tensor};
 
@@ -50,7 +50,7 @@ fn gather_forward_equals_the_spmm_over_columns_and_the_scatter_oracle() {
                         let what =
                             format!("{n}x{c}x{h}x{w} k{kernel} s{stride} p{pad} keep {keep}");
                         let wts = tensor(&[5, c, kernel, kernel], keep, &mut rng);
-                        let decode = ConvDecode::from_csb(&CsbTensor::from_dense_conv(&wts));
+                        let decode = ConvDecode::from_dense(&wts);
                         let got = decode.forward(&xp, &mut scratch);
                         assert_eq!(got.shape().dims(), &[n, 5, p, q], "{what}");
 
