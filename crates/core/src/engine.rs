@@ -53,13 +53,13 @@
 //! assert!(sparse_kn.speedup_over(dense_kn) > 1.0);
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use procrustes_sim::{
-    evaluate_layer_with, ArchConfig, BalanceMode, CostSummary, Fidelity, LayerCost, LayerTask,
-    Mapping, Phase, SparsityInfo,
+    evaluate_layer_summarized, ArchConfig, BalanceMode, CostSummary, Fidelity, LayerCost,
+    LayerTask, Mapping, MaskSummary, Phase, SparsityInfo,
 };
 use procrustes_tensor::{pool, Scratch};
 
@@ -113,12 +113,20 @@ impl Default for EngineOpts {
     }
 }
 
-/// Memoization key: everything `evaluate_layer_with` depends on, by
+/// Memoization key: everything `evaluate_layer_summarized` depends on, by
 /// stable fingerprint — including the latency fidelity, so analytic and
 /// tile-timed costs of the same layer never alias. The task name is
 /// deliberately excluded (it only labels the output) and re-applied on
 /// cache hits.
 type CacheKey = (u64, Phase, Mapping, BalanceMode, Fidelity, u64, u64);
+
+/// A layer's `(task, sparsity)` fingerprints: the part of a [`CacheKey`]
+/// a generator lists.
+type LayerId = (u64, u64);
+
+fn layer_of(key: &CacheKey) -> LayerId {
+    (key.0, key.6)
+}
 
 /// The part of a [`CacheKey`] that comes from one resolved workload,
 /// plus the label to put back on a hit: all the engine keeps of a mask
@@ -130,15 +138,27 @@ struct LayerKey {
     sp_fp: u64,
 }
 
-fn layer_keys(workloads: &[(LayerTask, SparsityInfo)]) -> Vec<LayerKey> {
+impl LayerKey {
+    fn id(&self) -> LayerId {
+        (self.task_fp, self.sp_fp)
+    }
+}
+
+/// Each workload's cache key and mask summary, from the one pass over
+/// its per-kernel counts that fingerprints it.
+fn summarize(workloads: &[(LayerTask, SparsityInfo)]) -> (Vec<LayerKey>, Vec<MaskSummary>) {
     workloads
         .iter()
-        .map(|(task, sp)| LayerKey {
-            name: task.name.clone(),
-            task_fp: task.fingerprint(),
-            sp_fp: sp.fingerprint(),
+        .map(|(task, sp)| {
+            let (summary, sp_fp) = MaskSummary::with_fingerprint(task, sp);
+            let key = LayerKey {
+                name: task.name.clone(),
+                task_fp: task.fingerprint(),
+                sp_fp,
+            };
+            (key, summary)
         })
-        .collect()
+        .unzip()
 }
 
 /// The part of a [`CacheKey`] that comes from the scenario rather than
@@ -152,7 +172,12 @@ struct EvalPoint<'a> {
 }
 
 impl<'a> EvalPoint<'a> {
+    /// # Panics
+    ///
+    /// Panics if `hw` is degenerate ([`ArchConfig::validate`]): checked
+    /// here, once, for every layer the point is evaluated on.
     fn new(hw: &'a ArchConfig, mapping: Mapping, balance: BalanceMode, fidelity: Fidelity) -> Self {
+        hw.validate();
         Self {
             hw,
             arch_fp: hw.fingerprint(),
@@ -186,12 +211,89 @@ fn relabelled(cached: &LayerCost, name: &str) -> LayerCost {
 /// Everything an [`Engine`] remembers between calls, under one lock.
 #[derive(Default)]
 struct Memo {
-    /// The layer-cost cache: the single source of every memoized result.
-    costs: HashMap<CacheKey, LayerCost>,
+    /// The layer-cost cache: the single source of every memoized result,
+    /// each entry with its insertion number.
+    costs: HashMap<CacheKey, (u64, LayerCost)>,
+    inserted: u64,
     /// Per generator, where in `costs` its layers live. Oldest first,
     /// at most [`Engine::GENERATOR_KEY_CAP`] entries; looked up by
     /// comparing keys, so a hit is the same generator, not a hash of it.
     generators: VecDeque<(GeneratorKey, Vec<LayerKey>)>,
+    /// How many times the retained generators list each layer.
+    listed: HashMap<LayerId, usize>,
+    /// The entries of layers no retained generator lists, oldest first:
+    /// at most [`Engine::KEYLESS_COST_CAP`]. An entry may appear twice
+    /// (it then counts twice), and one whose layer a generator has
+    /// listed since is skipped rather than dropped when its turn comes.
+    keyless: VecDeque<CacheKey>,
+}
+
+impl Memo {
+    fn cost(&self, key: &CacheKey) -> Option<&LayerCost> {
+        self.costs.get(key).map(|(_, cost)| cost)
+    }
+
+    fn insert(&mut self, key: CacheKey, cost: LayerCost) {
+        self.inserted += 1;
+        let fresh = self.costs.insert(key, (self.inserted, cost)).is_none();
+        if fresh && !self.listed.contains_key(&layer_of(&key)) {
+            self.keyless.push_back(key);
+            self.trim_keyless();
+        }
+    }
+
+    /// Lists `layers` under `generator`, forgetting the oldest generator
+    /// past [`Engine::GENERATOR_KEY_CAP`].
+    fn remember(&mut self, generator: &GeneratorKey, layers: &[LayerKey]) {
+        if self.generators.iter().any(|(k, _)| k == generator) {
+            return;
+        }
+        for layer in layers {
+            *self.listed.entry(layer.id()).or_default() += 1;
+        }
+        self.generators
+            .push_back((generator.clone(), layers.to_vec()));
+        if self.generators.len() > Engine::GENERATOR_KEY_CAP {
+            let (_, forgotten) = self.generators.pop_front().expect("past the cap");
+            self.forget(&forgotten);
+        }
+    }
+
+    /// Moves the entries of the layers that only `forgotten` listed into
+    /// the keyless allowance, oldest first, where the oldest beyond it
+    /// are dropped.
+    fn forget(&mut self, forgotten: &[LayerKey]) {
+        let mut unlisted = HashSet::new();
+        for layer in forgotten {
+            let count = self
+                .listed
+                .get_mut(&layer.id())
+                .expect("a retained generator's layers are listed");
+            *count -= 1;
+            if *count == 0 {
+                self.listed.remove(&layer.id());
+                unlisted.insert(layer.id());
+            }
+        }
+        let mut demoted: Vec<(u64, CacheKey)> = self
+            .costs
+            .iter()
+            .filter(|(key, _)| unlisted.contains(&layer_of(key)))
+            .map(|(key, &(inserted, _))| (inserted, *key))
+            .collect();
+        demoted.sort_unstable_by_key(|&(inserted, _)| inserted);
+        self.keyless.extend(demoted.into_iter().map(|(_, key)| key));
+        self.trim_keyless();
+    }
+
+    fn trim_keyless(&mut self) {
+        while self.keyless.len() > Engine::KEYLESS_COST_CAP {
+            let key = self.keyless.pop_front().expect("past the cap");
+            if !self.listed.contains_key(&layer_of(&key)) {
+                self.costs.remove(&key);
+            }
+        }
+    }
 }
 
 #[derive(Default)]
@@ -238,6 +340,7 @@ struct Resolved<'e> {
     network: &'static str,
     workloads: Vec<(LayerTask, SparsityInfo)>,
     keys: Vec<LayerKey>,
+    summaries: Vec<MaskSummary>,
     live_sets: &'e AtomicU64,
 }
 
@@ -294,14 +397,25 @@ struct GroupState<'e> {
 ///
 /// # What is retained
 ///
-/// Between calls the engine keeps the layer-cost cache (unbounded) and,
-/// for the most recent [`Engine::GENERATOR_KEY_CAP`]
-/// generators, the cache keys and names of their layers — a few KB each.
+/// Between calls the engine keeps, for the most recent
+/// [`Engine::GENERATOR_KEY_CAP`] generators, the cache keys and names of
+/// their layers — a few KB each — and the layer-cost cache. The cache is
+/// bounded: it holds the costs of the layers those generators list (at
+/// most their layers × 3 phases × the evaluation points asked of them)
+/// and at most [`Engine::KEYLESS_COST_CAP`] others — the costs of
+/// [`SparsityGen::Extracted`] scenarios and [`Engine::run_workloads`],
+/// and those a forgotten generator alone listed, oldest dropped first.
+/// The layer-cost cache is the only store of results; the key map only
+/// says where to look in it.
+///
 /// It never keeps a resolved workload set: the ten sets of the Fig 17–20
 /// grid are 92 MiB of per-kernel nonzero counts, more than the whole
 /// process peaks at while evaluating it, so each is dropped when the
-/// last scenario of its group finishes. The layer-cost cache is the only
-/// store of results; the key map only says where to look in it.
+/// last scenario of its group finishes. A resolved set carries one
+/// [`MaskSummary`] per layer — its per-row, per-column and per-tile
+/// nonzeros, O(K + C + tiles), built in the pass that fingerprints the
+/// layer — so the cost model reduces each mask set once per call, not
+/// once per layer × phase × scenario; the summaries go with the set.
 ///
 /// The generator key is a value rather than a fingerprint because a
 /// 64-bit collision between two generators would silently return one
@@ -325,6 +439,12 @@ impl Engine {
     /// forgotten first. Forgetting one costs its next scenario a
     /// resolve, nothing else.
     pub const GENERATOR_KEY_CAP: usize = 64;
+
+    /// How many layer costs an engine keeps beyond those of the layers
+    /// its retained generators list; the oldest is dropped first.
+    /// Enough for the whole Fig 17–20 grid's costs (5 976 entries) to
+    /// outlive its generators' keys.
+    pub const KEYLESS_COST_CAP: usize = 8192;
 
     /// Creates an engine with explicit options.
     pub fn new(opts: EngineOpts) -> Self {
@@ -492,7 +612,13 @@ impl Engine {
             .and_then(|key| self.assemble(key, &point));
         let cost = assembled.unwrap_or_else(|| {
             let set = self.resolve(scenario, group);
-            self.evaluate(set.network, &point, &set.workloads, &set.keys)
+            self.evaluate(
+                set.network,
+                &point,
+                &set.workloads,
+                &set.keys,
+                &set.summaries,
+            )
         });
         let mut state = group.state.lock().expect("no panic under a group lock");
         state.remaining -= 1;
@@ -513,7 +639,7 @@ impl Engine {
         let mut layers = Vec::with_capacity(keys.len() * 3);
         for key in keys {
             for phase in Phase::ALL {
-                let cached = memo.costs.get(&point.cache_key(key, phase))?;
+                let cached = memo.cost(&point.cache_key(key, phase))?;
                 layers.push(relabelled(cached, &key.name));
             }
         }
@@ -542,24 +668,19 @@ impl Engine {
             .resolve_network()
             .expect("scenario was validated before evaluation");
         let workloads = scenario.workloads_for(&net);
-        let keys = layer_keys(&workloads);
+        let (keys, summaries) = summarize(&workloads);
         let c = &self.counters;
         c.sets_resolved.fetch_add(1, Ordering::Relaxed);
         let live = c.live_sets.fetch_add(1, Ordering::Relaxed) + 1;
         c.peak_live_sets.fetch_max(live, Ordering::Relaxed);
         if let Some(key) = &group.key {
-            let mut memo = self.memo();
-            if !memo.generators.iter().any(|(k, _)| k == key) {
-                if memo.generators.len() == Self::GENERATOR_KEY_CAP {
-                    memo.generators.pop_front();
-                }
-                memo.generators.push_back((key.clone(), keys.clone()));
-            }
+            self.memo().remember(key, &keys);
         }
         let set = Arc::new(Resolved {
             network: net.name,
             workloads,
             keys,
+            summaries,
             live_sets: &c.live_sets,
         });
         state.resolved = Some(Arc::clone(&set));
@@ -567,25 +688,28 @@ impl Engine {
     }
 
     /// Step 4, and the only caller of the cost model: every layer × phase
-    /// of `workloads` from the layer-cost cache, or computed and added to
-    /// it. `keys` are `layer_keys(workloads)`.
+    /// of `workloads` from the layer-cost cache, or computed from its
+    /// mask summary and added to it. `keys` and `summaries` are
+    /// `summarize(workloads)`.
     fn evaluate(
         &self,
         network: &str,
         point: &EvalPoint<'_>,
         workloads: &[(LayerTask, SparsityInfo)],
         keys: &[LayerKey],
+        summaries: &[MaskSummary],
     ) -> NetworkCost {
         let mut layers = Vec::with_capacity(workloads.len() * 3);
-        for ((task, sp), key) in workloads.iter().zip(keys) {
+        for (((task, sp), key), summary) in workloads.iter().zip(keys).zip(summaries) {
             for phase in Phase::ALL {
                 let compute = || {
-                    evaluate_layer_with(
+                    evaluate_layer_summarized(
                         point.hw,
                         task,
                         phase,
                         point.mapping,
                         sp,
+                        summary,
                         point.balance,
                         point.fidelity,
                     )
@@ -593,7 +717,7 @@ impl Engine {
                 let cache_key = self.opts.memoize.then(|| point.cache_key(key, phase));
                 let hit = cache_key.and_then(|k| {
                     let memo = self.memo();
-                    memo.costs.get(&k).map(|c| relabelled(c, &key.name))
+                    memo.cost(&k).map(|c| relabelled(c, &key.name))
                 });
                 let counter = if hit.is_some() {
                     &self.counters.layer_hits
@@ -604,7 +728,7 @@ impl Engine {
                 layers.push(hit.unwrap_or_else(|| {
                     let fresh = compute();
                     if let Some(k) = cache_key {
-                        self.memo().costs.insert(k, fresh.clone());
+                        self.memo().insert(k, fresh.clone());
                     }
                     fresh
                 }));
@@ -620,7 +744,9 @@ impl Engine {
     /// own minibatch dimension and are evaluated exactly as given.
     ///
     /// The workloads have no generator the engine could key on, so every
-    /// call fingerprints them to find their layer costs.
+    /// call fingerprints them to find their layer costs, summarising
+    /// each mask set in the same pass, and their costs count against
+    /// [`Engine::KEYLESS_COST_CAP`].
     pub fn run_workloads(
         &self,
         network: &str,
@@ -631,7 +757,8 @@ impl Engine {
         fidelity: Fidelity,
     ) -> NetworkCost {
         let point = EvalPoint::new(hw, mapping, balance, fidelity);
-        self.evaluate(network, &point, workloads, &layer_keys(workloads))
+        let (keys, summaries) = summarize(workloads);
+        self.evaluate(network, &point, workloads, &keys, &summaries)
     }
 }
 

@@ -498,10 +498,7 @@ impl Scenario {
                 ComputeBackend::Dense => false,
                 ComputeBackend::Csb => true,
                 ComputeBackend::Auto { max_density } => {
-                    let slots = (sp.kernel_nnz.len() * task.r * task.s).max(1);
-                    let nnz: u64 = sp.kernel_nnz.iter().map(|&n| u64::from(n)).sum();
-                    let density = nnz as f64 / slots as f64;
-                    sp.compressed && density <= max_density
+                    sp.compressed && sp.weight_density(task) <= max_density
                 }
             };
             if !sp.compressed {

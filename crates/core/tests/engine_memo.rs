@@ -9,7 +9,7 @@ use procrustes_core::{
     resolve_network, ComputeBackend, Engine, EngineOpts, EvalResult, Fidelity, MemoStats, Scenario,
     ScenarioBuilder, SparsityGen, Sweep, PAPER_NETWORKS,
 };
-use procrustes_sim::Mapping;
+use procrustes_sim::{LayerTask, Mapping, SparsityInfo};
 
 /// The Fig 17–20 grid at both fidelities over `networks`: per network
 /// two generators (dense, synthetic masks) × 2 fidelities × 4 mappings.
@@ -270,4 +270,70 @@ fn the_generator_key_map_stops_at_its_cap() {
     assert_eq!(pass.layer_misses, 0);
     assert_eq!(pass.generator_keys, cap);
     assert_eq!(oldest, fresh(&scenario(0)));
+}
+
+#[test]
+fn a_flood_of_generators_and_extracted_layers_keeps_the_cost_cache_bounded() {
+    // 2 × GENERATOR_KEY_CAP mask generators, each followed now and then
+    // by an Extracted scenario of tiny layers nobody else has.
+    let seeds = 2 * Engine::GENERATOR_KEY_CAP as u64;
+    let mut scenarios = Vec::new();
+    for seed in 0..seeds {
+        scenarios.push(
+            Scenario::builder("DenseNet")
+                .batch(1)
+                .sparsity(SparsityGen::PaperSynthetic { seed })
+                .build()
+                .unwrap(),
+        );
+        if seed % 16 == 15 {
+            let first = seed as usize * 100;
+            let layers = (first..first + 400)
+                .map(|i| {
+                    let task = LayerTask::fc(format!("x{i}"), 1, 1 + i % 64, 1 + i / 64);
+                    let sp = SparsityInfo::uniform(&task, 1.0, 0.5);
+                    (task, sp)
+                })
+                .collect();
+            scenarios.push(
+                Scenario::builder("DenseNet")
+                    .batch(1)
+                    .sparsity(SparsityGen::Extracted(layers))
+                    .build()
+                    .unwrap(),
+            );
+        }
+    }
+    let per_generator = 3 * resolve_network("DenseNet").unwrap().layers.len();
+    let bound = Engine::GENERATOR_KEY_CAP * per_generator + Engine::KEYLESS_COST_CAP;
+
+    let oracle = Engine::new(EngineOpts {
+        threads: 1,
+        memoize: false,
+    });
+    let expected = oracle.run_all(&scenarios).unwrap();
+    let engine = Engine::with_threads(2);
+    for (batch, want) in scenarios.chunks(16).zip(expected.chunks(16)) {
+        assert_eq!(engine.run_all(batch).unwrap(), want);
+        assert!(
+            engine.cached_layer_costs() <= bound,
+            "{} cached costs, bound {bound}",
+            engine.cached_layer_costs()
+        );
+    }
+    // Unbounded, the cache would hold every cost it ever computed.
+    let stats = engine.memo_stats();
+    assert!(
+        stats.layer_misses > bound as u64,
+        "the flood must pass the bound"
+    );
+    assert_eq!(stats.generator_keys, Engine::GENERATOR_KEY_CAP as u64);
+    // The newest generators are still assembled from the cache, and the
+    // whole flood replays to the same answers.
+    let before = engine.memo_stats();
+    let last = scenarios.len() - 2;
+    assert_eq!(engine.run(&scenarios[last]).unwrap(), expected[last]);
+    assert_eq!(since(&engine, before).scenarios_assembled, 1);
+    assert_eq!(engine.run_all(&scenarios).unwrap(), expected);
+    assert!(engine.cached_layer_costs() <= bound);
 }

@@ -24,6 +24,10 @@
 //!   sparse-aware MAC counts, reuse-based RF/GLB/DRAM access counting
 //!   with CSB format overheads, wave-by-wave latency with load
 //!   imbalance, bandwidth bounds, and utilization;
+//! * [`MaskSummary`] / [`evaluate_layer_summarized`] — one pass over a
+//!   layer's per-kernel counts reduced to the per-row, per-column and
+//!   per-tile view the cost model reads, so a caller costing one mask
+//!   set many times (a sweep) reads it once;
 //! * [`Fidelity`] — the latency model: `Analytic` (the closed-form
 //!   `max(compute, GLB, DRAM)` bound) or `TileTimed` (the [`timing`]
 //!   module's wave-by-wave replay of the actual tile schedule, with
@@ -62,6 +66,7 @@ pub mod interconnect;
 pub mod mapper;
 mod mapping;
 mod model;
+mod summary;
 pub mod timing;
 mod workload;
 
@@ -71,6 +76,7 @@ pub use cost::{CostSummary, EnergyBreakdown, LayerCost};
 pub use energy::EnergyTable;
 pub use fingerprint::Fnv1a;
 pub use mapping::{DataflowRole, Mapping, TensorFlow};
-pub use model::{evaluate_layer, evaluate_layer_with, BalanceMode};
+pub use model::{evaluate_layer, evaluate_layer_summarized, evaluate_layer_with, BalanceMode};
+pub use summary::MaskSummary;
 pub use timing::{simulate_waves, Fidelity, TimingReport, Wave};
 pub use workload::{LayerTask, Phase, SparsityInfo};

@@ -4,7 +4,8 @@
 use crate::energy::pj_to_j;
 use crate::timing::{simulate_waves, Fidelity, Wave};
 use crate::{
-    balance, ArchConfig, EnergyBreakdown, LayerCost, LayerTask, Mapping, Phase, SparsityInfo,
+    balance, ArchConfig, EnergyBreakdown, LayerCost, LayerTask, Mapping, MaskSummary, Phase,
+    SparsityInfo,
 };
 
 /// Load-balancing configuration for an evaluation.
@@ -72,18 +73,66 @@ pub fn evaluate_layer_with(
     fidelity: Fidelity,
 ) -> LayerCost {
     arch.validate();
-    sp.validate(task);
+    let summary = MaskSummary::new(task, sp);
+    evaluate_layer_summarized(
+        arch,
+        task,
+        phase,
+        mapping,
+        sp,
+        &summary,
+        balance_mode,
+        fidelity,
+    )
+}
+
+/// [`evaluate_layer_with`] over a [`MaskSummary`] of `sp` built
+/// beforehand: the entry point for a caller that costs one mask set many
+/// times (every phase, mapping, balance mode and array of a sweep) and
+/// so reduces it once. The result is the same, bit for bit.
+///
+/// The summary stands in for `sp` everywhere but the tile-timed,
+/// unbalanced `C,K` wave plan, which lays out each PE's kernel, and the
+/// first `C,K` request for each array shape, which builds the
+/// summary's tile grid.
+///
+/// # Panics
+///
+/// Panics if `summary` was built for another geometry or kernel count
+/// than `task` and `sp`. The caller has checked `arch` with
+/// [`ArchConfig::validate`]; a degenerate one panics here on a division
+/// by zero instead.
+#[allow(clippy::too_many_arguments)] // evaluate_layer_with's arguments plus the summary
+pub fn evaluate_layer_summarized(
+    arch: &ArchConfig,
+    task: &LayerTask,
+    phase: Phase,
+    mapping: Mapping,
+    sp: &SparsityInfo,
+    summary: &MaskSummary,
+    balance_mode: BalanceMode,
+    fidelity: Fidelity,
+) -> LayerCost {
+    summary.check(task, sp);
     let balance_mode = if arch.ideal {
         BalanceMode::Ideal
     } else {
         balance_mode
     };
 
-    let macs = effective_macs(task, phase, sp);
+    let macs = effective_macs(task, phase, sp, summary);
     let collect_waves = fidelity == Fidelity::TileTimed;
-    let (compute_cycles, wave_overheads, rebuilt_tiles, waves) =
-        latency(arch, task, phase, mapping, sp, balance_mode, collect_waves);
-    let traffic = traffic(arch, task, phase, mapping, sp, macs);
+    let (compute_cycles, wave_overheads, rebuilt_tiles, waves) = latency(
+        arch,
+        task,
+        phase,
+        mapping,
+        sp,
+        summary,
+        balance_mode,
+        collect_waves,
+    );
+    let traffic = traffic(arch, task, phase, mapping, sp, summary, macs);
     let glb_cycles = traffic.glb_words.div_ceil(arch.glb_bw_words as u64);
     let dram_cycles = traffic.dram_words.div_ceil(arch.dram_bw_words as u64);
     let cycles = match fidelity {
@@ -150,10 +199,10 @@ pub fn evaluate_layer_with(
 
 /// Sparse-aware MAC count (§II-B: weight sparsity gates fw/bw, input
 /// activation sparsity gates wu; the back-propagated gradient is dense).
-fn effective_macs(task: &LayerTask, phase: Phase, sp: &SparsityInfo) -> u64 {
+fn effective_macs(task: &LayerTask, phase: Phase, sp: &SparsityInfo, summary: &MaskSummary) -> u64 {
     let positions = task.batch as u64 * task.p as u64 * task.q as u64;
     match phase {
-        Phase::Forward | Phase::Backward => sp.total_nnz() * positions,
+        Phase::Forward | Phase::Backward => summary.total_nnz() * positions,
         Phase::WeightUpdate => {
             let dense = task.dense_macs(phase) as f64;
             (dense * sp.act_in_density * sp.grad_density).round() as u64
@@ -165,56 +214,13 @@ fn effective_macs(task: &LayerTask, phase: Phase, sp: &SparsityInfo) -> u64 {
 // Latency
 // ---------------------------------------------------------------------------
 
-/// Per-row-unit weight nonzeros and their two halves (split along the
-/// contraction channel dimension, the paper's Fig 9 cut).
-fn row_units(
-    task: &LayerTask,
-    phase: Phase,
-    mapping: Mapping,
-    sp: &SparsityInfo,
-) -> Vec<(u64, (u64, u64))> {
-    let (k, c) = (task.k, task.c);
-    let units_are_k = match (mapping, phase) {
+/// Whether the row units of a row-sparse case are output channels
+/// (`K`) rather than input channels (`C`).
+fn units_are_k(mapping: Mapping, phase: Phase) -> bool {
+    match (mapping, phase) {
         (Mapping::KN, Phase::Forward) | (Mapping::CN, Phase::Backward) => true,
         (Mapping::KN, Phase::Backward) | (Mapping::CN, Phase::Forward) => false,
-        _ => unreachable!("row_units called for a non-row-sparse case"),
-    };
-    if task.depthwise {
-        // One kernel per channel; the unit IS the kernel, halves split the
-        // filter itself.
-        return sp
-            .kernel_nnz
-            .iter()
-            .map(|&v| {
-                let v = u64::from(v);
-                (v, (v / 2, v - v / 2))
-            })
-            .collect();
-    }
-    if units_are_k {
-        (0..k)
-            .map(|ki| {
-                let row = &sp.kernel_nnz[ki * c..(ki + 1) * c];
-                let first: u64 = row[..c / 2].iter().map(|&v| u64::from(v)).sum();
-                let total: u64 = row.iter().map(|&v| u64::from(v)).sum();
-                (total, (first, total - first))
-            })
-            .collect()
-    } else {
-        (0..c)
-            .map(|ci| {
-                let mut first = 0u64;
-                let mut total = 0u64;
-                for ki in 0..k {
-                    let v = u64::from(sp.kernel_nnz[ki * c + ci]);
-                    total += v;
-                    if ki < k / 2 {
-                        first += v;
-                    }
-                }
-                (total, (first, total - first))
-            })
-            .collect()
+        _ => unreachable!("row units asked of a non-row-sparse case"),
     }
 }
 
@@ -228,13 +234,14 @@ fn row_units(
 /// cycle count always equals the sum of the plan's per-wave critical
 /// paths, which is what lets the plan serve as the analytic model's
 /// equivalence oracle.
-#[allow(clippy::too_many_arguments)] // internal; mirrors evaluate_layer_with
+#[allow(clippy::too_many_arguments)] // internal; mirrors evaluate_layer_summarized
 fn latency(
     arch: &ArchConfig,
     task: &LayerTask,
     phase: Phase,
     mapping: Mapping,
     sp: &SparsityInfo,
+    summary: &MaskSummary,
     mode: BalanceMode,
     collect_waves: bool,
 ) -> (u64, Vec<f32>, u64, Vec<Wave>) {
@@ -246,7 +253,7 @@ fn latency(
 
     if mapping.row_work_is_weight_sparse(phase) && mapping != Mapping::CK {
         // KN/CN forward & backward: work varies along the rows only.
-        let units = row_units(task, phase, mapping, sp);
+        let units = summary.units(units_are_k(mapping, phase));
         // MACs per unit nonzero, per column PE, per wave: one sample's
         // output positions.
         let positions = (task.p * task.q) as u64;
@@ -262,13 +269,13 @@ fn latency(
             let pos = positions.div_ceil(fold);
             let (wave_max, wave_mean) = match mode {
                 BalanceMode::None => {
-                    let max = chunk.iter().map(|&(t, _)| t).max().unwrap_or(0);
+                    let max = chunk.iter().map(|u| u.total).max().unwrap_or(0);
                     let mean =
-                        chunk.iter().map(|&(t, _)| t).sum::<u64>() as f64 / chunk.len() as f64;
+                        chunk.iter().map(|u| u.total).sum::<u64>() as f64 / chunk.len() as f64;
                     if collect_waves {
                         waves.push(Wave {
-                            pe_cycles: chunk.iter().map(|&(t, _)| t * pos).collect(),
-                            weight_units: chunk.iter().map(|&(t, _)| t).sum(),
+                            pe_cycles: chunk.iter().map(|u| u.total * pos).collect(),
+                            weight_units: chunk.iter().map(|u| u.total).sum(),
                             repeat: col_tiles as u64,
                         });
                     }
@@ -276,7 +283,7 @@ fn latency(
                 }
                 BalanceMode::HalfTile => {
                     rebuilt += chunk.len() as u64;
-                    let halves: Vec<(u64, u64)> = chunk.iter().map(|&(_, h)| h).collect();
+                    let halves: Vec<(u64, u64)> = chunk.iter().map(|u| u.halves()).collect();
                     let loads = balance::half_tile_pairs(&halves);
                     let max = loads.iter().copied().max().unwrap_or(0);
                     let mean = if loads.is_empty() {
@@ -294,7 +301,7 @@ fn latency(
                     (max, mean)
                 }
                 BalanceMode::Ideal => {
-                    let sum = chunk.iter().map(|&(t, _)| t).sum::<u64>();
+                    let sum = chunk.iter().map(|u| u.total).sum::<u64>();
                     let mean = sum as f64 / chunk.len() as f64;
                     let max = mean.ceil() as u64;
                     if collect_waves {
@@ -325,61 +332,51 @@ fn latency(
         // Kernel-grid weight-stationary: per-PE work is one kernel's nnz;
         // imbalance across both array dimensions (Fig 4b).
         let positions = (task.batch * task.p * task.q) as u64;
-        let (gr, gc) = if task.depthwise {
-            (task.c, 1)
+        let grid = summary.tiles(sp, rows, cols);
+        let mut plans = if collect_waves && mode == BalanceMode::None {
+            ck_pe_cycles(task, sp, rows, cols, positions)
         } else {
-            (task.c, task.k)
+            Vec::new()
         };
         let mut cycles = 0u64;
-        let mut overheads = Vec::new();
+        let mut overheads = Vec::with_capacity(grid.tiles.len());
         let mut rebuilt = 0u64;
-        for cr in 0..gr.div_ceil(rows) {
-            for ck in 0..gc.div_ceil(cols) {
-                let mut works: Vec<u64> = Vec::with_capacity(rows * cols);
-                for ci in cr * rows..((cr + 1) * rows).min(gr) {
-                    for ki in ck * cols..((ck + 1) * cols).min(gc) {
-                        let idx = if task.depthwise { ci } else { ki * task.c + ci };
-                        works.push(u64::from(sp.kernel_nnz[idx]));
-                    }
+        for (t, tile) in grid.tiles.iter().enumerate() {
+            let mean = tile.sum as f64 / tile.kernels.max(1) as f64;
+            let wave_max = match mode {
+                BalanceMode::None => tile.max,
+                // Balancing C,K requires the complex all-to-all
+                // interconnect; grant it near-perfect balance.
+                BalanceMode::HalfTile | BalanceMode::Ideal => {
+                    rebuilt += tile.kernels;
+                    mean.ceil() as u64
                 }
-                let max = works.iter().copied().max().unwrap_or(0);
-                let sum: u64 = works.iter().sum();
-                let mean = sum as f64 / works.len().max(1) as f64;
-                let wave_max = match mode {
-                    BalanceMode::None => max,
-                    // Balancing C,K requires the complex all-to-all
-                    // interconnect; grant it near-perfect balance.
-                    BalanceMode::HalfTile | BalanceMode::Ideal => {
-                        rebuilt += works.len() as u64;
-                        mean.ceil() as u64
-                    }
-                };
-                overheads.push(if mean > 0.0 {
-                    (max as f64 / mean - 1.0) as f32
+            };
+            overheads.push(if mean > 0.0 {
+                (tile.max as f64 / mean - 1.0) as f32
+            } else {
+                0.0
+            });
+            if collect_waves {
+                let pe_cycles = if mode == BalanceMode::None {
+                    std::mem::take(&mut plans[t])
                 } else {
-                    0.0
+                    vec![wave_max * positions; tile.kernels as usize]
+                };
+                waves.push(Wave {
+                    pe_cycles,
+                    weight_units: tile.sum,
+                    repeat: 1,
                 });
-                if collect_waves {
-                    let pe_cycles = if mode == BalanceMode::None {
-                        works.iter().map(|&w| w * positions).collect()
-                    } else {
-                        vec![wave_max * positions; works.len()]
-                    };
-                    waves.push(Wave {
-                        pe_cycles,
-                        weight_units: sum,
-                        repeat: 1,
-                    });
-                }
-                cycles += wave_max * positions;
             }
+            cycles += wave_max * positions;
         }
         (cycles.max(1), overheads, rebuilt, waves)
     } else {
         // Uniform-work cases: all wu phases under KN/CN/CK, and every PQ
         // phase. Work per spatial position is equal; latency is bounded by
         // utilization only.
-        let macs = effective_macs(task, phase, sp);
+        let macs = effective_macs(task, phase, sp, summary);
         let per_position = macs as f64 / (d_row as f64 * d_col as f64);
         let wave_count = (row_tiles * col_tiles) as u64;
         let per_wave = (per_position.ceil() as u64).max(1);
@@ -394,6 +391,40 @@ fn latency(
         let cycles = per_wave * wave_count;
         (cycles, vec![0.0; row_tiles * col_tiles], 0, waves)
     }
+}
+
+/// Each `C,K` tile's per-PE busy cycles (its kernel's nonzeros ×
+/// `positions`), in wave order, each laid out as the wave plan has it:
+/// input channels outer, output channels inner. One pass over
+/// `kernel_nnz` in index order, a block of `cols` output channels at a
+/// time.
+pub(crate) fn ck_pe_cycles(
+    task: &LayerTask,
+    sp: &SparsityInfo,
+    rows: usize,
+    cols: usize,
+    positions: u64,
+) -> Vec<Vec<u64>> {
+    let (c, k_rows) = (task.c, if task.depthwise { 1 } else { task.k });
+    let per_row = k_rows.div_ceil(cols);
+    let mut plans = vec![Vec::new(); c.div_ceil(rows) * per_row];
+    for ck in 0..per_row {
+        let block = ck * cols..((ck + 1) * cols).min(k_rows);
+        let width = block.len();
+        for (cr, plan) in plans.iter_mut().skip(ck).step_by(per_row).enumerate() {
+            *plan = vec![0; rows.min(c - cr * rows) * width];
+        }
+        for (kj, ki) in block.enumerate() {
+            let row = &sp.kernel_nnz[ki * c..(ki + 1) * c];
+            for (cr, chunk) in row.chunks(rows).enumerate() {
+                let plan = &mut plans[cr * per_row + ck];
+                for (j, &v) in chunk.iter().enumerate() {
+                    plan[j * width + kj] = u64::from(v) * positions;
+                }
+            }
+        }
+    }
+    plans
 }
 
 // ---------------------------------------------------------------------------
@@ -414,11 +445,16 @@ struct Traffic {
 /// accelerator, or CSB (packed values + 1-bit masks + one pointer per
 /// kernel) when compressed; the ideal configuration pays no format
 /// overhead.
-fn csb_words(task: &LayerTask, sp: &SparsityInfo, ideal: bool) -> (u64, u64) {
+fn csb_words(
+    task: &LayerTask,
+    sp: &SparsityInfo,
+    summary: &MaskSummary,
+    ideal: bool,
+) -> (u64, u64) {
     if !sp.compressed {
         return (task.weights() as u64, 0);
     }
-    let nnz = sp.total_nnz();
+    let nnz = summary.total_nnz();
     if ideal {
         return (nnz, 0);
     }
@@ -434,6 +470,7 @@ fn traffic(
     phase: Phase,
     mapping: Mapping,
     sp: &SparsityInfo,
+    summary: &MaskSummary,
     macs: u64,
 ) -> Traffic {
     let (d_row, d_col) = mapping.spatial_extents(task, phase);
@@ -447,7 +484,7 @@ fn traffic(
     // PE's share exactly once per pass.
 
     let dense_w = task.weights() as u64;
-    let (sparse_w_words, mask_words) = csb_words(task, sp, arch.ideal);
+    let (sparse_w_words, mask_words) = csb_words(task, sp, summary, arch.ideal);
     let x_words = task.input_elems();
     let y_words = task.output_elems();
 

@@ -180,7 +180,10 @@ impl LayerTask {
 ///
 /// `kernel_nnz` holds the nonzero count of every weight kernel (CSB
 /// block): indexed `k·C + c` for standard conv (or `c` for depthwise) —
-/// exactly the per-tile density the CSB pointer array exposes in O(1).
+/// exactly the per-kernel density the CSB pointer array exposes in O(1).
+/// The cost model reads it through a [`MaskSummary`](crate::MaskSummary),
+/// which reduces it once to the per-row, per-column and per-tile view
+/// the array needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparsityInfo {
     /// Nonzeros per kernel, length [`LayerTask::kernels`].
@@ -237,9 +240,10 @@ impl SparsityInfo {
         self.kernel_nnz.iter().map(|&v| u64::from(v)).sum()
     }
 
-    /// Weight density in `[0, 1]` relative to `task`.
+    /// Weight density in `[0, 1]` relative to `task`; `0` for a task
+    /// with no weights.
     pub fn weight_density(&self, task: &LayerTask) -> f64 {
-        self.total_nnz() as f64 / task.weights() as f64
+        self.total_nnz() as f64 / task.weights().max(1) as f64
     }
 
     /// A stable 64-bit fingerprint of the sparsity pattern, cheap relative
@@ -250,15 +254,25 @@ impl SparsityInfo {
     /// `procrustes-core` uses this to memoize per-layer costs across
     /// scenarios that share layers.
     pub fn fingerprint(&self) -> u64 {
+        self.fingerprint_with(|h| {
+            for &n in &self.kernel_nnz {
+                h.write(&n.to_le_bytes());
+            }
+        })
+        .1
+    }
+
+    /// The fingerprint's frame around `kernels`, which must write every
+    /// count of `kernel_nnz` in order (the shared byte stream of
+    /// [`SparsityInfo::fingerprint`] and `MaskSummary::with_fingerprint`).
+    pub(crate) fn fingerprint_with<T>(&self, kernels: impl FnOnce(&mut Fnv1a) -> T) -> (T, u64) {
         let mut h = Fnv1a::new();
         h.write_usize(self.kernel_nnz.len());
-        for &n in &self.kernel_nnz {
-            h.write(&n.to_le_bytes());
-        }
+        let inner = kernels(&mut h);
         h.write_f64(self.act_in_density);
         h.write_f64(self.grad_density);
         h.write(&[u8::from(self.compressed)]);
-        h.finish()
+        (inner, h.finish())
     }
 
     /// Validates the descriptor against a task.
