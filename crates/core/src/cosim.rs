@@ -2,17 +2,19 @@
 //! while the accelerator's bookkeeping units are tracked per iteration.
 //!
 //! This ties the *algorithm* half of the paper to the *hardware* half: at
-//! every training step the trainer's materialized masks are compressed to
-//! CSB, the load balancer is exercised on them, and the QE/WR activity is
-//! recorded — the data behind the imbalance histograms (Figs 5/13) when
-//! they are driven by genuinely-trained masks rather than synthetic ones.
+//! every training step the trainer's conv masks are read through
+//! [`masks::from_model`] into one [`MaskSummary`] each, the simulator's
+//! half-tile pairing ([`working_set_overheads`]) runs on them, and the
+//! QE/WR activity is recorded — the data behind the imbalance histograms
+//! (Figs 5/13) when they are driven by genuinely-trained masks rather than
+//! synthetic ones.
 
 use procrustes_dropback::{ProcrustesConfig, ProcrustesTrainer, Trainer};
-use procrustes_nn::{Layer, ParamKind, Sequential};
-use procrustes_sparse::CsbTensor;
+use procrustes_nn::Sequential;
+use procrustes_sim::{working_set_overheads, MaskSummary};
 use procrustes_tensor::Tensor;
 
-use crate::LoadBalancer;
+use crate::masks;
 
 /// Per-step co-simulation record.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,16 +58,21 @@ pub struct CoSimRecord {
 /// ```
 pub struct CoSim {
     trainer: ProcrustesTrainer,
-    balancer: LoadBalancer,
+    rows: usize,
 }
 
 impl CoSim {
     /// Creates a co-simulation of `model` trained with `config` on a PE
     /// array with `rows` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows == 0`.
     pub fn new(model: Sequential, config: ProcrustesConfig, seed: u32, rows: usize) -> Self {
+        assert!(rows > 0, "CoSim: need at least one row");
         Self {
             trainer: ProcrustesTrainer::new(model, config, seed),
-            balancer: LoadBalancer::new(rows),
+            rows,
         }
     }
 
@@ -79,29 +86,16 @@ impl CoSim {
         &mut self.trainer
     }
 
-    /// Compresses every conv weight tensor of the current model to CSB.
-    pub fn csb_snapshots(&mut self) -> Vec<CsbTensor> {
-        let mut out = Vec::new();
-        self.trainer.model_mut().visit_params(&mut |p| {
-            if p.kind == ParamKind::Prunable && p.values.shape().rank() == 4 {
-                out.push(CsbTensor::from_dense_conv(p.values));
-            }
-        });
-        out
-    }
-
     /// Runs one training step and records the accelerator bookkeeping.
     pub fn step(&mut self, x: &Tensor, labels: &[usize]) -> CoSimRecord {
         let stats = self.trainer.train_step(x, labels);
         let mut worst_unbalanced = 0.0f64;
         let mut worst_balanced = 0.0f64;
-        for csb in self.csb_snapshots() {
-            if csb.nnz() == 0 {
-                continue;
+        for summary in conv_masks(self.trainer.model_mut()) {
+            for (unbal, bal) in working_set_overheads(&summary, self.rows) {
+                worst_unbalanced = worst_unbalanced.max(unbal);
+                worst_balanced = worst_balanced.max(bal);
             }
-            let (unbal, bal) = self.balancer.overhead_comparison(&csb);
-            worst_unbalanced = worst_unbalanced.max(unbal);
-            worst_balanced = worst_balanced.max(bal);
         }
         CoSimRecord {
             step: self.trainer.steps(),
@@ -114,6 +108,19 @@ impl CoSim {
             worst_balanced,
         }
     }
+}
+
+/// The summaries of `model`'s conv masks, in layer order. An all-zero
+/// mask's working sets read `(0, 0)`, so it never raises a record's
+/// maxima.
+fn conv_masks(model: &mut Sequential) -> Vec<MaskSummary> {
+    masks::from_model(model, 1, 1.0)
+        .into_iter()
+        // `from_model` gives a conv layer an output plane of at least 4×4
+        // and an fc layer a 1×1 one.
+        .filter(|(task, _)| task.p * task.q > 1)
+        .map(|(task, sp)| MaskSummary::new(&task, &sp))
+        .collect()
 }
 
 #[cfg(test)]
@@ -180,9 +187,15 @@ mod tests {
     }
 
     #[test]
-    fn csb_snapshots_cover_conv_layers() {
+    fn conv_masks_cover_every_conv_layer() {
         let mut cosim = CoSim::new(micro_model(4), ProcrustesConfig::default(), 7, 4);
-        let snaps = cosim.csb_snapshots();
-        assert_eq!(snaps.len(), 2); // two conv layers in the micro model
+        let masks = conv_masks(cosim.trainer_mut().model_mut());
+        assert_eq!(masks.len(), 2); // two conv layers in the micro model
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one row")]
+    fn cosim_rejects_zero_rows_at_construction() {
+        CoSim::new(micro_model(5), ProcrustesConfig::default(), 7, 0);
     }
 }

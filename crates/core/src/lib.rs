@@ -2,13 +2,9 @@
 //! workspace substrates.
 //!
 //! This crate glues together the training algorithm
-//! (`procrustes-dropback`), the CSB weight format (`procrustes-sparse`),
-//! and the analytical accelerator model (`procrustes-sim`) into the
-//! artifacts the paper evaluates:
+//! (`procrustes-dropback`) and the analytical accelerator model
+//! (`procrustes-sim`) into the artifacts the paper evaluates:
 //!
-//! * [`LoadBalancer`] — the half-tile balancing of §IV-C, operating on CSB
-//!   tensors through the pointer-difference density queries the format
-//!   was designed for;
 //! * [`MaskGenConfig`] / [`masks`] — synthetic Dropback-like sparsity
 //!   masks for the paper's five full-size networks (see docs/PAPER_MAP.md "Substitutions" for
 //!   the substitution rationale), plus extraction of *real* masks from
@@ -18,7 +14,8 @@
 //!   Figs 1 and 17–20;
 //! * [`CoSim`] — functional co-simulation of the Procrustes trainer with
 //!   the accelerator's bookkeeping units (QE admissions, imbalance before
-//!   and after balancing) over real training steps;
+//!   and after the simulator's half-tile balancing of §IV-C) over real
+//!   training steps;
 //! * [`report`] — the text-table/CSV emitters shared by the experiment
 //!   harness.
 //!
@@ -44,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod balancer;
 mod codec;
 mod cosim;
 pub mod engine;
@@ -54,7 +50,6 @@ pub mod report;
 mod scenario;
 mod sweep;
 
-pub use balancer::{BalancedTile, LoadBalancer, Schedule};
 pub use cosim::{CoSim, CoSimRecord};
 pub use engine::{
     paper_sparsity_factor, resolve_network, Engine, EngineOpts, EvalResult, MemoStats, NetworkCost,
@@ -67,3 +62,10 @@ pub use procrustes_nn::ComputeBackend;
 // The latency-fidelity axis; defined next to the simulator that
 // implements both models, re-exported here for scenario authors.
 pub use procrustes_sim::Fidelity;
+
+// The simulator's half-tile pairing checked against the CSB format's
+// pointer queries, the density source the paper's balancer reads.
+#[cfg(test)]
+mod balancer {
+    mod tests;
+}

@@ -6,6 +6,8 @@
 //! one full-PE-array working set and one array dimension, which is what
 //! lets the `K,N`/`C,N` dataflows keep their simple interconnect.
 
+use crate::MaskSummary;
+
 /// Pairs half-tile work amounts from opposite ends of the density order,
 /// returning the work of each rebuilt tile.
 ///
@@ -71,6 +73,44 @@ pub fn balanced_assignment(halves: &[(u64, u64)]) -> (u64, f64) {
     (max, mean)
 }
 
+/// The Fig 5 and Fig 13 overheads of each working set of `rows`
+/// output-channel units of `summary`, in order: `(unbalanced, balanced)`
+/// is the [`imbalance_overhead`] of the units' totals and of the tiles
+/// [`half_tile_pairs`] rebuilds from their halves.
+///
+/// # Panics
+///
+/// Panics if `rows == 0`.
+///
+/// # Examples
+///
+/// ```
+/// use procrustes_sim::{working_set_overheads, LayerTask, MaskSummary, SparsityInfo};
+///
+/// // Two 2-channel filters of 1×1 kernels: one dense, one empty.
+/// let task = LayerTask::conv("skew", 1, 2, 2, 4, 4, 1, 1, 0);
+/// let mut sp = SparsityInfo::dense(&task);
+/// sp.kernel_nnz = vec![1, 1, 0, 0];
+/// let summary = MaskSummary::new(&task, &sp);
+/// // Totals (2, 0) run 100 % over their mean; the halves pair as (1, 1).
+/// assert_eq!(working_set_overheads(&summary, 2), vec![(1.0, 0.0)]);
+/// ```
+pub fn working_set_overheads(summary: &MaskSummary, rows: usize) -> Vec<(f64, f64)> {
+    assert!(rows > 0, "working_set_overheads: need at least one row");
+    summary
+        .units(true)
+        .chunks(rows)
+        .map(|set| {
+            let totals: Vec<u64> = set.iter().map(|u| u.total).collect();
+            let halves: Vec<(u64, u64)> = set.iter().map(|u| u.halves()).collect();
+            (
+                imbalance_overhead(&totals),
+                imbalance_overhead(&half_tile_pairs(&halves)),
+            )
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,6 +167,14 @@ mod tests {
         assert_eq!(imbalance_overhead(&[7, 7, 7]), 0.0);
         assert_eq!(imbalance_overhead(&[]), 0.0);
         assert_eq!(imbalance_overhead(&[0, 0]), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one row")]
+    fn working_set_overheads_rejects_zero_rows() {
+        let task = crate::LayerTask::fc("fc", 1, 2, 2);
+        let summary = MaskSummary::new(&task, &crate::SparsityInfo::dense(&task));
+        working_set_overheads(&summary, 0);
     }
 
     #[test]

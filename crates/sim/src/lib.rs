@@ -71,7 +71,9 @@ pub mod timing;
 mod workload;
 
 pub use arch::ArchConfig;
-pub use balance::{balanced_assignment, half_tile_pairs, imbalance_overhead};
+pub use balance::{
+    balanced_assignment, half_tile_pairs, imbalance_overhead, working_set_overheads,
+};
 pub use cost::{CostSummary, EnergyBreakdown, LayerCost};
 pub use energy::EnergyTable;
 pub use fingerprint::Fnv1a;

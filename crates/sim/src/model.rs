@@ -444,7 +444,10 @@ struct Traffic {
 /// Weight storage cost in 32-bit words: raw dense words for the baseline
 /// accelerator, or CSB (packed values + 1-bit masks + one pointer per
 /// kernel) when compressed; the ideal configuration pays no format
-/// overhead.
+/// overhead. Values and pointers are `CsbTensor::data_bytes` and
+/// `ptr_bytes` over four; the mask bits are packed across kernels, where
+/// `CsbTensor::mask_bytes` rounds each block up to whole bytes (2 bytes
+/// against 9 bits for a 3×3 filter).
 fn csb_words(
     task: &LayerTask,
     sp: &SparsityInfo,

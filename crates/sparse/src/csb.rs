@@ -393,7 +393,12 @@ impl CsbTensor {
         }
     }
 
-    // ----- storage accounting (used by the accelerator simulator) ---------
+    // ----- storage accounting ---------------------------------------------
+    // Values and pointers are what the simulator's `csb_words` charges
+    // (pinned on trained masks in `tests/end_to_end.rs`). Masks are not:
+    // the simulator packs mask bits across kernels, ⌈K·C·R·S / 32⌉ words,
+    // while `BitMask::storage_bytes` rounds each block up to whole bytes
+    // (2 bytes against 9 bits for a 3×3 filter).
 
     /// Bytes of packed weight data (4 bytes per nonzero).
     pub fn data_bytes(&self) -> usize {

@@ -1,13 +1,19 @@
 //! Cross-crate integration: the full pipeline from sparse training to
 //! accelerator evaluation.
 
-use procrustes::core::{masks, CoSim, Engine, LoadBalancer, Scenario};
+use procrustes::core::{masks, CoSim, Engine, Scenario};
 use procrustes::dropback::{ProcrustesConfig, ProcrustesTrainer, Trainer};
 use procrustes::nn::data::SyntheticImages;
-use procrustes::nn::{BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU, Sequential};
+use procrustes::nn::{
+    arch, BatchNorm2d, Conv2d, Flatten, Layer, Linear, MaxPool2d, ParamKind, ReLU, Sequential,
+};
 use procrustes::prng::Xorshift64;
-use procrustes::sim::{ArchConfig, BalanceMode, Mapping, Phase};
+use procrustes::sim::{
+    half_tile_pairs, imbalance_overhead, working_set_overheads, ArchConfig, BalanceMode, LayerTask,
+    Mapping, MaskSummary, Phase, SparsityInfo,
+};
 use procrustes::sparse::CsbTensor;
+use procrustes::tensor::Tensor;
 
 fn micro_model(seed: u64) -> Sequential {
     let mut rng = Xorshift64::new(seed);
@@ -22,6 +28,37 @@ fn micro_model(seed: u64) -> Sequential {
     m.push(Flatten::new());
     m.push(Linear::new(32 * 4 * 4, 4, true, &mut rng));
     m
+}
+
+/// Each conv layer of `model`: its weight and the entry
+/// `masks::from_model` gives it.
+fn conv_layers(model: &mut Sequential) -> Vec<(Tensor, LayerTask, SparsityInfo)> {
+    let mut weights = Vec::new();
+    model.visit_params(&mut |p| {
+        if p.kind == ParamKind::Prunable {
+            weights.push(p.values.clone());
+        }
+    });
+    masks::from_model(model, 1, 1.0)
+        .into_iter()
+        .zip(weights)
+        .filter(|(_, w)| w.shape().rank() == 4)
+        .map(|((task, sp), w)| (w, task, sp))
+        .collect()
+}
+
+/// Each filter row's `(first, second)` halves by CSB pointer subtraction.
+fn csb_halves(csb: &CsbTensor) -> Vec<(u64, u64)> {
+    let (gr, gc) = csb.layout().grid();
+    (0..gr)
+        .map(|gi| {
+            let (begin, mid, end) = (gi * gc, gi * gc + gc / 2, (gi + 1) * gc);
+            (
+                csb.range_nnz(begin, mid) as u64,
+                csb.range_nnz(mid, end) as u64,
+            )
+        })
+        .collect()
 }
 
 /// Train sparsely, extract the REAL masks from the model, and verify the
@@ -115,8 +152,8 @@ fn pruned_weights_are_exactly_zero_after_horizon() {
     );
 }
 
-/// Co-simulation ties the trainer to CSB compression and the balancer;
-/// its invariants must hold over a real training run.
+/// Co-simulation ties the trainer to the simulator's balancer; its
+/// invariants must hold over a real training run.
 #[test]
 fn cosim_balancing_invariants_hold_during_training() {
     let data = SyntheticImages::new(4, 16, 16, 0.25, 9);
@@ -137,11 +174,85 @@ fn cosim_balancing_invariants_hold_during_training() {
         assert!(r.worst_balanced <= r.worst_unbalanced + 1e-9);
         assert!(r.threshold > 0.0);
     }
-    // The CSB snapshots round-trip and the balancer conserves their work.
-    for csb in cosim.csb_snapshots() {
-        let balancer = LoadBalancer::new(8);
-        let schedule = balancer.balance(&csb);
-        assert_eq!(schedule.total_work(), csb.nnz() as u64);
+    // Paired per 8-row working set, each conv layer's CSB halves give one
+    // rebuilt tile per filter and keep exactly that set's nonzeros.
+    for (w, _, _) in conv_layers(cosim.trainer_mut().model_mut()) {
+        let csb = CsbTensor::from_dense_conv(&w);
+        let gc = csb.layout().grid().1;
+        for (i, set) in csb_halves(&csb).chunks(8).enumerate() {
+            let rebuilt = half_tile_pairs(set);
+            assert_eq!(rebuilt.len(), set.len());
+            let set_nnz = csb.range_nnz(i * 8 * gc, (i * 8 + set.len()) * gc);
+            assert_eq!(rebuilt.iter().sum::<u64>(), set_nnz as u64);
+        }
+    }
+}
+
+/// The CSB format is the accelerator's ground truth for trained masks:
+/// on every conv layer of the five tiny families, the simulator's
+/// per-working-set overheads (`MaskSummary` halves) equal those of CSB
+/// pointer queries bit for bit, and the format's value and pointer bytes
+/// are the words the simulator charges for them.
+#[test]
+fn trained_conv_masks_agree_with_their_csb_encoding() {
+    type Family = fn(usize, &mut Xorshift64) -> Sequential;
+    let families: [Family; 5] = [
+        arch::tiny_vgg,
+        arch::tiny_resnet,
+        arch::tiny_wrn,
+        arch::tiny_densenet,
+        arch::tiny_mobilenet,
+    ];
+    let data = SyntheticImages::cifar_like(10, 5);
+    for (seed, family) in (1u64..).zip(families) {
+        let mut rng = Xorshift64::new(seed);
+        let mut trainer = ProcrustesTrainer::new(
+            family(10, &mut rng),
+            ProcrustesConfig {
+                sparsity_factor: 8.0,
+                lambda: 0.001,
+                ..ProcrustesConfig::default()
+            },
+            seed as u32,
+        );
+        // Past the decay horizon: the masks are the tracked set alone.
+        for _ in 0..trainer.wr().zero_iteration().unwrap() + 2 {
+            let (x, labels) = data.batch(2, &mut rng);
+            trainer.train_step(&x, &labels);
+        }
+        for (w, task, sp) in conv_layers(trainer.model_mut()) {
+            let csb = CsbTensor::from_dense_conv(&w);
+            let summary = MaskSummary::new(&task, &sp);
+            let halves = csb_halves(&csb);
+            for rows in [8, 16] {
+                let from_csb: Vec<(u64, u64)> = halves
+                    .chunks(rows)
+                    .map(|set| {
+                        let totals: Vec<u64> = set.iter().map(|&(a, b)| a + b).collect();
+                        (
+                            imbalance_overhead(&totals).to_bits(),
+                            imbalance_overhead(&half_tile_pairs(set)).to_bits(),
+                        )
+                    })
+                    .collect();
+                let from_summary: Vec<(u64, u64)> = working_set_overheads(&summary, rows)
+                    .into_iter()
+                    .map(|(u, b)| (u.to_bits(), b.to_bits()))
+                    .collect();
+                assert_eq!(
+                    from_summary, from_csb,
+                    "seed {seed}, {}, rows {rows}",
+                    task.name
+                );
+            }
+            assert_eq!(
+                csb.data_bytes() as u64 / 4,
+                summary.total_nnz(),
+                "{}",
+                task.name
+            );
+            assert_eq!(csb.ptr_bytes() / 4, task.kernels() + 1, "{}", task.name);
+        }
     }
 }
 
@@ -164,7 +275,6 @@ fn csb_roundtrip_on_trained_weights() {
         let (x, labels) = data.batch(2, &mut rng);
         trainer.train_step(&x, &labels);
     }
-    use procrustes::nn::{Layer, ParamKind};
     trainer.model_mut().visit_params(&mut |p| {
         if p.kind == ParamKind::Prunable && p.values.shape().rank() == 4 {
             let csb = CsbTensor::from_dense_conv(p.values);
