@@ -387,11 +387,14 @@ struct GroupState<'e> {
 ///    no mask is synthesised and nothing is fingerprinted.
 /// 3. **Group resolve** — otherwise the workloads are resolved, once per
 ///    generator key per [`Engine::run_all`] call: scenarios with equal
-///    keys form a group that shares one set. Each worker thread opens a
-///    group of its own and synthesises for it beside the others; only a
-///    worker that finds no unopened group left joins one that is still
-///    open, and waits if that group's set is being synthesised right
-///    then rather than making a second copy.
+///    keys form a group that shares one set. Groups are opened costliest
+///    first: synthesised masks before constant sets, then by the
+///    geometry's kernel count, ties in input order (results still land
+///    in input order). Each worker thread opens a group of its own and
+///    synthesises for it beside the others, so the last groups opened
+///    are the cheap ones; only a worker that finds no unopened group
+///    left joins one that is still open, and waits if that group's set
+///    is being synthesised right then rather than making a second copy.
 /// 4. **Evaluate** — each `(layer, phase)` is served from the layer-cost
 ///    cache or computed by the cost model and added to it.
 ///
@@ -509,7 +512,8 @@ impl Engine {
     /// only changes scheduling).
     ///
     /// Scenarios with equal generator keys are evaluated next to each
-    /// other, whatever their order in `scenarios`, and share one resolved
+    /// other, whatever their order in `scenarios`, the costliest group to
+    /// resolve first, and share one resolved
     /// workload set (see [`Engine`], "Lookup order"): each distinct mask
     /// set is synthesised at most once per call, at most `threads` of
     /// them are alive at any time, and none outlives the call. Work is
@@ -539,6 +543,12 @@ impl Engine {
                 None => keyed.push((key, vec![i])),
             }
         }
+        // Costliest resolve first (ties in input order), so the last group
+        // opened is a cheap one and no worker ends the call waiting on a
+        // long synthesis that began late.
+        keyed.sort_by_cached_key(|(_, members)| {
+            std::cmp::Reverse(scenarios[members[0]].resolve_work())
+        });
         let groups: Vec<Group<'_>> = keyed
             .into_iter()
             .map(|(key, members)| Group {

@@ -478,6 +478,25 @@ impl Scenario {
         })
     }
 
+    /// How much work resolving this scenario's workloads is, as an
+    /// ordering key: `(synthesised, kernels)` — random masks cost a few
+    /// draws and an `exp` per kernel, where a constant set only fills,
+    /// and both scale with the geometry's kernel count. [`Engine::run_all`]
+    /// opens the costliest groups first.
+    pub(crate) fn resolve_work(&self) -> (bool, usize) {
+        let synthesised = matches!(
+            self.sparsity,
+            SparsityGen::Synthetic { .. } | SparsityGen::PaperSynthetic { .. }
+        );
+        let kernels = match &self.sparsity {
+            SparsityGen::Extracted(workloads) => workloads.iter().map(|(t, _)| t.kernels()).sum(),
+            _ => self.resolve_network().map_or(0, |net| {
+                net.layers.iter().map(|g| g.weights() / (g.r * g.s)).sum()
+            }),
+        };
+        (synthesised, kernels)
+    }
+
     /// Workload materialization against an already-resolved geometry,
     /// with the scenario's execution backend applied: [`ComputeBackend::
     /// Dense`] forces every workload onto the uncompressed dense weight

@@ -105,6 +105,56 @@ fn the_figure_grid_synthesises_each_mask_set_once_and_none_when_warm() {
 }
 
 #[test]
+fn the_costliest_groups_open_first_and_results_keep_input_order() {
+    // The grid listed smallest network first, so that the engine's
+    // costliest-first order is the reverse of the input's.
+    let kernels = |id: &str| -> usize {
+        let net = resolve_network(id).unwrap();
+        net.layers.iter().map(|g| g.weights() / (g.r * g.s)).sum()
+    };
+    let mut networks = PAPER_NETWORKS;
+    networks.sort_by_key(|id| kernels(id));
+    assert_ne!(networks, PAPER_NETWORKS);
+    let scenarios = grid(&networks, 1);
+    let expected = Engine::new(EngineOpts {
+        threads: 1,
+        memoize: false,
+    })
+    .run_all(&scenarios)
+    .unwrap();
+    for threads in [1, 2, 3] {
+        let engine = Engine::with_threads(threads);
+        let results = engine.run_all(&scenarios).unwrap();
+        for (scenario, result) in scenarios.iter().zip(&results) {
+            assert_eq!(&result.scenario, scenario, "{threads} threads");
+        }
+        assert_eq!(results, expected, "{threads} threads");
+        let stats = engine.memo_stats();
+        assert_eq!(stats.sets_resolved, 10, "{threads} threads");
+        assert_eq!(engine.cached_layer_costs(), 5_976, "{threads} threads");
+        assert_eq!(stats.layer_misses + stats.layer_hits, 7_296);
+        if threads == 1 {
+            assert_eq!((stats.layer_misses, stats.layer_hits), (5_976, 1_320));
+        } else {
+            // Two layers appear in two networks' sets each (8 points × 3
+            // phases of lookups): two workers that reach one of them at
+            // the same moment both miss it, so only the entries are exact.
+            assert!(
+                (5_976..=5_976 + 48).contains(&stats.layer_misses),
+                "{} misses on {threads} threads",
+                stats.layer_misses
+            );
+        }
+        assert_eq!(stats.live_sets, 0);
+        assert!(
+            (1..=threads as u64).contains(&stats.peak_live_sets),
+            "{} sets alive at once on {threads} threads",
+            stats.peak_live_sets
+        );
+    }
+}
+
+#[test]
 fn interleaved_generators_still_resolve_once_each_and_keep_input_order() {
     let per_key = grid(&["DenseNet"], 23);
     let (dense, sparse) = per_key.split_at(per_key.len() / 2);

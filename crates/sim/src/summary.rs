@@ -115,18 +115,28 @@ impl MaskSummary {
     }
 
     /// [`MaskSummary::new`] and [`SparsityInfo::fingerprint`] in one pass
-    /// over `kernel_nnz`: the sums ride in the shadow of the hash chain,
-    /// whose latency bounds the pass either way.
+    /// over `kernel_nnz`. The hash is a serial chain of one xor and one
+    /// multiply per count ([`crate::Fnv1a::write_u32`]); each row's sums
+    /// run in a loop of their own over the counts the chain has just
+    /// read, independent of it, so they overlap the chain and the pass
+    /// costs about what the hash alone does.
     ///
     /// # Panics
     ///
     /// As [`MaskSummary::new`].
     pub fn with_fingerprint(task: &LayerTask, sp: &SparsityInfo) -> (Self, u64) {
-        sp.fingerprint_with(|h| Self::scan(task, sp, |n| h.write(&n.to_le_bytes())))
+        sp.fingerprint_with(|h| {
+            Self::scan(task, sp, |run| {
+                for &n in run {
+                    h.write_u32(n);
+                }
+            })
+        })
     }
 
-    /// The one pass: `each` sees every kernel's count in index order.
-    fn scan(task: &LayerTask, sp: &SparsityInfo, mut each: impl FnMut(u32)) -> Self {
+    /// The one pass: `each` sees every kernel's count in index order, a
+    /// run of consecutive kernels at a time.
+    fn scan(task: &LayerTask, sp: &SparsityInfo, mut each: impl FnMut(&[u32])) -> Self {
         let shape = Shape::of(task);
         let nnz = &sp.kernel_nnz;
         assert_eq!(
@@ -137,10 +147,10 @@ impl MaskSummary {
         );
         let mut max = 0u32;
         let (k_units, c_units) = if shape.depthwise {
+            each(nnz);
             let units = nnz
                 .iter()
                 .map(|&v| {
-                    each(v);
                     max = max.max(v);
                     let v = u64::from(v);
                     Unit {
@@ -276,12 +286,12 @@ impl MaskSummary {
     }
 }
 
-/// Adds `row` into `columns` and returns its sum, feeding each count to
-/// `each` and folding it into `max`.
-fn add_row(row: &[u32], columns: &mut [u64], max: &mut u32, each: &mut impl FnMut(u32)) -> u64 {
+/// Adds `row` into `columns` and returns its sum, feeding the row to
+/// `each` first and folding its counts into `max`.
+fn add_row(row: &[u32], columns: &mut [u64], max: &mut u32, each: &mut impl FnMut(&[u32])) -> u64 {
+    each(row);
     let (mut sum, mut m) = (0u64, *max);
     for (&v, col) in row.iter().zip(columns) {
-        each(v);
         m = m.max(v);
         *col += u64::from(v);
         sum += u64::from(v);

@@ -256,7 +256,7 @@ impl SparsityInfo {
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint_with(|h| {
             for &n in &self.kernel_nnz {
-                h.write(&n.to_le_bytes());
+                h.write_u32(n);
             }
         })
         .1
@@ -348,6 +348,34 @@ mod tests {
         let sp = SparsityInfo::dense(&t);
         assert_eq!(sp.weight_density(&t), 1.0);
         sp.validate(&t);
+    }
+
+    /// The fingerprint against its byte stream spelled out with the byte
+    /// loop, on a 17×17 conv whose counts (cap 289) straddle 255, so both
+    /// paths of `Fnv1a::write_u32` are pinned, through the fused pass too.
+    #[test]
+    fn fingerprint_is_the_byte_stream_above_255() {
+        let t = LayerTask::conv("wide", 1, 3, 5, 20, 20, 17, 1, 8);
+        let cap = (t.r * t.s) as u32;
+        let sp = SparsityInfo {
+            kernel_nnz: (0..t.kernels())
+                .map(|i| [cap, 256, 255, 0, 17][i % 5])
+                .collect(),
+            act_in_density: 0.7,
+            grad_density: 1.0,
+            compressed: true,
+        };
+        sp.validate(&t);
+        let mut h = Fnv1a::new();
+        h.write(&(sp.kernel_nnz.len() as u64).to_le_bytes());
+        for n in &sp.kernel_nnz {
+            h.write(&n.to_le_bytes());
+        }
+        h.write(&sp.act_in_density.to_bits().to_le_bytes());
+        h.write(&sp.grad_density.to_bits().to_le_bytes());
+        h.write(&[u8::from(sp.compressed)]);
+        assert_eq!(sp.fingerprint(), h.finish());
+        assert_eq!(crate::MaskSummary::with_fingerprint(&t, &sp).1, h.finish());
     }
 
     #[test]
