@@ -39,7 +39,7 @@ fn summary_of(w: &Tensor) -> MaskSummary {
 
 /// Each filter row's `(first, second)` halves by CSB pointer subtraction.
 fn csb_halves(csb: &CsbTensor) -> Vec<(u64, u64)> {
-    let (gr, gc) = csb.layout().grid();
+    let (gr, gc) = csb.grid();
     (0..gr)
         .map(|gi| {
             let (begin, mid, end) = (gi * gc, gi * gc + gc / 2, (gi + 1) * gc);
@@ -55,7 +55,7 @@ fn csb_halves(csb: &CsbTensor) -> Vec<(u64, u64)> {
 /// rebuilt tile per unit and keeps exactly its own nonzeros; returns the
 /// rebuilt tiles of every set.
 fn rebuilt_sets(csb: &CsbTensor, rows: usize) -> Vec<Vec<u64>> {
-    let gc = csb.layout().grid().1;
+    let gc = csb.grid().1;
     csb_halves(csb)
         .chunks(rows)
         .enumerate()

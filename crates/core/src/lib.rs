@@ -63,8 +63,9 @@ pub use procrustes_nn::ComputeBackend;
 // implements both models, re-exported here for scenario authors.
 pub use procrustes_sim::Fidelity;
 
-// The simulator's half-tile pairing checked against the CSB format's
-// pointer queries, the density source the paper's balancer reads.
+// Tests only: the simulator's half-tile pairing (it balances; this
+// crate does not) on masks read through `masks::from_model`, checked
+// against the CSB format's pointer queries.
 #[cfg(test)]
 mod balancer {
     mod tests;

@@ -27,13 +27,7 @@ pub fn run(ctx: &ExpContext) {
             .join(" "),
     ]);
     let mask: String = (0..9)
-        .map(|i| {
-            if csb.block_mask(0, 0).get(i) {
-                '1'
-            } else {
-                '0'
-            }
-        })
+        .map(|i| if csb.mask().get(i) { '1' } else { '0' })
         .collect();
     t.row(&["mask (M1)".to_string(), mask]);
     t.row(&[

@@ -40,8 +40,26 @@ fn fig5_and_fig13_print_histograms() {
 #[test]
 fn fig8_prints_csb_example() {
     let out = run(&["fig8"]);
-    assert!(out.contains("101001101"), "paper's mask missing: {out}");
-    assert!(out.contains("packed weights"));
+    // The paper's block B1, every row of the table.
+    let rows = [
+        ("uncompressed block", "1 0 2 0 0 3 4 0 5"),
+        ("mask (M1)", "101001101"),
+        ("packed weights (B1)", "1 2 3 4 5"),
+        ("Σ M1 (packed size)", "5"),
+        ("rotated fetch (bw)", "5 0 4 3 0 0 2 0 1"),
+    ];
+    let body: Vec<&str> = out
+        .lines()
+        .skip_while(|l| !l.starts_with("---"))
+        .skip(1)
+        .take_while(|l| !l.is_empty())
+        .map(str::trim)
+        .collect();
+    assert_eq!(body.len(), rows.len(), "table rows: {out}");
+    for (line, (component, contents)) in body.iter().zip(rows) {
+        let cells = line.strip_prefix(component).map(str::trim);
+        assert_eq!(cells, Some(contents), "row {component:?}: {out}");
+    }
 }
 
 #[test]

@@ -78,7 +78,9 @@ pub use cost::{CostSummary, EnergyBreakdown, LayerCost};
 pub use energy::EnergyTable;
 pub use fingerprint::Fnv1a;
 pub use mapping::{DataflowRole, Mapping, TensorFlow};
-pub use model::{evaluate_layer, evaluate_layer_summarized, evaluate_layer_with, BalanceMode};
+pub use model::{
+    csb_words, evaluate_layer, evaluate_layer_summarized, evaluate_layer_with, BalanceMode,
+};
 pub use summary::MaskSummary;
 pub use timing::{simulate_waves, Fidelity, TimingReport, Wave};
 pub use workload::{LayerTask, Phase, SparsityInfo};

@@ -441,14 +441,14 @@ struct Traffic {
     weight_stream_words: u64,
 }
 
-/// Weight storage cost in 32-bit words: raw dense words for the baseline
-/// accelerator, or CSB (packed values + 1-bit masks + one pointer per
-/// kernel) when compressed; the ideal configuration pays no format
-/// overhead. Values and pointers are `CsbTensor::data_bytes` and
-/// `ptr_bytes` over four; the mask bits are packed across kernels, where
-/// `CsbTensor::mask_bytes` rounds each block up to whole bytes (2 bytes
-/// against 9 bits for a 3×3 filter).
-fn csb_words(
+/// Weight storage cost in 32-bit words, as `(total, mask)`: raw dense
+/// words for the baseline accelerator, or CSB (packed values + 1-bit
+/// masks packed across kernels + one pointer per kernel and a sentinel)
+/// when compressed; the ideal configuration pays no format overhead.
+/// The terms are `CsbTensor`'s `data_bytes`, `mask_bytes` and
+/// `ptr_bytes` over four, an fc layer stored as its `[out, in, 1, 1]`
+/// conv; `tests/end_to_end.rs` pins them on trained masks.
+pub fn csb_words(
     task: &LayerTask,
     sp: &SparsityInfo,
     summary: &MaskSummary,

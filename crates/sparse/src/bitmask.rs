@@ -4,10 +4,11 @@ use std::fmt;
 
 /// A fixed-length packed bitmask with rank (prefix-popcount) queries.
 ///
-/// One `BitMask` identifies the nonzero slots of one CSB block; `rank`
-/// turns a dense in-block coordinate into an offset into the packed weight
-/// array, which is exactly the decode step the Procrustes PE performs when
-/// consuming masks (Fig 14 of the paper shows the per-PE mask memory).
+/// One `BitMask` is a CSB tensor's whole mask array, one bit per dense
+/// slot; `rank` turns a dense coordinate into an offset into the packed
+/// weight array, which is exactly the decode step the Procrustes PE
+/// performs when consuming masks (Fig 14 of the paper shows the per-PE
+/// mask memory).
 ///
 /// # Examples
 ///
@@ -128,18 +129,12 @@ impl BitMask {
             base: 0,
         }
     }
-
-    /// Storage footprint in bytes if packed at one bit per slot (the
-    /// hardware mask-memory cost the simulator charges).
-    pub fn storage_bytes(&self) -> usize {
-        self.len.div_ceil(8)
-    }
 }
 
 /// Iterator over set-bit positions (see [`BitMask::iter_ones`]): walks
 /// word by word and pops bits with `trailing_zeros`, so the cost scales
 /// with `words + ones` rather than the dense bit count — the decode
-/// speed the compute kernels in [`crate::kernels`] rely on.
+/// speed [`CsbTensor::to_dense`](crate::CsbTensor::to_dense) relies on.
 pub struct IterOnes<'a> {
     words: &'a [u64],
     next_word: usize,
@@ -231,13 +226,6 @@ mod tests {
         assert_eq!(m.rank(5), 2); // Wc
         assert_eq!(m.rank(6), 3); // Wd
         assert_eq!(m.rank(8), 4); // We
-    }
-
-    #[test]
-    fn storage_bytes_rounds_up() {
-        assert_eq!(BitMask::zeros(9).storage_bytes(), 2);
-        assert_eq!(BitMask::zeros(8).storage_bytes(), 1);
-        assert_eq!(BitMask::zeros(0).storage_bytes(), 0);
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! exploits dataflow sparsity inside the kernels.
 //!
 //! [`CsbTensor`] is the format the accelerator stores, the one the
-//! simulator and Fig 8 account for; the PEs rotate or transpose it on
-//! the fetch path. The kernels here read what that fetch delivers: layers
-//! encode their dense master once per weight resync, straight into a
-//! [`ConvDecode`] or an [`FcDecode`], each a pair of CSRs (the weight
-//! matrix in the order each pass fetches it). The stored nonzeros drive
+//! simulator charges and Fig 8 shows. The kernels here do not read it:
+//! layers encode their dense master once per weight resync, straight
+//! into a [`ConvDecode`] or an [`FcDecode`], each a pair of CSRs (the
+//! weight matrix in the order each pass fetches it). The stored nonzeros drive
 //! every loop nest, the innermost loop is a contiguous `f32` run, and
 //! two loop nests consume the CSRs:
 //!
@@ -30,8 +29,8 @@
 //!   [`ConvDecode::forward_from_cols`], the im2col oracle the gather is
 //!   tested against.
 //!
-//! The `csb_*` functions are the decode-per-call convenience wrappers:
-//! they take a [`CsbTensor`], decompress it and encode the decode.
+//! The three `csb_conv2d*` functions are decode-per-call wrappers: each
+//! decompresses a [`CsbTensor`] and encodes a [`ConvDecode`] from it.
 //!
 //! # Numerical contract
 //!
@@ -568,8 +567,8 @@ fn check_upstream(
 ///
 /// # Panics
 ///
-/// Panics if `w` is not conv-layout, `x` is not `NCHW`, channels
-/// mismatch, or the filter does not fit.
+/// Panics if `x` is not `NCHW`, channels mismatch, or the filter does
+/// not fit.
 ///
 /// # Examples
 ///
@@ -605,8 +604,8 @@ pub fn csb_conv2d(x: &Tensor, w: &CsbTensor, stride: usize, pad: usize) -> Tenso
 ///
 /// # Panics
 ///
-/// Panics if `w` is not conv-layout or `dy` is inconsistent with the
-/// `(h, wdt, stride, pad)` geometry.
+/// Panics if `dy` is inconsistent with the `(h, wdt, stride, pad)`
+/// geometry.
 pub fn csb_conv2d_backward_input(
     dy: &Tensor,
     w: &CsbTensor,
@@ -631,8 +630,7 @@ pub fn csb_conv2d_backward_input(
 ///
 /// # Panics
 ///
-/// Panics if `mask` is not conv-layout or the geometries are
-/// inconsistent.
+/// Panics if the geometries are inconsistent.
 pub fn csb_conv2d_backward_weights_masked(
     x: &Tensor,
     dy: &Tensor,
@@ -777,41 +775,6 @@ impl FcDecode {
     }
 }
 
-/// Fully-connected product with CSB weights: `y = x·Wᵀ` for
-/// `x: [N, in]`, `W: [out, in]` in fc layout — the sparse matvec of the
-/// PE decode path, skipping every zero weight.
-///
-/// Convenience wrapper that decodes on every call; steady-state callers
-/// (the `Linear` layer) cache an [`FcDecode`] instead. On the
-/// piecewise-transposed tensor it computes the backward product,
-/// `csb_fc_forward(dy, &w.transposed_fc()) = dy·W`, which is what
-/// [`FcDecode::backward_input`] returns without the second tensor.
-/// Bitwise-equal to the dense `x.matmul(&w.transpose2d())`.
-///
-/// # Panics
-///
-/// Panics if `w` is not fc-layout or the feature dimensions mismatch.
-///
-/// # Examples
-///
-/// ```
-/// use procrustes_sparse::{csb_fc_forward, CsbTensor};
-/// use procrustes_tensor::Tensor;
-///
-/// let w = Tensor::from_vec(&[2, 3], vec![1.0, 0.0, 2.0, 0.0, 3.0, 0.0]);
-/// let csb = CsbTensor::from_dense_fc(&w, 2);
-/// let x = Tensor::from_vec(&[1, 3], vec![10.0, 20.0, 30.0]);
-/// let y = csb_fc_forward(&x, &csb);
-/// assert_eq!(y.data(), &[70.0, 60.0]);
-/// // Backward: dx = dy·W through the transposed fetch.
-/// let dy = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]);
-/// let dx = csb_fc_forward(&dy, &csb.transposed_fc());
-/// assert_eq!(dx.data(), &[1.0, 3.0, 2.0]);
-/// ```
-pub fn csb_fc_forward(x: &Tensor, w: &CsbTensor) -> Tensor {
-    FcDecode::from_dense(&w.to_dense()).forward(x, &mut Scratch::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -867,32 +830,27 @@ mod tests {
     ];
 
     /// The weight tensors of one geometry at densities `{0, 0.1, 1}`,
-    /// each checked to store the nonzero count it claims: conv layout
-    /// for `KCRS` dims, fc layout at the layers' block edge (64) for
-    /// `[out, in]`.
-    fn weight_cases(dims: &[usize], seed: u64) -> Vec<(Tensor, CsbTensor)> {
+    /// each checked to store the nonzero count it claims: a `KCRS` conv
+    /// weight or an `[out, in]` fc one.
+    fn weight_cases(dims: &[usize], seed: u64) -> Vec<Tensor> {
         let len: usize = dims.iter().product();
         [0, len.div_ceil(10), len]
             .into_iter()
             .map(|nnz| {
                 let w = with_nnz(dims, nnz, seed + nnz as u64);
-                let csb = if dims.len() == 4 {
-                    let csb = CsbTensor::from_dense_conv(&w);
-                    assert_eq!(ConvDecode::from_dense(&w).nnz(), nnz);
-                    csb
+                let stored = if dims.len() == 4 {
+                    ConvDecode::from_dense(&w).nnz()
                 } else {
-                    let csb = CsbTensor::from_dense_fc(&w, 64);
-                    assert_eq!(FcDecode::from_dense(&w).nnz(), nnz);
-                    csb
+                    FcDecode::from_dense(&w).nnz()
                 };
-                assert_eq!(csb.nnz(), nnz, "case must hold the nnz it claims");
-                (w, csb)
+                assert_eq!(stored, nnz, "case must hold the nnz it claims");
+                w
             })
             .collect()
     }
 
-    /// `[out, in]` of tiny-VGG's two heads and a shape ragged against the
-    /// 64-edge on both sides.
+    /// `[out, in]` of tiny-VGG's two heads and a shape that is no
+    /// multiple of the SpMM's block width on either side.
     const FC_SHAPES: [[usize; 2]; 3] = [[64, 1024], [10, 64], [70, 130]];
     /// Batch sizes that take the SpMM with no staging, through one
     /// ragged block, and through a full block plus a ragged one.
@@ -912,9 +870,9 @@ mod tests {
                 conv_out_dim(wd, s, stride, pad),
             );
             let cols = im2col(&x, r, s, stride, pad);
-            for (w, csb) in weight_cases(&[k, c, r, s], 10 * gi as u64) {
-                let what = format!("geometry {gi}, nnz {}", csb.nnz());
+            for w in weight_cases(&[k, c, r, s], 10 * gi as u64) {
                 let decode = ConvDecode::from_dense(&w);
+                let what = format!("geometry {gi}, nnz {}", decode.nnz());
                 let got = decode.forward_from_cols(cols.data(), n, p, q, &mut scratch);
                 assert_eq!(got.shape().dims(), &[n, k, p, q], "{what}");
                 // The dense trio's forward, on the same columns.
@@ -942,6 +900,7 @@ mod tests {
                     );
                 }
                 // The decode-per-call wrapper runs the same kernel.
+                let csb = CsbTensor::from_dense_conv(&w);
                 assert_eq!(
                     bits(&csb_conv2d(&x, &csb, stride, pad)),
                     bits(&got),
@@ -981,13 +940,14 @@ mod tests {
                 *v = -0.0;
             }
             assert!(negative_zeros.data()[0].is_sign_negative());
-            for (w, csb) in weight_cases(&[k, c, r, s], 10 * gi as u64) {
+            for w in weight_cases(&[k, c, r, s], 10 * gi as u64) {
                 let decode = ConvDecode::from_dense(&w);
+                let csb = CsbTensor::from_dense_conv(&w);
                 for (di, dy) in [&mixed, &dead_planes, &negative_zeros]
                     .into_iter()
                     .enumerate()
                 {
-                    let what = format!("geometry {gi}, nnz {}, dy {di}", csb.nnz());
+                    let what = format!("geometry {gi}, nnz {}, dy {di}", decode.nnz());
                     let got = decode.backward_input(dy, h, wd, stride, pad, &mut scratch);
                     let want = conv2d_backward_input(dy, &w, h, wd, stride, pad);
                     assert_eq!(got.shape(), want.shape(), "{what}");
@@ -1078,29 +1038,28 @@ mod tests {
 
     #[test]
     fn fc_forward_is_bitwise_equal_to_matmul() {
-        // Ragged (10x7, edge 4), exact-multiple (8x8, edge 4), edge larger
-        // than the matrix, and the degenerate densities.
-        for (dims, edge, keep, seed) in [
-            ([10usize, 7], 4usize, 0.35, 11u64),
-            ([8, 8], 4, 0.5, 12),
-            ([3, 5], 8, 0.6, 13),
-            ([6, 6], 3, 1.0, 14),
-            ([6, 6], 3, 0.0, 15),
+        let mut scratch = Scratch::new();
+        // Small shapes against the dense GEMM, the degenerate densities
+        // included.
+        for (dims, keep, seed) in [
+            ([10usize, 7], 0.35, 11u64),
+            ([8, 8], 0.5, 12),
+            ([3, 5], 0.6, 13),
+            ([6, 6], 1.0, 14),
+            ([6, 6], 0.0, 15),
         ] {
             let w = sparse_tensor(&dims, keep, seed);
-            let csb = CsbTensor::from_dense_fc(&w, edge);
             let x = sparse_tensor(&[3, dims[1]], 0.8, seed + 300);
-            let got = csb_fc_forward(&x, &csb);
+            let got = FcDecode::from_dense(&w).forward(&x, &mut scratch);
             let want = x.matmul(&w.transpose2d());
-            assert_eq!(got.data(), want.data(), "dims={dims:?} edge={edge}");
+            assert_eq!(got.data(), want.data(), "dims={dims:?}");
         }
-        let mut scratch = Scratch::new();
         for (si, dims) in FC_SHAPES.into_iter().enumerate() {
-            for (w, csb) in weight_cases(&dims, 500 + 10 * si as u64) {
+            for w in weight_cases(&dims, 500 + 10 * si as u64) {
                 let decode = FcDecode::from_dense(&w);
                 let wt = w.transpose2d();
                 for n in FC_BATCHES {
-                    let what = format!("dims {dims:?}, nnz {}, n {n}", csb.nnz());
+                    let what = format!("dims {dims:?}, nnz {}, n {n}", decode.nnz());
                     let x = sparse_tensor(&[n, dims[1]], 0.8, 600 + n as u64);
                     let got = decode.forward(&x, &mut scratch);
                     assert_eq!(got.shape().dims(), &[n, dims[0]], "{what}");
@@ -1115,50 +1074,33 @@ mod tests {
 
     #[test]
     fn fc_backward_via_transpose_is_bitwise_equal() {
-        for (dims, edge, seed) in [([9usize, 6], 4usize, 16u64), ([5, 11], 3, 17)] {
+        let mut scratch = Scratch::new();
+        for (dims, seed) in [([9usize, 6], 16u64), ([5, 11], 17)] {
             let w = sparse_tensor(&dims, 0.4, seed);
-            let csb = CsbTensor::from_dense_fc(&w, edge);
             let dy = sparse_tensor(&[4, dims[0]], 0.6, seed + 400);
-            let got = csb_fc_forward(&dy, &csb.transposed_fc());
+            let got = FcDecode::from_dense(&w).backward_input(&dy, &mut scratch);
             let want = dy.matmul(&w);
             assert_eq!(got.data(), want.data(), "dims={dims:?}");
         }
-        let mut scratch = Scratch::new();
         for (si, dims) in FC_SHAPES.into_iter().enumerate() {
-            for (w, csb) in weight_cases(&dims, 700 + 10 * si as u64) {
+            for w in weight_cases(&dims, 700 + 10 * si as u64) {
                 let decode = FcDecode::from_dense(&w);
-                let transposed = csb.transposed_fc();
+                let transposed = FcDecode::from_dense(&w.transpose2d());
                 for n in FC_BATCHES {
-                    let what = format!("dims {dims:?}, nnz {}, n {n}", csb.nnz());
+                    let what = format!("dims {dims:?}, nnz {}, n {n}", decode.nnz());
                     let dy = sparse_tensor(&[n, dims[0]], 0.6, 800 + n as u64);
                     let got = decode.backward_input(&dy, &mut scratch);
                     assert_eq!(got.shape().dims(), &[n, dims[1]], "{what}");
                     let want = matmul_ikj(dy.data(), w.data(), n, dims[0], dims[1]);
                     let want = Tensor::from_vec(&[n, dims[1]], want);
                     assert_eq!(bits(&got), bits(&want), "{what}: vs matmul_ikj");
-                    // The format-level oracle: the forward product on the
-                    // piecewise-transposed tensor.
-                    let oracle = csb_fc_forward(&dy, &transposed);
-                    assert_eq!(bits(&got), bits(&oracle), "{what}: vs transposed_fc");
+                    // The transposed oracle: the forward product of `Wᵀ`.
+                    let oracle = transposed.forward(&dy, &mut scratch);
+                    assert_eq!(bits(&got), bits(&oracle), "{what}: vs Wᵀ forward");
                     scratch.recycle(got);
+                    scratch.recycle(oracle);
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "conv layout")]
-    fn conv_kernel_rejects_fc_layout() {
-        let w = Tensor::ones(&[4, 4]);
-        let csb = CsbTensor::from_dense_fc(&w, 2);
-        csb_conv2d(&Tensor::ones(&[1, 1, 4, 4]), &csb, 1, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "fc layout")]
-    fn fc_kernel_rejects_conv_layout() {
-        let w = Tensor::ones(&[1, 1, 3, 3]);
-        let csb = CsbTensor::from_dense_conv(&w);
-        csb_fc_forward(&Tensor::ones(&[1, 9]), &csb);
     }
 }

@@ -8,20 +8,21 @@
 //!
 //! * a **weight array** of variable-size packed nonzero blocks,
 //! * a **pointer array** indexed by *dense* tensor coordinates, and
-//! * a **mask array** with one bitmask per block identifying nonzero slots.
+//! * a **mask array** of one bit per dense slot identifying the nonzeros.
 //!
 //! Because the pointer array is indexed in the dense operation space,
 //! kernel addresses are computable in any loop order; blocks are fetched at
-//! filter granularity so they can be rotated 180° (backward pass) or
-//! transposed (fc layers) *while being fetched*; and the density of any
-//! contiguous block range is one pointer subtraction — the query the
-//! load balancer builds on (§IV-C).
+//! filter granularity so they can be rotated 180° (backward pass) *while
+//! being fetched*; and the density of any contiguous block range is one
+//! pointer subtraction — the query the load balancer builds on (§IV-C).
 //!
-//! This crate provides [`BitMask`] (the mask-array entry), [`CsbTensor`]
-//! (the full format, for both conv kernels and blocked fc matrices), and
-//! the [`kernels`] module — CSB-consuming conv/fc forward and backward
-//! compute kernels whose work scales with the number of stored nonzeros
-//! rather than the dense volume.
+//! This crate provides [`CsbTensor`] — the format as the simulator
+//! charges it, one block per conv filter, with one packed [`BitMask`] as
+//! its mask array (an fc layer is stored as the 1×1 conv it is) — and
+//! the [`kernels`] module: sparse conv and fc compute kernels over CSRs
+//! encoded from the dense weights ([`ConvDecode`], [`FcDecode`]), whose
+//! work scales with the number of stored nonzeros rather than the dense
+//! volume.
 //!
 //! # Examples
 //!
@@ -45,8 +46,7 @@ mod csb;
 pub mod kernels;
 
 pub use bitmask::{BitMask, IterOnes};
-pub use csb::{CsbLayout, CsbTensor, NonzeroEntry};
+pub use csb::CsbTensor;
 pub use kernels::{
-    csb_conv2d, csb_conv2d_backward_input, csb_conv2d_backward_weights_masked, csb_fc_forward,
-    ConvDecode, FcDecode,
+    csb_conv2d, csb_conv2d_backward_input, csb_conv2d_backward_weights_masked, ConvDecode, FcDecode,
 };

@@ -10,8 +10,9 @@
 //! * [`tensor`] — dense f32 tensors with conv/fc forward, backward, and
 //!   weight-update kernels;
 //! * [`sparse`] — the compressed sparse block (CSB) weight format and the
-//!   CSB-consuming conv/fc compute kernels (work ∝ stored nonzeros,
-//!   results bitwise-equal to the dense kernels);
+//!   sparse conv/fc compute kernels over CSRs encoded from the dense
+//!   weights (work ∝ stored nonzeros, results bitwise-equal to the dense
+//!   kernels);
 //! * [`quantile`] — DUMIQUE streaming quantile estimation;
 //! * [`nn`] — a small DNN training framework plus the paper's five network
 //!   geometries; conv/fc layers dispatch between dense and CSB execution

@@ -9,8 +9,8 @@ use procrustes::nn::{
 };
 use procrustes::prng::Xorshift64;
 use procrustes::sim::{
-    half_tile_pairs, imbalance_overhead, working_set_overheads, ArchConfig, BalanceMode, LayerTask,
-    Mapping, MaskSummary, Phase, SparsityInfo,
+    csb_words, half_tile_pairs, imbalance_overhead, working_set_overheads, ArchConfig, BalanceMode,
+    LayerTask, Mapping, MaskSummary, Phase, SparsityInfo,
 };
 use procrustes::sparse::CsbTensor;
 use procrustes::tensor::Tensor;
@@ -30,9 +30,9 @@ fn micro_model(seed: u64) -> Sequential {
     m
 }
 
-/// Each conv layer of `model`: its weight and the entry
+/// Each prunable layer of `model`: its weight and the entry
 /// `masks::from_model` gives it.
-fn conv_layers(model: &mut Sequential) -> Vec<(Tensor, LayerTask, SparsityInfo)> {
+fn prunable_layers(model: &mut Sequential) -> Vec<(Tensor, LayerTask, SparsityInfo)> {
     let mut weights = Vec::new();
     model.visit_params(&mut |p| {
         if p.kind == ParamKind::Prunable {
@@ -42,14 +42,20 @@ fn conv_layers(model: &mut Sequential) -> Vec<(Tensor, LayerTask, SparsityInfo)>
     masks::from_model(model, 1, 1.0)
         .into_iter()
         .zip(weights)
-        .filter(|(_, w)| w.shape().rank() == 4)
         .map(|((task, sp), w)| (w, task, sp))
         .collect()
 }
 
+/// The conv layers among [`prunable_layers`].
+fn conv_layers(model: &mut Sequential) -> Vec<(Tensor, LayerTask, SparsityInfo)> {
+    let mut layers = prunable_layers(model);
+    layers.retain(|(w, _, _)| w.shape().rank() == 4);
+    layers
+}
+
 /// Each filter row's `(first, second)` halves by CSB pointer subtraction.
 fn csb_halves(csb: &CsbTensor) -> Vec<(u64, u64)> {
-    let (gr, gc) = csb.layout().grid();
+    let (gr, gc) = csb.grid();
     (0..gr)
         .map(|gi| {
             let (begin, mid, end) = (gi * gc, gi * gc + gc / 2, (gi + 1) * gc);
@@ -178,7 +184,7 @@ fn cosim_balancing_invariants_hold_during_training() {
     // rebuilt tile per filter and keep exactly that set's nonzeros.
     for (w, _, _) in conv_layers(cosim.trainer_mut().model_mut()) {
         let csb = CsbTensor::from_dense_conv(&w);
-        let gc = csb.layout().grid().1;
+        let gc = csb.grid().1;
         for (i, set) in csb_halves(&csb).chunks(8).enumerate() {
             let rebuilt = half_tile_pairs(set);
             assert_eq!(rebuilt.len(), set.len());
@@ -191,8 +197,9 @@ fn cosim_balancing_invariants_hold_during_training() {
 /// The CSB format is the accelerator's ground truth for trained masks:
 /// on every conv layer of the five tiny families, the simulator's
 /// per-working-set overheads (`MaskSummary` halves) equal those of CSB
-/// pointer queries bit for bit, and the format's value and pointer bytes
-/// are the words the simulator charges for them.
+/// pointer queries bit for bit; on every conv and fc layer, the format's
+/// value, mask and pointer bytes are the words `csb_words` charges for
+/// them, an fc weight stored as its `[out, in, 1, 1]` conv.
 #[test]
 fn trained_conv_masks_agree_with_their_csb_encoding() {
     type Family = fn(usize, &mut Xorshift64) -> Sequential;
@@ -204,6 +211,7 @@ fn trained_conv_masks_agree_with_their_csb_encoding() {
         arch::tiny_mobilenet,
     ];
     let data = SyntheticImages::cifar_like(10, 5);
+    let mut fc_layers = 0;
     for (seed, family) in (1u64..).zip(families) {
         let mut rng = Xorshift64::new(seed);
         let mut trainer = ProcrustesTrainer::new(
@@ -220,9 +228,26 @@ fn trained_conv_masks_agree_with_their_csb_encoding() {
             let (x, labels) = data.batch(2, &mut rng);
             trainer.train_step(&x, &labels);
         }
-        for (w, task, sp) in conv_layers(trainer.model_mut()) {
-            let csb = CsbTensor::from_dense_conv(&w);
+        for (w, task, sp) in prunable_layers(trainer.model_mut()) {
+            let what = format!("seed {seed}, {}", task.name);
             let summary = MaskSummary::new(&task, &sp);
+            let (total_words, mask_words) = csb_words(&task, &sp, &summary, false);
+            let csb = if w.shape().rank() == 2 {
+                // `from_model`'s fc entry is a 1×1 conv on a 1×1 plane.
+                assert_eq!((task.p * task.q, task.r, task.s), (1, 1, 1), "{what}");
+                fc_layers += 1;
+                let (out, inp) = (w.shape().dim(0), w.shape().dim(1));
+                CsbTensor::from_dense_conv(&w.reshape(&[out, inp, 1, 1]))
+            } else {
+                CsbTensor::from_dense_conv(&w)
+            };
+            assert_eq!(csb.total_bytes() as u64 / 4, total_words, "{what}");
+            assert_eq!(csb.mask_bytes() as u64 / 4, mask_words, "{what}");
+            assert_eq!(csb.data_bytes() as u64 / 4, summary.total_nnz(), "{what}");
+            assert_eq!(csb.ptr_bytes() / 4, task.kernels() + 1, "{what}");
+            if task.p * task.q == 1 {
+                continue;
+            }
             let halves = csb_halves(&csb);
             for rows in [8, 16] {
                 let from_csb: Vec<(u64, u64)> = halves
@@ -239,21 +264,11 @@ fn trained_conv_masks_agree_with_their_csb_encoding() {
                     .into_iter()
                     .map(|(u, b)| (u.to_bits(), b.to_bits()))
                     .collect();
-                assert_eq!(
-                    from_summary, from_csb,
-                    "seed {seed}, {}, rows {rows}",
-                    task.name
-                );
+                assert_eq!(from_summary, from_csb, "{what}, rows {rows}");
             }
-            assert_eq!(
-                csb.data_bytes() as u64 / 4,
-                summary.total_nnz(),
-                "{}",
-                task.name
-            );
-            assert_eq!(csb.ptr_bytes() / 4, task.kernels() + 1, "{}", task.name);
         }
     }
+    assert!(fc_layers >= 5, "every family has an fc head: {fc_layers}");
 }
 
 /// CSB compression of a trained model's conv weights is lossless, and the
