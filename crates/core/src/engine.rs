@@ -884,8 +884,9 @@ impl EvalResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch;
     use crate::masks::MaskGenConfig;
-    use procrustes_nn::{arch, ComputeBackend};
+    use procrustes_nn::ComputeBackend;
     use procrustes_sim::Fnv1a;
 
     #[test]

@@ -5,6 +5,8 @@
 //! (`procrustes-dropback`) and the analytical accelerator model
 //! (`procrustes-sim`) into the artifacts the paper evaluates:
 //!
+//! * [`arch`] — the layer-geometry tables of the paper's five full-size
+//!   networks, one `LayerTask` per weight layer;
 //! * [`MaskGenConfig`] / [`masks`] — synthetic Dropback-like sparsity
 //!   masks for the paper's five full-size networks (see docs/PAPER_MAP.md "Substitutions" for
 //!   the substitution rationale), plus extraction of *real* masks from
@@ -41,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod arch;
 mod codec;
 mod cosim;
 pub mod engine;

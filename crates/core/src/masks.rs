@@ -14,10 +14,11 @@
 //! * [`from_model`]: real masks read out of a `procrustes-nn` model
 //!   trained with `procrustes-dropback` (exact zeros).
 
-use procrustes_nn::arch::{LayerGeom, LayerKind, NetworkArch};
 use procrustes_nn::{Layer, ParamKind, Sequential};
 use procrustes_prng::{UniformRng, Xorshift64};
 use procrustes_sim::{LayerTask, SparsityInfo};
+
+use crate::arch::NetworkArch;
 
 /// Configuration of the synthetic mask generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,31 +106,11 @@ pub fn layer_keep_fractions(weights: &[usize], cfg: &MaskGenConfig) -> Vec<f64> 
         .collect()
 }
 
-fn geom_to_task(geom: &LayerGeom, batch: usize) -> LayerTask {
-    match geom.kind {
-        LayerKind::Conv => LayerTask::conv(
-            geom.name.clone(),
-            batch,
-            geom.c,
-            geom.k,
-            geom.h,
-            geom.w,
-            geom.r,
-            geom.stride,
-            geom.pad,
-        ),
-        LayerKind::DepthwiseConv => LayerTask::depthwise(
-            geom.name.clone(),
-            batch,
-            geom.c,
-            geom.h,
-            geom.w,
-            geom.r,
-            geom.stride,
-            geom.pad,
-        ),
-        LayerKind::Fc => LayerTask::fc(geom.name.clone(), batch, geom.c, geom.k),
-    }
+/// `net`'s layers re-batched to minibatch `batch`.
+fn tasks(net: &NetworkArch, batch: usize) -> impl Iterator<Item = LayerTask> + '_ {
+    net.layers
+        .iter()
+        .map(move |t| LayerTask { batch, ..t.clone() })
 }
 
 /// Builds `(task, sparsity)` pairs for every layer of `net` at minibatch
@@ -142,14 +123,12 @@ pub fn generate(
     batch: usize,
     seed: u64,
 ) -> Vec<(LayerTask, SparsityInfo)> {
-    let weights: Vec<usize> = net.layers.iter().map(LayerGeom::weights).collect();
+    let weights: Vec<usize> = net.layers.iter().map(LayerTask::weights).collect();
     let keeps = layer_keep_fractions(&weights, cfg);
     let mut rng = Xorshift64::new(seed);
-    net.layers
-        .iter()
+    tasks(net, batch)
         .zip(&keeps)
-        .map(|(geom, &keep)| {
-            let task = geom_to_task(geom, batch);
+        .map(|(task, &keep)| {
             let cap = (task.r * task.s) as u32;
             // Lognormal mean correction keeps E[density] = keep despite
             // the multiplicative spreads (row-level + kernel-level).
@@ -195,10 +174,8 @@ fn stochastic_round(x: f64, rng: &mut Xorshift64) -> u32 {
 
 /// Fully dense `(task, sparsity)` pairs for `net` (the baseline).
 pub fn dense(net: &NetworkArch, batch: usize) -> Vec<(LayerTask, SparsityInfo)> {
-    net.layers
-        .iter()
-        .map(|geom| {
-            let task = geom_to_task(geom, batch);
+    tasks(net, batch)
+        .map(|task| {
             let sp = SparsityInfo::dense(&task);
             (task, sp)
         })
@@ -277,7 +254,7 @@ pub fn from_model(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use procrustes_nn::arch;
+    use crate::arch;
 
     #[test]
     fn keep_fractions_hit_the_target() {

@@ -4,10 +4,10 @@
 
 use std::fmt;
 
-use procrustes_nn::arch::{self, NetworkArch};
 use procrustes_nn::ComputeBackend;
 use procrustes_sim::{ArchConfig, BalanceMode, Fidelity, Fnv1a, LayerTask, Mapping, SparsityInfo};
 
+use crate::arch::{self, NetworkArch};
 use crate::codec::{
     arch_from_json, arch_to_json, balance_from_label, balance_label, check_keys, compute_from_json,
     compute_to_json, f64_field, fidelity_from_label, mapping_from_label, mask_cfg_from_json,
@@ -356,7 +356,9 @@ impl Scenario {
     /// Checks every field; a `Scenario` that validates is guaranteed to
     /// evaluate without panicking.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        let net = self.resolve_network()?;
+        if registry(&self.network).is_none() {
+            return Err(ScenarioError::UnknownNetwork(self.network.clone()));
+        }
         if self.batch == 0 {
             return Err(ScenarioError::InvalidParam("batch must be positive".into()));
         }
@@ -447,7 +449,6 @@ impl Scenario {
                 )));
             }
         }
-        let _ = net;
         Ok(())
     }
 
@@ -490,9 +491,9 @@ impl Scenario {
         );
         let kernels = match &self.sparsity {
             SparsityGen::Extracted(workloads) => workloads.iter().map(|(t, _)| t.kernels()).sum(),
-            _ => self.resolve_network().map_or(0, |net| {
-                net.layers.iter().map(|g| g.weights() / (g.r * g.s)).sum()
-            }),
+            _ => self
+                .resolve_network()
+                .map_or(0, |net| net.layers.iter().map(LayerTask::kernels).sum()),
         };
         (synthesised, kernels)
     }

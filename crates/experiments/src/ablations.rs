@@ -2,6 +2,7 @@
 //! figures): eviction policy, QE update width, balancing on/off, and the
 //! sparse-training family comparison of §II-E / §VII.
 
+use procrustes_core::arch::paper_networks;
 use procrustes_core::report::{fmt_cycles, fmt_joules, Table};
 use procrustes_core::{
     masks, ComputeBackend, Engine, Fidelity, MaskGenConfig, Scenario, SparsityGen, Sweep,
@@ -127,7 +128,7 @@ pub fn run_balancer(ctx: &ExpContext) {
         "Ablation — half-tile load balancing (sparse, K,N dataflow)",
         &["network", "unbalanced", "balanced", "latency saved"],
     );
-    for net in arch::paper_networks() {
+    for net in paper_networks() {
         let factor = procrustes_core::paper_sparsity_factor(net.name)
             .expect("Table II factor exists for every paper network");
         let wl = masks::generate(&net, &MaskGenConfig::paper_default(factor), 16, 8);

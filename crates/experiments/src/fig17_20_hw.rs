@@ -15,7 +15,6 @@
 
 use procrustes_core::report::{fmt_cycles, fmt_joules, Table};
 use procrustes_core::{EvalResult, MaskGenConfig, Scenario, SparsityGen, Sweep, PAPER_NETWORKS};
-use procrustes_nn::arch::NetworkArch;
 use procrustes_sim::{ArchConfig, Mapping, Phase};
 
 use crate::ctx::ExpContext;
@@ -239,17 +238,20 @@ pub fn run_fig20(ctx: &ExpContext) {
     ));
 }
 
-/// Shared with table2: dense/sparse footprint and MACs for each network.
-pub fn network_mac_summary(net: &NetworkArch, factor: f64, seed: u64) -> (u64, u64, u64, u64) {
-    let dense_w = net.total_weights() as u64;
-    let dense_m = net.total_macs(1);
-    let workloads = Scenario::builder(net.name)
+/// Shared with table2: dense/sparse footprint and MACs for `network`.
+pub fn network_mac_summary(network: &str, factor: f64, seed: u64) -> (u64, u64, u64, u64) {
+    let workloads = Scenario::builder(network)
         .batch(1)
         .synthetic(MaskGenConfig::paper_default(factor), seed)
         .build()
         .expect("table2 scenario is valid")
         .resolve_workloads()
         .expect("table2 workloads resolve");
+    let dense_w: u64 = workloads.iter().map(|(t, _)| t.weights() as u64).sum();
+    let dense_m: u64 = workloads
+        .iter()
+        .map(|(t, _)| t.dense_macs(Phase::Forward))
+        .sum();
     let sparse_w: u64 = workloads.iter().map(|(_, sp)| sp.total_nnz()).sum();
     // Sparse forward MACs: each retained weight fires once per output
     // position (batch 1, matching Table II's per-sample MAC counts).

@@ -93,52 +93,47 @@ pub fn run_table2(ctx: &ExpContext) {
             "pruned acc",
         ],
     );
-    // (arch, tiny trainable variant, dataset); the Table II sparsity
+    // (network, tiny trainable variant, dataset); the Table II sparsity
     // factor comes from the engine's canonical registry.
-    let cifar = SyntheticImages::cifar_like(10, 51);
-    let imagenet = SyntheticImages::imagenet_like(10, 52);
+    let cifar = ("CIFAR-like", SyntheticImages::cifar_like(10, 51));
+    let imagenet = ("ImageNet-like", SyntheticImages::imagenet_like(10, 52));
     let steps = ctx.train_steps(300);
     type ModelFactory = Box<dyn Fn(u64) -> Sequential>;
-    let rows: Vec<(_, ModelFactory, &SyntheticImages)> = vec![
+    let rows: Vec<(&str, ModelFactory, _)> = vec![
         (
-            arch::densenet(),
+            "DenseNet",
             Box::new(|s| arch::tiny_densenet(10, &mut Xorshift64::new(s))),
             &cifar,
         ),
         (
-            arch::wrn_28_10(),
+            "WRN-28-10",
             Box::new(|s| arch::tiny_wrn(10, &mut Xorshift64::new(s))),
             &cifar,
         ),
         (
-            arch::vgg_s(),
+            "VGG-S",
             Box::new(|s| arch::tiny_vgg(10, &mut Xorshift64::new(s))),
             &cifar,
         ),
         (
-            arch::mobilenet_v2(),
+            "MobileNet v2",
             Box::new(|s| arch::tiny_mobilenet(10, &mut Xorshift64::new(s))),
             &imagenet,
         ),
         (
-            arch::resnet18(),
+            "ResNet18",
             Box::new(|s| arch::tiny_resnet(10, &mut Xorshift64::new(s))),
             &imagenet,
         ),
     ];
-    for (net, make_model, data) in &rows {
-        let factor = procrustes_core::paper_sparsity_factor(net.name)
+    for (network, make_model, (dataset, data)) in &rows {
+        let factor = procrustes_core::paper_sparsity_factor(network)
             .expect("Table II factor exists for every paper network");
-        let (dw, dm, sw, sm) = network_mac_summary(net, factor, 7);
+        let (dw, dm, sw, sm) = network_mac_summary(network, factor, 7);
         let (dense_acc, sparse_acc) = quick_accuracy(ctx, make_model, data, factor, steps);
         t.row(&[
-            net.name.to_string(),
-            if net.input.1 == 32 {
-                "CIFAR-like"
-            } else {
-                "ImageNet-like"
-            }
-            .to_string(),
+            network.to_string(),
+            dataset.to_string(),
             fmt_millions(dw),
             fmt_millions(dm),
             fmt_millions(sw),

@@ -1,17 +1,8 @@
-//! Network architecture descriptors.
-//!
-//! Two families live here:
-//!
-//! 1. **Full-size geometry tables** for the five networks of the paper's
-//!    evaluation (Table II): [`vgg_s`], [`resnet18`], [`mobilenet_v2`],
-//!    [`wrn_28_10`], and [`densenet`]. These describe every weight layer's
-//!    loop-nest dimensions (`N, C, K, P, Q, R, S` of Alg 1) and are what
-//!    the accelerator simulator consumes — the performance/energy model
-//!    needs geometry and sparsity, never trained weight values.
-//!
-//! 2. **Tiny trainable variants** of each family ([`tiny_vgg`],
-//!    [`tiny_resnet`], …) used by the substituted accuracy experiments
-//!    (Figs 6, 7, 15, 16) where actual training runs on the CPU.
+//! Tiny trainable network families ([`tiny_vgg`], [`tiny_resnet`],
+//! [`tiny_wrn`], [`tiny_densenet`], [`tiny_mobilenet`]), one per paper
+//! network, used by the substituted accuracy experiments (Figs 6, 7, 15,
+//! 16) where actual training runs on the CPU. The full-size geometries
+//! the accelerator model evaluates live in `procrustes_core::arch`.
 
 use procrustes_prng::UniformRng;
 
@@ -19,465 +10,6 @@ use crate::{
     BatchNorm2d, Conv2d, DenseBlock, DwSeparable, Flatten, GlobalAvgPool, Linear, MaxPool2d, ReLU,
     Residual, Sequential,
 };
-
-/// The kind of a weight layer, which determines weight count and MAC
-/// accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LayerKind {
-    /// Standard convolution (`K·C·R·S` weights).
-    Conv,
-    /// Depthwise convolution (`C·R·S` weights, one filter per channel).
-    DepthwiseConv,
-    /// Fully-connected layer (treated as a 1×1 conv over a 1×1 map).
-    Fc,
-}
-
-/// Geometry of one weight layer: the seven loop-nest extents of the
-/// paper's Alg 1 plus stride/padding.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct LayerGeom {
-    /// Diagnostic name, e.g. `"conv3_2"`.
-    pub name: String,
-    /// Layer kind.
-    pub kind: LayerKind,
-    /// Input channels (`C`).
-    pub c: usize,
-    /// Output channels (`K`).
-    pub k: usize,
-    /// Input spatial height (`H`).
-    pub h: usize,
-    /// Input spatial width (`W`).
-    pub w: usize,
-    /// Filter height (`R`).
-    pub r: usize,
-    /// Filter width (`S`).
-    pub s: usize,
-    /// Convolution stride.
-    pub stride: usize,
-    /// Symmetric zero padding.
-    pub pad: usize,
-}
-
-impl LayerGeom {
-    /// A standard conv layer descriptor.
-    #[allow(clippy::too_many_arguments)]
-    pub fn conv(
-        name: impl Into<String>,
-        c: usize,
-        k: usize,
-        h: usize,
-        w: usize,
-        r: usize,
-        stride: usize,
-        pad: usize,
-    ) -> Self {
-        Self {
-            name: name.into(),
-            kind: LayerKind::Conv,
-            c,
-            k,
-            h,
-            w,
-            r,
-            s: r,
-            stride,
-            pad,
-        }
-    }
-
-    /// A depthwise conv layer descriptor (`channels` in = out).
-    pub fn depthwise(
-        name: impl Into<String>,
-        channels: usize,
-        h: usize,
-        w: usize,
-        r: usize,
-        stride: usize,
-        pad: usize,
-    ) -> Self {
-        Self {
-            name: name.into(),
-            kind: LayerKind::DepthwiseConv,
-            c: channels,
-            k: channels,
-            h,
-            w,
-            r,
-            s: r,
-            stride,
-            pad,
-        }
-    }
-
-    /// A fully-connected layer descriptor.
-    pub fn fc(name: impl Into<String>, inp: usize, out: usize) -> Self {
-        Self {
-            name: name.into(),
-            kind: LayerKind::Fc,
-            c: inp,
-            k: out,
-            h: 1,
-            w: 1,
-            r: 1,
-            s: 1,
-            stride: 1,
-            pad: 0,
-        }
-    }
-
-    /// Output spatial height (`P`).
-    pub fn out_h(&self) -> usize {
-        (self.h + 2 * self.pad - self.r) / self.stride + 1
-    }
-
-    /// Output spatial width (`Q`).
-    pub fn out_w(&self) -> usize {
-        (self.w + 2 * self.pad - self.s) / self.stride + 1
-    }
-
-    /// Number of weights in this layer.
-    pub fn weights(&self) -> usize {
-        match self.kind {
-            LayerKind::Conv | LayerKind::Fc => self.k * self.c * self.r * self.s,
-            LayerKind::DepthwiseConv => self.c * self.r * self.s,
-        }
-    }
-
-    /// Dense MAC count for a minibatch of `batch` samples (one training
-    /// *forward* pass; backward and weight-update each cost the same
-    /// again, cf. Fig 2).
-    pub fn macs(&self, batch: usize) -> u64 {
-        let per_weight = self.out_h() as u64 * self.out_w() as u64 * batch as u64;
-        self.weights() as u64 * per_weight
-    }
-}
-
-/// A full network: named layer-geometry list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NetworkArch {
-    /// Network name as used in the paper ("VGG-S", "ResNet18", …).
-    pub name: &'static str,
-    /// Input `(channels, height, width)`.
-    pub input: (usize, usize, usize),
-    /// Number of output classes.
-    pub classes: usize,
-    /// All weight layers in execution order.
-    pub layers: Vec<LayerGeom>,
-}
-
-impl NetworkArch {
-    /// Total weight count across all layers.
-    pub fn total_weights(&self) -> usize {
-        self.layers.iter().map(LayerGeom::weights).sum()
-    }
-
-    /// Total dense forward-pass MACs for a minibatch of `batch`.
-    pub fn total_macs(&self, batch: usize) -> u64 {
-        self.layers.iter().map(|l| l.macs(batch)).sum()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Full-size paper networks
-// ---------------------------------------------------------------------------
-
-/// VGG-S (Zagoruyko's CIFAR VGG: the VGG-16 conv stack with a reduced fc
-/// head; ~15 M weights — Table II row 3).
-pub fn vgg_s() -> NetworkArch {
-    let mut layers = Vec::new();
-    let mut h = 32;
-    let mut c = 3;
-    let plan: &[(usize, usize)] = &[(64, 2), (128, 2), (256, 3), (512, 3), (512, 3)];
-    for (gi, &(width, convs)) in plan.iter().enumerate() {
-        for li in 0..convs {
-            layers.push(LayerGeom::conv(
-                format!("conv{}_{}", gi + 1, li + 1),
-                c,
-                width,
-                h,
-                h,
-                3,
-                1,
-                1,
-            ));
-            c = width;
-        }
-        h /= 2; // maxpool 2x2 after each group
-    }
-    layers.push(LayerGeom::fc("fc1", 512, 512));
-    layers.push(LayerGeom::fc("fc2", 512, 10));
-    NetworkArch {
-        name: "VGG-S",
-        input: (3, 32, 32),
-        classes: 10,
-        layers,
-    }
-}
-
-/// ResNet18 for ImageNet (11.7 M weights — Table II row 5).
-pub fn resnet18() -> NetworkArch {
-    let mut layers = Vec::new();
-    layers.push(LayerGeom::conv("conv1", 3, 64, 224, 224, 7, 2, 3));
-    // After conv1 (112) and 3x3/2 maxpool: 56x56.
-    let stages: &[(usize, usize, usize)] = &[
-        // (in_ch, out_ch, input spatial of the stage's first block)
-        (64, 64, 56),
-        (64, 128, 56),
-        (128, 256, 28),
-        (256, 512, 14),
-    ];
-    for (si, &(cin, cout, hin)) in stages.iter().enumerate() {
-        let stride = if si == 0 { 1 } else { 2 };
-        let hout = hin / stride;
-        // Block 1 (possibly strided, with projection shortcut).
-        layers.push(LayerGeom::conv(
-            format!("s{}b1_conv1", si + 1),
-            cin,
-            cout,
-            hin,
-            hin,
-            3,
-            stride,
-            1,
-        ));
-        layers.push(LayerGeom::conv(
-            format!("s{}b1_conv2", si + 1),
-            cout,
-            cout,
-            hout,
-            hout,
-            3,
-            1,
-            1,
-        ));
-        if stride != 1 || cin != cout {
-            layers.push(LayerGeom::conv(
-                format!("s{}b1_down", si + 1),
-                cin,
-                cout,
-                hin,
-                hin,
-                1,
-                stride,
-                0,
-            ));
-        }
-        // Block 2.
-        layers.push(LayerGeom::conv(
-            format!("s{}b2_conv1", si + 1),
-            cout,
-            cout,
-            hout,
-            hout,
-            3,
-            1,
-            1,
-        ));
-        layers.push(LayerGeom::conv(
-            format!("s{}b2_conv2", si + 1),
-            cout,
-            cout,
-            hout,
-            hout,
-            3,
-            1,
-            1,
-        ));
-    }
-    layers.push(LayerGeom::fc("fc", 512, 1000));
-    NetworkArch {
-        name: "ResNet18",
-        input: (3, 224, 224),
-        classes: 1000,
-        layers,
-    }
-}
-
-/// MobileNet v2 for ImageNet (~3.5 M weights — Table II row 4).
-pub fn mobilenet_v2() -> NetworkArch {
-    let mut layers = Vec::new();
-    layers.push(LayerGeom::conv("conv0", 3, 32, 224, 224, 3, 2, 1));
-    // (expansion t, out channels, repeats, first stride), input resolution
-    // tracked as we go. Standard MobileNet v2 table.
-    let table: &[(usize, usize, usize, usize)] = &[
-        (1, 16, 1, 1),
-        (6, 24, 2, 2),
-        (6, 32, 3, 2),
-        (6, 64, 4, 2),
-        (6, 96, 3, 1),
-        (6, 160, 3, 2),
-        (6, 320, 1, 1),
-    ];
-    let mut c = 32;
-    let mut h = 112;
-    for (bi, &(t, out, n, s)) in table.iter().enumerate() {
-        for ri in 0..n {
-            let stride = if ri == 0 { s } else { 1 };
-            let exp = c * t;
-            let tag = format!("b{}_{}", bi + 1, ri + 1);
-            if t != 1 {
-                layers.push(LayerGeom::conv(
-                    format!("{tag}_expand"),
-                    c,
-                    exp,
-                    h,
-                    h,
-                    1,
-                    1,
-                    0,
-                ));
-            }
-            layers.push(LayerGeom::depthwise(
-                format!("{tag}_dw"),
-                exp,
-                h,
-                h,
-                3,
-                stride,
-                1,
-            ));
-            let hout = h / stride;
-            layers.push(LayerGeom::conv(
-                format!("{tag}_project"),
-                exp,
-                out,
-                hout,
-                hout,
-                1,
-                1,
-                0,
-            ));
-            c = out;
-            h = hout;
-        }
-    }
-    layers.push(LayerGeom::conv("conv_last", 320, 1280, 7, 7, 1, 1, 0));
-    layers.push(LayerGeom::fc("fc", 1280, 1000));
-    NetworkArch {
-        name: "MobileNet v2",
-        input: (3, 224, 224),
-        classes: 1000,
-        layers,
-    }
-}
-
-/// WRN-28-10 for CIFAR-10 (36.5 M weights — Table II row 2).
-pub fn wrn_28_10() -> NetworkArch {
-    let mut layers = Vec::new();
-    layers.push(LayerGeom::conv("conv0", 3, 16, 32, 32, 3, 1, 1));
-    // n = (28 - 4) / 6 = 4 blocks per group; widths 160/320/640.
-    let groups: &[(usize, usize, usize, usize)] = &[
-        // (in_ch, out_ch, input spatial, first stride)
-        (16, 160, 32, 1),
-        (160, 320, 32, 2),
-        (320, 640, 16, 2),
-    ];
-    for (gi, &(cin, cout, hin, s)) in groups.iter().enumerate() {
-        let hout = hin / s;
-        for bi in 0..4 {
-            let (bc, bh, bs) = if bi == 0 {
-                (cin, hin, s)
-            } else {
-                (cout, hout, 1)
-            };
-            layers.push(LayerGeom::conv(
-                format!("g{}b{}_conv1", gi + 1, bi + 1),
-                bc,
-                cout,
-                bh,
-                bh,
-                3,
-                bs,
-                1,
-            ));
-            layers.push(LayerGeom::conv(
-                format!("g{}b{}_conv2", gi + 1, bi + 1),
-                cout,
-                cout,
-                hout,
-                hout,
-                3,
-                1,
-                1,
-            ));
-            if bi == 0 {
-                layers.push(LayerGeom::conv(
-                    format!("g{}b{}_down", gi + 1, bi + 1),
-                    bc,
-                    cout,
-                    bh,
-                    bh,
-                    1,
-                    bs,
-                    0,
-                ));
-            }
-        }
-    }
-    layers.push(LayerGeom::fc("fc", 640, 10));
-    NetworkArch {
-        name: "WRN-28-10",
-        input: (3, 32, 32),
-        classes: 10,
-        layers,
-    }
-}
-
-/// The paper's small DenseNet: growth rate 24, 3 blocks × 10 layers,
-/// plain connectivity (~2.7 M weights — Table II row 1).
-pub fn densenet() -> NetworkArch {
-    let growth = 24;
-    let mut layers = Vec::new();
-    layers.push(LayerGeom::conv("conv0", 3, 16, 32, 32, 3, 1, 1));
-    let mut c = 16;
-    let mut h = 32;
-    for b in 0..3 {
-        for l in 0..10 {
-            layers.push(LayerGeom::conv(
-                format!("block{}_layer{}", b + 1, l + 1),
-                c,
-                growth,
-                h,
-                h,
-                3,
-                1,
-                1,
-            ));
-            c += growth;
-        }
-        if b < 2 {
-            // Transition: 1x1 conv (same width) + 2x2 avg pool.
-            layers.push(LayerGeom::conv(
-                format!("trans{}", b + 1),
-                c,
-                c,
-                h,
-                h,
-                1,
-                1,
-                0,
-            ));
-            h /= 2;
-        }
-    }
-    layers.push(LayerGeom::fc("fc", c, 10));
-    NetworkArch {
-        name: "DenseNet",
-        input: (3, 32, 32),
-        classes: 10,
-        layers,
-    }
-}
-
-/// All five paper networks, in the order of the paper's figures
-/// (WRN, DenseNet, VGG-S, ResNet18, MobileNet v2).
-pub fn paper_networks() -> Vec<NetworkArch> {
-    vec![wrn_28_10(), densenet(), vgg_s(), resnet18(), mobilenet_v2()]
-}
-
-// ---------------------------------------------------------------------------
-// Tiny trainable variants (for the substituted accuracy experiments)
-// ---------------------------------------------------------------------------
 
 /// A small VGG-style CNN for 32×32 inputs (~120 k prunable weights).
 pub fn tiny_vgg<R: UniformRng + ?Sized>(classes: usize, rng: &mut R) -> Sequential {
@@ -576,84 +108,6 @@ mod tests {
     use crate::Layer;
     use procrustes_prng::Xorshift64;
     use procrustes_tensor::Tensor;
-
-    /// Weight totals must match the paper's Table II dense sizes.
-    #[test]
-    fn paper_network_weight_counts() {
-        let cases: &[(NetworkArch, f64, f64)] = &[
-            // (arch, expected millions, tolerance fraction)
-            (vgg_s(), 15.0, 0.02),
-            (resnet18(), 11.7, 0.02),
-            (mobilenet_v2(), 3.5, 0.06),
-            (wrn_28_10(), 36.5, 0.02),
-            (densenet(), 2.7, 0.03),
-        ];
-        for (arch, expect_m, tol) in cases {
-            let got = arch.total_weights() as f64 / 1e6;
-            assert!(
-                (got - expect_m).abs() / expect_m < *tol,
-                "{}: {got:.2}M weights, expected ~{expect_m}M",
-                arch.name
-            );
-        }
-    }
-
-    /// MAC totals land in the right ballpark (paper counts single-sample
-    /// forward MACs; counting conventions differ by padding treatment, so
-    /// we accept a generous band while still catching geometry errors).
-    #[test]
-    fn paper_network_mac_counts() {
-        let cases: &[(NetworkArch, f64, f64)] = &[
-            (vgg_s(), 269e6, 0.35),
-            (resnet18(), 1.8e9, 0.15),
-            (mobilenet_v2(), 301e6, 0.15),
-            (wrn_28_10(), 4.0e9, 0.5),
-            (densenet(), 528e6, 0.5),
-        ];
-        for (arch, expect, tol) in cases {
-            let got = arch.total_macs(1) as f64;
-            assert!(
-                (got - expect).abs() / expect < *tol,
-                "{}: {:.3e} MACs, expected ~{:.3e}",
-                arch.name,
-                got,
-                expect
-            );
-        }
-    }
-
-    #[test]
-    fn geometry_is_consistent() {
-        for arch in paper_networks() {
-            for l in &arch.layers {
-                assert!(l.out_h() > 0 && l.out_w() > 0, "{}: {}", arch.name, l.name);
-                assert!(l.weights() > 0);
-                if l.kind == LayerKind::DepthwiseConv {
-                    assert_eq!(l.c, l.k, "depthwise must preserve channels");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn vgg_s_layer_structure() {
-        let arch = vgg_s();
-        assert_eq!(arch.layers.len(), 13 + 2); // 13 convs + 2 fc
-        assert_eq!(arch.layers[0].c, 3);
-        assert_eq!(arch.layers[0].k, 64);
-        assert_eq!(arch.layers.last().unwrap().k, 10);
-    }
-
-    #[test]
-    fn resnet18_has_downsample_convs() {
-        let arch = resnet18();
-        let downs = arch
-            .layers
-            .iter()
-            .filter(|l| l.name.contains("down"))
-            .count();
-        assert_eq!(downs, 3);
-    }
 
     fn smoke_train(mut model: Sequential, dims: &[usize]) {
         let x = Tensor::randn(dims, 1.0, &mut Xorshift64::new(1));

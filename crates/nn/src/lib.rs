@@ -23,10 +23,9 @@
 //! * [`data`] — seeded synthetic image classification datasets standing in
 //!   for CIFAR-10/ImageNet (see docs/PAPER_MAP.md "Substitutions" for the
 //!   rationale);
-//! * [`arch`] — exact layer-geometry tables for the paper's five
-//!   *full-size* networks (these feed the accelerator simulator, which
-//!   needs geometry and sparsity, never trained values), plus small
-//!   trainable variants of each family.
+//! * [`arch`] — small trainable variants of each of the paper's five
+//!   network families (the full-size geometries the accelerator model
+//!   evaluates are `LayerTask` tables in `procrustes_core::arch`).
 //!
 //! # Examples
 //!

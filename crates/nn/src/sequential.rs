@@ -37,12 +37,6 @@ impl Sequential {
         self
     }
 
-    /// Appends a boxed layer.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) -> &mut Self {
-        self.layers.push(layer);
-        self
-    }
-
     /// Number of layers.
     pub fn len(&self) -> usize {
         self.layers.len()

@@ -67,12 +67,6 @@ impl Sgd {
         self.lr
     }
 
-    /// Replaces the learning rate (for schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        assert!(lr > 0.0, "Sgd: learning rate must be positive, got {lr}");
-        self.lr = lr;
-    }
-
     /// Applies one update step to every parameter of `model` and zeroes
     /// the gradients.
     ///

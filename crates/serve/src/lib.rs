@@ -233,16 +233,6 @@ pub use proto::{
 pub use report::results_csv_from_docs;
 pub use server::{ServeConfig, Server};
 
-/// Picks the worker shard owning a scenario: `fingerprint % shards`.
-///
-/// This is the *only* shard that will ever evaluate the scenario, which
-/// is what makes a shard's "look up, else compute and store" equivalent
-/// to global single-flight de-duplication: identical scenarios serialize
-/// on one queue.
-pub fn shard_of(scenario: &Scenario, shards: usize) -> usize {
-    (scenario.fingerprint() % shards.max(1) as u64) as usize
-}
-
 /// Expands a sweep only after checking its cardinality against an
 /// admission limit, so hostile documents cannot force the server to
 /// materialize an unbounded cartesian product.

@@ -14,17 +14,18 @@
 //!   weights (work ∝ stored nonzeros, results bitwise-equal to the dense
 //!   kernels);
 //! * [`quantile`] — DUMIQUE streaming quantile estimation;
-//! * [`nn`] — a small DNN training framework plus the paper's five network
-//!   geometries; conv/fc layers dispatch between dense and CSB execution
-//!   through a `ComputeBackend` knob;
+//! * [`nn`] — a small DNN training framework plus a tiny trainable
+//!   variant of each paper network family; conv/fc layers dispatch
+//!   between dense and CSB execution through a `ComputeBackend` knob;
 //! * [`dropback`] — dense SGD, original Dropback, and the hardware-friendly
 //!   Procrustes training algorithm;
 //! * [`sim`] — the Timeloop/Accelergy-class accelerator model, with two
 //!   latency fidelities: the closed-form analytic bound and a tile-timed
 //!   wave simulator that replays the actual per-PE schedule;
-//! * [`core`] — the Procrustes system: load-balanced minibatch-spatial
-//!   dataflows, mask synthesis, and the `Scenario`/`Sweep`/`Engine`
-//!   evaluation API behind every paper figure;
+//! * [`core`] — the Procrustes system: the paper's five full-size
+//!   network geometries, load-balanced minibatch-spatial dataflows, mask
+//!   synthesis, and the `Scenario`/`Sweep`/`Engine` evaluation API
+//!   behind every paper figure;
 //! * [`search`] — seeded, deterministic Pareto design-space search over
 //!   the engine: successive halving over a mutation/crossover loop,
 //!   pluggable cycles/energy/area objectives, and a memoization-aware

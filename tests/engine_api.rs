@@ -4,10 +4,10 @@
 //! expressed as one `Sweep` must reproduce the exact `NetworkCost`
 //! of the per-figure loops over explicit workloads.
 
+use procrustes::core::arch;
 use procrustes::core::{
     masks, Engine, Fidelity, MaskGenConfig, Scenario, SparsityGen, Sweep, PAPER_NETWORKS,
 };
-use procrustes::nn::arch;
 use procrustes::sim::{ArchConfig, BalanceMode, Mapping};
 
 /// `Scenario` documents survive a JSON round trip through the facade.

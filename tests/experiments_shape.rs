@@ -2,10 +2,10 @@
 //! paper reports must hold in band when the experiments run (docs/PAPER_MAP.md "Claim bands"). These pin the *qualitative* results so a regression in any crate
 //! surfaces as a failed claim, not just a changed number.
 
+use procrustes::core::arch;
 use procrustes::core::{
     masks, Engine, EvalResult, Fidelity, MaskGenConfig, Scenario, ScenarioBuilder,
 };
-use procrustes::nn::arch;
 use procrustes::sim::{area, ArchConfig, BalanceMode, Mapping, Phase};
 
 /// Evaluates one scenario on a fresh serial engine.
