@@ -471,11 +471,6 @@ impl Engine {
         })
     }
 
-    /// The engine's options.
-    pub fn opts(&self) -> &EngineOpts {
-        &self.opts
-    }
-
     fn memo(&self) -> MutexGuard<'_, Memo> {
         self.memo.lock().expect("no panic under the memo lock")
     }

@@ -116,12 +116,12 @@ impl GradualMagnitudeTrainer {
     }
 
     /// Current pruning factor (total / survivors).
-    pub fn current_factor(&self) -> f64 {
+    fn current_factor(&self) -> f64 {
         self.n as f64 / self.survivors() as f64
     }
 
     /// True once the target factor is reached.
-    pub fn target_reached(&self) -> bool {
+    fn target_reached(&self) -> bool {
         self.current_factor() >= self.config.final_factor
     }
 

@@ -47,8 +47,8 @@
 //! let (x, labels) = data.batch(8, &mut rng);
 //! let stats = trainer.train_step(&x, &labels);
 //! assert!(stats.loss > 0.0);
-//! // Only ~10% of weights are ever tracked.
-//! assert!(trainer.tracked_fraction() <= 0.11);
+//! // Only ~10% of weights are ever tracked: the budget is ⌈n / 10⌉.
+//! assert!(stats.tracked <= trainer.budget());
 //! ```
 
 #![forbid(unsafe_code)]

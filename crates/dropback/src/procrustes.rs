@@ -32,10 +32,6 @@ pub struct ProcrustesConfig {
     pub aux_lr: f32,
     /// Eviction policy of the tracked-set store.
     pub eviction: EvictionPolicy,
-    /// DUMIQUE adjustment rate ρ (paper: 1e-3).
-    pub qe_rho: f64,
-    /// DUMIQUE initial estimate (paper: 1e-6).
-    pub qe_init: f64,
     /// Which kernels the model's conv/fc layers execute on.
     /// [`ComputeBackend::auto`] promotes each layer to CSB once the
     /// initial-weight decay has driven its density below the threshold
@@ -52,8 +48,6 @@ impl Default for ProcrustesConfig {
             lambda: 0.9,
             aux_lr: 0.05,
             eviction: EvictionPolicy::default(),
-            qe_rho: Dumique::DEFAULT_RHO,
-            qe_init: Dumique::DEFAULT_INIT,
             compute: ComputeBackend::auto(),
         }
     }
@@ -89,7 +83,6 @@ pub struct ProcrustesTrainer {
     scratch: Scratch,
     /// Per-step gradient-delta buffer, reused across steps.
     deltas: Vec<f32>,
-    n: usize,
     steps: u64,
 }
 
@@ -110,11 +103,7 @@ impl ProcrustesTrainer {
         model.set_compute_backend(config.compute);
         let budget = (n as f64 / config.sparsity_factor).ceil() as usize;
         let tracked = TrackedSet::new(n, budget, config.eviction, u64::from(seed) ^ 0xD00D);
-        let qe = Dumique::with_params(
-            quantile_for_sparsity(config.sparsity_factor),
-            config.qe_init,
-            config.qe_rho,
-        );
+        let qe = Dumique::new(quantile_for_sparsity(config.sparsity_factor));
         Self {
             model,
             config,
@@ -124,7 +113,6 @@ impl ProcrustesTrainer {
             qe_buf: Vec::with_capacity(4),
             scratch: Scratch::new(),
             deltas: Vec::with_capacity(n),
-            n,
             steps: 0,
         }
     }
@@ -132,11 +120,6 @@ impl ProcrustesTrainer {
     /// The weight budget `k`.
     pub fn budget(&self) -> usize {
         self.tracked.capacity()
-    }
-
-    /// Fraction of weights currently tracked, in `[0, 1]`.
-    pub fn tracked_fraction(&self) -> f64 {
-        self.tracked.len() as f64 / self.n as f64
     }
 
     /// The current admission threshold ϑ.
@@ -270,7 +253,9 @@ mod tests {
             assert!(s.tracked <= t.budget());
         }
         // Budget is ceil(n/10), so the fraction can exceed 0.1 by < 1/n.
-        assert!(t.tracked_fraction() <= t.budget() as f64 / t.n as f64 + 1e-9);
+        let n = t.model.prunable_params();
+        let fraction = t.tracked.len() as f64 / n as f64;
+        assert!(fraction <= t.budget() as f64 / n as f64 + 1e-9);
     }
 
     #[test]
@@ -326,7 +311,7 @@ mod tests {
         let (mut t, data, mut rng) = setup(10.0);
         let (x, labels) = data.batch(2, &mut rng);
         t.train_step(&x, &labels);
-        let expected = t.n as u64 / 4; // one 4-wide update per 4 gradients
+        let expected = t.model.prunable_params() as u64 / 4; // one 4-wide update per 4 gradients
         let got = t.qe.observations();
         assert!(
             (got as i64 - expected as i64).unsigned_abs() <= 1,

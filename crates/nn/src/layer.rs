@@ -145,27 +145,3 @@ pub trait Layer {
     /// A short human-readable description (for model summaries).
     fn name(&self) -> String;
 }
-
-/// Counts the parameters of a layer, split by [`ParamKind`].
-///
-/// Returns `(prunable, auxiliary)`.
-///
-/// # Examples
-///
-/// ```
-/// use procrustes_nn::{layer_param_counts, Conv2d};
-/// use procrustes_prng::Xorshift64;
-/// let mut conv = Conv2d::new(3, 8, 3, 1, 1, true, &mut Xorshift64::new(0));
-/// let (prunable, aux) = layer_param_counts(&mut conv);
-/// assert_eq!(prunable, 8 * 3 * 3 * 3);
-/// assert_eq!(aux, 8);
-/// ```
-pub fn layer_param_counts(layer: &mut dyn Layer) -> (usize, usize) {
-    let mut prunable = 0;
-    let mut aux = 0;
-    layer.visit_params(&mut |p| match p.kind {
-        ParamKind::Prunable => prunable += p.values.len(),
-        ParamKind::Auxiliary => aux += p.values.len(),
-    });
-    (prunable, aux)
-}

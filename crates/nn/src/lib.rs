@@ -10,7 +10,7 @@
 //!   algorithms flat, deterministic access to every prunable weight;
 //! * the layer zoo the paper's networks need: [`Conv2d`],
 //!   [`DepthwiseConv2d`], [`Linear`], [`BatchNorm2d`], [`ReLU`],
-//!   [`MaxPool2d`], [`AvgPool2d`], [`GlobalAvgPool`], [`Flatten`], plus
+//!   [`MaxPool2d`], [`GlobalAvgPool`], [`Flatten`], plus
 //!   the composite [`Residual`], [`DenseBlock`], and [`DwSeparable`]
 //!   blocks;
 //! * [`Sequential`] — the container all models here are built from;
@@ -68,10 +68,10 @@ mod util;
 pub use batchnorm::BatchNorm2d;
 pub use blocks::{DenseBlock, DwSeparable, Residual};
 pub use conv::{Conv2d, DepthwiseConv2d};
-pub use layer::{layer_param_counts, Layer, ParamKind, ParamTensor};
+pub use layer::{Layer, ParamKind, ParamTensor};
 pub use linear::{Flatten, Linear, ReLU};
 pub use loss::{accuracy, SoftmaxCrossEntropy};
-pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
+pub use pool::{GlobalAvgPool, MaxPool2d};
 pub use sequential::Sequential;
 pub use sgd::Sgd;
 pub use store::{ComputeBackend, Decode, WeightStore};

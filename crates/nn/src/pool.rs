@@ -112,102 +112,6 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// 2-D average pooling with a square window (DenseNet transitions).
-pub struct AvgPool2d {
-    kernel: usize,
-    stride: usize,
-    cached_dims: Option<Vec<usize>>,
-}
-
-impl AvgPool2d {
-    /// Creates an average-pool layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kernel == 0` or `stride == 0`.
-    pub fn new(kernel: usize, stride: usize) -> Self {
-        assert!(kernel > 0 && stride > 0, "AvgPool2d: zero kernel or stride");
-        Self {
-            kernel,
-            stride,
-            cached_dims: None,
-        }
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn forward_with(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Tensor {
-        let s = x.shape();
-        assert_eq!(s.rank(), 4, "AvgPool2d: input must be NCHW");
-        let (n, c, h, w) = (s.dim(0), s.dim(1), s.dim(2), s.dim(3));
-        let p = conv_out_dim(h, self.kernel, self.stride, 0);
-        let q = conv_out_dim(w, self.kernel, self.stride, 0);
-        let norm = 1.0 / (self.kernel * self.kernel) as f32;
-        let mut y = scratch.take_tensor_any(&[n, c, p, q]);
-        let xd = x.data();
-        let yd = y.data_mut();
-        for ni in 0..n {
-            for ci in 0..c {
-                for pi in 0..p {
-                    for qi in 0..q {
-                        let mut acc = 0.0;
-                        for ri in 0..self.kernel {
-                            for si in 0..self.kernel {
-                                acc += xd[((ni * c + ci) * h + pi * self.stride + ri) * w
-                                    + qi * self.stride
-                                    + si];
-                            }
-                        }
-                        yd[((ni * c + ci) * p + pi) * q + qi] = acc * norm;
-                    }
-                }
-            }
-        }
-        if train {
-            let cached = self.cached_dims.get_or_insert_with(Vec::new);
-            cached.clear();
-            cached.extend_from_slice(s.dims());
-        }
-        y
-    }
-
-    fn backward_with(&mut self, dy: &Tensor, scratch: &mut Scratch) -> Tensor {
-        let dims = self
-            .cached_dims
-            .as_ref()
-            .expect("AvgPool2d::backward called before training-mode forward");
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let (p, q) = (dy.shape().dim(2), dy.shape().dim(3));
-        let norm = 1.0 / (self.kernel * self.kernel) as f32;
-        let mut dx = scratch.take_tensor(dims);
-        let dxd = dx.data_mut();
-        for ni in 0..n {
-            for ci in 0..c {
-                for pi in 0..p {
-                    for qi in 0..q {
-                        let g = dy.data()[((ni * c + ci) * p + pi) * q + qi] * norm;
-                        for ri in 0..self.kernel {
-                            for si in 0..self.kernel {
-                                dxd[((ni * c + ci) * h + pi * self.stride + ri) * w
-                                    + qi * self.stride
-                                    + si] += g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        dx
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "AvgPool2d({}×{}, stride {})",
-            self.kernel, self.kernel, self.stride
-        )
-    }
-}
-
 /// Global average pooling: `NCHW → [N, C]` (ResNet/MobileNet heads).
 #[derive(Default)]
 pub struct GlobalAvgPool {
@@ -273,7 +177,6 @@ impl Layer for GlobalAvgPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use procrustes_prng::Xorshift64;
     use procrustes_tensor::gradcheck;
 
     #[test]
@@ -284,17 +187,6 @@ mod tests {
         assert_eq!(y.data(), &[5.0]);
         let dx = pool.backward(&Tensor::from_vec(&[1, 1, 1, 1], vec![7.0]));
         assert_eq!(dx.data(), &[0.0, 7.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn avgpool_gradcheck() {
-        let mut rng = Xorshift64::new(1);
-        let x = Tensor::randn(&[1, 2, 4, 4], 1.0, &mut rng);
-        let mut pool = AvgPool2d::new(2, 2);
-        let y = pool.forward(&x, true);
-        let dx = pool.backward(&Tensor::ones(y.shape().dims()));
-        let report = gradcheck::check(&x, &dx, 8, 1e-2, |xt| pool.forward(xt, false).sum());
-        assert!(report.passes(1e-3), "err {}", report.max_rel_err);
     }
 
     #[test]

@@ -58,13 +58,6 @@ impl Sequential {
         count
     }
 
-    /// Total parameter count (all kinds).
-    pub fn total_params(&mut self) -> usize {
-        let mut count = 0;
-        self.visit_params(&mut |p| count += p.values.len());
-        count
-    }
-
     /// A multi-line human-readable summary of the model.
     pub fn summary(&self) -> String {
         self.layers
@@ -229,7 +222,9 @@ mod tests {
     fn param_counts() {
         let mut m = small_model();
         assert_eq!(m.prunable_params(), 18 + 96);
-        assert_eq!(m.total_params(), 18 + 96 + 3);
+        let mut total = 0;
+        m.visit_params(&mut |p| total += p.values.len());
+        assert_eq!(total, 18 + 96 + 3);
     }
 
     #[test]

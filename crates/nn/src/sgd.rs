@@ -3,7 +3,7 @@
 
 use crate::Layer;
 
-/// SGD with optional momentum and weight decay.
+/// SGD with optional momentum.
 ///
 /// # Examples
 ///
@@ -24,7 +24,6 @@ use crate::Layer;
 pub struct Sgd {
     lr: f32,
     momentum: f32,
-    weight_decay: f32,
     velocity: Vec<Vec<f32>>,
 }
 
@@ -39,7 +38,6 @@ impl Sgd {
         Self {
             lr,
             momentum: 0.0,
-            weight_decay: 0.0,
             velocity: Vec::new(),
         }
     }
@@ -52,13 +50,6 @@ impl Sgd {
     pub fn with_momentum(mut self, momentum: f32) -> Self {
         assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
         self.momentum = momentum;
-        self
-    }
-
-    /// Adds L2 weight decay.
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        assert!(weight_decay >= 0.0, "weight decay must be non-negative");
-        self.weight_decay = weight_decay;
         self
     }
 
@@ -75,7 +66,6 @@ impl Sgd {
     pub fn step(&mut self, model: &mut dyn Layer) {
         let lr = self.lr;
         let momentum = self.momentum;
-        let weight_decay = self.weight_decay;
         let velocity = &mut self.velocity;
         let mut slot = 0usize;
         model.visit_params(&mut |p| {
@@ -95,8 +85,7 @@ impl Sgd {
                 .zip(p.grads.data_mut().iter_mut())
                 .zip(vel.iter_mut())
             {
-                let grad = *g + weight_decay * *w;
-                *v = momentum * *v + grad;
+                *v = momentum * *v + *g;
                 *w -= lr * *v;
                 *g = 0.0;
             }
@@ -141,18 +130,6 @@ mod tests {
         fc.backward(&Tensor::ones(y.shape().dims()));
         Sgd::new(0.1).step(&mut fc);
         fc.visit_params(&mut |p| assert_eq!(p.grads.sum(), 0.0));
-    }
-
-    #[test]
-    fn weight_decay_shrinks_weights_without_gradient() {
-        let mut rng = Xorshift64::new(5);
-        let mut fc = Linear::new(2, 2, false, &mut rng);
-        let norm_before = fc.weight().norm_sq();
-        // Forward in train mode but backprop zero gradient.
-        let y = fc.forward(&Tensor::ones(&[1, 2]), true);
-        fc.backward(&Tensor::zeros(y.shape().dims()));
-        Sgd::new(0.1).with_weight_decay(0.5).step(&mut fc);
-        assert!(fc.weight().norm_sq() < norm_before);
     }
 
     #[test]

@@ -15,46 +15,6 @@ use crate::{SplitMix64, Xorshift32};
 /// Scale that turns the Irwin–Hall(3) sum into a unit-variance variable.
 const IH3_SCALE: f32 = 2.0; // 1 / sqrt(3/12)
 
-/// Streaming Gaussian generator built from three [`Xorshift32`] cores.
-///
-/// Mirrors the WR unit's structure: three xorshift generators whose uniform
-/// outputs are summed. For the *stateless* pure-function form the hardware
-/// actually implements, see [`gaussian_at`].
-///
-/// # Examples
-///
-/// ```
-/// use procrustes_prng::GaussianXorshift;
-/// let mut g = GaussianXorshift::new(3);
-/// let mean: f32 = (0..1000).map(|_| g.next_gaussian()).sum::<f32>() / 1000.0;
-/// assert!(mean.abs() < 0.2);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GaussianXorshift {
-    a: Xorshift32,
-    b: Xorshift32,
-    c: Xorshift32,
-}
-
-impl GaussianXorshift {
-    /// Creates the three xorshift cores from independent mixes of `seed`.
-    pub fn new(seed: u32) -> Self {
-        let mut mix = SplitMix64::new(u64::from(seed));
-        Self {
-            a: Xorshift32::from_raw_state(mix.next_u64() as u32),
-            b: Xorshift32::from_raw_state(mix.next_u64() as u32),
-            c: Xorshift32::from_raw_state(mix.next_u64() as u32),
-        }
-    }
-
-    /// Returns the next approximately-Gaussian sample
-    /// (zero mean, unit variance, support `[-3, 3]`).
-    pub fn next_gaussian(&mut self) -> f32 {
-        let sum = self.a.next_f32() + self.b.next_f32() + self.c.next_f32();
-        (sum - 1.5) * IH3_SCALE
-    }
-}
-
 /// Stateless WR-unit output: the approximately-Gaussian initial value of the
 /// weight at `index` under `seed`, before Xavier/Kaiming scaling.
 ///
@@ -94,21 +54,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn moments_are_approximately_standard_normal() {
-        let mut g = GaussianXorshift::new(17);
-        let n = 200_000;
-        let samples: Vec<f32> = (0..n).map(|_| g.next_gaussian()).collect();
-        let mean = samples.iter().sum::<f32>() / n as f32;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f32>() / n as f32;
-        assert!(mean.abs() < 0.01, "mean = {mean}");
-        assert!((var - 1.0).abs() < 0.02, "var = {var}");
-    }
-
-    #[test]
     fn support_is_bounded_by_three_sigma() {
-        let mut g = GaussianXorshift::new(2);
-        for _ in 0..100_000 {
-            let x = g.next_gaussian();
+        for i in 0..100_000 {
+            let x = gaussian_at(2, i);
             assert!(x.abs() <= 3.0 + f32::EPSILON, "out of IH3 support: {x}");
         }
     }
@@ -134,18 +82,5 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f32>() / n as f32;
         assert!(mean.abs() < 0.01, "mean = {mean}");
         assert!((var - 1.0).abs() < 0.02, "var = {var}");
-    }
-
-    #[test]
-    fn streaming_form_is_deterministic_per_seed() {
-        let x: Vec<f32> = {
-            let mut g = GaussianXorshift::new(9);
-            (0..32).map(|_| g.next_gaussian()).collect()
-        };
-        let y: Vec<f32> = {
-            let mut g = GaussianXorshift::new(9);
-            (0..32).map(|_| g.next_gaussian()).collect()
-        };
-        assert_eq!(x, y);
     }
 }

@@ -6,16 +6,15 @@
 //! three [xorshift] generators whose outputs are summed to produce an
 //! approximately Gaussian value (§V of the paper). This crate provides:
 //!
-//! * [`Xorshift32`], [`Xorshift64`], [`Xorshift128`] — Marsaglia xorshift
-//!   generators, bit-faithful to the published shift triples;
+//! * [`Xorshift32`], [`Xorshift64`] — Marsaglia xorshift generators,
+//!   bit-faithful to the published shift triples;
 //! * [`SplitMix64`] — a robust seeder/mixer used to derive independent
 //!   streams;
-//! * [`GaussianXorshift`] — the WR unit's number source: the sum of three
+//! * [`gaussian_at`] — the WR unit's number source: the sum of three
 //!   xorshift uniforms, shifted and scaled to zero mean and unit variance
-//!   (Irwin–Hall approximation of a Gaussian);
-//! * [`gaussian_at`] — the *stateless* form used by the WR unit: a pure
-//!   function of `(seed, index)`, so any PE can regenerate any weight's
-//!   initial value without storing RNG state.
+//!   (Irwin–Hall approximation of a Gaussian). It is a pure function of
+//!   `(seed, index)`, so any PE can regenerate any weight's initial value
+//!   without storing RNG state.
 //!
 //! Everything in this crate is deterministic and seed-stable across
 //! platforms; the whole reproduction derives its randomness from here so
@@ -24,7 +23,7 @@
 //! # Examples
 //!
 //! ```
-//! use procrustes_prng::{UniformRng, Xorshift32, GaussianXorshift, gaussian_at};
+//! use procrustes_prng::{gaussian_at, UniformRng, Xorshift32};
 //!
 //! let mut rng = Xorshift32::new(42);
 //! let u = rng.next_f32();
@@ -32,10 +31,7 @@
 //!
 //! // Stateless weight-initialization: same (seed, index) -> same value.
 //! assert_eq!(gaussian_at(7, 1234), gaussian_at(7, 1234));
-//!
-//! let mut g = GaussianXorshift::new(7);
-//! let sample = g.next_gaussian();
-//! assert!(sample.abs() <= 3.0); // Irwin-Hall(3) is bounded
+//! assert!(gaussian_at(7, 1234).abs() <= 3.0); // Irwin-Hall(3) is bounded
 //! ```
 //!
 //! [xorshift]: https://www.jstatsoft.org/article/view/v008i14
@@ -47,9 +43,9 @@ mod gaussian;
 mod splitmix;
 mod xorshift;
 
-pub use gaussian::{gaussian_at, GaussianXorshift};
+pub use gaussian::gaussian_at;
 pub use splitmix::SplitMix64;
-pub use xorshift::{Xorshift128, Xorshift32, Xorshift64};
+pub use xorshift::{Xorshift32, Xorshift64};
 
 /// Common interface for the uniform generators in this crate.
 ///

@@ -10,8 +10,7 @@ use crate::{SplitMix64, UniformRng};
 /// 32-bit xorshift generator (shift triple 13/17/5).
 ///
 /// This is the generator the Procrustes weight-recomputation unit uses; a
-/// hardware PE holds three of them (see
-/// [`GaussianXorshift`](crate::GaussianXorshift)).
+/// hardware PE holds three of them (see [`gaussian_at`](crate::gaussian_at)).
 ///
 /// # Examples
 ///
@@ -150,67 +149,6 @@ impl Iterator for Xorshift64 {
     }
 }
 
-/// 128-bit xorshift generator (Marsaglia's `xor128`, period 2¹²⁸−1).
-///
-/// Used where a longer period matters (multi-billion-sample sweeps in the
-/// analytical simulator's Monte-Carlo mask studies).
-///
-/// # Examples
-///
-/// ```
-/// use procrustes_prng::Xorshift128;
-/// let mut rng = Xorshift128::new(7);
-/// assert_ne!(rng.next(), rng.next());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Xorshift128 {
-    x: u32,
-    y: u32,
-    z: u32,
-    w: u32,
-}
-
-impl Xorshift128 {
-    /// Creates a generator from `seed`; the four state words are drawn from
-    /// a [`SplitMix64`] stream (never all zero).
-    pub fn new(seed: u64) -> Self {
-        let mut mix = SplitMix64::new(seed);
-        let a = mix.next_u64();
-        let b = mix.next_u64();
-        let mut s = Self {
-            x: a as u32,
-            y: (a >> 32) as u32,
-            z: b as u32,
-            w: (b >> 32) as u32,
-        };
-        if s.x == 0 && s.y == 0 && s.z == 0 && s.w == 0 {
-            s.w = 0x9E37_79B9;
-        }
-        s
-    }
-
-    /// Advances the generator and returns the next 32-bit value.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> u32 {
-        let t = self.x ^ (self.x << 11);
-        self.x = self.y;
-        self.y = self.z;
-        self.z = self.w;
-        self.w = (self.w ^ (self.w >> 19)) ^ (t ^ (t >> 8));
-        self.w
-    }
-}
-
-impl UniformRng for Xorshift128 {
-    fn next_u64(&mut self) -> u64 {
-        (u64::from(self.next()) << 32) | u64::from(self.next())
-    }
-
-    fn next_u32(&mut self) -> u32 {
-        self.next()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,16 +209,5 @@ mod tests {
         let a: Vec<u32> = Xorshift32::new(1).take(16).collect();
         let b: Vec<u32> = Xorshift32::new(2).take(16).collect();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn xorshift128_changes_all_state_words() {
-        let mut rng = Xorshift128::new(5);
-        let before = rng;
-        rng.next();
-        rng.next();
-        rng.next();
-        rng.next();
-        assert_ne!(format!("{before:?}"), format!("{rng:?}"));
     }
 }

@@ -39,16 +39,6 @@ pub struct TilePlan {
     pub spill_words: u64,
 }
 
-impl TilePlan {
-    /// Words the rejected alternative would have moved (for ablations).
-    pub fn alternative_spill(&self, w_traffic: u64, out_traffic: u64) -> u64 {
-        match self.order {
-            TileOrder::WeightsResident => w_traffic * self.position_tiles.saturating_sub(1),
-            TileOrder::PsumsResident => 2 * out_traffic * self.contraction_tiles.saturating_sub(1),
-        }
-    }
-}
-
 /// Plans the RF tiling for one layer-phase.
 ///
 /// `w_stream` is the weight stream of one pass (tiling granularity);
@@ -120,6 +110,14 @@ mod tests {
         ArchConfig::procrustes_16x16()
     }
 
+    /// Words the rejected order would have moved.
+    fn alternative_spill(plan: &TilePlan, w_traffic: u64, out_traffic: u64) -> u64 {
+        match plan.order {
+            TileOrder::WeightsResident => w_traffic * plan.position_tiles.saturating_sub(1),
+            TileOrder::PsumsResident => 2 * out_traffic * plan.contraction_tiles.saturating_sub(1),
+        }
+    }
+
     #[test]
     fn small_layers_fit_without_spill() {
         let t = LayerTask::conv("t", 16, 4, 4, 6, 6, 3, 1, 1);
@@ -136,7 +134,7 @@ mod tests {
         let y = t.output_elems();
         let plan = plan_rf(&arch(), &t, w, 1, y, t.k);
         // Its own spill must not exceed the alternative's.
-        assert!(plan.spill_words <= plan.alternative_spill(w, y));
+        assert!(plan.spill_words <= alternative_spill(&plan, w, y));
     }
 
     #[test]

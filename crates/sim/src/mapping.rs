@@ -25,17 +25,6 @@ pub enum TensorFlow {
     CollectH,
 }
 
-impl TensorFlow {
-    /// The spatial reuse factor: how many PEs one GLB access serves.
-    pub fn reuse(&self, rows: usize, cols: usize) -> usize {
-        match self {
-            TensorFlow::MulticastH | TensorFlow::CollectH => cols,
-            TensorFlow::MulticastV | TensorFlow::CollectV => rows,
-            TensorFlow::Unicast => 1,
-        }
-    }
-}
-
 /// The three operand flows of one phase under one mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DataflowRole {
@@ -73,12 +62,6 @@ impl Mapping {
             Mapping::KN => "KN",
             Mapping::PQ => "PQ",
         }
-    }
-
-    /// True if the mapping spatializes the minibatch dimension — the
-    /// Procrustes dataflow family that load-balances cheaply.
-    pub fn minibatch_spatial(&self) -> bool {
-        matches!(self, Mapping::CN | Mapping::KN)
     }
 
     /// True if load-balancing this mapping requires the complex
@@ -169,8 +152,14 @@ mod tests {
         let t = task();
         assert_eq!(Mapping::KN.spatial_extents(&t, Phase::Forward), (128, 16));
         assert_eq!(Mapping::KN.spatial_extents(&t, Phase::Backward), (64, 16));
-        assert!(Mapping::KN.minibatch_spatial());
-        assert!(!Mapping::PQ.minibatch_spatial());
+        // K,N spreads the minibatch across the columns in every phase; P,Q never does.
+        let batch_cols = |m: Mapping| {
+            Phase::ALL
+                .iter()
+                .all(|&p| m.spatial_extents(&t, p).1 == t.batch)
+        };
+        assert!(batch_cols(Mapping::KN));
+        assert!(!batch_cols(Mapping::PQ));
     }
 
     #[test]
@@ -205,13 +194,6 @@ mod tests {
         assert_eq!(fw.weights, TensorFlow::Unicast);
         assert_eq!(fw.inputs, TensorFlow::MulticastH);
         assert_eq!(fw.outputs, TensorFlow::CollectV);
-    }
-
-    #[test]
-    fn reuse_factors() {
-        assert_eq!(TensorFlow::MulticastH.reuse(16, 8), 8);
-        assert_eq!(TensorFlow::MulticastV.reuse(16, 8), 16);
-        assert_eq!(TensorFlow::Unicast.reuse(16, 8), 1);
     }
 
     #[test]

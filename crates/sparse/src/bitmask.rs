@@ -15,7 +15,7 @@ use std::fmt;
 /// ```
 /// use procrustes_sparse::BitMask;
 /// // The paper's Fig 8 example mask: 101001101.
-/// let m = BitMask::from_bits(&[true, false, true, false, false, true, true, false, true]);
+/// let m = BitMask::from_fn(9, |i| [0, 2, 5, 6, 8].contains(&i));
 /// assert_eq!(m.count_ones(), 5);
 /// assert_eq!(m.rank(6), 3); // W_d is the 4th packed value (offset 3)
 /// ```
@@ -32,17 +32,6 @@ impl BitMask {
             words: vec![0; len.div_ceil(64)],
             len,
         }
-    }
-
-    /// Creates a mask from explicit bits.
-    pub fn from_bits(bits: &[bool]) -> Self {
-        let mut m = Self::zeros(bits.len());
-        for (i, &b) in bits.iter().enumerate() {
-            if b {
-                m.set(i, true);
-            }
-        }
-        m
     }
 
     /// Creates a mask where bit `i` is `f(i)`.
@@ -168,6 +157,14 @@ impl fmt::Debug for BitMask {
             write!(f, "… ({} bits)", self.len)?;
         }
         write!(f, "]")
+    }
+}
+
+#[cfg(test)]
+impl BitMask {
+    /// Creates a mask from explicit bits.
+    fn from_bits(bits: &[bool]) -> Self {
+        Self::from_fn(bits.len(), |i| bits[i])
     }
 }
 
