@@ -15,6 +15,9 @@
 //! The same comparison is printed (never asserted) at
 //! `ComputeBackend::AUTO_MAX_DENSITY`, the density at which `Auto`
 //! starts promoting layers: that constant's documentation quotes it.
+//! The forward + backward-input pair is also printed at densities
+//! 0.5 / 0.6 / 0.7 / 0.8, CSB against dense with their ratio, so the
+//! crossover density reads off one command.
 //! So is the resync of tiny-VGG's weight stores at 10 % density — the
 //! re-encode of every promoted master into its CSRs that a sparse
 //! training step pays once.
@@ -42,6 +45,10 @@ use procrustes_tensor::{
 
 /// The paper's operating point: one weight in ten survives.
 const KEEP: f64 = 0.1;
+
+/// Densities at which the forward + backward-input pair is printed, CSB
+/// against dense, to locate the crossover `Auto` could move to.
+const CROSSOVER_DENSITIES: [f64; 4] = [0.5, 0.6, 0.7, 0.8];
 
 /// The harness runs tests on parallel threads and the dense GEMMs
 /// occupy every core: a timing taken beside another test's measures the
@@ -165,6 +172,16 @@ fn csb_conv_kernels_beat_dense_on_the_fig06_stack_at_paper_density() {
         fw + bw,
         dfw + dbw
     );
+
+    // Where the sparse pair stops paying: printed, never asserted.
+    for keep in CROSSOVER_DENSITIES {
+        let [fw, dfw, bw, dbw, ..] = conv_stack_times(keep);
+        let (csb, dense) = (fw + bw, dfw + dbw);
+        println!(
+            "conv stack at {keep} density: pair csb {csb:?} vs dense {dense:?} ({:.2}x)",
+            csb.as_secs_f64() / dense.as_secs_f64()
+        );
+    }
 
     if cfg!(not(debug_assertions)) {
         assert!(

@@ -44,8 +44,8 @@ pub struct Conv2d {
     /// a 32×32 input at pad 1) — cached *instead of* the raw
     /// activations or their im2col matrix (9×): the forward product
     /// reads its columns out of them as a view, on either backend, and
-    /// the weight update (`dy·colsᵀ`) reads the same view again, so
-    /// nothing is ever unfolded. The planes persist across steps and
+    /// the weight update (`dy·colsᵀ`) reads each tap's value out of the
+    /// same view again, so nothing is ever unfolded. The planes persist across steps and
     /// are refilled in place.
     xp: Option<PaddedPlanes>,
 }
@@ -191,9 +191,10 @@ impl Layer for Conv2d {
             .as_ref()
             .expect("Conv2d::backward called before training-mode forward");
         // Weight update: dy·colsᵀ over the forward pass's cached
-        // planes. The gradient stays dense — Dropback-style training
-        // needs ∂L/∂w at *pruned* positions too, so candidates can be
-        // (re-)admitted.
+        // planes, by the pack-free kernel that splits the filter taps
+        // over the worker pool. The gradient stays dense on either
+        // backend — Dropback-style training needs ∂L/∂w at *pruned*
+        // positions too, so candidates can be (re-)admitted.
         let dw = conv2d_backward_weights_from_planes(dy, xp, scratch);
         self.dweight.axpy(1.0, &dw);
         scratch.recycle(dw);

@@ -44,20 +44,20 @@ impl ComputeBackend {
     /// The default promotion threshold for [`ComputeBackend::auto`].
     ///
     /// Measured, not assumed (`crates/bench/tests/csb_kernel_smoke.rs`
-    /// prints it on every perf run; tiny-VGG conv stack, batch 8, serial
-    /// CSB gather against the 2-thread view-fed GEMMs on a 2-core
-    /// AVX-512 host, neither side paying an unfold since both read the
-    /// same padded planes): at this density a promoted layer's kernel
-    /// pair breaks even — 3.7 / 4.0 / 5.2 ms on CSB against 4.4 / 4.2 /
-    /// 4.7 ms dense over three runs of a host that drifts ±15 % — with
-    /// each half within that noise of its twin (forward 1.8–2.6 vs
-    /// 1.8–2.2 ms, backward-input 1.9–2.6 vs 2.2–2.6 ms). Below it the
-    /// sparse pair wins, 1.1–1.4 ms against 2.4–3.3 ms at density 0.10.
-    /// So the threshold sits at the measured crossover of the kernels
-    /// alone; each resync of a promoted layer also pays an encode that
-    /// reads the master and writes its nonzeros, and a threaded gather
-    /// would move it up (ROADMAP item 1c). Backends are bit-equal, so
-    /// the threshold can only move time, never a result.
+    /// prints the forward + backward-input pair on every perf run;
+    /// tiny-VGG conv stack, batch 8, both sides reading the same padded
+    /// planes on a 2-core AVX-512 host). Set when the gather was serial,
+    /// at the density where its pair broke even with the 2-thread
+    /// view-fed GEMMs (3.7–5.2 ms against 4.2–4.7). Since the gather
+    /// splits its samples over the same pool, the pair at this density
+    /// takes 0.60–0.66× the dense one (2.7–3.3 ms against 4.1–5.6 over
+    /// three runs), 0.85–0.96× at 0.7 and breaks even between 0.7 and
+    /// 0.8 (the dense GEMMs skip zero weights too, so their time falls
+    /// with the density). Moving the threshold
+    /// up would promote tiny-VGG's first layer (density ~0.78 in the
+    /// benchmark's regime), which also pays an encode per resync; that
+    /// is a separate, measured decision, so the threshold stays here.
+    /// Backends are bit-equal, so it can only move time, never a result.
     pub const AUTO_MAX_DENSITY: f64 = 0.5;
 
     /// [`ComputeBackend::Auto`] with the default threshold.

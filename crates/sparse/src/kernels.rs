@@ -22,7 +22,10 @@
 //!   view of the output. The forward pass streams the `[K, C·R·S]` rows
 //!   over the padded input; the backward-input pass streams the rotated
 //!   `[C, K·R·S]` rows over the dilated, padded upstream gradient — one
-//!   loop nest, two tap orders.
+//!   loop nest, two tap orders. Its samples are split over the worker
+//!   pool of `procrustes-tensor` (`min(default_threads(), N)` workers,
+//!   a static cut), each worker writing its own slab of the output, so
+//!   every output element is still reduced on one thread, in one order.
 //! - **The SpMM** over a materialised column matrix serves the
 //!   fully-connected products (`xᵀ`, and `dyᵀ` against the CSR of `Wᵀ`:
 //!   a fully-connected layer is a convolution at `P = Q = 1`) and
@@ -50,11 +53,15 @@
 //!   started at `+0.0`. Under round-to-nearest `x + ±0.0 == x` for every
 //!   nonzero `x`, `+0.0 + ±0.0 = +0.0`, and a sum that starts at `+0.0`
 //!   can never become `-0.0` (that needs both addends to be `-0.0`), so
-//!   no bit of the result can differ on finite data.
+//!   no bit of the result can differ on finite data. The dense weight
+//!   update (`conv2d_backward_weights_from_planes`) rests on the same
+//!   argument: it multiplies every `dy`, zero or not, where the GEMM
+//!   over the columns and the scatter oracle skip the zeros.
 //!
 //! Training under either backend therefore produces identical loss
 //! curves; the equivalence suites in `tests/` pin this down.
 
+use procrustes_tensor::kernel::{self, thread::run_split};
 use procrustes_tensor::{conv_out_dim, im2col_into, PaddedPlanes, Scratch, Tensor};
 
 use crate::CsbTensor;
@@ -208,6 +215,13 @@ impl Csr {
     /// `o`'s entries `(i, v)` in order, `i` a `(channel, r, s)` tap of
     /// the planes' tables; `y` is laid out `[N, rows, P, Q]`.
     ///
+    /// The samples are split over `workers` workers of the pool (the
+    /// layers pass `default_threads()`; clamped to `1..=MAX_WORKERS` and
+    /// to `N`): `run_split` deals each worker a static cut of whole
+    /// samples and their slab of `y`, and each sample is computed
+    /// exactly as a serial gather would, so the result does not depend
+    /// on `workers`.
+    ///
     /// At stride 1 a sample's output is walked as a `Wp`-wide view —
     /// position `p·Wp + q` — in which every tap is the contiguous run of
     /// the planes that starts at its `row_base`: an `NR`-wide (128)
@@ -215,31 +229,47 @@ impl Csr {
     /// stream their shifted runs through it, and the view's surplus
     /// columns (`q >= Q`, which read the next row's head or the next
     /// sample) are dropped at the store. A strided convolution reads the
-    /// same tables element by element (`col_off`), with no surplus.
-    /// Either way each output element sees its row's entries in order
-    /// from `0.0` — the dense GEMM's reduction order.
-    fn gather(&self, planes: &PaddedPlanes, y: &mut [f32]) {
-        let view = planes.view();
-        let [n, c, hp, wp] = planes.dims();
+    /// same tables element by element (`col_off`), in `NR`-wide blocks
+    /// of one sample's positions, with no surplus. Either way each
+    /// output element sees its row's entries in order from `0.0` — the
+    /// dense GEMM's reduction order.
+    fn gather(&self, planes: &PaddedPlanes, y: &mut [f32], workers: usize, scratch: &mut Scratch) {
+        let n = planes.dims()[0];
         let (p, q) = planes.out_dims();
-        let rows = self.rows();
-        assert_eq!(self.cols, view.rows(), "csb gather: tap count mismatch");
-        assert_eq!(y.len(), n * rows * p * q, "csb gather: output length");
+        let (rows, pq) = (self.rows(), p * q);
+        assert_eq!(
+            self.cols,
+            planes.view().rows(),
+            "csb gather: tap count mismatch"
+        );
+        assert_eq!(y.len(), n * rows * pq, "csb gather: output length");
+        run_split(workers, n, 1, y, scratch, &|samples, slab| {
+            for (ni, y) in samples.zip(slab.chunks_exact_mut(rows * pq)) {
+                self.gather_sample(planes, ni, y);
+            }
+        });
+    }
+
+    /// Sample `ni` of the gather into its `[rows, P, Q]` output `y`.
+    fn gather_sample(&self, planes: &PaddedPlanes, ni: usize, y: &mut [f32]) {
+        let view = planes.view();
+        let [_, c, hp, wp] = planes.dims();
+        let (p, q) = planes.out_dims();
+        let pq = p * q;
         let mut acc = [0.0f32; NR];
         if view.step != 1 {
-            let (npq, pq) = (n * p * q, p * q);
-            for j in (0..npq).step_by(NR) {
-                let width = NR.min(npq - j);
-                let offsets = &view.col_off[j..j + width];
-                for o in 0..rows {
+            let offsets = &view.col_off[ni * pq..(ni + 1) * pq];
+            for j in (0..pq).step_by(NR) {
+                let width = NR.min(pq - j);
+                for (o, y) in y.chunks_exact_mut(pq).enumerate() {
                     acc[..width].fill(0.0);
                     for (i, v) in self.row(o) {
                         let base = view.row_base[i];
-                        for (a, &off) in acc[..width].iter_mut().zip(offsets) {
+                        for (a, &off) in acc[..width].iter_mut().zip(&offsets[j..]) {
                             *a += v * view.src[base + off];
                         }
                     }
-                    store_rows(&acc[..width], j, pq, pq, &mut y[o * pq..], rows * pq);
+                    y[j..j + width].copy_from_slice(&acc[..width]);
                 }
             }
             return;
@@ -248,24 +278,21 @@ impl Csr {
         // reaches at most `reach` past a position.
         let len = (p - 1) * wp + q;
         let reach = view.row_base.last().copied().unwrap_or(0);
-        for ni in 0..n {
-            let src = &view.src[ni * c * hp * wp..];
-            for j in (0..len).step_by(NR) {
-                let width = NR.min(len - j);
-                // A full block may run into the next sample (dropped at
-                // the store); only the last sample's last block cannot.
-                let full = reach + j + NR <= src.len();
-                for o in 0..rows {
-                    let runs = self.row(o).map(|(i, v)| (view.row_base[i] + j, v));
-                    if full {
-                        // Constant width: the block lives in registers.
-                        stream_runs(&mut acc, src, runs);
-                    } else {
-                        stream_runs(&mut acc[..width], src, runs);
-                    }
-                    let out = &mut y[(ni * rows + o) * p * q..][..p * q];
-                    store_rows(&acc[..width], j, wp, q, out, q);
+        let src = &view.src[ni * c * hp * wp..];
+        for j in (0..len).step_by(NR) {
+            let width = NR.min(len - j);
+            // A full block may run into the next sample (dropped at the
+            // store); only the last sample's last block cannot.
+            let full = reach + j + NR <= src.len();
+            for (o, y) in y.chunks_exact_mut(pq).enumerate() {
+                let runs = self.row(o).map(|(i, v)| (view.row_base[i] + j, v));
+                if full {
+                    // Constant width: the block lives in registers.
+                    stream_runs(&mut acc, src, runs);
+                } else {
+                    stream_runs(&mut acc[..width], src, runs);
                 }
+                store_rows(&acc[..width], j, wp, q, y, q);
             }
         }
     }
@@ -397,7 +424,8 @@ impl ConvDecode {
         );
         let (p, q) = xp.out_dims();
         let mut y = scratch.take_any(n * self.k * p * q);
-        self.rows.gather(xp, &mut y);
+        self.rows
+            .gather(xp, &mut y, kernel::default_threads(), scratch);
         Tensor::from_vec(&[n, self.k, p, q], y)
     }
 
@@ -457,7 +485,8 @@ impl ConvDecode {
         let (n, _, _) = check_upstream(dy, self.dims(), h, wdt, stride, pad);
         let dyp = PaddedPlanes::of_upstream(dy, self.r, self.s, h, wdt, stride, pad, scratch);
         let mut dx = scratch.take_any(n * self.c * h * wdt);
-        self.rot.gather(&dyp, &mut dx);
+        self.rot
+            .gather(&dyp, &mut dx, kernel::default_threads(), scratch);
         dyp.recycle(scratch);
         Tensor::from_vec(&[n, self.c, h, wdt], dx)
     }
@@ -960,6 +989,87 @@ mod tests {
                     scratch.recycle(got);
                     scratch.recycle(dense);
                 }
+            }
+        }
+    }
+
+    /// `(c, k, h, w, r, stride, pad)` of the worker-count sweeps: a
+    /// stride-1 3×3, a stride-2 3×3 and a stride-2 1×1, each over
+    /// ragged extents.
+    const SPLIT_GEOMETRIES: [[usize; 7]; 3] = [
+        [3, 5, 9, 7, 3, 1, 1],
+        [2, 4, 9, 8, 3, 2, 1],
+        [3, 2, 6, 7, 1, 2, 0],
+    ];
+    const SPLIT_BATCHES: [usize; 3] = [1, 3, 8];
+    const SPLIT_WORKERS: [usize; 5] = [1, 2, 3, 4, 8];
+
+    /// `csr.gather(planes, ..)` on `workers` workers, into a
+    /// NaN-filled buffer so an unwritten element shows.
+    fn gathered(csr: &Csr, planes: &PaddedPlanes, len: usize, workers: usize) -> Vec<u32> {
+        let mut y = vec![f32::NAN; len];
+        csr.gather(planes, &mut y, workers, &mut Scratch::new());
+        y.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The forward gather split over 1/2/3/4/8 workers — more workers
+    /// than samples included — is bitwise the serial gather and the
+    /// SpMM over the im2col columns.
+    #[test]
+    fn gather_forward_is_bitwise_equal_at_every_worker_count() {
+        let mut scratch = Scratch::new();
+        for (gi, [c, k, h, wd, r, stride, pad]) in SPLIT_GEOMETRIES.into_iter().enumerate() {
+            for n in SPLIT_BATCHES {
+                let what = format!("geometry {gi}, n {n}");
+                let x = sparse_tensor(&[n, c, h, wd], 0.6, 900 + (gi * 8 + n) as u64);
+                let w = sparse_tensor(&[k, c, r, r], 0.3, 950 + gi as u64);
+                let decode = ConvDecode::from_dense(&w);
+                let (p, q) = (
+                    conv_out_dim(h, r, stride, pad),
+                    conv_out_dim(wd, r, stride, pad),
+                );
+                let cols = im2col(&x, r, r, stride, pad);
+                let want = decode.forward_from_cols(cols.data(), n, p, q, &mut scratch);
+                let xp = PaddedPlanes::of_input(&x, r, r, stride, pad, &mut scratch);
+                let serial = gathered(&decode.rows, &xp, want.len(), 1);
+                assert_eq!(serial, bits(&want), "{what}: serial gather vs SpMM");
+                for workers in SPLIT_WORKERS {
+                    let got = gathered(&decode.rows, &xp, want.len(), workers);
+                    assert_eq!(got, serial, "{what}: {workers} workers");
+                }
+                xp.recycle(&mut scratch);
+            }
+        }
+    }
+
+    /// The backward-input gather split over 1/2/3/4/8 workers is
+    /// bitwise the serial gather and the scatter oracle, zero `dy`
+    /// elements of both signs included.
+    #[test]
+    fn gather_backward_input_is_bitwise_equal_at_every_worker_count() {
+        let mut scratch = Scratch::new();
+        for (gi, [c, k, h, wd, r, stride, pad]) in SPLIT_GEOMETRIES.into_iter().enumerate() {
+            for n in SPLIT_BATCHES {
+                let what = format!("geometry {gi}, n {n}");
+                let w = sparse_tensor(&[k, c, r, r], 0.3, 960 + gi as u64);
+                let decode = ConvDecode::from_dense(&w);
+                let (p, q) = (
+                    conv_out_dim(h, r, stride, pad),
+                    conv_out_dim(wd, r, stride, pad),
+                );
+                let mut dy = sparse_tensor(&[n, k, p, q], 0.6, 970 + (gi * 8 + n) as u64);
+                for v in dy.data_mut().iter_mut().step_by(5) {
+                    *v = -0.0;
+                }
+                let want = conv2d_backward_input(&dy, &w, h, wd, stride, pad);
+                let dyp = PaddedPlanes::of_upstream(&dy, r, r, h, wd, stride, pad, &mut scratch);
+                let serial = gathered(&decode.rot, &dyp, want.len(), 1);
+                assert_eq!(serial, bits(&want), "{what}: serial gather vs scatter");
+                for workers in SPLIT_WORKERS {
+                    let got = gathered(&decode.rot, &dyp, want.len(), workers);
+                    assert_eq!(got, serial, "{what}: {workers} workers");
+                }
+                dyp.recycle(&mut scratch);
             }
         }
     }

@@ -1,17 +1,20 @@
 //! The three convolution kernels of CNN training (Fig 2 of the paper),
-//! each as one GEMM over the columns of a convolution — read as a
-//! *view* of the padded input planes on the hot path
-//! ([`PaddedPlanes`]), or from a materialised [`im2col`] matrix by the
-//! `*_from_cols` oracles the view is tested against.
+//! each a product with the columns of a convolution — read as a *view*
+//! of the padded input planes on the hot path ([`PaddedPlanes`]), or
+//! from a materialised [`im2col`] matrix by the `*_from_cols` oracles
+//! the view is tested against. The forward and backward-input products
+//! are GEMMs; the weight update over the planes is a pack-free kernel
+//! split by filter taps ([`conv2d_backward_weights_from_planes`]).
 //!
 //! All kernels take activations in `NCHW` layout and weights in `KCRS`
 //! layout, and support symmetric zero padding and a uniform stride — the
 //! configurations the paper's five networks use. Each compares equal
 //! (`f32 ==`) to its scatter-loop oracle in [`crate::reference`], and a
 //! product over the planes to the same product over the unfolded
-//! columns: only the GEMM's pack step tells the two apart.
+//! columns.
 
-use crate::kernel::{self, Blueprint, Rhs};
+use crate::kernel::cols::for_each_run;
+use crate::kernel::{self, Blueprint, ColsView, Rhs};
 use crate::{PaddedPlanes, Scratch, Tensor};
 
 /// Output extent of a convolution along one axis.
@@ -201,14 +204,27 @@ fn forward(
 }
 
 /// Weight-update convolution over the forward pass's padded input
-/// planes: `∂L/∂w = dy_mat · colsᵀ`, one transposed-B GEMM whose rhs
-/// panels are packed straight out of the planes.
+/// planes: `∂L/∂w = dy_mat · colsᵀ`, computed as `dwᵀ[C·R·S, K]` by a
+/// kernel that packs nothing.
 ///
-/// For each `dw[k,c,r,s]` the contributions arrive over
-/// `(n, p, q)` ascending — exactly the scatter kernel's
+/// The filter-tap value `cols[i][t]` is the broadcast operand, read as a
+/// scalar straight out of the planes (`src[row_base[i] + col_off[t]]`);
+/// the vector operand is 16 output channels of `dy`, from one
+/// `[⌈K/16⌉][N·P·Q][16]` copy of it. A tile of 8 taps × 16 channels of
+/// accumulators stays in registers across the whole `N·P·Q` reduction,
+/// and the tap tiles are split over the worker pool
+/// ([`kernel::default_threads`] workers, a static cut in units of 8
+/// taps), so no reduction is ever split.
+///
+/// For each `dw[k,c,r,s]` the contributions arrive over `(n, p, q)`
+/// ascending from `+0.0`, one term at a time — exactly the scatter
+/// kernel's
 /// ([`conv2d_backward_weights`](crate::reference::conv2d_backward_weights))
 /// reduction order — so the result compares equal (`f32 ==`) to it on
-/// finite data, and to [`conv2d_backward_weights_from_cols`].
+/// finite data, and to [`conv2d_backward_weights_from_cols`], at every
+/// worker count. Unlike the GEMM, the kernel does not skip a zero `dy`:
+/// it adds `x·(±0.0) = ±0.0` to a sum that started at `+0.0`, which
+/// cannot change a bit (the `±0` argument of the CSB kernels).
 ///
 /// # Panics
 ///
@@ -216,6 +232,25 @@ fn forward(
 pub fn conv2d_backward_weights_from_planes(
     dy: &Tensor,
     planes: &PaddedPlanes,
+    scratch: &mut Scratch,
+) -> Tensor {
+    backward_weights_by_taps(dy, planes, kernel::default_threads(), scratch)
+}
+
+/// Output channels of one weight-update accumulator row: one 512-bit
+/// vector.
+const WU_LANES: usize = 16;
+
+/// Filter taps of one weight-update register tile, and the unit the
+/// taps are split over the workers in.
+const WU_TAPS: usize = 8;
+
+/// [`conv2d_backward_weights_from_planes`] on `workers` workers (clamped
+/// as [`kernel::thread::run_split`] clamps them).
+fn backward_weights_by_taps(
+    dy: &Tensor,
+    planes: &PaddedPlanes,
+    workers: usize,
     scratch: &mut Scratch,
 ) -> Tensor {
     let [n, c, ..] = planes.dims();
@@ -226,11 +261,115 @@ pub fn conv2d_backward_weights_from_planes(
         [n, p, q],
         "conv wu: dy does not match the planes"
     );
-    backward_weights(dy, Rhs::Cols(planes.view()), c, r, s, scratch)
+    let view = planes.view();
+    view.check();
+    let (k, crs, npq, pq) = (dy.shape().dim(1), c * r * s, n * p * q, p * q);
+    let groups = k.div_ceil(WU_LANES);
+    let width = groups * WU_LANES;
+
+    // dy [N, K, P·Q] as [groups][N·P·Q][16], written a position (16
+    // lanes) at a time; lanes past K are zero.
+    let mut dyk = scratch.take_any(groups * npq * WU_LANES);
+    for (ni, sample) in dy.data().chunks_exact(k * pq).enumerate() {
+        for g in 0..groups {
+            let live = WU_LANES.min(k - g * WU_LANES);
+            let planes: [&[f32]; WU_LANES] =
+                std::array::from_fn(|l| &sample[(g * WU_LANES + l.min(live - 1)) * pq..][..pq]);
+            let out = &mut dyk[(g * npq + ni * pq) * WU_LANES..][..pq * WU_LANES];
+            for (t, lanes) in out.chunks_exact_mut(WU_LANES).enumerate() {
+                for (slot, plane) in lanes.iter_mut().zip(&planes) {
+                    *slot = plane[t];
+                }
+                lanes[live..].fill(0.0);
+            }
+        }
+    }
+
+    // dwᵀ [C·R·S, groups·16], its taps dealt to the workers in tiles.
+    let mut dwt = scratch.take_any(crs * width);
+    kernel::thread::run_split(workers, crs, WU_TAPS, &mut dwt, scratch, &|taps, slab| {
+        wu_taps(&view, &dyk, taps, width, slab);
+    });
+
+    let mut dw = scratch.take_any(k * crs);
+    for (t, row) in dwt.chunks_exact(width).enumerate() {
+        for (ki, &v) in row[..k].iter().enumerate() {
+            dw[ki * crs + t] = v;
+        }
+    }
+    scratch.recycle_vec(dyk);
+    scratch.recycle_vec(dwt);
+    Tensor::from_vec(&[k, c, r, s], dw)
+}
+
+/// Rows `taps` of `dwᵀ` into `out` (row `t - taps.start`, `width` wide):
+/// per 8-tap tile and 16-channel group, one [`wu_tile`] over all of
+/// `N·P·Q`. A ragged last tile repeats its last tap and drops the copy.
+fn wu_taps(
+    view: &ColsView<'_>,
+    dyk: &[f32],
+    taps: std::ops::Range<usize>,
+    width: usize,
+    out: &mut [f32],
+) {
+    let npq = view.cols();
+    for g in 0..width / WU_LANES {
+        let dyg = &dyk[g * npq * WU_LANES..][..npq * WU_LANES];
+        for t0 in taps.clone().step_by(WU_TAPS) {
+            let live = WU_TAPS.min(taps.end - t0);
+            let bases = std::array::from_fn(|i| view.row_base[t0 + i.min(live - 1)]);
+            let acc = wu_tile(view, bases, dyg);
+            for (i, lanes) in acc[..live].iter().enumerate() {
+                let row = (t0 - taps.start + i) * width + g * WU_LANES;
+                out[row..row + WU_LANES].copy_from_slice(lanes);
+            }
+        }
+    }
+}
+
+/// `acc[i][l] = Σ_t src[bases[i] + col_off[t]] · dyg[t][l]`, `t`
+/// ascending from `+0.0`: eight taps × sixteen channels in registers.
+///
+/// The columns are walked run by run ([`for_each_run`]): within a run
+/// each tap reads one (at stride 1, contiguous) stretch of the planes,
+/// bounded once per run instead of once per element.
+fn wu_tile(
+    view: &ColsView<'_>,
+    bases: [usize; WU_TAPS],
+    dyg: &[f32],
+) -> [[f32; WU_LANES]; WU_TAPS] {
+    let mut acc = [[0.0f32; WU_LANES]; WU_TAPS];
+    let (src, col_off, step) = (view.src, view.col_off, view.step);
+    for_each_run(col_off, step, |at, len| {
+        let dy = dyg[at * WU_LANES..(at + len) * WU_LANES].chunks_exact(WU_LANES);
+        let off = col_off[at];
+        if step == 1 {
+            let xs: [&[f32]; WU_TAPS] = std::array::from_fn(|i| &src[bases[i] + off..][..len]);
+            for (t, d) in dy.enumerate().take(len) {
+                for (a, x) in acc.iter_mut().zip(&xs) {
+                    let x = x[t];
+                    for (slot, &dv) in a.iter_mut().zip(d) {
+                        *slot += dv * x;
+                    }
+                }
+            }
+        } else {
+            for (t, d) in dy.enumerate() {
+                for (a, &base) in acc.iter_mut().zip(&bases) {
+                    let x = src[base + off + t * step];
+                    for (slot, &dv) in a.iter_mut().zip(d) {
+                        *slot += dv * x;
+                    }
+                }
+            }
+        }
+    });
+    acc
 }
 
 /// Weight-update convolution from materialised im2col columns: the
-/// oracle of [`conv2d_backward_weights_from_planes`].
+/// oracle of [`conv2d_backward_weights_from_planes`], one transposed-B
+/// GEMM (`dy_mat · colsᵀ`).
 ///
 /// # Panics
 ///
@@ -244,17 +383,6 @@ pub fn conv2d_backward_weights_from_cols(
     scratch: &mut Scratch,
 ) -> Tensor {
     assert_eq!(dy.shape().rank(), 4, "conv wu: dy must be NKPQ");
-    backward_weights(dy, Rhs::Slice(cols), c, r, s, scratch)
-}
-
-fn backward_weights(
-    dy: &Tensor,
-    cols: Rhs<'_>,
-    c: usize,
-    r: usize,
-    s: usize,
-    scratch: &mut Scratch,
-) -> Tensor {
     let (n, k, p, q) = (
         dy.shape().dim(0),
         dy.shape().dim(1),
@@ -268,7 +396,7 @@ fn backward_weights(
     permute_group_pair(&mut dyt, dy.data(), n, k, p * q);
     let mut dw = scratch.take_any(k * crs);
     let bp = Blueprint::nt(k, npq, crs).with_threads(kernel::default_threads());
-    kernel::gemm_rhs(&bp, &mut dw, &dyt, cols, scratch);
+    kernel::gemm(&bp, &mut dw, &dyt, cols, scratch);
     scratch.recycle_vec(dyt);
     Tensor::from_vec(&[k, c, r, s], dw)
 }
@@ -480,6 +608,73 @@ mod tests {
             assert_eq!(got.shape(), want.shape());
             assert_eq!(got.data(), want.data(), "geometry {n},{c},{k},{h},{wd}");
             scratch.recycle(got);
+        }
+    }
+
+    /// A seeded tensor whose values are a third exact `+0.0` (what ReLU
+    /// leaves), a sixth `-0.0` and the rest nonzero, with channel 0 of
+    /// every sample all `fill` — a dead channel of `x` (`+0.0`) or an
+    /// all-negative channel of `dy`.
+    fn signed_zeros(dims: &[usize], fill: f32, seed: u64) -> Tensor {
+        use procrustes_prng::UniformRng;
+        let mut rng = Xorshift64::new(seed);
+        let mut t = Tensor::from_fn(dims, |_| match rng.next_f64() {
+            u if u < 1.0 / 3.0 => 0.0,
+            u if u < 0.5 => -0.0,
+            _ => rng.next_f32() * 2.0 - 1.0,
+        });
+        let plane = dims[2] * dims[3];
+        for sample in t.data_mut().chunks_exact_mut(dims[1] * plane) {
+            sample[..plane].fill(fill);
+        }
+        t
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The tap-split weight update at 1/2/3/4/8 workers against the GEMM
+    /// over the columns and the scatter oracle, bit for bit: output
+    /// channels that fill one 16-lane group, part of one, or spill into
+    /// the next; fewer taps than one 8-tap tile (a 1×1 conv over three
+    /// channels), ragged tiles, stride 2, pad 0 and 2, a single sample.
+    /// `dw[0, 0, ..]` sums only `-0.0` terms (a dead input channel
+    /// against an all-negative gradient channel), so it must come out
+    /// `+0.0`.
+    #[test]
+    fn weight_update_by_taps_is_bitwise_equal_at_every_worker_count() {
+        let mut scratch = Scratch::new();
+        // (n, c, h, w, kernel, stride, pad)
+        let geometries = [
+            (2, 3, 7, 6, 3, 1, 1),
+            (1, 3, 5, 5, 1, 1, 0),
+            (1, 2, 9, 7, 3, 2, 0),
+            (2, 4, 6, 6, 3, 2, 2),
+            (3, 5, 5, 4, 3, 1, 1),
+        ];
+        for (gi, &(n, c, h, wd, kr, stride, pad)) in geometries.iter().enumerate() {
+            let x = signed_zeros(&[n, c, h, wd], 0.0, 40 + gi as u64);
+            let planes = PaddedPlanes::of_input(&x, kr, kr, stride, pad, &mut scratch);
+            let cols = im2col(&x, kr, kr, stride, pad);
+            let (p, q) = planes.out_dims();
+            for k in [1, 6, 8, 16, 17, 40, 64] {
+                let dy = signed_zeros(&[n, k, p, q], -0.5, (50 + gi * 64 + k) as u64);
+                let what = format!("geometry {gi}, k {k}");
+                let want = conv2d_backward_weights(&x, &dy, kr, kr, stride, pad);
+                let oracle =
+                    conv2d_backward_weights_from_cols(&dy, cols.data(), c, kr, kr, &mut scratch);
+                assert_eq!(bits(&oracle), bits(&want), "{what}: columns vs scatter");
+                assert_eq!(want.data()[0].to_bits(), 0, "{what}: dead tap is +0.0");
+                for workers in [1, 2, 3, 4, 8] {
+                    let got = backward_weights_by_taps(&dy, &planes, workers, &mut scratch);
+                    assert_eq!(got.shape(), want.shape(), "{what}");
+                    assert_eq!(bits(&got), bits(&want), "{what}: {workers} workers");
+                    scratch.recycle(got);
+                }
+                scratch.recycle(oracle);
+            }
+            planes.recycle(&mut scratch);
         }
     }
 

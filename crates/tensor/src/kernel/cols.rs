@@ -12,11 +12,15 @@
 //! [`PaddedPlanes`](crate::PaddedPlanes), replace every division,
 //! bounds test and padding branch an unfold would run per element.
 //!
-//! A [`ColsView`] is the rhs of [`gemm_cols`](super::gemm_cols): the
-//! packed routines copy their `kc×NR` panels straight out of the planes
-//! (see `pack_cols_n` / `pack_cols_t` in [`routine`](super::routine)),
-//! so the product reads the same values in the same order as one over
-//! the materialised matrix and compares equal to it (`f32 ==`).
+//! A [`ColsView`] is the rhs of [`gemm_cols`](super::gemm_cols) for the
+//! `Nn` products (forward, backward-input): the packed routine copies
+//! its `kc×NR` panels straight out of the planes (see `pack_cols_n` in
+//! [`routine`](super::routine)), so the product reads the same values in
+//! the same order as one over the materialised matrix and compares
+//! equal to it (`f32 ==`). The weight update packs nothing: its kernel
+//! (`conv2d_backward_weights_from_planes`) reads each tap's value
+//! `src[row_base[i] + col_off[t]]` as the broadcast operand, run by
+//! run (`for_each_run`).
 
 /// A matrix `[rows, cols]` read through two offset tables over a flat
 /// source (see the [module docs](self)).
@@ -87,6 +91,12 @@ impl ColsView<'_> {
 /// Cuts `offsets` into maximal runs of entries `step` apart, calling
 /// `visit(first index, length)` per run in order. A stride-1 convolution
 /// yields one run per output row (or longer, where rows abut).
+///
+/// Always inlined: the weight-update kernel keeps its accumulator tile
+/// in registers across `visit` calls only when the walk is inlined (out
+/// of line, the tile lives in memory and the kernel runs several times
+/// slower).
+#[inline(always)]
 pub(crate) fn for_each_run(offsets: &[usize], step: usize, mut visit: impl FnMut(usize, usize)) {
     let mut start = 0;
     while start < offsets.len() {

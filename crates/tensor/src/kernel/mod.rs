@@ -1,7 +1,10 @@
 //! The layered GEMM kernel subsystem: blueprint → selector → routine.
 //!
 //! Every dense matrix product in the workspace flows through this
-//! module. The layers, bottom-up:
+//! module but one: the convolution weight update over the padded planes
+//! (`conv2d_backward_weights_from_planes`) runs its own pack-free
+//! kernel, split by filter taps over the same pool and bound by the
+//! same accumulation-order contract. The layers, bottom-up:
 //!
 //! - [`blueprint`] — a plain-data key describing a GEMM problem
 //!   ([`Blueprint`]: extents, operand layout, worker budget).
@@ -11,7 +14,8 @@
 //! - [`cols`] — the rhs of a convolution product as a *view*
 //!   ([`ColsView`]): the im2col matrix read through two offset tables
 //!   out of the padded input planes, so the packed routine's pack step
-//!   is the only code that ever sees it ([`gemm_cols`]).
+//!   ([`gemm_cols`], the `Nn` products) and the weight-update kernel
+//!   are the only code that ever sees it.
 //! - [`selector`] — the policy mapping blueprints to plans: the
 //!   reduction block, the lhs pack and the worker count, ranked at call
 //!   time by the deterministic cost model.
@@ -110,14 +114,15 @@ pub fn gemm(bp: &Blueprint, dst: &mut [f32], lhs: &[f32], rhs: &[f32], scratch: 
 /// [`gemm`] with the columns of a convolution for its rhs, read out of
 /// the padded planes instead of a materialised matrix: `cols` stands
 /// for the `[k, n]` operand of an `Nn` blueprint (the forward and
-/// backward-input products) or the `[n, k]` one of an `Nt` blueprint
-/// (the weight update). Same tiers, same reduction order, same result
-/// bytes and the same plan as `gemm` over the unfolded matrix.
+/// backward-input products). Same tiers, same reduction order, same
+/// result bytes and the same plan as `gemm` over the unfolded matrix.
+/// The weight update reads the planes too, but through its own
+/// pack-free kernel (`conv2d_backward_weights_from_planes`), not here.
 ///
 /// # Panics
 ///
 /// Panics if the view's extents or a slice length disagree with the
-/// blueprint, or on a `Tn` blueprint.
+/// blueprint, or on an `Nt` or `Tn` blueprint.
 ///
 /// # Examples
 ///

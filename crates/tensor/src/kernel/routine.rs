@@ -95,8 +95,8 @@ impl Routine {
 pub(crate) enum Rhs<'a> {
     /// Row-major `[k, n]` (`Nn`, `Tn`) or `[n, k]` (`Nt`).
     Slice(&'a [f32]),
-    /// The `[C·R·S, N·P·Q]` columns: `[k, n]` of an `Nn` product,
-    /// `[n, k]` of an `Nt` one.
+    /// The `[C·R·S, N·P·Q]` columns as the `[k, n]` rhs of an `Nn`
+    /// product (the forward and backward-input convolutions).
     Cols(ColsView<'a>),
 }
 
@@ -310,12 +310,16 @@ pub(crate) fn execute_slab(
     match rhs {
         Rhs::Slice(b) => assert_eq!(b.len(), bp.rhs_len(), "kernel: rhs length != k*n"),
         Rhs::Cols(v) => {
-            let extents = match bp.op {
-                Op::Nn => (bp.k, bp.n),
-                Op::Nt => (bp.n, bp.k),
-                Op::Tn => panic!("kernel: a column view cannot be the rhs of a tn product"),
-            };
-            assert_eq!((v.rows(), v.cols()), extents, "kernel: view extents != rhs");
+            assert_eq!(
+                bp.op,
+                Op::Nn,
+                "kernel: a column view can only be the rhs of an nn product"
+            );
+            assert_eq!(
+                (v.rows(), v.cols()),
+                (bp.k, bp.n),
+                "kernel: view extents != rhs"
+            );
         }
     }
     assert!(
@@ -393,8 +397,8 @@ fn run_packed(
             match (rhs, bp.op) {
                 (Rhs::Slice(b), Op::Nt) => pack_rhs_t(panel, b, k0, kc, j, jw, k),
                 (Rhs::Slice(b), Op::Nn | Op::Tn) => pack_rhs_n(panel, b, k0, kc, j, jw, n),
-                (Rhs::Cols(v), Op::Nt) => pack_cols_t(panel, &v, k0, kc, j, jw),
-                (Rhs::Cols(v), Op::Nn | Op::Tn) => pack_cols_n(panel, &v, k0, kc, j, jw),
+                // A view is only ever the rhs of an `Nn` product.
+                (Rhs::Cols(v), _) => pack_cols_n(panel, &v, k0, kc, j, jw),
             }
             let first = k0 == 0;
             let mut i = slab.i0;
@@ -651,27 +655,6 @@ fn pack_cols_n(panel: &mut [f32], v: &ColsView<'_>, k0: usize, kc: usize, j: usi
     });
 }
 
-/// [`pack_rhs_t`] out of a column view: row `p` of the panel is column
-/// `k0 + p` of the columns across rows `j..j + jw`,
-/// `cols[j..j + jw][k0 + p]` — one window origin plus each tap's base.
-///
-/// The read is `get(..).unwrap_or(0.0)` rather than an index: without a
-/// panic edge in the loop the compiler turns the `jw` table-driven
-/// loads into hardware gathers, which is what makes this pack cheaper
-/// than the strided copy out of a materialised matrix. The fallback
-/// never fires: [`ColsView::check`] has bounded every `base + offset`.
-fn pack_cols_t(panel: &mut [f32], v: &ColsView<'_>, k0: usize, kc: usize, j: usize, jw: usize) {
-    let bases = &v.row_base[j..j + jw];
-    let offsets = &v.col_off[k0..k0 + kc];
-    for (row, &off) in panel[..kc * NR].chunks_exact_mut(NR).zip(offsets) {
-        let src = &v.src[off..];
-        for (slot, &base) in row.iter_mut().zip(bases) {
-            *slot = src.get(base).copied().unwrap_or(0.0);
-        }
-        row[jw..].fill(0.0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -830,6 +813,47 @@ mod tests {
         for idx in [0, 2, 3, MAX_WORKERS] {
             let again = catch_unwind(AssertUnwindSafe(|| deal.claim(idx).slab()));
             assert!(again.is_err(), "slab {idx} claimed twice or from nowhere");
+        }
+    }
+
+    /// A column view feeds only `Nn` products; the weight update reads
+    /// the planes through its own kernel, so `Nt` is refused like `Tn`.
+    #[test]
+    fn a_view_is_only_the_rhs_of_an_nn_product() {
+        let src = [1.0f32, 2.0, 3.0];
+        let view = ColsView {
+            src: &src,
+            row_base: &[0, 1],
+            col_off: &[0, 1],
+            step: 1,
+        };
+        let mut scratch = Scratch::new();
+        let mut dst = [0.0f32; 4];
+        let nn = Blueprint::nn(2, 2, 2);
+        let lhs = [1.0f32, 0.0, 0.0, 1.0];
+        let full = SlabMut::full(&nn, &mut dst);
+        execute_slab(
+            Routine::Packed { kc: 128 },
+            &nn,
+            full,
+            &lhs,
+            Rhs::Cols(view),
+            &mut scratch,
+        );
+        assert_eq!(dst, [1.0, 2.0, 2.0, 3.0]);
+        for bp in [Blueprint::nt(2, 2, 2), Blueprint::tn(2, 2, 2)] {
+            let refused = catch_unwind(AssertUnwindSafe(|| {
+                let full = SlabMut::full(&bp, &mut dst);
+                execute_slab(
+                    Routine::Packed { kc: 128 },
+                    &bp,
+                    full,
+                    &lhs,
+                    Rhs::Cols(view),
+                    &mut scratch,
+                );
+            }));
+            assert!(refused.is_err(), "a view fed a {} product", bp.op.tag());
         }
     }
 

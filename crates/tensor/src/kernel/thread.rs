@@ -24,6 +24,16 @@
 //! lets the counting-allocator test pin zero steady-state allocations
 //! for the threaded tier too.
 //!
+//! # The other two output splits
+//!
+//! Two kernels outside the GEMM split their output over the same pool
+//! by the same rule — a static, disjoint cut, no reduction split —
+//! through [`run_split`]: the convolution weight update
+//! (`conv2d_backward_weights_from_planes`) deals its filter taps to the
+//! workers in whole 8-tap tiles, and the CSB gather of
+//! `procrustes-sparse` deals whole samples. Both ask for the
+//! [`default_threads`] budget.
+//!
 //! # Dispatch
 //!
 //! The chunks go to the workspace's worker pool ([`crate::pool`]): the
@@ -37,7 +47,8 @@ use super::blueprint::Blueprint;
 use super::routine::{execute_slab, Rhs, Routine, Slab, SlabDeal, MR, NR};
 use crate::pool;
 use crate::scratch::Scratch;
-use std::sync::OnceLock;
+use std::ops::Range;
+use std::sync::{Mutex, OnceLock};
 
 /// Hard ceiling on workers per job (including the calling thread);
 /// budgets above it are clamped.
@@ -123,6 +134,76 @@ fn part(units: usize, workers: usize, idx: usize) -> (usize, usize) {
     let extra = units % workers;
     let u0 = idx * base + idx.min(extra);
     (u0, u0 + base + usize::from(idx < extra))
+}
+
+/// Runs `f(items, slab)` once per worker of a pool job over `dst`, an
+/// output of `items` equal runs: worker `idx` computes the items of a
+/// static cut in whole `grain`s (the same balanced partition as the
+/// GEMM's chunks, a pure function of `(items, grain, workers, idx)`)
+/// into `slab`, the contiguous part of `dst` that holds them. `workers`
+/// is clamped to `1..=`[`MAX_WORKERS`] and to the grains there are.
+///
+/// Each slab reaches its worker through a `Mutex` on the caller's
+/// stack, locked once, so the split needs neither `unsafe` nor a heap
+/// allocation; a kernel that computes every item the way a serial loop
+/// would gives the same bytes at every worker count.
+///
+/// # Panics
+///
+/// Panics if `items` or `grain` is zero or `dst.len()` is not a
+/// multiple of `items`; re-raises a panic of `f`.
+///
+/// # Examples
+///
+/// ```
+/// use procrustes_tensor::kernel::thread::run_split;
+/// use procrustes_tensor::Scratch;
+/// // Five items of two elements, dealt to two workers in grains of two.
+/// let mut dst = [0.0f32; 10];
+/// run_split(2, 5, 2, &mut dst, &mut Scratch::new(), &|items, slab| {
+///     for (item, run) in items.zip(slab.chunks_exact_mut(2)) {
+///         run.fill(item as f32);
+///     }
+/// });
+/// assert_eq!(dst, [0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 4.0]);
+/// ```
+pub fn run_split(
+    workers: usize,
+    items: usize,
+    grain: usize,
+    dst: &mut [f32],
+    scratch: &mut Scratch,
+    f: &(dyn Fn(Range<usize>, &mut [f32]) + Sync),
+) {
+    assert!(
+        items > 0 && grain > 0 && dst.len() % items == 0,
+        "kernel: cannot split {} elements into {items} items in grains of {grain}",
+        dst.len()
+    );
+    let run = dst.len() / items;
+    let grains = items.div_ceil(grain);
+    let workers = workers.clamp(1, MAX_WORKERS).min(grains);
+    let items_of = |idx: usize| {
+        let (g0, g1) = part(grains, workers, idx);
+        (g0 * grain).min(items)..(g1 * grain).min(items)
+    };
+    let mut rest = dst;
+    let slabs: [Mutex<&mut [f32]>; MAX_WORKERS] = std::array::from_fn(|idx| {
+        let len = if idx < workers {
+            items_of(idx).len() * run
+        } else {
+            0
+        };
+        let (slab, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        Mutex::new(slab)
+    });
+    pool::run(workers, scratch, &|idx, _| {
+        let mut slab = slabs[idx]
+            .lock()
+            .expect("a slab is locked once, by its own worker");
+        f(items_of(idx), &mut slab);
+    });
 }
 
 /// The output slab worker `idx` of a `workers`-wide job computes. Pure
@@ -258,6 +339,47 @@ mod tests {
         let bp = Blueprint::nn(256, 256, 1024);
         for idx in 0..4 {
             assert_eq!(chunk(&bp, 4, idx), chunk(&bp, 4, idx));
+        }
+    }
+
+    /// Every item goes to exactly one worker, in order and in whole
+    /// grains, with the slab that holds it; a budget past the grains
+    /// leaves the extra workers out.
+    #[test]
+    fn split_slabs_tile_the_items_in_whole_grains() {
+        for items in [1, 3, 8, 27, 144, 577] {
+            for grain in [1, 8] {
+                for workers in 1..=MAX_WORKERS + 1 {
+                    let mut dst = vec![f32::NAN; items * 2];
+                    let seen = Mutex::new(Vec::new());
+                    run_split(
+                        workers,
+                        items,
+                        grain,
+                        &mut dst,
+                        &mut Scratch::new(),
+                        &|r, slab| {
+                            assert_eq!(slab.len(), r.len() * 2);
+                            slab.fill(r.start as f32);
+                            seen.lock().unwrap().push(r);
+                        },
+                    );
+                    let mut seen = seen.into_inner().unwrap();
+                    seen.sort_by_key(|r| r.start);
+                    let what = format!("{items} items, grain {grain}, {workers} workers");
+                    let dealt = workers.min(MAX_WORKERS).min(items.div_ceil(grain));
+                    assert_eq!(seen.len(), dealt, "{what}");
+                    let mut next = 0;
+                    for r in &seen {
+                        assert_eq!(r.start, next, "{what}");
+                        assert!(r.start % grain == 0 && !r.is_empty(), "{what}");
+                        let start = r.start as f32;
+                        assert!(dst[r.start * 2..r.end * 2].iter().all(|&v| v == start));
+                        next = r.end;
+                    }
+                    assert_eq!(next, items, "{what}");
+                }
+            }
         }
     }
 

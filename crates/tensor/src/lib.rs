@@ -19,11 +19,12 @@
 //!   matrix of a convolution ([`kernel::ColsView`]) — so no training
 //!   step builds, stores or re-reads an im2col matrix;
 //! * the three convolution kernels of CNN training (Fig 2 of the paper),
-//!   each as one GEMM whose rhs is that view: [`conv2d_from_planes`]
-//!   (forward), [`conv2d_backward_input_gemm`] (backward pass — the
+//!   each reading that view: [`conv2d_from_planes`] (forward) and
+//!   [`conv2d_backward_input_gemm`] (backward pass — the
 //!   180°-rotated-filter convolution over the padded planes of the
-//!   upstream gradient), and [`conv2d_backward_weights_from_planes`]
-//!   (weight update);
+//!   upstream gradient), each one GEMM, and
+//!   [`conv2d_backward_weights_from_planes`] (weight update), a
+//!   pack-free kernel split by filter taps over the [`pool`];
 //! * [`im2col`] / [`im2col_into`], [`conv2d_from_cols`] and
 //!   [`conv2d_backward_weights_from_cols`] — the same products over a
 //!   materialised column matrix: the oracles of the view-fed kernels

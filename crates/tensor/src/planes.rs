@@ -10,8 +10,11 @@
 //! col_off[t]]` (see [`kernel::cols`](crate::kernel::cols)). Three
 //! consumers take it:
 //!
-//! - the dense forward and the weight update, as the rhs of
-//!   [`kernel::gemm_cols`](crate::kernel::gemm_cols) ([`view`](PaddedPlanes::view));
+//! - the dense forward, as the rhs of
+//!   [`kernel::gemm_cols`](crate::kernel::gemm_cols) ([`view`](PaddedPlanes::view)),
+//!   and the weight update, which reads each tap's value out of the same
+//!   view as a broadcast operand
+//!   ([`conv2d_backward_weights_from_planes`](crate::conv2d_backward_weights_from_planes));
 //! - the backward-input product, over the planes of the *upstream
 //!   gradient* dilated by the stride and padded by `(R-1-pad, S-1-pad)`
 //!   ([`of_upstream`](PaddedPlanes::of_upstream)), where the rotated

@@ -6,10 +6,12 @@
 //!
 //! Seeded sweep: stride {1, 2} × pad {0, 1, 2} × kernel {1, 3} over
 //! geometries whose `N·P·Q` and `C·R·S` are not multiples of any tile or
-//! split unit, the `Nn` product (forward, backward-input) and the `Nt`
-//! one (weight update) each at budgets 1 / 2 / 4, plus the three conv
-//! entry points against their `*_from_cols` oracles and the scatter
-//! kernels of [`reference`](procrustes_tensor::reference).
+//! split unit, the `Nn` product (forward, backward-input — the only
+//! GEMM a view feeds) at budgets 1 / 2 / 4, plus the three conv entry
+//! points against their `*_from_cols` oracles and the scatter kernels
+//! of [`reference`](procrustes_tensor::reference): the weight update
+//! over the planes is the pack-free tap kernel, not a GEMM, and its
+//! oracles are the GEMM over the columns and the scatter loop.
 
 use procrustes_prng::{UniformRng, Xorshift64};
 use procrustes_tensor::kernel::{self, Blueprint};
@@ -76,15 +78,6 @@ fn view_fed_products_equal_the_products_over_im2col_columns() {
             kernel::gemm_cols(&bp, &mut got, lhs.data(), &view, &mut scratch);
             kernel::gemm(&bp, &mut want, lhs.data(), cols.data(), &mut scratch);
             assert_eq!(got, want, "{what}: nn at budget {budget}");
-
-            // Weight-update form: [m, N·P·Q] · colsᵀ.
-            let bp = Blueprint::nt(m, npq, crs).with_threads(budget);
-            threaded += usize::from(kernel::select(&bp).workers > 1);
-            let lhs = tensor(&[m, npq], 0.3, &mut rng);
-            let (mut got, mut want) = (vec![f32::NAN; m * crs], vec![f32::NAN; m * crs]);
-            kernel::gemm_cols(&bp, &mut got, lhs.data(), &view, &mut scratch);
-            kernel::gemm(&bp, &mut want, lhs.data(), cols.data(), &mut scratch);
-            assert_eq!(got, want, "{what}: nt at budget {budget}");
         }
         planes.recycle(&mut scratch);
     }
