@@ -62,12 +62,11 @@ fn read_input(path: &str) -> Result<String, String> {
 fn source_summary(served: &[Served]) -> String {
     let count = |s: Source| served.iter().filter(|r| r.source == s).count();
     format!(
-        "{} results (computed {}, memo {}, disk {}, peer {})",
+        "{} results (computed {}, memo {}, disk {})",
         served.len(),
         count(Source::Computed),
         count(Source::Memo),
-        count(Source::Disk),
-        count(Source::Peer)
+        count(Source::Disk)
     )
 }
 
@@ -202,8 +201,8 @@ fn run() -> Result<(), String> {
             let m = client.metrics().map_err(|e| e.to_string())?;
             println!(
                 "requests={} parse_errors={} served={} computed={} memo_hits={} \
-                 disk_hits={} hit_rate={:.3} queue_depth={} shed={} forwarded={} \
-                 peer_failovers={} faults_injected={} degraded={} verify_misses={}",
+                 disk_hits={} hit_rate={:.3} queue_depth={} shed={} \
+                 faults_injected={} verify_misses={}",
                 m.requests,
                 m.parse_errors,
                 m.served,
@@ -213,10 +212,7 @@ fn run() -> Result<(), String> {
                 m.hit_rate,
                 m.queue_depth,
                 m.shed,
-                m.forwarded,
-                m.peer_failovers,
                 m.faults_injected,
-                m.degraded,
                 m.verify_misses,
             );
             for (verb, v) in &m.verbs {
@@ -232,10 +228,9 @@ fn run() -> Result<(), String> {
         "status" => {
             let s = client.status().map_err(|e| e.to_string())?;
             println!(
-                "shards={} peers={} persistent={} requests={} served={} computed={} \
+                "shards={} persistent={} requests={} served={} computed={} \
                  memo_hits={} disk_hits={} memo_entries={} disk_entries={}",
                 s.shards,
-                s.peers,
                 s.persistent,
                 s.requests,
                 s.served,

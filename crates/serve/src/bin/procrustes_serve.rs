@@ -3,15 +3,13 @@
 //! ```text
 //! procrustes-serve [--addr HOST:PORT] [--shards N] [--cache-dir DIR]
 //!                  [--cache-budget BYTES] [--max-sweep N] [--queue-cap N]
-//!                  [--peers A:P,B:P,...] [--advertise HOST:PORT]
 //!                  [--fault-plan FILE|SPEC]
 //! ```
 //!
 //! Binds (port 0 picks an ephemeral port, printed on the first line),
 //! then serves the line-delimited JSON protocol documented in
-//! `procrustes_serve` until a `shutdown` request. With `--peers`, the
-//! daemon joins a cluster ring and forwards scenarios to their ring
-//! owners; see `docs/OPERATIONS.md` for the operator runbook.
+//! `procrustes_serve` until a `shutdown` request; see
+//! `docs/OPERATIONS.md` for the operator runbook.
 
 use std::process::ExitCode;
 
@@ -27,14 +25,10 @@ OPTIONS:
   --cache-budget BYTES  LRU byte budget for --cache-dir; accepts K/M/G
                         suffixes, e.g. 512M (default: unbounded)
   --max-sweep N         largest admitted sweep cardinality (default 4096)
-  --queue-cap N         bound on each shard/forwarder queue; fuller queues
-                        shed requests with a structured reply (default 4096)
-  --peers A:P,B:P,...   comma-separated cluster ring (every member's
-                        address, identical list on every node)
-  --advertise HOST:PORT this daemon's own entry in --peers (default: --addr);
-                        must match the other nodes' spelling exactly
+  --queue-cap N         bound on each shard queue; fuller queues shed
+                        requests with a structured reply (default 4096)
   --fault-plan F|SPEC   arm deterministic fault injection from a file or an
-                        inline spec, e.g. 'seed=7;peer_dial_refused=0.2;
+                        inline spec, e.g. 'seed=7;forced_shed=0.2;
                         cache_corrupt=3..5' (default: disarmed)
   --help                print this help
 ";
@@ -58,8 +52,6 @@ fn parse_bytes(v: &str) -> Result<u64, String> {
 
 fn main() -> ExitCode {
     let mut addr = "127.0.0.1:7878".to_string();
-    let mut peers: Vec<String> = Vec::new();
-    let mut advertise: Option<String> = None;
     let mut config = ServeConfig::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -90,15 +82,6 @@ fn main() -> ExitCode {
                     .map(|n: usize| config.queue_cap = n.max(1))
                     .map_err(|e| format!("--queue-cap: {e}"))
             }),
-            "--peers" => value("--peers").map(|v| {
-                peers = v
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|p| !p.is_empty())
-                    .map(String::from)
-                    .collect();
-            }),
-            "--advertise" => value("--advertise").map(|v| advertise = Some(v)),
             "--fault-plan" => value("--fault-plan").and_then(|v| {
                 FaultPlan::load(&v)
                     .map(|plan| config.fault_plan = Some(plan))
@@ -115,31 +98,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let mut server = match Server::bind(&addr, config.clone()) {
+    let server = match Server::bind(&addr, config.clone()) {
         Ok(server) => server,
         Err(e) => {
             eprintln!("procrustes-serve: cannot bind {addr}: {e}");
             return ExitCode::FAILURE;
-        }
-    };
-    let ring = if peers.is_empty() {
-        "single-node".to_string()
-    } else {
-        let advertise = advertise.unwrap_or_else(|| addr.clone());
-        if let Err(e) = server.enable_cluster(&peers, &advertise) {
-            eprintln!("procrustes-serve: cannot enable cluster: {e}");
-            return ExitCode::FAILURE;
-        }
-        let mut nodes: Vec<&str> = Vec::new();
-        for p in peers.iter().map(String::as_str).chain([advertise.as_str()]) {
-            if !nodes.contains(&p) {
-                nodes.push(p);
-            }
-        }
-        if nodes.len() < 2 {
-            "single-node (peer list resolves to this node only)".to_string()
-        } else {
-            format!("ring of {} as {advertise}", nodes.len())
         }
     };
     let chaos = match &config.fault_plan {
@@ -147,7 +110,7 @@ fn main() -> ExitCode {
         None => String::new(),
     };
     println!(
-        "procrustes-serve listening on {} (shards={}, cache={}, max-sweep={}, queue-cap={}, {ring}{chaos})",
+        "procrustes-serve listening on {} (shards={}, cache={}, max-sweep={}, queue-cap={}{chaos})",
         server.local_addr(),
         config.shards,
         config

@@ -8,7 +8,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use procrustes_core::{Scenario, Sweep};
 use procrustes_search::{RoundUpdate, SearchSpec};
 
-use crate::proto::{FrontMember, Request, Response, Route, ServerMetrics, ServerStatus, Source};
+use crate::proto::{FrontMember, Request, Response, ServerMetrics, ServerStatus, Source};
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -21,7 +21,7 @@ pub enum ClientError {
     Server(String),
     /// The server refused the request with a `shed` line: a bounded
     /// queue was too full to admit it. The request was not evaluated at
-    /// all — retrying later (or against another cluster node) is safe.
+    /// all — retrying later is safe.
     Shed {
         /// The daemon's explanation of which queue refused the request.
         reason: String,
@@ -172,10 +172,7 @@ impl Client {
     /// Server-rejected scenarios surface as [`ClientError::Server`] with
     /// the daemon's message.
     pub fn eval(&mut self, scenario: &Scenario) -> Result<Served, ClientError> {
-        let request = Request::Eval {
-            scenario: Box::new(scenario.clone()),
-            route: Route::Auto,
-        };
+        let request = Request::Eval(Box::new(scenario.clone()));
         match self.roundtrip(&request)? {
             Response::Result { index, source, doc } => Ok(Served { index, source, doc }),
             other => Err(ClientError::from_reply(other, "a result line")),

@@ -1,9 +1,9 @@
-//! Deterministic fault injection for chaos testing the serve cluster.
+//! Deterministic fault injection for chaos testing the daemon.
 //!
 //! A daemon started with `--fault-plan <file|spec>` arms a set of named
 //! **failpoints** — places in the serving path where a real failure mode
-//! (a refused dial, a timed-out read, a truncated cache entry, …) is
-//! synthesized on purpose. Whether a given arrival at a failpoint fires
+//! (a truncated cache entry, an overloaded queue) is synthesized on
+//! purpose. Whether a given arrival at a failpoint fires
 //! is a *pure function* of the plan: each failpoint keeps its own
 //! invocation counter, and the decision for invocation `k` is derived
 //! from `SplitMix64(seed ^ fnv(label) ^ mix(k))` — no wall clock, no
@@ -12,12 +12,12 @@
 //! places, which is what makes a chaos run replayable byte-for-byte.
 //!
 //! Every injected fault lands on a path the daemon already treats as a
-//! real-world failure (the fault *is* the real error value: an
-//! `io::Error`, a truncated document, a shed reply), so chaos runs
+//! real-world failure (the fault *is* the real error value: a truncated
+//! document, a shed reply), so chaos runs
 //! exercise the production recovery code, not parallel test-only
 //! branches. The headline invariant the chaos suite pins: **no fault
-//! ever changes a served byte** — recovery may move work around, never
-//! corrupt it.
+//! ever changes a served byte** — recovery may recompute or retry work,
+//! never corrupt it.
 //!
 //! When no plan is configured the handle is a no-op `None` and every
 //! check is a single branch on an `Option` — zero allocation, zero
@@ -33,61 +33,28 @@ use procrustes_sim::Fnv1a;
 /// The named failpoints a plan may arm, in wire/spec order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Failpoint {
-    /// A peer dial fails as if the peer refused the connection.
-    PeerDialRefused,
-    /// Reading a forwarded reply times out (after the request was
-    /// written — the peer may well have computed the result).
-    PeerReadTimeout,
-    /// Writing a forwarded request times out before any byte is sent.
-    PeerWriteTimeout,
-    /// The peer connection drops mid-reply: the already-read line is
-    /// discarded as if the socket died partway through.
-    PeerDropMidLine,
     /// A disk-cache read observes a truncated (corrupt) entry.
     CacheCorrupt,
     /// A request is refused with a synthetic `shed` reply even though
     /// the queues had room.
     ForcedShed,
-    /// A peer-forwarded (`route:"local"`) evaluation stalls for the
-    /// plan's `stall_ms` before being served (a slow peer, not a dead
-    /// one).
-    SlowPeerStall,
 }
 
 impl Failpoint {
-    /// Every failpoint, in spec order.
-    pub const ALL: [Failpoint; 7] = [
-        Failpoint::PeerDialRefused,
-        Failpoint::PeerReadTimeout,
-        Failpoint::PeerWriteTimeout,
-        Failpoint::PeerDropMidLine,
-        Failpoint::CacheCorrupt,
-        Failpoint::ForcedShed,
-        Failpoint::SlowPeerStall,
-    ];
+    /// Every failpoint, in spec order (which is also discriminant order:
+    /// a failpoint's discriminant indexes its invocation counter).
+    pub const ALL: [Failpoint; 2] = [Failpoint::CacheCorrupt, Failpoint::ForcedShed];
 
     /// The spec-grammar label (also the per-failpoint PRNG stream salt).
     pub fn label(self) -> &'static str {
         match self {
-            Failpoint::PeerDialRefused => "peer_dial_refused",
-            Failpoint::PeerReadTimeout => "peer_read_timeout",
-            Failpoint::PeerWriteTimeout => "peer_write_timeout",
-            Failpoint::PeerDropMidLine => "peer_drop_mid_line",
             Failpoint::CacheCorrupt => "cache_corrupt",
             Failpoint::ForcedShed => "forced_shed",
-            Failpoint::SlowPeerStall => "slow_peer_stall",
         }
     }
 
     fn from_label(label: &str) -> Option<Failpoint> {
         Failpoint::ALL.into_iter().find(|p| p.label() == label)
-    }
-
-    fn index(self) -> usize {
-        Failpoint::ALL
-            .iter()
-            .position(|&p| p == self)
-            .expect("every failpoint is in ALL")
     }
 }
 
@@ -103,27 +70,13 @@ pub enum Rule {
     Range(u64, u64),
 }
 
-/// A parsed `--fault-plan`: the schedule seed, the armed failpoints,
-/// and the stall duration used by [`Failpoint::SlowPeerStall`].
-#[derive(Debug, Clone, PartialEq)]
+/// A parsed `--fault-plan`: the schedule seed and the armed failpoints.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seeds every failpoint's decision stream (default 0).
     pub seed: u64,
     /// The armed failpoints and their firing rules.
     pub rules: Vec<(Failpoint, Rule)>,
-    /// How long a fired `slow_peer_stall` sleeps, in milliseconds
-    /// (default 50).
-    pub stall_ms: u64,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan {
-            seed: 0,
-            rules: Vec::new(),
-            stall_ms: 50,
-        }
-    }
 }
 
 impl FaultPlan {
@@ -136,12 +89,11 @@ impl FaultPlan {
     /// ```text
     /// spec  = item (separator item)*
     /// item  = "seed" "=" u64
-    ///       | "stall_ms" "=" u64
     ///       | failpoint "=" probability      # 0.0..=1.0
     ///       | failpoint "=" u64 ".." u64     # fire invocations [a, b)
     /// ```
     ///
-    /// Example: `seed=42; peer_dial_refused=0.3; cache_corrupt=0..2`.
+    /// Example: `seed=42; forced_shed=0.3; cache_corrupt=0..2`.
     ///
     /// # Errors
     ///
@@ -166,11 +118,6 @@ impl FaultPlan {
                     plan.seed = value
                         .parse()
                         .map_err(|e| format!("fault-plan seed '{value}': {e}"))?;
-                }
-                "stall_ms" => {
-                    plan.stall_ms = value
-                        .parse()
-                        .map_err(|e| format!("fault-plan stall_ms '{value}': {e}"))?;
                 }
                 _ => {
                     let point = Failpoint::from_label(key).ok_or_else(|| {
@@ -230,7 +177,7 @@ impl FaultPlan {
 
 impl fmt::Display for FaultPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "seed={}; stall_ms={}", self.seed, self.stall_ms)?;
+        write!(f, "seed={}", self.seed)?;
         for (point, rule) in &self.rules {
             match rule {
                 Rule::Prob(p) => write!(f, "; {}={p}", point.label())?,
@@ -275,11 +222,6 @@ impl Faults {
         })))
     }
 
-    /// Whether any plan is armed.
-    pub fn is_armed(&self) -> bool {
-        self.0.is_some()
-    }
-
     /// Decides whether this arrival at `point` fires, advancing the
     /// failpoint's invocation counter. Deterministic: invocation `k` of
     /// a failpoint fires iff the pure function of
@@ -292,7 +234,7 @@ impl Faults {
         let Some((_, rule)) = state.plan.rules.iter().find(|(p, _)| *p == point) else {
             return false;
         };
-        let k = state.invocations[point.index()].fetch_add(1, Ordering::Relaxed);
+        let k = state.invocations[point as usize].fetch_add(1, Ordering::Relaxed);
         let fired = match *rule {
             Rule::Range(start, end) => (start..end).contains(&k),
             Rule::Prob(p) => {
@@ -312,12 +254,6 @@ impl Faults {
         fired
     }
 
-    /// The stall duration for a fired [`Failpoint::SlowPeerStall`]
-    /// (zero when disarmed).
-    pub fn stall(&self) -> std::time::Duration {
-        std::time::Duration::from_millis(self.0.as_ref().map_or(0, |s| s.plan.stall_ms))
-    }
-
     /// Faults injected since the daemon started (the `faults_injected`
     /// metric; 0 when disarmed).
     pub fn injected(&self) -> u64 {
@@ -333,16 +269,14 @@ mod tests {
 
     #[test]
     fn parse_roundtrips_every_item_kind() {
-        let plan = FaultPlan::parse(
-            "seed=42; stall_ms=10; peer_dial_refused=0.25; cache_corrupt=0..2 # trailing comment",
-        )
-        .unwrap();
+        let plan =
+            FaultPlan::parse("seed=42; forced_shed=0.25; cache_corrupt=0..2 # trailing comment")
+                .unwrap();
         assert_eq!(plan.seed, 42);
-        assert_eq!(plan.stall_ms, 10);
         assert_eq!(
             plan.rules,
             vec![
-                (Failpoint::PeerDialRefused, Rule::Prob(0.25)),
+                (Failpoint::ForcedShed, Rule::Prob(0.25)),
                 (Failpoint::CacheCorrupt, Rule::Range(0, 2)),
             ]
         );
@@ -352,12 +286,10 @@ mod tests {
 
     #[test]
     fn parse_accepts_newline_separated_file_form() {
-        let plan = FaultPlan::parse(
-            "# chaos drill\nseed = 7\nforced_shed = 0.5\nslow_peer_stall = 1.0\nstall_ms = 5\n",
-        )
-        .unwrap();
+        let plan =
+            FaultPlan::parse("# chaos drill\nseed = 7\nforced_shed = 0.5\ncache_corrupt = 1.0\n")
+                .unwrap();
         assert_eq!(plan.seed, 7);
-        assert_eq!(plan.stall_ms, 5);
         assert_eq!(plan.rules.len(), 2);
     }
 
@@ -367,11 +299,11 @@ mod tests {
             "nonsense",
             "seed=abc",
             "warp_core_breach=0.5",
-            "peer_dial_refused=1.5",
-            "peer_dial_refused=-0.1",
+            "forced_shed=1.5",
+            "forced_shed=-0.1",
             "cache_corrupt=5..2",
             "cache_corrupt=3..3",
-            "stall_ms=fast",
+            "peer_dial_refused=0.5",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "{bad:?}");
         }
@@ -386,7 +318,6 @@ mod tests {
     #[test]
     fn disarmed_handle_never_fires() {
         let faults = Faults::none();
-        assert!(!faults.is_armed());
         for point in Failpoint::ALL {
             assert!(!faults.fires(point));
         }
@@ -426,10 +357,10 @@ mod tests {
 
     #[test]
     fn prob_streams_are_independent_per_failpoint() {
-        let spec = "seed=9; peer_dial_refused=0.5; forced_shed=0.5";
+        let spec = "seed=9; cache_corrupt=0.5; forced_shed=0.5";
         let faults = Faults::armed(FaultPlan::parse(spec).unwrap());
         let a: Vec<bool> = (0..64)
-            .map(|_| faults.fires(Failpoint::PeerDialRefused))
+            .map(|_| faults.fires(Failpoint::CacheCorrupt))
             .collect();
         let b: Vec<bool> = (0..64)
             .map(|_| faults.fires(Failpoint::ForcedShed))

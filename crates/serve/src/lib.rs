@@ -39,29 +39,18 @@
 //!   [`Scenario::to_json`] and `EvalResult::to_json` are canonical
 //!   (deterministic field order and number text), a restarted daemon
 //!   serves byte-identical documents without recomputation.
-//! * **Clustering** — with `--peers`, several daemons form a ring.
-//!   Scenarios are routed to their owner by rendezvous hashing on the
-//!   stable [`Scenario::fingerprint`] (see [`ring_order`]), forwarded
-//!   over the same wire protocol, so *any* node accepts *any* request
-//!   and single-flight stays global: one scenario is computed on exactly
-//!   one node cluster-wide. A dead peer fails over deterministically to
-//!   the next ring owner (and ultimately to local evaluation), which
-//!   never changes a single served byte — only where the work runs. The
-//!   failover owner recomputes what the dead primary held; no node
-//!   accepts documents from another.
-//! * **Backpressure** — every shard queue and every peer-forwarder
-//!   queue is bounded by `--queue-cap`. A request whose jobs would
-//!   overflow any queue is refused as a unit with one structured `shed`
-//!   line *before anything is dispatched*; nothing about it is
-//!   evaluated, so the client can safely retry later or elsewhere. The
-//!   `shed` line carries a deterministic `retry_after_ms` backoff hint.
+//! * **Backpressure** — every shard queue is bounded by `--queue-cap`.
+//!   A request whose jobs would overflow any shard queue is refused as a
+//!   unit with one structured `shed` line *before anything is
+//!   dispatched*; nothing about it is evaluated, so the client can
+//!   safely retry later. The `shed` line carries a deterministic
+//!   `retry_after_ms` backoff hint.
 //! * **Deterministic fault injection** — `--fault-plan` arms named
 //!   failpoints ([`Failpoint`]) on a seeded, replayable schedule
-//!   ([`FaultPlan`]): refused peer dials, read/write timeouts,
-//!   mid-line drops, corrupt cache reads, forced sheds, slow-peer
-//!   stalls. Disarmed (the default) every hook is a single branch on a
-//!   preexisting `Option`; faults perturb *where* work runs and *when*
-//!   — never a served byte.
+//!   ([`FaultPlan`]): corrupt cache reads and forced sheds. Disarmed
+//!   (the default) every hook is a single branch on a preexisting
+//!   `Option`; faults cost recomputation and retries — never a served
+//!   byte.
 //! * [`Client`] — a blocking client used by `procrustes-cli`, the
 //!   loopback tests, and embedders.
 //!
@@ -74,20 +63,12 @@
 //! ```text
 //! request  = eval | sweep | search | status | metrics | shutdown
 //! eval     = {"op":"eval", "scenario": Scenario}
-//!          | {"op":"eval", "scenario": Scenario, "route":"local"}
 //! sweep    = {"op":"sweep", "sweep": Sweep}
 //! search   = {"op":"search", "spec": SearchSpec}
 //! status   = {"op":"status"}
 //! metrics  = {"op":"metrics"}
 //! shutdown = {"op":"shutdown"}
 //! ```
-//!
-//! `"route":"local"` pins an `eval` to the receiving node (no peer
-//! forwarding). It is what the daemons' own forwarders send, which is
-//! also what makes forwarding loop-free: a forwarded request can never
-//! be forwarded again. Omitting `route` (or any other value being
-//! absent) means normal ring routing; any value other than `"local"`
-//! is a structured error.
 //!
 //! No verb puts a document into a daemon's store: every document a
 //! daemon serves, it computed itself or read back from its own disk
@@ -107,21 +88,20 @@
 //! response    = result | done | front | search_done | status
 //!             | metrics | bye | error | shed
 //! result      = {"kind":"result", "index": n, "source": source, "result": EvalResult}
-//! source      = "computed" | "memo" | "disk" | "peer"
+//! source      = "computed" | "memo" | "disk"
 //! done        = {"kind":"done", "count": n}
 //! front       = {"kind":"front", "round": n, "evaluated": n,
 //!                "added": n, "removed": n, "size": n}
 //! search_done = {"kind":"search_done", "evaluated": n, "grid": n, "rounds": n,
 //!                "front": [{"objectives": [x, ...], "result": EvalResult}, ...]}
-//! status      = {"kind":"status", "shards": n, "peers": n, "persistent": bool,
+//! status      = {"kind":"status", "shards": n, "persistent": bool,
 //!                "requests": n, "served": n, "computed": n,
 //!                "memo_hits": n, "disk_hits": n, "memo_entries": n,
 //!                "disk_entries": n | null}
 //! metrics     = {"kind":"metrics", "requests": n, "parse_errors": n, "served": n,
 //!                "computed": n, "memo_hits": n, "disk_hits": n, "hit_rate": x,
 //!                "cache_evictions": n, "cache_bytes": n, "verify_misses": n,
-//!                "queue_depth": n, "shed": n, "forwarded": n,
-//!                "peer_failovers": n, "faults_injected": n, "degraded": n,
+//!                "queue_depth": n, "shed": n, "faults_injected": n,
 //!                "verbs": {verb: {"requests": n, "p50_ms": x | null,
 //!                                 "p95_ms": x | null}, ...}}
 //! bye         = {"kind":"bye"}
@@ -130,29 +110,19 @@
 //!                "queue_depth": n, "limit": n}
 //! ```
 //!
-//! The `"peer"` source marks a result that the receiving node obtained
-//! by forwarding the scenario to its ring owner; what that owner's
-//! cache layer was (computed/memo/disk) is visible in the *owner's*
-//! counters, not on the wire. The `"memo"` source is the store's
-//! memory tier, `"disk"` its disk tier. `status.memo_entries` is a
-//! gauge — documents in the memory tier right now — and falls when the
-//! memory budget evicts. The `shed`
-//! line's `retry_after_ms` is a deterministic backoff hint (a function
-//! of the refusal state, never wall-clock); `procrustes-cli` honors it
-//! with one bounded retry. `status.peers` is the ring size (1 when
-//! the daemon is not clustered). In `metrics`, `queue_depth` is the
-//! momentary sum of jobs awaiting a worker across all shard and
-//! forwarder queues, `shed` counts refused requests, `forwarded` counts
-//! results obtained from a peer, and `peer_failovers` counts jobs whose
-//! ring owner was not this node's first routing choice reachable (dead
-//! or shedding primary → next owner, or local fallback).
+//! The `"computed"` source is an engine evaluation, `"memo"` the
+//! store's memory tier, `"disk"` its disk tier. `status.memo_entries`
+//! is a gauge — documents in the memory tier right now — and falls when
+//! the memory budget evicts. The `shed` line's `retry_after_ms` is a
+//! deterministic backoff hint (a function of the refusal state, never
+//! wall-clock); `procrustes-cli` honors it with one bounded retry. In
+//! `metrics`, `queue_depth` is the momentary sum of jobs awaiting a
+//! worker across all shard queues, `shed` counts refused requests, and
 //! `faults_injected` counts failpoint firings under an armed
-//! `--fault-plan` (always 0 otherwise), and `degraded` counts jobs that
-//! completed somewhere other than their primary ring owner (failover
-//! peer or local fallback). `verify_misses` counts stored documents that were
-//! dropped, and answered as a miss, because they did not begin with the
-//! requesting scenario's own text; `cache_evictions` and `cache_bytes`
-//! describe the disk tier.
+//! `--fault-plan` (always 0 otherwise). `verify_misses` counts stored
+//! documents that were dropped, and answered as a miss, because they did
+//! not begin with the requesting scenario's own text; `cache_evictions`
+//! and `cache_bytes` describe the disk tier.
 //!
 //! * `eval` answers with exactly one `result` line (`index` 0).
 //! * `sweep` answers with one `result` line per scenario, streamed **in
@@ -217,7 +187,6 @@ use procrustes_core::{Scenario, Sweep};
 
 mod cache;
 mod client;
-mod cluster;
 mod fault;
 mod proto;
 mod report;
@@ -225,10 +194,9 @@ mod server;
 
 pub use cache::DiskCache;
 pub use client::{Client, ClientError, SearchReport, Served};
-pub use cluster::ring_order;
 pub use fault::{Failpoint, FaultPlan, Faults, Rule};
 pub use proto::{
-    FrontMember, Request, Response, Route, ServerMetrics, ServerStatus, Source, VerbMetrics, VERBS,
+    FrontMember, Request, Response, ServerMetrics, ServerStatus, Source, VerbMetrics, VERBS,
 };
 pub use report::results_csv_from_docs;
 pub use server::{ServeConfig, Server};

@@ -8,47 +8,11 @@ use procrustes_core::json::Json;
 use procrustes_core::{Scenario, Sweep};
 use procrustes_search::SearchSpec;
 
-/// How an `eval` request may be routed in a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Route {
-    /// Normal client traffic: the receiving daemon may forward the
-    /// scenario to its consistent-hash ring owner.
-    #[default]
-    Auto,
-    /// Peer-forwarded traffic: the receiving daemon must evaluate
-    /// locally and never re-forward. This is what makes forwarding
-    /// loop-free even when peers disagree about cluster membership.
-    Local,
-}
-
-impl Route {
-    /// The wire label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Route::Auto => "auto",
-            Route::Local => "local",
-        }
-    }
-
-    fn from_label(label: &str) -> Option<Self> {
-        match label {
-            "auto" => Some(Route::Auto),
-            "local" => Some(Route::Local),
-            _ => None,
-        }
-    }
-}
-
 /// A parsed client request (one line on the wire).
 #[derive(Debug, Clone)]
 pub enum Request {
-    /// Evaluate one scenario (with its cluster routing mode).
-    Eval {
-        /// The scenario document.
-        scenario: Box<Scenario>,
-        /// Routing mode (`auto` unless this is peer-forwarded traffic).
-        route: Route,
-    },
+    /// Evaluate one scenario.
+    Eval(Box<Scenario>),
     /// Expand and evaluate a sweep server-side.
     Sweep(Box<Sweep>),
     /// Run a Pareto design-space search server-side.
@@ -89,20 +53,10 @@ impl Request {
         };
         match op {
             "eval" => {
-                check(&["op", "scenario", "route"])?;
+                check(&["op", "scenario"])?;
                 let doc = v.get("scenario").ok_or("eval request has no 'scenario'")?;
                 let scenario = Scenario::from_json_value(doc).map_err(|e| e.to_string())?;
-                let route = match v.get("route") {
-                    None => Route::Auto,
-                    Some(r) => r
-                        .as_str()
-                        .and_then(Route::from_label)
-                        .ok_or("eval field 'route' must be \"auto\" or \"local\"")?,
-                };
-                Ok(Request::Eval {
-                    scenario: Box::new(scenario),
-                    route,
-                })
+                Ok(Request::Eval(Box::new(scenario)))
             }
             "sweep" => {
                 check(&["op", "sweep"])?;
@@ -137,27 +91,15 @@ impl Request {
     /// Serializes the request to its wire line (no trailing newline).
     pub fn to_json(&self) -> String {
         match self {
-            Request::Eval { scenario, route } => eval_line(&scenario.to_json(), *route),
+            Request::Eval(scenario) => {
+                format!(r#"{{"op":"eval","scenario":{}}}"#, scenario.to_json())
+            }
             Request::Sweep(sw) => format!(r#"{{"op":"sweep","sweep":{}}}"#, sw.to_json()),
             Request::Search(spec) => format!(r#"{{"op":"search","spec":{}}}"#, spec.to_json()),
             Request::Status => r#"{"op":"status"}"#.into(),
             Request::Metrics => r#"{"op":"metrics"}"#.into(),
             Request::Shutdown => r#"{"op":"shutdown"}"#.into(),
         }
-    }
-}
-
-/// The wire line (no trailing newline) of an `eval` of the scenario
-/// whose canonical JSON is `scenario`. `route` is emitted only when it
-/// carries information, so ordinary client evals keep the PR-5 wire
-/// form verbatim.
-pub(crate) fn eval_line(scenario: &str, route: Route) -> String {
-    match route {
-        Route::Auto => format!(r#"{{"op":"eval","scenario":{scenario}}}"#),
-        route => format!(
-            r#"{{"op":"eval","scenario":{scenario},"route":"{}"}}"#,
-            route.label()
-        ),
     }
 }
 
@@ -170,11 +112,6 @@ pub enum Source {
     Memo,
     /// Loaded from the persistent on-disk cache.
     Disk,
-    /// Forwarded to (and answered by) the scenario's consistent-hash
-    /// ring owner on another cluster node. The owner's own source
-    /// (computed/memo/disk) is not relayed; its `status` counters hold
-    /// that breakdown.
-    Peer,
 }
 
 impl Source {
@@ -184,7 +121,6 @@ impl Source {
             Source::Computed => "computed",
             Source::Memo => "memo",
             Source::Disk => "disk",
-            Source::Peer => "peer",
         }
     }
 
@@ -193,7 +129,6 @@ impl Source {
             "computed" => Some(Source::Computed),
             "memo" => Some(Source::Memo),
             "disk" => Some(Source::Disk),
-            "peer" => Some(Source::Peer),
             _ => None,
         }
     }
@@ -204,9 +139,6 @@ impl Source {
 pub struct ServerStatus {
     /// Worker shard count.
     pub shards: u64,
-    /// Cluster size (ring nodes including this daemon; 1 when running
-    /// single-node).
-    pub peers: u64,
     /// Whether a persistent cache directory is configured.
     pub persistent: bool,
     /// Request lines accepted (including ones answered with an error).
@@ -231,7 +163,6 @@ impl ServerStatus {
         Json::Obj(vec![
             ("kind".into(), Json::str("status")),
             ("shards".into(), Json::u64(self.shards)),
-            ("peers".into(), Json::u64(self.peers)),
             ("persistent".into(), Json::Bool(self.persistent)),
             ("requests".into(), Json::u64(self.requests)),
             ("served".into(), Json::u64(self.served)),
@@ -254,7 +185,6 @@ impl ServerStatus {
         };
         Ok(ServerStatus {
             shards: n("shards")?,
-            peers: n("peers")?,
             persistent: v
                 .get("persistent")
                 .and_then(Json::as_bool)
@@ -316,24 +246,15 @@ pub struct ServerMetrics {
     /// collision, or a stale or misfiled cache file. 0 on a healthy
     /// daemon.
     pub verify_misses: u64,
-    /// Jobs currently sitting in shard and peer-forwarder queues
-    /// (instantaneous gauge; 0 on an idle daemon).
+    /// Jobs currently sitting in shard queues (instantaneous gauge; 0
+    /// on an idle daemon).
     pub queue_depth: u64,
     /// Requests refused with a `shed` reply because a queue's bound
     /// would have been exceeded.
     pub shed: u64,
-    /// Scenario evaluations forwarded to a peer ring owner.
-    pub forwarded: u64,
-    /// Forwarded evaluations that had to be re-routed past a dead or
-    /// shedding peer (each counts one ring step).
-    pub peer_failovers: u64,
     /// Faults fired by this daemon's `--fault-plan` schedule (0 when no
     /// plan is armed).
     pub faults_injected: u64,
-    /// Jobs completed through any non-primary recovery path: a ring
-    /// failover past a dead or shedding owner, or the local-evaluation
-    /// last resort. 0 on a healthy cluster.
-    pub degraded: u64,
     /// Per-verb counters and latency quantiles, in [`VERBS`] order.
     pub verbs: Vec<(String, VerbMetrics)>,
 }
@@ -368,10 +289,7 @@ impl ServerMetrics {
             ("verify_misses".into(), Json::u64(self.verify_misses)),
             ("queue_depth".into(), Json::u64(self.queue_depth)),
             ("shed".into(), Json::u64(self.shed)),
-            ("forwarded".into(), Json::u64(self.forwarded)),
-            ("peer_failovers".into(), Json::u64(self.peer_failovers)),
             ("faults_injected".into(), Json::u64(self.faults_injected)),
-            ("degraded".into(), Json::u64(self.degraded)),
             ("verbs".into(), Json::Obj(verbs)),
         ])
     }
@@ -419,10 +337,7 @@ impl ServerMetrics {
             verify_misses: n("verify_misses").unwrap_or(0),
             queue_depth: n("queue_depth")?,
             shed: n("shed")?,
-            forwarded: n("forwarded")?,
-            peer_failovers: n("peer_failovers")?,
             faults_injected: n("faults_injected")?,
-            degraded: n("degraded")?,
             verbs,
         })
     }
@@ -708,14 +623,7 @@ mod tests {
             .build()
             .unwrap();
         let reqs = [
-            Request::Eval {
-                scenario: Box::new(scenario.clone()),
-                route: Route::Auto,
-            },
-            Request::Eval {
-                scenario: Box::new(scenario),
-                route: Route::Local,
-            },
+            Request::Eval(Box::new(scenario)),
             Request::Sweep(Box::new(
                 Sweep::new().networks(["VGG-S", "DenseNet"]).batches([2]),
             )),
@@ -804,10 +712,7 @@ mod tests {
                 verify_misses: 1,
                 queue_depth: 3,
                 shed: 1,
-                forwarded: 5,
-                peer_failovers: 2,
                 faults_injected: 11,
-                degraded: 2,
                 verbs: VERBS
                     .iter()
                     .map(|&verb| {
@@ -824,7 +729,6 @@ mod tests {
             }),
             Response::Status(ServerStatus {
                 shards: 4,
-                peers: 3,
                 persistent: true,
                 requests: 10,
                 served: 9,

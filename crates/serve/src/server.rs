@@ -1,5 +1,5 @@
-//! The daemon: accept loop, per-connection protocol handling, the
-//! sharded worker pool, and the cluster router.
+//! The daemon: accept loop, per-connection protocol handling, and the
+//! sharded worker pool.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -14,10 +14,9 @@ use procrustes_quantile::Dumique;
 use procrustes_search::{run_search, EvalBackend, SearchSpec};
 
 use crate::cache::{key_of, DiskCache, DocStore, MEMORY_BUDGET};
-use crate::cluster::{ring_order, Cluster, ClusterShared};
 use crate::fault::{Failpoint, FaultPlan, Faults};
 use crate::proto::{
-    FrontMember, Request, Response, Route, ServerMetrics, ServerStatus, Source, VerbMetrics, VERBS,
+    FrontMember, Request, Response, ServerMetrics, ServerStatus, Source, VerbMetrics, VERBS,
 };
 use crate::{admit_search, admit_sweep};
 
@@ -35,7 +34,7 @@ pub struct ServeConfig {
     /// in memory only (up to the store's memory budget).
     pub cache_dir: Option<PathBuf>,
     /// LRU byte budget for the cache directory; `None` keeps every
-    /// entry forever (the pre-cluster behaviour).
+    /// entry forever.
     pub cache_budget: Option<u64>,
     /// Admission limit: the largest sweep cardinality a single request
     /// may expand to (default 4096 — an order of magnitude above the
@@ -44,9 +43,8 @@ pub struct ServeConfig {
     /// Largest accepted request line in bytes (default 8 MiB; extracted
     /// workload documents are the only legitimately large requests).
     pub max_line_bytes: usize,
-    /// Bound on every shard queue and every peer-forwarder queue, in
-    /// jobs. A request whose jobs would push any queue past this bound
-    /// is refused with a structured `shed` reply before anything is
+    /// Bound on every shard queue, in jobs. A request whose jobs would
+    /// push any shard queue past this bound is refused with a structured `shed` reply before anything is
     /// dispatched. The default equals the default `max_sweep`, so a
     /// default-configured daemon never sheds a request it admitted.
     pub queue_cap: usize,
@@ -72,20 +70,17 @@ impl Default for ServeConfig {
 /// Monotonic daemon counters (all relaxed: they are reporting, not
 /// synchronization).
 #[derive(Default)]
-pub(crate) struct Stats {
+struct Stats {
     requests: AtomicU64,
     served: AtomicU64,
     /// Jobs answered, by the [`Source`] reported (its discriminant is
-    /// the index, `Peer` the last): a shard counts its three, a
-    /// forwarder counts `Peer`.
-    by_source: [AtomicU64; Source::Peer as usize + 1],
+    /// the index, `Disk` the last).
+    by_source: [AtomicU64; Source::Disk as usize + 1],
     shed: AtomicU64,
-    pub(crate) peer_failovers: AtomicU64,
-    pub(crate) degraded: AtomicU64,
 }
 
 impl Stats {
-    pub(crate) fn count(&self, source: Source) {
+    fn count(&self, source: Source) {
         self.by_source[source as usize].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -171,11 +166,10 @@ fn verb_index(request: &Request) -> usize {
     }
 }
 
-/// State shared by the accept loop, connections, shard workers, and
-/// peer forwarders.
-pub(crate) struct Shared {
+/// State shared by the accept loop, connections, and shard workers.
+struct Shared {
     stop: AtomicBool,
-    pub(crate) stats: Stats,
+    stats: Stats,
     metrics: Mutex<MetricsTable>,
     /// Every result document this daemon holds, in memory and on disk.
     store: DocStore,
@@ -184,81 +178,40 @@ pub(crate) struct Shared {
     shards: usize,
     queue_cap: usize,
     /// Per-shard queue depth gauges (jobs awaiting a worker).
-    pub(crate) depths: Vec<AtomicU64>,
+    depths: Vec<AtomicU64>,
     local_addr: SocketAddr,
     /// The armed fault-injection schedule (disarmed by default; also
-    /// cloned into the disk cache and the peer forwarders so every
-    /// failpoint draws from one plan).
-    pub(crate) faults: Faults,
+    /// cloned into the disk cache so every failpoint draws from one
+    /// plan).
+    faults: Faults,
 }
 
-/// What a shard or forwarder sends back for one job: the job's index
-/// plus either the served `(source, document)` pair or an error message.
-pub(crate) type JobReply = (usize, Result<(Source, String), String>);
+impl Shared {
+    /// Jobs currently awaiting a worker across the shard queues.
+    fn queue_depth(&self) -> u64 {
+        self.depths.iter().map(|d| d.load(Ordering::Relaxed)).sum()
+    }
+}
 
-/// One scenario to evaluate, queued on a shard or on a peer forwarder.
-pub(crate) struct Job {
-    pub(crate) scenario: Scenario,
+/// What a shard sends back for one job: the job's index plus either the
+/// served `(source, document)` pair or an error message.
+type JobReply = (usize, Result<(Source, String), String>);
+
+/// One scenario to evaluate, queued on a shard.
+struct Job {
+    scenario: Scenario,
     /// The scenario's canonical JSON, serialised once per request: the
     /// text the fingerprint is derived from and every stored document
     /// is verified against.
-    pub(crate) text: String,
-    pub(crate) fingerprint: u64,
-    pub(crate) index: usize,
-    pub(crate) reply: mpsc::Sender<JobReply>,
+    text: String,
+    index: usize,
+    reply: mpsc::Sender<JobReply>,
 }
 
-/// Everything a connection needs to dispatch work: the shard queues and
-/// (when clustered) the peer-forwarder queues plus ring state. One
-/// clone per connection thread.
+/// The shard queues a connection dispatches to (`fingerprint % shards`
+/// picks one). One clone per connection thread.
 #[derive(Clone)]
-struct Router {
-    shards: Vec<mpsc::SyncSender<Job>>,
-    peers: Vec<mpsc::SyncSender<Job>>,
-    cluster: Option<Arc<ClusterShared>>,
-}
-
-/// Where one scenario's job goes.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Dest {
-    /// A local shard (by shard index).
-    Shard(usize),
-    /// A peer forwarder (by forwarder index).
-    Forwarder(usize),
-}
-
-impl Router {
-    /// The destination for a fingerprint: its ring owner's forwarder
-    /// when clustered and the owner is remote (and the request may be
-    /// routed), else the local `fp % shards` shard.
-    fn dest_of(&self, fingerprint: u64, route: Route) -> Dest {
-        if route == Route::Auto {
-            if let Some(cluster) = &self.cluster {
-                let owner = ring_order(fingerprint, &cluster.nodes)[0];
-                if let Some(forwarder) = cluster.forwarder_of[owner] {
-                    return Dest::Forwarder(forwarder);
-                }
-            }
-        }
-        Dest::Shard((fingerprint % self.shards.len().max(1) as u64) as usize)
-    }
-
-    /// Ring size (1 when not clustered).
-    fn nodes(&self) -> u64 {
-        self.cluster.as_ref().map_or(1, |c| c.nodes.len() as u64)
-    }
-
-    /// Jobs currently awaiting a worker across shard and forwarder
-    /// queues.
-    fn queue_depth(&self, shared: &Shared) -> u64 {
-        let local: u64 = shared
-            .depths
-            .iter()
-            .map(|d| d.load(Ordering::Relaxed))
-            .sum();
-        local + self.cluster.as_ref().map_or(0, |c| c.queued())
-    }
-}
+struct Router(Vec<mpsc::SyncSender<Job>>);
 
 /// Admission refused: the request would overflow a bounded queue.
 struct ShedInfo {
@@ -277,101 +230,72 @@ fn retry_hint_ms(queue_depth: u64, limit: u64) -> u64 {
 }
 
 /// Plans and dispatches one request's scenarios. Admission is
-/// all-or-nothing: destinations are planned first, every destination's
-/// current depth plus the incoming job count is checked against
-/// `queue_cap`, and only then is anything enqueued — a request is never
+/// all-or-nothing: shards are planned first, every shard's current
+/// depth plus its incoming job count is checked against `queue_cap`,
+/// and only then is anything enqueued — a request is never
 /// half-dispatched and then shed.
 fn route_scenarios(
     scenarios: Vec<Scenario>,
-    route: Route,
     reply: &mpsc::Sender<JobReply>,
     router: &Router,
     shared: &Shared,
 ) -> Result<(), ShedInfo> {
-    let planned: Vec<(Job, Dest)> = scenarios
+    let shards = router.0.len();
+    let planned: Vec<(Job, usize)> = scenarios
         .into_iter()
         .enumerate()
         .map(|(index, scenario)| {
             let text = scenario.to_json();
-            let fingerprint = key_of(&text);
+            let shard = (key_of(&text) % shards as u64) as usize;
             let job = Job {
                 scenario,
                 text,
-                fingerprint,
                 index,
                 reply: reply.clone(),
             };
-            (job, router.dest_of(fingerprint, route))
+            (job, shard)
         })
         .collect();
-    let mut incoming_shard = vec![0u64; router.shards.len()];
-    let mut incoming_peer = vec![0u64; router.peers.len()];
-    for (_, dest) in &planned {
-        match dest {
-            Dest::Shard(i) => incoming_shard[*i] += 1,
-            Dest::Forwarder(i) => incoming_peer[*i] += 1,
-        }
+    let mut incoming = vec![0u64; shards];
+    for &(_, shard) in &planned {
+        incoming[shard] += 1;
     }
     let cap = shared.queue_cap as u64;
-    let refuse = |what: &str, depth: u64, incoming: u64| ShedInfo {
-        reason: format!(
-            "{what} at depth {depth} cannot take {incoming} more job(s) under --queue-cap {cap}"
-        ),
-        queue_depth: depth,
-        limit: cap,
-    };
-    for (i, &incoming) in incoming_shard.iter().enumerate() {
+    for (i, &incoming) in incoming.iter().enumerate() {
         let depth = shared.depths[i].load(Ordering::Relaxed);
         if incoming > 0 && depth + incoming > cap {
-            return Err(refuse(&format!("shard queue {i}"), depth, incoming));
+            return Err(ShedInfo {
+                reason: format!(
+                    "shard queue {i} at depth {depth} cannot take {incoming} more job(s) \
+                     under --queue-cap {cap}"
+                ),
+                queue_depth: depth,
+                limit: cap,
+            });
         }
     }
-    if let Some(cluster) = &router.cluster {
-        for (i, &incoming) in incoming_peer.iter().enumerate() {
-            let depth = cluster.depths[i].load(Ordering::Relaxed);
-            if incoming > 0 && depth + incoming > cap {
-                return Err(refuse(&format!("peer queue {i}"), depth, incoming));
-            }
-        }
-    }
-    for (job, dest) in planned {
-        match dest {
-            Dest::Shard(i) => {
-                shared.depths[i].fetch_add(1, Ordering::Relaxed);
-                router.shards[i]
-                    .send(job)
-                    .expect("shard pool outlives connections");
-            }
-            Dest::Forwarder(i) => {
-                let cluster = router
-                    .cluster
-                    .as_ref()
-                    .expect("forwarder dest implies cluster");
-                cluster.depths[i].fetch_add(1, Ordering::Relaxed);
-                router.peers[i]
-                    .send(job)
-                    .expect("forwarder pool outlives connections");
-            }
-        }
+    for (job, shard) in planned {
+        shared.depths[shard].fetch_add(1, Ordering::Relaxed);
+        router.0[shard]
+            .send(job)
+            .expect("shard pool outlives connections");
     }
     Ok(())
 }
 
 /// The evaluation daemon. See the crate docs for the protocol and the
-/// sharding/caching/cluster semantics.
+/// sharding/caching semantics.
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
-    senders: Vec<mpsc::SyncSender<Job>>,
+    router: Router,
     workers: Vec<JoinHandle<()>>,
-    cluster: Option<Cluster>,
 }
 
 impl Server {
     /// Binds the listener, opens (and warms) the cache, and starts the
     /// shard pool (but not the accept loop — call [`Server::run`]). Use
-    /// port 0 for an ephemeral port. For a cluster node, follow with
-    /// [`Server::enable_cluster`] before `run`.
+    /// port 0 for an ephemeral port.
     ///
     /// # Errors
     ///
@@ -415,56 +339,9 @@ impl Server {
         Ok(Server {
             listener,
             shared,
-            senders,
+            router: Router(senders),
             workers,
-            cluster: None,
         })
-    }
-
-    /// Joins this daemon to a cluster. `peers` is the full ring — every
-    /// member's address, **identical strings on every node** (the ring
-    /// hashes the address text; `"host:7878"` and `"HOST:7878"` are
-    /// different ring members). `advertise` is this daemon's own entry
-    /// in that list; it is appended if absent. With fewer than two
-    /// distinct nodes this is a no-op and the daemon stays single-node.
-    ///
-    /// Must be called after [`Server::bind`] and before [`Server::run`].
-    ///
-    /// # Errors
-    ///
-    /// Rejects a second call (`InvalidInput`) — the ring is fixed for
-    /// the daemon's lifetime.
-    pub fn enable_cluster(&mut self, peers: &[String], advertise: &str) -> io::Result<()> {
-        if self.cluster.is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "cluster already enabled",
-            ));
-        }
-        let mut nodes: Vec<String> = Vec::new();
-        for peer in peers {
-            if !peer.is_empty() && !nodes.iter().any(|n| n == peer) {
-                nodes.push(peer.clone());
-            }
-        }
-        if !nodes.iter().any(|n| n == advertise) {
-            nodes.push(advertise.to_string());
-        }
-        if nodes.len() < 2 {
-            return Ok(());
-        }
-        let self_index = nodes
-            .iter()
-            .position(|n| n == advertise)
-            .expect("advertise was just ensured present");
-        self.cluster = Some(Cluster::start(
-            nodes,
-            self_index,
-            self.shared.queue_cap,
-            &self.senders,
-            &self.shared,
-        ));
-        Ok(())
     }
 
     /// The bound address (resolves port 0 to the actual port).
@@ -475,8 +352,8 @@ impl Server {
     /// Runs the accept loop until a `shutdown` request, then drains:
     /// joins every connection thread (their reads poll the stop flag and
     /// their writes get a bounded drain grace, so neither an idle, a
-    /// half-sent, nor a non-reading connection can hang shutdown), the
-    /// peer forwarders, and the shard pool.
+    /// half-sent, nor a non-reading connection can hang shutdown) and
+    /// the shard pool.
     ///
     /// Accept errors (e.g. transient fd exhaustion under a connection
     /// flood) are logged and retried after a backoff rather than
@@ -489,14 +366,7 @@ impl Server {
     /// Reserved for future fatal conditions; the current loop always
     /// drains cleanly.
     pub fn run(self) -> io::Result<()> {
-        let router = Router {
-            shards: self.senders.clone(),
-            peers: self
-                .cluster
-                .as_ref()
-                .map_or_else(Vec::new, |c| c.senders.clone()),
-            cluster: self.cluster.as_ref().map(|c| Arc::clone(&c.shared)),
-        };
+        let router = self.router;
         let mut connections: Vec<JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if self.shared.stop.load(Ordering::SeqCst) {
@@ -522,16 +392,7 @@ impl Server {
         for conn in connections {
             let _ = conn.join();
         }
-        drop(router);
-        // Forwarders drain before the shard pool: their local-fallback
-        // path still holds shard senders.
-        if let Some(cluster) = self.cluster {
-            drop(cluster.senders); // forwarder queues close...
-            for handle in cluster.handles {
-                let _ = handle.join(); // ...and the forwarders exit.
-            }
-        }
-        drop(self.senders); // shard queues close...
+        drop(router); // shard queues close...
         for worker in self.workers {
             let _ = worker.join(); // ...and the pool drains.
         }
@@ -737,7 +598,7 @@ fn handle_connection(stream: TcpStream, router: &Router, shared: &Shared) -> io:
         let verb = verb_index(&request);
         let start = Instant::now();
         match request {
-            Request::Eval { scenario, route } => match scenario.validate() {
+            Request::Eval(scenario) => match scenario.validate() {
                 Err(e) => write_line(
                     &mut writer,
                     shared,
@@ -745,21 +606,11 @@ fn handle_connection(stream: TcpStream, router: &Router, shared: &Shared) -> io:
                         error: e.to_string(),
                     },
                 )?,
-                Ok(()) => {
-                    // `route:"local"` is how a peer relays a forwarded
-                    // job, so this is the receiving end of a peer
-                    // exchange — the spot the slow-peer drill stalls.
-                    if route == Route::Local && shared.faults.fires(Failpoint::SlowPeerStall) {
-                        thread::sleep(shared.faults.stall());
-                    }
-                    serve_scenarios(vec![*scenario], false, route, router, shared, &mut writer)?;
-                }
+                Ok(()) => serve_scenarios(vec![*scenario], false, router, shared, &mut writer)?,
             },
             Request::Sweep(sweep) => match admit_sweep(&sweep, shared.max_sweep) {
                 Err(error) => write_line(&mut writer, shared, &Response::Error { error })?,
-                Ok(scenarios) => {
-                    serve_scenarios(scenarios, true, Route::Auto, router, shared, &mut writer)?;
-                }
+                Ok(scenarios) => serve_scenarios(scenarios, true, router, shared, &mut writer)?,
             },
             Request::Search(spec) => match admit_search(&spec, shared.max_sweep) {
                 Err(error) => write_line(&mut writer, shared, &Response::Error { error })?,
@@ -772,7 +623,6 @@ fn handle_connection(stream: TcpStream, router: &Router, shared: &Shared) -> io:
                     shared,
                     &Response::Status(ServerStatus {
                         shards: shared.shards as u64,
-                        peers: router.nodes(),
                         persistent: shared.store.disk().is_some(),
                         requests: stats.requests.load(Ordering::Relaxed),
                         served: stats.served.load(Ordering::Relaxed),
@@ -812,12 +662,9 @@ fn handle_connection(stream: TcpStream, router: &Router, shared: &Shared) -> io:
                         cache_evictions: shared.store.disk().map_or(0, DiskCache::evictions),
                         cache_bytes: shared.store.disk().map_or(0, DiskCache::total_bytes),
                         verify_misses: shared.store.verify_misses(),
-                        queue_depth: router.queue_depth(shared),
+                        queue_depth: shared.queue_depth(),
                         shed: stats.shed.load(Ordering::Relaxed),
-                        forwarded: stats.answered_from(Source::Peer),
-                        peer_failovers: stats.peer_failovers.load(Ordering::Relaxed),
                         faults_injected: shared.faults.injected(),
-                        degraded: stats.degraded.load(Ordering::Relaxed),
                         verbs,
                     }),
                 )?;
@@ -846,8 +693,8 @@ fn record_verb(shared: &Shared, verb: usize, start: Instant) {
     }
 }
 
-/// Fans scenarios out across the shard pool (and, when clustered, the
-/// peer forwarders) and streams the results back in expansion order
+/// Fans scenarios out across the shard pool and streams the results
+/// back in expansion order
 /// (each is written as soon as it and all its predecessors are
 /// available). `with_done` appends the sweep terminator. A request that
 /// would overflow a bounded queue is refused with one `shed` line
@@ -855,7 +702,6 @@ fn record_verb(shared: &Shared, verb: usize, start: Instant) {
 fn serve_scenarios(
     scenarios: Vec<Scenario>,
     with_done: bool,
-    route: Route,
     router: &Router,
     shared: &Shared,
     writer: &mut TcpStream,
@@ -865,14 +711,14 @@ fn serve_scenarios(
     let admitted = if shared.faults.fires(Failpoint::ForcedShed) {
         // The chaos drill synthesizes a refusal with the real queue
         // state, exercising the client's retry path on demand.
-        let depth = router.queue_depth(shared);
+        let depth = shared.queue_depth();
         Err(ShedInfo {
             reason: format!("forced shed (fault injection) at depth {depth}"),
             queue_depth: depth,
             limit: shared.queue_cap as u64,
         })
     } else {
-        route_scenarios(scenarios, route, &tx, router, shared)
+        route_scenarios(scenarios, &tx, router, shared)
     };
     if let Err(shed) = admitted {
         shared.stats.shed.fetch_add(1, Ordering::Relaxed);
@@ -920,10 +766,9 @@ fn serve_scenarios(
 }
 
 /// [`EvalBackend`] over the daemon's router: each search round's
-/// population fans out across the shards (and ring peers) exactly like
-/// a sweep does, so search evaluations ride the same single-flight
-/// memoization, persistent disk cache, and cluster routing as every
-/// other request — a restarted daemon replays a search entirely from
+/// population fans out across the shards exactly like a sweep does, so
+/// search evaluations ride the same single-flight memoization and
+/// persistent disk cache as every other request — a restarted daemon replays a search entirely from
 /// disk without recomputation.
 struct RouterBackend<'a> {
     router: &'a Router,
@@ -934,14 +779,8 @@ impl EvalBackend for RouterBackend<'_> {
     fn eval_all(&mut self, scenarios: &[Scenario]) -> Result<Vec<String>, String> {
         let (tx, rx) = mpsc::channel();
         let count = scenarios.len();
-        route_scenarios(
-            scenarios.to_vec(),
-            Route::Auto,
-            &tx,
-            self.router,
-            self.shared,
-        )
-        .map_err(|shed| format!("search round shed: {}", shed.reason))?;
+        route_scenarios(scenarios.to_vec(), &tx, self.router, self.shared)
+            .map_err(|shed| format!("search round shed: {}", shed.reason))?;
         drop(tx);
         let mut docs: Vec<Option<String>> = vec![None; count];
         for (index, outcome) in rx {
@@ -957,7 +796,7 @@ impl EvalBackend for RouterBackend<'_> {
 /// and the canonical front in the final `search_done` line. Every
 /// streamed byte is a deterministic function of the spec — no sources,
 /// no timings — so the whole response is byte-identical across thread
-/// counts, cache states, cluster topologies, and daemon restarts.
+/// counts, cache states, and daemon restarts.
 fn serve_search(
     spec: &SearchSpec,
     router: &Router,
@@ -1035,7 +874,7 @@ fn write_line(stream: &mut TcpStream, shared: &Shared, response: &Response) -> i
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::WriteZero,
-                    "peer stopped accepting data",
+                    "client stopped accepting data",
                 ))
             }
             Ok(n) => {

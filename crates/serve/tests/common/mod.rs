@@ -20,36 +20,8 @@ pub fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 /// Binds an ephemeral-port daemon and runs it on a background thread.
-#[allow(dead_code)] // the cluster suites start rings instead
 pub fn start(config: ServeConfig) -> (SocketAddr, JoinHandle<std::io::Result<()>>) {
     let server = Server::bind("127.0.0.1:0", config).expect("bind loopback daemon");
     let addr = server.local_addr();
     (addr, std::thread::spawn(move || server.run()))
-}
-
-/// Binds one ephemeral-port daemon per config, joins them into one ring
-/// (plus any `extra_nodes` — addresses with no live daemon behind them,
-/// for dead-peer tests), and runs each on a background thread.
-#[allow(dead_code)] // only the cluster suites use this
-pub fn start_cluster(
-    configs: Vec<ServeConfig>,
-    extra_nodes: &[String],
-) -> (Vec<SocketAddr>, Vec<JoinHandle<std::io::Result<()>>>) {
-    let mut servers: Vec<Server> = configs
-        .into_iter()
-        .map(|config| Server::bind("127.0.0.1:0", config).expect("bind cluster node"))
-        .collect();
-    let mut nodes: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
-    nodes.extend(extra_nodes.iter().cloned());
-    let addrs: Vec<SocketAddr> = servers.iter().map(Server::local_addr).collect();
-    for (server, addr) in servers.iter_mut().zip(&addrs) {
-        server
-            .enable_cluster(&nodes, &addr.to_string())
-            .expect("ring");
-    }
-    let handles = servers
-        .into_iter()
-        .map(|server| std::thread::spawn(move || server.run()))
-        .collect();
-    (addrs, handles)
 }

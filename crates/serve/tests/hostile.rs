@@ -9,7 +9,7 @@ use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 use procrustes_core::{Engine, Scenario, Sweep};
-use procrustes_serve::{Client, ClientError, Request, Response, Route, ServeConfig, Source};
+use procrustes_serve::{Client, ClientError, Response, ServeConfig, Source};
 
 fn hostile_config() -> ServeConfig {
     ServeConfig {
@@ -25,6 +25,9 @@ fn malformed_lines_get_error_replies_and_the_connection_survives() {
     let (addr, server) = common::start(hostile_config());
     let mut client = Client::connect(addr).unwrap();
     let valid = Scenario::builder("VGG-S").build().unwrap().to_json();
+    // An `eval` carries only `op` and `scenario`: a `route` field is
+    // unknown, even beside a valid scenario.
+    let routed = format!(r#"{{"op":"eval","scenario":{valid},"route":"local"}}"#);
     let hostile_lines = [
         "not json".to_string(),
         "{".to_string(),
@@ -51,10 +54,14 @@ fn malformed_lines_get_error_replies_and_the_connection_survives() {
             r#"{{"op":"eval","scenario":{}}}"#,
             valid.replacen("\"batch\":16", "\"batch\":0", 1)
         ),
+        routed.clone(),
     ];
     for line in &hostile_lines {
         client.send_raw(line).unwrap();
         match client.read_response().unwrap() {
+            Response::Error { error } if *line == routed => {
+                assert!(error.contains("unknown request field 'route'"), "{error}");
+            }
             Response::Error { error } => assert!(!error.is_empty(), "{line}"),
             other => panic!("expected error for {line}, got {}", other.to_json()),
         }
@@ -167,20 +174,6 @@ fn refused_store(client: &mut Client, fingerprint: u64, doc: &str) {
     }
 }
 
-/// `eval` pinned to the receiving node, so the answer says what that
-/// node's own stores hold.
-fn eval_local(client: &mut Client, scenario: &Scenario) -> (Source, String) {
-    let request = Request::Eval {
-        scenario: Box::new(scenario.clone()),
-        route: Route::Local,
-    };
-    client.send_raw(&request.to_json()).unwrap();
-    match client.read_response().unwrap() {
-        Response::Result { source, doc, .. } => (source, doc),
-        other => panic!("expected a result line, got {}", other.to_json()),
-    }
-}
-
 #[test]
 fn a_plain_daemon_refuses_every_store() {
     let (addr, server) = common::start(hostile_config());
@@ -199,39 +192,4 @@ fn a_plain_daemon_refuses_every_store() {
     assert_eq!(served.doc, honest);
     client.shutdown().unwrap();
     server.join().unwrap().unwrap();
-}
-
-#[test]
-fn a_ring_member_refuses_a_store_under_another_scenarios_fingerprint() {
-    let (addrs, handles) = common::start_cluster(vec![hostile_config(); 2], &[]);
-    let mut client = Client::connect(addrs[0]).unwrap();
-    let victim = Scenario::builder("VGG-S").batch(4).build().unwrap();
-    let other = Scenario::builder("VGG-S").batch(8).build().unwrap();
-    let other_doc = Engine::serial().run(&other).unwrap().to_json();
-
-    // A genuine document under the fingerprint of a scenario it does
-    // not describe, one with made-up costs under its own, and the honest
-    // pair a primary once replicated: a ring member takes none of them.
-    refused_store(&mut client, victim.fingerprint(), &other_doc);
-    let forged = other_doc.replacen("\"cycles\":", "\"cycles\":1", 1);
-    assert_ne!(forged, other_doc);
-    refused_store(&mut client, other.fingerprint(), &forged);
-    refused_store(&mut client, other.fingerprint(), &other_doc);
-    assert_eq!(client.metrics().unwrap().parse_errors, 3);
-
-    // The member's own store holds nothing for either scenario.
-    let (source, doc) = eval_local(&mut client, &victim);
-    assert_eq!(source, Source::Computed, "nothing forged was installed");
-    assert_eq!(doc, Engine::serial().run(&victim).unwrap().to_json());
-    assert_eq!(
-        eval_local(&mut client, &other),
-        (Source::Computed, other_doc)
-    );
-
-    for &addr in &addrs {
-        Client::connect(addr).unwrap().shutdown().unwrap();
-    }
-    for handle in handles {
-        handle.join().unwrap().unwrap();
-    }
 }

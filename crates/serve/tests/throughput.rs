@@ -101,20 +101,15 @@ fn concurrent_clients_throughput_and_cached_rerun() {
         metrics.cache_bytes > 0,
         "cold sweep must leave bytes in the disk cache"
     );
-    // The cluster-era gauges on a single busy daemon: everything was
-    // admitted (no shedding), nothing was forwarded (no ring), and the
-    // queues fully drained once the sweeps completed.
+    // Backpressure gauges on a busy daemon: everything was admitted
+    // (no shedding), and the queues fully drained once the sweeps
+    // completed.
     assert_eq!(metrics.queue_depth, 0, "queues drain after the sweeps");
     assert_eq!(metrics.shed, 0, "default caps admit the smoke sweep");
-    assert_eq!(metrics.forwarded, 0, "a single daemon never forwards");
-    assert_eq!(
-        metrics.peer_failovers, 0,
-        "a single daemon never fails over"
-    );
     println!(
         "metrics smoke: sweep p50 {p50:.1}ms p95 {p95:.1}ms, hit rate {:.3}, \
-         queue_depth {} shed {} forwarded {}",
-        metrics.hit_rate, metrics.queue_depth, metrics.shed, metrics.forwarded
+         queue_depth {} shed {}",
+        metrics.hit_rate, metrics.queue_depth, metrics.shed
     );
 
     client.shutdown().unwrap();
