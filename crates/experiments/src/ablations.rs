@@ -19,6 +19,7 @@ use procrustes_quantile::{Dumique, ExactQuantile};
 use procrustes_sim::{ArchConfig, BalanceMode, Mapping};
 
 use crate::ctx::ExpContext;
+use crate::training::{train, Labelled, Seeds};
 
 fn model(seed: u64) -> Sequential {
     arch::tiny_vgg(10, &mut Xorshift64::new(seed))
@@ -32,35 +33,35 @@ pub fn run_eviction(ctx: &ExpContext) {
         "Ablation — tracked-set eviction policy (Procrustes trainer)",
         &["policy", "val accuracy", "weight sparsity", "threshold"],
     );
-    for (name, policy) in [
+    let policies = [
         ("exact-min", EvictionPolicy::ExactMin),
         ("sampled-4", EvictionPolicy::SampledMin(4)),
         ("sampled-8", EvictionPolicy::SampledMin(8)),
         ("sampled-32", EvictionPolicy::SampledMin(32)),
-    ] {
-        let mut trainer = ProcrustesTrainer::new(
-            model(9),
-            ProcrustesConfig {
+    ];
+    let trainers = policies
+        .into_iter()
+        .map(|(name, eviction)| {
+            let config = ProcrustesConfig {
                 sparsity_factor: 8.0,
                 lambda: ctx.lambda(),
-                eviction: policy,
+                eviction,
                 ..ProcrustesConfig::default()
-            },
-            77,
-        );
-        let mut rng = Xorshift64::new(0xAB1);
-        let mut last = Default::default();
-        for _ in 0..steps {
-            let (x, labels) = data.batch(ctx.batch(), &mut rng);
-            last = trainer.train_step(&x, &labels);
-        }
-        let (vx, vl) = data.fixed_set(ctx.val_size(), 0xAB2);
-        let (_, acc) = trainer.evaluate(&vx, &vl);
+            };
+            let trainer: Box<dyn Trainer> = Box::new(ProcrustesTrainer::new(model(9), config, 77));
+            (name.to_string(), trainer)
+        })
+        .collect();
+    let seeds = Seeds {
+        batches: 0xAB1,
+        validation: 0xAB2,
+    };
+    for run in train(ctx, &data, seeds, steps, trainers) {
         t.row(&[
-            name.to_string(),
-            format!("{acc:.3}"),
-            format!("{:.1}%", last.weight_sparsity * 100.0),
-            format!("{:.2e}", last.threshold),
+            run.label.clone(),
+            format!("{:.3}", run.accuracy()),
+            format!("{:.1}%", run.last.weight_sparsity * 100.0),
+            format!("{:.2e}", run.last.threshold),
         ]);
     }
     ctx.emit("ablation_eviction", &t);
@@ -170,7 +171,7 @@ pub fn run_families(ctx: &ExpContext) {
         ],
     );
     // Procrustes: sparse from iteration 0 — footprint = budget always.
-    let mut proc = ProcrustesTrainer::new(
+    let proc = ProcrustesTrainer::new(
         model(5),
         ProcrustesConfig {
             sparsity_factor: 5.0,
@@ -180,7 +181,7 @@ pub fn run_families(ctx: &ExpContext) {
         55,
     );
     // Gradual: starts dense — peak footprint is the full model.
-    let mut grad = GradualMagnitudeTrainer::new(
+    let grad = GradualMagnitudeTrainer::new(
         model(5),
         GradualConfig {
             final_factor: 2.5,
@@ -189,29 +190,26 @@ pub fn run_families(ctx: &ExpContext) {
             ..GradualConfig::default()
         },
     );
-    let mut rng = Xorshift64::new(0xFA71);
-    let mut proc_sparsity = 0.0;
-    let mut grad_sparsity = 0.0;
-    for _ in 0..steps {
-        let (x, labels) = data.batch(ctx.batch(), &mut rng);
-        proc_sparsity = proc.train_step(&x, &labels).weight_sparsity;
-        grad_sparsity = grad.train_step(&x, &labels).weight_sparsity;
+    let trainers: Vec<Labelled> = vec![
+        ("procrustes (sparse from scratch)".into(), Box::new(proc)),
+        ("gradual magnitude (Eager-style)".into(), Box::new(grad)),
+    ];
+    let seeds = Seeds {
+        batches: 0xFA71,
+        validation: 0xFA72,
+    };
+    let runs = train(ctx, &data, seeds, steps, trainers);
+    for (run, footprint) in runs
+        .iter()
+        .zip(["k = n/5 throughout", "full n (starts dense)"])
+    {
+        t.row(&[
+            run.label.clone(),
+            format!("{:.3}", run.accuracy()),
+            format!("{:.1}%", run.last.weight_sparsity * 100.0),
+            footprint.to_string(),
+        ]);
     }
-    let (vx, vl) = data.fixed_set(ctx.val_size(), 0xFA72);
-    let (_, proc_acc) = proc.evaluate(&vx, &vl);
-    let (_, grad_acc) = grad.evaluate(&vx, &vl);
-    t.row(&[
-        "procrustes (sparse from scratch)".to_string(),
-        format!("{proc_acc:.3}"),
-        format!("{:.1}%", proc_sparsity * 100.0),
-        "k = n/5 throughout".to_string(),
-    ]);
-    t.row(&[
-        "gradual magnitude (Eager-style)".to_string(),
-        format!("{grad_acc:.3}"),
-        format!("{:.1}%", grad_sparsity * 100.0),
-        "full n (starts dense)".to_string(),
-    ]);
     ctx.emit("ablation_families", &t);
     ctx.note(
         "the gradual family reaches lower sparsity and keeps a dense peak footprint — the \

@@ -67,11 +67,6 @@ impl ExpContext {
         }
     }
 
-    /// Minibatch used by the training experiments.
-    pub fn batch(&self) -> usize {
-        16
-    }
-
     /// Validation-set size.
     pub fn val_size(&self) -> usize {
         if self.quick {

@@ -36,11 +36,10 @@ mod ablations;
 mod ctx;
 mod fig01_ideal;
 mod fig05_13_imbalance;
-mod fig06_07_training;
 mod fig08_csb;
-mod fig15_16_curves;
 mod fig17_20_hw;
 mod tables;
+mod training;
 
 use ctx::ExpContext;
 
@@ -77,12 +76,12 @@ fn main() {
     let run = |ctx: &ExpContext, name: &str| match name {
         "fig1" => fig01_ideal::run(ctx),
         "fig5" => fig05_13_imbalance::run_fig5(ctx),
-        "fig6" => fig06_07_training::run_fig6(ctx),
-        "fig7" => fig06_07_training::run_fig7(ctx),
+        "fig6" => training::run_fig6(ctx),
+        "fig7" => training::run_fig7(ctx),
         "fig8" => fig08_csb::run(ctx),
         "fig13" => fig05_13_imbalance::run_fig13(ctx),
-        "fig15" => fig15_16_curves::run_fig15(ctx),
-        "fig16" => fig15_16_curves::run_fig16(ctx),
+        "fig15" => training::run_fig15(ctx),
+        "fig16" => training::run_fig16(ctx),
         "fig17" => fig17_20_hw::run_fig17(ctx),
         "fig18" => fig17_20_hw::run_fig18(ctx),
         "fig19" => fig17_20_hw::run_fig19(ctx),

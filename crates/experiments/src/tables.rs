@@ -1,14 +1,11 @@
 //! Tables I–III of the paper.
 
 use procrustes_core::report::{fmt_millions, Table};
-use procrustes_dropback::{ProcrustesConfig, ProcrustesTrainer, Trainer};
-use procrustes_nn::data::SyntheticImages;
-use procrustes_nn::{arch, Sequential};
-use procrustes_prng::Xorshift64;
 use procrustes_sim::{area, ArchConfig};
 
 use crate::ctx::ExpContext;
 use crate::fig17_20_hw::network_mac_summary;
+use crate::training::{Family, FAMILIES};
 
 pub fn run_table1(ctx: &ExpContext) {
     let base = ArchConfig::procrustes_16x16();
@@ -50,34 +47,6 @@ pub fn run_table1(ctx: &ExpContext) {
     ctx.emit("table1", &t);
 }
 
-fn quick_accuracy(
-    ctx: &ExpContext,
-    make_model: &dyn Fn(u64) -> Sequential,
-    data: &SyntheticImages,
-    factor: f64,
-    steps: usize,
-) -> (f64, f64) {
-    // Returns (dense accuracy, procrustes accuracy) after `steps`.
-    let (vx, vl) = data.fixed_set(ctx.val_size(), 0xACC);
-    let mut rng = Xorshift64::new(0xBA7C4);
-    let mut dense = procrustes_dropback::DenseSgdTrainer::new(make_model(3), 0.05, 0.9);
-    let mut sparse = ProcrustesTrainer::new(
-        make_model(3),
-        ProcrustesConfig {
-            sparsity_factor: factor,
-            lambda: ctx.lambda(),
-            ..ProcrustesConfig::default()
-        },
-        17,
-    );
-    for _ in 0..steps {
-        let (x, labels) = data.batch(ctx.batch(), &mut rng);
-        dense.train_step(&x, &labels);
-        sparse.train_step(&x, &labels);
-    }
-    (dense.evaluate(&vx, &vl).1, sparse.evaluate(&vx, &vl).1)
-}
-
 pub fn run_table2(ctx: &ExpContext) {
     let mut t = Table::new(
         "Table II — sparsity, footprint, MACs, and accuracy per network",
@@ -93,47 +62,26 @@ pub fn run_table2(ctx: &ExpContext) {
             "pruned acc",
         ],
     );
-    // (network, tiny trainable variant, dataset); the Table II sparsity
-    // factor comes from the engine's canonical registry.
-    let cifar = ("CIFAR-like", SyntheticImages::cifar_like(10, 51));
-    let imagenet = ("ImageNet-like", SyntheticImages::imagenet_like(10, 52));
-    let steps = ctx.train_steps(300);
-    type ModelFactory = Box<dyn Fn(u64) -> Sequential>;
-    let rows: Vec<(&str, ModelFactory, _)> = vec![
-        (
-            "DenseNet",
-            Box::new(|s| arch::tiny_densenet(10, &mut Xorshift64::new(s))),
-            &cifar,
-        ),
-        (
-            "WRN-28-10",
-            Box::new(|s| arch::tiny_wrn(10, &mut Xorshift64::new(s))),
-            &cifar,
-        ),
-        (
-            "VGG-S",
-            Box::new(|s| arch::tiny_vgg(10, &mut Xorshift64::new(s))),
-            &cifar,
-        ),
-        (
-            "MobileNet v2",
-            Box::new(|s| arch::tiny_mobilenet(10, &mut Xorshift64::new(s))),
-            &imagenet,
-        ),
-        (
-            "ResNet18",
-            Box::new(|s| arch::tiny_resnet(10, &mut Xorshift64::new(s))),
-            &imagenet,
-        ),
-    ];
-    for (network, make_model, (dataset, data)) in &rows {
-        let factor = procrustes_core::paper_sparsity_factor(network)
-            .expect("Table II factor exists for every paper network");
+    // Rows in increasing Table II sparsity factor (the registry's), each
+    // family trained by Figs 15–16's recipe: its accuracies are the final
+    // Fig 15/16 cells at that factor.
+    let mut rows: Vec<(&Family, f64)> = FAMILIES
+        .iter()
+        .map(|family| {
+            let factor = procrustes_core::paper_sparsity_factor(family.network)
+                .expect("Table II factor exists for every paper network");
+            (family, factor)
+        })
+        .collect();
+    rows.sort_by(|a, b| a.1.total_cmp(&b.1));
+    for (family, factor) in rows {
+        let network = family.network;
         let (dw, dm, sw, sm) = network_mac_summary(network, factor, 7);
-        let (dense_acc, sparse_acc) = quick_accuracy(ctx, make_model, data, factor, steps);
+        let runs = family.train(ctx, &[factor]);
+        let (dense_acc, sparse_acc) = (runs[0].accuracy(), runs[1].accuracy());
         t.row(&[
             network.to_string(),
-            dataset.to_string(),
+            family.dataset().to_string(),
             fmt_millions(dw),
             fmt_millions(dm),
             fmt_millions(sw),

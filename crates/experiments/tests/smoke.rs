@@ -1,8 +1,10 @@
 //! Smoke tests for the experiment harness binary: every analytical
 //! (non-training) subcommand must run, exit cleanly, and print the
-//! headline its paper artifact is about. Training subcommands are covered
-//! by the workspace's library tests; running them here would make the
-//! test suite minutes long.
+//! headline its paper artifact is about. The training subcommands run
+//! minutes, so none runs here: the harness they share is pinned by the
+//! unit tests in `src/training.rs` (a trainer's bits do not depend on the
+//! trainers beside it or on the cadence evaluations), and CI's `perf` job
+//! runs `fig6` and `fig7` in release.
 
 use std::process::Command;
 
