@@ -3,6 +3,7 @@
 use std::fmt::Write as _;
 
 use crate::engine::{balance_label, EvalResult};
+use crate::Scenario;
 
 /// A simple column-aligned table with a title, rendered as text or CSV.
 ///
@@ -150,12 +151,12 @@ pub fn fmt_cycles(c: u64) -> String {
 }
 
 /// Formats a silicon area given in µm² at chip scale (`84.64 mm²`).
-pub fn fmt_area(um2: f64) -> String {
+fn fmt_area(um2: f64) -> String {
     format!("{:.2} mm²", um2 / 1e6)
 }
 
 /// Formats power given in milliwatts (`6.71 W`, `77.17 mW`).
-pub fn fmt_power(mw: f64) -> String {
+fn fmt_power(mw: f64) -> String {
     if mw >= 1e3 {
         format!("{:.2} W", mw / 1e3)
     } else {
@@ -196,32 +197,45 @@ pub fn fmt_millions(n: u64) -> String {
 /// assert!(t.to_csv().contains("VGG-S"));
 /// ```
 pub fn results_table(title: impl Into<String>, results: &[EvalResult]) -> Table {
-    let mut t = Table::new(
-        title,
-        &[
-            "network", "mapping", "batch", "sparsity", "balance", "compute", "fidelity", "MACs",
-            "cycles", "energy", "area", "power",
-        ],
-    );
+    let mut t = Table::new(title, &RESULTS_HEADER);
     for r in results {
         let totals = r.totals();
-        let budget = procrustes_sim::area::arch_budget(&r.scenario.arch);
-        t.row(&[
-            r.scenario.network.clone(),
-            r.scenario.mapping.label().to_string(),
-            r.scenario.batch.to_string(),
-            r.scenario.sparsity.label(),
-            balance_label(r.scenario.balance).to_string(),
-            r.scenario.compute.label(),
-            r.scenario.fidelity.label().to_string(),
-            fmt_millions(totals.macs),
-            fmt_cycles(totals.cycles),
-            fmt_joules(totals.energy_j()),
-            fmt_area(budget.area_um2),
-            fmt_power(budget.power_mw),
-        ]);
+        t.row(&results_row(
+            &r.scenario,
+            totals.macs,
+            totals.cycles,
+            totals.energy_j(),
+        ));
     }
     t
+}
+
+/// The columns of [`results_table`].
+pub const RESULTS_HEADER: [&str; 12] = [
+    "network", "mapping", "batch", "sparsity", "balance", "compute", "fidelity", "MACs", "cycles",
+    "energy", "area", "power",
+];
+
+/// One [`results_table`] row: the scenario's columns, the given totals,
+/// and its architecture's silicon budget. Anything that holds only a
+/// result's scenario and totals — a served document, say — renders the
+/// same row as the in-process result.
+pub fn results_row(scenario: &Scenario, macs: u64, cycles: u64, energy_j: f64) -> [String; 12] {
+    let budget = procrustes_sim::area::arch_budget(&scenario.arch);
+    [
+        scenario.network.clone(),
+        scenario.mapping.label().to_string(),
+        scenario.batch.to_string(),
+        scenario.sparsity.label(),
+        balance_label(scenario.balance).to_string(),
+        scenario.compute.label(),
+        scenario.fidelity.label().to_string(),
+        fmt_millions(macs),
+        fmt_cycles(cycles),
+        fmt_joules(energy_j),
+        fmt_area(budget.area_um2),
+        fmt_power(budget.power_mw),
+    ]
 }
 
 /// CSV emission of [`results_table`] (header plus one row per scenario).

@@ -572,9 +572,10 @@ impl Scenario {
     /// Equal scenarios hash equal **across threads, processes, and
     /// restarts** — unlike `std::hash`, there is no per-process random
     /// state. `procrustes-serve` depends on this in two load-bearing
-    /// ways: the fingerprint picks the worker shard (so identical
-    /// scenarios always reach the same shard's memo table) and addresses
-    /// the persistent on-disk result cache. Extending `Scenario` with a
+    /// ways: the fingerprint is the key a request claims in the daemon's
+    /// in-flight map (so identical scenarios are computed once, however
+    /// many connections ask) and addresses the persistent on-disk result
+    /// cache. Extending `Scenario` with a
     /// new *defaulted* axis changes fingerprints only for scenarios that
     /// set the new axis, provided the serializer keeps emitting existing
     /// fields unchanged; the pinned-vector test in this module and the

@@ -24,7 +24,7 @@
 //!   so population evolution is **independent of thread count**: the
 //!   same spec yields the same evaluations, rounds, and front whether
 //!   the backend is a serial engine, a parallel one, or a remote
-//!   daemon's shard pool.
+//!   daemon.
 //! * [`ParetoFront`] — the dominance accumulator (minimization; equal
 //!   vectors coexist), kept in a canonical order so fronts serialize
 //!   byte-identically regardless of discovery order.
@@ -62,7 +62,7 @@
 //! The same spec serializes to JSON ([`SearchSpec::to_json`], unknown
 //! fields rejected on the way back in) and runs remotely through
 //! `procrustes-serve`'s `search` verb, riding the daemon's
-//! single-flight shard pool and persistent disk cache.
+//! single-flight document store and persistent disk cache.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -20,13 +20,15 @@ USAGE: procrustes-serve [OPTIONS]
 
 OPTIONS:
   --addr HOST:PORT      bind address (default 127.0.0.1:7878; port 0 = ephemeral)
-  --shards N            worker shard count (default: available parallelism)
+  --shards N            worker threads of the evaluation engine
+                        (default: available parallelism)
   --cache-dir DIR       persistent result cache directory (default: none)
   --cache-budget BYTES  LRU byte budget for --cache-dir; accepts K/M/G
                         suffixes, e.g. 512M (default: unbounded)
   --max-sweep N         largest admitted sweep cardinality (default 4096)
-  --queue-cap N         bound on each shard queue; fuller queues shed
-                        requests with a structured reply (default 4096)
+  --queue-cap N         bound on the jobs in flight over all connections;
+                        a request that would pass it is shed whole with a
+                        structured reply (default 4096)
   --fault-plan F|SPEC   arm deterministic fault injection from a file or an
                         inline spec, e.g. 'seed=7;forced_shed=0.2;
                         cache_corrupt=3..5' (default: disarmed)

@@ -17,21 +17,21 @@
 //! byte for byte, in memory and after a disk read alike. A document
 //! that describes another scenario — a 64-bit collision, a stale or
 //! misfiled file — is dropped from both tiers, counted
-//! (`metrics.verify_misses`) and answered as a miss, so the shard
+//! (`metrics.verify_misses`) and answered as a miss, so the daemon
 //! recomputes and overwrites it. [`DocStore::put`] applies the same
 //! rule on the way in: a document whose embedded scenario is not spelled
 //! exactly as the request's canonical text is refused.
 //!
-//! **One writer per key.** The shard loop is the store's only caller,
-//! for reads and writes alike. A key always maps to the same shard
-//! (`fp % shards`), and a shard handles its jobs one at a time, so no
-//! two threads ever read or write the same key at once. In particular,
-//! no `put` can land between a [`DiskCache::get`] that finds a corrupt
-//! file and its removal of that file from the index.
+//! **One writer per key.** The daemon reads or writes a key only while
+//! it holds that key's claim in the server's in-flight map (one holder
+//! per fingerprint at a time), so no two threads ever read or write the
+//! same key at once. In particular, no `put` can land between a
+//! [`DiskCache::get`] that finds a corrupt file and its removal of that
+//! file from the index.
 //!
 //! **The disk tier.** Writes go through a tmp file in the same
 //! directory followed by an atomic rename, so a crashed daemon never
-//! leaves a torn entry and concurrent shards never observe a partial
+//! leaves a torn entry and concurrent readers never observe a partial
 //! write. Because both the fingerprint (FNV-1a over canonical scenario
 //! JSON) and the result serialization are stable across processes, a
 //! restarted daemon serves byte-identical documents from this cache
@@ -367,12 +367,12 @@ impl DiskCache {
     /// overwrites it rather than serving garbage.
     ///
     /// The file is read and validated *before* the index lock is taken,
-    /// so one shard's disk read never queues the others (or a writer)
-    /// behind it. An entry evicted in between reads as a miss. A `put`
-    /// of the *same* fingerprint in between would have its fresh index
-    /// entry dropped by a corrupt read; in the daemon that cannot
-    /// happen, because only the key's own shard reads or writes it (see
-    /// the module docs).
+    /// so one connection's disk read never queues the others (or a
+    /// writer) behind it. An entry evicted in between reads as a miss. A
+    /// `put` of the *same* fingerprint in between would have its fresh
+    /// index entry dropped by a corrupt read; in the daemon that cannot
+    /// happen, because only the holder of the key's claim in the
+    /// in-flight map reads or writes it (see the module docs).
     pub fn get(&self, fingerprint: u64) -> Option<String> {
         let mut doc = fs::read_to_string(self.path(fingerprint)).ok();
         if let Some(doc) = &mut doc {

@@ -1,4 +1,4 @@
-//! `procrustes-serve` — a sharded, cache-persistent evaluation daemon
+//! `procrustes-serve` — a cache-persistent evaluation daemon
 //! over the [`Engine`](procrustes_core::Engine), plus the client library
 //! behind the `procrustes-cli` binary.
 //!
@@ -12,26 +12,29 @@
 //! * [`Server`] — a std-only TCP daemon (no external dependencies)
 //!   speaking line-delimited JSON. Each accepted connection gets its own
 //!   thread; requests on a connection are answered in order.
-//! * **Sharding** — scenarios fan out across a fixed pool of worker
-//!   shards. The shard is chosen by [`Scenario::fingerprint`]
-//!   (`fingerprint % shards`), so identical scenarios always land on the
-//!   same shard — and its [`Engine`](procrustes_core::Engine)'s
-//!   per-layer cost cache — regardless of which connection submitted
-//!   them.
+//! * **One engine** — the daemon holds one
+//!   [`Engine`](procrustes_core::Engine) with `--shards` worker threads,
+//!   and with it one per-layer cost cache. Each connection thread
+//!   evaluates its own request's misses through it, in one `run_all`
+//!   per request.
 //! * **One document store** — every result document the daemon holds
 //!   lives in one store: a memory tier bounded by bytes (least recently
-//!   used goes first) over the optional disk tier. A shard's whole
+//!   used goes first) over the optional disk tier. A request's whole
 //!   lookup is *store, else compute and store*. The store's key is
 //!   derived from the request's own canonical scenario text, and a hit
 //!   is served only if the stored document begins with that exact text;
 //!   one that does not (a fingerprint collision, a stale or misfiled
 //!   cache file) is dropped, counted in `verify_misses` and recomputed.
-//! * **Single-flight de-duplication** — a shard executes its queue
-//!   serially: when concurrent connections submit the same scenario, the
-//!   first job computes and stores, and every later job (already queued
-//!   on the *same* shard, by fingerprint affinity) is served from the
-//!   store. An identical scenario is computed at most once while the
-//!   store holds it, and not at all when the disk tier already does.
+//! * **Single-flight de-duplication** — a connection claims a
+//!   scenario's [`Scenario::fingerprint`] in an in-flight map before it
+//!   reads or writes that key in the store, and releases it once the
+//!   document is stored. When concurrent connections submit the same
+//!   scenario, the claimant computes and stores it, and every other
+//!   connection waits for the claim and is served from the store; a
+//!   scenario named twice in one request is claimed once. A connection
+//!   waits only after its own claims are released, so no two wait on
+//!   each other. An identical scenario is computed at most once while
+//!   the store holds it, and not at all when the disk tier already does.
 //! * **Persistent result cache** — with `--cache-dir`, every computed
 //!   [`EvalResult`](procrustes_core::EvalResult) JSON document is
 //!   written content-addressed by scenario fingerprint
@@ -39,12 +42,13 @@
 //!   [`Scenario::to_json`] and `EvalResult::to_json` are canonical
 //!   (deterministic field order and number text), a restarted daemon
 //!   serves byte-identical documents without recomputation.
-//! * **Backpressure** — every shard queue is bounded by `--queue-cap`.
-//!   A request whose jobs would overflow any shard queue is refused as a
-//!   unit with one structured `shed` line *before anything is
-//!   dispatched*; nothing about it is evaluated, so the client can
-//!   safely retry later. The `shed` line carries a deterministic
-//!   `retry_after_ms` backoff hint.
+//! * **Backpressure** — the jobs in flight across all connections (one
+//!   per scenario of every admitted request, until its result is ready)
+//!   are bounded by `--queue-cap`. A request that would push the count
+//!   past it is refused as a unit with one structured `shed` line
+//!   *before any work starts*; nothing about it is evaluated, so the
+//!   client can safely retry later. The `shed` line carries a
+//!   deterministic `retry_after_ms` backoff hint.
 //! * **Deterministic fault injection** — `--fault-plan` arms named
 //!   failpoints ([`Failpoint`]) on a seeded, replayable schedule
 //!   ([`FaultPlan`]): corrupt cache reads and forced sheds. Disarmed
@@ -116,18 +120,18 @@
 //! the memory budget evicts. The `shed` line's `retry_after_ms` is a
 //! deterministic backoff hint (a function of the refusal state, never
 //! wall-clock); `procrustes-cli` honors it with one bounded retry. In
-//! `metrics`, `queue_depth` is the momentary sum of jobs awaiting a
-//! worker across all shard queues, `shed` counts refused requests, and
-//! `faults_injected` counts failpoint firings under an armed
-//! `--fault-plan` (always 0 otherwise). `verify_misses` counts stored
+//! `metrics`, `queue_depth` is the momentary count of admitted jobs
+//! whose result is not ready yet (0 on a drained daemon), `shed` counts
+//! refused requests, and `faults_injected` counts failpoint firings
+//! under an armed `--fault-plan` (always 0 otherwise). `verify_misses` counts stored
 //! documents that were dropped, and answered as a miss, because they did
 //! not begin with the requesting scenario's own text; `cache_evictions`
 //! and `cache_bytes` describe the disk tier.
 //!
 //! * `eval` answers with exactly one `result` line (`index` 0).
-//! * `sweep` answers with one `result` line per scenario, streamed **in
-//!   sweep-expansion order** (`index` 0..count-1) as results become
-//!   available, followed by a final `done` line. A sweep whose
+//! * `sweep` answers with one `result` line per scenario, written **in
+//!   sweep-expansion order** (`index` 0..count-1) once every result is
+//!   ready, followed by a final `done` line. A sweep whose
 //!   [`cardinality`](Sweep::cardinality) exceeds the server's admission
 //!   limit is refused with a single `error` line before any evaluation
 //!   starts.
@@ -144,9 +148,9 @@
 //!   connections, drains, and exits. Verb latency quantiles in
 //!   `metrics` are tracked with the paper's own streaming estimator
 //!   (`procrustes-quantile`), seeded from the first observed sample.
-//! * An `eval` or `sweep` whose jobs would overflow a bounded queue is
-//!   refused with a single `shed` line before anything is dispatched
-//!   (never a partial stream). A search round that would overflow
+//! * An `eval` or `sweep` whose jobs would overflow the in-flight bound
+//!   is refused with a single `shed` line before any work starts (never
+//!   a partial stream). A search round that would overflow
 //!   surfaces as an `error` line instead, since a search is a
 //!   multi-round stateful computation that cannot be partially retried.
 //! * Any malformed, oversized, or invalid request produces a single

@@ -137,7 +137,7 @@ impl Source {
 /// Daemon counters reported by the `status` op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStatus {
-    /// Worker shard count.
+    /// Worker threads of the daemon's engine (`--shards`).
     pub shards: u64,
     /// Whether a persistent cache directory is configured.
     pub persistent: bool,
@@ -246,11 +246,11 @@ pub struct ServerMetrics {
     /// collision, or a stale or misfiled cache file. 0 on a healthy
     /// daemon.
     pub verify_misses: u64,
-    /// Jobs currently sitting in shard queues (instantaneous gauge; 0
-    /// on an idle daemon).
+    /// Admitted jobs whose result is not ready yet, over all
+    /// connections (instantaneous gauge; 0 on an idle daemon).
     pub queue_depth: u64,
-    /// Requests refused with a `shed` reply because a queue's bound
-    /// would have been exceeded.
+    /// Requests refused with a `shed` reply because they would have
+    /// pushed `queue_depth` past `--queue-cap`.
     pub shed: u64,
     /// Faults fired by this daemon's `--fault-plan` schedule (0 when no
     /// plan is armed).
@@ -434,15 +434,16 @@ pub enum Response {
     Metrics(ServerMetrics),
     /// Shutdown acknowledged.
     Bye,
-    /// The request was refused by admission control because a bounded
-    /// queue would have overflowed. Nothing was evaluated; the client
-    /// should back off and retry. The connection stays usable.
+    /// The request was refused by admission control because its jobs
+    /// would have pushed the in-flight count past `--queue-cap`. Nothing
+    /// was evaluated; the client should back off and retry. The
+    /// connection stays usable.
     Shed {
         /// Human-readable cause.
         reason: String,
-        /// Depth of the most loaded queue the request would have used.
+        /// Jobs in flight when the request was refused.
         queue_depth: u64,
-        /// The per-queue bound (`--queue-cap`).
+        /// The in-flight bound (`--queue-cap`).
         limit: u64,
         /// The daemon's backoff hint: how long the client should wait
         /// before one retry. Deterministic in the refusal state (a pure

@@ -1,9 +1,8 @@
 //! Client-side rendering of served result documents into the standard
 //! CSV report.
 
-use procrustes_core::engine::balance_label;
 use procrustes_core::json::Json;
-use procrustes_core::report::{fmt_area, fmt_cycles, fmt_joules, fmt_millions, fmt_power, Table};
+use procrustes_core::report::{results_row, Table, RESULTS_HEADER};
 use procrustes_core::Scenario;
 
 /// Renders served `EvalResult` JSON documents as the standard results
@@ -17,13 +16,7 @@ use procrustes_core::Scenario;
 /// Returns a message naming the offending document when one is not a
 /// well-formed result (missing scenario/totals fields).
 pub fn results_csv_from_docs<S: AsRef<str>>(docs: &[S]) -> Result<String, String> {
-    let mut table = Table::new(
-        "results",
-        &[
-            "network", "mapping", "batch", "sparsity", "balance", "compute", "fidelity", "MACs",
-            "cycles", "energy", "area", "power",
-        ],
-    );
+    let mut table = Table::new("results", &RESULTS_HEADER);
     for (i, doc) in docs.iter().enumerate() {
         let v = Json::parse(doc.as_ref()).map_err(|e| format!("result {i}: {e}"))?;
         let scenario = Scenario::from_json_value(
@@ -44,21 +37,12 @@ pub fn results_csv_from_docs<S: AsRef<str>>(docs: &[S]) -> Result<String, String
             .get("energy_j")
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("result {i}: totals.energy_j missing"))?;
-        let budget = procrustes_sim::area::arch_budget(&scenario.arch);
-        table.row(&[
-            scenario.network.clone(),
-            scenario.mapping.label().to_string(),
-            scenario.batch.to_string(),
-            scenario.sparsity.label(),
-            balance_label(scenario.balance).to_string(),
-            scenario.compute.label(),
-            scenario.fidelity.label().to_string(),
-            fmt_millions(num("macs")?),
-            fmt_cycles(num("cycles")?),
-            fmt_joules(energy_j),
-            fmt_area(budget.area_um2),
-            fmt_power(budget.power_mw),
-        ]);
+        table.row(&results_row(
+            &scenario,
+            num("macs")?,
+            num("cycles")?,
+            energy_j,
+        ));
     }
     Ok(table.to_csv())
 }

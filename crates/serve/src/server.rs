@@ -1,11 +1,12 @@
 //! The daemon: accept loop, per-connection protocol handling, and the
-//! sharded worker pool.
+//! one evaluation path every connection shares.
 
+use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -27,8 +28,9 @@ const POLL: Duration = Duration::from_millis(100);
 /// Tuning knobs for [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker shard count (each shard owns one serial [`Engine`]).
-    /// Defaults to the machine's available parallelism.
+    /// Worker threads of the daemon's one [`Engine`], which evaluates
+    /// every request's misses. Defaults to the machine's available
+    /// parallelism.
     pub shards: usize,
     /// Directory for the persistent result cache; `None` keeps results
     /// in memory only (up to the store's memory budget).
@@ -43,10 +45,11 @@ pub struct ServeConfig {
     /// Largest accepted request line in bytes (default 8 MiB; extracted
     /// workload documents are the only legitimately large requests).
     pub max_line_bytes: usize,
-    /// Bound on every shard queue, in jobs. A request whose jobs would
-    /// push any shard queue past this bound is refused with a structured `shed` reply before anything is
-    /// dispatched. The default equals the default `max_sweep`, so a
-    /// default-configured daemon never sheds a request it admitted.
+    /// Bound on the jobs in flight across all connections. A request
+    /// whose jobs would push the count past this bound is refused with
+    /// a structured `shed` reply before any work starts. The default
+    /// equals the default `max_sweep`, so a default-configured daemon
+    /// never sheds a request it admitted.
     pub queue_cap: usize,
     /// Deterministic fault-injection plan (`--fault-plan`); `None` (the
     /// default) disarms every failpoint at zero cost.
@@ -166,19 +169,23 @@ fn verb_index(request: &Request) -> usize {
     }
 }
 
-/// State shared by the accept loop, connections, and shard workers.
+/// State shared by the accept loop and the connections.
 struct Shared {
     stop: AtomicBool,
     stats: Stats,
     metrics: Mutex<MetricsTable>,
     /// Every result document this daemon holds, in memory and on disk.
     store: DocStore,
+    /// The fingerprints some connection is reading or computing now.
+    in_flight: InFlight,
+    /// Evaluates every request's misses.
+    engine: Engine,
     max_sweep: usize,
     max_line_bytes: usize,
     shards: usize,
     queue_cap: usize,
-    /// Per-shard queue depth gauges (jobs awaiting a worker).
-    depths: Vec<AtomicU64>,
+    /// Jobs admitted whose result is not ready yet, over all requests.
+    depth: AtomicU64,
     local_addr: SocketAddr,
     /// The armed fault-injection schedule (disarmed by default; also
     /// cloned into the disk cache so every failpoint draws from one
@@ -186,34 +193,8 @@ struct Shared {
     faults: Faults,
 }
 
-impl Shared {
-    /// Jobs currently awaiting a worker across the shard queues.
-    fn queue_depth(&self) -> u64 {
-        self.depths.iter().map(|d| d.load(Ordering::Relaxed)).sum()
-    }
-}
-
-/// What a shard sends back for one job: the job's index plus either the
-/// served `(source, document)` pair or an error message.
-type JobReply = (usize, Result<(Source, String), String>);
-
-/// One scenario to evaluate, queued on a shard.
-struct Job {
-    scenario: Scenario,
-    /// The scenario's canonical JSON, serialised once per request: the
-    /// text the fingerprint is derived from and every stored document
-    /// is verified against.
-    text: String,
-    index: usize,
-    reply: mpsc::Sender<JobReply>,
-}
-
-/// The shard queues a connection dispatches to (`fingerprint % shards`
-/// picks one). One clone per connection thread.
-#[derive(Clone)]
-struct Router(Vec<mpsc::SyncSender<Job>>);
-
-/// Admission refused: the request would overflow a bounded queue.
+/// Admission refused: the request would push the in-flight job count
+/// past `queue_cap`.
 struct ShedInfo {
     reason: String,
     queue_depth: u64,
@@ -229,73 +210,194 @@ fn retry_hint_ms(queue_depth: u64, limit: u64) -> u64 {
     (50 + queue_depth.saturating_mul(100) / limit.max(1)).min(1000)
 }
 
-/// Plans and dispatches one request's scenarios. Admission is
-/// all-or-nothing: shards are planned first, every shard's current
-/// depth plus its incoming job count is checked against `queue_cap`,
-/// and only then is anything enqueued — a request is never
-/// half-dispatched and then shed.
-fn route_scenarios(
-    scenarios: Vec<Scenario>,
-    reply: &mpsc::Sender<JobReply>,
-    router: &Router,
-    shared: &Shared,
-) -> Result<(), ShedInfo> {
-    let shards = router.0.len();
-    let planned: Vec<(Job, usize)> = scenarios
-        .into_iter()
-        .enumerate()
-        .map(|(index, scenario)| {
-            let text = scenario.to_json();
-            let shard = (key_of(&text) % shards as u64) as usize;
-            let job = Job {
-                scenario,
-                text,
-                index,
-                reply: reply.clone(),
-            };
-            (job, shard)
-        })
-        .collect();
-    let mut incoming = vec![0u64; shards];
-    for &(_, shard) in &planned {
-        incoming[shard] += 1;
-    }
-    let cap = shared.queue_cap as u64;
-    for (i, &incoming) in incoming.iter().enumerate() {
-        let depth = shared.depths[i].load(Ordering::Relaxed);
-        if incoming > 0 && depth + incoming > cap {
-            return Err(ShedInfo {
+/// One request's share of the in-flight job count. Each result hands
+/// its job back as it becomes ready; whatever is left is handed back on
+/// drop, so a panicking connection cannot inflate the count.
+struct Admission<'a> {
+    depth: &'a AtomicU64,
+    left: u64,
+}
+
+impl<'a> Admission<'a> {
+    /// Raises the count by `jobs` in one atomic step, or refuses the
+    /// whole request if that would pass the cap.
+    fn take(shared: &'a Shared, jobs: usize) -> Result<Self, ShedInfo> {
+        let (jobs, cap) = (jobs as u64, shared.queue_cap as u64);
+        shared
+            .depth
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |depth| {
+                (depth + jobs <= cap).then_some(depth + jobs)
+            })
+            .map_err(|depth| ShedInfo {
                 reason: format!(
-                    "shard queue {i} at depth {depth} cannot take {incoming} more job(s) \
-                     under --queue-cap {cap}"
+                    "{depth} job(s) in flight cannot take {jobs} more under --queue-cap {cap}"
                 ),
                 queue_depth: depth,
                 limit: cap,
-            });
+            })?;
+        Ok(Self {
+            depth: &shared.depth,
+            left: jobs,
+        })
+    }
+
+    fn ready(&mut self) {
+        self.left -= 1;
+        self.depth.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+impl Drop for Admission<'_> {
+    fn drop(&mut self) {
+        self.depth.fetch_sub(self.left, Ordering::Relaxed);
+    }
+}
+
+/// The fingerprints ([`key_of`] a scenario's text) that some connection
+/// is reading or computing. Only a claim's holder reads or writes its
+/// key in the store, so a scenario is computed once however many
+/// connections ask for it at once, and [`DocStore`] never sees two
+/// threads on one key.
+#[derive(Default)]
+struct InFlight {
+    claimed: Mutex<HashSet<u64>>,
+    released: Condvar,
+}
+
+impl InFlight {
+    /// The claimed set. One insert or remove is its every update, so a
+    /// set left by a thread that panicked is still valid, and taking it
+    /// never panics — not even in [`Claim`]'s `drop`.
+    fn lock(&self) -> MutexGuard<'_, HashSet<u64>> {
+        self.claimed.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims `key` if nobody holds it.
+    fn claim(&self, key: u64) -> Option<Claim<'_>> {
+        let won = self.lock().insert(key);
+        won.then(|| Claim {
+            in_flight: self,
+            key,
+        })
+    }
+
+    /// Waits until nobody holds `key`.
+    fn wait(&self, key: u64) {
+        let mut claimed = self.lock();
+        while claimed.contains(&key) {
+            claimed = self
+                .released
+                .wait(claimed)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
-    for (job, shard) in planned {
-        shared.depths[shard].fetch_add(1, Ordering::Relaxed);
-        router.0[shard]
-            .send(job)
-            .expect("shard pool outlives connections");
+}
+
+/// A held fingerprint, released on drop — also when its holder panics,
+/// so a waiter is never stranded.
+struct Claim<'a> {
+    in_flight: &'a InFlight,
+    key: u64,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.in_flight.lock().remove(&self.key);
+        self.in_flight.released.notify_all();
     }
-    Ok(())
+}
+
+/// One result slot per scenario of a request.
+type Answers = Vec<Option<(Source, String)>>;
+
+/// Answers `scenarios` in index order: each from the store, or else
+/// computed by the daemon's engine and stored.
+///
+/// 1. **Admit** the whole request, or refuse it before any work starts.
+/// 2. **Claim** each scenario's fingerprint without blocking and read
+///    the claimed ones from the store. A scenario repeated in the
+///    request is claimed once and copied.
+/// 3. **Compute** the claimed misses in one [`Engine::run_all`], then
+///    store each and release its claim.
+/// 4. **Wait** for a fingerprint another connection holds, and go back
+///    to 2 for what is left. Nothing is held while waiting, so no two
+///    connections can wait on each other.
+///
+/// A scenario is therefore computed at most once while the store holds
+/// it; every later request for it is a `memo` or `disk` answer.
+fn evaluate(shared: &Shared, scenarios: &[Scenario]) -> Result<Vec<(Source, String)>, ShedInfo> {
+    let mut admission = Admission::take(shared, scenarios.len())?;
+    let mut answer = |answers: &mut Answers, i: usize, found: (Source, String)| {
+        shared.stats.count(found.0);
+        admission.ready();
+        answers[i] = Some(found);
+    };
+    let texts: Vec<String> = scenarios.iter().map(Scenario::to_json).collect();
+    let keys: Vec<u64> = texts.iter().map(|text| key_of(text)).collect();
+    let mut answers: Answers = vec![None; scenarios.len()];
+    let mut firsts = HashMap::new();
+    let (mut repeats, mut pending) = (Vec::new(), Vec::new());
+    for i in 0..scenarios.len() {
+        let first = *firsts.entry(keys[i]).or_insert(i);
+        if first != i && texts[first] == texts[i] {
+            repeats.push((i, first));
+        } else {
+            pending.push(i);
+        }
+    }
+    loop {
+        let mut misses = Vec::new();
+        pending.retain(|&i| {
+            let Some(claim) = shared.in_flight.claim(keys[i]) else {
+                return true;
+            };
+            match shared.store.get(&texts[i]) {
+                Some(hit) => answer(&mut answers, i, hit),
+                None => misses.push((i, claim)),
+            }
+            false
+        });
+        if !misses.is_empty() {
+            let batch: Vec<Scenario> = misses.iter().map(|&(i, _)| scenarios[i].clone()).collect();
+            let results = shared
+                .engine
+                .run_all(&batch)
+                .expect("admitted scenarios are validated");
+            for ((i, _claim), result) in misses.into_iter().zip(results) {
+                let doc = result.to_json();
+                let put = shared.store.put(&texts[i], &doc);
+                debug_assert_eq!(put, Ok(()), "a computed document leads with its scenario");
+                answer(&mut answers, i, (Source::Computed, doc));
+            }
+        }
+        let Some(&i) = pending.first() else { break };
+        shared.in_flight.wait(keys[i]);
+    }
+    for (i, first) in repeats {
+        let doc = answers[first]
+            .as_ref()
+            .expect("a first is answered")
+            .1
+            .clone();
+        answer(&mut answers, i, (Source::Memo, doc));
+    }
+    Ok(answers
+        .into_iter()
+        .map(|found| found.expect("every index is answered"))
+        .collect())
 }
 
 /// The evaluation daemon. See the crate docs for the protocol and the
-/// sharding/caching semantics.
+/// single-flight/caching semantics.
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
-    router: Router,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds the listener, opens (and warms) the cache, and starts the
-    /// shard pool (but not the accept loop — call [`Server::run`]). Use
-    /// port 0 for an ephemeral port.
+    /// Binds the listener and opens (and warms) the cache, but does not
+    /// start the accept loop — call [`Server::run`]. Use port 0 for an
+    /// ephemeral port.
     ///
     /// # Errors
     ///
@@ -320,28 +422,17 @@ impl Server {
             stats: Stats::default(),
             metrics: Mutex::new(MetricsTable::default()),
             store: DocStore::new(MEMORY_BUDGET, disk),
+            in_flight: InFlight::default(),
+            engine: Engine::with_threads(shards),
             max_sweep: config.max_sweep,
             max_line_bytes: config.max_line_bytes,
             shards,
             queue_cap: config.queue_cap.max(1),
-            depths: (0..shards).map(|_| AtomicU64::new(0)).collect(),
+            depth: AtomicU64::new(0),
             local_addr: listener.local_addr()?,
             faults,
         });
-        let mut senders = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for index in 0..shards {
-            let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_cap.max(1));
-            let shared = Arc::clone(&shared);
-            senders.push(tx);
-            workers.push(thread::spawn(move || shard_loop(index, &rx, &shared)));
-        }
-        Ok(Server {
-            listener,
-            shared,
-            router: Router(senders),
-            workers,
-        })
+        Ok(Server { listener, shared })
     }
 
     /// The bound address (resolves port 0 to the actual port).
@@ -352,8 +443,7 @@ impl Server {
     /// Runs the accept loop until a `shutdown` request, then drains:
     /// joins every connection thread (their reads poll the stop flag and
     /// their writes get a bounded drain grace, so neither an idle, a
-    /// half-sent, nor a non-reading connection can hang shutdown) and
-    /// the shard pool.
+    /// half-sent, nor a non-reading connection can hang shutdown).
     ///
     /// Accept errors (e.g. transient fd exhaustion under a connection
     /// flood) are logged and retried after a backoff rather than
@@ -366,7 +456,6 @@ impl Server {
     /// Reserved for future fatal conditions; the current loop always
     /// drains cleanly.
     pub fn run(self) -> io::Result<()> {
-        let router = self.router;
         let mut connections: Vec<JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if self.shared.stop.load(Ordering::SeqCst) {
@@ -381,20 +470,15 @@ impl Server {
                     continue;
                 }
             };
-            let router = router.clone();
             let shared = Arc::clone(&self.shared);
             connections.push(thread::spawn(move || {
                 // A connection failure affects only that client.
-                let _ = handle_connection(stream, &router, &shared);
+                let _ = handle_connection(stream, &shared);
             }));
             connections.retain(|h| !h.is_finished());
         }
         for conn in connections {
             let _ = conn.join();
-        }
-        drop(router); // shard queues close...
-        for worker in self.workers {
-            let _ = worker.join(); // ...and the pool drains.
         }
         Ok(())
     }
@@ -413,41 +497,6 @@ fn wake_addr(local: SocketAddr) -> SocketAddr {
         });
     }
     wake
-}
-
-/// One shard: a serial engine. Jobs arrive in queue order; identical
-/// fingerprints always queue here (shard affinity), so the first
-/// occurrence computes and stores and all later ones hit the store —
-/// single-flight without any cross-shard locking. The shard's depth
-/// gauge is decremented as each job completes.
-fn shard_loop(index: usize, rx: &mpsc::Receiver<Job>, shared: &Shared) {
-    let engine = Engine::serial();
-    while let Ok(job) = rx.recv() {
-        // Decrement at dequeue (the gauge counts jobs *awaiting* a
-        // worker), so a drained queue reads 0 strictly before the final
-        // reply reaches the client.
-        shared.depths[index].fetch_sub(1, Ordering::Relaxed);
-        let outcome = match shared.store.get(&job.text) {
-            Some(hit) => Ok(hit),
-            // Unreachable `Err` for admitted jobs (scenarios are
-            // validated before dispatch), but a shard must never panic.
-            None => engine
-                .run(&job.scenario)
-                .map_err(|e| e.to_string())
-                .map(|result| {
-                    let doc = result.to_json();
-                    let put = shared.store.put(&job.text, &doc);
-                    debug_assert_eq!(put, Ok(()), "a computed document leads with its scenario");
-                    (Source::Computed, doc)
-                }),
-        };
-        if let Ok((source, _)) = &outcome {
-            shared.stats.count(*source);
-        }
-        // A dropped receiver means the client disconnected mid-sweep;
-        // the work is stored either way.
-        let _ = job.reply.send((job.index, outcome));
-    }
 }
 
 /// Outcome of reading one request line.
@@ -545,7 +594,7 @@ fn discard_line_remainder(reader: &mut BufReader<TcpStream>, shared: &Shared) ->
 
 /// Serves one connection until EOF, an unrecoverable framing error, or
 /// daemon shutdown. Requests are answered strictly in order.
-fn handle_connection(stream: TcpStream, router: &Router, shared: &Shared) -> io::Result<()> {
+fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_read_timeout(Some(POLL))?;
     stream.set_write_timeout(Some(POLL))?;
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -606,15 +655,15 @@ fn handle_connection(stream: TcpStream, router: &Router, shared: &Shared) -> io:
                         error: e.to_string(),
                     },
                 )?,
-                Ok(()) => serve_scenarios(vec![*scenario], false, router, shared, &mut writer)?,
+                Ok(()) => serve_scenarios(&[*scenario], false, shared, &mut writer)?,
             },
             Request::Sweep(sweep) => match admit_sweep(&sweep, shared.max_sweep) {
                 Err(error) => write_line(&mut writer, shared, &Response::Error { error })?,
-                Ok(scenarios) => serve_scenarios(scenarios, true, router, shared, &mut writer)?,
+                Ok(scenarios) => serve_scenarios(&scenarios, true, shared, &mut writer)?,
             },
             Request::Search(spec) => match admit_search(&spec, shared.max_sweep) {
                 Err(error) => write_line(&mut writer, shared, &Response::Error { error })?,
-                Ok(()) => serve_search(&spec, router, shared, &mut writer)?,
+                Ok(()) => serve_search(&spec, shared, &mut writer)?,
             },
             Request::Status => {
                 let stats = &shared.stats;
@@ -662,7 +711,7 @@ fn handle_connection(stream: TcpStream, router: &Router, shared: &Shared) -> io:
                         cache_evictions: shared.store.disk().map_or(0, DiskCache::evictions),
                         cache_bytes: shared.store.disk().map_or(0, DiskCache::total_bytes),
                         verify_misses: shared.store.verify_misses(),
-                        queue_depth: shared.queue_depth(),
+                        queue_depth: shared.depth.load(Ordering::Relaxed),
                         shed: stats.shed.load(Ordering::Relaxed),
                         faults_injected: shared.faults.injected(),
                         verbs,
@@ -693,117 +742,79 @@ fn record_verb(shared: &Shared, verb: usize, start: Instant) {
     }
 }
 
-/// Fans scenarios out across the shard pool and streams the results
-/// back in expansion order
-/// (each is written as soon as it and all its predecessors are
-/// available). `with_done` appends the sweep terminator. A request that
-/// would overflow a bounded queue is refused with one `shed` line
-/// before anything is dispatched.
+/// Answers scenarios through [`evaluate`] and writes the results in
+/// expansion order; `with_done` appends the sweep terminator. A request
+/// that would overflow the in-flight cap is refused with one `shed` line
+/// before any work starts.
 fn serve_scenarios(
-    scenarios: Vec<Scenario>,
+    scenarios: &[Scenario],
     with_done: bool,
-    router: &Router,
     shared: &Shared,
     writer: &mut TcpStream,
 ) -> io::Result<()> {
-    let count = scenarios.len();
-    let (tx, rx) = mpsc::channel();
-    let admitted = if shared.faults.fires(Failpoint::ForcedShed) {
-        // The chaos drill synthesizes a refusal with the real queue
-        // state, exercising the client's retry path on demand.
-        let depth = shared.queue_depth();
+    let answered = if shared.faults.fires(Failpoint::ForcedShed) {
+        // The chaos drill synthesizes a refusal with the real in-flight
+        // count, exercising the client's retry path on demand.
+        let depth = shared.depth.load(Ordering::Relaxed);
         Err(ShedInfo {
             reason: format!("forced shed (fault injection) at depth {depth}"),
             queue_depth: depth,
             limit: shared.queue_cap as u64,
         })
     } else {
-        route_scenarios(scenarios, &tx, router, shared)
+        evaluate(shared, scenarios)
     };
-    if let Err(shed) = admitted {
-        shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-        return write_line(
-            writer,
-            shared,
-            &Response::Shed {
-                reason: shed.reason,
-                retry_after_ms: retry_hint_ms(shed.queue_depth, shed.limit),
-                queue_depth: shed.queue_depth,
-                limit: shed.limit,
-            },
-        );
-    }
-    drop(tx);
-    let mut slots: Vec<Option<Result<(Source, String), String>>> =
-        (0..count).map(|_| None).collect();
-    let mut cursor = 0;
-    for (index, outcome) in rx {
-        slots[index] = Some(outcome);
-        while cursor < count {
-            let Some(outcome) = slots[cursor].take() else {
-                break;
-            };
-            let response = match outcome {
-                Ok((source, doc)) => {
-                    shared.stats.served.fetch_add(1, Ordering::Relaxed);
-                    Response::Result {
-                        index: cursor,
-                        source,
-                        doc,
-                    }
-                }
-                Err(error) => Response::Error { error },
-            };
-            write_line(writer, shared, &response)?;
-            cursor += 1;
+    let results = match answered {
+        Ok(results) => results,
+        Err(shed) => {
+            shared.stats.shed.fetch_add(1, Ordering::Relaxed);
+            return write_line(
+                writer,
+                shared,
+                &Response::Shed {
+                    reason: shed.reason,
+                    retry_after_ms: retry_hint_ms(shed.queue_depth, shed.limit),
+                    queue_depth: shed.queue_depth,
+                    limit: shed.limit,
+                },
+            );
         }
+    };
+    let count = results.len();
+    for (index, (source, doc)) in results.into_iter().enumerate() {
+        shared.stats.served.fetch_add(1, Ordering::Relaxed);
+        write_line(writer, shared, &Response::Result { index, source, doc })?;
     }
-    debug_assert_eq!(cursor, count, "every dispatched job replies");
     if with_done {
         write_line(writer, shared, &Response::Done { count })?;
     }
     Ok(())
 }
 
-/// [`EvalBackend`] over the daemon's router: each search round's
-/// population fans out across the shards exactly like a sweep does, so
-/// search evaluations ride the same single-flight memoization and
-/// persistent disk cache as every other request — a restarted daemon replays a search entirely from
-/// disk without recomputation.
-struct RouterBackend<'a> {
-    router: &'a Router,
+/// [`EvalBackend`] over [`evaluate`]: each search round's population is
+/// answered exactly like a sweep, so search evaluations ride the same
+/// single-flight store and persistent disk cache as every other request
+/// — a restarted daemon replays a search entirely from disk without
+/// recomputation.
+struct DaemonBackend<'a> {
     shared: &'a Shared,
 }
 
-impl EvalBackend for RouterBackend<'_> {
+impl EvalBackend for DaemonBackend<'_> {
     fn eval_all(&mut self, scenarios: &[Scenario]) -> Result<Vec<String>, String> {
-        let (tx, rx) = mpsc::channel();
-        let count = scenarios.len();
-        route_scenarios(scenarios.to_vec(), &tx, self.router, self.shared)
+        let results = evaluate(self.shared, scenarios)
             .map_err(|shed| format!("search round shed: {}", shed.reason))?;
-        drop(tx);
-        let mut docs: Vec<Option<String>> = vec![None; count];
-        for (index, outcome) in rx {
-            docs[index] = Some(outcome.map(|(_source, doc)| doc)?);
-        }
-        docs.into_iter()
-            .map(|d| d.ok_or_else(|| "a shard dropped a search job".to_string()))
-            .collect()
+        Ok(results.into_iter().map(|(_source, doc)| doc).collect())
     }
 }
 
-/// Runs a search over the router, streaming one `front` line per round
-/// and the canonical front in the final `search_done` line. Every
-/// streamed byte is a deterministic function of the spec — no sources,
-/// no timings — so the whole response is byte-identical across thread
-/// counts, cache states, and daemon restarts.
-fn serve_search(
-    spec: &SearchSpec,
-    router: &Router,
-    shared: &Shared,
-    writer: &mut TcpStream,
-) -> io::Result<()> {
-    let mut backend = RouterBackend { router, shared };
+/// Runs a search through [`DaemonBackend`], streaming one `front` line
+/// per round and the canonical front in the final `search_done` line.
+/// Every streamed byte is a deterministic function of the spec — no
+/// sources, no timings — so the whole response is byte-identical across
+/// thread counts, cache states, and daemon restarts.
+fn serve_search(spec: &SearchSpec, shared: &Shared, writer: &mut TcpStream) -> io::Result<()> {
+    let mut backend = DaemonBackend { shared };
     let mut write_err: Option<io::Error> = None;
     let outcome = run_search(spec, &mut backend, |round| {
         if write_err.is_some() {

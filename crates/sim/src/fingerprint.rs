@@ -8,9 +8,9 @@
 //! # Stability contract
 //!
 //! Fingerprints are a **persistence surface**, not just an in-process
-//! optimization: `procrustes-serve` shards work by scenario fingerprint
-//! and addresses its on-disk result cache with it, so entries written by
-//! one daemon must be found by every later one. Concretely:
+//! optimization: `procrustes-serve` single-flights work by scenario
+//! fingerprint and addresses its on-disk result cache with it, so
+//! entries written by one daemon must be found by every later one. Concretely:
 //!
 //! * The algorithm is pinned to 64-bit FNV-1a with the standard offset
 //!   basis and prime; it will not change between releases.

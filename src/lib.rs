@@ -30,7 +30,7 @@
 //!   the engine: successive halving over a mutation/crossover loop,
 //!   pluggable cycles/energy/area objectives, and a memoization-aware
 //!   neighborhood, with byte-identical fronts across thread counts;
-//! * [`serve`] — the sharded, cache-persistent evaluation daemon
+//! * [`serve`] — the single-flight, cache-persistent evaluation daemon
 //!   (`procrustes-serve`) and client (`procrustes-cli`) that expose the
 //!   engine (including the search, via the `search` verb) over
 //!   line-delimited JSON-over-TCP.
