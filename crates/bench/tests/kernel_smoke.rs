@@ -1,7 +1,7 @@
 //! A `#[test]`-based performance guard for the kernel subsystem: on the
-//! pinned BENCH GEMM shapes the selector-chosen routine must beat the
-//! seed naive-ikj loop by at least 2× — the floor the packed kernels
-//! were built to clear.
+//! pinned BENCH GEMM shapes the packed kernel, at the plan the selector
+//! chooses, must beat the seed naive-ikj loop by at least 2× — the floor
+//! it was built to clear.
 //!
 //! Runs under plain `cargo test` in the offline build. The timing
 //! assertion is conditional, per the offline/1-CPU environment:
@@ -28,7 +28,7 @@ fn selector_chosen_gemm_beats_naive_by_2x_on_pinned_shapes() {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
         let bp = Blueprint::nn(m, k, n);
-        let routine = kernel::select(&bp);
+        let plan = kernel::select(&bp);
 
         // Same operands, same results — the timing comparison is honest.
         let mut dst = vec![0.0f32; m * n];
@@ -47,7 +47,7 @@ fn selector_chosen_gemm_beats_naive_by_2x_on_pinned_shapes() {
         println!(
             "gemm {m}x{k}x{n} via {}: kernel {kernel_t:?} vs \
              naive {naive_t:?} ({ratio:.2}x)",
-            routine.describe()
+            plan.describe()
         );
 
         if cfg!(not(debug_assertions)) {

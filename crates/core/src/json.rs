@@ -58,8 +58,7 @@ impl Json {
     /// convention as JavaScript's `JSON.stringify`), so a NaN leaking
     /// out of a cost model degrades a single field instead of panicking
     /// deep inside report serialization. Loaders see the missing number
-    /// as an ordinary parse error (`as_f64` on `null` is `None`). Use
-    /// [`Json::try_f64`] to reject non-finite values eagerly instead.
+    /// as an ordinary parse error (`as_f64` on `null` is `None`).
     pub fn f64(v: f64) -> Json {
         Json::try_f64(v).unwrap_or(Json::Null)
     }
@@ -70,7 +69,7 @@ impl Json {
     ///
     /// Returns a description of the offending value when `v` is NaN or
     /// infinite.
-    pub fn try_f64(v: f64) -> Result<Json, String> {
+    fn try_f64(v: f64) -> Result<Json, String> {
         if !v.is_finite() {
             return Err(format!("JSON cannot express {v}"));
         }

@@ -68,7 +68,7 @@ impl MaskGenConfig {
 ///
 /// Iterative clamping: keep fractions are proportional to `wᵅ⁻` but
 /// clamped to `[min_keep, 1]`; the normalization redistributes the slack.
-pub fn layer_keep_fractions(weights: &[usize], cfg: &MaskGenConfig) -> Vec<f64> {
+fn layer_keep_fractions(weights: &[usize], cfg: &MaskGenConfig) -> Vec<f64> {
     assert!(!weights.is_empty(), "no layers");
     let total: f64 = weights.iter().map(|&w| w as f64).sum();
     let target = total / cfg.sparsity_factor;

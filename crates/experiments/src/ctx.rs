@@ -1,16 +1,25 @@
 //! Shared experiment context and output plumbing.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 use procrustes_core::report::Table;
 use procrustes_core::Engine;
 
-/// Scale and output configuration shared by all experiments, and the
-/// one [`Engine`] behind the accelerator-model sweeps.
+use crate::training::Run;
+
+/// Scale and output configuration shared by all experiments, the one
+/// [`Engine`] behind the accelerator-model sweeps, and the training runs
+/// the experiments share.
 pub struct ExpContext {
     quick: bool,
     out: Option<PathBuf>,
     engine: Engine,
+    /// Every run a family's recipe has trained, by network and run
+    /// label: Table II's runs are cells of Figs 15–16, so `all` trains
+    /// each of them once.
+    runs: RefCell<HashMap<(&'static str, String), Run>>,
 }
 
 impl ExpContext {
@@ -23,7 +32,24 @@ impl ExpContext {
             quick,
             out,
             engine: Engine::default(),
+            runs: RefCell::default(),
         }
+    }
+
+    /// The run labelled `label` that `network`'s family recipe trained
+    /// under this context, if it has.
+    pub fn trained_run(&self, network: &'static str, label: &str) -> Option<Run> {
+        let key = (network, label.to_string());
+        self.runs.borrow().get(&key).cloned()
+    }
+
+    /// Keeps a run of `network`'s family recipe for [`trained_run`].
+    ///
+    /// [`trained_run`]: ExpContext::trained_run
+    pub fn keep_run(&self, network: &'static str, run: Run) {
+        self.runs
+            .borrow_mut()
+            .insert((network, run.label.clone()), run);
     }
 
     /// The engine Figs 17–20 share, so a layer cost one figure computed

@@ -44,6 +44,7 @@ pub struct Seeds {
 pub type Labelled = (String, Box<dyn Trainer>);
 
 /// One trainer's run through [`train`].
+#[derive(Clone)]
 pub struct Run {
     pub label: String,
     /// `(step, validation accuracy)` at every evaluation.
@@ -304,6 +305,10 @@ impl Family {
 
     /// Figs 15–16's recipe, which Table II shares: the SGD baseline
     /// beside Procrustes at each of `factors`, every model from seed 1.
+    ///
+    /// Only the runs `ctx` has not kept yet are trained (in lockstep, so
+    /// each holds the bits it would alone); the rest are the ones an
+    /// earlier call trained.
     pub fn train(&self, ctx: &ExpContext, factors: &[f64]) -> Vec<Run> {
         let model = || (self.model)(10, &mut Xorshift64::new(1));
         let mut trainers: Vec<Labelled> = vec![(
@@ -321,12 +326,22 @@ impl Family {
                 Box::new(ProcrustesTrainer::new(model(), config, 13)),
             ));
         }
-        let seeds = Seeds {
-            batches: 0xC0FFEE,
-            validation: 0xBEEF,
-        };
-        let steps = ctx.train_steps(self.full_steps);
-        train(ctx, &self.data.build(), seeds, steps, trainers)
+        let labels: Vec<String> = trainers.iter().map(|(label, _)| label.clone()).collect();
+        trainers.retain(|(label, _)| ctx.trained_run(self.network, label).is_none());
+        if !trainers.is_empty() {
+            let seeds = Seeds {
+                batches: 0xC0FFEE,
+                validation: 0xBEEF,
+            };
+            let steps = ctx.train_steps(self.full_steps);
+            for run in train(ctx, &self.data.build(), seeds, steps, trainers) {
+                ctx.keep_run(self.network, run);
+            }
+        }
+        labels
+            .iter()
+            .map(|label| ctx.trained_run(self.network, label).expect("trained above"))
+            .collect()
     }
 }
 

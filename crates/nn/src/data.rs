@@ -72,7 +72,7 @@ impl SyntheticImages {
     }
 
     /// Image extents `(channels, height, width)`.
-    pub fn image_dims(&self) -> (usize, usize, usize) {
+    fn image_dims(&self) -> (usize, usize, usize) {
         (3, self.height, self.width)
     }
 

@@ -77,7 +77,7 @@ impl ComputeBackend {
     }
 
     /// Whether a weight tensor of the given density should run on CSB.
-    pub fn wants_csb(&self, density: f64) -> bool {
+    fn wants_csb(&self, density: f64) -> bool {
         match *self {
             ComputeBackend::Dense => false,
             ComputeBackend::Csb => true,

@@ -2,7 +2,8 @@
 
 use procrustes_tensor::{Scratch, Tensor};
 
-/// Concatenates NCHW tensors along the channel axis (DenseNet's join).
+/// Concatenates NCHW tensors along the channel axis (DenseNet's join),
+/// drawing the output from a scratch pool (`DenseBlock`'s hot loop).
 ///
 /// # Panics
 ///
@@ -11,23 +12,13 @@ use procrustes_tensor::{Scratch, Tensor};
 /// # Examples
 ///
 /// ```
-/// use procrustes_nn::concat_channels;
-/// use procrustes_tensor::Tensor;
+/// use procrustes_nn::concat_channels_with;
+/// use procrustes_tensor::{Scratch, Tensor};
 /// let a = Tensor::ones(&[1, 2, 2, 2]);
 /// let b = Tensor::zeros(&[1, 1, 2, 2]);
-/// let c = concat_channels(&[&a, &b]);
+/// let c = concat_channels_with(&[&a, &b], &mut Scratch::new());
 /// assert_eq!(c.shape().dims(), &[1, 3, 2, 2]);
 /// ```
-pub fn concat_channels(parts: &[&Tensor]) -> Tensor {
-    concat_channels_with(parts, &mut Scratch::new())
-}
-
-/// [`concat_channels`] drawing the output from a scratch pool (the
-/// hot-loop form used by `DenseBlock`).
-///
-/// # Panics
-///
-/// Same conditions as [`concat_channels`].
 pub fn concat_channels_with(parts: &[&Tensor], scratch: &mut Scratch) -> Tensor {
     assert!(!parts.is_empty(), "concat_channels: no tensors given");
     let first = parts[0].shape();
@@ -69,11 +60,11 @@ pub fn concat_channels_with(parts: &[&Tensor], scratch: &mut Scratch) -> Tensor 
 /// # Examples
 ///
 /// ```
-/// use procrustes_nn::{concat_channels, slice_channels};
-/// use procrustes_tensor::Tensor;
+/// use procrustes_nn::{concat_channels_with, slice_channels};
+/// use procrustes_tensor::{Scratch, Tensor};
 /// let a = Tensor::full(&[1, 2, 2, 2], 1.0);
 /// let b = Tensor::full(&[1, 1, 2, 2], 2.0);
-/// let c = concat_channels(&[&a, &b]);
+/// let c = concat_channels_with(&[&a, &b], &mut Scratch::new());
 /// assert_eq!(slice_channels(&c, 2, 3), b);
 /// ```
 pub fn slice_channels(x: &Tensor, from: usize, to: usize) -> Tensor {
@@ -115,7 +106,7 @@ mod tests {
             (i[0] * 100 + i[1] * 10 + i[2] * 2 + i[3]) as f32
         });
         let b = Tensor::from_fn(&[2, 2, 2, 2], |i| -((i[0] * 100 + i[1] * 10) as f32));
-        let c = concat_channels(&[&a, &b]);
+        let c = concat_channels_with(&[&a, &b], &mut Scratch::new());
         assert_eq!(slice_channels(&c, 0, 3), a);
         assert_eq!(slice_channels(&c, 3, 5), b);
     }
@@ -126,7 +117,7 @@ mod tests {
             .map(|i| Tensor::full(&[1, 1, 1, 1], i as f32))
             .collect();
         let refs: Vec<&Tensor> = parts.iter().collect();
-        let c = concat_channels(&refs);
+        let c = concat_channels_with(&refs, &mut Scratch::new());
         assert_eq!(c.data(), &[0.0, 1.0, 2.0]);
     }
 
@@ -135,7 +126,7 @@ mod tests {
     fn concat_rejects_mismatched_spatial() {
         let a = Tensor::ones(&[1, 1, 2, 2]);
         let b = Tensor::ones(&[1, 1, 3, 3]);
-        concat_channels(&[&a, &b]);
+        concat_channels_with(&[&a, &b], &mut Scratch::new());
     }
 
     #[test]

@@ -101,12 +101,12 @@ fn aggregate(pes: usize, include_procrustes: bool) -> ChipBudget {
 }
 
 /// The dense-baseline accelerator budget (no Procrustes units).
-pub fn baseline_budget(pes: usize) -> ChipBudget {
+fn baseline_budget(pes: usize) -> ChipBudget {
     aggregate(pes, false)
 }
 
 /// The Procrustes accelerator budget (all units).
-pub fn procrustes_budget(pes: usize) -> ChipBudget {
+fn procrustes_budget(pes: usize) -> ChipBudget {
     aggregate(pes, true)
 }
 

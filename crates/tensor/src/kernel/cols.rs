@@ -13,8 +13,8 @@
 //! bounds test and padding branch an unfold would run per element.
 //!
 //! A [`ColsView`] is the rhs of [`gemm_cols`](super::gemm_cols) for the
-//! `Nn` products (forward, backward-input): the packed routine copies
-//! its `kc×NR` panels straight out of the planes (see `pack_cols_n` in
+//! `Nn` products (forward, backward-input): the packed kernel copies
+//! its `KC×NR` panels straight out of the planes (see `pack_cols_n` in
 //! [`routine`](super::routine)), so the product reads the same values in
 //! the same order as one over the materialised matrix and compares
 //! equal to it (`f32 ==`). The weight update packs nothing: its kernel

@@ -8,17 +8,16 @@
 //!
 //! - [`blueprint`] — a plain-data key describing a GEMM problem
 //!   ([`Blueprint`]: extents, operand layout, worker budget).
-//! - [`routine`] — the executable kernels ([`Routine`]): one 2×64
-//!   register-tiled microkernel over rhs panels packed through the
-//!   [`Scratch`] pool, with a variant that packs the `Tn` lhs too.
+//! - [`routine`] — the one executable kernel: a 2×64 register-tiled
+//!   microkernel over 128-row rhs panels packed through the [`Scratch`]
+//!   pool, for every op.
 //! - [`cols`] — the rhs of a convolution product as a *view*
 //!   ([`ColsView`]): the im2col matrix read through two offset tables
-//!   out of the padded input planes, so the packed routine's pack step
+//!   out of the padded input planes, so the packed kernel's pack step
 //!   ([`gemm_cols`], the `Nn` products) and the weight-update kernel
 //!   are the only code that ever sees it.
-//! - [`selector`] — the policy mapping blueprints to plans: the
-//!   reduction block, the lhs pack and the worker count, ranked at call
-//!   time by the deterministic cost model.
+//! - [`selector`] — the policy mapping blueprints to plans: the worker
+//!   count, ranked at call time by the deterministic cost model.
 //! - [`autotune`] — that cost model, and the pinned shapes the
 //!   equality suites cover.
 //! - [`thread`] — the threaded tier: splits one product's *output*
@@ -45,19 +44,19 @@
 //! > zero may be skipped (adding `±0.0` never changes the comparison
 //! > class of a finite sum).
 //!
-//! The [`routine`]s tile `i` and `j` so an `MR×NR` block of
-//! accumulators lives in registers, and block `p` into `kc`-sized
+//! The [`routine`] tiles `i` and `j` so an `MR×NR` block of
+//! accumulators lives in registers, and blocks `p` into `KC`-sized
 //! panels — but per output element the `p` reduction is never
 //! reordered: blocks are consumed in ascending order, each accumulator
 //! sees its terms one at a time, carried through memory between
 //! blocks. Blocking therefore changes *which* elements are in flight,
 //! never how any one element's sum associates — results are identical
 //! to the naive ikj loop ([`crate::reference::matmul_ikj`]), just much
-//! faster. The selector may therefore switch routines — and tiers, and
-//! worker counts — freely across shapes and machines without
-//! perturbing a single training run.
+//! faster. The selector may therefore switch tiers and worker counts
+//! freely across shapes and machines without perturbing a single
+//! training run.
 //!
-//! The `a == 0.0` skip is kept from the naive kernel, in every routine:
+//! The `a == 0.0` skip is kept from the naive kernel:
 //! conv/fc weights under Dropback-style training are mostly exact
 //! zeros, so the skip converts weight sparsity into elided
 //! multiply-accumulates on the dense path too. It is not a per-call
@@ -74,7 +73,6 @@ pub mod thread;
 
 pub use blueprint::{Blueprint, Op};
 pub use cols::ColsView;
-pub use routine::Routine;
 pub use selector::{explain, select, Plan};
 pub use thread::default_threads;
 
@@ -83,7 +81,7 @@ pub(crate) use routine::Rhs;
 use crate::scratch::Scratch;
 
 /// Computes the product described by `bp` into `dst`, letting the
-/// selector pick the routine and tier.
+/// selector pick the tier.
 ///
 /// `dst` is overwritten entirely (stale contents permitted). Packing
 /// buffers are taken from and recycled into `scratch` (each pool
@@ -158,9 +156,9 @@ pub(crate) fn gemm_rhs(
     }
     let plan = selector::select(bp);
     if plan.workers > 1 {
-        thread::run(plan.routine, bp, plan.workers, dst, lhs, rhs, scratch);
+        thread::run(bp, plan.workers, dst, lhs, rhs, scratch);
     } else {
         let dst = routine::SlabMut::full(bp, dst);
-        routine::execute_slab(plan.routine, bp, dst, lhs, rhs, scratch);
+        routine::execute_slab(bp, dst, lhs, rhs, scratch);
     }
 }

@@ -1,25 +1,21 @@
-//! The routine layer: the executable GEMM kernels a blueprint can be
+//! The routine layer: the one executable GEMM kernel every blueprint is
 //! served by.
 //!
-//! A [`Routine`] is a concrete compute strategy — a plain-data value
-//! naming one of the kernels below plus its reduction block `kc`. The
-//! [selector](super::selector) picks one per [`Blueprint`]; [`execute`]
-//! runs it. Both run the one [`MR`]×[`NR`] register tile: rhs is packed
-//! one `kc×NR` panel at a time into [`Scratch`]-pooled, ping-pong
+//! The kernel runs one [`MR`]×[`NR`] register tile: rhs is packed one
+//! `KC×NR` panel (`KC` = 128 reduction rows) at a time into [`Scratch`]-pooled, ping-pong
 //! (double-buffered) staging buffers, and each output tile is
 //! accumulated in a register-resident array the autovectorizer maps
 //! onto SIMD lanes. The packed panel is reused across every i-tile of
-//! the current j-panel. [`Routine::PackedLhs`] additionally packs the
-//! `Tn` layout's strided lhs.
+//! the current j-panel; the lhs is read in place, strided on `Tn`.
 //!
 //! # Bitwise equality
 //!
-//! Both routines honour the accumulation-order contract from
+//! The kernel honours the accumulation-order contract from
 //! [`crate::kernel`]: per output element, partial products are reduced
-//! left-to-right in ascending `p`, starting from `0.0`. They split `p`
-//! into `kc`-sized blocks, but blocks are visited in ascending order
+//! left-to-right in ascending `p`, starting from `0.0`. It splits `p`
+//! into `KC`-sized blocks, but blocks are visited in ascending order
 //! and each accumulator is carried through memory between blocks — no
-//! element's sum ever re-associates. Both skip terms whose lhs operand
+//! element's sum ever re-associates. It skips terms whose lhs operand
 //! is exactly zero (bitwise-neutral on finite data, and what the CSB
 //! kernels do by construction).
 
@@ -42,55 +38,13 @@ pub const MR: usize = 2;
 /// compiled to scalar code on the same host (4–6 GFLOP/s against 40–57).
 pub const NR: usize = 64;
 
-/// A concrete kernel choice: strategy plus reduction block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Routine {
-    /// Register-tiled kernel over packed rhs panels (all ops).
-    Packed {
-        /// Reduction block: rhs is packed and consumed `kc` rows at a
-        /// time so the active panel stays cache-resident.
-        kc: u16,
-    },
-    /// Register-tiled kernel over packed rhs panels **and** a packed
-    /// `[kc][MR]` lhs (`Tn` only).
-    ///
-    /// The `Tn` layout stores lhs as `at: [k, m]`, so the plain
-    /// [`Routine::Packed`] microkernel reads it with stride `m` — one
-    /// cache line touched per element on the fc weight-update shapes.
-    /// This variant pre-packs the full-`MR` row tiles once per call
-    /// into `[kc][MR]` panels the microkernel walks contiguously;
-    /// `m % MR` tail rows keep the strided path. Same reduction order,
-    /// bitwise-identical results.
-    PackedLhs {
-        /// Reduction block shared by the lhs and rhs packs.
-        kc: u16,
-    },
-}
-
-impl Routine {
-    /// Whether this routine can serve the given blueprint: `Packed`
-    /// serves every op, `PackedLhs` only `Tn`; neither runs with an
-    /// empty reduction block.
-    pub fn supports(&self, bp: &Blueprint) -> bool {
-        match self {
-            Routine::Packed { kc } => *kc > 0,
-            Routine::PackedLhs { kc } => bp.op == Op::Tn && *kc > 0,
-        }
-    }
-
-    /// Human-readable tag for benchmark attribution, e.g.
-    /// `packed-2x64/kc256`.
-    pub fn describe(&self) -> String {
-        match self {
-            Routine::Packed { kc } => format!("packed-{MR}x{NR}/kc{kc}"),
-            Routine::PackedLhs { kc } => format!("packed-lhs-{MR}x{NR}/kc{kc}"),
-        }
-    }
-}
+/// Reduction block: rhs is packed and consumed `KC` rows at a time, so
+/// the active `KC×NR` panel (32 KiB) stays L1-resident.
+pub(crate) const KC: usize = 128;
 
 /// Where a product's rhs comes from: a materialised matrix, or the
 /// padded planes of a convolution read as one (see [`super::cols`]).
-/// Only the pack step of [`Routine::Packed`] tells them apart.
+/// Only the kernel's pack step tells them apart.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Rhs<'a> {
     /// Row-major `[k, n]` (`Nn`, `Tn`) or `[n, k]` (`Nt`).
@@ -271,35 +225,20 @@ impl<'a> SlabDeal<'a> {
     }
 }
 
-/// Runs `routine` on the problem described by `bp`.
+/// Runs the packed kernel on one output slab of the problem described
+/// by `bp`: the serial tier passes the view of the whole destination,
+/// each worker of the threaded tier (see [`super::thread`]) the view of
+/// its own slab, of which it writes only that region.
 ///
-/// `dst` is overwritten entirely (stale contents are permitted). The
-/// packed kernels stage rhs panels through `scratch`, so a caller that
-/// recycles its buffers sees zero steady-state allocations here.
+/// The slab is overwritten entirely (stale contents are permitted). The
+/// rhs panels are staged through `scratch`, so a caller that recycles
+/// its buffers sees zero steady-state allocations here.
 ///
 /// # Panics
 ///
-/// Panics if a slice length disagrees with the blueprint, or if the
-/// routine does not [support](Routine::supports) the blueprint (the
-/// selector never produces such a pairing).
-pub fn execute(
-    routine: Routine,
-    bp: &Blueprint,
-    dst: &mut [f32],
-    lhs: &[f32],
-    rhs: &[f32],
-    scratch: &mut Scratch,
-) {
-    let rhs = Rhs::Slice(rhs);
-    execute_slab(routine, bp, SlabMut::full(bp, dst), lhs, rhs, scratch);
-}
-
-/// [`execute`] restricted to one output slab — the worker-side entry
-/// point of the threaded tier. The full view reproduces `execute`
-/// exactly; a partial one writes only its own region of the
-/// destination.
+/// Panics if a slice length disagrees with the blueprint, or if a
+/// column view is the rhs of anything but an `Nn` product.
 pub(crate) fn execute_slab(
-    routine: Routine,
     bp: &Blueprint,
     mut dst: SlabMut<'_>,
     lhs: &[f32],
@@ -322,40 +261,18 @@ pub(crate) fn execute_slab(
             );
         }
     }
-    assert!(
-        routine.supports(bp),
-        "kernel: routine {} cannot serve op={}",
-        routine.describe(),
-        bp.op.tag()
-    );
     let slab = dst.slab();
     debug_assert!(
         dst.n == bp.n && slab.i1 <= bp.m && slab.j1 <= bp.n,
         "kernel: view of another output"
     );
-    let dst = &mut dst;
-    match (routine, rhs) {
-        (Routine::Packed { kc }, rhs) => run_packed(dst, lhs, rhs, bp, kc as usize, scratch),
-        (Routine::PackedLhs { kc }, Rhs::Slice(b)) => {
-            run_packed_lhs(dst, lhs, b, bp, kc as usize, scratch)
-        }
-        // `PackedLhs` serves only `Tn`, which the view check refused.
-        (Routine::PackedLhs { .. }, Rhs::Cols(_)) => unreachable!(),
-    }
-}
-
-/// Zeroes exactly the view's region (the `k == 0` product).
-fn zero_slab(dst: &mut SlabMut<'_>) {
-    let slab = dst.slab();
-    for i in slab.i0..slab.i1 {
-        dst.row(i, slab.j0, slab.j1 - slab.j0).fill(0.0);
-    }
+    run_packed(&mut dst, lhs, rhs, bp, scratch);
 }
 
 /// The packed register-tiled kernel.
 ///
 /// Loop structure (outer to inner): j-panels of `NR` columns → k-blocks
-/// of `kc` (rhs panel packed once per block, reused by every i-tile) →
+/// of [`KC`] (rhs panel packed once per block, reused by every i-tile) →
 /// i-tiles of `MR` rows (one-row tail). Accumulators live in a
 /// `[[f32; NR]; MR]` array; the first k-block stores them directly
 /// (never reading stale `dst`), later blocks reload and continue, so
@@ -365,22 +282,23 @@ fn run_packed(
     lhs: &[f32],
     rhs: Rhs<'_>,
     bp: &Blueprint,
-    kc_blk: usize,
     scratch: &mut Scratch,
 ) {
     let (m, k, n) = (bp.m, bp.k, bp.n);
+    let slab = dst.slab();
     if k == 0 {
-        zero_slab(dst);
+        for i in slab.i0..slab.i1 {
+            dst.row(i, slab.j0, slab.j1 - slab.j0).fill(0.0);
+        }
         return;
     }
-    let slab = dst.slab();
     // Lhs element (row, p) lives at row*rs + p*cs: row-major [m, k] for
     // Nn/Nt, column-walked [k, m] for Tn (the untransposed view).
     let (rs, cs) = match bp.op {
         Op::Tn => (1, m),
         Op::Nn | Op::Nt => (k, 1),
     };
-    let kc_blk = kc_blk.min(k).max(1);
+    let kc_blk = KC.min(k);
     // Ping-pong staging: two pooled panels, alternated per packed
     // block, so the pack of one panel never overwrites the lines the
     // previous block's tail tiles are still streaming from.
@@ -478,124 +396,6 @@ fn micro<const R: usize>(
     }
 }
 
-/// The packed-lhs `Tn` kernel: [`run_packed`]'s loop structure plus a
-/// one-time pre-pack of every full-`MR` lhs tile.
-///
-/// The `Tn` lhs is `at: [k, m]`, so the strided microkernel touches one
-/// cache line per element. Here the full-`MR` row tiles are packed once
-/// per call into `[kblock][tile][p][MR]` panels (each block padded to
-/// `kc_blk` reduction rows so the per-block stride is uniform; the
-/// padding is never read — every consumer stops at the block's true
-/// `kc`), and the microkernel walks them contiguously. `m % MR` tail
-/// rows keep the strided path. Reduction order is unchanged —
-/// k-blocks ascend and each accumulator is carried through `dst`
-/// between blocks — so results are bitwise-identical to
-/// [`Routine::Packed`].
-fn run_packed_lhs(
-    dst: &mut SlabMut<'_>,
-    lhs: &[f32],
-    rhs: &[f32],
-    bp: &Blueprint,
-    kc_blk: usize,
-    scratch: &mut Scratch,
-) {
-    debug_assert_eq!(bp.op, Op::Tn);
-    let (m, k, n) = (bp.m, bp.k, bp.n);
-    if k == 0 {
-        zero_slab(dst);
-        return;
-    }
-    let slab = dst.slab();
-    let kc_blk = kc_blk.min(k).max(1);
-    // Only this slab's rows are packed: tile t covers rows
-    // slab.i0 + t*MR .. + MR, so per-worker pack cost scales with the
-    // slab, not the full problem.
-    let tiles = (slab.i1 - slab.i0) / MR;
-    let kblocks = k.div_ceil(kc_blk);
-    let mut apack = scratch.take_any(kblocks * tiles * kc_blk * MR);
-    for kb in 0..kblocks {
-        let k0 = kb * kc_blk;
-        let kc = kc_blk.min(k - k0);
-        for t in 0..tiles {
-            let base = (kb * tiles + t) * kc_blk * MR;
-            for p in 0..kc {
-                let row = (k0 + p) * m + slab.i0 + t * MR;
-                apack[base + p * MR..base + (p + 1) * MR].copy_from_slice(&lhs[row..row + MR]);
-            }
-        }
-    }
-    let mut panels = [scratch.take_any(kc_blk * NR), scratch.take_any(kc_blk * NR)];
-    let mut which = 0usize;
-    let mut j = slab.j0;
-    while j < slab.j1 {
-        let jw = NR.min(slab.j1 - j);
-        let mut k0 = 0;
-        let mut kb = 0;
-        while k0 < k {
-            let kc = kc_blk.min(k - k0);
-            let panel = &mut panels[which];
-            which ^= 1;
-            // Tn rhs is row-major [k, n], same pack as Nn.
-            pack_rhs_n(panel, rhs, k0, kc, j, jw, n);
-            let first = k0 == 0;
-            for t in 0..tiles {
-                let apanel = &apack[(kb * tiles + t) * kc_blk * MR..][..kc * MR];
-                tile_lhs(dst, apanel, slab.i0 + t * MR, j, jw, kc, panel, first);
-            }
-            let mut i = slab.i0 + tiles * MR;
-            while i < slab.i1 {
-                tile::<1>(dst, lhs, 1, m, i, j, jw, k0, kc, panel, first);
-                i += 1;
-            }
-            k0 += kc;
-            kb += 1;
-        }
-        j += NR;
-    }
-    let [p0, p1] = panels;
-    scratch.recycle_vec(p0);
-    scratch.recycle_vec(p1);
-    scratch.recycle_vec(apack);
-}
-
-/// One `MR×NR` output tile against a packed `[p][MR]` lhs panel:
-/// [`tile`] with the strided lhs reads replaced by contiguous panel
-/// reads.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn tile_lhs(
-    dst: &mut SlabMut<'_>,
-    apanel: &[f32],
-    i: usize,
-    j: usize,
-    jw: usize,
-    kc: usize,
-    panel: &[f32],
-    first: bool,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    if !first {
-        for (mi, accm) in acc.iter_mut().enumerate() {
-            accm[..jw].copy_from_slice(dst.row(i + mi, j, jw));
-        }
-    }
-    for p in 0..kc {
-        let bpp = &panel[p * NR..(p + 1) * NR];
-        let app = &apanel[p * MR..(p + 1) * MR];
-        for (mi, accm) in acc.iter_mut().enumerate() {
-            let av = app[mi];
-            if av != 0.0 {
-                for (slot, &bv) in accm.iter_mut().zip(bpp) {
-                    *slot += av * bv;
-                }
-            }
-        }
-    }
-    for (mi, accm) in acc.iter().enumerate() {
-        dst.row(i + mi, j, jw).copy_from_slice(&accm[..jw]);
-    }
-}
-
 /// Packs a `kc×jw` slab of a row-major `[k, n]` rhs into `[kc][NR]`
 /// layout, zero-padding columns `jw..NR`.
 fn pack_rhs_n(panel: &mut [f32], b: &[f32], k0: usize, kc: usize, j: usize, jw: usize, n: usize) {
@@ -658,6 +458,7 @@ fn pack_cols_n(panel: &mut [f32], v: &ColsView<'_>, k0: usize, kc: usize, j: usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::gemm;
     use crate::reference::matmul_ikj;
     use procrustes_prng::{UniformRng, Xorshift64};
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -705,10 +506,24 @@ mod tests {
         matmul_ikj(&a, &b, m, k, n)
     }
 
+    /// Every op over ragged tiles and panels, and across the `KC`
+    /// block edge: `k = 129` and `k = 144` run as 128 + 1 and 128 + 16,
+    /// carrying each accumulator through `dst` between the blocks.
     #[test]
     fn every_supported_tile_matches_reference_bitwise() {
         let mut scratch = Scratch::new();
-        for &(m, k, n) in &[(5, 7, 17), (13, 21, 40), (4, 3, 16), (9, 33, 65), (1, 5, 3)] {
+        let shapes = [
+            (5, 7, 17),
+            (13, 21, 40),
+            (4, 3, 16),
+            (9, 33, 65),
+            (1, 5, 3),
+            (5, 127, 17),
+            (4, 128, 64),
+            (9, 129, 65),
+            (3, 144, 130),
+        ];
+        for &(m, k, n) in &shapes {
             for op in [Op::Nn, Op::Nt, Op::Tn] {
                 let bp = Blueprint {
                     m,
@@ -720,25 +535,23 @@ mod tests {
                 let lhs = sparse_mat(bp.lhs_len(), 0.5, (m * 31 + n) as u64);
                 let rhs = sparse_mat(bp.rhs_len(), 0.9, (k * 17 + n + 1) as u64);
                 let want = reference_for(&bp, &lhs, &rhs);
-                for kc in [4u16, 16, 256] {
-                    let mut routines = vec![Routine::Packed { kc }];
-                    if op == Op::Tn {
-                        routines.push(Routine::PackedLhs { kc });
-                    }
-                    for r in routines {
-                        let mut got = vec![f32::NAN; m * n];
-                        execute(r, &bp, &mut got, &lhs, &rhs, &mut scratch);
-                        assert_eq!(got, want, "{} op={}", r.describe(), op.tag());
-                    }
-                }
+                let mut got = vec![f32::NAN; m * n];
+                gemm(&bp, &mut got, &lhs, &rhs, &mut scratch);
+                assert!(
+                    got.iter()
+                        .zip(&want)
+                        .all(|(g, w)| g.to_bits() == w.to_bits()),
+                    "{} {m}x{k}x{n}",
+                    op.tag()
+                );
             }
         }
     }
 
     /// The fc2 products of a tiny-VGG step (`Nt 8×64×10` forward,
-    /// `Nn 8×10×64` backward-input, `Tn 10×8×64` weight update) and a
-    /// 4³ product per op: far narrower than one panel, through every
-    /// routine that serves the op.
+    /// `Nn 8×10×64` backward-input, `Tn 10×8×64` weight update), fc1's
+    /// weight update (`Tn 64×8×1024`) and a 4³ product per op: far
+    /// narrower than one panel, or a reduction over the batch alone.
     #[test]
     fn tiny_fc_products_match_reference() {
         let mut scratch = Scratch::new();
@@ -746,6 +559,7 @@ mod tests {
             Blueprint::nt(8, 64, 10),
             Blueprint::nn(8, 10, 64),
             Blueprint::tn(10, 8, 64),
+            Blueprint::tn(64, 8, 1024),
             Blueprint::nn(4, 4, 4),
             Blueprint::nt(4, 4, 4),
             Blueprint::tn(4, 4, 4),
@@ -754,21 +568,18 @@ mod tests {
             let lhs = sparse_mat(bp.lhs_len(), 0.4, 2 * seed as u64 + 3);
             let rhs = sparse_mat(bp.rhs_len(), 0.9, 2 * seed as u64 + 4);
             let want = reference_for(bp, &lhs, &rhs);
-            for r in crate::kernel::autotune::candidates().filter(|r| r.supports(bp)) {
-                let mut got = vec![f32::NAN; bp.m * bp.n];
-                execute(r, bp, &mut got, &lhs, &rhs, &mut scratch);
-                assert!(
-                    got.iter()
-                        .zip(&want)
-                        .all(|(g, w)| g.to_bits() == w.to_bits()),
-                    "{} {}x{}x{} via {}",
-                    bp.op.tag(),
-                    bp.m,
-                    bp.k,
-                    bp.n,
-                    r.describe()
-                );
-            }
+            let mut got = vec![f32::NAN; bp.m * bp.n];
+            gemm(bp, &mut got, &lhs, &rhs, &mut scratch);
+            assert!(
+                got.iter()
+                    .zip(&want)
+                    .all(|(g, w)| g.to_bits() == w.to_bits()),
+                "{} {}x{}x{}",
+                bp.op.tag(),
+                bp.m,
+                bp.k,
+                bp.n
+            );
         }
     }
 
@@ -777,8 +588,7 @@ mod tests {
         let mut scratch = Scratch::new();
         let bp = Blueprint::nn(3, 0, 5);
         let mut dst = vec![f32::NAN; 15];
-        let r = Routine::Packed { kc: 256 };
-        execute(r, &bp, &mut dst, &[], &[], &mut scratch);
+        gemm(&bp, &mut dst, &[], &[], &mut scratch);
         assert_eq!(dst, vec![0.0; 15]);
     }
 
@@ -832,44 +642,14 @@ mod tests {
         let nn = Blueprint::nn(2, 2, 2);
         let lhs = [1.0f32, 0.0, 0.0, 1.0];
         let full = SlabMut::full(&nn, &mut dst);
-        execute_slab(
-            Routine::Packed { kc: 128 },
-            &nn,
-            full,
-            &lhs,
-            Rhs::Cols(view),
-            &mut scratch,
-        );
+        execute_slab(&nn, full, &lhs, Rhs::Cols(view), &mut scratch);
         assert_eq!(dst, [1.0, 2.0, 2.0, 3.0]);
         for bp in [Blueprint::nt(2, 2, 2), Blueprint::tn(2, 2, 2)] {
             let refused = catch_unwind(AssertUnwindSafe(|| {
                 let full = SlabMut::full(&bp, &mut dst);
-                execute_slab(
-                    Routine::Packed { kc: 128 },
-                    &bp,
-                    full,
-                    &lhs,
-                    Rhs::Cols(view),
-                    &mut scratch,
-                );
+                execute_slab(&bp, full, &lhs, Rhs::Cols(view), &mut scratch);
             }));
             assert!(refused.is_err(), "a view fed a {} product", bp.op.tag());
-        }
-    }
-
-    #[test]
-    fn supports_gates_routines_on_op_and_tile() {
-        let all = [
-            Blueprint::nn(4, 4, 4),
-            Blueprint::nt(4, 4, 4),
-            Blueprint::tn(4, 4, 4),
-        ];
-        for bp in &all {
-            let tn = bp.op == Op::Tn;
-            assert!(Routine::Packed { kc: 128 }.supports(bp));
-            assert_eq!(Routine::PackedLhs { kc: 128 }.supports(bp), tn);
-            assert!(!Routine::Packed { kc: 0 }.supports(bp));
-            assert!(!Routine::PackedLhs { kc: 0 }.supports(bp));
         }
     }
 }

@@ -1,54 +1,51 @@
 //! The selector layer: maps a [`Blueprint`] to the [`Plan`] that
-//! serves it — a [`Routine`] plus the worker count to run it at.
+//! serves it — the worker count to run the one packed kernel at.
 //!
 //! Every plan comes from the cost model: [`autotune::best_plan`] ranks
-//! every candidate routine crossed with every feasible worker count on
-//! the problem's real extents and worker budget, including the
-//! per-dispatch overhead charge that keeps small products serial. The
-//! ranking is integer arithmetic over at most four routines and four
+//! every feasible worker count on the problem's real extents and worker
+//! budget, including the per-dispatch overhead charge that keeps small
+//! products serial. The ranking is integer arithmetic over at most four
 //! worker counts (well under a microsecond) and allocates nothing.
 //!
 //! `select` is a pure function of the blueprint — same key (extents,
 //! layout, worker budget), same plan, on every call and
-//! every machine — which is what makes benchmark attribution (routine,
-//! tier, and worker count recorded per shape) and the bit-for-bit
-//! equality tests meaningful. The *tier* never affects result bytes,
-//! only wall-clock: see [`super::thread`].
+//! every machine — which is what makes benchmark attribution (tier and
+//! worker count recorded per shape) and the bit-for-bit equality tests
+//! meaningful. The *tier* never affects result bytes, only wall-clock:
+//! see [`super::thread`].
 
 use super::autotune;
 use super::blueprint::Blueprint;
-use super::routine::Routine;
+use super::routine::{KC, MR, NR};
 
-/// A resolved execution plan: which kernel, and how many workers run
-/// it (`1` = the serial tier).
+/// A resolved execution plan: how many workers run the kernel (`1` =
+/// the serial tier).
 ///
 /// The worker count is already clamped to what the shape can feed
 /// ([`effective_workers`](super::thread::effective_workers)), so
 /// `workers > 1` is executable as is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Plan {
-    /// The kernel to run.
-    pub routine: Routine,
     /// Total threads computing the product, including the caller.
     pub workers: usize,
 }
 
 impl Plan {
-    /// Human-readable tag for benchmark attribution, e.g.
+    /// Human-readable tag for benchmark attribution:
     /// `packed-2x64/kc128@serial` or `packed-2x64/kc128@threadedx4`.
     pub fn describe(&self) -> String {
-        let routine = self.routine.describe();
+        let kernel = format!("packed-{MR}x{NR}/kc{KC}");
         if self.workers > 1 {
-            format!("{routine}@threadedx{}", self.workers)
+            format!("{kernel}@threadedx{}", self.workers)
         } else {
-            format!("{routine}@serial")
+            format!("{kernel}@serial")
         }
     }
 }
 
 /// Chooses the plan for a blueprint. Pure and deterministic; a product
 /// whose rhs is a [`ColsView`](super::cols::ColsView) gets the same
-/// plan as over the unfolded matrix, since `Packed` reads either
+/// plan as over the unfolded matrix, since the kernel reads either
 /// through its pack step.
 pub fn select(bp: &Blueprint) -> Plan {
     autotune::best_plan(bp)
@@ -66,6 +63,9 @@ mod tests {
     use super::super::blueprint::Op;
     use super::super::thread;
     use super::*;
+
+    /// The tag of the one kernel every plan runs.
+    const KERNEL: &str = "packed-2x64/kc128";
 
     /// A 64-unit product at a budget of 8 could split eight ways; the
     /// dispatch charge alone keeps it serial.
@@ -86,39 +86,39 @@ mod tests {
 
     /// Golden plans for every GEMM one tiny-VGG batch-8 training step
     /// issues (13 conv, 6 fc) plus the three benchmark GEMM shapes: the
-    /// routine, and the worker count at budgets 1/2/4/8. These are the
-    /// products the benchmark times, so a cost-model or candidate-list
-    /// change that moves one must update this table on purpose.
+    /// worker count at budgets 1/2/4/8. These are the products the
+    /// benchmark times, so a cost-model change that moves one must
+    /// update this table on purpose.
     #[test]
     fn step_and_benchmark_shapes_keep_their_recorded_plans() {
-        /// `(op, m, k, n, routine, workers at budgets 1/2/4/8)`.
-        type Golden = (Op, usize, usize, usize, &'static str, [usize; 4]);
+        /// `(op, m, k, n, workers at budgets 1/2/4/8)`.
+        type Golden = (Op, usize, usize, usize, [usize; 4]);
         #[rustfmt::skip]
         let golden: &[Golden] = &[
-            (Op::Nn, 16, 27, 8192, "packed-2x64/kc128", [1, 2, 4, 8]),
-            (Op::Nt, 16, 8192, 27, "packed-2x64/kc128", [1, 1, 1, 1]),
-            (Op::Nn, 3, 144, 8192, "packed-2x64/kc256", [1, 2, 4, 8]),
-            (Op::Nn, 16, 144, 8192, "packed-2x64/kc256", [1, 2, 4, 8]),
-            (Op::Nt, 16, 8192, 144, "packed-2x64/kc128", [1, 2, 3, 3]),
-            (Op::Nn, 32, 144, 2048, "packed-2x64/kc256", [1, 2, 4, 8]),
-            (Op::Nt, 32, 2048, 144, "packed-2x64/kc128", [1, 2, 3, 3]),
-            (Op::Nn, 16, 288, 2048, "packed-2x64/kc128", [1, 2, 4, 8]),
-            (Op::Nn, 32, 288, 2048, "packed-2x64/kc128", [1, 2, 4, 8]),
-            (Op::Nt, 32, 2048, 288, "packed-2x64/kc128", [1, 2, 4, 5]),
-            (Op::Nn, 64, 288, 512, "packed-2x64/kc128", [1, 2, 4, 8]),
-            (Op::Nt, 64, 512, 288, "packed-2x64/kc128", [1, 2, 4, 5]),
-            (Op::Nn, 32, 576, 512, "packed-2x64/kc128", [1, 2, 4, 8]),
-            (Op::Nt, 8, 1024, 64, "packed-2x64/kc128", [1, 1, 1, 1]),
-            (Op::Tn, 64, 8, 1024, "packed-lhs-2x64/kc128", [1, 1, 1, 1]),
-            (Op::Nn, 8, 64, 1024, "packed-2x64/kc128", [1, 1, 1, 1]),
-            (Op::Nt, 8, 64, 10, "packed-2x64/kc128", [1, 1, 1, 1]),
-            (Op::Tn, 10, 8, 64, "packed-2x64/kc128", [1, 1, 1, 1]),
-            (Op::Nn, 8, 10, 64, "packed-2x64/kc128", [1, 1, 1, 1]),
-            (Op::Nn, 64, 288, 2048, "packed-2x64/kc128", [1, 2, 4, 8]),
-            (Op::Nn, 256, 256, 256, "packed-2x64/kc128", [1, 2, 4, 4]),
-            (Op::Nn, 64, 576, 512, "packed-2x64/kc128", [1, 2, 4, 8]),
+            (Op::Nn, 16, 27, 8192, [1, 2, 4, 8]),
+            (Op::Nt, 16, 8192, 27, [1, 1, 1, 1]),
+            (Op::Nn, 3, 144, 8192, [1, 2, 4, 8]),
+            (Op::Nn, 16, 144, 8192, [1, 2, 4, 8]),
+            (Op::Nt, 16, 8192, 144, [1, 2, 3, 3]),
+            (Op::Nn, 32, 144, 2048, [1, 2, 4, 8]),
+            (Op::Nt, 32, 2048, 144, [1, 2, 3, 3]),
+            (Op::Nn, 16, 288, 2048, [1, 2, 4, 8]),
+            (Op::Nn, 32, 288, 2048, [1, 2, 4, 8]),
+            (Op::Nt, 32, 2048, 288, [1, 2, 4, 5]),
+            (Op::Nn, 64, 288, 512, [1, 2, 4, 8]),
+            (Op::Nt, 64, 512, 288, [1, 2, 4, 5]),
+            (Op::Nn, 32, 576, 512, [1, 2, 4, 8]),
+            (Op::Nt, 8, 1024, 64, [1, 1, 1, 1]),
+            (Op::Tn, 64, 8, 1024, [1, 1, 1, 1]),
+            (Op::Nn, 8, 64, 1024, [1, 1, 1, 1]),
+            (Op::Nt, 8, 64, 10, [1, 1, 1, 1]),
+            (Op::Tn, 10, 8, 64, [1, 1, 1, 1]),
+            (Op::Nn, 8, 10, 64, [1, 1, 1, 1]),
+            (Op::Nn, 64, 288, 2048, [1, 2, 4, 8]),
+            (Op::Nn, 256, 256, 256, [1, 2, 4, 4]),
+            (Op::Nn, 64, 576, 512, [1, 2, 4, 8]),
         ];
-        for &(op, m, k, n, routine, workers) in golden {
+        for &(op, m, k, n, workers) in golden {
             for (budget, w) in [1, 2, 4, 8].into_iter().zip(workers) {
                 let bp = Blueprint {
                     m,
@@ -128,8 +128,8 @@ mod tests {
                     threads: budget,
                 };
                 let want = match w {
-                    1 => format!("{routine}@serial"),
-                    _ => format!("{routine}@threadedx{w}"),
+                    1 => format!("{KERNEL}@serial"),
+                    _ => format!("{KERNEL}@threadedx{w}"),
                 };
                 assert_eq!(
                     explain(&bp).0.describe(),
@@ -146,24 +146,24 @@ mod tests {
     /// layer; the first layer's backward-input only runs when its `dx`
     /// is asked for; the weight update is the pack-free tap kernel of
     /// `conv.rs`, not a GEMM). A view gets the extents' own plan: the
-    /// routine reads it through its pack step.
+    /// kernel reads it through its pack step.
     #[test]
     fn view_fed_conv_products_keep_their_recorded_plans() {
-        type Golden = (Op, usize, usize, usize, &'static str, [usize; 4]);
+        type Golden = (Op, usize, usize, usize, [usize; 4]);
         #[rustfmt::skip]
         let golden: &[Golden] = &[
-            (Op::Nn, 16, 27, 8192, "packed-2x64/kc128", [1, 2, 4, 8]),
-            (Op::Nn, 16, 144, 8192, "packed-2x64/kc256", [1, 2, 4, 8]),
-            (Op::Nn, 32, 144, 2048, "packed-2x64/kc256", [1, 2, 4, 8]),
-            (Op::Nn, 32, 288, 2048, "packed-2x64/kc128", [1, 2, 4, 8]),
-            (Op::Nn, 64, 288, 512, "packed-2x64/kc128", [1, 2, 4, 8]),
-            (Op::Nn, 3, 144, 8192, "packed-2x64/kc256", [1, 2, 4, 8]),
-            (Op::Nn, 16, 144, 8192, "packed-2x64/kc256", [1, 2, 4, 8]),
-            (Op::Nn, 16, 288, 2048, "packed-2x64/kc128", [1, 2, 4, 8]),
-            (Op::Nn, 32, 288, 2048, "packed-2x64/kc128", [1, 2, 4, 8]),
-            (Op::Nn, 32, 576, 512, "packed-2x64/kc128", [1, 2, 4, 8]),
+            (Op::Nn, 16, 27, 8192, [1, 2, 4, 8]),
+            (Op::Nn, 16, 144, 8192, [1, 2, 4, 8]),
+            (Op::Nn, 32, 144, 2048, [1, 2, 4, 8]),
+            (Op::Nn, 32, 288, 2048, [1, 2, 4, 8]),
+            (Op::Nn, 64, 288, 512, [1, 2, 4, 8]),
+            (Op::Nn, 3, 144, 8192, [1, 2, 4, 8]),
+            (Op::Nn, 16, 144, 8192, [1, 2, 4, 8]),
+            (Op::Nn, 16, 288, 2048, [1, 2, 4, 8]),
+            (Op::Nn, 32, 288, 2048, [1, 2, 4, 8]),
+            (Op::Nn, 32, 576, 512, [1, 2, 4, 8]),
         ];
-        for &(op, m, k, n, routine, workers) in golden {
+        for &(op, m, k, n, workers) in golden {
             for (budget, w) in [1, 2, 4, 8].into_iter().zip(workers) {
                 let bp = Blueprint {
                     m,
@@ -173,8 +173,8 @@ mod tests {
                     threads: budget,
                 };
                 let want = match w {
-                    1 => format!("{routine}@serial"),
-                    _ => format!("{routine}@threadedx{w}"),
+                    1 => format!("{KERNEL}@serial"),
+                    _ => format!("{KERNEL}@threadedx{w}"),
                 };
                 assert_eq!(
                     select(&bp).describe(),
@@ -247,10 +247,15 @@ mod tests {
         }
     }
 
+    /// Huge m and n over k = 2, far from every pinned shape, still get
+    /// an executable plan on the one kernel.
     #[test]
     fn skinny_reductions_get_a_supported_plan() {
-        // Huge m and n over k = 2: far from every pinned shape.
-        let bp = Blueprint::nn(4096, 2, 4096);
-        assert!(select(&bp).routine.supports(&bp));
+        for budget in [1, 8] {
+            let bp = Blueprint::nn(4096, 2, 4096).with_threads(budget);
+            let plan = select(&bp);
+            assert_eq!(plan.workers, thread::effective_workers(&bp, plan.workers));
+            assert!(plan.describe().starts_with(KERNEL), "{}", plan.describe());
+        }
     }
 }

@@ -44,7 +44,7 @@
 //! yields row segments inside that chunk and nothing else.
 
 use super::blueprint::Blueprint;
-use super::routine::{execute_slab, Rhs, Routine, Slab, SlabDeal, MR, NR};
+use super::routine::{execute_slab, Rhs, Slab, SlabDeal, MR, NR};
 use crate::pool;
 use crate::scratch::Scratch;
 use std::ops::Range;
@@ -229,7 +229,7 @@ pub(crate) fn chunk(bp: &Blueprint, workers: usize, idx: usize) -> Slab {
     }
 }
 
-/// Runs `routine` on `bp` across `workers` threads (the caller plus
+/// Runs the packed kernel on `bp` across `workers` threads (the caller plus
 /// `workers - 1` pool helpers), bitwise-identically to the serial tier.
 ///
 /// Worker `idx` claims the view of chunk `idx` from a [`SlabDeal`] over
@@ -245,7 +245,6 @@ pub(crate) fn chunk(bp: &Blueprint, workers: usize, idx: usize) -> Slab {
 /// `bp` — the selector never produces such a plan — or if a slice
 /// length disagrees with the blueprint.
 pub(crate) fn run(
-    routine: Routine,
     bp: &Blueprint,
     workers: usize,
     dst: &mut [f32],
@@ -262,7 +261,7 @@ pub(crate) fn run(
     );
     let deal = SlabDeal::new(bp, workers, dst);
     pool::run(workers, scratch, &|idx, scratch| {
-        execute_slab(routine, bp, deal.claim(idx), lhs, rhs, scratch);
+        execute_slab(bp, deal.claim(idx), lhs, rhs, scratch);
     });
 }
 
@@ -385,17 +384,15 @@ mod tests {
 
     #[test]
     fn threaded_run_matches_serial_bitwise() {
-        let routine = Routine::Packed { kc: 128 };
         let bp = Blueprint::nn(48, 96, 640);
         let lhs: Vec<f32> = (0..bp.lhs_len()).map(|i| (i as f32).sin()).collect();
         let rhs: Vec<f32> = (0..bp.rhs_len()).map(|i| (i as f32).cos()).collect();
         let mut scratch = Scratch::new();
         let mut serial = vec![f32::NAN; bp.m * bp.n];
-        super::super::routine::execute(routine, &bp, &mut serial, &lhs, &rhs, &mut scratch);
+        super::super::gemm(&bp, &mut serial, &lhs, &rhs, &mut scratch);
         for workers in 2..=4 {
             let mut threaded = vec![f32::NAN; bp.m * bp.n];
             run(
-                routine,
                 &bp,
                 workers,
                 &mut threaded,

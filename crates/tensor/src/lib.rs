@@ -8,8 +8,9 @@
 //!   elementwise ops, axis reductions, and [`Tensor::matmul`];
 //! * the [`kernel`] subsystem — the layered GEMM stack (blueprint →
 //!   selector → routine) every dense training kernel routes through:
-//!   register-tiled microkernels over packed panels, chosen per problem
-//!   shape by a deterministic cost model, with a documented
+//!   one register-tiled microkernel over packed panels, its worker
+//!   count chosen per problem shape by a deterministic cost model, with
+//!   a documented
 //!   accumulation-order contract (see the [`kernel`] module docs) that
 //!   keeps results exactly equal to the naive seed loops in
 //!   [`mod@reference`] and to the CSB sparse kernels;

@@ -205,7 +205,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the shapes differ.
-    pub fn zip_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Self {
+    fn zip_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Self {
         self.assert_same_shape(other, "zip_with");
         Self {
             shape: self.shape.clone(),
