@@ -1,11 +1,20 @@
-//! A `#[test]`-based performance guard for the evaluation engine: runs a
-//! Fig 17–20-class sweep single- and multi-threaded and asserts the
-//! parallel path is not slower. Runs under plain `cargo test`.
+//! `#[test]`-based performance guards for the evaluation engine: a
+//! Fig 17–20-class sweep single- and multi-threaded, cold and warm, where
+//! the parallel path must not be slower. Runs under plain `cargo test`;
+//! the wall-clock assertions hold in optimized builds only.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use procrustes_core::{Engine, SparsityGen, Sweep, PAPER_NETWORKS};
+use procrustes_core::{Engine, Fidelity, SparsityGen, Sweep, PAPER_NETWORKS};
 use procrustes_sim::Mapping;
+
+/// Held by each test for its whole run: both time the engine on the one
+/// worker pool, so they must not overlap.
+fn timing() -> MutexGuard<'static, ()> {
+    static TIMING: Mutex<()> = Mutex::new(());
+    TIMING.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn sweep_wall_clock(engine: &Engine, scenarios: &[procrustes_core::Scenario]) -> Duration {
     let start = Instant::now();
@@ -19,6 +28,7 @@ fn sweep_wall_clock(engine: &Engine, scenarios: &[procrustes_core::Scenario]) ->
 /// (bounded below); on ≥4 cores it must win outright.
 #[test]
 fn parallel_sweep_is_not_slower_than_serial() {
+    let _timing = timing();
     let scenarios = Sweep::new()
         .networks(PAPER_NETWORKS)
         .mappings(Mapping::ALL)
@@ -58,6 +68,60 @@ fn parallel_sweep_is_not_slower_than_serial() {
         assert!(
             parallel < serial,
             "with {cores} cores the parallel sweep ({parallel:?}) must beat serial ({serial:?})"
+        );
+    }
+}
+
+/// The memo-lock guard: a warm pass of the Fig 17–20 grid (both
+/// fidelities, 80 scenarios) is answered from the layer-cost cache alone,
+/// so its workers only read the memo. With reads taken shared they run
+/// side by side, and two or more workers must beat one; a lock that
+/// serialises every lookup makes the parallel pass the slower one.
+#[test]
+fn warm_parallel_sweep_beats_serial() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let _timing = timing();
+    let scenarios = Sweep::new()
+        .networks(PAPER_NETWORKS)
+        .mappings(Mapping::ALL)
+        .sparsities([SparsityGen::Dense, SparsityGen::PaperSynthetic { seed: 1 }])
+        .fidelities(Fidelity::ALL)
+        .build()
+        .expect("figure grid is valid");
+    assert_eq!(scenarios.len(), 80);
+
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let threads = cores.max(2);
+    let engines = [Engine::with_threads(1), Engine::with_threads(threads)];
+    for engine in &engines {
+        sweep_wall_clock(engine, &scenarios); // the cold pass fills the memo
+    }
+    // Alternate the two engines pass by pass, so host drift falls on both.
+    const PASSES: usize = 61;
+    let mut times = [Vec::new(), Vec::new()];
+    for _ in 0..PASSES {
+        for (engine, times) in engines.iter().zip(&mut times) {
+            times.push(sweep_wall_clock(engine, &scenarios));
+        }
+    }
+    let [serial, parallel] = times.map(|mut t| {
+        t.sort_unstable();
+        t[PASSES / 2]
+    });
+    println!("warm pass, median of {PASSES}: serial {serial:?}, parallel({threads}) {parallel:?}");
+    for engine in &engines {
+        assert_eq!(
+            engine.memo_stats().sets_resolved,
+            10,
+            "the warm passes resolved a set"
+        );
+    }
+    if cores >= 2 {
+        assert!(
+            parallel < serial,
+            "with {cores} cores the warm parallel pass ({parallel:?}) must beat serial ({serial:?})"
         );
     }
 }

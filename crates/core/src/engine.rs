@@ -55,7 +55,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use procrustes_sim::{
     evaluate_layer_summarized, ArchConfig, BalanceMode, CostSummary, Fidelity, LayerCost,
@@ -130,10 +130,11 @@ fn layer_of(key: &CacheKey) -> LayerId {
 
 /// The part of a [`CacheKey`] that comes from one resolved workload,
 /// plus the label to put back on a hit: all the engine keeps of a mask
-/// set once the call that synthesised it has returned.
+/// set once the call that synthesised it has returned. The label is
+/// shared with every cost the engine hands out for the layer.
 #[derive(Clone)]
 struct LayerKey {
-    name: String,
+    name: Arc<str>,
     task_fp: u64,
     sp_fp: u64,
 }
@@ -152,7 +153,7 @@ fn summarize(workloads: &[(LayerTask, SparsityInfo)]) -> (Vec<LayerKey>, Vec<Mas
         .map(|(task, sp)| {
             let (summary, sp_fp) = MaskSummary::with_fingerprint(task, sp);
             let key = LayerKey {
-                name: task.name.clone(),
+                name: task.name.as_str().into(),
                 task_fp: task.fingerprint(),
                 sp_fp,
             };
@@ -201,14 +202,19 @@ impl<'a> EvalPoint<'a> {
 }
 
 /// A cached cost under the label of the layer that asked for it (the
-/// cache key excludes the label).
-fn relabelled(cached: &LayerCost, name: &str) -> LayerCost {
-    let mut cost = cached.clone();
-    name.clone_into(&mut cost.name);
-    cost
+/// cache key excludes the label). Copies no heap data: the name and the
+/// wave overheads are shared with `cached` and `name`.
+fn relabelled(cached: &LayerCost, name: &Arc<str>) -> LayerCost {
+    LayerCost {
+        name: Arc::clone(name),
+        ..cached.clone()
+    }
 }
 
-/// Everything an [`Engine`] remembers between calls, under one lock.
+/// Everything an [`Engine`] remembers between calls, behind one
+/// reader–writer lock. Reading it ([`Memo::cost`], the generator list)
+/// mutates nothing, so lookups take the lock shared and run side by
+/// side; only [`Memo::insert`] and [`Memo::remember`] take it exclusive.
 #[derive(Default)]
 struct Memo {
     /// The layer-cost cache: the single source of every memoized result,
@@ -382,9 +388,12 @@ struct GroupState<'e> {
 ///    generator before, it still knows the layer-cost cache keys of its
 ///    layers.
 /// 2. **Layer-cost probe** — with those keys, every `(layer, phase)` of
-///    the scenario is looked up in the layer-cost cache under one lock
-///    acquisition. If all are there, the result is assembled from them:
-///    no mask is synthesised and nothing is fingerprinted.
+///    the scenario is looked up in the layer-cost cache under one shared
+///    (read) acquisition of the memo lock, so workers probing at once do
+///    not queue behind each other. If all are there, the result is
+///    assembled from them: no mask is synthesised, nothing is
+///    fingerprinted, and each cost is a clone that shares its name and
+///    wave overheads with the cached entry.
 /// 3. **Group resolve** — otherwise the workloads are resolved, once per
 ///    generator key per [`Engine::run_all`] call: scenarios with equal
 ///    keys form a group that shares one set. Groups are opened costliest
@@ -427,7 +436,7 @@ struct GroupState<'e> {
 /// their content instead of a generator and always take steps 3–4.
 pub struct Engine {
     opts: EngineOpts,
-    memo: Mutex<Memo>,
+    memo: RwLock<Memo>,
     counters: Counters,
 }
 
@@ -453,7 +462,7 @@ impl Engine {
     pub fn new(opts: EngineOpts) -> Self {
         Self {
             opts,
-            memo: Mutex::default(),
+            memo: RwLock::default(),
             counters: Counters::default(),
         }
     }
@@ -471,8 +480,12 @@ impl Engine {
         })
     }
 
-    fn memo(&self) -> MutexGuard<'_, Memo> {
-        self.memo.lock().expect("no panic under the memo lock")
+    fn memo(&self) -> RwLockReadGuard<'_, Memo> {
+        self.memo.read().expect("no panic under the memo lock")
+    }
+
+    fn memo_mut(&self) -> RwLockWriteGuard<'_, Memo> {
+        self.memo.write().expect("no panic under the memo lock")
     }
 
     /// Number of distinct layer×phase costs currently memoized.
@@ -679,7 +692,7 @@ impl Engine {
         let live = c.live_sets.fetch_add(1, Ordering::Relaxed) + 1;
         c.peak_live_sets.fetch_max(live, Ordering::Relaxed);
         if let Some(key) = &group.key {
-            self.memo().remember(key, &keys);
+            self.memo_mut().remember(key, &keys);
         }
         let set = Arc::new(Resolved {
             network: net.name,
@@ -731,9 +744,10 @@ impl Engine {
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
                 layers.push(hit.unwrap_or_else(|| {
-                    let fresh = compute();
+                    let mut fresh = compute();
+                    fresh.name = Arc::clone(&key.name);
                     if let Some(k) = cache_key {
-                        self.memo().insert(k, fresh.clone());
+                        self.memo_mut().insert(k, fresh.clone());
                     }
                     fresh
                 }));

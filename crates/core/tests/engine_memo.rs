@@ -10,6 +10,7 @@ use procrustes_core::{
     ScenarioBuilder, SparsityGen, Sweep, PAPER_NETWORKS,
 };
 use procrustes_sim::{LayerTask, Mapping, SparsityInfo};
+use std::sync::Arc;
 
 /// The Fig 17–20 grid at both fidelities over `networks`: per network
 /// two generators (dense, synthetic masks) × 2 fidelities × 4 mappings.
@@ -102,6 +103,47 @@ fn the_figure_grid_synthesises_each_mask_set_once_and_none_when_warm() {
         assert_eq!(engine.cached_layer_costs(), entries);
         assert_eq!(warm, cold);
     }
+}
+
+#[test]
+fn warm_hits_share_each_cached_layer_instead_of_copying_it() {
+    // Tile-timed only, so every layer carries its wave overheads.
+    let scenarios = Sweep::new()
+        .networks(["DenseNet", "ResNet18"])
+        .mappings(Mapping::ALL)
+        .sparsities([SparsityGen::Dense, SparsityGen::PaperSynthetic { seed: 5 }])
+        .fidelities([Fidelity::TileTimed])
+        .build()
+        .unwrap();
+    let expected = Engine::new(EngineOpts {
+        threads: 1,
+        memoize: false,
+    })
+    .run_all(&scenarios)
+    .unwrap();
+    let engine = Engine::with_threads(2);
+    assert_eq!(engine.run_all(&scenarios).unwrap(), expected, "cold");
+    let after_cold = engine.memo_stats();
+    let first = engine.run_all(&scenarios).unwrap();
+    let second = engine.run_all(&scenarios).unwrap();
+    let passes = since(&engine, after_cold);
+    assert_eq!(passes.layer_misses, 0, "both passes are warm");
+    assert_eq!(passes.scenarios_assembled, 2 * scenarios.len() as u64);
+    assert_eq!(first, expected);
+    assert_eq!(second, expected);
+    let mut overheads = 0;
+    for (a, b) in first.iter().zip(&second) {
+        for (x, y) in a.cost.layers.iter().zip(&b.cost.layers) {
+            let ctx = format!("{} {} {:?}", a.scenario.network, x.name, x.phase);
+            assert!(Arc::ptr_eq(&x.name, &y.name), "name copied: {ctx}");
+            assert!(
+                Arc::ptr_eq(&x.wave_overheads, &y.wave_overheads),
+                "wave overheads copied: {ctx}"
+            );
+            overheads += x.wave_overheads.len();
+        }
+    }
+    assert!(overheads > 0, "the grid collected no wave overheads");
 }
 
 #[test]

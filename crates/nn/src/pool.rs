@@ -65,13 +65,14 @@ impl Layer for MaxPool2d {
             for ci in 0..c {
                 for pi in 0..p {
                     for qi in 0..q {
+                        let corner = ((ni * c + ci) * h + pi * self.stride) * w + qi * self.stride;
+                        // A window with no value above −∞ (all −∞ or NaN)
+                        // routes its gradient to its own first element.
                         let mut best = f32::NEG_INFINITY;
-                        let mut best_off = 0;
+                        let mut best_off = corner;
                         for ri in 0..self.kernel {
                             for si in 0..self.kernel {
-                                let off = ((ni * c + ci) * h + pi * self.stride + ri) * w
-                                    + qi * self.stride
-                                    + si;
+                                let off = corner + ri * w + si;
                                 if xd[off] > best {
                                     best = xd[off];
                                     best_off = off;
@@ -187,6 +188,21 @@ mod tests {
         assert_eq!(y.data(), &[5.0]);
         let dx = pool.backward(&Tensor::from_vec(&[1, 1, 1, 1], vec![7.0]));
         assert_eq!(dx.data(), &[0.0, 7.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn maxpool_routes_an_all_neg_infinity_window_inside_itself() {
+        // Two 2×2 windows side by side; the second holds only −∞ and NaN.
+        let mut pool = MaxPool2d::new(2, 2);
+        let ninf = f32::NEG_INFINITY;
+        let x = Tensor::from_vec(
+            &[1, 1, 2, 4],
+            vec![1.0, 2.0, ninf, f32::NAN, 3.0, 4.0, ninf, ninf],
+        );
+        let y = pool.forward(&x, true);
+        assert_eq!(y.data(), &[4.0, ninf]);
+        let dx = pool.backward(&Tensor::from_vec(&[1, 1, 1, 2], vec![5.0, 7.0]));
+        assert_eq!(dx.data(), &[0.0, 0.0, 7.0, 0.0, 0.0, 5.0, 0.0, 0.0]);
     }
 
     #[test]

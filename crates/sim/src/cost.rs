@@ -1,6 +1,7 @@
 //! Cost types produced by the model.
 
 use std::ops::{Add, AddAssign};
+use std::sync::Arc;
 
 use crate::{Fidelity, Mapping, Phase};
 
@@ -50,10 +51,15 @@ impl AddAssign for EnergyBreakdown {
 }
 
 /// The evaluated cost of one layer × one phase under one mapping.
+///
+/// Its two heap fields are shared, not owned: a clone bumps two reference
+/// counts and copies no name or overhead, so a memoized cost can be
+/// handed out any number of times at the price of the plain fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerCost {
-    /// Layer name (from the task).
-    pub name: String,
+    /// Layer name (from the task); shared with every clone of this cost
+    /// and, in a memoizing engine, with the layer's cache key.
+    pub name: Arc<str>,
     /// Training phase evaluated.
     pub phase: Phase,
     /// Mapping used.
@@ -81,8 +87,10 @@ pub struct LayerCost {
     /// shorter compute-only window.
     pub utilization: f64,
     /// Load-imbalance overhead of each full-PE-array working set
-    /// (`max/mean − 1`; the data behind Figs 5 and 13).
-    pub wave_overheads: Vec<f32>,
+    /// (`max/mean − 1`; the data behind Figs 5 and 13). Collected only
+    /// under [`Fidelity::TileTimed`] (empty otherwise), built once per
+    /// computed cost and shared by every clone of it.
+    pub wave_overheads: Arc<[f32]>,
     /// Words moved through the GLB.
     pub glb_words: u64,
     /// Words moved through DRAM.
@@ -98,8 +106,6 @@ pub struct CostSummary {
     pub cycles: u64,
     /// Total MACs.
     pub macs: u64,
-    /// All collected working-set overheads.
-    pub wave_overheads: Vec<f32>,
 }
 
 impl CostSummary {
@@ -113,7 +119,6 @@ impl CostSummary {
         self.energy += cost.energy;
         self.cycles += cost.cycles;
         self.macs += cost.macs;
-        self.wave_overheads.extend_from_slice(&cost.wave_overheads);
     }
 
     /// Total energy in joules.
@@ -152,7 +157,7 @@ mod tests {
                 ..EnergyBreakdown::default()
             },
             utilization: 1.0,
-            wave_overheads: vec![0.1],
+            wave_overheads: Arc::from([0.1]),
             glb_words: 0,
             dram_words: 0,
         }
@@ -176,6 +181,5 @@ mod tests {
         assert_eq!(summary.macs, 30);
         assert_eq!(summary.cycles, 12);
         assert_eq!(summary.energy_j(), 3.0);
-        assert_eq!(summary.wave_overheads.len(), 2);
     }
 }

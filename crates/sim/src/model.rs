@@ -180,7 +180,7 @@ pub fn evaluate_layer_summarized(
     let utilization = macs as f64 / (cycles.max(1) as f64 * arch.pes() as f64);
 
     LayerCost {
-        name: task.name.clone(),
+        name: task.name.as_str().into(),
         phase,
         mapping,
         fidelity,
@@ -191,7 +191,7 @@ pub fn evaluate_layer_summarized(
         dram_cycles,
         energy,
         utilization: utilization.min(1.0),
-        wave_overheads,
+        wave_overheads: wave_overheads.into(),
         glb_words: traffic.glb_words,
         dram_words: traffic.dram_words,
     }

@@ -1,7 +1,7 @@
 //! The kernel subsystem's zero-allocation contract: packed-B panels
 //! live in [`Scratch`], not on the heap per call — on both tiers.
 //!
-//! The packed routines stage rhs panels through two ping-pong buffers
+//! The packed kernel stages rhs panels through two ping-pong buffers
 //! taken from the scratch pool and recycled on exit, so once the pool
 //! has seen a shape, repeating it (or any smaller shape) allocates
 //! nothing. The threaded tier extends the same contract: pool threads

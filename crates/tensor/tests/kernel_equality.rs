@@ -1,9 +1,9 @@
 //! The kernel subsystem's bit-for-bit equality contract, pinned over
 //! seeded randomized shapes.
 //!
-//! Whatever plan the selector dispatches — either routine, any `kc`
-//! the cost model ranks — the `f32` output must equal the naive
-//! reference
+//! Whatever plan the selector dispatches — the one packed 2×64 kernel
+//! at any worker count the cost model ranks — the `f32` output must
+//! equal the naive reference
 //! `matmul_ikj` **exactly** (`==` on every element, not a tolerance).
 //! The sweep deliberately includes the shapes that bend kernel edge
 //! cases: `k = 0` (pure zeroing), `m = 1` (only the MR=1 tail runs),
