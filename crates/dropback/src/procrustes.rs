@@ -8,6 +8,30 @@
 //!   DUMIQUE quantile estimate ϑ (§III-B): untracked gradients above ϑ
 //!   evict the lowest tracked entry; every magnitude feeds the estimator
 //!   (4-wide, as the hardware QE unit does).
+//!
+//! # The step's bookkeeping
+//!
+//! After the backward pass one walk per prunable tensor forms each
+//! delta `−lr·g`, zeroes the gradient and tracks it, then writes the
+//! tensor's weights from the accumulations (`0.0 + acc` past the decay
+//! flush); no per-step delta buffer exists. Tracking goes four indices
+//! at a time, aligned with the estimator's groups: the four lanes are
+//! formed without a branch from the tracked set's `acc` and slot slices,
+//! the estimator is held in a register, and the group commits only when
+//! no untracked magnitude in it could pass `admits(mag) || !is_full()`
+//! — in steady state past the flush, every group.
+//!
+//! Any other group, the indices that complete a group begun in the
+//! previous tensor or step, and a tensor's last `< 4` indices take the
+//! scalar rule one index at a time. That path is the reference: it
+//! pushes each magnitude in index order into the group in progress, so
+//! the estimator sees the same 4-wide averages in the same order, and
+//! an admission — whose eviction can untrack a later index of the same
+//! group — is decided against the ϑ the group started with, exactly as
+//! the index-by-index loop does. Every bit of the step therefore equals
+//! the three-walk step (gather, track, materialize) it replaced, which
+//! the tests keep as an oracle. A victim evicted from a tensor already
+//! written this step has its weight rewritten after the walk.
 
 use procrustes_nn::{ComputeBackend, Layer, Scratch, Sequential};
 use procrustes_quantile::{quantile_for_sparsity, Dumique};
@@ -15,7 +39,7 @@ use procrustes_tensor::Tensor;
 
 use crate::exact::init_from_wr;
 use crate::step::{
-    evaluate_model, for_each_prunable, forward_backward, materialize, sgd_auxiliary,
+    evaluate_model, for_each_prunable, forward_backward, materialize_tensor, sgd_auxiliary,
 };
 use crate::{EvictionPolicy, StepStats, TrackedSet, Trainer, WeightRecompute};
 
@@ -79,10 +103,11 @@ pub struct ProcrustesTrainer {
     wr: WeightRecompute,
     tracked: TrackedSet,
     qe: Dumique,
-    qe_buf: Vec<f32>,
+    pending: Pending,
+    /// This step's victims evicted after their tensor was materialized;
+    /// at most `k` a step, so it never grows past its initial capacity.
+    rewrites: Vec<u32>,
     scratch: Scratch,
-    /// Per-step gradient-delta buffer, reused across steps.
-    deltas: Vec<f32>,
     steps: u64,
 }
 
@@ -110,9 +135,9 @@ impl ProcrustesTrainer {
             wr,
             tracked,
             qe,
-            qe_buf: Vec::with_capacity(4),
+            pending: Pending::default(),
+            rewrites: Vec::with_capacity(budget),
             scratch: Scratch::new(),
-            deltas: Vec::with_capacity(n),
             steps: 0,
         }
     }
@@ -140,73 +165,60 @@ impl ProcrustesTrainer {
         for_each_prunable(&mut self.model, |_, p| out.push(p.values.sparsity()));
         out
     }
-
-    fn push_qe(&mut self, magnitude: f32) {
-        self.qe_buf.push(magnitude);
-        if self.qe_buf.len() == 4 {
-            self.qe.update4([
-                self.qe_buf[0],
-                self.qe_buf[1],
-                self.qe_buf[2],
-                self.qe_buf[3],
-            ]);
-            self.qe_buf.clear();
-        }
-    }
 }
 
 impl Trainer for ProcrustesTrainer {
     fn train_step(&mut self, x: &Tensor, labels: &[usize]) -> StepStats {
         let loss = forward_backward(&mut self.model, x, labels, &mut self.scratch);
-
-        let lr = self.config.lr;
-        let mut admitted = 0usize;
-        let mut evicted = 0usize;
-
-        // Stream the produced gradients through the tracking process of
-        // §III-B. Collect the prunable deltas first (cheap), then run the
-        // admission logic outside the visitor borrow.
-        let mut deltas = std::mem::take(&mut self.deltas);
-        deltas.clear();
-        for_each_prunable(&mut self.model, |_, p| {
-            for g in p.grads.data_mut() {
-                deltas.push(-lr * *g);
-                *g = 0.0;
-            }
-        });
         sgd_auxiliary(&mut self.model, self.config.aux_lr);
 
-        for (gi, &dw) in deltas.iter().enumerate() {
-            if self.tracked.contains(gi) {
-                // Tracked: accumulate, feed |acc + δ| to the estimator.
-                self.tracked.accumulate(gi, dw);
-                let mag = self.tracked.accumulated(gi).abs();
-                self.push_qe(mag);
-            } else {
-                let mag = dw.abs();
-                if mag > 0.0 && (self.qe.admits(mag) || !self.tracked.is_full()) {
-                    if self.tracked.admit(gi, dw).is_some() {
-                        evicted += 1;
-                    }
-                    admitted += 1;
-                }
-                self.push_qe(mag);
-            }
-        }
-        self.deltas = deltas;
-
         self.steps += 1;
-        let tracked = &self.tracked;
-        let weight_sparsity = materialize(&mut self.model, &self.wr, self.steps, |gi| {
-            tracked.accumulated(gi)
+        let factor = self.wr.decay_factor(self.steps);
+        self.rewrites.clear();
+        let mut walk = Walk {
+            lr: self.config.lr,
+            tracked: &mut self.tracked,
+            qe: &mut self.qe,
+            pending: &mut self.pending,
+            rewrites: &mut self.rewrites,
+            admitted: 0,
+            evicted: 0,
+        };
+        // One walk per prunable tensor: track its gradients (zeroing
+        // them), then write its weights from the accumulations.
+        let wr = &self.wr;
+        let mut zeros = 0;
+        let n = for_each_prunable(&mut self.model, |offset, p| {
+            walk.track_tensor(p.grads.data_mut(), offset);
+            let acc = &walk.tracked.acc()[offset..offset + p.values.len()];
+            zeros +=
+                materialize_tensor(p.values.data_mut(), offset, wr, factor, acc.iter().copied());
         });
+        let (admitted, evicted) = (walk.admitted, walk.evicted);
+
+        // A victim in a tensor already written reads its decayed value
+        // again (its accumulation is now zero).
+        if !self.rewrites.is_empty() {
+            let (rewrites, acc) = (&self.rewrites, self.tracked.acc());
+            for_each_prunable(&mut self.model, |offset, p| {
+                let values = p.values.data_mut();
+                for &i in rewrites {
+                    let i = i as usize;
+                    let Some(w) = i.checked_sub(offset).and_then(|j| values.get_mut(j)) else {
+                        continue;
+                    };
+                    zeros -= usize::from(*w == 0.0);
+                    zeros += materialize_tensor(std::slice::from_mut(w), i, wr, factor, [acc[i]]);
+                }
+            });
+        }
         StepStats {
             loss,
             tracked: self.tracked.len(),
             admitted,
             evicted,
             threshold: self.qe.estimate(),
-            weight_sparsity,
+            weight_sparsity: zeros as f64 / n as f64,
         }
     }
 
@@ -220,6 +232,143 @@ impl Trainer for ProcrustesTrainer {
 
     fn model_mut(&mut self) -> &mut Sequential {
         &mut self.model
+    }
+}
+
+/// The magnitudes of the estimator group in progress. The hardware's
+/// 4-wide unit takes the gradients in index order, so a group spans
+/// tensors and steps.
+#[derive(Debug, Clone, Copy, Default)]
+struct Pending {
+    mags: [f32; 4],
+    len: usize,
+}
+
+impl Pending {
+    /// Adds one magnitude; the fourth updates the estimator.
+    fn push(&mut self, qe: &mut Dumique, mag: f32) {
+        self.mags[self.len] = mag;
+        self.len += 1;
+        if self.len == 4 {
+            qe.update4(self.mags);
+            self.len = 0;
+        }
+    }
+}
+
+/// The tracking process of §III-B over one step's gradients, in the
+/// global index order, and the step's admission counts.
+struct Walk<'a> {
+    lr: f32,
+    tracked: &'a mut TrackedSet,
+    qe: &'a mut Dumique,
+    pending: &'a mut Pending,
+    rewrites: &'a mut Vec<u32>,
+    admitted: usize,
+    evicted: usize,
+}
+
+impl Walk<'_> {
+    /// Tracks the gradients of the prunable tensor whose first weight has
+    /// global index `offset`, zeroing them.
+    ///
+    /// The indices that finish the group in progress, those past the last
+    /// whole group, and any group in which an index may be admitted take
+    /// the exact path one index at a time; the rest go four at a time,
+    /// aligned with the estimator's groups.
+    fn track_tensor(&mut self, grads: &mut [f32], offset: usize) {
+        let head = ((4 - self.pending.len) % 4).min(grads.len());
+        let body = head + (grads.len() - head) / 4 * 4;
+        self.track_exact(&mut grads[..head], offset, offset);
+        let mut j = head;
+        while j < body {
+            j += self.track_groups(&mut grads[j..body], offset + j);
+            let end = (j + 4).min(body);
+            self.track_exact(&mut grads[j..end], offset + j, offset);
+            j = end;
+        }
+        self.track_exact(&mut grads[body..], offset + body, offset);
+    }
+
+    /// [`exact`](Self::exact) over `grads`, whose first index is `gi`,
+    /// zeroing them.
+    fn track_exact(&mut self, grads: &mut [f32], gi: usize, written: usize) {
+        for (l, g) in grads.iter_mut().enumerate() {
+            self.exact(gi + l, -self.lr * std::mem::take(g), written);
+        }
+    }
+
+    /// Tracks whole estimator groups of `grads`, whose first index is
+    /// `gi`, while no index in a group can be admitted; returns how many
+    /// gradients it consumed, stopping before the first group that may
+    /// admit (left untouched for the exact path).
+    ///
+    /// The estimator stays in a local, so its chain lives in registers,
+    /// and the tracked set's accumulations and slots are read as slices.
+    /// ϑ moves only once a group is complete, so a group's four
+    /// admission tests all read the ϑ it starts with, as they do on the
+    /// exact path.
+    fn track_groups(&mut self, grads: &mut [f32], gi: usize) -> usize {
+        let (lr, full) = (self.lr, self.tracked.is_full());
+        let (acc, slots) = self.tracked.acc_and_slots();
+        let span = gi..gi + grads.len();
+        let (acc, slots) = (&mut acc[span.clone()], &slots[span]);
+        let mut qe = *self.qe;
+        let mut done = 0;
+        let groups = grads.chunks_exact_mut(4).zip(acc.chunks_exact_mut(4));
+        for ((g, acc), slots) in groups.zip(slots.chunks_exact(4)) {
+            // Branch-free lanes: an untracked `acc` is `+0.0`, so adding
+            // the delta masked to `+0.0` leaves it, and `|+0.0|` has no
+            // bits to hide the untracked `|δ|` or-ed into the magnitude.
+            let (mut next, mut mags, mut admit) = ([0.0f32; 4], [0.0f32; 4], false);
+            for l in 0..4 {
+                let dw = -lr * g[l];
+                let tracked_bits = 0u32.wrapping_sub(u32::from(slots[l] != 0));
+                let untracked = dw.abs().to_bits() & !tracked_bits;
+                next[l] = acc[l] + f32::from_bits(dw.to_bits() & tracked_bits);
+                mags[l] = f32::from_bits(next[l].abs().to_bits() | untracked);
+                // The exact path's admission test; `untracked` is the
+                // bits of `+0.0` on a tracked lane.
+                let mag = f32::from_bits(untracked);
+                admit |= (mag > 0.0) & (qe.admits(mag) | !full);
+            }
+            if admit {
+                break;
+            }
+            acc.copy_from_slice(&next);
+            g.fill(0.0);
+            qe.update4(mags);
+            done += 4;
+        }
+        *self.qe = qe;
+        done
+    }
+
+    /// Tracks index `gi` with delta `dw` by the scalar rule: a tracked
+    /// index accumulates and feeds `|acc + δ|`; an untracked one is
+    /// admitted when `|δ| > 0` beats ϑ (or the set is not yet full) and
+    /// feeds `|δ|`. The magnitude joins the group in progress, and a
+    /// full group updates the estimator — the push order of the
+    /// hardware's 4-wide unit. A victim below `written` (a tensor
+    /// already materialized this step) is queued for a rewrite.
+    fn exact(&mut self, gi: usize, dw: f32, written: usize) {
+        let mag = if self.tracked.contains(gi) {
+            self.tracked.accumulate(gi, dw);
+            self.tracked.accumulated(gi).abs()
+        } else {
+            let mag = dw.abs();
+            if mag > 0.0 && (self.qe.admits(mag) || !self.tracked.is_full()) {
+                if let Some(victim) = self.tracked.admit(gi, dw) {
+                    self.evicted += 1;
+                    if victim < written {
+                        self.rewrites.push(victim as u32);
+                    }
+                }
+                self.admitted += 1;
+            }
+            mag
+        };
+        self.pending.push(self.qe, mag);
     }
 }
 
@@ -317,6 +466,170 @@ mod tests {
             (got as i64 - expected as i64).unsigned_abs() <= 1,
             "observations {got} vs expected {expected}"
         );
+    }
+
+    /// The step as three walks over a gradient-delta buffer — gather,
+    /// track, materialize — the scalar rule applied index by index: the
+    /// oracle of the one-walk step.
+    fn oracle_step(t: &mut ProcrustesTrainer, x: &Tensor, labels: &[usize]) -> StepStats {
+        let loss = forward_backward(&mut t.model, x, labels, &mut t.scratch);
+        let lr = t.config.lr;
+        let mut deltas = Vec::new();
+        for_each_prunable(&mut t.model, |_, p| {
+            for g in p.grads.data_mut() {
+                deltas.push(-lr * *g);
+                *g = 0.0;
+            }
+        });
+        sgd_auxiliary(&mut t.model, t.config.aux_lr);
+        let (mut admitted, mut evicted) = (0, 0);
+        for (gi, &dw) in deltas.iter().enumerate() {
+            let mag = if t.tracked.contains(gi) {
+                t.tracked.accumulate(gi, dw);
+                t.tracked.accumulated(gi).abs()
+            } else {
+                let mag = dw.abs();
+                if mag > 0.0 && (t.qe.admits(mag) || !t.tracked.is_full()) {
+                    if t.tracked.admit(gi, dw).is_some() {
+                        evicted += 1;
+                    }
+                    admitted += 1;
+                }
+                mag
+            };
+            t.pending.push(&mut t.qe, mag);
+        }
+        t.steps += 1;
+        let tracked = &t.tracked;
+        let weight_sparsity =
+            crate::step::materialize(&mut t.model, &t.wr, t.steps, |gi| tracked.accumulated(gi));
+        StepStats {
+            loss,
+            tracked: t.tracked.len(),
+            admitted,
+            evicted,
+            threshold: t.qe.estimate(),
+            weight_sparsity,
+        }
+    }
+
+    /// Every parameter's values and gradients, in visit order.
+    fn param_values(model: &mut Sequential) -> (Vec<f32>, Vec<f32>) {
+        let (mut values, mut grads) = (Vec::new(), Vec::new());
+        model.visit_params(&mut |p| {
+            values.extend_from_slice(p.values.data());
+            grads.extend_from_slice(p.grads.data());
+        });
+        (values, grads)
+    }
+
+    /// Asserts `got == want` bit for bit, naming the first index apart.
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: lengths");
+        let apart = got
+            .iter()
+            .zip(want)
+            .position(|(g, w)| g.to_bits() != w.to_bits());
+        if let Some(i) = apart {
+            panic!(
+                "{what}: index {i} holds {:e}, the oracle {:e}",
+                got[i], want[i]
+            );
+        }
+    }
+
+    /// Conv 3→5, conv 5→7 and a 112→3 head: 135 + 315 + 336 = 786
+    /// prunable weights, no tensor and not the total a multiple of four,
+    /// so estimator groups straddle tensors and carry across steps.
+    fn ragged_model(seed: u64) -> Sequential {
+        use procrustes_nn::{BatchNorm2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU};
+        let mut rng = Xorshift64::new(seed);
+        let mut m = Sequential::new();
+        m.push(Conv2d::new(3, 5, 3, 1, 1, false, &mut rng));
+        m.push(BatchNorm2d::new(5));
+        m.push(ReLU::new());
+        m.push(MaxPool2d::new(2, 2));
+        m.push(Conv2d::new(5, 7, 3, 1, 1, false, &mut rng));
+        m.push(BatchNorm2d::new(7));
+        m.push(ReLU::new());
+        m.push(MaxPool2d::new(2, 2));
+        m.push(Flatten::new());
+        m.push(Linear::new(7 * 4 * 4, 3, true, &mut rng));
+        m
+    }
+
+    /// The one-walk step against the three-walk oracle, bit for bit after
+    /// every step: weights, zeroed gradients, tracked members in order
+    /// and their accumulations, the estimator and the group in progress,
+    /// and the step's statistics. λ = 0.1 flushes the decay mid-run; a
+    /// factor of 4 evicts every step, victims in tensors already written
+    /// included; 786 weights leave a partial group at every step's end.
+    #[test]
+    fn one_walk_step_matches_the_three_walk_oracle_bitwise() {
+        for eviction in [EvictionPolicy::ExactMin, EvictionPolicy::SampledMin(8)] {
+            let config = ProcrustesConfig {
+                sparsity_factor: 4.0,
+                lambda: 0.1,
+                eviction,
+                ..ProcrustesConfig::default()
+            };
+            let trainer = || ProcrustesTrainer::new(ragged_model(5), config, 17);
+            let (mut fast, mut oracle) = (trainer(), trainer());
+            assert_eq!(fast.model.prunable_params() % 4, 2);
+            let flush = fast.wr().zero_iteration().unwrap();
+            let steps = flush + 6;
+            let data = SyntheticImages::new(3, 16, 16, 0.2, 4);
+            let mut rng = Xorshift64::new(9);
+            let mut rewrites = 0;
+            for step in 1..=steps {
+                let what = format!("{eviction:?}, step {step} (flush at {flush})");
+                let (x, labels) = data.batch(4, &mut rng);
+                let got = fast.train_step(&x, &labels);
+                let want = oracle_step(&mut oracle, &x, &labels);
+                rewrites += fast.rewrites.len();
+                assert!(got.evicted > 0, "{what}: no eviction");
+                assert_eq!(got.loss.to_bits(), want.loss.to_bits(), "{what}: loss");
+                assert_eq!(
+                    (got.tracked, got.admitted, got.evicted),
+                    (want.tracked, want.admitted, want.evicted),
+                    "{what}: counts"
+                );
+                assert_eq!(got.threshold.to_bits(), want.threshold.to_bits(), "{what}");
+                assert_eq!(
+                    got.weight_sparsity.to_bits(),
+                    want.weight_sparsity.to_bits(),
+                    "{what}: sparsity"
+                );
+                assert_eq!(fast.qe, oracle.qe, "{what}: estimator");
+                assert_eq!(fast.qe.observations(), oracle.qe.observations(), "{what}");
+                let pending = |t: &ProcrustesTrainer| {
+                    let Pending { mags, len } = t.pending;
+                    mags[..len].iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    pending(&fast),
+                    pending(&oracle),
+                    "{what}: group in progress"
+                );
+                let members = |t: &ProcrustesTrainer| t.tracked.iter().collect::<Vec<_>>();
+                assert_eq!(members(&fast), members(&oracle), "{what}: members");
+                let acc = |t: &ProcrustesTrainer| t.tracked.acc().to_vec();
+                assert_same_bits(&acc(&fast), &acc(&oracle), &format!("{what}: acc"));
+                let (values, grads) = param_values(&mut fast.model);
+                let (want_values, want_grads) = param_values(&mut oracle.model);
+                assert_same_bits(&values, &want_values, &format!("{what}: weights"));
+                assert_same_bits(&grads, &want_grads, &format!("{what}: gradients"));
+                assert_eq!(fast.steps(), oracle.steps());
+            }
+            assert!(
+                fast.pending.len != 0,
+                "{eviction:?}: a group must carry over"
+            );
+            assert!(
+                rewrites > 0,
+                "{eviction:?}: no victim in a tensor already written"
+            );
+        }
     }
 
     #[test]

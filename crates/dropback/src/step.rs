@@ -81,6 +81,9 @@ pub(crate) fn sgd_auxiliary(model: &mut Sequential, lr: f32) {
 /// Each weight is bitwise `wr.decayed_value(i, t) + accumulated(i)`,
 /// with λᵗ read once per call instead of once per weight; past the
 /// flush every weight is `0.0 + acc`, so `−0.0` still writes `+0.0`.
+/// This is the whole-model walk exact Dropback takes after its
+/// selection; the Procrustes step calls [`materialize_tensor`] on each
+/// tensor as soon as its tracking is done.
 pub(crate) fn materialize(
     model: &mut Sequential,
     wr: &WeightRecompute,
@@ -90,18 +93,39 @@ pub(crate) fn materialize(
     let factor = wr.decay_factor(t);
     let mut zeros = 0;
     let n = for_each_prunable(model, |offset, p| {
-        for (j, w) in p.values.data_mut().iter_mut().enumerate() {
-            let i = offset + j;
-            let decayed = if factor == 0.0 {
-                0.0
-            } else {
-                factor * wr.initial_value(i as u64)
-            };
-            *w = decayed + accumulated(i);
-        }
-        zeros += p.values.count_zeros();
+        let acc = (offset..offset + p.values.len()).map(&accumulated);
+        zeros += materialize_tensor(p.values.data_mut(), offset, wr, factor, acc);
     });
     zeros as f64 / n as f64
+}
+
+/// [`materialize`] over one prunable tensor whose first weight has
+/// global index `offset`, at decay factor `factor = wr.decay_factor(t)`,
+/// with `acc` yielding the tensor's accumulations in order; returns the
+/// number of weights written as exactly zero.
+///
+/// The flush test is hoisted out of the loop: past it the loop is
+/// `0.0 + acc` and a zero count, which vectorizes over a slice.
+pub(crate) fn materialize_tensor(
+    values: &mut [f32],
+    offset: usize,
+    wr: &WeightRecompute,
+    factor: f32,
+    acc: impl IntoIterator<Item = f32>,
+) -> usize {
+    let mut zeros = 0;
+    if factor == 0.0 {
+        for (w, a) in values.iter_mut().zip(acc) {
+            *w = 0.0 + a;
+            zeros += usize::from(*w == 0.0);
+        }
+    } else {
+        for ((j, w), a) in values.iter_mut().enumerate().zip(acc) {
+            *w = factor * wr.initial_value((offset + j) as u64) + a;
+            zeros += usize::from(*w == 0.0);
+        }
+    }
+    zeros
 }
 
 #[cfg(test)]

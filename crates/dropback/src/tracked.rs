@@ -7,6 +7,13 @@
 //! admission is not hardware-realistic, so this store also offers a
 //! sampled-minimum policy: examine `s` pseudo-random candidates and evict
 //! the smallest — the ablation benches quantify the accuracy cost.
+//!
+//! The accelerator stores only the `k` tracked values, compressed (§V).
+//! This store keeps an accumulation and a member slot for *every* weight
+//! instead — a CPU convenience: membership, accumulation and eviction
+//! are O(1) by global index, and the Procrustes step reads both arrays
+//! as slices in one in-order walk. The price is that the walk streams
+//! all `n` entries of both every step.
 
 use procrustes_prng::{UniformRng, Xorshift64};
 
@@ -161,6 +168,20 @@ impl TrackedSet {
         }
         self.slot[i] = 0;
         self.acc[i] = 0.0;
+    }
+
+    /// The accumulations and slots of every index, for a walk that reads
+    /// them in index order: `slots[i] != 0` iff `i` is tracked, and an
+    /// untracked `acc[i]` is `0.0`. A walk writes `acc` of tracked
+    /// indices only; admission and eviction go through
+    /// [`admit`](Self::admit).
+    pub(crate) fn acc_and_slots(&mut self) -> (&mut [f32], &[u32]) {
+        (&mut self.acc, &self.slot)
+    }
+
+    /// The accumulated gradient of every index (`0.0` when untracked).
+    pub(crate) fn acc(&self) -> &[f32] {
+        &self.acc
     }
 
     /// Iterates over tracked indices (unspecified order).

@@ -12,10 +12,14 @@
 //! results: the sparse kernels are bitwise-equal to the dense ones (see
 //! `procrustes_sparse::kernels`).
 //!
-//! A resync reads the master once per order and encodes its nonzeros
-//! straight into the CSRs the kernels walk — forward and rotated for a
-//! `KCRS` master, `W` and `Wᵀ` for `[out, in]` — reusing the previous
-//! resync's buffers, so a steady-state resync allocates nothing. The
+//! A resync reads the master once and encodes its nonzeros straight
+//! into the CSRs the kernels walk — forward and rotated for a `KCRS`
+//! master, `W` and `Wᵀ` for `[out, in]` — reusing the previous resync's
+//! buffers, so a steady-state resync allocates nothing. The one read is
+//! the forward order's scan (64 entries to an occupancy word, branching
+//! on nonzeros, not on each entry); the second order is a counting sort
+//! of the first, and a compressed store takes the density that decides
+//! its backend from the encoding's nonzero count. The
 //! compressed-sparse-block format (`procrustes_sparse::CsbTensor`) is
 //! what the accelerator stores and the simulator accounts for; the CPU
 //! twin derives its CSRs from the master without building it.
@@ -162,6 +166,10 @@ impl WeightStore {
     /// drops the decode, according to what the backend wants for the
     /// master's current density.
     ///
+    /// A compressed store re-encodes first and reads its density off the
+    /// encoding's nonzero count, so the master is read once; only a
+    /// dense store under `Auto` scans it for the density alone.
+    ///
     /// # Panics
     ///
     /// Panics when promoting a master that is neither `KCRS` nor
@@ -170,22 +178,34 @@ impl WeightStore {
         if !std::mem::take(&mut self.dirty) {
             return;
         }
-        // `Dense`/`Csb` decide without scanning the tensor.
-        let wants = match self.backend {
-            ComputeBackend::Dense => false,
-            ComputeBackend::Csb => true,
-            ComputeBackend::Auto { .. } => self.backend.wants_csb(self.density()),
-        };
-        match (wants, &mut self.decode) {
-            (false, decode) => *decode = None,
-            (true, Some(Decode::Conv(d))) => d.encode(&self.master),
-            (true, Some(Decode::Fc(d))) => d.encode(&self.master),
-            (true, decode @ None) => {
-                *decode = Some(if self.master.shape().rank() == 4 {
-                    Decode::Conv(ConvDecode::from_dense(&self.master))
-                } else {
-                    Decode::Fc(FcDecode::from_dense(&self.master))
-                });
+        let len = self.master.len();
+        match (self.backend, &mut self.decode) {
+            (ComputeBackend::Dense, decode) => *decode = None,
+            (backend, Some(decode)) => {
+                let nnz = match decode {
+                    Decode::Conv(d) => {
+                        d.encode(&self.master);
+                        d.nnz()
+                    }
+                    Decode::Fc(d) => {
+                        d.encode(&self.master);
+                        d.nnz()
+                    }
+                };
+                // The formula of `density()`, so the decision is bitwise
+                // the scan's.
+                if !backend.wants_csb(1.0 - (len - nnz) as f64 / len as f64) {
+                    self.decode = None;
+                }
+            }
+            (backend, decode @ None) => {
+                if backend.wants_csb(1.0 - self.master.sparsity()) {
+                    *decode = Some(if self.master.shape().rank() == 4 {
+                        Decode::Conv(ConvDecode::from_dense(&self.master))
+                    } else {
+                        Decode::Fc(FcDecode::from_dense(&self.master))
+                    });
+                }
             }
         }
     }

@@ -78,7 +78,11 @@ pub fn quantile_for_sparsity(factor: f64) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dumique {
     q: f64,
-    rho: f64,
+    /// The two multiplicative factors, `1 + ρq` and `1 − ρ(1−q)`, formed
+    /// once: an update is one compare and one multiply, and a copy of
+    /// the estimator held in a local keeps its whole chain in registers.
+    up: f64,
+    down: f64,
     estimate: f64,
     observations: u64,
 }
@@ -109,7 +113,8 @@ impl Dumique {
         assert!(rho > 0.0 && rho < 1.0, "rho must be in (0,1), got {rho}");
         Self {
             q,
-            rho,
+            up: 1.0 + rho * q,
+            down: 1.0 - rho * (1.0 - q),
             estimate: init,
             observations: 0,
         }
@@ -135,11 +140,11 @@ impl Dumique {
     /// estimate.
     pub fn update(&mut self, delta: f32) -> f32 {
         let d = f64::from(delta);
-        if self.estimate < d {
-            self.estimate *= 1.0 + self.rho * self.q;
+        self.estimate *= if self.estimate < d {
+            self.up
         } else {
-            self.estimate *= 1.0 - self.rho * (1.0 - self.q);
-        }
+            self.down
+        };
         self.observations += 1;
         self.estimate as f32
     }

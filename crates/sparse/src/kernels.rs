@@ -88,8 +88,48 @@ impl Csr {
     /// Re-encodes the matrix, in the vectors it already holds, as the
     /// nonzeros of the row-major `data` with `cols`-wide rows: one read
     /// of `data`, each row's columns ascending. `-0.0 == 0.0`, so a
-    /// signed zero is not stored.
+    /// signed zero is not stored; a NaN is.
+    ///
+    /// Branch-light: each run of 64 entries is first folded, without a
+    /// branch, into an occupancy word (bit `j` set iff entry `j` is
+    /// nonzero), and only its set bits are then visited, so the loop
+    /// branches once per nonzero and once per run, never on an entry's
+    /// value. At ~10 % density a branch per entry mispredicts on about
+    /// every nonzero, and writing every entry at a cursor that advances
+    /// by `v != 0.0` pays two stores per entry: over a `[64, 1024]` and
+    /// a `[64, 288]` matrix at 10 % (tiny-VGG's fc1 and a conv-sized
+    /// one; 2-core AVX-512 Xeon) this scan takes 0.040–0.056 ms, the
+    /// write-every-entry loop 0.12–0.15 and the branchy one 0.21–0.24.
+    /// At 50 % density the write-every-entry loop is the faster one (0.09
+    /// against 0.125 ms on the fc1 shape); `Auto` keeps no compressed
+    /// store above 50 %.
     fn set_from_dense(&mut self, data: &[f32], cols: usize) {
+        self.cols = cols;
+        self.row_ptr.clear();
+        self.idx.clear();
+        self.val.clear();
+        self.row_ptr.push(0);
+        for row in data.chunks_exact(cols.max(1)) {
+            for (run, entries) in row.chunks(64).enumerate() {
+                let mut occupied = 0u64;
+                for (j, &v) in entries.iter().enumerate() {
+                    occupied |= u64::from(v != 0.0) << j;
+                }
+                while occupied != 0 {
+                    let j = occupied.trailing_zeros() as usize;
+                    occupied &= occupied - 1;
+                    self.idx.push((run * 64 + j) as u32);
+                    self.val.push(entries[j]);
+                }
+            }
+            self.row_ptr.push(self.idx.len() as u32);
+        }
+    }
+
+    /// The branch-per-entry scan [`Csr::set_from_dense`] replaced, kept
+    /// as its oracle.
+    #[cfg(test)]
+    fn set_from_dense_branchy(&mut self, data: &[f32], cols: usize) {
         self.cols = cols;
         self.row_ptr.clear();
         self.idx.clear();
@@ -1144,6 +1184,56 @@ mod tests {
         assert_eq!(d.wt.row_ptr, [0, 1, 3, 3, 3, 5]);
         assert_eq!(d.wt.idx, [2, 0, 2, 0, 2], "backward: ascending o per i");
         assert_eq!(d.wt.val, [3.0, 1.0, 4.0, 2.0, 5.0]);
+    }
+
+    /// The occupancy-word scan stores exactly what the branch-per-entry
+    /// one does: `-0.0` skipped, NaN stored, all-zero and fully dense
+    /// rows, row widths from 1 past two 64-entry runs, re-encoded over
+    /// the buffers of the previous case so a shorter encode leaves no
+    /// stale tail.
+    #[test]
+    fn set_from_dense_matches_the_branchy_oracle() {
+        let nan = f32::from_bits(0x7fc0_1234);
+        let special = [-0.0, 0.0, nan, -nan, 1.5, -2.0, f32::MIN_POSITIVE, -0.0];
+        let mut cases: Vec<(Vec<f32>, usize)> = vec![
+            // Rows: mixed specials; all zero (both signs); fully dense.
+            (special.to_vec(), 8),
+            (
+                [special.to_vec(), vec![0.0; 4], vec![-0.0; 4], vec![3.0; 8]].concat(),
+                8,
+            ),
+            ([vec![7.0; 5], vec![-0.0; 5], vec![nan; 5]].concat(), 5),
+            (vec![0.0; 12], 4),
+            (vec![-1.0; 12], 3),
+            (vec![2.5; 260], 130),
+            ([vec![0.0; 130], vec![-0.0; 130]].concat(), 130),
+            (vec![], 6),
+        ];
+        for (i, cols) in [1usize, 2, 3, 9, 63, 64, 65, 128, 130]
+            .into_iter()
+            .enumerate()
+        {
+            let mut data = sparse_tensor(&[5, cols], 0.3, 40 + i as u64)
+                .data()
+                .to_vec();
+            for v in data.iter_mut().step_by(7) {
+                *v = -0.0;
+            }
+            data[cols] = nan;
+            cases.push((data, cols));
+        }
+        let mut got = Csr::default();
+        for (data, cols) in &cases {
+            let mut want = Csr::default();
+            want.set_from_dense_branchy(data, *cols);
+            got.set_from_dense(data, *cols);
+            let what = format!("{cols} columns, {data:?}");
+            assert_eq!(got.cols, want.cols, "{what}");
+            assert_eq!(got.row_ptr, want.row_ptr, "{what}");
+            assert_eq!(got.idx, want.idx, "{what}");
+            let val_bits = |c: &Csr| c.val.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(val_bits(&got), val_bits(&want), "{what}");
+        }
     }
 
     #[test]
