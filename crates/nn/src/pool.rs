@@ -66,18 +66,29 @@ impl Layer for MaxPool2d {
                 for pi in 0..p {
                     for qi in 0..q {
                         let corner = ((ni * c + ci) * h + pi * self.stride) * w + qi * self.stride;
-                        // A window with no value above −∞ (all −∞ or NaN)
-                        // routes its gradient to its own first element.
+                        // A window with no value above −∞ routes its
+                        // gradient to its own first element.
                         let mut best = f32::NEG_INFINITY;
                         let mut best_off = corner;
+                        let mut nan = false;
                         for ri in 0..self.kernel {
                             for si in 0..self.kernel {
                                 let off = corner + ri * w + si;
+                                nan |= xd[off].is_nan();
                                 if xd[off] > best {
                                     best = xd[off];
                                     best_off = off;
                                 }
                             }
+                        }
+                        if nan {
+                            // A NaN poisons its window: the output is the
+                            // first NaN, and so is the gradient's route.
+                            best_off = (0..self.kernel)
+                                .flat_map(|ri| (0..self.kernel).map(move |si| corner + ri * w + si))
+                                .find(|&off| xd[off].is_nan())
+                                .expect("a flagged window holds a NaN");
+                            best = xd[best_off];
                         }
                         let yoff = ((ni * c + ci) * p + pi) * q + qi;
                         yd[yoff] = best;
@@ -200,9 +211,34 @@ mod tests {
             vec![1.0, 2.0, ninf, f32::NAN, 3.0, 4.0, ninf, ninf],
         );
         let y = pool.forward(&x, true);
-        assert_eq!(y.data(), &[4.0, ninf]);
+        assert_eq!(y.data()[0], 4.0);
+        assert!(y.data()[1].is_nan(), "a NaN in the window is its output");
         let dx = pool.backward(&Tensor::from_vec(&[1, 1, 1, 2], vec![5.0, 7.0]));
-        assert_eq!(dx.data(), &[0.0, 0.0, 7.0, 0.0, 0.0, 5.0, 0.0, 0.0]);
+        assert_eq!(dx.data(), &[0.0, 0.0, 0.0, 7.0, 0.0, 5.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn maxpool_outputs_a_windows_first_nan_and_routes_to_it() {
+        // Three 2×2 windows: a NaN after a larger finite value, two NaNs
+        // among finite values, and only −∞.
+        let mut pool = MaxPool2d::new(2, 2);
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        let x = Tensor::from_vec(
+            &[1, 1, 2, 6],
+            vec![
+                9.0, 1.0, 3.0, nan, ninf, ninf, nan, 2.0, 4.0, nan, ninf, ninf,
+            ],
+        );
+        let y = pool.forward(&x, true);
+        assert!(y.data()[0].is_nan() && y.data()[1].is_nan());
+        assert_eq!(y.data()[2], ninf);
+        let dx = pool.backward(&Tensor::from_vec(&[1, 1, 1, 3], vec![5.0, 7.0, 11.0]));
+        let mut expected = [0.0; 12];
+        (expected[6], expected[3], expected[4]) = (5.0, 7.0, 11.0);
+        assert_eq!(dx.data(), &expected);
+        // Eval mode pools the same way.
+        let y = pool.forward(&x, false);
+        assert!(y.data()[0].is_nan() && y.data()[1].is_nan());
     }
 
     #[test]

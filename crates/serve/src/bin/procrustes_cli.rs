@@ -78,8 +78,8 @@ const MAX_SHED_BACKOFF_MS: u64 = 2000;
 /// `retry_after_ms` hint with exactly one retry. A request refused for
 /// overload was not evaluated at all, so the retry is always safe; one
 /// bounded attempt keeps the CLI deterministic (no open-ended retry
-/// loop) while absorbing the transient queue spikes chaos drills — and
-/// real overload — produce.
+/// loop) while absorbing a transient queue spike. A request too large
+/// for the cap is shed again and fails.
 fn with_shed_retry<T>(
     mut attempt: impl FnMut(&mut Client) -> Result<T, ClientError>,
     client: &mut Client,
@@ -202,7 +202,7 @@ fn run() -> Result<(), String> {
             println!(
                 "requests={} parse_errors={} served={} computed={} memo_hits={} \
                  disk_hits={} hit_rate={:.3} queue_depth={} shed={} \
-                 faults_injected={} verify_misses={}",
+                 verify_misses={}",
                 m.requests,
                 m.parse_errors,
                 m.served,
@@ -212,7 +212,6 @@ fn run() -> Result<(), String> {
                 m.hit_rate,
                 m.queue_depth,
                 m.shed,
-                m.faults_injected,
                 m.verify_misses,
             );
             for (verb, v) in &m.verbs {

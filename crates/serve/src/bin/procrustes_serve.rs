@@ -3,7 +3,6 @@
 //! ```text
 //! procrustes-serve [--addr HOST:PORT] [--shards N] [--cache-dir DIR]
 //!                  [--cache-budget BYTES] [--max-sweep N] [--queue-cap N]
-//!                  [--fault-plan FILE|SPEC]
 //! ```
 //!
 //! Binds (port 0 picks an ephemeral port, printed on the first line),
@@ -13,7 +12,7 @@
 
 use std::process::ExitCode;
 
-use procrustes_serve::{FaultPlan, ServeConfig, Server};
+use procrustes_serve::{ServeConfig, Server};
 
 const USAGE: &str = "\
 USAGE: procrustes-serve [OPTIONS]
@@ -29,9 +28,6 @@ OPTIONS:
   --queue-cap N         bound on the jobs in flight over all connections;
                         a request that would pass it is shed whole with a
                         structured reply (default 4096)
-  --fault-plan F|SPEC   arm deterministic fault injection from a file or an
-                        inline spec, e.g. 'seed=7;forced_shed=0.2;
-                        cache_corrupt=3..5' (default: disarmed)
   --help                print this help
 ";
 
@@ -84,11 +80,6 @@ fn main() -> ExitCode {
                     .map(|n: usize| config.queue_cap = n.max(1))
                     .map_err(|e| format!("--queue-cap: {e}"))
             }),
-            "--fault-plan" => value("--fault-plan").and_then(|v| {
-                FaultPlan::load(&v)
-                    .map(|plan| config.fault_plan = Some(plan))
-                    .map_err(|e| format!("--fault-plan: {e}"))
-            }),
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -107,12 +98,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let chaos = match &config.fault_plan {
-        Some(plan) => format!(", FAULTS ARMED (seed={})", plan.seed),
-        None => String::new(),
-    };
     println!(
-        "procrustes-serve listening on {} (shards={}, cache={}, max-sweep={}, queue-cap={}{chaos})",
+        "procrustes-serve listening on {} (shards={}, cache={}, max-sweep={}, queue-cap={})",
         server.local_addr(),
         config.shards,
         config

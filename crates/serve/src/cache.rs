@@ -68,7 +68,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use procrustes_core::json::Json;
 use procrustes_sim::Fnv1a;
 
-use crate::fault::{Failpoint, Faults};
 use crate::proto::Source;
 
 /// The daemon's memory-tier budget. Documents are ~1.4 KB, so this is
@@ -283,7 +282,6 @@ pub struct DiskCache {
     dir: PathBuf,
     budget: Option<u64>,
     index: Arc<Mutex<LruIndex>>,
-    faults: Faults,
 }
 
 impl DiskCache {
@@ -336,17 +334,9 @@ impl DiskCache {
             dir,
             budget,
             index: Arc::new(Mutex::new(index)),
-            faults: Faults::none(),
         };
         cache.evict_over_budget(&mut cache.index());
         Ok(cache)
-    }
-
-    /// Arms the cache's `cache_corrupt` failpoint (chaos testing). The
-    /// handle is shared with the daemon's other failpoints so all draw
-    /// from one plan and one `faults_injected` counter.
-    pub(crate) fn set_faults(&mut self, faults: Faults) {
-        self.faults = faults;
     }
 
     fn index(&self) -> MutexGuard<'_, LruIndex> {
@@ -374,20 +364,9 @@ impl DiskCache {
     /// happen, because only the holder of the key's claim in the
     /// in-flight map reads or writes it (see the module docs).
     pub fn get(&self, fingerprint: u64) -> Option<String> {
-        let mut doc = fs::read_to_string(self.path(fingerprint)).ok();
-        if let Some(doc) = &mut doc {
-            if self.faults.fires(Failpoint::CacheCorrupt) {
-                // Chaos: this read observes the entry truncated
-                // mid-document, exactly what a torn external copy looks
-                // like. The real corruption check below then takes over.
-                let mut cut = doc.len() / 2;
-                while cut > 0 && !doc.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                doc.truncate(cut);
-            }
-        }
-        let doc = doc.filter(|doc| !doc.contains(['\n', '\r']) && Json::parse(doc).is_ok());
+        let doc = fs::read_to_string(self.path(fingerprint))
+            .ok()
+            .filter(|doc| !doc.contains(['\n', '\r']) && Json::parse(doc).is_ok());
         let mut index = self.index();
         match doc {
             Some(_) => index.touch(fingerprint),
@@ -493,23 +472,6 @@ mod tests {
         assert_eq!(cache.get(7), None);
         // The miss dropped it from the index.
         assert_eq!(cache.entries(), 0);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn armed_cache_corrupt_failpoint_reads_as_miss_then_recovers() {
-        use crate::fault::FaultPlan;
-        let dir = tmp_dir("faultcache");
-        let mut cache = DiskCache::open_with_budget(&dir, None).unwrap();
-        cache.set_faults(Faults::armed(
-            FaultPlan::parse("cache_corrupt=0..1").unwrap(),
-        ));
-        cache.put(9, r#"{"ok":true}"#).unwrap();
-        assert_eq!(cache.get(9), None, "the faulted read observes a torn entry");
-        // The schedule fired only once; the committed file was never
-        // actually damaged, so the next read (the recompute path's
-        // re-check) serves it again.
-        assert_eq!(cache.get(9).as_deref(), Some(r#"{"ok":true}"#));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -41,7 +41,9 @@
 //!   (`<fp:016x>.json`, atomic tmp-file + rename). Because
 //!   [`Scenario::to_json`] and `EvalResult::to_json` are canonical
 //!   (deterministic field order and number text), a restarted daemon
-//!   serves byte-identical documents without recomputation.
+//!   serves byte-identical documents without recomputation. A torn or
+//!   re-formatted entry file reads as a miss and is recomputed and
+//!   rewritten, so a damaged cache costs work, never a served byte.
 //! * **Backpressure** — the jobs in flight across all connections (one
 //!   per scenario of every admitted request, until its result is ready)
 //!   are bounded by `--queue-cap`. A request that would push the count
@@ -49,12 +51,6 @@
 //!   *before any work starts*; nothing about it is evaluated, so the
 //!   client can safely retry later. The `shed` line carries a
 //!   deterministic `retry_after_ms` backoff hint.
-//! * **Deterministic fault injection** — `--fault-plan` arms named
-//!   failpoints ([`Failpoint`]) on a seeded, replayable schedule
-//!   ([`FaultPlan`]): corrupt cache reads and forced sheds. Disarmed
-//!   (the default) every hook is a single branch on a preexisting
-//!   `Option`; faults cost recomputation and retries — never a served
-//!   byte.
 //! * [`Client`] — a blocking client used by `procrustes-cli`, the
 //!   loopback tests, and embedders.
 //!
@@ -105,7 +101,7 @@
 //! metrics     = {"kind":"metrics", "requests": n, "parse_errors": n, "served": n,
 //!                "computed": n, "memo_hits": n, "disk_hits": n, "hit_rate": x,
 //!                "cache_evictions": n, "cache_bytes": n, "verify_misses": n,
-//!                "queue_depth": n, "shed": n, "faults_injected": n,
+//!                "queue_depth": n, "shed": n,
 //!                "verbs": {verb: {"requests": n, "p50_ms": x | null,
 //!                                 "p95_ms": x | null}, ...}}
 //! bye         = {"kind":"bye"}
@@ -122,11 +118,10 @@
 //! wall-clock); `procrustes-cli` honors it with one bounded retry. In
 //! `metrics`, `queue_depth` is the momentary count of admitted jobs
 //! whose result is not ready yet (0 on a drained daemon), `shed` counts
-//! refused requests, and `faults_injected` counts failpoint firings
-//! under an armed `--fault-plan` (always 0 otherwise). `verify_misses` counts stored
-//! documents that were dropped, and answered as a miss, because they did
-//! not begin with the requesting scenario's own text; `cache_evictions`
-//! and `cache_bytes` describe the disk tier.
+//! refused requests, and `verify_misses` counts stored documents that
+//! were dropped, and answered as a miss, because they did not begin
+//! with the requesting scenario's own text; `cache_evictions` and
+//! `cache_bytes` describe the disk tier.
 //!
 //! * `eval` answers with exactly one `result` line (`index` 0).
 //! * `sweep` answers with one `result` line per scenario, written **in
@@ -191,14 +186,12 @@ use procrustes_core::{Scenario, Sweep};
 
 mod cache;
 mod client;
-mod fault;
 mod proto;
 mod report;
 mod server;
 
 pub use cache::DiskCache;
 pub use client::{Client, ClientError, SearchReport, Served};
-pub use fault::{Failpoint, FaultPlan, Faults, Rule};
 pub use proto::{
     FrontMember, Request, Response, ServerMetrics, ServerStatus, Source, VerbMetrics, VERBS,
 };

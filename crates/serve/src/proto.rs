@@ -252,9 +252,6 @@ pub struct ServerMetrics {
     /// Requests refused with a `shed` reply because they would have
     /// pushed `queue_depth` past `--queue-cap`.
     pub shed: u64,
-    /// Faults fired by this daemon's `--fault-plan` schedule (0 when no
-    /// plan is armed).
-    pub faults_injected: u64,
     /// Per-verb counters and latency quantiles, in [`VERBS`] order.
     pub verbs: Vec<(String, VerbMetrics)>,
 }
@@ -289,7 +286,6 @@ impl ServerMetrics {
             ("verify_misses".into(), Json::u64(self.verify_misses)),
             ("queue_depth".into(), Json::u64(self.queue_depth)),
             ("shed".into(), Json::u64(self.shed)),
-            ("faults_injected".into(), Json::u64(self.faults_injected)),
             ("verbs".into(), Json::Obj(verbs)),
         ])
     }
@@ -337,7 +333,6 @@ impl ServerMetrics {
             verify_misses: n("verify_misses").unwrap_or(0),
             queue_depth: n("queue_depth")?,
             shed: n("shed")?,
-            faults_injected: n("faults_injected")?,
             verbs,
         })
     }
@@ -713,7 +708,6 @@ mod tests {
                 verify_misses: 1,
                 queue_depth: 3,
                 shed: 1,
-                faults_injected: 11,
                 verbs: VERBS
                     .iter()
                     .map(|&verb| {

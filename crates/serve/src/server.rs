@@ -15,7 +15,6 @@ use procrustes_quantile::Dumique;
 use procrustes_search::{run_search, EvalBackend, SearchSpec};
 
 use crate::cache::{key_of, DiskCache, DocStore, MEMORY_BUDGET};
-use crate::fault::{Failpoint, FaultPlan, Faults};
 use crate::proto::{
     FrontMember, Request, Response, ServerMetrics, ServerStatus, Source, VerbMetrics, VERBS,
 };
@@ -51,9 +50,6 @@ pub struct ServeConfig {
     /// equals the default `max_sweep`, so a default-configured daemon
     /// never sheds a request it admitted.
     pub queue_cap: usize,
-    /// Deterministic fault-injection plan (`--fault-plan`); `None` (the
-    /// default) disarms every failpoint at zero cost.
-    pub fault_plan: Option<FaultPlan>,
 }
 
 impl Default for ServeConfig {
@@ -65,7 +61,6 @@ impl Default for ServeConfig {
             max_sweep: 4096,
             max_line_bytes: 8 << 20,
             queue_cap: 4096,
-            fault_plan: None,
         }
     }
 }
@@ -187,10 +182,6 @@ struct Shared {
     /// Jobs admitted whose result is not ready yet, over all requests.
     depth: AtomicU64,
     local_addr: SocketAddr,
-    /// The armed fault-injection schedule (disarmed by default; also
-    /// cloned into the disk cache so every failpoint draws from one
-    /// plan).
-    faults: Faults,
 }
 
 /// Admission refused: the request would push the in-flight job count
@@ -203,9 +194,9 @@ struct ShedInfo {
 
 /// The backoff hint attached to a `shed` reply: a deterministic
 /// function of the refusal state (base 50 ms plus 100 ms per multiple
-/// of the cap sitting in the queue, bounded at one second), so replayed
-/// chaos runs observe identical hints and clients retry on a replayable
-/// schedule.
+/// of the cap sitting in the queue, bounded at one second), so a
+/// replayed refusal observes an identical hint and clients retry on a
+/// replayable schedule.
 fn retry_hint_ms(queue_depth: u64, limit: u64) -> u64 {
     (50 + queue_depth.saturating_mul(100) / limit.max(1)).min(1000)
 }
@@ -404,16 +395,8 @@ impl Server {
     /// Propagates socket binding and cache-directory failures.
     pub fn bind(addr: impl ToSocketAddrs, config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let faults = config
-            .fault_plan
-            .clone()
-            .map_or_else(Faults::none, Faults::armed);
         let disk = match &config.cache_dir {
-            Some(dir) => {
-                let mut disk = DiskCache::open_with_budget(dir, config.cache_budget)?;
-                disk.set_faults(faults.clone());
-                Some(disk)
-            }
+            Some(dir) => Some(DiskCache::open_with_budget(dir, config.cache_budget)?),
             None => None,
         };
         let shards = config.shards.max(1);
@@ -430,7 +413,6 @@ impl Server {
             queue_cap: config.queue_cap.max(1),
             depth: AtomicU64::new(0),
             local_addr: listener.local_addr()?,
-            faults,
         });
         Ok(Server { listener, shared })
     }
@@ -713,7 +695,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
                         verify_misses: shared.store.verify_misses(),
                         queue_depth: shared.depth.load(Ordering::Relaxed),
                         shed: stats.shed.load(Ordering::Relaxed),
-                        faults_injected: shared.faults.injected(),
                         verbs,
                     }),
                 )?;
@@ -752,19 +733,7 @@ fn serve_scenarios(
     shared: &Shared,
     writer: &mut TcpStream,
 ) -> io::Result<()> {
-    let answered = if shared.faults.fires(Failpoint::ForcedShed) {
-        // The chaos drill synthesizes a refusal with the real in-flight
-        // count, exercising the client's retry path on demand.
-        let depth = shared.depth.load(Ordering::Relaxed);
-        Err(ShedInfo {
-            reason: format!("forced shed (fault injection) at depth {depth}"),
-            queue_depth: depth,
-            limit: shared.queue_cap as u64,
-        })
-    } else {
-        evaluate(shared, scenarios)
-    };
-    let results = match answered {
+    let results = match evaluate(shared, scenarios) {
         Ok(results) => results,
         Err(shed) => {
             shared.stats.shed.fetch_add(1, Ordering::Relaxed);

@@ -1,9 +1,12 @@
 //! Backpressure coverage: a request whose jobs would overflow a bounded
 //! queue is refused as a unit with a structured `shed` reply — nothing
 //! is evaluated, the connection stays usable, and the refusal is
-//! counted.
+//! counted. `procrustes-cli` retries a shed request exactly once.
 
 mod common;
+
+use std::io::Write;
+use std::process::{Command, Stdio};
 
 use procrustes_core::{Scenario, SparsityGen, Sweep, PAPER_NETWORKS};
 use procrustes_serve::{Client, ClientError, ServeConfig};
@@ -60,6 +63,50 @@ fn oversweep_is_shed_whole_and_the_daemon_keeps_serving() {
     assert_eq!(metrics.shed, 1, "the refusal is counted");
     assert_eq!(metrics.queue_depth, 0, "queues are drained");
 
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn cli_retries_a_shed_sweep_once_then_fails() {
+    // The same too-big sweep as above, sent through `procrustes-cli`:
+    // it is shed, retried once after the daemon's hint, shed again, and
+    // the CLI gives up without printing a result.
+    let (addr, server) = common::start(ServeConfig {
+        shards: 1,
+        queue_cap: 4,
+        ..ServeConfig::default()
+    });
+    let sweep = Sweep::new()
+        .networks(PAPER_NETWORKS)
+        .mappings(Mapping::ALL)
+        .sparsities([SparsityGen::Dense, SparsityGen::PaperSynthetic { seed: 1 }]);
+    let mut cli = Command::new(env!("CARGO_BIN_EXE_procrustes-cli"))
+        .args(["--addr", &addr.to_string(), "sweep", "-"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    cli.stdin
+        .take()
+        .unwrap()
+        .write_all(sweep.to_json().as_bytes())
+        .unwrap();
+    let out = cli.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a twice-shed sweep fails: {stderr}");
+    assert!(out.stdout.is_empty(), "a shed sweep prints no result");
+    assert_eq!(
+        stderr.matches("shed by daemon").count(),
+        1,
+        "exactly one retry is announced: {stderr}"
+    );
+
+    let mut client = Client::connect(addr).unwrap();
+    let metrics = client.metrics().unwrap();
+    assert_eq!(metrics.shed, 2, "the attempt and its one retry");
+    assert_eq!(metrics.computed, 0, "a shed request evaluates nothing");
     client.shutdown().unwrap();
     server.join().unwrap().unwrap();
 }

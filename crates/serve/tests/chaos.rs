@@ -1,17 +1,16 @@
-//! Chaos coverage: a daemon under a seeded fault-injection schedule must
-//! serve the paper's evaluation sweep bit-identical to the in-process
-//! engine. Forced sheds are absorbed by the client's retry loop, and a
-//! daemon restarted onto a cache whose reads come back corrupt quietly
-//! recomputes exactly the corrupted entries — faults may cost work and
-//! time, never a served byte.
+//! Chaos coverage: a daemon restarted onto a cache directory whose entry
+//! files were torn on disk must serve the paper's evaluation sweep
+//! bit-identical to the in-process engine. It recomputes exactly the
+//! torn entries and rewrites them — damage may cost work and time,
+//! never a served byte.
 
 mod common;
 
-use std::net::SocketAddr;
-use std::time::Duration;
+use std::fs;
+use std::path::Path;
 
 use procrustes_core::{Engine, SparsityGen, Sweep, PAPER_NETWORKS};
-use procrustes_serve::{Client, ClientError, FaultPlan, ServeConfig, Served};
+use procrustes_serve::{Client, ServeConfig, ServerMetrics};
 use procrustes_sim::Mapping;
 
 /// The Fig 17–19 evaluation shape: 5 networks × 4 dataflows × 2
@@ -23,107 +22,83 @@ fn fig_sweep() -> Sweep {
         .sparsities([SparsityGen::Dense, SparsityGen::PaperSynthetic { seed: 1 }])
 }
 
-fn expected_docs() -> Vec<String> {
-    let scenarios = fig_sweep().build().unwrap();
-    let reference = Engine::default().run_all(&scenarios).unwrap();
-    reference.iter().map(|r| r.to_json()).collect()
-}
-
-fn assert_bit_identical(served: &[Served], expected: &[String], tag: &str) {
+/// Starts a daemon on `dir`, serves the sweep, checks every document
+/// against the in-process engine's, and stops the daemon, returning its
+/// final metrics.
+fn serve_sweep(dir: &Path, expected: &[String], tag: &str) -> ServerMetrics {
+    let (addr, handle) = common::start(ServeConfig {
+        shards: 2,
+        cache_dir: Some(dir.to_path_buf()),
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(addr).unwrap();
+    let served = client.sweep(&fig_sweep()).unwrap();
     assert_eq!(served.len(), expected.len(), "{tag}: result count");
     for (i, result) in served.iter().enumerate() {
         assert_eq!(result.index, i, "{tag}: stream order");
         assert_eq!(result.doc, expected[i], "{tag}: scenario {i} diverged");
     }
-}
-
-/// Submits a sweep, honoring `shed` replies the way `procrustes-cli`
-/// does: back off by the daemon's `retry_after_ms` hint and try again
-/// (bounded, so a pathological schedule fails the test instead of
-/// hanging it).
-fn sweep_with_retry(addr: SocketAddr, sweep: &Sweep) -> Vec<Served> {
-    let mut client = Client::connect(addr).unwrap();
-    for _ in 0..10 {
-        match client.sweep(sweep) {
-            Ok(served) => return served,
-            Err(ClientError::Shed { retry_after_ms, .. }) => {
-                assert!(
-                    (1..=1000).contains(&retry_after_ms),
-                    "shed hints are bounded, got {retry_after_ms}"
-                );
-                std::thread::sleep(Duration::from_millis(retry_after_ms.min(500)));
-            }
-            Err(e) => panic!("sweep failed under faults: {e}"),
-        }
-    }
-    panic!("sweep shed more than 10 times in a row");
-}
-
-#[test]
-fn forced_sheds_are_retried_to_a_bit_identical_sweep() {
-    let expected = expected_docs();
-    let (addr, handle) = common::start(ServeConfig {
-        shards: 2,
-        fault_plan: Some(FaultPlan::parse("seed=11; forced_shed=0..2").unwrap()),
-        ..ServeConfig::default()
-    });
-
-    // The first two submissions are refused whole; the third runs.
-    let served = sweep_with_retry(addr, &fig_sweep());
-    assert_bit_identical(&served, &expected, "sweep through forced sheds");
-
-    let mut client = Client::connect(addr).unwrap();
     let metrics = client.metrics().unwrap();
-    assert_eq!(metrics.faults_injected, 2, "the shed window fires twice");
-    assert_eq!(metrics.shed, 2, "each firing is one refused request");
-    assert_eq!(metrics.queue_depth, 0, "queues drain after the sweep");
-    assert_eq!(
-        metrics.served,
-        expected.len() as u64,
-        "a shed request streams nothing"
-    );
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
+    metrics
+}
+
+/// Cuts a file at the char boundary at or below its middle, the way a
+/// torn copy leaves it.
+fn tear(path: &Path) {
+    let mut doc = fs::read_to_string(path).unwrap();
+    let mut cut = doc.len() / 2;
+    while !doc.is_char_boundary(cut) {
+        cut -= 1;
+    }
+    doc.truncate(cut);
+    fs::write(path, doc).unwrap();
 }
 
 #[test]
 fn corrupt_cache_reads_are_recomputed_to_a_bit_identical_sweep() {
-    let expected = expected_docs();
+    let scenarios = fig_sweep().build().unwrap();
+    let expected: Vec<String> = Engine::default()
+        .run_all(&scenarios)
+        .unwrap()
+        .iter()
+        .map(|r| r.to_json())
+        .collect();
+    let total = expected.len() as u64;
     let dir = common::tmp_dir("chaos-corrupt");
-    let config = |fault_plan: Option<&str>| ServeConfig {
-        shards: 2,
-        cache_dir: Some(dir.clone()),
-        fault_plan: fault_plan.map(|spec| FaultPlan::parse(spec).unwrap()),
-        ..ServeConfig::default()
-    };
 
     // Warm the cache directory: every scenario computed and written.
-    let (addr, handle) = common::start(config(None));
-    let mut client = Client::connect(addr).unwrap();
-    let served = client.sweep(&fig_sweep()).unwrap();
-    assert_bit_identical(&served, &expected, "cold sweep");
-    client.shutdown().unwrap();
-    handle.join().unwrap().unwrap();
+    let metrics = serve_sweep(&dir, &expected, "cold sweep");
+    assert_eq!(metrics.computed, total);
 
-    // Restart on it with the first four disk reads observing a torn
-    // entry: those four read as misses and are recomputed, the rest
-    // come back from disk.
-    const CORRUPTED: u64 = 4;
-    let (addr, handle) = common::start(config(Some("seed=44; cache_corrupt=0..4")));
-    let mut client = Client::connect(addr).unwrap();
-    let served = client.sweep(&fig_sweep()).unwrap();
-    assert_bit_identical(&served, &expected, "restart over a corrupted cache");
-    let metrics = client.metrics().unwrap();
+    // With the daemon stopped, tear four entry files on disk.
+    const TORN: u64 = 4;
+    let mut entries: Vec<_> = fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|x| x == "json"))
+        .collect();
+    assert_eq!(entries.len() as u64, total, "one file per scenario");
+    entries.sort();
+    for path in &entries[..TORN as usize] {
+        tear(path);
+    }
+
+    // A restart reads the torn entries as misses and recomputes exactly
+    // them; the rest come back from disk.
+    let metrics = serve_sweep(&dir, &expected, "restart over torn entries");
     assert_eq!(
-        metrics.faults_injected, CORRUPTED,
-        "the corrupt window fires on exactly its four scheduled reads"
+        metrics.computed, TORN,
+        "each torn entry is recomputed, and nothing else"
     );
-    assert_eq!(
-        metrics.computed, CORRUPTED,
-        "each corrupted read is recomputed, and nothing else"
-    );
-    assert_eq!(metrics.disk_hits, expected.len() as u64 - CORRUPTED);
-    client.shutdown().unwrap();
-    handle.join().unwrap().unwrap();
-    let _ = std::fs::remove_dir_all(dir);
+    assert_eq!(metrics.disk_hits, total - TORN);
+    assert_eq!(metrics.verify_misses, 0, "a torn entry is a plain miss");
+
+    // The recomputed entries were rewritten: a third start reads all of
+    // them from disk.
+    let metrics = serve_sweep(&dir, &expected, "restart over the mended cache");
+    assert_eq!(metrics.disk_hits, total, "every entry is whole again");
+    assert_eq!(metrics.computed, 0);
+    let _ = fs::remove_dir_all(dir);
 }
