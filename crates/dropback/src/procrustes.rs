@@ -548,11 +548,11 @@ mod tests {
         m.push(Conv2d::new(3, 5, 3, 1, 1, false, &mut rng));
         m.push(BatchNorm2d::new(5));
         m.push(ReLU::new());
-        m.push(MaxPool2d::new(2, 2));
+        m.push(MaxPool2d::new());
         m.push(Conv2d::new(5, 7, 3, 1, 1, false, &mut rng));
         m.push(BatchNorm2d::new(7));
         m.push(ReLU::new());
-        m.push(MaxPool2d::new(2, 2));
+        m.push(MaxPool2d::new());
         m.push(Flatten::new());
         m.push(Linear::new(7 * 4 * 4, 3, true, &mut rng));
         m

@@ -10,11 +10,11 @@ pub(crate) fn micro_model(classes: usize, seed: u64) -> Sequential {
     m.push(Conv2d::new(3, 8, 3, 1, 1, false, &mut rng));
     m.push(BatchNorm2d::new(8));
     m.push(ReLU::new());
-    m.push(MaxPool2d::new(2, 2)); // 8
+    m.push(MaxPool2d::new()); // 8
     m.push(Conv2d::new(8, 16, 3, 1, 1, false, &mut rng));
     m.push(BatchNorm2d::new(16));
     m.push(ReLU::new());
-    m.push(MaxPool2d::new(2, 2)); // 4
+    m.push(MaxPool2d::new()); // 4
     m.push(Flatten::new());
     m.push(Linear::new(16 * 4 * 4, classes, true, &mut rng));
     m

@@ -16,10 +16,10 @@ fn micro_model(seed: u64) -> Sequential {
     let mut m = Sequential::new();
     m.push(Conv2d::new(3, 8, 3, 1, 1, false, &mut rng));
     m.push(ReLU::new());
-    m.push(MaxPool2d::new(2, 2));
+    m.push(MaxPool2d::new());
     m.push(Conv2d::new(8, 8, 3, 1, 1, false, &mut rng));
     m.push(ReLU::new());
-    m.push(MaxPool2d::new(2, 2));
+    m.push(MaxPool2d::new());
     m.push(Flatten::new());
     m.push(Linear::new(8 * 4 * 4, 4, true, &mut rng));
     m

@@ -394,7 +394,7 @@ mod tests {
         m.push(Conv2d::new(3, 4, 3, 1, 1, false, &mut rng));
         m.push(BatchNorm2d::new(4));
         m.push(ReLU::new());
-        m.push(MaxPool2d::new(2, 2));
+        m.push(MaxPool2d::new());
         m.push(Flatten::new());
         m.push(Linear::new(4 * 4 * 4, 4, true, &mut rng));
         m

@@ -19,17 +19,17 @@ pub fn tiny_vgg<R: UniformRng + ?Sized>(classes: usize, rng: &mut R) -> Sequenti
         m.push(BatchNorm2d::new(cout));
         m.push(ReLU::new());
     }
-    m.push(MaxPool2d::new(2, 2)); // 16
+    m.push(MaxPool2d::new()); // 16
     for (cin, cout) in [(16, 32), (32, 32)] {
         m.push(Conv2d::new(cin, cout, 3, 1, 1, false, rng));
         m.push(BatchNorm2d::new(cout));
         m.push(ReLU::new());
     }
-    m.push(MaxPool2d::new(2, 2)); // 8
+    m.push(MaxPool2d::new()); // 8
     m.push(Conv2d::new(32, 64, 3, 1, 1, false, rng));
     m.push(BatchNorm2d::new(64));
     m.push(ReLU::new());
-    m.push(MaxPool2d::new(2, 2)); // 4
+    m.push(MaxPool2d::new()); // 4
     m.push(Flatten::new());
     m.push(Linear::new(64 * 4 * 4, 64, true, rng));
     m.push(ReLU::new());
@@ -76,7 +76,7 @@ pub fn tiny_densenet<R: UniformRng + ?Sized>(classes: usize, rng: &mut R) -> Seq
         c += growth;
     }
     m.push(Conv2d::new(c, c, 1, 1, 0, false, rng));
-    m.push(MaxPool2d::new(2, 2));
+    m.push(MaxPool2d::new());
     for _ in 0..3 {
         m.push(DenseBlock::new(c, growth, rng));
         c += growth;

@@ -193,7 +193,8 @@ impl Layer for Linear {
 }
 
 /// Rectified linear unit, `y = max(x, 0)` — the activation-sparsity source
-/// the weight-update phase exploits (§II-B of the paper).
+/// the weight-update phase exploits (§II-B of the paper). A NaN input
+/// stays NaN, so it reaches the loss, and routes no gradient.
 #[derive(Default)]
 pub struct ReLU {
     mask: Option<Vec<bool>>,
@@ -215,7 +216,8 @@ impl Layer for ReLU {
         }
         let mut y = scratch.take_tensor_any(x.shape().dims());
         for (o, &v) in y.data_mut().iter_mut().zip(x.data()) {
-            *o = v.max(0.0);
+            // `max` drops a NaN; pass it on to the loss instead.
+            *o = if v.is_nan() { v } else { v.max(0.0) };
         }
         y
     }
@@ -226,11 +228,9 @@ impl Layer for ReLU {
             .as_ref()
             .expect("ReLU::backward called before training-mode forward");
         assert_eq!(mask.len(), dy.len(), "ReLU: gradient shape changed");
-        let mut dx = scratch.take_tensor(dy.shape().dims());
+        let mut dx = scratch.take_tensor_any(dy.shape().dims());
         for ((o, &v), &keep) in dx.data_mut().iter_mut().zip(dy.data()).zip(mask) {
-            if keep {
-                *o = v;
-            }
+            *o = if keep { v } else { 0.0 };
         }
         dx
     }
@@ -343,6 +343,19 @@ mod tests {
         assert_eq!(y.data(), &[0.0, 0.0, 0.5, 2.0]);
         let dx = relu.backward(&Tensor::ones(&[1, 4]));
         assert_eq!(dx.data(), &[0.0, 0.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn relu_passes_nan_on_and_routes_no_gradient_through_it() {
+        let mut relu = ReLU::new();
+        let nan = f32::from_bits(0xffc0_0005);
+        let x = Tensor::from_vec(&[1, 5], vec![nan, -1.0, -0.0, 0.0, 3.0]);
+        let y = relu.forward(&x, true);
+        assert_eq!(y.data()[0].to_bits(), nan.to_bits(), "the NaN itself");
+        assert_eq!(&y.data()[1..], &[0.0, 0.0, 0.0, 3.0]);
+        assert_eq!(relu.forward(&x, false).data()[0].to_bits(), nan.to_bits());
+        let dx = relu.backward(&Tensor::from_vec(&[1, 5], vec![2.0; 5]));
+        assert_eq!(dx.data(), &[0.0, 0.0, 0.0, 0.0, 2.0]);
     }
 
     #[test]

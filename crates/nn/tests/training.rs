@@ -14,11 +14,11 @@ fn micro_cnn(classes: usize, rng: &mut Xorshift64) -> Sequential {
     m.push(Conv2d::new(3, 8, 3, 1, 1, false, rng));
     m.push(BatchNorm2d::new(8));
     m.push(ReLU::new());
-    m.push(MaxPool2d::new(2, 2)); // 8
+    m.push(MaxPool2d::new()); // 8
     m.push(Conv2d::new(8, 16, 3, 1, 1, false, rng));
     m.push(BatchNorm2d::new(16));
     m.push(ReLU::new());
-    m.push(MaxPool2d::new(2, 2)); // 4
+    m.push(MaxPool2d::new()); // 4
     m.push(Flatten::new());
     m.push(Linear::new(16 * 4 * 4, classes, true, rng));
     m
@@ -78,7 +78,7 @@ fn random_stack(classes: usize, rng: &mut Xorshift64) -> Sequential {
         m.push(BatchNorm2d::new(out));
         m.push(ReLU::new());
         if rng.next_below(2) == 1 {
-            m.push(MaxPool2d::new(2, 2));
+            m.push(MaxPool2d::new());
             spatial /= 2;
         }
         ch = out;

@@ -21,10 +21,10 @@ fn micro_model(seed: u64) -> Sequential {
     m.push(Conv2d::new(3, 16, 3, 1, 1, false, &mut rng));
     m.push(BatchNorm2d::new(16));
     m.push(ReLU::new());
-    m.push(MaxPool2d::new(2, 2));
+    m.push(MaxPool2d::new());
     m.push(Conv2d::new(16, 32, 3, 1, 1, false, &mut rng));
     m.push(ReLU::new());
-    m.push(MaxPool2d::new(2, 2));
+    m.push(MaxPool2d::new());
     m.push(Flatten::new());
     m.push(Linear::new(32 * 4 * 4, 4, true, &mut rng));
     m
