@@ -209,15 +209,23 @@ impl ReLU {
 
 impl Layer for ReLU {
     fn forward_with(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Tensor {
-        if train {
-            let mask = self.mask.get_or_insert_with(Vec::new);
-            mask.clear();
-            mask.extend(x.data().iter().map(|&v| v > 0.0));
-        }
+        // `max` drops a NaN; pass it on to the loss instead.
+        let relu = |v: f32| if v.is_nan() { v } else { v.max(0.0) };
         let mut y = scratch.take_tensor_any(x.shape().dims());
-        for (o, &v) in y.data_mut().iter_mut().zip(x.data()) {
-            // `max` drops a NaN; pass it on to the loss instead.
-            *o = if v.is_nan() { v } else { v.max(0.0) };
+        let pairs = y.data_mut().iter_mut().zip(x.data());
+        if train {
+            // One walk writes both; a mask of the same length is reused
+            // as it stands.
+            let mask = self.mask.get_or_insert_with(Vec::new);
+            mask.resize(x.len(), false);
+            for ((o, &v), keep) in pairs.zip(mask.iter_mut()) {
+                *o = relu(v);
+                *keep = v > 0.0;
+            }
+        } else {
+            for (o, &v) in pairs {
+                *o = relu(v);
+            }
         }
         y
     }

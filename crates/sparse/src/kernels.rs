@@ -22,10 +22,11 @@
 //!   view of the output. The forward pass streams the `[K, C·R·S]` rows
 //!   over the padded input; the backward-input pass streams the rotated
 //!   `[C, K·R·S]` rows over the dilated, padded upstream gradient — one
-//!   loop nest, two tap orders. Its samples are split over the worker
-//!   pool of `procrustes-tensor` (`min(default_threads(), N)` workers,
-//!   a static cut), each worker writing its own slab of the output, so
-//!   every output element is still reduced on one thread, in one order.
+//!   loop nest, two tap orders. Its output is cut into (sample, 8-row)
+//!   pieces that the workers of `procrustes-tensor`'s pool claim
+//!   (`default_threads()` of them), each worker writing the slab of the
+//!   output its piece covers, so every output element is still reduced
+//!   on one thread, in one order.
 //! - **The SpMM** over a materialised column matrix serves the
 //!   fully-connected products (`xᵀ`, and `dyᵀ` against the CSR of `Wᵀ`:
 //!   a fully-connected layer is a convolution at `P = Q = 1`) and
@@ -63,6 +64,7 @@
 
 use procrustes_tensor::kernel::{self, thread::run_split};
 use procrustes_tensor::{conv_out_dim, im2col_into, PaddedPlanes, Scratch, Tensor};
+use std::ops::Range;
 
 use crate::CsbTensor;
 
@@ -72,6 +74,12 @@ use crate::CsbTensor;
 /// the dense GEMM's 2×64 tile (64 and 256 both measured slower on the
 /// tiny-VGG stack).
 const NR: usize = 128;
+
+/// Output rows of one gather grain. A piece of the gather's output is
+/// a run of whole grains, a fraction of a sample rather than whole
+/// samples, so the pieces are small enough that a worker that starts
+/// late leaves its share to the others.
+const GATHER_ROWS: usize = 8;
 
 /// A sparse matrix by rows: `row_ptr[r]..row_ptr[r + 1]` indexes row
 /// `r`'s `(column, value)` pairs, ascending by column — the order the
@@ -255,12 +263,13 @@ impl Csr {
     /// `o`'s entries `(i, v)` in order, `i` a `(channel, r, s)` tap of
     /// the planes' tables; `y` is laid out `[N, rows, P, Q]`.
     ///
-    /// The samples are split over `workers` workers of the pool (the
-    /// layers pass `default_threads()`; clamped to `1..=MAX_WORKERS` and
-    /// to `N`): `run_split` deals each worker a static cut of whole
-    /// samples and their slab of `y`, and each sample is computed
-    /// exactly as a serial gather would, so the result does not depend
-    /// on `workers`.
+    /// The output is cut into (sample, 8-row) pieces, claimed by
+    /// `workers` workers of the pool (the layers pass
+    /// `default_threads()`; `run_split` clamps it): each piece is a run
+    /// of `GATHER_ROWS`-row grains of `(sample, output row)` items,
+    /// sample-major, and every row is computed exactly as a serial
+    /// gather would, so the result does not depend on `workers` or on
+    /// who claims what.
     ///
     /// At stride 1 a sample's output is walked as a `Wp`-wide view —
     /// position `p·Wp + q` — in which every tap is the contiguous run of
@@ -283,15 +292,23 @@ impl Csr {
             "csb gather: tap count mismatch"
         );
         assert_eq!(y.len(), n * rows * pq, "csb gather: output length");
-        run_split(workers, n, 1, y, scratch, &|samples, slab| {
-            for (ni, y) in samples.zip(slab.chunks_exact_mut(rows * pq)) {
-                self.gather_sample(planes, ni, y);
+        if y.is_empty() {
+            return;
+        }
+        // A piece may straddle samples: gather each one's share.
+        let gather = |items: Range<usize>, slab: &mut [f32]| {
+            for ni in items.start / rows..items.end.div_ceil(rows) {
+                let outs = items.start.max(ni * rows)..items.end.min((ni + 1) * rows);
+                let y = &mut slab[(outs.start - items.start) * pq..][..outs.len() * pq];
+                self.gather_sample(planes, ni, outs.start - ni * rows..outs.end - ni * rows, y);
             }
-        });
+        };
+        run_split(workers, n * rows, GATHER_ROWS, y, scratch, &gather);
     }
 
-    /// Sample `ni` of the gather into its `[rows, P, Q]` output `y`.
-    fn gather_sample(&self, planes: &PaddedPlanes, ni: usize, y: &mut [f32]) {
+    /// Output rows `outs` of sample `ni` of the gather into their
+    /// `[outs.len(), P, Q]` output `y`.
+    fn gather_sample(&self, planes: &PaddedPlanes, ni: usize, outs: Range<usize>, y: &mut [f32]) {
         let view = planes.view();
         let [_, c, hp, wp] = planes.dims();
         let (p, q) = planes.out_dims();
@@ -301,7 +318,7 @@ impl Csr {
             let offsets = &view.col_off[ni * pq..(ni + 1) * pq];
             for j in (0..pq).step_by(NR) {
                 let width = NR.min(pq - j);
-                for (o, y) in y.chunks_exact_mut(pq).enumerate() {
+                for (o, y) in outs.clone().zip(y.chunks_exact_mut(pq)) {
                     acc[..width].fill(0.0);
                     for (i, v) in self.row(o) {
                         let base = view.row_base[i];
@@ -324,7 +341,7 @@ impl Csr {
             // A full block may run into the next sample (dropped at the
             // store); only the last sample's last block cannot.
             let full = reach + j + NR <= src.len();
-            for (o, y) in y.chunks_exact_mut(pq).enumerate() {
+            for (o, y) in outs.clone().zip(y.chunks_exact_mut(pq)) {
                 let runs = self.row(o).map(|(i, v)| (view.row_base[i] + j, v));
                 if full {
                     // Constant width: the block lives in registers.

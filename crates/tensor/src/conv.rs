@@ -213,8 +213,8 @@ fn forward(
 /// `[⌈K/16⌉][N·P·Q][16]` copy of it. A tile of 8 taps × 16 channels of
 /// accumulators stays in registers across the whole `N·P·Q` reduction,
 /// and the tap tiles are split over the worker pool
-/// ([`kernel::default_threads`] workers, a static cut in units of 8
-/// taps), so no reduction is ever split.
+/// ([`kernel::default_threads`] workers claiming pieces of whole 8-tap
+/// tiles), so no reduction is ever split.
 ///
 /// For each `dw[k,c,r,s]` the contributions arrive over `(n, p, q)`
 /// ascending from `+0.0`, one term at a time — exactly the scatter
@@ -285,7 +285,8 @@ fn backward_weights_by_taps(
         }
     }
 
-    // dwᵀ [C·R·S, groups·16], its taps dealt to the workers in tiles.
+    // dwᵀ [C·R·S, groups·16], its taps claimed by the workers in pieces
+    // of whole tiles.
     let mut dwt = scratch.take_any(crs * width);
     kernel::thread::run_split(workers, crs, WU_TAPS, &mut dwt, scratch, &|taps, slab| {
         wu_taps(&view, &dyk, taps, width, slab);

@@ -21,7 +21,7 @@
 
 use super::blueprint::{Blueprint, Op};
 use super::cols::{for_each_run, ColsView};
-use super::thread::{chunk, MAX_WORKERS};
+use super::thread::{chunk, MAX_PIECES};
 use crate::scratch::Scratch;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
@@ -58,7 +58,8 @@ pub(crate) enum Rhs<'a> {
 /// rows `i0..i1` × columns `j0..j1` of the `[m, n]` destination.
 ///
 /// The serial tier always runs the full slab; the threaded tier (see
-/// [`super::thread`]) hands each worker a disjoint slab. Every kernel
+/// [`super::thread`]) cuts the output into disjoint slabs, its pieces,
+/// which the workers claim. Every kernel
 /// below reaches `dst` only through its [`SlabMut`] and reduces each
 /// element in ascending `p` exactly as the full-problem loop would, so
 /// slab boundaries never perturb a result bit.
@@ -91,9 +92,9 @@ impl Slab {
 ///
 /// A view never yields a reference to the destination as a whole, only
 /// [`row`](Self::row) segments inside its slab, so the workers of one
-/// product — each holding the view of a disjoint slab, see
-/// [`SlabDeal`] — never hold references to the same element, and a
-/// kernel that strays outside its slab panics instead of racing.
+/// product — each holding views of disjoint slabs, see [`SlabDeal`] —
+/// never hold references to the same element, and a kernel that strays
+/// outside its slab panics instead of racing.
 pub(crate) struct SlabMut<'a> {
     /// Element `[0, 0]` of the destination.
     base: *mut f32,
@@ -150,39 +151,40 @@ impl<'a> SlabMut<'a> {
     }
 }
 
-/// Deals the destination of one threaded product out to its workers:
-/// worker `idx` [`claim`](Self::claim)s the view of
-/// [`chunk`]`(bp, workers, idx)`, once.
+/// The destination of one threaded product, cut into pieces for its
+/// workers to claim: whichever worker asks for piece `idx` first gets
+/// the view of [`chunk`]`(bp, pieces, idx)` — each piece once.
 ///
 /// Holds the caller's `&mut [f32]` for as long as any view lives, keeps
 /// its base pointer in an atomic so that workers can share `&SlabDeal`,
-/// and checks what [`SlabMut::row`] relies on — the chunks lie inside
-/// the destination and are pairwise disjoint — itself, at construction,
-/// rather than trusting the geometry code.
+/// and checks what [`SlabMut::row`] relies on — the pieces lie inside
+/// the destination and are pairwise disjoint, and none is handed out
+/// twice — itself, rather than trusting the geometry or the claim
+/// counter.
 pub(crate) struct SlabDeal<'a> {
     base: AtomicPtr<f32>,
     n: usize,
-    workers: usize,
-    slabs: [Slab; MAX_WORKERS],
-    /// Bit `idx` is set once worker `idx` has claimed its view.
+    pieces: usize,
+    slabs: [Slab; MAX_PIECES],
+    /// Bit `idx` is set once piece `idx` has been claimed.
     claimed: AtomicU32,
     dst: PhantomData<&'a mut [f32]>,
 }
 
 impl<'a> SlabDeal<'a> {
-    /// Cuts `dst` into the `workers` chunks of `bp`.
+    /// Cuts `dst` into the `pieces` chunks of `bp`.
     ///
     /// # Panics
     ///
-    /// Panics if `dst` is not `bp.m * bp.n` long, if `workers` is not in
-    /// `1..=MAX_WORKERS`, or if the chunks leave the destination or
+    /// Panics if `dst` is not `bp.m * bp.n` long, if `pieces` is not in
+    /// `1..=MAX_PIECES`, or if the chunks leave the destination or
     /// overlap (a bug in `chunk`).
-    pub(crate) fn new(bp: &Blueprint, workers: usize, dst: &'a mut [f32]) -> Self {
+    pub(crate) fn new(bp: &Blueprint, pieces: usize, dst: &'a mut [f32]) -> Self {
         assert_eq!(dst.len(), bp.m * bp.n, "kernel: dst length != m*n");
-        assert!((1..=MAX_WORKERS).contains(&workers));
-        let mut slabs = [Slab::full(bp); MAX_WORKERS];
-        for idx in 0..workers {
-            let slab = chunk(bp, workers, idx);
+        assert!((1..=MAX_PIECES).contains(&pieces));
+        let mut slabs = [Slab::full(bp); MAX_PIECES];
+        for idx in 0..pieces {
+            let slab = chunk(bp, pieces, idx);
             assert!(
                 slab.i0 <= slab.i1 && slab.i1 <= bp.m && slab.j0 <= slab.j1 && slab.j1 <= bp.n,
                 "kernel: chunk {idx} leaves the output"
@@ -196,26 +198,29 @@ impl<'a> SlabDeal<'a> {
         Self {
             base: AtomicPtr::new(dst.as_mut_ptr()),
             n: bp.n,
-            workers,
+            pieces,
             slabs,
             claimed: AtomicU32::new(0),
             dst: PhantomData,
         }
     }
 
-    /// Worker `idx`'s view.
+    /// The view of piece `idx`.
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is not a worker of this deal or has claimed
+    /// Panics if `idx` is not a piece of this deal or has been claimed
     /// already.
     pub(crate) fn claim(&self, idx: usize) -> SlabMut<'_> {
-        assert!(idx < self.workers, "kernel: no worker {idx}");
+        assert!(idx < self.pieces, "kernel: no piece {idx}");
         // Relaxed is enough on both atomics: the read-modify-write lets
         // one claimant per bit through whatever the ordering, and `base`
         // is written once, before the deal can be shared.
         let before = self.claimed.fetch_or(1 << idx, Ordering::Relaxed);
-        assert!(before & (1 << idx) == 0, "kernel: slab {idx} claimed twice");
+        assert!(
+            before & (1 << idx) == 0,
+            "kernel: piece {idx} claimed twice"
+        );
         SlabMut {
             base: self.base.load(Ordering::Relaxed),
             n: self.n,
@@ -226,21 +231,40 @@ impl<'a> SlabDeal<'a> {
 }
 
 /// Runs the packed kernel on one output slab of the problem described
-/// by `bp`: the serial tier passes the view of the whole destination,
-/// each worker of the threaded tier (see [`super::thread`]) the view of
-/// its own slab, of which it writes only that region.
+/// by `bp` — the serial tier passes the view of the whole destination.
+/// [`execute_slabs`] for one slab.
 ///
-/// The slab is overwritten entirely (stale contents are permitted). The
-/// rhs panels are staged through `scratch`, so a caller that recycles
-/// its buffers sees zero steady-state allocations here.
+/// # Panics
+///
+/// As [`execute_slabs`].
+pub(crate) fn execute_slab(
+    bp: &Blueprint,
+    dst: SlabMut<'_>,
+    lhs: &[f32],
+    rhs: Rhs<'_>,
+    scratch: &mut Scratch,
+) {
+    execute_slabs(bp, std::iter::once(dst), lhs, rhs, scratch);
+}
+
+/// Runs the packed kernel on every output slab `slabs` yields of the
+/// problem described by `bp`: each worker of the threaded tier (see
+/// [`super::thread`]) passes the views of the pieces it claims, of
+/// which it writes only those regions.
+///
+/// Each slab is overwritten entirely (stale contents are permitted).
+/// The rhs panels are staged through `scratch`: taken once, before the
+/// first slab is asked for — so a worker that gets none still takes the
+/// same sizes — and recycled at the end, so a caller that recycles its
+/// buffers sees zero steady-state allocations here.
 ///
 /// # Panics
 ///
 /// Panics if a slice length disagrees with the blueprint, or if a
 /// column view is the rhs of anything but an `Nn` product.
-pub(crate) fn execute_slab(
+pub(crate) fn execute_slabs<'d>(
     bp: &Blueprint,
-    mut dst: SlabMut<'_>,
+    slabs: impl Iterator<Item = SlabMut<'d>>,
     lhs: &[f32],
     rhs: Rhs<'_>,
     scratch: &mut Scratch,
@@ -261,12 +285,22 @@ pub(crate) fn execute_slab(
             );
         }
     }
-    let slab = dst.slab();
-    debug_assert!(
-        dst.n == bp.n && slab.i1 <= bp.m && slab.j1 <= bp.n,
-        "kernel: view of another output"
-    );
-    run_packed(&mut dst, lhs, rhs, bp, scratch);
+    // Ping-pong staging: two pooled panels, alternated per packed
+    // block, so the pack of one panel never overwrites the lines the
+    // previous block's tail tiles are still streaming from.
+    let len = KC.min(bp.k) * NR;
+    let mut panels = [scratch.take_any(len), scratch.take_any(len)];
+    for mut dst in slabs {
+        let slab = dst.slab();
+        debug_assert!(
+            dst.n == bp.n && slab.i1 <= bp.m && slab.j1 <= bp.n,
+            "kernel: view of another output"
+        );
+        run_packed(&mut dst, lhs, rhs, bp, &mut panels);
+    }
+    let [p0, p1] = panels;
+    scratch.recycle_vec(p0);
+    scratch.recycle_vec(p1);
 }
 
 /// The packed register-tiled kernel.
@@ -282,7 +316,7 @@ fn run_packed(
     lhs: &[f32],
     rhs: Rhs<'_>,
     bp: &Blueprint,
-    scratch: &mut Scratch,
+    panels: &mut [Vec<f32>; 2],
 ) {
     let (m, k, n) = (bp.m, bp.k, bp.n);
     let slab = dst.slab();
@@ -299,10 +333,6 @@ fn run_packed(
         Op::Nn | Op::Nt => (k, 1),
     };
     let kc_blk = KC.min(k);
-    // Ping-pong staging: two pooled panels, alternated per packed
-    // block, so the pack of one panel never overwrites the lines the
-    // previous block's tail tiles are still streaming from.
-    let mut panels = [scratch.take_any(kc_blk * NR), scratch.take_any(kc_blk * NR)];
     let mut which = 0usize;
     let mut j = slab.j0;
     while j < slab.j1 {
@@ -332,9 +362,6 @@ fn run_packed(
         }
         j += NR;
     }
-    let [p0, p1] = panels;
-    scratch.recycle_vec(p0);
-    scratch.recycle_vec(p1);
 }
 
 /// One `R×NR` output tile (`R` = [`MR`], or 1 for a ragged row): load
@@ -459,6 +486,7 @@ fn pack_cols_n(panel: &mut [f32], v: &ColsView<'_>, k0: usize, kc: usize, j: usi
 mod tests {
     use super::*;
     use crate::kernel::gemm;
+    use crate::kernel::thread::MAX_WORKERS;
     use crate::reference::matmul_ikj;
     use procrustes_prng::{UniformRng, Xorshift64};
     use std::panic::{catch_unwind, AssertUnwindSafe};

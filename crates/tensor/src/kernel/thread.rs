@@ -14,45 +14,60 @@
 //! serial tier's, at every worker count, by construction. (Kraken's PE
 //! partitioning motivates the same shape of split in hardware.)
 //!
-//! # Determinism of the partition
+//! # Claimed pieces
 //!
-//! Chunk assignment is **static**: worker `w` of a `workers`-wide job
-//! always computes chunk `w` of that blueprint, and `chunk` is a pure
-//! function of `(blueprint, workers, w)`. Results do not depend on this
-//! (any disjoint partition gives the same bytes), but static assignment
-//! makes each worker's scratch *warm sizes* reproducible, which is what
-//! lets the counting-allocator test pin zero steady-state allocations
-//! for the threaded tier too.
+//! A product's output is cut into pieces: up to `MAX_PIECES` (32) runs
+//! of whole j-panels for a column split, one run of m-tiles per worker for
+//! a row split (each row piece packs the whole rhs, so finer ones would
+//! repack it). The cut, `chunk(bp, pieces, idx)`, is a pure function of
+//! the shape. Who computes a piece is not: every worker takes the next
+//! unclaimed piece from one shared counter until none is left, so a
+//! helper that wakes late or runs slow just claims fewer, and the
+//! caller never parks with work still unclaimed. Results do not depend
+//! on the claim order — any disjoint partition gives the same bytes.
+//!
+//! Nor do allocations. Every piece of one product needs the same two
+//! `KC × NR` rhs panels, and each worker takes them from its scratch
+//! before it claims anything, so a worker's scratch sees the same sizes
+//! whichever pieces it gets, none included; that is what lets the
+//! counting-allocator tests pin zero steady-state allocations for the
+//! threaded tier too.
 //!
 //! # The other two output splits
 //!
 //! Two kernels outside the GEMM split their output over the same pool
-//! by the same rule — a static, disjoint cut, no reduction split —
-//! through [`run_split`]: the convolution weight update
-//! (`conv2d_backward_weights_from_planes`) deals its filter taps to the
-//! workers in whole 8-tap tiles, and the CSB gather of
-//! `procrustes-sparse` deals whole samples. Both ask for the
-//! [`default_threads`] budget.
+//! by the same rule — claimed pieces of a disjoint cut, no reduction
+//! split — through [`run_split`]: the convolution weight update
+//! (`conv2d_backward_weights_from_planes`) cuts its filter taps into
+//! pieces of whole 8-tap tiles, and the CSB gather of
+//! `procrustes-sparse` cuts its output into (sample, 8-row) pieces.
+//! Both ask for the [`default_threads`] budget.
 //!
 //! # Dispatch
 //!
-//! The chunks go to the workspace's worker pool ([`crate::pool`]): the
-//! caller computes chunk 0 with its own [`Scratch`], pool thread `w`
-//! chunk `w` with the scratch it keeps, so packing buffers are reused
-//! across products without cross-thread traffic. Each worker reaches
-//! `dst` only through the `SlabMut` view of its own chunk, which
-//! yields row segments inside that chunk and nothing else.
+//! The workers are the workspace's worker pool ([`crate::pool`]): the
+//! caller runs pool index 0 with its own [`Scratch`], pool thread `w`
+//! index `w` with the scratch it keeps, so packing buffers are reused
+//! across products without cross-thread traffic; each index then claims
+//! pieces until none is left. A worker reaches `dst` only through the
+//! `SlabMut` view of a piece it claimed, which yields row segments
+//! inside that piece and nothing else.
 
 use super::blueprint::Blueprint;
-use super::routine::{execute_slab, Rhs, Slab, SlabDeal, MR, NR};
+use super::routine::{execute_slabs, Rhs, Slab, SlabDeal, MR, NR};
 use crate::pool;
 use crate::scratch::Scratch;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Hard ceiling on workers per job (including the calling thread);
 /// budgets above it are clamped.
 pub const MAX_WORKERS: usize = 8;
+
+/// Most pieces one split cuts its output into: four per worker at
+/// [`MAX_WORKERS`], and as many as [`SlabDeal`]'s claim mask holds.
+pub(crate) const MAX_PIECES: usize = 32;
 
 /// Environment variable overriding [`default_threads`] — CI pins a
 /// non-default worker count through it to catch thread-count-sensitive
@@ -126,27 +141,54 @@ pub fn effective_workers(bp: &Blueprint, budget: usize) -> usize {
     budget.min(MAX_WORKERS).min(units(bp).max(1)).max(1)
 }
 
-/// Balanced partition of `units` units across `workers`: worker `idx`
-/// gets the half-open unit range returned. The first `units % workers`
-/// workers take one extra unit.
-fn part(units: usize, workers: usize, idx: usize) -> (usize, usize) {
-    let base = units / workers;
-    let extra = units % workers;
+/// The pieces a threaded product's output is cut into: up to
+/// [`MAX_PIECES`] runs of whole j-panels for a column split, where a
+/// piece packs only its own panels; one run of m-tiles per worker for a
+/// row split, where every piece packs the whole rhs.
+pub(crate) fn pieces(bp: &Blueprint, workers: usize) -> usize {
+    if split_rows(bp) {
+        workers
+    } else {
+        units(bp).min(MAX_PIECES)
+    }
+}
+
+/// Balanced partition of `units` units into `pieces`: piece `idx` is
+/// the half-open unit range returned. The first `units % pieces` pieces
+/// take one extra unit.
+fn part(units: usize, pieces: usize, idx: usize) -> (usize, usize) {
+    let base = units / pieces;
+    let extra = units % pieces;
     let u0 = idx * base + idx.min(extra);
     (u0, u0 + base + usize::from(idx < extra))
 }
 
-/// Runs `f(items, slab)` once per worker of a pool job over `dst`, an
-/// output of `items` equal runs: worker `idx` computes the items of a
-/// static cut in whole `grain`s (the same balanced partition as the
-/// GEMM's chunks, a pure function of `(items, grain, workers, idx)`)
-/// into `slab`, the contiguous part of `dst` that holds them. `workers`
-/// is clamped to `1..=`[`MAX_WORKERS`] and to the grains there are.
+/// The pieces a worker claims from `next`, the counter its job shares:
+/// each call takes the next unclaimed one, until all `pieces` are out.
+/// Every piece goes to exactly one worker, whichever asks first.
+fn claims(next: &AtomicUsize, pieces: usize) -> impl Iterator<Item = usize> + '_ {
+    // Relaxed is enough: the read-modify-write hands each number out
+    // once whatever the ordering, and what a piece writes reaches the
+    // caller through `pool::run`'s join.
+    std::iter::from_fn(move || {
+        let piece = next.fetch_add(1, Ordering::Relaxed);
+        (piece < pieces).then_some(piece)
+    })
+}
+
+/// Runs `f(items, slab)` once per piece of `dst`, an output of `items`
+/// equal runs, on up to `workers` workers of the pool. `dst` is cut
+/// into up to 32 pieces of whole `grain`s (the balanced
+/// partition of the GEMM's column split, a pure function of `(items,
+/// grain)`), and every worker claims the next unclaimed piece until
+/// none is left, so a helper that starts late just computes fewer;
+/// `slab` is the contiguous part of `dst` that holds the piece's items.
+/// `workers` is clamped to `1..=`[`MAX_WORKERS`] and to the pieces.
 ///
 /// Each slab reaches its worker through a `Mutex` on the caller's
 /// stack, locked once, so the split needs neither `unsafe` nor a heap
 /// allocation; a kernel that computes every item the way a serial loop
-/// would gives the same bytes at every worker count.
+/// would gives the same bytes at every worker count and claim order.
 ///
 /// # Panics
 ///
@@ -158,7 +200,7 @@ fn part(units: usize, workers: usize, idx: usize) -> (usize, usize) {
 /// ```
 /// use procrustes_tensor::kernel::thread::run_split;
 /// use procrustes_tensor::Scratch;
-/// // Five items of two elements, dealt to two workers in grains of two.
+/// // Five items of two elements, cut in grains of two for two workers.
 /// let mut dst = [0.0f32; 10];
 /// run_split(2, 5, 2, &mut dst, &mut Scratch::new(), &|items, slab| {
 ///     for (item, run) in items.zip(slab.chunks_exact_mut(2)) {
@@ -182,15 +224,15 @@ pub fn run_split(
     );
     let run = dst.len() / items;
     let grains = items.div_ceil(grain);
-    let workers = workers.clamp(1, MAX_WORKERS).min(grains);
-    let items_of = |idx: usize| {
-        let (g0, g1) = part(grains, workers, idx);
+    let pieces = grains.min(MAX_PIECES);
+    let items_of = |piece: usize| {
+        let (g0, g1) = part(grains, pieces, piece);
         (g0 * grain).min(items)..(g1 * grain).min(items)
     };
     let mut rest = dst;
-    let slabs: [Mutex<&mut [f32]>; MAX_WORKERS] = std::array::from_fn(|idx| {
-        let len = if idx < workers {
-            items_of(idx).len() * run
+    let slabs: [Mutex<&mut [f32]>; MAX_PIECES] = std::array::from_fn(|piece| {
+        let len = if piece < pieces {
+            items_of(piece).len() * run
         } else {
             0
         };
@@ -198,20 +240,24 @@ pub fn run_split(
         rest = tail;
         Mutex::new(slab)
     });
-    pool::run(workers, scratch, &|idx, _| {
-        let mut slab = slabs[idx]
-            .lock()
-            .expect("a slab is locked once, by its own worker");
-        f(items_of(idx), &mut slab);
+    let next = AtomicUsize::new(0);
+    let workers = workers.clamp(1, MAX_WORKERS).min(pieces);
+    pool::run(workers, scratch, &|_, _| {
+        for piece in claims(&next, pieces) {
+            let mut slab = slabs[piece]
+                .lock()
+                .expect("a slab is locked once, by the worker that claimed it");
+            f(items_of(piece), &mut slab);
+        }
     });
 }
 
-/// The output slab worker `idx` of a `workers`-wide job computes. Pure
-/// in its arguments; chunks of one job tile the output disjointly.
-pub(crate) fn chunk(bp: &Blueprint, workers: usize, idx: usize) -> Slab {
-    debug_assert!(idx < workers);
+/// Piece `idx` of `bp`'s output cut into `pieces`. Pure in its
+/// arguments; the pieces of one cut tile the output disjointly.
+pub(crate) fn chunk(bp: &Blueprint, pieces: usize, idx: usize) -> Slab {
+    debug_assert!(idx < pieces);
     if split_rows(bp) {
-        let (u0, u1) = part(units(bp), workers, idx);
+        let (u0, u1) = part(units(bp), pieces, idx);
         Slab {
             i0: (u0 * M_UNIT).min(bp.m),
             i1: (u1 * M_UNIT).min(bp.m),
@@ -219,7 +265,7 @@ pub(crate) fn chunk(bp: &Blueprint, workers: usize, idx: usize) -> Slab {
             j1: bp.n,
         }
     } else {
-        let (u0, u1) = part(units(bp), workers, idx);
+        let (u0, u1) = part(units(bp), pieces, idx);
         Slab {
             i0: 0,
             i1: bp.m,
@@ -232,12 +278,14 @@ pub(crate) fn chunk(bp: &Blueprint, workers: usize, idx: usize) -> Slab {
 /// Runs the packed kernel on `bp` across `workers` threads (the caller plus
 /// `workers - 1` pool helpers), bitwise-identically to the serial tier.
 ///
-/// Worker `idx` claims the view of chunk `idx` from a [`SlabDeal`] over
-/// `dst` and runs the serial kernel on it — the caller with its own
-/// `scratch`, each helper with the one it keeps. [`pool::run`] returns
-/// once every worker has finished, so on return `dst` is fully written;
-/// nested inside another pool job (say an engine worker's) the chunks
-/// run one after another on the calling thread, to the same bytes.
+/// `dst` is cut into the [`pieces`] of a [`SlabDeal`], and every worker
+/// claims the next unclaimed piece and runs the serial kernel on its
+/// view until none is left — the caller with its own `scratch`, each
+/// helper with the one it keeps — so a helper that wakes late leaves
+/// its share to the others. [`pool::run`] returns once every worker has
+/// finished, so on return `dst` is fully written; nested inside another
+/// pool job (say an engine worker's) the caller claims every piece
+/// itself, to the same bytes.
 ///
 /// # Panics
 ///
@@ -259,9 +307,12 @@ pub(crate) fn run(
         bp.k,
         bp.n
     );
-    let deal = SlabDeal::new(bp, workers, dst);
-    pool::run(workers, scratch, &|idx, scratch| {
-        execute_slab(bp, deal.claim(idx), lhs, rhs, scratch);
+    let pieces = pieces(bp, workers);
+    let deal = SlabDeal::new(bp, pieces, dst);
+    let next = AtomicUsize::new(0);
+    pool::run(workers, scratch, &|_, scratch| {
+        let slabs = claims(&next, pieces).map(|piece| deal.claim(piece));
+        execute_slabs(bp, slabs, lhs, rhs, scratch);
     });
 }
 
@@ -341,9 +392,9 @@ mod tests {
         }
     }
 
-    /// Every item goes to exactly one worker, in order and in whole
-    /// grains, with the slab that holds it; a budget past the grains
-    /// leaves the extra workers out.
+    /// Every item goes to exactly one piece, in order and in whole
+    /// grains, with the slab that holds it, and every piece runs once:
+    /// up to `MAX_PIECES` of them, however many workers claim them.
     #[test]
     fn split_slabs_tile_the_items_in_whole_grains() {
         for items in [1, 3, 8, 27, 144, 577] {
@@ -366,8 +417,8 @@ mod tests {
                     let mut seen = seen.into_inner().unwrap();
                     seen.sort_by_key(|r| r.start);
                     let what = format!("{items} items, grain {grain}, {workers} workers");
-                    let dealt = workers.min(MAX_WORKERS).min(items.div_ceil(grain));
-                    assert_eq!(seen.len(), dealt, "{what}");
+                    let pieces = items.div_ceil(grain).min(MAX_PIECES);
+                    assert_eq!(seen.len(), pieces, "{what}");
                     let mut next = 0;
                     for r in &seen {
                         assert_eq!(r.start, next, "{what}");
@@ -408,5 +459,119 @@ mod tests {
                 "threaded ({workers}) != serial"
             );
         }
+    }
+
+    /// Records who claims each piece of a two-worker split whose helper
+    /// is late: the helper's first claim waits until every other piece
+    /// has been claimed, however long that takes (up to ten seconds, so
+    /// a split that deals the helper a fixed share fails instead of
+    /// hanging). The caller never waits, so with claimed pieces the
+    /// outcome does not depend on timing.
+    struct LateHelper {
+        caller: std::thread::ThreadId,
+        claimed: Vec<AtomicUsize>,
+        by_caller: AtomicUsize,
+        helper_started: std::sync::atomic::AtomicBool,
+    }
+
+    impl LateHelper {
+        fn new(pieces: usize) -> Self {
+            Self {
+                caller: std::thread::current().id(),
+                claimed: (0..pieces).map(|_| AtomicUsize::new(0)).collect(),
+                by_caller: AtomicUsize::new(0),
+                helper_started: Default::default(),
+            }
+        }
+
+        /// Notes that the current thread claimed `piece`, stalling it
+        /// first if it is the helper and this is its first claim.
+        fn claim(&self, piece: usize) {
+            if std::thread::current().id() == self.caller {
+                self.by_caller.fetch_add(1, Ordering::SeqCst);
+            } else if !self.helper_started.swap(true, Ordering::SeqCst) {
+                let pieces = self.claimed.len();
+                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                while self.total() < pieces - 1 && std::time::Instant::now() < deadline {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            }
+            self.claimed[piece].fetch_add(1, Ordering::SeqCst);
+        }
+
+        fn total(&self) -> usize {
+            self.claimed.iter().map(|c| c.load(Ordering::SeqCst)).sum()
+        }
+
+        fn check(&self, what: &str) {
+            let pieces = self.claimed.len();
+            assert!(
+                self.claimed.iter().all(|c| c.load(Ordering::SeqCst) == 1),
+                "{what}: a piece ran other than once"
+            );
+            let by_caller = self.by_caller.load(Ordering::SeqCst);
+            assert!(
+                by_caller >= pieces - 1,
+                "{what}: the caller ran {by_caller} of {pieces} pieces"
+            );
+        }
+    }
+
+    fn bitwise_eq(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// A helper that starts late on its first piece leaves every other
+    /// piece to the caller, and the output is the serial one.
+    #[test]
+    fn a_late_helper_leaves_its_split_pieces_to_the_caller() {
+        // One item per piece, so a piece is named by its item.
+        let (items, run) = (MAX_PIECES, 3);
+        let fill = |r: Range<usize>, slab: &mut [f32]| {
+            for (item, out) in r.zip(slab.chunks_exact_mut(run)) {
+                for (e, v) in out.iter_mut().enumerate() {
+                    *v = (item * run + e) as f32 * 0.5;
+                }
+            }
+        };
+        let mut serial = vec![f32::NAN; items * run];
+        run_split(1, items, 1, &mut serial, &mut Scratch::new(), &fill);
+        let late = LateHelper::new(items);
+        let mut split = vec![f32::NAN; items * run];
+        run_split(2, items, 1, &mut split, &mut Scratch::new(), &|r, slab| {
+            assert_eq!(r.len(), 1);
+            late.claim(r.start);
+            fill(r, slab);
+        });
+        late.check("run_split");
+        assert!(bitwise_eq(&serial, &split), "run_split != serial");
+    }
+
+    /// The threaded GEMM's claim loop — [`run`]'s body, with the helper
+    /// stalled on its first claim — over a column split of 32 pieces
+    /// with a ragged last panel.
+    #[test]
+    fn a_late_helper_leaves_its_gemm_pieces_to_the_caller() {
+        let bp = Blueprint::nn(16, 80, 32 * NR - 12);
+        let lhs: Vec<f32> = (0..bp.lhs_len()).map(|i| (i as f32).sin()).collect();
+        let rhs: Vec<f32> = (0..bp.rhs_len()).map(|i| (i as f32).cos()).collect();
+        let mut scratch = Scratch::new();
+        let mut serial = vec![f32::NAN; bp.m * bp.n];
+        super::super::gemm(&bp, &mut serial, &lhs, &rhs, &mut scratch);
+        let pieces = pieces(&bp, 2);
+        assert_eq!(pieces, MAX_PIECES);
+        let late = LateHelper::new(pieces);
+        let mut threaded = vec![f32::NAN; bp.m * bp.n];
+        let deal = SlabDeal::new(&bp, pieces, &mut threaded);
+        let next = AtomicUsize::new(0);
+        pool::run(2, &mut scratch, &|_, scratch| {
+            let slabs = claims(&next, pieces).map(|piece| {
+                late.claim(piece);
+                deal.claim(piece)
+            });
+            execute_slabs(&bp, slabs, &lhs, Rhs::Slice(&rhs), scratch);
+        });
+        late.check("gemm");
+        assert!(bitwise_eq(&serial, &threaded), "threaded gemm != serial");
     }
 }

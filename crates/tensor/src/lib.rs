@@ -73,8 +73,8 @@
 //    a helper can still reach the closure.
 // 2. `kernel::routine::SlabMut::row` builds a `&mut [f32]` over one
 //    row segment it has asserted to lie inside the view's slab; the
-//    slabs dealt to the workers of one product are checked disjoint, so
-//    no two references ever cover the same element.
+//    pieces of one product are checked disjoint and each is claimed
+//    once, so no two references ever cover the same element.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
