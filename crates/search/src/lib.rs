@@ -15,16 +15,14 @@
 //!   per-axis indices; [`SearchSpace::scenario`] materializes exactly
 //!   the scenario the sweep's own expansion would, so every result
 //!   document a search produces is byte-identical to what the
-//!   exhaustive sweep (or the serving daemon) would emit for the same
-//!   point.
+//!   exhaustive sweep would emit for the same point.
 //! * [`run_search`] — a successive-halving outer loop over a
 //!   mutation/crossover inner loop, seeded via `procrustes-prng`
 //!   ([`SplitMix64`](procrustes_prng::SplitMix64)). The control loop is
-//!   single-threaded and all parallelism lives behind [`EvalBackend`],
-//!   so population evolution is **independent of thread count**: the
-//!   same spec yields the same evaluations, rounds, and front whether
-//!   the backend is a serial engine, a parallel one, or a remote
-//!   daemon.
+//!   single-threaded and all parallelism lives in the engine behind
+//!   [`EngineBackend`], so population evolution is **independent of
+//!   thread count**: the same spec yields the same evaluations, rounds,
+//!   and front on a serial engine or a parallel one.
 //! * [`ParetoFront`] — the dominance accumulator (minimization; equal
 //!   vectors coexist), kept in a canonical order so fronts serialize
 //!   byte-identically regardless of discovery order.
@@ -60,9 +58,8 @@
 //! ```
 //!
 //! The same spec serializes to JSON ([`SearchSpec::to_json`], unknown
-//! fields rejected on the way back in) and runs remotely through
-//! `procrustes-serve`'s `search` verb, riding the daemon's
-//! single-flight document store and persistent disk cache.
+//! fields rejected on the way back in), so a spec can be kept in a file
+//! and replayed.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -76,7 +73,7 @@ mod space;
 pub use objectives::{measure, Objective};
 pub use pareto::{dominates, Insert, ParetoFront, ParetoPoint};
 pub use search::{
-    exhaustive_front, run_search, run_search_on_engine, EngineBackend, EvalBackend, RoundUpdate,
-    SearchOutcome, SearchSpec,
+    exhaustive_front, run_search, run_search_on_engine, EngineBackend, RoundUpdate, SearchOutcome,
+    SearchSpec,
 };
 pub use space::{Genome, SearchSpace, AXES};

@@ -16,9 +16,9 @@
 //!   both architectures (under their best mappings) on the front.
 //!
 //! The spec's seed/population/budget are **pinned**: the bench smoke
-//! and the serve restart test assert that this exact configuration
-//! recovers the exhaustive front while evaluating under 25 % of the
-//! grid, byte-identically across thread counts and daemon restarts. If
+//! and the oracle tests assert that this exact configuration recovers
+//! the exhaustive front while evaluating under 25 % of the grid,
+//! byte-identically across thread counts. If
 //! a model change legitimately moves the oracle landscape, re-tune the
 //! pinned seed here and record why in the commit.
 

@@ -122,7 +122,7 @@ impl ParetoFront {
     /// `{"objectives": [...], "result": <doc>}` members, in canonical
     /// member order. Two fronts holding the same set of points render
     /// byte-identically regardless of how they were discovered; this is
-    /// the representation the serving daemon streams and the tests pin.
+    /// the representation the tests pin.
     pub fn to_json(&self) -> String {
         let mut out = String::from("[");
         for (i, p) in self.points.iter().enumerate() {

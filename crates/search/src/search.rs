@@ -173,27 +173,14 @@ impl SearchSpec {
     }
 }
 
-/// Anything that can evaluate a batch of scenarios into canonical
-/// `EvalResult` JSON documents (one per scenario, in input order).
+/// The search's evaluator: answers each batch of scenarios on an
+/// [`Engine`] (inheriting its thread pool and per-layer memo cache).
 ///
 /// The search loop itself is single-threaded and seeded; all
-/// parallelism (and all caching) lives behind this trait, which is what
+/// parallelism (and all caching) lives in the engine, which is what
 /// makes the population evolution independent of thread count: the
-/// documents are canonical, so *where* they were computed cannot leak
-/// into the search state.
-pub trait EvalBackend {
-    /// Evaluates every scenario, returning one canonical result
-    /// document per input, in input order.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message; the search aborts on the first
-    /// backend error.
-    fn eval_all(&mut self, scenarios: &[Scenario]) -> Result<Vec<String>, String>;
-}
-
-/// The in-process backend: evaluates batches on an [`Engine`]
-/// (inheriting its thread pool and per-layer memo cache).
+/// result documents are canonical, so *where* they were computed
+/// cannot leak into the search state.
 pub struct EngineBackend<'a> {
     engine: &'a Engine,
 }
@@ -203,10 +190,10 @@ impl<'a> EngineBackend<'a> {
     pub fn new(engine: &'a Engine) -> Self {
         Self { engine }
     }
-}
 
-impl EvalBackend for EngineBackend<'_> {
-    fn eval_all(&mut self, scenarios: &[Scenario]) -> Result<Vec<String>, String> {
+    /// One canonical `EvalResult` document per scenario, in input
+    /// order.
+    fn eval_all(&self, scenarios: &[Scenario]) -> Result<Vec<String>, String> {
         let results = self.engine.run_all(scenarios).map_err(|e| e.to_string())?;
         Ok(results.iter().map(|r| r.to_json()).collect())
     }
@@ -214,8 +201,8 @@ impl EvalBackend for EngineBackend<'_> {
 
 /// One round's progress, reported after its batch has been folded into
 /// the front. Every field is deterministic for a given spec (no
-/// timings, no cache sources), so streamed updates are byte-stable
-/// across thread counts and daemon restarts.
+/// timings, no cache sources), so the updates are byte-stable across
+/// thread counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundUpdate {
     /// 1-based round number.
@@ -264,18 +251,18 @@ const AXIS_WEIGHTS: [u64; AXES] = [1, 1, 2, 3, 3, 2, 3, 3];
 ///
 /// Determinism contract: for a fixed spec, the sequence of evaluated
 /// genomes, every [`RoundUpdate`], and the final front (members *and*
-/// order) are identical regardless of the backend's parallelism or
+/// order) are identical regardless of the engine's thread count or
 /// cache state. The loop stops when the budget (or the whole grid) has
 /// been evaluated, or when the neighborhood generator cannot produce a
 /// fresh candidate.
 ///
 /// # Errors
 ///
-/// Propagates spec/space validation errors, backend failures, and
+/// Propagates spec/space validation errors, engine failures, and
 /// malformed result documents.
 pub fn run_search(
     spec: &SearchSpec,
-    backend: &mut dyn EvalBackend,
+    backend: &mut EngineBackend<'_>,
     mut on_round: impl FnMut(&RoundUpdate),
 ) -> Result<SearchOutcome, String> {
     spec.validate()?;
@@ -375,7 +362,7 @@ pub fn run_search_on_engine(
 /// build.
 pub fn exhaustive_front(
     spec: &SearchSpec,
-    backend: &mut dyn EvalBackend,
+    backend: &mut EngineBackend<'_>,
 ) -> Result<ParetoFront, String> {
     spec.validate()?;
     let scenarios = spec.space.build().map_err(|e| e.to_string())?;

@@ -4,7 +4,6 @@
 //! ```text
 //! procrustes-cli [--addr HOST:PORT] eval   <scenario.json | ->
 //! procrustes-cli [--addr HOST:PORT] sweep  <sweep.json | -> [--csv FILE]
-//! procrustes-cli [--addr HOST:PORT] search <spec.json | -> [--csv FILE]
 //! procrustes-cli [--addr HOST:PORT] status
 //! procrustes-cli [--addr HOST:PORT] metrics
 //! procrustes-cli [--addr HOST:PORT] shutdown
@@ -13,18 +12,14 @@
 //! `eval` and `sweep` print one served `EvalResult` JSON document per
 //! line on stdout as results stream in (byte-identical to what
 //! `EvalResult::to_json` produces in-process); `sweep --csv` also
-//! writes the standard results CSV. `search` streams per-round front
-//! updates to stderr and prints the final front's result documents to
-//! stdout (with `--csv`, also the standard results CSV of the front).
-//! Progress and the cache-source summary go to stderr so stdout stays
-//! machine-readable.
+//! writes the standard results CSV. Progress and the cache-source
+//! summary go to stderr so stdout stays machine-readable.
 
 use std::io::Read;
 use std::process::ExitCode;
 use std::time::Duration;
 
 use procrustes_core::{Scenario, Sweep};
-use procrustes_search::SearchSpec;
 use procrustes_serve::{results_csv_from_docs, Client, ClientError, Served, Source};
 
 const USAGE: &str = "\
@@ -35,9 +30,6 @@ COMMANDS:
   sweep <FILE|-> [--csv FILE]
                           expand + evaluate a Sweep JSON document,
                           streaming result documents to stdout
-  search <FILE|-> [--csv FILE]
-                          run a SearchSpec JSON document server-side,
-                          printing the Pareto front's result documents
   status                  print daemon counters
   metrics                 print per-verb serving metrics
   shutdown                drain and stop the daemon
@@ -129,10 +121,8 @@ fn run() -> Result<(), String> {
             ));
         }
     }
-    if csv.is_some() && !matches!(command.as_str(), "sweep" | "search") {
-        return Err(format!(
-            "--csv only applies to 'sweep' and 'search'\n\n{USAGE}"
-        ));
+    if csv.is_some() && command != "sweep" {
+        return Err(format!("--csv only applies to 'sweep'\n\n{USAGE}"));
     }
     let mut client =
         Client::connect(&addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
@@ -162,35 +152,6 @@ fn run() -> Result<(), String> {
             eprintln!("{}", source_summary(&served));
             if let Some(csv_path) = csv {
                 let docs: Vec<&str> = served.iter().map(|r| r.doc.as_str()).collect();
-                let csv_text = results_csv_from_docs(&docs)?;
-                std::fs::write(&csv_path, csv_text)
-                    .map_err(|e| format!("writing {csv_path}: {e}"))?;
-                eprintln!("wrote {csv_path}");
-            }
-        }
-        "search" => {
-            let path = input.ok_or("search needs a spec file (or '-')")?;
-            let spec = SearchSpec::from_json(&read_input(&path)?)?;
-            let report = client
-                .search_each(&spec, |round| {
-                    eprintln!(
-                        "round {}: evaluated {} (+{} -{}), front size {}",
-                        round.round, round.evaluated, round.added, round.removed, round.front_size
-                    );
-                })
-                .map_err(|e| e.to_string())?;
-            for member in &report.front {
-                println!("{}", member.result);
-            }
-            eprintln!(
-                "front of {} after {} evaluations ({} rounds) over a grid of {}",
-                report.front.len(),
-                report.evaluated,
-                report.rounds,
-                report.grid
-            );
-            if let Some(csv_path) = csv {
-                let docs: Vec<&str> = report.front.iter().map(|m| m.result.as_str()).collect();
                 let csv_text = results_csv_from_docs(&docs)?;
                 std::fs::write(&csv_path, csv_text)
                     .map_err(|e| format!("writing {csv_path}: {e}"))?;

@@ -6,9 +6,8 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 use procrustes_core::{Scenario, Sweep};
-use procrustes_search::{RoundUpdate, SearchSpec};
 
-use crate::proto::{FrontMember, Request, Response, ServerMetrics, ServerStatus, Source};
+use crate::proto::{Request, Response, ServerMetrics, ServerStatus, Source};
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -96,20 +95,6 @@ pub struct Served {
     /// The `EvalResult` JSON document, byte-identical to what
     /// `EvalResult::to_json` produces in-process.
     pub doc: String,
-}
-
-/// The outcome of a served search: the summary counters from the
-/// `search_done` line plus the Pareto front in canonical order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SearchReport {
-    /// Scenarios evaluated in total.
-    pub evaluated: usize,
-    /// Cardinality of the searched grid.
-    pub grid: usize,
-    /// Rounds run.
-    pub rounds: usize,
-    /// The front members, in canonical order.
-    pub front: Vec<FrontMember>,
 }
 
 /// A blocking connection to a [`Server`](crate::Server).
@@ -220,64 +205,6 @@ impl Client {
             )));
         }
         Ok(results)
-    }
-
-    /// Submits a search spec and invokes `on_round` for every streamed
-    /// `front` line (one per search round, as the round completes).
-    /// Returns the summary and the canonical front from the terminating
-    /// `search_done` line.
-    ///
-    /// # Errors
-    ///
-    /// A spec the daemon refuses (validation failure, oversized budget)
-    /// surfaces as [`ClientError::Server`] before `on_round` is called.
-    pub fn search_each(
-        &mut self,
-        spec: &SearchSpec,
-        mut on_round: impl FnMut(RoundUpdate),
-    ) -> Result<SearchReport, ClientError> {
-        self.send_raw(&Request::Search(Box::new(spec.clone())).to_json())?;
-        loop {
-            match self.read_response()? {
-                Response::Front {
-                    round,
-                    evaluated,
-                    added,
-                    removed,
-                    size,
-                } => on_round(RoundUpdate {
-                    round,
-                    evaluated,
-                    added,
-                    removed,
-                    front_size: size,
-                }),
-                Response::SearchDone {
-                    evaluated,
-                    grid,
-                    rounds,
-                    front,
-                } => {
-                    return Ok(SearchReport {
-                        evaluated,
-                        grid,
-                        rounds,
-                        front,
-                    })
-                }
-                other => return Err(ClientError::from_reply(other, "a search stream line")),
-            }
-        }
-    }
-
-    /// Submits a search spec and returns the final report (round
-    /// updates discarded).
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::search_each`].
-    pub fn search(&mut self, spec: &SearchSpec) -> Result<SearchReport, ClientError> {
-        self.search_each(spec, |_| {})
     }
 
     /// Fetches the per-verb serving metrics.

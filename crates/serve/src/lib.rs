@@ -61,10 +61,9 @@
 //! accepted). Requests:
 //!
 //! ```text
-//! request  = eval | sweep | search | status | metrics | shutdown
+//! request  = eval | sweep | status | metrics | shutdown
 //! eval     = {"op":"eval", "scenario": Scenario}
 //! sweep    = {"op":"sweep", "sweep": Sweep}
-//! search   = {"op":"search", "spec": SearchSpec}
 //! status   = {"op":"status"}
 //! metrics  = {"op":"metrics"}
 //! shutdown = {"op":"shutdown"}
@@ -72,42 +71,38 @@
 //!
 //! No verb puts a document into a daemon's store: every document a
 //! daemon serves, it computed itself or read back from its own disk
-//! cache. Any other `op` (including the `store` verb of earlier
-//! versions) is an unknown-op `error` line, counted in `parse_errors`.
+//! cache. Any other `op` (including the `store` and `search` verbs of
+//! earlier versions) is an unknown-op `error` line, counted in
+//! `parse_errors`. A design-space search runs in process, through
+//! `run_search_on_engine` in the `procrustes-search` crate.
 //!
-//! `Scenario`, `Sweep`, and `SearchSpec` are the documents produced by
-//! [`Scenario::to_json`], [`Sweep::to_json`], and
-//! [`SearchSpec::to_json`](procrustes_search::SearchSpec::to_json) —
-//! see those methods for the field-level grammar. Unknown fields
-//! anywhere in a request are a structured error, never silently ignored
-//! (a typo'd axis must not evaluate the wrong configuration).
+//! `Scenario` and `Sweep` are the documents produced by
+//! [`Scenario::to_json`] and [`Sweep::to_json`] — see those methods for
+//! the field-level grammar. Unknown fields anywhere in a request are a
+//! structured error, never silently ignored (a typo'd axis must not
+//! evaluate the wrong configuration).
 //!
 //! Responses (one line each; a request produces one or more lines):
 //!
 //! ```text
-//! response    = result | done | front | search_done | status
-//!             | metrics | bye | error | shed
-//! result      = {"kind":"result", "index": n, "source": source, "result": EvalResult}
-//! source      = "computed" | "memo" | "disk"
-//! done        = {"kind":"done", "count": n}
-//! front       = {"kind":"front", "round": n, "evaluated": n,
-//!                "added": n, "removed": n, "size": n}
-//! search_done = {"kind":"search_done", "evaluated": n, "grid": n, "rounds": n,
-//!                "front": [{"objectives": [x, ...], "result": EvalResult}, ...]}
-//! status      = {"kind":"status", "shards": n, "persistent": bool,
-//!                "requests": n, "served": n, "computed": n,
-//!                "memo_hits": n, "disk_hits": n, "memo_entries": n,
-//!                "disk_entries": n | null}
-//! metrics     = {"kind":"metrics", "requests": n, "parse_errors": n, "served": n,
-//!                "computed": n, "memo_hits": n, "disk_hits": n, "hit_rate": x,
-//!                "cache_evictions": n, "cache_bytes": n, "verify_misses": n,
-//!                "queue_depth": n, "shed": n,
-//!                "verbs": {verb: {"requests": n, "p50_ms": x | null,
-//!                                 "p95_ms": x | null}, ...}}
-//! bye         = {"kind":"bye"}
-//! error       = {"kind":"error", "error": string}
-//! shed        = {"kind":"shed", "reason": string, "retry_after_ms": n,
-//!                "queue_depth": n, "limit": n}
+//! response = result | done | status | metrics | bye | error | shed
+//! result   = {"kind":"result", "index": n, "source": source, "result": EvalResult}
+//! source   = "computed" | "memo" | "disk"
+//! done     = {"kind":"done", "count": n}
+//! status   = {"kind":"status", "shards": n, "persistent": bool,
+//!             "requests": n, "served": n, "computed": n,
+//!             "memo_hits": n, "disk_hits": n, "memo_entries": n,
+//!             "disk_entries": n | null}
+//! metrics  = {"kind":"metrics", "requests": n, "parse_errors": n, "served": n,
+//!             "computed": n, "memo_hits": n, "disk_hits": n, "hit_rate": x,
+//!             "cache_evictions": n, "cache_bytes": n, "verify_misses": n,
+//!             "queue_depth": n, "shed": n,
+//!             "verbs": {verb: {"requests": n, "p50_ms": x | null,
+//!                              "p95_ms": x | null}, ...}}
+//! bye      = {"kind":"bye"}
+//! error    = {"kind":"error", "error": string}
+//! shed     = {"kind":"shed", "reason": string, "retry_after_ms": n,
+//!             "queue_depth": n, "limit": n}
 //! ```
 //!
 //! The `"computed"` source is an engine evaluation, `"memo"` the
@@ -130,14 +125,6 @@
 //!   [`cardinality`](Sweep::cardinality) exceeds the server's admission
 //!   limit is refused with a single `error` line before any evaluation
 //!   starts.
-//! * `search` answers with one `front` line per search round (streamed
-//!   as the round completes) followed by a final `search_done` line
-//!   carrying the canonical Pareto front. Every byte of the stream is a
-//!   deterministic function of the spec — no cache sources, no timings —
-//!   so the same spec produces a byte-identical response across thread
-//!   counts, cache states, and daemon restarts. A spec whose resolved
-//!   evaluation budget exceeds the admission limit is refused with a
-//!   single `error` line before any evaluation starts.
 //! * `status`, `metrics`, and `shutdown` answer with one `status` /
 //!   `metrics` / `bye` line; after `bye` the daemon stops accepting
 //!   connections, drains, and exits. Verb latency quantiles in
@@ -145,9 +132,7 @@
 //!   (`procrustes-quantile`), seeded from the first observed sample.
 //! * An `eval` or `sweep` whose jobs would overflow the in-flight bound
 //!   is refused with a single `shed` line before any work starts (never
-//!   a partial stream). A search round that would overflow
-//!   surfaces as an `error` line instead, since a search is a
-//!   multi-round stateful computation that cannot be partially retried.
+//!   a partial stream).
 //! * Any malformed, oversized, or invalid request produces a single
 //!   `error` line and the connection stays usable afterwards: an
 //!   oversized line is discarded (never buffered) up to its terminating
@@ -191,10 +176,8 @@ mod report;
 mod server;
 
 pub use cache::DiskCache;
-pub use client::{Client, ClientError, SearchReport, Served};
-pub use proto::{
-    FrontMember, Request, Response, ServerMetrics, ServerStatus, Source, VerbMetrics, VERBS,
-};
+pub use client::{Client, ClientError, Served};
+pub use proto::{Request, Response, ServerMetrics, ServerStatus, Source, VerbMetrics, VERBS};
 pub use report::results_csv_from_docs;
 pub use server::{ServeConfig, Server};
 
@@ -214,24 +197,4 @@ pub fn admit_sweep(sweep: &Sweep, max_sweep: usize) -> Result<Vec<Scenario>, Str
         ));
     }
     sweep.build().map_err(|e| e.to_string())
-}
-
-/// Admission check for a `search` request: the spec must validate and
-/// its **resolved evaluation budget** (never the full grid cardinality
-/// — searching a huge grid cheaply is the whole point) must fit the
-/// same limit sweeps are admitted against.
-///
-/// # Errors
-///
-/// Returns a human-readable message when the spec is invalid or its
-/// budget exceeds `max_sweep`.
-pub fn admit_search(spec: &procrustes_search::SearchSpec, max_sweep: usize) -> Result<(), String> {
-    spec.validate()?;
-    let budget = spec.budget.min(spec.space.cardinality());
-    if budget > max_sweep {
-        return Err(format!(
-            "search budget {budget} exceeds the server limit {max_sweep}"
-        ));
-    }
-    Ok(())
 }

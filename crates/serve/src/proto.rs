@@ -6,7 +6,6 @@
 
 use procrustes_core::json::Json;
 use procrustes_core::{Scenario, Sweep};
-use procrustes_search::SearchSpec;
 
 /// A parsed client request (one line on the wire).
 #[derive(Debug, Clone)]
@@ -15,8 +14,6 @@ pub enum Request {
     Eval(Box<Scenario>),
     /// Expand and evaluate a sweep server-side.
     Sweep(Box<Sweep>),
-    /// Run a Pareto design-space search server-side.
-    Search(Box<SearchSpec>),
     /// Report daemon counters.
     Status,
     /// Report per-verb serving metrics.
@@ -64,12 +61,6 @@ impl Request {
                 let sweep = Sweep::from_json_value(doc).map_err(|e| e.to_string())?;
                 Ok(Request::Sweep(Box::new(sweep)))
             }
-            "search" => {
-                check(&["op", "spec"])?;
-                let doc = v.get("spec").ok_or("search request has no 'spec'")?;
-                let spec = SearchSpec::from_json_value(doc)?;
-                Ok(Request::Search(Box::new(spec)))
-            }
             "status" => {
                 check(&["op"])?;
                 Ok(Request::Status)
@@ -83,7 +74,7 @@ impl Request {
                 Ok(Request::Shutdown)
             }
             other => Err(format!(
-                "unknown op '{other}' (known: eval, sweep, search, status, metrics, shutdown)"
+                "unknown op '{other}' (known: eval, sweep, status, metrics, shutdown)"
             )),
         }
     }
@@ -95,7 +86,6 @@ impl Request {
                 format!(r#"{{"op":"eval","scenario":{}}}"#, scenario.to_json())
             }
             Request::Sweep(sw) => format!(r#"{{"op":"sweep","sweep":{}}}"#, sw.to_json()),
-            Request::Search(spec) => format!(r#"{{"op":"search","spec":{}}}"#, spec.to_json()),
             Request::Status => r#"{"op":"status"}"#.into(),
             Request::Metrics => r#"{"op":"metrics"}"#.into(),
             Request::Shutdown => r#"{"op":"shutdown"}"#.into(),
@@ -201,7 +191,7 @@ impl ServerStatus {
 }
 
 /// The request verbs tracked by the `metrics` op, in wire order.
-pub const VERBS: [&str; 6] = ["eval", "sweep", "search", "status", "metrics", "shutdown"];
+pub const VERBS: [&str; 5] = ["eval", "sweep", "status", "metrics", "shutdown"];
 
 /// Per-verb serving metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -338,45 +328,6 @@ impl ServerMetrics {
     }
 }
 
-/// One member of a served Pareto front: the objective vector (in the
-/// spec's objective order) and the canonical `EvalResult` document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontMember {
-    /// The measured objective vector (minimized).
-    pub objectives: Vec<f64>,
-    /// The `EvalResult` JSON document, byte-identical to
-    /// `EvalResult::to_json`.
-    pub result: String,
-}
-
-impl FrontMember {
-    /// Serializes the member exactly as
-    /// `procrustes_search::ParetoFront::to_json` renders it, so a
-    /// `search_done` line's `front` array is byte-identical to the
-    /// in-process rendering.
-    fn to_json(&self) -> String {
-        let objectives = Json::Arr(self.objectives.iter().map(|&v| Json::f64(v)).collect());
-        format!(r#"{{"objectives":{objectives},"result":{}}}"#, self.result)
-    }
-
-    fn from_json_value(v: &Json) -> Result<Self, String> {
-        let objectives = v
-            .get("objectives")
-            .and_then(Json::as_arr)
-            .ok_or("front member has no 'objectives' array")?
-            .iter()
-            .map(|o| o.as_f64().ok_or("front member objective is not a number"))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(FrontMember {
-            objectives,
-            result: v
-                .get("result")
-                .ok_or("front member has no 'result'")?
-                .to_string(),
-        })
-    }
-}
-
 /// A parsed server response line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -394,34 +345,6 @@ pub enum Response {
     Done {
         /// Number of result lines that preceded this.
         count: usize,
-    },
-    /// One search round's Pareto-front update (streamed per round).
-    /// Every field is a deterministic function of the spec, so the
-    /// stream is byte-identical across thread counts, cache states, and
-    /// daemon restarts.
-    Front {
-        /// Round number (0-based).
-        round: usize,
-        /// Scenarios evaluated so far (across all rounds).
-        evaluated: usize,
-        /// Points this round added to the front.
-        added: usize,
-        /// Previous front members this round's points evicted.
-        removed: usize,
-        /// Front size after the round.
-        size: usize,
-    },
-    /// End of a search: the summary and the full front in canonical
-    /// order.
-    SearchDone {
-        /// Scenarios evaluated in total.
-        evaluated: usize,
-        /// Cardinality of the searched grid.
-        grid: usize,
-        /// Rounds run.
-        rounds: usize,
-        /// The Pareto front, in canonical member order.
-        front: Vec<FrontMember>,
     },
     /// Daemon counters.
     Status(ServerStatus),
@@ -462,27 +385,6 @@ impl Response {
                 source.label()
             ),
             Response::Done { count } => format!(r#"{{"kind":"done","count":{count}}}"#),
-            Response::Front {
-                round,
-                evaluated,
-                added,
-                removed,
-                size,
-            } => format!(
-                r#"{{"kind":"front","round":{round},"evaluated":{evaluated},"added":{added},"removed":{removed},"size":{size}}}"#
-            ),
-            Response::SearchDone {
-                evaluated,
-                grid,
-                rounds,
-                front,
-            } => {
-                let members: Vec<String> = front.iter().map(FrontMember::to_json).collect();
-                format!(
-                    r#"{{"kind":"search_done","evaluated":{evaluated},"grid":{grid},"rounds":{rounds},"front":[{}]}}"#,
-                    members.join(",")
-                )
-            }
             Response::Status(s) => s.to_json_value().to_string(),
             Response::Metrics(m) => m.to_json_value().to_string(),
             Response::Bye => r#"{"kind":"bye"}"#.into(),
@@ -540,40 +442,6 @@ impl Response {
                     .and_then(Json::as_usize)
                     .ok_or("done field 'count' missing")?,
             }),
-            "front" => {
-                let n = |key: &str| {
-                    v.get(key)
-                        .and_then(Json::as_usize)
-                        .ok_or_else(|| format!("front field '{key}' missing"))
-                };
-                Ok(Response::Front {
-                    round: n("round")?,
-                    evaluated: n("evaluated")?,
-                    added: n("added")?,
-                    removed: n("removed")?,
-                    size: n("size")?,
-                })
-            }
-            "search_done" => {
-                let n = |key: &str| {
-                    v.get(key)
-                        .and_then(Json::as_usize)
-                        .ok_or_else(|| format!("search_done field '{key}' missing"))
-                };
-                let front = v
-                    .get("front")
-                    .and_then(Json::as_arr)
-                    .ok_or("search_done field 'front' missing")?
-                    .iter()
-                    .map(FrontMember::from_json_value)
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Response::SearchDone {
-                    evaluated: n("evaluated")?,
-                    grid: n("grid")?,
-                    rounds: n("rounds")?,
-                    front,
-                })
-            }
             "status" => Ok(Response::Status(ServerStatus::from_json_value(&v)?)),
             "metrics" => Ok(Response::Metrics(ServerMetrics::from_json_value(&v)?)),
             "bye" => Ok(Response::Bye),
@@ -623,9 +491,6 @@ mod tests {
             Request::Sweep(Box::new(
                 Sweep::new().networks(["VGG-S", "DenseNet"]).batches([2]),
             )),
-            Request::Search(Box::new(SearchSpec::new(
-                Sweep::new().networks(["VGG-S"]).batches([2, 4]),
-            ))),
             Request::Status,
             Request::Metrics,
             Request::Shutdown,
@@ -673,22 +538,6 @@ mod tests {
                 doc: r#"{"cycles":42}"#.into(),
             },
             Response::Done { count: 4 },
-            Response::Front {
-                round: 2,
-                evaluated: 12,
-                added: 1,
-                removed: 3,
-                size: 4,
-            },
-            Response::SearchDone {
-                evaluated: 17,
-                grid: 72,
-                rounds: 5,
-                front: vec![FrontMember {
-                    objectives: vec![1089246.0, 0.0112366],
-                    result: r#"{"cycles":42}"#.into(),
-                }],
-            },
             Response::Shed {
                 reason: "shard queue full".into(),
                 queue_depth: 512,

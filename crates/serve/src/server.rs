@@ -12,13 +12,10 @@ use std::time::{Duration, Instant};
 
 use procrustes_core::{Engine, Scenario};
 use procrustes_quantile::Dumique;
-use procrustes_search::{run_search, EvalBackend, SearchSpec};
 
+use crate::admit_sweep;
 use crate::cache::{key_of, DiskCache, DocStore, MEMORY_BUDGET};
-use crate::proto::{
-    FrontMember, Request, Response, ServerMetrics, ServerStatus, Source, VerbMetrics, VERBS,
-};
-use crate::{admit_search, admit_sweep};
+use crate::proto::{Request, Response, ServerMetrics, ServerStatus, Source, VerbMetrics, VERBS};
 
 /// How often a blocked connection read wakes up to check the stop flag.
 /// This is what makes a half-sent request unable to hang shutdown.
@@ -37,9 +34,9 @@ pub struct ServeConfig {
     /// LRU byte budget for the cache directory; `None` keeps every
     /// entry forever.
     pub cache_budget: Option<u64>,
-    /// Admission limit: the largest sweep cardinality a single request
-    /// may expand to (default 4096 — an order of magnitude above the
-    /// paper's largest figure sweep).
+    /// Admission limit: the largest cardinality a single `sweep`
+    /// request may expand to (default 4096 — an order of magnitude
+    /// above the paper's largest figure sweep).
     pub max_sweep: usize,
     /// Largest accepted request line in bytes (default 8 MiB; extracted
     /// workload documents are the only legitimately large requests).
@@ -157,10 +154,9 @@ fn verb_index(request: &Request) -> usize {
     match request {
         Request::Eval { .. } => 0,
         Request::Sweep(_) => 1,
-        Request::Search(_) => 2,
-        Request::Status => 3,
-        Request::Metrics => 4,
-        Request::Shutdown => 5,
+        Request::Status => 2,
+        Request::Metrics => 3,
+        Request::Shutdown => 4,
     }
 }
 
@@ -643,10 +639,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 Err(error) => write_line(&mut writer, shared, &Response::Error { error })?,
                 Ok(scenarios) => serve_scenarios(&scenarios, true, shared, &mut writer)?,
             },
-            Request::Search(spec) => match admit_search(&spec, shared.max_sweep) {
-                Err(error) => write_line(&mut writer, shared, &Response::Error { error })?,
-                Ok(()) => serve_search(&spec, shared, &mut writer)?,
-            },
             Request::Status => {
                 let stats = &shared.stats;
                 write_line(
@@ -758,79 +750,6 @@ fn serve_scenarios(
         write_line(writer, shared, &Response::Done { count })?;
     }
     Ok(())
-}
-
-/// [`EvalBackend`] over [`evaluate`]: each search round's population is
-/// answered exactly like a sweep, so search evaluations ride the same
-/// single-flight store and persistent disk cache as every other request
-/// — a restarted daemon replays a search entirely from disk without
-/// recomputation.
-struct DaemonBackend<'a> {
-    shared: &'a Shared,
-}
-
-impl EvalBackend for DaemonBackend<'_> {
-    fn eval_all(&mut self, scenarios: &[Scenario]) -> Result<Vec<String>, String> {
-        let results = evaluate(self.shared, scenarios)
-            .map_err(|shed| format!("search round shed: {}", shed.reason))?;
-        Ok(results.into_iter().map(|(_source, doc)| doc).collect())
-    }
-}
-
-/// Runs a search through [`DaemonBackend`], streaming one `front` line
-/// per round and the canonical front in the final `search_done` line.
-/// Every streamed byte is a deterministic function of the spec — no
-/// sources, no timings — so the whole response is byte-identical across
-/// thread counts, cache states, and daemon restarts.
-fn serve_search(spec: &SearchSpec, shared: &Shared, writer: &mut TcpStream) -> io::Result<()> {
-    let mut backend = DaemonBackend { shared };
-    let mut write_err: Option<io::Error> = None;
-    let outcome = run_search(spec, &mut backend, |round| {
-        if write_err.is_some() {
-            return;
-        }
-        let update = Response::Front {
-            round: round.round,
-            evaluated: round.evaluated,
-            added: round.added,
-            removed: round.removed,
-            size: round.front_size,
-        };
-        if let Err(e) = write_line(writer, shared, &update) {
-            write_err = Some(e);
-        }
-    });
-    if let Some(e) = write_err {
-        return Err(e);
-    }
-    match outcome {
-        Err(error) => write_line(writer, shared, &Response::Error { error }),
-        Ok(outcome) => {
-            let front: Vec<FrontMember> = outcome
-                .front
-                .points()
-                .iter()
-                .map(|p| FrontMember {
-                    objectives: p.objectives.clone(),
-                    result: p.doc.clone(),
-                })
-                .collect();
-            shared
-                .stats
-                .served
-                .fetch_add(front.len() as u64, Ordering::Relaxed);
-            write_line(
-                writer,
-                shared,
-                &Response::SearchDone {
-                    evaluated: outcome.evaluated,
-                    grid: outcome.grid,
-                    rounds: outcome.rounds,
-                    front,
-                },
-            )
-        }
-    }
 }
 
 /// How long a response write may make zero progress after shutdown

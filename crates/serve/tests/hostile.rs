@@ -193,3 +193,45 @@ fn a_plain_daemon_refuses_every_store() {
     client.shutdown().unwrap();
     server.join().unwrap().unwrap();
 }
+
+#[test]
+fn retired_search_verb_is_an_unknown_op_and_fresh_metrics_list_five_verbs() {
+    let (addr, server) = common::start(hostile_config());
+    let mut client = Client::connect(addr).unwrap();
+
+    // Before any eval, the per-verb table holds exactly the five verbs
+    // in wire order, with no latency quantile yet.
+    let metrics = client.metrics().unwrap();
+    let names: Vec<&str> = metrics.verbs.iter().map(|(v, _)| v.as_str()).collect();
+    assert_eq!(names, ["eval", "sweep", "status", "metrics", "shutdown"]);
+    let eval = metrics.verbs[0].1;
+    assert_eq!(eval.requests, 0);
+    assert_eq!(eval.p50_ms, None);
+
+    // A stray field on `metrics`, and a well-formed search spec sent to
+    // the retired `search` verb: one error line each, both counted as
+    // parse errors, and the connection keeps serving.
+    let space = Sweep::new().networks(["VGG-S"]).batches([2, 4]).to_json();
+    let search = format!(
+        r#"{{"op":"search","spec":{{"space":{space},"objectives":["cycles","energy"],"seed":1,"population":4,"budget":8,"rungs":2}}}}"#
+    );
+    for line in [r#"{"op":"metrics","extra":true}"#, search.as_str()] {
+        client.send_raw(line).unwrap();
+        match client.read_response().unwrap() {
+            Response::Error { error } if line == search => {
+                assert!(error.contains("unknown op 'search'"), "{error}");
+            }
+            Response::Error { error } => assert!(!error.is_empty(), "{line}"),
+            other => panic!("expected an error line for {line}, got {}", other.to_json()),
+        }
+    }
+    let metrics = client.metrics().unwrap();
+    assert_eq!(metrics.parse_errors, 2);
+    assert_eq!(metrics.computed, 0);
+    let served = client
+        .eval(&Scenario::builder("VGG-S").build().unwrap())
+        .unwrap();
+    assert_eq!(served.source, Source::Computed);
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+}

@@ -5,11 +5,13 @@
 //! taken from the scratch pool and recycled on exit, so once the pool
 //! has seen a shape, repeating it (or any smaller shape) allocates
 //! nothing. The threaded tier extends the same contract: pool threads
-//! are spawned once (warm-up), each owns a private scratch, and chunk
-//! assignment is static — worker `w` always computes the same slab of
-//! a given blueprint — so per-worker scratch warm sizes are
-//! reproducible and the steady state stays allocation-free at any
-//! worker count. Pinned with a counting global allocator, same idiom
+//! are spawned once (warm-up) and each owns a private scratch. Workers
+//! claim output pieces from a shared counter, so which pieces worker
+//! `w` computes varies from call to call, but its packing panels do
+//! not: their sizes depend on the blueprint alone, and a worker takes
+//! them before it claims its first piece (even one that claims none).
+//! So per-worker scratch warm sizes are reproducible and the steady
+//! state stays allocation-free at any worker count. Pinned with a counting global allocator, same idiom
 //! as the dropback trainer's steady-state test. This file holds
 //! exactly one test so no concurrent test thread can contribute
 //! allocations to the global counter (the kernel pool's own threads
@@ -125,8 +127,8 @@ fn steady_state_gemm_calls_perform_zero_allocations() {
     }
 
     // Warm-up: spawns the pool threads and funds each worker's private
-    // scratch (chunk sizes are static per blueprint, so one pass per
-    // shape reaches the fixed point).
+    // scratch (panel sizes are fixed per blueprint, whatever pieces a
+    // worker claims, so one pass per shape reaches the fixed point).
     for bp in &threaded {
         kernel::gemm(
             bp,

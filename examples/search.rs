@@ -5,13 +5,11 @@
 //! same front byte for byte on any thread count — and rides the same
 //! memoized `Engine` as every sweep. This example runs the pinned
 //! small-grid oracle both ways (exhaustive and searched) and shows the
-//! search recovering the exact front from a fraction of the grid, then
-//! runs the identical spec through the serving daemon's `search` verb.
+//! search recovering the exact front from a fraction of the grid.
 
 use procrustes::core::Engine;
 use procrustes::search::oracle::{oracle_spec, oracle_sweep};
-use procrustes::search::{exhaustive_front, run_search_on_engine, EngineBackend};
-use procrustes::serve::{Client, ServeConfig, Server};
+use procrustes::search::{exhaustive_front, run_search_on_engine, EngineBackend, RoundUpdate};
 
 fn main() {
     let engine = Engine::default();
@@ -27,13 +25,7 @@ fn main() {
     );
 
     // The search: same front, a fraction of the evaluations.
-    let outcome = run_search_on_engine(&spec, &engine, |round| {
-        println!(
-            "  round {}: evaluated {} (+{} -{}), front size {}",
-            round.round, round.evaluated, round.added, round.removed, round.front_size
-        );
-    })
-    .expect("seeded search");
+    let outcome = run_search_on_engine(&spec, &engine, print_round).expect("seeded search");
     println!(
         "search:     {} scenarios ({:.1} % of the grid) -> {}-point front",
         outcome.evaluated,
@@ -51,24 +43,12 @@ fn main() {
             point.fingerprint, point.objectives
         );
     }
+}
 
-    // The same spec over the wire: the daemon's `search` verb streams
-    // round updates and returns the identical canonical front.
-    let server = Server::bind("127.0.0.1:0", ServeConfig::default())
-        .expect("bind an ephemeral loopback port");
-    let addr = server.local_addr();
-    let daemon = std::thread::spawn(move || server.run());
-    let mut client = Client::connect(addr).expect("connect");
-    let report = client.search(&spec).expect("served search");
-    assert_eq!(report.evaluated, outcome.evaluated);
-    assert_eq!(report.front.len(), outcome.front.len());
-    for (member, point) in report.front.iter().zip(outcome.front.points()) {
-        assert_eq!(member.result, point.doc, "served front is byte-identical");
-    }
+/// The search's per-round callback: one line of progress per round.
+fn print_round(round: &RoundUpdate) {
     println!(
-        "served:     same front over the wire ({} evaluations, {} rounds)",
-        report.evaluated, report.rounds
+        "  round {}: evaluated {} (+{} -{}), front size {}",
+        round.round, round.evaluated, round.added, round.removed, round.front_size
     );
-    client.shutdown().expect("shutdown");
-    daemon.join().expect("daemon thread").expect("daemon run");
 }

@@ -32,8 +32,8 @@
 //!   neighborhood, with byte-identical fronts across thread counts;
 //! * [`serve`] — the single-flight, cache-persistent evaluation daemon
 //!   (`procrustes-serve`) and client (`procrustes-cli`) that expose the
-//!   engine (including the search, via the `search` verb) over
-//!   line-delimited JSON-over-TCP.
+//!   engine's `eval` and `sweep` over line-delimited JSON-over-TCP (a
+//!   search runs in process, through [`search`]).
 //!
 //! # Quickstart
 //!
