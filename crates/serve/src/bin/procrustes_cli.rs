@@ -2,11 +2,11 @@
 //! daemon.
 //!
 //! ```text
-//! procrustes-cli [--addr HOST:PORT] eval   <scenario.json | ->
-//! procrustes-cli [--addr HOST:PORT] sweep  <sweep.json | -> [--csv FILE]
-//! procrustes-cli [--addr HOST:PORT] status
-//! procrustes-cli [--addr HOST:PORT] metrics
-//! procrustes-cli [--addr HOST:PORT] shutdown
+//! procrustes-cli [--addr HOST:PORT] [--timeout SECS] eval   <scenario.json | ->
+//! procrustes-cli [--addr HOST:PORT] [--timeout SECS] sweep  <sweep.json | -> [--csv FILE]
+//! procrustes-cli [--addr HOST:PORT] [--timeout SECS] status
+//! procrustes-cli [--addr HOST:PORT] [--timeout SECS] metrics
+//! procrustes-cli [--addr HOST:PORT] [--timeout SECS] shutdown
 //! ```
 //!
 //! `eval` and `sweep` print one served `EvalResult` JSON document per
@@ -14,6 +14,10 @@
 //! `EvalResult::to_json` produces in-process); `sweep --csv` also
 //! writes the standard results CSV. Progress and the cache-source
 //! summary go to stderr so stdout stays machine-readable.
+//!
+//! `--timeout` bounds the wait for each reply line; past it the command
+//! fails with a connection error and is not retried (only a `shed`
+//! refusal is retried, once).
 
 use std::io::Read;
 use std::process::ExitCode;
@@ -23,7 +27,7 @@ use procrustes_core::{Scenario, Sweep};
 use procrustes_serve::{results_csv_from_docs, Client, ClientError, Served, Source};
 
 const USAGE: &str = "\
-USAGE: procrustes-cli [--addr HOST:PORT] <COMMAND>
+USAGE: procrustes-cli [--addr HOST:PORT] [--timeout SECS] <COMMAND>
 
 COMMANDS:
   eval <FILE|->           evaluate one Scenario JSON document
@@ -36,6 +40,8 @@ COMMANDS:
 
 OPTIONS:
   --addr HOST:PORT        daemon address (default 127.0.0.1:7878)
+  --timeout SECS          fail when a reply line takes longer than SECS
+                          (fractions allowed; default: wait forever)
   --help                  print this help
 ";
 
@@ -49,6 +55,16 @@ fn read_input(path: &str) -> Result<String, String> {
     } else {
         std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))
     }
+}
+
+/// A positive, finite number of seconds (fractions allowed).
+fn parse_timeout(value: &str) -> Result<Duration, String> {
+    value
+        .parse::<f64>()
+        .ok()
+        .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+        .filter(|timeout| !timeout.is_zero())
+        .ok_or_else(|| format!("--timeout needs a positive number of seconds, got '{value}'"))
 }
 
 fn source_summary(served: &[Served]) -> String {
@@ -97,11 +113,16 @@ fn run() -> Result<(), String> {
     let mut command: Option<String> = None;
     let mut input: Option<String> = None;
     let mut csv: Option<String> = None;
+    let mut timeout: Option<Duration> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => addr = args.next().ok_or("--addr needs a value")?,
             "--csv" => csv = Some(args.next().ok_or("--csv needs a value")?),
+            "--timeout" => {
+                let value = args.next().ok_or("--timeout needs a value")?;
+                timeout = Some(parse_timeout(&value)?);
+            }
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return Ok(());
@@ -126,6 +147,9 @@ fn run() -> Result<(), String> {
     }
     let mut client =
         Client::connect(&addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    client
+        .set_read_timeout(timeout)
+        .map_err(|e| format!("cannot set the read timeout: {e}"))?;
     match command.as_str() {
         "eval" => {
             let path = input.ok_or("eval needs a scenario file (or '-')")?;

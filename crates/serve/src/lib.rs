@@ -144,6 +144,29 @@
 //! `EvalResult::to_json` produces in-process — bit-identical results
 //! are a contract, tested end-to-end over loopback.
 //!
+//! # Transport
+//!
+//! Both ends run `TCP_NODELAY`, and each message leaves in one write:
+//! the client sends a request line with its newline in one write, and
+//! the daemon writes each reply line, newline included, in its own. With
+//! Nagle's algorithm on, a small write waits until the peer ACKs the one
+//! before it, and a peer with nothing to send holds that ACK on its
+//! delayed-ACK timer. Measured on Linux loopback, that costs ~44 ms per
+//! message: a [`Client`] round trip took 44 ms instead of 0.03–0.13 ms,
+//! and a warm 40-result sweep read by the benchmark's client 42 ms
+//! instead of 0.6 ms.
+//!
+//! The per-verb quantiles in `metrics` stop when the daemon's last write
+//! returns, and the kernel may still hold the bytes after that. So a
+//! stall in the reply path does not show in them. It shows on the client
+//! side, e.g. in the benchmark's `serve.sweep_ms_p50` and
+//! `serve.sweep_per_result_us`.
+//!
+//! [`Client::set_read_timeout`] bounds each wait for a reply line (by
+//! default a client waits forever). A call past it fails with a
+//! [`ClientError::Io`] of kind `TimedOut`; `procrustes-cli --timeout`
+//! sets it, and never retries a timed-out request.
+//!
 //! # Example
 //!
 //! ```no_run

@@ -575,6 +575,10 @@ fn discard_line_remainder(reader: &mut BufReader<TcpStream>, shared: &Shared) ->
 fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_read_timeout(Some(POLL))?;
     stream.set_write_timeout(Some(POLL))?;
+    // Each reply line leaves in its own write. With Nagle on, every line
+    // after a sweep's first would wait for the client's delayed ACK
+    // (~40 ms on Linux) before it is sent.
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let mut buf = Vec::new();
