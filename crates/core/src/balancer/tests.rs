@@ -28,7 +28,7 @@ fn summary_of(w: &Tensor) -> MaskSummary {
     let (k, c, r) = (w.shape().dim(0), w.shape().dim(1), w.shape().dim(2));
     let mut model = Sequential::new();
     model.push(Conv2d::new(c, k, r, 1, 1, false, &mut Xorshift64::new(0)));
-    model.visit_params(&mut |p| {
+    model.visit_params(&mut |mut p| {
         if p.kind == ParamKind::Prunable {
             *p.values = w.clone();
         }

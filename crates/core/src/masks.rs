@@ -359,7 +359,7 @@ mod tests {
         let mut model = Sequential::new();
         model.push(Conv2d::new(2, 3, 3, 1, 1, false, &mut rng));
         // Zero out one full kernel.
-        model.visit_params(&mut |p| {
+        model.visit_params(&mut |mut p| {
             if p.kind == ParamKind::Prunable {
                 for r in 0..3 {
                     for s in 0..3 {
@@ -386,7 +386,7 @@ mod tests {
         // Kernel (ki, ci) loses its first `(ki·C + ci) mod 10` taps, so
         // every count is distinct from its neighbours' in both axes.
         let zeroed = |ki: usize, ci: usize| (ki * c + ci) % 10;
-        model.visit_params(&mut |p| {
+        model.visit_params(&mut |mut p| {
             if p.kind == ParamKind::Prunable {
                 for ki in 0..k {
                     for ci in 0..c {

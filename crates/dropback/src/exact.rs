@@ -229,7 +229,7 @@ pub(crate) fn init_from_wr(
     });
     assert!(!layers.is_empty(), "model has no prunable weights");
     let wr = WeightRecompute::new(seed, &layers, lambda);
-    let n = for_each_prunable(model, |offset, p| {
+    let n = for_each_prunable(model, |offset, mut p| {
         for (j, w) in p.values.data_mut().iter_mut().enumerate() {
             *w = wr.initial_value((offset + j) as u64);
         }

@@ -159,7 +159,7 @@ impl GradualMagnitudeTrainer {
         };
         let mut kills = 0usize;
         let pruned = &mut self.pruned;
-        for_each_prunable(&mut self.model, |offset, p| {
+        for_each_prunable(&mut self.model, |offset, mut p| {
             for (j, w) in p.values.data_mut().iter_mut().enumerate() {
                 let gi = offset + j;
                 if !pruned[gi] && kills < max_kills && w.abs() < cut {
@@ -180,7 +180,7 @@ impl Trainer for GradualMagnitudeTrainer {
         let lr = self.config.lr;
         let momentum = self.config.momentum;
         let (pruned, velocity) = (&self.pruned, &mut self.velocity);
-        for_each_prunable(&mut self.model, |offset, p| {
+        for_each_prunable(&mut self.model, |offset, mut p| {
             let grads = p.grads.data_mut().iter_mut();
             for (j, (w, g)) in p.values.data_mut().iter_mut().zip(grads).enumerate() {
                 let gi = offset + j;

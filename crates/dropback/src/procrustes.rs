@@ -188,7 +188,7 @@ impl Trainer for ProcrustesTrainer {
         // them), then write its weights from the accumulations.
         let wr = &self.wr;
         let mut zeros = 0;
-        let n = for_each_prunable(&mut self.model, |offset, p| {
+        let n = for_each_prunable(&mut self.model, |offset, mut p| {
             walk.track_tensor(p.grads.data_mut(), offset);
             let acc = &walk.tracked.acc()[offset..offset + p.values.len()];
             zeros +=
@@ -200,7 +200,7 @@ impl Trainer for ProcrustesTrainer {
         // again (its accumulation is now zero).
         if !self.rewrites.is_empty() {
             let (rewrites, acc) = (&self.rewrites, self.tracked.acc());
-            for_each_prunable(&mut self.model, |offset, p| {
+            for_each_prunable(&mut self.model, |offset, mut p| {
                 let values = p.values.data_mut();
                 for &i in rewrites {
                     let i = i as usize;

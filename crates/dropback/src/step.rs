@@ -64,7 +64,7 @@ pub(crate) fn for_each_prunable(
 /// One plain SGD step on the auxiliary parameters (biases, batch norm);
 /// zeroes their gradients.
 pub(crate) fn sgd_auxiliary(model: &mut Sequential, lr: f32) {
-    model.visit_params(&mut |p| {
+    model.visit_params(&mut |mut p| {
         if p.kind == ParamKind::Auxiliary {
             let grads = p.grads.data_mut().iter_mut();
             for (w, g) in p.values.data_mut().iter_mut().zip(grads) {
@@ -92,7 +92,7 @@ pub(crate) fn materialize(
 ) -> f64 {
     let factor = wr.decay_factor(t);
     let mut zeros = 0;
-    let n = for_each_prunable(model, |offset, p| {
+    let n = for_each_prunable(model, |offset, mut p| {
         let acc = (offset..offset + p.values.len()).map(&accumulated);
         zeros += materialize_tensor(p.values.data_mut(), offset, wr, factor, acc);
     });

@@ -27,7 +27,7 @@
 use procrustes_tensor::{Scratch, Tensor};
 
 use crate::conv::ensure_cached;
-use crate::{Layer, ParamKind, ParamTensor};
+use crate::{Layer, ParamKind, ParamTensor, Values};
 
 /// Batch normalization over the channel axis of `NCHW` activations.
 ///
@@ -249,13 +249,13 @@ impl Layer for BatchNorm2d {
         visitor(ParamTensor {
             name: "bn.gamma",
             kind: ParamKind::Auxiliary,
-            values: &mut self.gamma,
+            values: Values::Plain(&mut self.gamma),
             grads: &mut self.dgamma,
         });
         visitor(ParamTensor {
             name: "bn.beta",
             kind: ParamKind::Auxiliary,
-            values: &mut self.beta,
+            values: Values::Plain(&mut self.beta),
             grads: &mut self.dbeta,
         });
     }

@@ -136,17 +136,6 @@ impl Layer for Residual {
         }
     }
 
-    fn set_compute_backend(&mut self, backend: crate::ComputeBackend) {
-        self.main.set_compute_backend(backend);
-        if let Some(s) = &mut self.shortcut {
-            s.set_compute_backend(backend);
-        }
-    }
-
-    fn csb_store_count(&self) -> usize {
-        self.main.csb_store_count() + self.shortcut.as_ref().map_or(0, |s| s.csb_store_count())
-    }
-
     fn name(&self) -> String {
         format!(
             "Residual(main: {}, shortcut: {})",
@@ -218,14 +207,6 @@ impl Layer for DenseBlock {
         self.conv.visit_params(visitor);
     }
 
-    fn set_compute_backend(&mut self, backend: crate::ComputeBackend) {
-        self.conv.set_compute_backend(backend);
-    }
-
-    fn csb_store_count(&self) -> usize {
-        self.conv.csb_store_count()
-    }
-
     fn name(&self) -> String {
         format!("DenseBlock({}+{})", self.in_ch, self.growth)
     }
@@ -268,14 +249,6 @@ impl Layer for DwSeparable {
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamTensor<'_>)) {
         self.inner.visit_params(visitor);
-    }
-
-    fn set_compute_backend(&mut self, backend: crate::ComputeBackend) {
-        self.inner.set_compute_backend(backend);
-    }
-
-    fn csb_store_count(&self) -> usize {
-        self.inner.csb_store_count()
     }
 
     fn name(&self) -> String {

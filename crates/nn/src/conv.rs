@@ -6,8 +6,8 @@ use procrustes_tensor::{
     conv_out_dim, Init, PaddedPlanes, Scratch, Tensor,
 };
 
-use crate::store::{ComputeBackend, Decode, WeightStore};
-use crate::{Layer, ParamKind, ParamTensor};
+use crate::store::{Decode, WeightStore};
+use crate::{Layer, ParamKind, ParamTensor, Values};
 
 /// Replaces `slot` with a fresh tensor of `dims` unless it already has
 /// that shape; returns the tensor for in-place (re)filling. Allocation
@@ -34,7 +34,8 @@ pub(crate) fn ensure_cached<'a>(slot: &'a mut Option<Tensor>, dims: &[usize]) ->
 /// assert_eq!(y.shape().dims(), &[2, 8, 8, 8]);
 /// ```
 pub struct Conv2d {
-    /// Resynced to its compute representation on every forward.
+    /// Synced at every forward, which re-derives its decode only after
+    /// a write or a backend switch.
     store: WeightStore,
     dweight: Tensor,
     bias: Option<(Tensor, Tensor)>,
@@ -216,25 +217,17 @@ impl Layer for Conv2d {
         visitor(ParamTensor {
             name: "conv.weight",
             kind: ParamKind::Prunable,
-            values: self.store.tensor_mut(),
+            values: Values::Store(&mut self.store),
             grads: &mut self.dweight,
         });
         if let Some((b, db)) = &mut self.bias {
             visitor(ParamTensor {
                 name: "conv.bias",
                 kind: ParamKind::Auxiliary,
-                values: b,
+                values: Values::Plain(b),
                 grads: db,
             });
         }
-    }
-
-    fn set_compute_backend(&mut self, backend: ComputeBackend) {
-        self.store.set_backend(backend);
-    }
-
-    fn csb_store_count(&self) -> usize {
-        usize::from(self.store.is_csb())
     }
 
     fn name(&self) -> String {
@@ -398,7 +391,7 @@ impl Layer for DepthwiseConv2d {
         visitor(ParamTensor {
             name: "dwconv.weight",
             kind: ParamKind::Prunable,
-            values: &mut self.weight,
+            values: Values::Plain(&mut self.weight),
             grads: &mut self.dweight,
         });
     }

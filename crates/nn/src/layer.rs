@@ -1,6 +1,10 @@
 //! The module interface: forward, backward, and parameter visitation.
 
+use std::ops::{Deref, DerefMut};
+
 use procrustes_tensor::{Scratch, Tensor};
+
+use crate::{ComputeBackend, WeightStore};
 
 /// Classification of a parameter tensor for sparse training.
 ///
@@ -24,9 +28,47 @@ pub struct ParamTensor<'a> {
     /// Pruning classification.
     pub kind: ParamKind,
     /// The parameter values.
-    pub values: &'a mut Tensor,
+    pub values: Values<'a>,
     /// The gradient accumulated by the latest `backward`.
     pub grads: &'a mut Tensor,
+}
+
+/// The values of a [`ParamTensor`]: a tensor the layer holds as is, or
+/// the [`WeightStore`] of a conv or fc weight.
+///
+/// It derefs to the values, and a store goes stale only when they are
+/// borrowed mutably ([`DerefMut`]), so a visitor that only reads leaves
+/// every compressed encoding valid. Matching [`Values::Store`] hands out
+/// the store itself and marks nothing: the store's own methods keep its
+/// dirty bit.
+#[derive(Debug)]
+pub enum Values<'a> {
+    /// A tensor without a compute representation (bias, batch norm,
+    /// depthwise weights).
+    Plain(&'a mut Tensor),
+    /// A weight store's dense master.
+    Store(&'a mut WeightStore),
+}
+
+impl Deref for Values<'_> {
+    type Target = Tensor;
+
+    fn deref(&self) -> &Tensor {
+        match self {
+            Values::Plain(t) => t,
+            Values::Store(store) => store.tensor(),
+        }
+    }
+}
+
+impl DerefMut for Values<'_> {
+    /// Marks a store stale until its next sync.
+    fn deref_mut(&mut self) -> &mut Tensor {
+        match self {
+            Values::Plain(t) => t,
+            Values::Store(store) => store.tensor_mut(),
+        }
+    }
 }
 
 /// A differentiable module.
@@ -113,33 +155,44 @@ pub trait Layer {
     }
 
     /// Visits every parameter tensor in a fixed, deterministic order.
+    /// A visit marks a weight store stale only if the visitor borrows
+    /// its values mutably (see [`Values`]).
     ///
-    /// The default is a no-op for parameter-free layers.
+    /// The default is a no-op for parameter-free layers. A container
+    /// visits its children in order; that one walk is all it implements
+    /// — the backend switch and the CSB count below ride it.
     fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamTensor<'_>)) {
         let _ = visitor;
     }
 
     /// Sets all parameter gradients to zero.
     fn zero_grads(&mut self) {
+        self.visit_params(&mut |p| p.grads.map_inplace(|_| 0.0));
+    }
+
+    /// Selects which compute backend the weight kernels of every store
+    /// [`visit_params`](Layer::visit_params) reaches run on (see
+    /// [`ComputeBackend`]); each store resyncs at its next forward.
+    /// Results are identical under every backend — only the kernels
+    /// (and their cost) change.
+    fn set_compute_backend(&mut self, backend: ComputeBackend) {
         self.visit_params(&mut |p| {
-            p.grads.map_inplace(|_| 0.0);
+            if let Values::Store(store) = p.values {
+                store.set_backend(backend);
+            }
         });
     }
 
-    /// Selects which compute backend the layer's weight kernels run on
-    /// (see [`ComputeBackend`](crate::ComputeBackend)). Containers
-    /// propagate to their children; layers without a sparse path ignore
-    /// it. Results are identical under every backend — only the kernels
-    /// (and their cost) change.
-    fn set_compute_backend(&mut self, backend: crate::ComputeBackend) {
-        let _ = backend;
-    }
-
-    /// Number of weight stores (in this layer and its children) whose
-    /// compressed CSB representation is currently active — diagnostics
-    /// for backend promotion, e.g. after an `Auto` resync.
-    fn csb_store_count(&self) -> usize {
-        0
+    /// Number of weight stores [`visit_params`](Layer::visit_params)
+    /// reaches whose compressed CSB representation is currently active —
+    /// diagnostics for backend promotion, e.g. after an `Auto` resync.
+    /// Counting reads no values, so it marks no store stale.
+    fn csb_store_count(&mut self) -> usize {
+        let mut count = 0;
+        self.visit_params(&mut |p| {
+            count += usize::from(matches!(p.values, Values::Store(s) if s.is_csb()));
+        });
+        count
     }
 
     /// A short human-readable description (for model summaries).

@@ -68,7 +68,7 @@ mod util;
 pub use batchnorm::BatchNorm2d;
 pub use blocks::{DenseBlock, DwSeparable, Residual};
 pub use conv::{Conv2d, DepthwiseConv2d};
-pub use layer::{Layer, ParamKind, ParamTensor};
+pub use layer::{Layer, ParamKind, ParamTensor, Values};
 pub use linear::{Flatten, Linear, ReLU};
 pub use loss::{accuracy, SoftmaxCrossEntropy};
 pub use pool::{GlobalAvgPool, MaxPool2d};

@@ -4,8 +4,8 @@ use procrustes_prng::UniformRng;
 use procrustes_tensor::kernel::{self, Blueprint};
 use procrustes_tensor::{Init, Scratch, Tensor};
 
-use crate::store::{ComputeBackend, Decode, WeightStore};
-use crate::{Layer, ParamKind, ParamTensor};
+use crate::store::{Decode, WeightStore};
+use crate::{Layer, ParamKind, ParamTensor, Values};
 
 /// A fully-connected layer: `y = x·Wᵀ + b` with `x: [N, in]`,
 /// `W: [out, in]`.
@@ -21,7 +21,8 @@ use crate::{Layer, ParamKind, ParamTensor};
 /// assert_eq!(y.shape().dims(), &[3, 2]);
 /// ```
 pub struct Linear {
-    /// Resynced to its compute representation on every forward.
+    /// Synced at every forward, which re-derives its decode only after
+    /// a write or a backend switch.
     store: WeightStore,
     dweight: Tensor,
     bias: Option<(Tensor, Tensor)>,
@@ -165,25 +166,17 @@ impl Layer for Linear {
         visitor(ParamTensor {
             name: "fc.weight",
             kind: ParamKind::Prunable,
-            values: self.store.tensor_mut(),
+            values: Values::Store(&mut self.store),
             grads: &mut self.dweight,
         });
         if let Some((b, db)) = &mut self.bias {
             visitor(ParamTensor {
                 name: "fc.bias",
                 kind: ParamKind::Auxiliary,
-                values: b,
+                values: Values::Plain(b),
                 grads: db,
             });
         }
-    }
-
-    fn set_compute_backend(&mut self, backend: ComputeBackend) {
-        self.store.set_backend(backend);
-    }
-
-    fn csb_store_count(&self) -> usize {
-        usize::from(self.store.is_csb())
     }
 
     fn name(&self) -> String {

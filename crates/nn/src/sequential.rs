@@ -132,16 +132,6 @@ impl Layer for Sequential {
         }
     }
 
-    fn set_compute_backend(&mut self, backend: crate::ComputeBackend) {
-        for layer in &mut self.layers {
-            layer.set_compute_backend(backend);
-        }
-    }
-
-    fn csb_store_count(&self) -> usize {
-        self.layers.iter().map(|l| l.csb_store_count()).sum()
-    }
-
     fn name(&self) -> String {
         format!("Sequential({} layers)", self.layers.len())
     }

@@ -68,7 +68,7 @@ impl Sgd {
         let momentum = self.momentum;
         let velocity = &mut self.velocity;
         let mut slot = 0usize;
-        model.visit_params(&mut |p| {
+        model.visit_params(&mut |mut p| {
             if velocity.len() <= slot {
                 velocity.push(vec![0.0; p.values.len()]);
             }

@@ -8,9 +8,11 @@
 //! whenever the weights may have changed ("resyncing layout after mask
 //! updates"). The store owns everything that decision needs — the
 //! master, the [`ComputeBackend`] policy and the dirty bit — so a layer
-//! only marks, syncs and dispatches. Switching backends never changes
-//! results: the sparse kernels are bitwise-equal to the dense ones (see
-//! `procrustes_sparse::kernels`).
+//! only syncs and dispatches. The cache goes stale on a write, never on
+//! a read: a visit hands the store out as [`Values`](crate::Values),
+//! which marks it only when a visitor borrows the master mutably.
+//! Switching backends never changes results: the sparse kernels are
+//! bitwise-equal to the dense ones (see `procrustes_sparse::kernels`).
 //!
 //! A resync reads the master once and encodes its nonzeros straight
 //! into the CSRs the kernels walk — forward and rotated for a `KCRS`
@@ -104,8 +106,10 @@ pub enum Decode {
 ///
 /// The dense master is what trainers mutate; under a CSB-selecting
 /// [`ComputeBackend`] the store also caches the master's [`Decode`].
-/// Handing out the master mutably marks the cache stale, and
-/// [`WeightStore::sync`] re-derives it.
+/// Writing goes through [`tensor_mut`](WeightStore::tensor_mut) or
+/// [`set_backend`](WeightStore::set_backend), which mark the cache
+/// stale; reading through [`tensor`](WeightStore::tensor) leaves it
+/// valid, and [`WeightStore::sync`] re-derives only a stale one.
 pub struct WeightStore {
     master: Tensor,
     backend: ComputeBackend,
@@ -113,6 +117,8 @@ pub struct WeightStore {
     /// last sync.
     dirty: bool,
     decode: Option<Decode>,
+    /// Encodes of the master into a decode since construction.
+    encodes: u64,
 }
 
 impl WeightStore {
@@ -124,6 +130,7 @@ impl WeightStore {
             backend: ComputeBackend::Dense,
             dirty: false,
             decode: None,
+            encodes: 0,
         }
     }
 
@@ -161,6 +168,13 @@ impl WeightStore {
         1.0 - self.master.sparsity()
     }
 
+    /// How many times [`sync`](WeightStore::sync) has encoded the master
+    /// into a decode (a first build or a re-encode); a sync that finds
+    /// the store clean, or keeps it dense, encodes nothing.
+    pub fn encodes(&self) -> u64 {
+        self.encodes
+    }
+
     /// Re-derives the compute representation if it is stale: re-encodes
     /// the master's nonzeros into the decode (reusing its buffers) or
     /// drops the decode, according to what the backend wants for the
@@ -182,6 +196,7 @@ impl WeightStore {
         match (self.backend, &mut self.decode) {
             (ComputeBackend::Dense, decode) => *decode = None,
             (backend, Some(decode)) => {
+                self.encodes += 1;
                 let nnz = match decode {
                     Decode::Conv(d) => {
                         d.encode(&self.master);
@@ -200,6 +215,7 @@ impl WeightStore {
             }
             (backend, decode @ None) => {
                 if backend.wants_csb(1.0 - self.master.sparsity()) {
+                    self.encodes += 1;
                     *decode = Some(if self.master.shape().rank() == 4 {
                         Decode::Conv(ConvDecode::from_dense(&self.master))
                     } else {

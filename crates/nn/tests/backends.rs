@@ -10,7 +10,7 @@ use procrustes_tensor::{Scratch, Tensor};
 /// Zeroes a `keep`-complement of the layer's prunable weights.
 fn sparsify(layer: &mut dyn Layer, keep: f64, seed: u64) {
     let mut rng = Xorshift64::new(seed);
-    layer.visit_params(&mut |p| {
+    layer.visit_params(&mut |mut p| {
         if p.kind == procrustes_nn::ParamKind::Prunable {
             for v in p.values.data_mut() {
                 if rng.next_f64() >= keep {

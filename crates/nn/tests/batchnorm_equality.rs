@@ -141,7 +141,7 @@ fn pair(c: usize, rng: &mut Xorshift64) -> (BatchNorm2d, Reference) {
     let gamma: Vec<f32> = (0..c).map(|_| 0.5 + rng.next_f64() as f32).collect();
     let beta: Vec<f32> = (0..c).map(|_| rng.next_f64() as f32 - 0.5).collect();
     let mut bn = BatchNorm2d::new(c);
-    bn.visit_params(&mut |p| {
+    bn.visit_params(&mut |mut p| {
         let src = if p.name == "bn.gamma" { &gamma } else { &beta };
         p.values.data_mut().copy_from_slice(src);
     });

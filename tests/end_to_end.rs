@@ -292,7 +292,7 @@ fn csb_roundtrip_on_trained_weights() {
     }
     trainer.model_mut().visit_params(&mut |p| {
         if p.kind == ParamKind::Prunable && p.values.shape().rank() == 4 {
-            let csb = CsbTensor::from_dense_conv(p.values);
+            let csb = CsbTensor::from_dense_conv(&p.values);
             assert_eq!(&csb.to_dense(), &*p.values);
             let rot = p.values.rotate180();
             let (k, c) = (p.values.shape().dim(0), p.values.shape().dim(1));
