@@ -10,7 +10,8 @@
 //! materialised im2col columns (the SpMM and the GEMM the planes are
 //! tested against) is timed and printed beside it. A 512×512 fc layer
 //! at the same density is guarded the same way, forward and backward,
-//! on the cached `FcDecode` that `Linear` runs.
+//! on the cached `ConvDecode` that `Linear` runs, its `[out, in]`
+//! weights encoded as 1×1 filters.
 //!
 //! The same comparison is printed (never asserted) at
 //! `ComputeBackend::AUTO_MAX_DENSITY`, the density at which `Auto`
@@ -36,7 +37,7 @@ use std::time::Duration;
 use procrustes_bench::{best_of as time, FIG06_BATCH, FIG06_CONV_LAYERS};
 use procrustes_nn::{arch, ComputeBackend, Layer, ParamKind, WeightStore};
 use procrustes_prng::{UniformRng, Xorshift64};
-use procrustes_sparse::{ConvDecode, FcDecode};
+use procrustes_sparse::ConvDecode;
 use procrustes_tensor::kernel::{self, Blueprint};
 use procrustes_tensor::{
     conv2d_backward_input_gemm, conv2d_from_cols, conv2d_from_planes, im2col, PaddedPlanes,
@@ -200,7 +201,7 @@ fn csb_fc_forward_not_slower_than_dense_at_high_sparsity() {
     let _turn = exclusive();
     const N: usize = 16;
     let w = sparse_tensor(&[512, 512], KEEP, 3);
-    let decode = FcDecode::from_dense(&w);
+    let decode = ConvDecode::from_dense(&w);
     let x = Tensor::randn(&[N, 512], 1.0, &mut Xorshift64::new(4));
     let dy = Tensor::randn(&[N, 512], 1.0, &mut Xorshift64::new(5));
     let mut scratch = Scratch::new();
@@ -214,11 +215,11 @@ fn csb_fc_forward_not_slower_than_dense_at_high_sparsity() {
     };
     let (nt, nn) = (Blueprint::nt(N, 512, 512), Blueprint::nn(N, 512, 512));
 
-    let y = decode.forward(&x, &mut scratch);
+    let y = decode.fc_forward(&x, &mut scratch);
     let dense_y = dense(nt, &x, &mut scratch);
     assert_eq!(dense_y.data(), y.data(), "forward must agree bitwise");
     assert_eq!(x.matmul(&w.transpose2d()).data(), y.data());
-    let dx = decode.backward_input(&dy, &mut scratch);
+    let dx = decode.fc_backward_input(&dy, &mut scratch);
     let dense_dx = dense(nn, &dy, &mut scratch);
     assert_eq!(dense_dx.data(), dx.data(), "backward must agree bitwise");
     assert_eq!(dy.matmul(&w).data(), dx.data());
@@ -230,7 +231,7 @@ fn csb_fc_forward_not_slower_than_dense_at_high_sparsity() {
     // caches both per resync): each path is measured on its steady-state
     // loop, outputs from a warmed pool.
     let csb_fw = time(5, || {
-        let y = decode.forward(&x, &mut scratch);
+        let y = decode.fc_forward(&x, &mut scratch);
         scratch.recycle(y);
     });
     let dense_fw = time(5, || {
@@ -238,7 +239,7 @@ fn csb_fc_forward_not_slower_than_dense_at_high_sparsity() {
         scratch.recycle(y);
     });
     let csb_bw = time(5, || {
-        let dx = decode.backward_input(&dy, &mut scratch);
+        let dx = decode.fc_backward_input(&dy, &mut scratch);
         scratch.recycle(dx);
     });
     let dense_bw = time(5, || {

@@ -26,7 +26,7 @@ fn model(seed: u64) -> Sequential {
 }
 
 /// Eviction-policy ablation: exact minimum vs sampled minimum.
-pub fn run_eviction(ctx: &ExpContext) {
+fn run_eviction(ctx: &ExpContext) {
     let data = SyntheticImages::cifar_like(10, 61);
     let steps = ctx.train_steps(300).min(200);
     let mut t = Table::new(
@@ -73,7 +73,7 @@ pub fn run_eviction(ctx: &ExpContext) {
 
 /// QE update-width ablation: scalar vs 4-wide averaged updates vs the
 /// exact quantile, on a gradient-magnitude-like stream.
-pub fn run_qe_width(ctx: &ExpContext) {
+fn run_qe_width(ctx: &ExpContext) {
     let mut rng = Xorshift64::new(0xD00D);
     let n = 400_000;
     // Heavy-tailed magnitudes, like accumulated gradients.
@@ -123,7 +123,7 @@ pub fn run_qe_width(ctx: &ExpContext) {
 }
 
 /// Load-balancer on/off ablation across the five networks (sparse, K,N).
-pub fn run_balancer(ctx: &ExpContext) {
+fn run_balancer(ctx: &ExpContext) {
     let hw = ArchConfig::procrustes_16x16();
     let mut t = Table::new(
         "Ablation — half-tile load balancing (sparse, K,N dataflow)",
@@ -158,7 +158,7 @@ pub fn run_balancer(ctx: &ExpContext) {
 
 /// Sparse-training family comparison (§II-E): Procrustes (sparse from
 /// scratch) vs gradual magnitude pruning (Eager-Pruning-style).
-pub fn run_families(ctx: &ExpContext) {
+fn run_families(ctx: &ExpContext) {
     let data = SyntheticImages::cifar_like(10, 71);
     let steps = ctx.train_steps(300).min(240);
     let mut t = Table::new(
@@ -219,7 +219,7 @@ pub fn run_families(ctx: &ExpContext) {
 
 /// Interconnect-load ablation: the §IV-C argument of Figs 10 and 12 —
 /// balancing is free on the wires under K,N but not under C,K.
-pub fn run_interconnect(ctx: &ExpContext) {
+fn run_interconnect(ctx: &ExpContext) {
     use procrustes_sim::interconnect::wave_load;
     use procrustes_sim::{LayerTask, Phase};
     let arch = ArchConfig::procrustes_16x16();
@@ -260,7 +260,7 @@ pub fn run_interconnect(ctx: &ExpContext) {
 /// Execution-backend ablation: the same sparse workload costed on the
 /// uncompressed dense datapath, the CSB datapath, and the per-layer
 /// `Auto` policy — the compute axis the `Sweep` API exposes.
-pub fn run_compute_backend(ctx: &ExpContext) {
+fn run_compute_backend(ctx: &ExpContext) {
     let engine = Engine::default();
     let mut t = Table::new(
         "Ablation — execution backend (VGG-S, Table II sparsity)",

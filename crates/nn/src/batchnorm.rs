@@ -62,7 +62,6 @@ pub struct BatchNorm2d {
     xhat: Option<Tensor>,
     sum_dy: Vec<f32>,
     sum_dy_xhat: Vec<f32>,
-    has_cache: bool,
 }
 
 impl BatchNorm2d {
@@ -84,7 +83,6 @@ impl BatchNorm2d {
             xhat: None,
             sum_dy: vec![0.0; channels],
             sum_dy_xhat: vec![0.0; channels],
-            has_cache: false,
         }
     }
 
@@ -195,7 +193,6 @@ impl Layer for BatchNorm2d {
                     (1.0 - self.momentum) * self.running_var[ci] + self.momentum * self.var[ci];
             }
             self.cached_inv_std.copy_from_slice(&self.inv_std);
-            self.has_cache = true;
         } else {
             // Eval mode never needs x̂ for backward: normalize straight
             // into the output.
@@ -211,11 +208,10 @@ impl Layer for BatchNorm2d {
     }
 
     fn backward_with(&mut self, dy: &Tensor, scratch: &mut Scratch) -> Tensor {
-        assert!(
-            self.has_cache,
-            "BatchNorm2d::backward called before training-mode forward"
-        );
-        let xhat = self.xhat.as_ref().expect("cache set with has_cache");
+        let xhat = self
+            .xhat
+            .as_ref()
+            .expect("BatchNorm2d::backward called before training-mode forward");
         let s = dy.shape();
         let (n, c, hw) = (s.dim(0), s.dim(1), s.dim(2) * s.dim(3));
         let m = (n * hw) as f32;

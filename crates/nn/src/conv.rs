@@ -6,7 +6,7 @@ use procrustes_tensor::{
     conv_out_dim, Init, PaddedPlanes, Scratch, Tensor,
 };
 
-use crate::store::{Decode, WeightStore};
+use crate::store::{WeightCore, WeightStore};
 use crate::{Layer, ParamKind, ParamTensor, Values};
 
 /// Replaces `slot` with a fresh tensor of `dims` unless it already has
@@ -34,11 +34,9 @@ pub(crate) fn ensure_cached<'a>(slot: &'a mut Option<Tensor>, dims: &[usize]) ->
 /// assert_eq!(y.shape().dims(), &[2, 8, 8, 8]);
 /// ```
 pub struct Conv2d {
-    /// Synced at every forward, which re-derives its decode only after
-    /// a write or a backend switch.
-    store: WeightStore,
-    dweight: Tensor,
-    bias: Option<(Tensor, Tensor)>,
+    /// The weights, with a store synced at every forward, which
+    /// re-derives its decode only after a write or a backend switch.
+    core: WeightCore,
     stride: usize,
     pad: usize,
     /// The zero-padded planes of the last training-mode input (1.13×
@@ -67,12 +65,8 @@ impl Conv2d {
         rng: &mut R,
     ) -> Self {
         let weight = Init::Kaiming.conv_weights(out_ch, in_ch, kernel, kernel, rng);
-        let dweight = Tensor::zeros(weight.shape().dims());
-        let bias = bias.then(|| (Tensor::zeros(&[out_ch]), Tensor::zeros(&[out_ch])));
         Self {
-            store: WeightStore::new(weight),
-            dweight,
-            bias,
+            core: WeightCore::new(weight, bias),
             stride,
             pad,
             xp: None,
@@ -81,19 +75,19 @@ impl Conv2d {
 
     /// The weight tensor (`KCRS`).
     pub fn weight(&self) -> &Tensor {
-        self.store.tensor()
+        self.core.store.tensor()
     }
 
     /// Mutable weight access (used by sparse trainers to write masked
     /// updates back). Marks the compute representation stale.
     pub fn weight_mut(&mut self) -> &mut Tensor {
-        self.store.tensor_mut()
+        self.core.store.tensor_mut()
     }
 
     /// The weight store in its active representation (after the last
     /// forward-pass resync).
     pub fn weight_store(&self) -> &WeightStore {
-        &self.store
+        &self.core.store
     }
 
     /// Floats the layer holds of its last training-mode input: the
@@ -103,7 +97,7 @@ impl Conv2d {
     }
 
     fn dims(&self) -> (usize, usize, usize) {
-        let s = self.store.tensor().shape();
+        let s = self.core.store.tensor().shape();
         (s.dim(0), s.dim(1), s.dim(2))
     }
 
@@ -111,16 +105,16 @@ impl Conv2d {
     /// dense weights, the gather on the decoded nonzeros — one view of
     /// the same planes either way.
     fn product(&self, xp: &PaddedPlanes, scratch: &mut Scratch) -> Tensor {
-        match self.store.decode() {
-            Some(Decode::Conv(decode)) => decode.forward(xp, scratch),
-            _ => conv2d_from_planes(self.store.tensor(), xp, scratch),
+        match self.core.store.decode() {
+            Some(decode) => decode.forward(xp, scratch),
+            None => conv2d_from_planes(self.core.store.tensor(), xp, scratch),
         }
     }
 }
 
 impl Layer for Conv2d {
     fn forward_with(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Tensor {
-        self.store.sync();
+        self.core.store.sync();
         let s = x.shape();
         assert_eq!(s.rank(), 4, "conv: activations must be NCHW");
         let (n, c, h, wdt) = (s.dim(0), s.dim(1), s.dim(2), s.dim(3));
@@ -155,19 +149,7 @@ impl Layer for Conv2d {
             xp.recycle(scratch);
             y
         };
-        if let Some((b, _)) = &self.bias {
-            let (n, k) = (y.shape().dim(0), y.shape().dim(1));
-            let plane = y.shape().dim(2) * y.shape().dim(3);
-            let yd = y.data_mut();
-            for ni in 0..n {
-                for ki in 0..k {
-                    let bk = b.data()[ki];
-                    for v in &mut yd[(ni * k + ki) * plane..(ni * k + ki + 1) * plane] {
-                        *v += bk;
-                    }
-                }
-            }
-        }
+        self.core.add_bias(&mut y);
         y
     }
 
@@ -179,10 +161,10 @@ impl Layer for Conv2d {
         // path, the gather over the decoded nonzeros on the sparse one;
         // both read the padded planes of `dy` and reduce in the same
         // order.
-        let (stride, pad) = (self.stride, self.pad);
-        match self.store.decode() {
-            Some(Decode::Conv(decode)) => decode.backward_input(dy, h, w, stride, pad, scratch),
-            _ => conv2d_backward_input_gemm(dy, self.store.tensor(), h, w, stride, pad, scratch),
+        let (stride, pad, store) = (self.stride, self.pad, &self.core.store);
+        match store.decode() {
+            Some(decode) => decode.backward_input(dy, h, w, stride, pad, scratch),
+            None => conv2d_backward_input_gemm(dy, store.tensor(), h, w, stride, pad, scratch),
         }
     }
 
@@ -197,41 +179,17 @@ impl Layer for Conv2d {
         // backend — Dropback-style training needs ∂L/∂w at *pruned*
         // positions too, so candidates can be (re-)admitted.
         let dw = conv2d_backward_weights_from_planes(dy, xp, scratch);
-        self.dweight.axpy(1.0, &dw);
+        self.core.accumulate(&dw, dy);
         scratch.recycle(dw);
-        if let Some((_, db)) = &mut self.bias {
-            let (n, k) = (dy.shape().dim(0), dy.shape().dim(1));
-            let plane = dy.shape().dim(2) * dy.shape().dim(3);
-            for ni in 0..n {
-                for ki in 0..k {
-                    let s: f32 = dy.data()[(ni * k + ki) * plane..(ni * k + ki + 1) * plane]
-                        .iter()
-                        .sum();
-                    db.data_mut()[ki] += s;
-                }
-            }
-        }
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamTensor<'_>)) {
-        visitor(ParamTensor {
-            name: "conv.weight",
-            kind: ParamKind::Prunable,
-            values: Values::Store(&mut self.store),
-            grads: &mut self.dweight,
-        });
-        if let Some((b, db)) = &mut self.bias {
-            visitor(ParamTensor {
-                name: "conv.bias",
-                kind: ParamKind::Auxiliary,
-                values: Values::Plain(b),
-                grads: db,
-            });
-        }
+        self.core
+            .visit_params(["conv.weight", "conv.bias"], visitor);
     }
 
     fn name(&self) -> String {
-        let s = self.store.tensor().shape();
+        let s = self.core.store.tensor().shape();
         format!(
             "Conv2d({}→{}, {}×{}, stride {}, pad {})",
             s.dim(1),

@@ -74,7 +74,7 @@ pub use loss::{accuracy, SoftmaxCrossEntropy};
 pub use pool::{GlobalAvgPool, MaxPool2d};
 pub use sequential::Sequential;
 pub use sgd::Sgd;
-pub use store::{ComputeBackend, Decode, WeightStore};
+pub use store::{ComputeBackend, WeightStore};
 pub use util::{concat_channels_with, slice_channels, slice_channels_with};
 
 // The scratch workspace threaded through `Layer::forward_with` /

@@ -4,8 +4,8 @@ use procrustes_prng::UniformRng;
 use procrustes_tensor::kernel::{self, Blueprint};
 use procrustes_tensor::{Init, Scratch, Tensor};
 
-use crate::store::{Decode, WeightStore};
-use crate::{Layer, ParamKind, ParamTensor, Values};
+use crate::store::{WeightCore, WeightStore};
+use crate::{Layer, ParamTensor};
 
 /// A fully-connected layer: `y = x·Wᵀ + b` with `x: [N, in]`,
 /// `W: [out, in]`.
@@ -21,11 +21,9 @@ use crate::{Layer, ParamKind, ParamTensor, Values};
 /// assert_eq!(y.shape().dims(), &[3, 2]);
 /// ```
 pub struct Linear {
-    /// Synced at every forward, which re-derives its decode only after
-    /// a write or a backend switch.
-    store: WeightStore,
-    dweight: Tensor,
-    bias: Option<(Tensor, Tensor)>,
+    /// The weights, with a store synced at every forward, which
+    /// re-derives its decode only after a write or a backend switch.
+    core: WeightCore,
     cached_x: Option<Tensor>,
 }
 
@@ -38,49 +36,40 @@ impl Linear {
         rng: &mut R,
     ) -> Self {
         let weight = Init::Xavier.fc_weights(out_features, in_features, rng);
-        let dweight = Tensor::zeros(weight.shape().dims());
-        let bias = bias.then(|| {
-            (
-                Tensor::zeros(&[out_features]),
-                Tensor::zeros(&[out_features]),
-            )
-        });
         Self {
-            store: WeightStore::new(weight),
-            dweight,
-            bias,
+            core: WeightCore::new(weight, bias),
             cached_x: None,
         }
     }
 
     /// The `[out, in]` weight matrix.
     pub fn weight(&self) -> &Tensor {
-        self.store.tensor()
+        self.core.store.tensor()
     }
 
     /// Mutable weight access. Marks the compute representation stale.
     pub fn weight_mut(&mut self) -> &mut Tensor {
-        self.store.tensor_mut()
+        self.core.store.tensor_mut()
     }
 
     /// The weight store in its active representation.
     pub fn weight_store(&self) -> &WeightStore {
-        &self.store
+        &self.core.store
     }
 }
 
 impl Layer for Linear {
     fn forward_with(&mut self, x: &Tensor, train: bool, scratch: &mut Scratch) -> Tensor {
         assert_eq!(x.shape().rank(), 2, "Linear: input must be [N, features]");
-        self.store.sync();
+        self.core.store.sync();
         let n = x.shape().dim(0);
-        let w = self.store.tensor();
+        let w = self.core.store.tensor();
         let (out, inp) = (w.shape().dim(0), w.shape().dim(1));
-        let mut y = match self.store.decode() {
-            Some(Decode::Fc(decode)) => decode.forward(x, scratch),
+        let mut y = match self.core.store.decode() {
+            Some(decode) => decode.fc_forward(x, scratch),
             // y = x·Wᵀ as a transposed-rhs blueprint: no materialized
             // `w.transpose2d()` round-trip, same reduction order.
-            _ => {
+            None => {
                 let mut y = scratch.take_tensor_any(&[n, out]);
                 kernel::gemm(
                     &Blueprint::nt(n, inp, out).with_threads(kernel::default_threads()),
@@ -92,14 +81,7 @@ impl Layer for Linear {
                 y
             }
         };
-        if let Some((b, _)) = &self.bias {
-            let yd = y.data_mut();
-            for ni in 0..n {
-                for oi in 0..out {
-                    yd[ni * out + oi] += b.data()[oi];
-                }
-            }
-        }
+        self.core.add_bias(&mut y);
         if train {
             x.clone_into_slot(&mut self.cached_x);
         }
@@ -109,18 +91,18 @@ impl Layer for Linear {
     fn backward_with(&mut self, dy: &Tensor, scratch: &mut Scratch) -> Tensor {
         self.backward_params_with(dy, scratch);
         let (n, o) = (dy.shape().dim(0), dy.shape().dim(1));
-        let inp = self.store.tensor().shape().dim(1);
+        let inp = self.core.store.tensor().shape().dim(1);
         // dx = dy · W, through the transposed fetch of the decode when
         // the store is compressed.
-        match self.store.decode() {
-            Some(Decode::Fc(decode)) => decode.backward_input(dy, scratch),
-            _ => {
+        match self.core.store.decode() {
+            Some(decode) => decode.fc_backward_input(dy, scratch),
+            None => {
                 let mut dx = scratch.take_tensor_any(&[n, inp]);
                 kernel::gemm(
                     &Blueprint::nn(n, o, inp).with_threads(kernel::default_threads()),
                     dx.data_mut(),
                     dy.data(),
-                    self.store.tensor().data(),
+                    self.core.store.tensor().data(),
                     scratch,
                 );
                 dx
@@ -140,47 +122,24 @@ impl Layer for Linear {
         // through its [n, o] layout directly, so the old materialized
         // `transpose_into` copy is gone. Same per-element reduction
         // order, bitwise-equal result.
-        let mut dw = scratch.take_any(o * inp);
+        let mut dw = scratch.take_tensor_any(&[o, inp]);
         kernel::gemm(
             &Blueprint::tn(o, n, inp).with_threads(kernel::default_threads()),
-            &mut dw,
+            dw.data_mut(),
             dy.data(),
             x.data(),
             scratch,
         );
-        assert_eq!(dw.len(), self.dweight.len(), "Linear: dW shape drifted");
-        for (a, &b) in self.dweight.data_mut().iter_mut().zip(&dw) {
-            *a += b;
-        }
-        scratch.recycle_vec(dw);
-        if let Some((_, db)) = &mut self.bias {
-            for ni in 0..n {
-                for oi in 0..o {
-                    db.data_mut()[oi] += dy.data()[ni * o + oi];
-                }
-            }
-        }
+        self.core.accumulate(&dw, dy);
+        scratch.recycle(dw);
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(ParamTensor<'_>)) {
-        visitor(ParamTensor {
-            name: "fc.weight",
-            kind: ParamKind::Prunable,
-            values: Values::Store(&mut self.store),
-            grads: &mut self.dweight,
-        });
-        if let Some((b, db)) = &mut self.bias {
-            visitor(ParamTensor {
-                name: "fc.bias",
-                kind: ParamKind::Auxiliary,
-                values: Values::Plain(b),
-                grads: db,
-            });
-        }
+        self.core.visit_params(["fc.weight", "fc.bias"], visitor);
     }
 
     fn name(&self) -> String {
-        let s = self.store.tensor().shape();
+        let s = self.core.store.tensor().shape();
         format!("Linear({}→{})", s.dim(1), s.dim(0))
     }
 }

@@ -3,12 +3,12 @@
 //!
 //! Sparse trainers (Dropback, Procrustes) rewrite the materialized weight
 //! tensor every step through [`Layer::visit_params`](crate::Layer), so
-//! the dense tensor stays the single source of truth; the [`Decode`] is
-//! a *compute cache* re-derived lazily before the next forward pass
-//! whenever the weights may have changed ("resyncing layout after mask
-//! updates"). The store owns everything that decision needs — the
-//! master, the [`ComputeBackend`] policy and the dirty bit — so a layer
-//! only syncs and dispatches. The cache goes stale on a write, never on
+//! the dense tensor stays the single source of truth; the
+//! [`ConvDecode`] is a *compute cache* re-derived lazily before the
+//! next forward pass whenever the weights may have changed ("resyncing
+//! layout after mask updates"). The store owns everything that
+//! decision needs — the master, the [`ComputeBackend`] policy and the
+//! dirty bit — so a layer only syncs and dispatches. The cache goes stale on a write, never on
 //! a read: a visit hands the store out as [`Values`](crate::Values),
 //! which marks it only when a visitor borrows the master mutably.
 //! Switching backends never changes results: the sparse kernels are
@@ -16,8 +16,9 @@
 //!
 //! A resync reads the master once and encodes its nonzeros straight
 //! into the CSRs the kernels walk — forward and rotated for a `KCRS`
-//! master, `W` and `Wᵀ` for `[out, in]` — reusing the previous resync's
-//! buffers, so a steady-state resync allocates nothing. The one read is
+//! master; an `[out, in]` master is the 1×1 conv it is, so its two are
+//! `W` and `Wᵀ` — reusing the previous resync's buffers, so a
+//! steady-state resync allocates nothing. The one read is
 //! the forward order's scan (64 entries to an occupancy word, branching
 //! on nonzeros, not on each entry); the second order is a counting sort
 //! of the first, and a compressed store takes the density that decides
@@ -25,9 +26,15 @@
 //! compressed-sparse-block format (`procrustes_sparse::CsbTensor`) is
 //! what the accelerator stores and the simulator accounts for; the CPU
 //! twin derives its CSRs from the master without building it.
+//!
+//! `Conv2d` and `Linear` hold their store in one [`WeightCore`] with
+//! its gradient and optional bias, an fc layer's output being a conv's
+//! at `P·Q = 1`.
 
-use procrustes_sparse::{ConvDecode, FcDecode};
+use procrustes_sparse::ConvDecode;
 use procrustes_tensor::Tensor;
+
+use crate::{ParamKind, ParamTensor, Values};
 
 /// Which kernels a sparse-aware layer runs its weights through.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -92,20 +99,10 @@ impl ComputeBackend {
     }
 }
 
-/// The sparse encoding of a store's master that its layer's kernels run
-/// on.
-#[derive(Debug)]
-pub enum Decode {
-    /// Of a `KCRS` master: forward order and rotated backward order.
-    Conv(ConvDecode),
-    /// Of an `[out, in]` master: `W` by rows and `Wᵀ` by rows.
-    Fc(FcDecode),
-}
-
 /// A layer's weight tensor with its compute representation.
 ///
 /// The dense master is what trainers mutate; under a CSB-selecting
-/// [`ComputeBackend`] the store also caches the master's [`Decode`].
+/// [`ComputeBackend`] the store also caches the master's [`ConvDecode`].
 /// Writing goes through [`tensor_mut`](WeightStore::tensor_mut) or
 /// [`set_backend`](WeightStore::set_backend), which mark the cache
 /// stale; reading through [`tensor`](WeightStore::tensor) leaves it
@@ -116,7 +113,7 @@ pub struct WeightStore {
     /// Set whenever the master or the backend may have changed since the
     /// last sync.
     dirty: bool,
-    decode: Option<Decode>,
+    decode: Option<ConvDecode>,
     /// Encodes of the master into a decode since construction.
     encodes: u64,
 }
@@ -154,7 +151,7 @@ impl WeightStore {
 
     /// The decode to run the sparse kernels on, if the store is
     /// compressed; `None` selects the dense kernels on the master.
-    pub fn decode(&self) -> Option<&Decode> {
+    pub fn decode(&self) -> Option<&ConvDecode> {
         self.decode.as_ref()
     }
 
@@ -197,16 +194,8 @@ impl WeightStore {
             (ComputeBackend::Dense, decode) => *decode = None,
             (backend, Some(decode)) => {
                 self.encodes += 1;
-                let nnz = match decode {
-                    Decode::Conv(d) => {
-                        d.encode(&self.master);
-                        d.nnz()
-                    }
-                    Decode::Fc(d) => {
-                        d.encode(&self.master);
-                        d.nnz()
-                    }
-                };
+                decode.encode(&self.master);
+                let nnz = decode.nnz();
                 // The formula of `density()`, so the decision is bitwise
                 // the scan's.
                 if !backend.wants_csb(1.0 - (len - nnz) as f64 / len as f64) {
@@ -216,11 +205,7 @@ impl WeightStore {
             (backend, decode @ None) => {
                 if backend.wants_csb(1.0 - self.master.sparsity()) {
                     self.encodes += 1;
-                    *decode = Some(if self.master.shape().rank() == 4 {
-                        Decode::Conv(ConvDecode::from_dense(&self.master))
-                    } else {
-                        Decode::Fc(FcDecode::from_dense(&self.master))
-                    });
+                    *decode = Some(ConvDecode::from_dense(&self.master));
                 }
             }
         }
@@ -230,13 +215,97 @@ impl WeightStore {
 impl std::fmt::Debug for WeightStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "WeightStore({:?}", self.master.shape())?;
-        match &self.decode {
-            Some(Decode::Conv(d)) => write!(f, ", csb nnz {}", d.nnz())?,
-            Some(Decode::Fc(d)) => write!(f, ", csb nnz {}", d.nnz())?,
-            None => {}
+        if let Some(d) = &self.decode {
+            write!(f, ", csb nnz {}", d.nnz())?;
         }
         write!(f, ")")
     }
+}
+
+/// The parameters of a `Conv2d` or a `Linear`: the weight store, its
+/// gradient and an optional per-output bias with its gradient. The
+/// layer's output and upstream gradient are `[N, K, plane]`, with
+/// `plane = P·Q` for a conv and `1` for an fc layer.
+pub(crate) struct WeightCore {
+    pub(crate) store: WeightStore,
+    dweight: Tensor,
+    bias: Option<(Tensor, Tensor)>,
+}
+
+impl WeightCore {
+    /// Wraps `weight` (`K` outputs first) with a zero gradient and, if
+    /// asked, a zero bias of `K` entries.
+    pub(crate) fn new(weight: Tensor, bias: bool) -> Self {
+        let k = weight.shape().dim(0);
+        Self {
+            dweight: Tensor::zeros(weight.shape().dims()),
+            bias: bias.then(|| (Tensor::zeros(&[k]), Tensor::zeros(&[k]))),
+            store: WeightStore::new(weight),
+        }
+    }
+
+    /// Adds output `k`'s bias to every position of its plane in `y`.
+    pub(crate) fn add_bias(&self, y: &mut Tensor) {
+        if let Some((b, _)) = &self.bias {
+            let (n, k, plane) = planes(y);
+            let yd = y.data_mut();
+            for ni in 0..n {
+                for ki in 0..k {
+                    let bk = b.data()[ki];
+                    for v in &mut yd[(ni * k + ki) * plane..(ni * k + ki + 1) * plane] {
+                        *v += bk;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Adds `dw` to the weight gradient and each of `dy`'s plane sums to
+    /// its output's bias gradient.
+    pub(crate) fn accumulate(&mut self, dw: &Tensor, dy: &Tensor) {
+        self.dweight.axpy(1.0, dw);
+        if let Some((_, db)) = &mut self.bias {
+            let (n, k, plane) = planes(dy);
+            for ni in 0..n {
+                for ki in 0..k {
+                    let s: f32 = dy.data()[(ni * k + ki) * plane..(ni * k + ki + 1) * plane]
+                        .iter()
+                        .sum();
+                    db.data_mut()[ki] += s;
+                }
+            }
+        }
+    }
+
+    /// Visits the weight (prunable, as its store) and the bias under
+    /// `names`.
+    pub(crate) fn visit_params(
+        &mut self,
+        names: [&'static str; 2],
+        visitor: &mut dyn FnMut(ParamTensor<'_>),
+    ) {
+        visitor(ParamTensor {
+            name: names[0],
+            kind: ParamKind::Prunable,
+            values: Values::Store(&mut self.store),
+            grads: &mut self.dweight,
+        });
+        if let Some((b, db)) = &mut self.bias {
+            visitor(ParamTensor {
+                name: names[1],
+                kind: ParamKind::Auxiliary,
+                values: Values::Plain(b),
+                grads: db,
+            });
+        }
+    }
+}
+
+/// `(N, K, plane)` of an `[N, K, …]` tensor, `plane` the product of the
+/// trailing extents.
+fn planes(t: &Tensor) -> (usize, usize, usize) {
+    let dims = t.shape().dims();
+    (dims[0], dims[1], dims[2..].iter().product())
 }
 
 #[cfg(test)]
@@ -263,7 +332,7 @@ mod tests {
         store.set_backend(ComputeBackend::auto());
         store.sync();
         assert!(store.is_csb(), "25% density should promote");
-        assert!(matches!(store.decode(), Some(Decode::Conv(d)) if d.nnz() == 1));
+        assert!(matches!(store.decode(), Some(d) if d.nnz() == 1));
         // Refill the master through the mutable view, resync: demotes.
         store.tensor_mut().map_inplace(|_| 1.0);
         store.sync();
@@ -277,13 +346,11 @@ mod tests {
         let mut store = WeightStore::new(dense);
         store.set_backend(ComputeBackend::Csb);
         store.sync();
-        let Some(Decode::Fc(decode)) = store.decode() else {
-            panic!("an [out, in] master decodes as fc");
-        };
+        let decode = store.decode().expect("an [out, in] master decodes");
         assert_eq!(decode.nnz(), 3);
         let mut scratch = procrustes_tensor::Scratch::new();
         let dy = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]);
-        let dx = decode.backward_input(&dy, &mut scratch);
+        let dx = decode.fc_backward_input(&dy, &mut scratch);
         assert_eq!(dx.data(), dy.matmul(store.tensor()).data());
     }
 }

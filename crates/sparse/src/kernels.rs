@@ -10,10 +10,12 @@
 //! [`CsbTensor`] is the format the accelerator stores, the one the
 //! simulator charges and Fig 8 shows. The kernels here do not read it:
 //! layers encode their dense master once per weight resync, straight
-//! into a [`ConvDecode`] or an [`FcDecode`], each a pair of CSRs (the
-//! weight matrix in the order each pass fetches it). The stored nonzeros drive
-//! every loop nest, the innermost loop is a contiguous `f32` run, and
-//! two loop nests consume the CSRs:
+//! into a [`ConvDecode`], a pair of CSRs (the weight matrix in the order
+//! each pass fetches it). An fc layer's `[out, in]` master encodes as
+//! the 1×1 conv it is (`K = out`, `C = in`, `R = S = 1`), the same
+//! keying the CSB format gives it, so its two CSRs are those of `W` and
+//! `Wᵀ`. The stored nonzeros drive every loop nest, the innermost loop
+//! is a contiguous `f32` run, and two loop nests consume the CSRs:
 //!
 //! - **The gather** serves both convolutions. Like the PEs of Fig 2 it
 //!   never unfolds an activation: it runs over the zero-padded planes
@@ -28,8 +30,9 @@
 //!   output its piece covers, so every output element is still reduced
 //!   on one thread, in one order.
 //! - **The SpMM** over a materialised column matrix serves the
-//!   fully-connected products (`xᵀ`, and `dyᵀ` against the CSR of `Wᵀ`:
-//!   a fully-connected layer is a convolution at `P = Q = 1`) and
+//!   fully-connected products (`xᵀ` against the rows, and `dyᵀ` against
+//!   the rotated rows, which at `R = S = 1` are the CSR of `Wᵀ`: a
+//!   fully-connected layer is a convolution at `P = Q = 1`) and
 //!   [`ConvDecode::forward_from_cols`], the im2col oracle the gather is
 //!   tested against.
 //!
@@ -128,26 +131,6 @@ impl Csr {
                     occupied &= occupied - 1;
                     self.idx.push((run * 64 + j) as u32);
                     self.val.push(entries[j]);
-                }
-            }
-            self.row_ptr.push(self.idx.len() as u32);
-        }
-    }
-
-    /// The branch-per-entry scan [`Csr::set_from_dense`] replaced, kept
-    /// as its oracle.
-    #[cfg(test)]
-    fn set_from_dense_branchy(&mut self, data: &[f32], cols: usize) {
-        self.cols = cols;
-        self.row_ptr.clear();
-        self.idx.clear();
-        self.val.clear();
-        self.row_ptr.push(0);
-        for row in data.chunks_exact(cols.max(1)) {
-            for (c, &v) in row.iter().enumerate() {
-                if v != 0.0 {
-                    self.idx.push(c as u32);
-                    self.val.push(v);
                 }
             }
             self.row_ptr.push(self.idx.len() as u32);
@@ -356,19 +339,21 @@ impl Csr {
 }
 
 /// A `KCRS` weight tensor as the two CSRs the training step reads, so
-/// the kernels touch only stored nonzeros:
+/// the kernels touch only stored nonzeros. An fc layer's `[out, in]`
+/// matrix is read as `[out, in, 1, 1]`:
 ///
 /// - by output channel `k`: `(c·R·S + r·S + s, value)` ascending — the
 ///   rows of the `[K, C·R·S]` weight matrix, for the forward pass;
 /// - by input channel `c`: `(k·R·S + r'·S + s', value)` ascending with
 ///   `(r', s') = (R-1-r, S-1-s)` — the rows of the 180°-rotated,
 ///   channel-swapped `[C, K·R·S]` matrix, the fetch order of the
-///   backward pass (Fig 2b).
+///   backward pass (Fig 2b). At `R = S = 1` these are the rows of `W`
+///   and of `Wᵀ`, the two fc products' operands.
 ///
 /// Layers re-encode one per weight resync (see `WeightStore` in
 /// `procrustes-nn`) into the buffers it already holds, and run every
-/// forward and backward-input convolution through it with pooled
-/// outputs, so the steady-state sparse conv path allocates nothing.
+/// forward and backward-input product through it with pooled outputs,
+/// so the steady-state sparse path allocates nothing.
 ///
 /// # Examples
 ///
@@ -385,6 +370,14 @@ impl Csr {
 /// let xp = PaddedPlanes::of_input(&x, 3, 3, 1, 1, &mut scratch);
 /// let y = decode.forward(&xp, &mut scratch);
 /// assert_eq!(y.data(), conv2d(&x, &w, 1, 1).data());
+///
+/// // An fc layer: `[out, in]` weights, `x·Wᵀ` and `dy·W`.
+/// let w = Tensor::from_vec(&[2, 3], vec![1.0, 0.0, 2.0, 0.0, 3.0, 0.0]);
+/// let decode = ConvDecode::from_dense(&w);
+/// let x = Tensor::from_vec(&[1, 3], vec![10.0, 20.0, 30.0]);
+/// assert_eq!(decode.fc_forward(&x, &mut scratch).data(), &[70.0, 60.0]);
+/// let dy = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]);
+/// assert_eq!(decode.fc_backward_input(&dy, &mut scratch).data(), &[1.0, 3.0, 2.0]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConvDecode {
@@ -399,11 +392,12 @@ pub struct ConvDecode {
 }
 
 impl ConvDecode {
-    /// Encodes the nonzeros of a `KCRS` weight tensor in both orders.
+    /// Encodes the nonzeros of a `KCRS` or `[out, in]` weight tensor in
+    /// both orders.
     ///
     /// # Panics
     ///
-    /// Panics if `w` is not rank 4.
+    /// Panics if `w` is neither rank 4 nor rank 2.
     pub fn from_dense(w: &Tensor) -> Self {
         let mut decode = Self {
             k: 0,
@@ -422,25 +416,31 @@ impl ConvDecode {
     ///
     /// # Panics
     ///
-    /// Panics if `w` is not rank 4.
+    /// Panics if `w` is neither rank 4 nor rank 2.
     pub fn encode(&mut self, w: &Tensor) {
-        let shape = w.shape();
-        assert_eq!(
-            shape.rank(),
-            4,
-            "csb conv kernel: weights must have a conv layout (KCRS)"
-        );
-        let [k, c, r, s] = [0, 1, 2, 3].map(|d| shape.dim(d));
-        let (crs, rs) = (c * r * s, r * s);
-        self.rows.set_from_dense(w.data(), crs);
+        let [k, c, r, s] = match *w.shape().dims() {
+            [k, c, r, s] => [k, c, r, s],
+            [k, c] => [k, c, 1, 1],
+            _ => panic!("csb kernel: weights must be KCRS or [out, in]"),
+        };
+        let rs = r * s;
+        self.rows.set_from_dense(w.data(), c * rs);
         // The rotated fetch reads a filter's last tap first, so each
         // forward row is read backwards: per channel, `k` ascending and
-        // the rotated taps ascending.
+        // the rotated taps ascending. No entry divides: a 1×1 filter's
+        // tap is its channel, and a wider filter's is `i / rs` as the
+        // high half of `i·⌈2⁶⁴/rs⌉`, exact for every 32-bit `i`.
+        let recip = u128::from(u64::MAX / rs.max(1) as u64) + 1;
         let rows = &self.rows;
         self.rot.set_from_entries(c, k * rs, |visit| {
             for ki in 0..k {
                 for (i, v) in rows.row(ki).rev() {
-                    visit(i / rs, (ki + 1) * rs - 1 - i % rs, v);
+                    let ch = if rs == 1 {
+                        i
+                    } else {
+                        ((recip * i as u128) >> 64) as usize
+                    };
+                    visit(ch, (ki + 1) * rs - 1 - (i - ch * rs), v);
                 }
             }
         });
@@ -546,6 +546,34 @@ impl ConvDecode {
             .gather(&dyp, &mut dx, kernel::default_threads(), scratch);
         dyp.recycle(scratch);
         Tensor::from_vec(&[n, self.c, h, wdt], dx)
+    }
+
+    /// `y = x·Wᵀ` for an fc layer's `x: [N, C]`, these weights being its
+    /// `[K, C]` matrix: the SpMM over `xᵀ` with the rows. The result
+    /// tensor `[N, K]` comes from `scratch`. Per output element the
+    /// stored nonzeros reduce in ascending `c` from `0.0`, so the result
+    /// is bitwise-equal to the dense `x.matmul(&w.transpose2d())`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the filters are not 1×1 or `x` is not `[N, C]`.
+    pub fn fc_forward(&self, x: &Tensor, scratch: &mut Scratch) -> Tensor {
+        assert_eq!(self.r * self.s, 1, "csb fc: weights are not 1×1");
+        self.rows.spmm_transposed(x, scratch)
+    }
+
+    /// `dx = dy·W` for an fc layer's `dy: [N, K]`: the SpMM over `dyᵀ`
+    /// with the rotated rows, at `R = S = 1` the rows of `Wᵀ`. The result
+    /// tensor `[N, C]` comes from `scratch`. Per output element the
+    /// stored nonzeros reduce in ascending `k` from `0.0`, so the result
+    /// is bitwise-equal to the dense `dy.matmul(&w)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the filters are not 1×1 or `dy` is not `[N, K]`.
+    pub fn fc_backward_input(&self, dy: &Tensor, scratch: &mut Scratch) -> Tensor {
+        assert_eq!(self.r * self.s, 1, "csb fc: weights are not 1×1");
+        self.rot.spmm_transposed(dy, scratch)
     }
 }
 
@@ -762,102 +790,25 @@ pub fn csb_conv2d_backward_weights_masked(
     dw
 }
 
-/// An `[out, in]` weight matrix as the two CSRs the training step
-/// reads: the CSR of `W` (per output `o`, ascending input `i`) for the
-/// forward product and the CSR of `Wᵀ` (per input `i`, ascending `o`) for
-/// the backward one.
-///
-/// Layers re-encode one per weight resync (see `WeightStore` in
-/// `procrustes-nn`) into the buffers it already holds, and run both
-/// products through the SpMM the conv forward uses, with pooled buffers.
-///
-/// # Examples
-///
-/// ```
-/// use procrustes_sparse::FcDecode;
-/// use procrustes_tensor::{Scratch, Tensor};
-///
-/// let w = Tensor::from_vec(&[2, 3], vec![1.0, 0.0, 2.0, 0.0, 3.0, 0.0]);
-/// let decode = FcDecode::from_dense(&w);
-/// let mut scratch = Scratch::new();
-/// let x = Tensor::from_vec(&[1, 3], vec![10.0, 20.0, 30.0]);
-/// assert_eq!(decode.forward(&x, &mut scratch).data(), &[70.0, 60.0]);
-/// let dy = Tensor::from_vec(&[1, 2], vec![1.0, 1.0]);
-/// assert_eq!(decode.backward_input(&dy, &mut scratch).data(), &[1.0, 3.0, 2.0]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct FcDecode {
-    w: Csr,
-    wt: Csr,
-}
-
-impl FcDecode {
-    /// Encodes the nonzeros of an `[out, in]` weight matrix in both
-    /// orders.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is not rank 2.
-    pub fn from_dense(w: &Tensor) -> Self {
-        let mut decode = Self {
-            w: Csr::default(),
-            wt: Csr::default(),
-        };
-        decode.encode(w);
-        decode
-    }
-
-    /// Re-encodes both orders from `w` into this decode's buffers, which
-    /// grow only when `w` stores more nonzeros than they have held.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is not rank 2.
-    pub fn encode(&mut self, w: &Tensor) {
-        let shape = w.shape();
-        assert_eq!(
-            shape.rank(),
-            2,
-            "FcDecode: weights must have an fc layout ([out, in])"
-        );
-        let (out, inp) = (shape.dim(0), shape.dim(1));
-        self.w.set_from_dense(w.data(), inp);
-        // Rows of `W` read in order give each row of `Wᵀ` ascending `o`.
-        let rows = &self.w;
-        self.wt.set_from_entries(inp, out, |visit| {
-            for o in 0..out {
-                rows.row(o).for_each(|(i, v)| visit(i, o, v));
+#[cfg(test)]
+impl Csr {
+    /// The branch-per-entry scan [`Csr::set_from_dense`] replaced, kept
+    /// as its oracle.
+    fn set_from_dense_branchy(&mut self, data: &[f32], cols: usize) {
+        self.cols = cols;
+        self.row_ptr.clear();
+        self.idx.clear();
+        self.val.clear();
+        self.row_ptr.push(0);
+        for row in data.chunks_exact(cols.max(1)) {
+            for (c, &v) in row.iter().enumerate() {
+                if v != 0.0 {
+                    self.idx.push(c as u32);
+                    self.val.push(v);
+                }
             }
-        });
-    }
-
-    /// Stored nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.w.val.len()
-    }
-
-    /// `y = x·Wᵀ` for `x: [N, in]`; the result tensor `[N, out]` comes
-    /// from `scratch`. Per output element the stored nonzeros reduce in
-    /// ascending `i` from `0.0`, so the result is bitwise-equal to the
-    /// dense `x.matmul(&w.transpose2d())`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `[N, in]`.
-    pub fn forward(&self, x: &Tensor, scratch: &mut Scratch) -> Tensor {
-        self.w.spmm_transposed(x, scratch)
-    }
-
-    /// `dx = dy·W` for `dy: [N, out]`; the result tensor `[N, in]` comes
-    /// from `scratch`. Per output element the stored nonzeros reduce in
-    /// ascending `o` from `0.0`, so the result is bitwise-equal to the
-    /// dense `dy.matmul(&w)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dy` is not `[N, out]`.
-    pub fn backward_input(&self, dy: &Tensor, scratch: &mut Scratch) -> Tensor {
-        self.wt.spmm_transposed(dy, scratch)
+            self.row_ptr.push(self.idx.len() as u32);
+        }
     }
 }
 
@@ -917,18 +868,14 @@ mod tests {
 
     /// The weight tensors of one geometry at densities `{0, 0.1, 1}`,
     /// each checked to store the nonzero count it claims: a `KCRS` conv
-    /// weight or an `[out, in]` fc one.
+    /// weight or an `[out, in]` fc one, which encodes as `[out, in, 1, 1]`.
     fn weight_cases(dims: &[usize], seed: u64) -> Vec<Tensor> {
         let len: usize = dims.iter().product();
         [0, len.div_ceil(10), len]
             .into_iter()
             .map(|nnz| {
                 let w = with_nnz(dims, nnz, seed + nnz as u64);
-                let stored = if dims.len() == 4 {
-                    ConvDecode::from_dense(&w).nnz()
-                } else {
-                    FcDecode::from_dense(&w).nnz()
-                };
+                let stored = ConvDecode::from_dense(&w).nnz();
                 assert_eq!(stored, nnz, "case must hold the nnz it claims");
                 w
             })
@@ -1161,6 +1108,41 @@ mod tests {
         assert_eq!(d.rot.val, [3.0, 2.0, 1.0, 4.0]);
     }
 
+    /// The division-free channel of `encode` gives the rotated rows the
+    /// dividing formula gives: 1×1 (fc and conv), 3×3, non-square
+    /// and wide filters, rows with empty channels included.
+    #[test]
+    fn rotated_rows_match_the_dividing_oracle() {
+        for (gi, dims) in [
+            vec![4, 7],
+            vec![3, 70, 1, 1],
+            vec![5, 4, 3, 3],
+            vec![2, 3, 3, 2],
+            vec![3, 2, 1, 5],
+            vec![6, 9, 2, 2],
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let w = sparse_tensor(&dims, 0.2, 60 + gi as u64);
+            let d = ConvDecode::from_dense(&w);
+            let [k, c, r, s] = d.dims();
+            let rs = r * s;
+            let mut want = Csr::default();
+            want.set_from_entries(c, k * rs, |visit| {
+                for ki in 0..k {
+                    for (i, v) in d.rows.row(ki).rev() {
+                        visit(i / rs, (ki + 1) * rs - 1 - i % rs, v);
+                    }
+                }
+            });
+            assert_eq!(d.rot.cols, want.cols, "{dims:?}");
+            assert_eq!(d.rot.row_ptr, want.row_ptr, "{dims:?}");
+            assert_eq!(d.rot.idx, want.idx, "{dims:?}");
+            assert_eq!(d.rot.val, want.val, "{dims:?}");
+        }
+    }
+
     #[test]
     fn conv_masked_weight_grad_matches_dense_under_mask() {
         let w = sparse_tensor(&[3, 2, 3, 3], 0.4, 8);
@@ -1191,16 +1173,17 @@ mod tests {
         w.data_mut()[7] = -0.0;
         assert!(w.data()[7].is_sign_negative());
         // Re-encoded over the buffers of a larger, denser matrix.
-        let mut d = FcDecode::from_dense(&Tensor::ones(&[4, 6]));
+        let mut d = ConvDecode::from_dense(&Tensor::ones(&[4, 6]));
         d.encode(&w);
-        assert_eq!((d.w.rows(), d.w.cols), (3, 5));
-        assert_eq!(d.w.row_ptr, [0, 2, 2, 5]);
-        assert_eq!(d.w.idx, [1, 4, 0, 1, 4], "forward: ascending i per o");
-        assert_eq!(d.w.val, [1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!((d.wt.rows(), d.wt.cols), (5, 3));
-        assert_eq!(d.wt.row_ptr, [0, 1, 3, 3, 3, 5]);
-        assert_eq!(d.wt.idx, [2, 0, 2, 0, 2], "backward: ascending o per i");
-        assert_eq!(d.wt.val, [3.0, 1.0, 4.0, 2.0, 5.0]);
+        assert_eq!(d.dims(), [3, 5, 1, 1]);
+        assert_eq!((d.rows.rows(), d.rows.cols), (3, 5));
+        assert_eq!(d.rows.row_ptr, [0, 2, 2, 5]);
+        assert_eq!(d.rows.idx, [1, 4, 0, 1, 4], "forward: ascending i per o");
+        assert_eq!(d.rows.val, [1.0, 2.0, 3.0, 4.0, 5.0]);
+        assert_eq!((d.rot.rows(), d.rot.cols), (5, 3));
+        assert_eq!(d.rot.row_ptr, [0, 1, 3, 3, 3, 5]);
+        assert_eq!(d.rot.idx, [2, 0, 2, 0, 2], "backward: ascending o per i");
+        assert_eq!(d.rot.val, [3.0, 1.0, 4.0, 2.0, 5.0]);
     }
 
     /// The occupancy-word scan stores exactly what the branch-per-entry
@@ -1267,18 +1250,18 @@ mod tests {
         ] {
             let w = sparse_tensor(&dims, keep, seed);
             let x = sparse_tensor(&[3, dims[1]], 0.8, seed + 300);
-            let got = FcDecode::from_dense(&w).forward(&x, &mut scratch);
+            let got = ConvDecode::from_dense(&w).fc_forward(&x, &mut scratch);
             let want = x.matmul(&w.transpose2d());
             assert_eq!(got.data(), want.data(), "dims={dims:?}");
         }
         for (si, dims) in FC_SHAPES.into_iter().enumerate() {
             for w in weight_cases(&dims, 500 + 10 * si as u64) {
-                let decode = FcDecode::from_dense(&w);
+                let decode = ConvDecode::from_dense(&w);
                 let wt = w.transpose2d();
                 for n in FC_BATCHES {
                     let what = format!("dims {dims:?}, nnz {}, n {n}", decode.nnz());
                     let x = sparse_tensor(&[n, dims[1]], 0.8, 600 + n as u64);
-                    let got = decode.forward(&x, &mut scratch);
+                    let got = decode.fc_forward(&x, &mut scratch);
                     assert_eq!(got.shape().dims(), &[n, dims[0]], "{what}");
                     let want = matmul_ikj(x.data(), wt.data(), n, dims[1], dims[0]);
                     let want = Tensor::from_vec(&[n, dims[0]], want);
@@ -1295,24 +1278,24 @@ mod tests {
         for (dims, seed) in [([9usize, 6], 16u64), ([5, 11], 17)] {
             let w = sparse_tensor(&dims, 0.4, seed);
             let dy = sparse_tensor(&[4, dims[0]], 0.6, seed + 400);
-            let got = FcDecode::from_dense(&w).backward_input(&dy, &mut scratch);
+            let got = ConvDecode::from_dense(&w).fc_backward_input(&dy, &mut scratch);
             let want = dy.matmul(&w);
             assert_eq!(got.data(), want.data(), "dims={dims:?}");
         }
         for (si, dims) in FC_SHAPES.into_iter().enumerate() {
             for w in weight_cases(&dims, 700 + 10 * si as u64) {
-                let decode = FcDecode::from_dense(&w);
-                let transposed = FcDecode::from_dense(&w.transpose2d());
+                let decode = ConvDecode::from_dense(&w);
+                let transposed = ConvDecode::from_dense(&w.transpose2d());
                 for n in FC_BATCHES {
                     let what = format!("dims {dims:?}, nnz {}, n {n}", decode.nnz());
                     let dy = sparse_tensor(&[n, dims[0]], 0.6, 800 + n as u64);
-                    let got = decode.backward_input(&dy, &mut scratch);
+                    let got = decode.fc_backward_input(&dy, &mut scratch);
                     assert_eq!(got.shape().dims(), &[n, dims[1]], "{what}");
                     let want = matmul_ikj(dy.data(), w.data(), n, dims[0], dims[1]);
                     let want = Tensor::from_vec(&[n, dims[1]], want);
                     assert_eq!(bits(&got), bits(&want), "{what}: vs matmul_ikj");
                     // The transposed oracle: the forward product of `Wᵀ`.
-                    let oracle = transposed.forward(&dy, &mut scratch);
+                    let oracle = transposed.fc_forward(&dy, &mut scratch);
                     assert_eq!(bits(&got), bits(&oracle), "{what}: vs Wᵀ forward");
                     scratch.recycle(got);
                     scratch.recycle(oracle);

@@ -19,10 +19,10 @@
 //! This crate provides [`CsbTensor`] — the format as the simulator
 //! charges it, one block per conv filter, with one packed [`BitMask`] as
 //! its mask array (an fc layer is stored as the 1×1 conv it is) — and
-//! the [`kernels`] module: sparse conv and fc compute kernels over CSRs
-//! encoded from the dense weights ([`ConvDecode`], [`FcDecode`]), whose
-//! work scales with the number of stored nonzeros rather than the dense
-//! volume.
+//! the [`kernels`] module: sparse conv and fc compute kernels over the
+//! CSRs of one [`ConvDecode`] encoded from the dense weights (an fc
+//! layer's as the 1×1 conv it is), whose work scales with the number of
+//! stored nonzeros rather than the dense volume.
 //!
 //! # Examples
 //!
@@ -48,5 +48,5 @@ pub mod kernels;
 pub use bitmask::{BitMask, IterOnes};
 pub use csb::CsbTensor;
 pub use kernels::{
-    csb_conv2d, csb_conv2d_backward_input, csb_conv2d_backward_weights_masked, ConvDecode, FcDecode,
+    csb_conv2d, csb_conv2d_backward_input, csb_conv2d_backward_weights_masked, ConvDecode,
 };
